@@ -1,4 +1,5 @@
-"""Triangle mesh loading, XY-grid spatial index, and vertical ray casting.
+"""Triangle mesh loading, XY-grid spatial index, vertical ray casting, and
+batched XY distances between toolpath polylines.
 
 All coordinates are millimeters. The mesh is the reference surface that
 toolpath vertices are snapped towards; queries are always vertical lines,
@@ -452,3 +453,99 @@ def cast_vertical_batch(index, xs, ys, qzs):
                 hit[sel] = True
         start = end
     return delta, facing_top, hit
+
+
+# ---------------------------------------------------------------------------
+# XY polyline distances, batched
+#
+# Polylines are (n, 3) arrays of x, y, z. These are the numpy twins of the
+# scalar loops in `ordering` (`_seg_point_dist2`,
+# `polyline_min_distance_brute`, `nearest_on_polyline_brute`): the same
+# operations in the same order, so they return bitwise the same values.
+
+PAIR_BLOCK = 4096    # point-segment pairs per numpy call: bounds the temporaries
+BOX_SLACK = 1e-6     # relative margin on eps before a box gap rules a pair out
+
+
+def polyline_array(verts):
+    """(n, 3) array of a vertex list's x, y, z."""
+    return np.array([(v.x, v.y, v.z) for v in verts], dtype=float).reshape(-1, 3)
+
+
+def _pair_blocks(n_points, n_segs):
+    """Row-major (point, segment) slices of at most PAIR_BLOCK pairs each."""
+    cols = min(n_segs, PAIR_BLOCK)
+    rows = PAIR_BLOCK // cols
+    for r in range(0, n_points, rows):
+        for c in range(0, n_segs, cols):
+            yield slice(r, r + rows), slice(c, c + cols)
+
+
+def _point_segment_dist2(p, a, b):
+    """`_seg_point_dist2` of every point p[k] against every segment
+    a[i] -> b[i]: (squared distance, t), each of shape (len(p), len(a))."""
+    px, py = p[:, :1], p[:, 1:2]
+    ax, ay = a[:, 0], a[:, 1]
+    dx, dy = b[:, 0] - ax, b[:, 1] - ay
+    L2 = dx * dx + dy * dy
+    flat = L2 < 1e-18
+    t = ((px - ax) * dx + (py - ay) * dy) / np.where(flat, 1.0, L2)
+    t = np.where(flat, 0.0, np.minimum(np.maximum(t, 0.0), 1.0))
+    # a Python float's `** 2` is libm pow, which can differ from x * x in
+    # the last bit; float_power calls the same pow
+    d2 = (np.float_power(px - (ax + t * dx), 2.0)
+          + np.float_power(py - (ay + t * dy), 2.0))
+    return d2, t
+
+
+def polyline_distance(a, b):
+    """`polyline_min_distance_brute` on coordinate arrays. The minimum over
+    all segment pairs of the four vertex-segment distances is the minimum
+    over every vertex of one polyline against every segment of the other."""
+    if len(a) < 2 or len(b) < 2:
+        return min((math.dist(p, q) for p in a[:, :2].tolist()
+                    for q in b[:, :2].tolist()), default=math.inf)
+    best = math.inf
+    for p, s in ((a, b), (b, a)):
+        for rows, cols in _pair_blocks(len(p), len(s) - 1):
+            d2, _ = _point_segment_dist2(p[rows], s[:-1][cols], s[1:][cols])
+            best = min(best, float(d2.min()))
+    return math.sqrt(best)
+
+
+def nearest_points(p, s):
+    """`nearest_on_polyline_brute` for every point p[k] against the
+    polyline s (both coordinate arrays): (distance, z, endpoint flag)
+    arrays. The first minimum wins, as the scalar strict `<` has it."""
+    n, m = len(p), len(s) - 1
+    best = np.full(n, math.inf)
+    seg = np.zeros(n, dtype=np.int64)
+    t = np.zeros(n)
+    if m < 1:
+        return best, np.zeros(n), np.zeros(n, dtype=np.int64)
+    for rows, cols in _pair_blocks(n, m):
+        d2, tb = _point_segment_dist2(p[rows], s[:-1][cols], s[1:][cols])
+        k = d2.argmin(axis=1)
+        r = np.arange(len(k))
+        dk = d2[r, k]
+        better = dk < best[rows]
+        best[rows] = np.where(better, dk, best[rows])
+        seg[rows] = np.where(better, k + cols.start, seg[rows])
+        t[rows] = np.where(better, tb[r, k], t[rows])
+    za, zb = s[seg, 2], s[seg + 1, 2]
+    endpoint = np.where((seg == 0) & (t <= 0.0), -1,
+                        np.where((seg == m - 1) & (t >= 1.0), 1, 0))
+    return np.sqrt(best), za + (zb - za) * t, endpoint
+
+
+def box_pairs(coords, eps):
+    """Index pairs i < j, in order, whose XY bounding boxes come within eps
+    on both axes: every pair of polylines closer than eps is among them."""
+    lo = np.array([c[:, :2].min(axis=0) for c in coords]).reshape(-1, 2)
+    hi = np.array([c[:, :2].max(axis=0) for c in coords]).reshape(-1, 2)
+    reach = eps * (1.0 + BOX_SLACK)
+    pairs = []
+    for i in range(len(coords)):
+        gap = np.maximum(lo[i + 1:] - hi[i], lo[i] - hi[i + 1:]).max(axis=1)
+        pairs.extend((i, j) for j in (np.nonzero(gap <= reach)[0] + i + 1).tolist())
+    return pairs

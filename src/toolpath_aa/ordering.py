@@ -16,6 +16,9 @@ import time
 import warnings
 from dataclasses import dataclass, field
 
+from .geometry import (box_pairs, nearest_points, polyline_array,
+                       polyline_distance)
+
 TIE_TOL = 1e-6          # mm, height ties below this create no constraint
 MATCH_TOL = 1e-6        # mm, two gap locations closer than this are the same
 
@@ -26,6 +29,10 @@ class OrderingError(Exception):
 
 # ---------------------------------------------------------------------------
 # Geometry helpers (XY plane)
+#
+# The scalar functions are the reference; the pipeline uses their numpy
+# twins in `geometry`, which return bitwise the same values.
+
 
 def _seg_point_dist2(px, py, ax, ay, bx, by):
     dx, dy = bx - ax, by - ay
@@ -48,7 +55,7 @@ def _seg_seg_dist(a1, a2, b1, b2):
     return math.sqrt(best)
 
 
-def polyline_min_distance(verts_a, verts_b):
+def polyline_min_distance_brute(verts_a, verts_b):
     """Closest XY approach between two polylines (vertex lists)."""
     best = math.inf
     for i in range(len(verts_a) - 1):
@@ -67,7 +74,7 @@ def polyline_min_distance(verts_a, verts_b):
     return best
 
 
-def nearest_on_polyline(x, y, verts):
+def nearest_on_polyline_brute(x, y, verts):
     """Nearest point on the polyline: (dist, z at point, (px, py),
     endpoint_hit) where endpoint_hit is 0/-1/+1 for interior/first/last."""
     best = (math.inf, 0.0, (0.0, 0.0), 0)
@@ -86,6 +93,11 @@ def nearest_on_polyline(x, y, verts):
                 endpoint = +1
             best = (d2, z, (px, py), endpoint)
     return math.sqrt(best[0]), best[1], best[2], best[3]
+
+
+def polyline_min_distance(verts_a, verts_b):
+    """Closest XY approach between two polylines (vertex lists)."""
+    return polyline_distance(polyline_array(verts_a), polyline_array(verts_b))
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +124,10 @@ def find_neighbors(paths, eps):
     Pairs where neither path was modified are skipped: unmodified paths
     bypass ordering entirely.
     """
-    pairs = []
-    for i in range(len(paths)):
-        for j in range(i + 1, len(paths)):
-            if not (paths[i].modified or paths[j].modified):
-                continue
-            if polyline_min_distance(paths[i].vertices, paths[j].vertices) < eps:
-                pairs.append((i, j))
-    return pairs
+    coords = [polyline_array(p.vertices) for p in paths]
+    return [(i, j) for i, j in box_pairs(coords, eps)
+            if (paths[i].modified or paths[j].modified)
+            and polyline_distance(coords[i], coords[j]) < eps]
 
 
 # ---------------------------------------------------------------------------
@@ -176,20 +184,10 @@ def _clone_vertex(v, e=None):
 def _signals(path_verts, other_verts, eps):
     """Per-vertex height sign against the nearest point of the neighbour:
     +1/-1 strict, 0 tie, None out of range."""
-    out = []
-    for v in path_verts:
-        dist, z, _pt, _ep = nearest_on_polyline(v.x, v.y, other_verts)
-        if dist >= eps:
-            out.append(None)
-        else:
-            dz = v.z - z
-            if dz > TIE_TOL:
-                out.append(+1)
-            elif dz < -TIE_TOL:
-                out.append(-1)
-            else:
-                out.append(0)
-    return out
+    p = polyline_array(path_verts)
+    dist, z, _ep = nearest_points(p, polyline_array(other_verts))
+    return [None if d >= eps else +1 if dz > TIE_TOL else -1 if dz < -TIE_TOL
+            else 0 for d, dz in zip(dist.tolist(), (p[:, 2] - z).tolist())]
 
 
 def _cuts_from_signals(signals, closed):
@@ -295,14 +293,16 @@ def compare_heights(sa, sb, eps):
     into the other."""
     total = 0.0
     count = 0
-    for src, dst, sign in ((sa, sb, +1.0), (sb, sa, -1.0)):
+    ca, cb = polyline_array(sa.vertices), polyline_array(sb.vertices)
+    for src, dst, cs, cd, sign in ((sa, sb, ca, cb, +1.0),
+                                   (sb, sa, cb, ca, -1.0)):
         verts = src.vertices
-        for vi, v in enumerate(verts):
+        near = zip(*(a.tolist() for a in nearest_points(cs, cd)))
+        for vi, (v, (dist, z, endpoint)) in enumerate(zip(verts, near)):
             if vi == 0 and src.first_is_cut:
                 continue
             if vi == len(verts) - 1 and src.last_is_cut:
                 continue
-            dist, z, pt, endpoint = nearest_on_polyline(v.x, v.y, dst.vertices)
             if dist >= eps:
                 continue
             if endpoint == -1 and dst.first_is_cut:
@@ -320,9 +320,6 @@ def compare_heights(sa, sb, eps):
 class ConstraintGraph:
     nodes: list
     edges: list = field(default_factory=list)   # (u, v): u prints before v
-
-    def successors(self, u):
-        return [v for (a, v) in self.edges if a == u]
 
     def in_degrees(self):
         deg = [0] * len(self.nodes)
@@ -350,23 +347,22 @@ def build_constraint_graph(subpaths, eps, _resplit_budget=1):
 
 def _build_graph_once(subpaths, eps):
     graph = ConstraintGraph(nodes=subpaths)
-    n = len(subpaths)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = subpaths[i], subpaths[j]
-            if not (a.modified and b.modified):
-                continue
-            if a.parent_id == b.parent_id:
-                continue
-            if polyline_min_distance(a.vertices, b.vertices) >= eps:
-                continue
-            mean = compare_heights(a, b, eps)
-            if mean is None or abs(mean) <= TIE_TOL:
-                continue
-            if mean < 0:
-                graph.edges.append((i, j))
-            else:
-                graph.edges.append((j, i))
+    coords = [polyline_array(sp.vertices) for sp in subpaths]
+    for i, j in box_pairs(coords, eps):
+        a, b = subpaths[i], subpaths[j]
+        if not (a.modified and b.modified):
+            continue
+        if a.parent_id == b.parent_id:
+            continue
+        if polyline_distance(coords[i], coords[j]) >= eps:
+            continue
+        mean = compare_heights(a, b, eps)
+        if mean is None or abs(mean) <= TIE_TOL:
+            continue
+        if mean < 0:
+            graph.edges.append((i, j))
+        else:
+            graph.edges.append((j, i))
     return graph
 
 
@@ -387,22 +383,20 @@ def _find_cycle(graph):
                 queue.append(v)
     if seen == n:
         return None
-    remaining = [i for i in range(n) if indeg[i] > 0]
-    # walk successors within the remaining set until a repeat
-    cur = remaining[0]
-    seen_order = []
-    seen_set = set()
-    while cur not in seen_set:
-        seen_set.add(cur)
-        seen_order.append(cur)
-        nxt = [v for v in succ.get(cur, ()) if indeg[v] > 0]
-        if not nxt:
-            break
-        cur = nxt[0]
-    if cur in seen_set:
-        k = seen_order.index(cur)
-        return seen_order[k:] + [cur]
-    return remaining
+    # every node left over keeps a predecessor that is left over too, so a
+    # walk along predecessors closes a cycle (a walk along successors can
+    # start downstream of one and dead-end)
+    pred = {}
+    for u, v in graph.edges:
+        if indeg[u] > 0 and indeg[v] > 0:
+            pred.setdefault(v, []).append(u)
+    cur = min(pred)
+    pos = {}
+    while cur not in pos:
+        pos[cur] = len(pos)
+        cur = pred[cur][0]
+    cycle = list(pos)[pos[cur]:][::-1]
+    return cycle + [cycle[0]]
 
 
 def _resplit_cycle(subpaths, cycle):
@@ -489,37 +483,6 @@ def _endpoint_weight(sp, vi):
         return gap_cost(math.pi)
     theta = _exterior_angle_at(cycle, idx, sp.orientation, closed)
     return gap_cost(theta)
-
-
-# ---------------------------------------------------------------------------
-# Gap bookkeeping
-
-class GapSet:
-    """Locations of gaps already introduced; a location is counted once.
-
-    Membership matching is by location identity (MATCH_TOL): distinct cut
-    points a few millimetres apart are distinct gaps even when the free
-    transition tolerance would pair them.
-    """
-
-    def __init__(self, match_tol=MATCH_TOL):
-        self.match_tol = match_tol
-        self.points = []
-
-    def __contains__(self, p):
-        return any(math.dist(p, q) <= self.match_tol for q in self.points)
-
-    def add(self, p):
-        if p not in self:
-            self.points.append(p)
-            return True
-        return False
-
-    def pop(self, k):
-        del self.points[k:]
-
-    def __len__(self):
-        return len(self.points)
 
 
 # ---------------------------------------------------------------------------
@@ -775,13 +738,13 @@ def _search(nodes, modified, succ, indeg, eps_gap, unweighted, max_expansions):
 
 
 def _order_cost(nodes, seq, eps_gap, unweighted):
-    gaps = GapSet()
+    gaps = []
     cost = 0.0
 
     def charge(point, weight):
-        if point in gaps:
+        if any(math.dist(point, q) <= MATCH_TOL for q in gaps):
             return 0.0
-        gaps.add(point)
+        gaps.append(point)
         return 1.0 if unweighted else weight
 
     prev = None
@@ -795,7 +758,7 @@ def _order_cost(nodes, seq, eps_gap, unweighted):
         prev = i
     if prev is not None:
         cost += charge(nodes[prev].exit, nodes[prev].exit_weight)
-    return cost, list(gaps.points)
+    return cost, gaps
 
 
 def relink_travels(layer, ordered_subpaths, eps_gap, travel_f):

@@ -1,15 +1,21 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toolpath_aa import fixtures, ordering
+from toolpath_aa import fixtures, geometry, ordering
 from toolpath_aa.gcode import PathVertex, PrinterProfile, Toolpath
 from toolpath_aa.ordering import (ConstraintGraph, OrderingError, SubPath,
                                   build_constraint_graph, evaluate_order,
                                   exterior_angle, find_neighbors, gap_cost,
-                                  interference_threshold, order_paths,
-                                  polyline_min_distance, split_paths)
+                                  interference_threshold,
+                                  nearest_on_polyline_brute, order_paths,
+                                  polyline_min_distance,
+                                  polyline_min_distance_brute, split_paths)
+from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 
 EPS_GAP = 3.2   # 4 * w for w = 0.8
 
@@ -121,6 +127,40 @@ def test_cycle_detection_and_hard_error(monkeypatch):
     with pytest.raises(OrderingError) as exc:
         build_constraint_graph(subs, 1.625)
     assert "cycle" in str(exc.value)
+
+
+def cycle_edges(cycle):
+    return list(zip(cycle, cycle[1:]))
+
+
+def test_find_cycle_ignores_nodes_downstream_of_a_cycle():
+    # node 0 is left over by Kahn's algorithm only because it hangs off
+    # the 1 <-> 2 cycle; it lies on no cycle itself
+    graph = ConstraintGraph(nodes=[0, 1, 2], edges=[(1, 2), (2, 1), (2, 0)])
+    cycle = ordering._find_cycle(graph)
+    assert cycle[0] == cycle[-1]
+    assert set(cycle) == {1, 2}
+    assert all(e in graph.edges for e in cycle_edges(cycle))
+
+
+def test_dome_cycles_name_real_cycle_nodes():
+    mesh, gcode = fixtures.dome_fixture()
+    config = PipelineConfig(workers=1, ordering_enabled=False)
+    program, _, _ = run_pipeline(config, gcode_text=gcode, mesh=mesh)
+    eps = interference_threshold(config.profile)
+    cycles = 0
+    for layer in program.layers:
+        paths = layer.toolpaths()
+        if not any(p.modified for p in paths):
+            continue
+        subs = split_paths(paths, find_neighbors(paths, eps), eps)
+        graph = ordering._build_graph_once(subs, eps)
+        cycle = ordering._find_cycle(graph)
+        if cycle is not None:
+            cycles += 1
+            assert len(cycle) > 2 and cycle[0] == cycle[-1]
+            assert all(e in graph.edges for e in cycle_edges(cycle))
+    assert cycles > 0
 
 
 def test_gap_cost_formula():
@@ -366,3 +406,144 @@ def test_relink_near_transition_is_continuous():
     assert len(travels) == 2
     assert travels[0].rapid            # lead-in
     assert not travels[1].rapid        # continuous deposition-speed link
+
+
+# ---------------------------------------------------------------------------
+# numpy distances against the scalar reference
+
+coord = st.one_of(st.integers(-4, 4).map(lambda k: k * 0.5),
+                  st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False))
+vertex = st.tuples(coord, coord, st.floats(0.0, 1.0))
+
+
+@st.composite
+def polyline(draw, shared=()):
+    """1-8 vertices, some repeated in place (zero-length segments), some
+    taken from another polyline (shared or coincident vertices)."""
+    pts = draw(st.lists(vertex, min_size=1, max_size=8))
+    if shared:
+        for _ in range(draw(st.integers(0, 2))):
+            pts.insert(draw(st.integers(0, len(pts))),
+                       draw(st.sampled_from(shared)))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(pts) - 1))
+        pts.insert(k, pts[k])
+    return pts
+
+
+@st.composite
+def polyline_pair(draw):
+    a = draw(polyline())
+    return a, draw(polyline(shared=a))
+
+
+def as_verts(pts):
+    return [PathVertex(x, y, z) for x, y, z in pts]
+
+
+def assert_matches_brute(a, b):
+    """The numpy min distance and the batched nearest points equal the
+    scalar reference bit for bit."""
+    va, vb = as_verts(a), as_verts(b)
+    assert (polyline_min_distance(va, vb).hex()
+            == polyline_min_distance_brute(va, vb).hex())
+    for src, dst, vdst in ((a, b, vb), (b, a, va)):
+        dist, z, endpoint = geometry.nearest_points(
+            np.array(src, dtype=float), np.array(dst, dtype=float))
+        for (x, y, _), d, zz, ep in zip(src, dist.tolist(), z.tolist(),
+                                        endpoint.tolist()):
+            rd, rz, _pt, rep = nearest_on_polyline_brute(x, y, vdst)
+            assert d.hex() == rd.hex()
+            if rd < math.inf:
+                assert (zz, ep) == (rz, rep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polyline_pair())
+def test_numpy_distances_match_scalar_bitwise(pair):
+    assert_matches_brute(*pair)
+
+
+def test_numpy_distances_span_several_blocks():
+    rng = np.random.default_rng(7)
+    # a 120-vertex zigzag against a 150-vertex one: 120 x 149 pairs, many
+    # rows of points per block
+    zig = [(0.05 * k, float(k % 2), 0.6 + 0.01 * k) for k in range(120)]
+    wig = [(0.04 * k, 1.5 + rng.random(), 0.6) for k in range(150)]
+    # out along the x axis and back over the same line: more segments than
+    # one block holds, and equally near segments in two different blocks
+    n = geometry.PAIR_BLOCK // 2 + 100
+    line = ([(float(k), 0.0, 0.6) for k in range(n)]
+            + [(float(k), 0.0, 0.7) for k in range(n - 1, -1, -1)])
+    probe = [(10.3, 1.0, 0.6), (2000.5, -0.5, 0.6), (-3.0, 0.2, 0.6)]
+    assert len(list(geometry._pair_blocks(len(zig), len(wig) - 1))) > 1
+    assert len(list(geometry._pair_blocks(len(probe), len(line) - 1))) > len(probe)
+    assert_matches_brute(zig, wig)
+    assert_matches_brute(probe, line)
+
+
+def test_numpy_distances_match_scalar_on_random_floats():
+    # a Python float's `** 2` (libm pow) differs from x * x in the last
+    # bit for about one value in a thousand; thousands of rows of random
+    # coordinates make sure the numpy path squares the same way
+    rng = np.random.default_rng(3)
+    points = [tuple(p) for p in rng.uniform(-5.0, 5.0, (3000, 3)).tolist()]
+    line = [tuple(p) for p in rng.uniform(-5.0, 5.0, (30, 3)).tolist()]
+    assert_matches_brute(points[:60], line)
+    dist, _, _ = geometry.nearest_points(np.array(points), np.array(line))
+    vline = as_verts(line)
+    assert [d.hex() for d in dist.tolist()] == [
+        nearest_on_polyline_brute(x, y, vline)[0].hex() for x, y, _ in points]
+
+
+def scalar_reference(monkeypatch):
+    """Route the ordering stage through the scalar reference: every pair
+    of polylines is a candidate, distances come from the brute loops."""
+    def verts(c):
+        return as_verts(c.tolist())
+
+    def nearest(p, s):
+        vs = verts(s)
+        rows = [nearest_on_polyline_brute(x, y, vs) for x, y, _ in p.tolist()]
+        return (np.array([r[0] for r in rows]), np.array([r[1] for r in rows]),
+                np.array([r[3] for r in rows], dtype=np.int64))
+
+    monkeypatch.setattr(ordering, "box_pairs", lambda coords, eps: list(
+        itertools.combinations(range(len(coords)), 2)))
+    monkeypatch.setattr(ordering, "polyline_distance", lambda a, b:
+                        polyline_min_distance_brute(verts(a), verts(b)))
+    monkeypatch.setattr(ordering, "nearest_points", nearest)
+
+
+def ordering_structure(layers, eps):
+    """Per layer: neighbour pairs, subpath boundaries, graph edges."""
+    out = []
+    for paths in layers:
+        pairs = find_neighbors(paths, eps)
+        subs = split_paths(paths, pairs, eps)
+        graph = build_constraint_graph(subs, eps)
+        out.append((pairs, [(sp.parent_id, sp.start, sp.end, len(sp.vertices),
+                             sp.first_is_cut, sp.last_is_cut)
+                            for sp in graph.nodes], graph.edges))
+    return out
+
+
+def displaced_layers(cross_hatch):
+    mesh, gcode = fixtures.wedge_fixture(cross_hatch=cross_hatch)
+    config = PipelineConfig(workers=1, ordering_enabled=False)
+    program, _, _ = run_pipeline(config, gcode_text=gcode, mesh=mesh)
+    return [layer.toolpaths() for layer in program.layers
+            if any(p.modified for p in layer.toolpaths())]
+
+
+@pytest.mark.parametrize("scene", ["wedge", "wedge_hatch", "three_paths"])
+def test_ordering_structure_matches_scalar_reference(scene, monkeypatch):
+    eps = interference_threshold(PrinterProfile())
+    if scene == "three_paths":
+        layers = [fixtures.three_paths_scene()]
+    else:
+        layers = displaced_layers(cross_hatch=(scene == "wedge_hatch"))
+    fast = ordering_structure(layers, eps)
+    scalar_reference(monkeypatch)
+    assert fast == ordering_structure(layers, eps)
+    assert sum(len(pairs) for pairs, _, _ in fast) > 0
