@@ -56,8 +56,8 @@ class DisplacementStats:
     skipped_bottom_facing: int = 0
     skipped_out_of_window: int = 0
     missed: int = 0
-    min_delta: float = 0.0
-    max_delta: float = 0.0
+    min_delta: float = math.inf     # over displaced vertices only
+    max_delta: float = -math.inf
     per_layer_histogram: dict = field(default_factory=dict)
 
     def merge(self, other):
@@ -75,17 +75,20 @@ class DisplacementStats:
         return (h + self.min_delta, h + self.max_delta)
 
     def as_dict(self, h=None):
+        """Report fields; the ranges are None when nothing was displaced."""
+        moved = self.displaced > 0
         out = {
             "vertices_total": self.total,
             "vertices_displaced": self.displaced,
             "skipped_bottom_facing": self.skipped_bottom_facing,
             "skipped_out_of_window": self.skipped_out_of_window,
             "missed": self.missed,
-            "delta_range_mm": [self.min_delta, self.max_delta],
+            "delta_range_mm": [self.min_delta, self.max_delta] if moved else None,
             "per_layer_delta_histogram": self.per_layer_histogram,
         }
         if h is not None:
-            out["achieved_thickness_range_mm"] = list(self.thickness_range(h))
+            out["achieved_thickness_range_mm"] = (
+                list(self.thickness_range(h)) if moved else None)
         return out
 
 
@@ -124,13 +127,6 @@ def resample_path(path, w):
         out.append(PathVertex(cur.x, cur.y, cur.z, cur.e / n, cur.f, cur.delta))
     path.vertices = out
     return path
-
-
-def resample_layers(layers, w):
-    for paths in layers:
-        for path in paths:
-            resample_path(path, w)
-    return layers
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +311,7 @@ def _segment_rect(p1, p2, half_width):
 
 
 def _signed_area(poly):
+    """Shoelace area, positive for a counter-clockwise polygon."""
     area = 0.0
     n = len(poly)
     for i in range(n):
@@ -362,16 +359,6 @@ def _intersect(p, q, a, b):
         return q
     t = ((x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4)) / den
     return (x1 + t * (x2 - x1), y1 + t * (y2 - y1))
-
-
-def _polygon_area(poly):
-    area = 0.0
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        area += x1 * y2 - x2 * y1
-    return abs(area) / 2.0
 
 
 def _polygon_centroid(poly):
@@ -452,7 +439,7 @@ def detect_overlaps(program, profile):
                 poly = _clip_polygon(lower_rect, upper_rect)
                 if len(poly) < 3:
                     continue
-                area = _polygon_area(poly)
+                area = abs(_signed_area(poly))
                 if area <= 1e-12:
                     continue
                 cx, cy = _polygon_centroid(poly)

@@ -2,7 +2,9 @@
 source mesh.
 
 Exit codes: 0 ok, 2 configuration error, 3 G-code parse error,
-4 geometry error, 5 ordering error.
+4 geometry error, 5 ordering error, 6 thickness error (a track would have
+zero or negative thickness), 7 evaluation error (a move without a
+feedrate).
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import argparse
 import math
 import sys
 
+from .antialias import ThicknessError
+from .evaluate import EvaluationError
 from .gcode import GcodeParseError, PrinterProfile
 from .geometry import MeshError
 from .ordering import OrderingError
@@ -21,6 +25,8 @@ EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_GEOMETRY = 4
 EXIT_ORDERING = 5
+EXIT_THICKNESS = 6
+EXIT_EVALUATION = 7
 
 
 def build_parser():
@@ -59,8 +65,6 @@ def build_parser():
                    help="skip interference ordering (for studies)")
     p.add_argument("--no-overlap", action="store_true",
                    help="skip overlap flow compensation")
-    p.add_argument("--workers", type=int, default=0,
-                   help="layer worker threads (0 = hardware)")
     return p
 
 
@@ -80,7 +84,7 @@ def main(argv=None):
             weighted_seams=args.weighted_seams,
             overlap_enabled=not args.no_overlap,
             report_path=args.report, error_map_path=args.error_map,
-            sweep_s=sweep, workers=args.workers)
+            sweep_s=sweep)
     except (ValueError, ConfigError) as exc:
         print(f"aa: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -102,6 +106,14 @@ def main(argv=None):
         print(f"aa: ordering error: {exc}", file=sys.stderr)
         _cleanup(args.out)
         return EXIT_ORDERING
+    except ThicknessError as exc:
+        print(f"aa: thickness error: {exc}", file=sys.stderr)
+        _cleanup(args.out)
+        return EXIT_THICKNESS
+    except EvaluationError as exc:
+        print(f"aa: evaluation error: {exc}", file=sys.stderr)
+        _cleanup(args.out)
+        return EXIT_EVALUATION
 
     moved = report["displacement"]["vertices_displaced"]
     total = report["displacement"]["vertices_total"]

@@ -318,25 +318,30 @@ class ErrorMap:
 
 
 def sample_mesh_surface(mesh, samples_per_mm2=50.0, seed=0):
-    """Stratified per-triangle area sampling; returns (points, normals)."""
+    """Stratified per-triangle area sampling; returns (points, normals).
+
+    Triangle i with n_i samples takes the next 2 * n_i values of one
+    random stream: n_i for r1, then n_i for r2.
+    """
     rng = np.random.default_rng(seed)
     a = mesh.vertices[mesh.triangles[:, 0]]
     b = mesh.vertices[mesh.triangles[:, 1]]
     c = mesh.vertices[mesh.triangles[:, 2]]
     areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
     counts = np.maximum(1, np.round(areas * samples_per_mm2)).astype(int)
-    pts = []
-    nrms = []
-    for i, n in enumerate(counts):
-        r1 = rng.random(n)
-        r2 = rng.random(n)
-        flip = r1 + r2 > 1.0
-        r1[flip] = 1.0 - r1[flip]
-        r2[flip] = 1.0 - r2[flip]
-        p = a[i] + np.outer(r1, b[i] - a[i]) + np.outer(r2, c[i] - a[i])
-        pts.append(p)
-        nrms.append(np.repeat(mesh.normals[i][None, :], n, axis=0))
-    return np.vstack(pts), np.vstack(nrms)
+    tri = np.repeat(np.arange(len(counts)), counts)
+    before = np.cumsum(counts) - counts       # samples of earlier triangles
+    # triangle i's draws start at 2 * before[i]: its sample j = before[i] + k
+    # takes r1 from 2 * before[i] + k = j + before[i], and r2 n_i further on
+    r1_at = np.arange(len(tri)) + before[tri]
+    draws = rng.random(2 * int(counts.sum()))
+    r1 = draws[r1_at]
+    r2 = draws[r1_at + counts[tri]]
+    flip = r1 + r2 > 1.0
+    r1[flip] = 1.0 - r1[flip]
+    r2[flip] = 1.0 - r2[flip]
+    pts = a[tri] + r1[:, None] * (b - a)[tri] + r2[:, None] * (c - a)[tri]
+    return pts, mesh.normals[tri]
 
 
 def error_map(mesh, tracks, samples_per_mm2=50.0, seed=0, brute=False):

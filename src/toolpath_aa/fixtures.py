@@ -415,23 +415,6 @@ def label_scene_subpaths(subpaths):
     return labels
 
 
-def make_fixture(kind, profile=None, **params):
-    """Dispatch to the fixture generators.
-
-    kind in {'wedge', 'flat_box', 'dome'} returns (mesh, gcode_text);
-    'three_paths_scene' returns the three toolpaths of the splitting scene.
-    """
-    if kind == "wedge":
-        return wedge_fixture(profile, **params)
-    if kind == "flat_box":
-        return flat_box_fixture(profile, **params)
-    if kind == "dome":
-        return dome_fixture(profile, **params)
-    if kind == "three_paths_scene":
-        return three_paths_scene(**params)
-    raise ValueError(f"unknown fixture kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Seven-node ordering scene (combinatorial half)
 #

@@ -183,9 +183,6 @@ class PrinterProfile:
     def filament_area(self):
         return math.pi * (self.filament_diameter / 2.0) ** 2
 
-    def window(self):
-        return (self.s - self.h, self.s)
-
 
 _WORD_SHAPE_RE = re.compile(r"([A-Za-z])\s*([^\sA-Za-z]*)")
 _NUMBER_RE = re.compile(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?$")

@@ -17,6 +17,8 @@ import numpy as np
 
 DEGENERATE_AREA = 1e-9  # mm^2, triangles below this are dropped at load
 Z_DEDUPE_TOL = 1e-9     # mm, duplicate hits at shared edges merged by z
+PAIR_BLOCK = 4096       # ray-triangle or point-segment pairs per numpy call:
+                        # bounds the temporaries
 
 
 class MeshError(Exception):
@@ -266,6 +268,8 @@ class SurfaceHit:
 class VerticalRayIndex:
     """Uniform XY grid binning triangles by their XY bounding boxes.
 
+    The bins are stored in compressed sparse row (CSR) form: the triangle
+    ids of cell c are items[offsets[c]:offsets[c + 1]], in ascending order.
     Immutable after construction; safe for concurrent read-only queries.
     Query results match brute-force intersection over all triangles.
     """
@@ -282,19 +286,27 @@ class VerticalRayIndex:
         self.xy_min = lo.min(axis=0)
         self.xy_max = hi.max(axis=0)
         span = np.maximum(self.xy_max - self.xy_min, 1e-9)
-        n_cells = max(1, int(mesh.triangle_count / target_per_cell))
+        cell_count = max(1, int(mesh.triangle_count / target_per_cell))
         aspect = span[0] / span[1]
-        self.nx = max(1, int(round(math.sqrt(n_cells * aspect))))
-        self.ny = max(1, int(round(n_cells / max(self.nx, 1))))
+        self.nx = max(1, int(round(math.sqrt(cell_count * aspect))))
+        self.ny = max(1, int(round(cell_count / max(self.nx, 1))))
         self.cell = span / np.array([self.nx, self.ny])
-        cells = [[] for _ in range(self.nx * self.ny)]
         ilo = self._cell_of(lo)
         ihi = self._cell_of(hi)
-        for t in range(mesh.triangle_count):
-            for cx in range(ilo[t, 0], ihi[t, 0] + 1):
-                for cy in range(ilo[t, 1], ihi[t, 1] + 1):
-                    cells[cx * self.ny + cy].append(t)
-        self._cells = [np.asarray(c, dtype=np.int64) for c in cells]
+        # one (triangle, cell) entry per cell of each triangle's cell box;
+        # a stable sort by cell keeps each cell's triangles in id order
+        ny_t = ihi[:, 1] - ilo[:, 1] + 1
+        count = (ihi[:, 0] - ilo[:, 0] + 1) * ny_t
+        tri = np.repeat(np.arange(mesh.triangle_count, dtype=np.int64), count)
+        k = (np.arange(len(tri), dtype=np.int64)
+             - np.repeat(np.cumsum(count) - count, count))
+        cx = ilo[tri, 0] + k // ny_t[tri]
+        cy = ilo[tri, 1] + k % ny_t[tri]
+        cell_id = cx * self.ny + cy
+        self.items = tri[np.argsort(cell_id, kind="stable")]
+        self.offsets = np.zeros(self.nx * self.ny + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cell_id, minlength=self.nx * self.ny),
+                  out=self.offsets[1:])
 
     def _cell_of(self, xy):
         xy = np.asarray(xy, dtype=np.float64)
@@ -307,7 +319,8 @@ class VerticalRayIndex:
                 or y < self.xy_min[1] or y > self.xy_max[1]):
             return np.empty(0, dtype=np.int64)
         idx = self._cell_of(np.array([x, y]))
-        return self._cells[int(idx[0]) * self.ny + int(idx[1])]
+        c = int(idx[0]) * self.ny + int(idx[1])
+        return self.items[self.offsets[c]:self.offsets[c + 1]]
 
 
 def build_vertical_index(mesh):
@@ -390,8 +403,11 @@ def _pick_hit(hits, x, y, qz):
 def cast_vertical_batch(index, xs, ys, qzs):
     """Vectorised casting for many query points.
 
-    Returns (delta, facing_top, hit) arrays. Grouped by grid cell so each
-    cell's triangles are tested against all of its points at once.
+    Returns (delta, facing_top, hit) arrays. Every in-bounds ray is paired
+    with each candidate triangle of its grid cell; the pairs are evaluated
+    in blocks of at most PAIR_BLOCK (a ray with more candidates forms one
+    block on its own) and each ray keeps its first minimum, as `argmin`
+    over its candidates in id order would.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -401,57 +417,59 @@ def cast_vertical_batch(index, xs, ys, qzs):
     facing_top = np.zeros(n, dtype=bool)
     hit = np.zeros(n, dtype=bool)
 
-    inb = ((xs >= index.xy_min[0]) & (xs <= index.xy_max[0])
-           & (ys >= index.xy_min[1]) & (ys <= index.xy_max[1]))
-    if not inb.any():
-        return delta, facing_top, hit
-    ix = np.clip(((xs - index.xy_min[0]) / index.cell[0]).astype(np.int64),
+    rays = np.flatnonzero((xs >= index.xy_min[0]) & (xs <= index.xy_max[0])
+                          & (ys >= index.xy_min[1]) & (ys <= index.xy_max[1]))
+    ix = np.clip(((xs[rays] - index.xy_min[0]) / index.cell[0]).astype(np.int64),
                  0, index.nx - 1)
-    iy = np.clip(((ys - index.xy_min[1]) / index.cell[1]).astype(np.int64),
+    iy = np.clip(((ys[rays] - index.xy_min[1]) / index.cell[1]).astype(np.int64),
                  0, index.ny - 1)
-    cell_id = np.where(inb, ix * index.ny + iy, -1)
-    order = np.argsort(cell_id, kind="stable")
+    cell_id = ix * index.ny + iy
+    first = index.offsets[cell_id]
+    count = index.offsets[cell_id + 1] - first
+    keep = count > 0
+    rays, first, count = rays[keep], first[keep], count[keep]
+    pairs_through = np.cumsum(count)
     tri_pts = index._tri_pts
-    nz = index._nz
     eps = 1e-12
-    start = 0
-    while start < n:
-        cid = cell_id[order[start]]
-        end = start
-        while end < n and cell_id[order[end]] == cid:
-            end += 1
-        if cid >= 0:
-            pts = order[start:end]
-            cand = index._cells[cid]
-            if len(cand):
-                t = tri_pts[cand]
-                px = xs[pts][:, None]
-                py = ys[pts][:, None]
-                ax, ay = t[None, :, 0, 0], t[None, :, 0, 1]
-                bx, by = t[None, :, 1, 0], t[None, :, 1, 1]
-                cx, cy = t[None, :, 2, 0], t[None, :, 2, 1]
-                d = (by - cy) * (ax - cx) + (cx - bx) * (ay - cy)
-                okd = np.abs(d) > 1e-30
-                safe = np.where(okd, d, 1.0)
-                w0 = ((by - cy) * (px - cx) + (cx - bx) * (py - cy)) / safe
-                w1 = ((cy - ay) * (px - cx) + (ax - cx) * (py - cy)) / safe
-                w2 = 1.0 - w0 - w1
-                inside = okd & (w0 >= -eps) & (w1 >= -eps) & (w2 >= -eps)
-                z = (w0 * t[None, :, 0, 2] + w1 * t[None, :, 1, 2]
-                     + w2 * t[None, :, 2, 2])
-                dz = z - qzs[pts][:, None]
-                dist = np.where(inside, np.abs(dz), np.inf)
-                # prefer the hit above on ties: subtract a tiny bias
-                above_bias = np.where(dz >= 0, 0.0, Z_DEDUPE_TOL * 0.5)
-                best = np.argmin(dist + above_bias, axis=1)
-                rows = np.arange(len(pts))
-                got = np.isfinite(dist[rows, best])
-                sel = pts[got]
-                bsel = best[got]
-                delta[sel] = dz[rows[got], bsel]
-                facing_top[sel] = nz[cand[bsel]] > 0
-                hit[sel] = True
-        start = end
+    r0 = 0
+    while r0 < len(rays):
+        base = pairs_through[r0] - count[r0]
+        r1 = max(r0 + 1, int(np.searchsorted(pairs_through, base + PAIR_BLOCK,
+                                             side="right")))
+        c = count[r0:r1]
+        starts = pairs_through[r0:r1] - c - base   # each ray's first pair
+        ray_of = np.repeat(np.arange(r1 - r0), c)
+        cand = index.items[np.arange(len(ray_of)) + (first[r0:r1] - starts)[ray_of]]
+        pts = rays[r0:r1]
+        px = xs[pts][ray_of]
+        py = ys[pts][ray_of]
+        t = tri_pts[cand]
+        ax, ay = t[:, 0, 0], t[:, 0, 1]
+        bx, by = t[:, 1, 0], t[:, 1, 1]
+        cx, cy = t[:, 2, 0], t[:, 2, 1]
+        d = (by - cy) * (ax - cx) + (cx - bx) * (ay - cy)
+        okd = np.abs(d) > 1e-30  # vertical triangles: no vertical ray hits them
+        safe = np.where(okd, d, 1.0)
+        w0 = ((by - cy) * (px - cx) + (cx - bx) * (py - cy)) / safe
+        w1 = ((cy - ay) * (px - cx) + (ax - cx) * (py - cy)) / safe
+        w2 = 1.0 - w0 - w1
+        inside = okd & (w0 >= -eps) & (w1 >= -eps) & (w2 >= -eps)
+        z = w0 * t[:, 0, 2] + w1 * t[:, 1, 2] + w2 * t[:, 2, 2]
+        dz = z - qzs[pts][ray_of]
+        dist = np.where(inside, np.abs(dz), np.inf)
+        # prefer the hit above on ties: a hit below pays a tiny bias
+        key = dist + np.where(dz >= 0, 0.0, Z_DEDUPE_TOL * 0.5)
+        at_min = key == np.minimum.reduceat(key, starts)[ray_of]
+        pair = np.arange(len(key))
+        best = np.minimum.reduceat(np.where(at_min, pair, len(key)), starts)
+        got = best < len(key)          # a NaN key has no pair at its minimum
+        got[got] = np.isfinite(dist[best[got]])
+        sel = pts[got]
+        best = best[got]
+        delta[sel] = dz[best]
+        facing_top[sel] = index._nz[cand[best]] > 0
+        hit[sel] = True
+        r0 = r1
     return delta, facing_top, hit
 
 
@@ -463,7 +481,6 @@ def cast_vertical_batch(index, xs, ys, qzs):
 # `polyline_min_distance_brute`, `nearest_on_polyline_brute`): the same
 # operations in the same order, so they return bitwise the same values.
 
-PAIR_BLOCK = 4096    # point-segment pairs per numpy call: bounds the temporaries
 BOX_SLACK = 1e-6     # relative margin on eps before a box gap rules a pair out
 
 

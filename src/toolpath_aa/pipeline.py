@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import antialias, evaluate, geometry, ordering
@@ -32,7 +31,6 @@ class PipelineConfig:
     report_path: str = None
     error_map_path: str = None
     sweep_s: list = field(default_factory=list)
-    workers: int = 0                  # 0 = hardware parallelism
     order_expansion_cap: int = 50_000
     error_map_density: float = 50.0
     seed: int = 0
@@ -82,35 +80,23 @@ def run_pipeline(config, gcode_text=None, mesh=None):
     index = geometry.build_vertical_index(mesh)
     report["timings_s"]["index"] = time.perf_counter() - t0
 
-    # resample + displace + rescale, per layer (independent; may run on
-    # worker threads sharing the immutable index)
+    # resample + displace + rescale, per layer
     t0 = time.perf_counter()
     stats = antialias.DisplacementStats()
-
-    def process_layer(layer):
+    pristine = None
+    for li, layer in enumerate(program.layers):
         paths = layer.toolpaths()
         local = antialias.DisplacementStats()
         for path in paths:
             antialias.resample_path(path, profile.w)
         antialias.displace_layer(paths, index, mesh, profile, stats=local)
         antialias.rescale_paths(paths, profile)
-        return local
-
-    layers = program.layers
-    if config.workers == 1 or len(layers) <= 1:
-        results = [process_layer(layer) for layer in layers]
-    else:
-        max_workers = config.workers or None
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(process_layer, layers))
-    # untouched layers revert to their original (un-resampled) motion so a
-    # zero-displacement run emits exactly the input values
-    pristine = None
-    for li, local in enumerate(results):
+        # an untouched layer reverts to its original (un-resampled) motion
+        # so a zero-displacement run emits exactly the input values
         if local.displaced == 0:
             if pristine is None:
                 pristine = parse_gcode(gcode_text)
-            layers[li].events = pristine.layers[li].events
+            layer.events = pristine.layers[li].events
         stats.merge(local)
     report["timings_s"]["antialias"] = time.perf_counter() - t0
     report["displacement"] = stats.as_dict(h=profile.h)

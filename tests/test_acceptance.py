@@ -63,7 +63,7 @@ def test_c02_wedge_snap_accuracy():
     """Displaced wedge vertices sit on the plane; error map max drops >10x."""
     t0 = time.perf_counter()
     mesh, gcode = fixtures.wedge_fixture(PROFILE)
-    config = PipelineConfig(profile=PROFILE, workers=1,
+    config = PipelineConfig(profile=PROFILE,
                             order_expansion_cap=20_000)
     program, report, _ = run_pipeline(config, gcode_text=gcode, mesh=mesh)
     slope = math.tan(math.radians(10.0))
@@ -223,7 +223,7 @@ def test_c05_volume_conservation():
     """Deposited volume after rescale + overlap compensation ~ mesh volume."""
     t0 = time.perf_counter()
     mesh, gcode = fixtures.wedge_fixture(PROFILE)
-    config = PipelineConfig(profile=PROFILE, workers=1, ordering_enabled=False)
+    config = PipelineConfig(profile=PROFILE, ordering_enabled=False)
     program, report, _ = run_pipeline(config, gcode_text=gcode, mesh=mesh)
     deposited = total_extrusion(program) * PROFILE.filament_area
     ratio = deposited / mesh.volume()
@@ -251,7 +251,7 @@ def test_c07_print_time_neutrality():
     t0 = time.perf_counter()
     mesh, gcode = fixtures.wedge_fixture(PROFILE)
     flat_time = evaluate.estimate_print_time(parse_gcode(gcode))
-    config = PipelineConfig(profile=PROFILE, workers=1,
+    config = PipelineConfig(profile=PROFILE,
                             order_expansion_cap=20_000)
     program, _, _ = run_pipeline(config, gcode_text=gcode, mesh=mesh)
     aa_time = evaluate.estimate_print_time(program)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -195,6 +196,32 @@ def test_displace_zero_offset_untouched():
     displace_layer([path], index, mesh, profile, refine_boundaries=False)
     assert path.vertices[1].delta == 0.0
     assert path.vertices[1].z == pytest.approx(0.6)
+
+
+def test_stats_range_of_raised_only_layer():
+    # both vertices sit below the surface: the range must not include 0
+    profile = PrinterProfile()
+    mesh = wedge_mesh()
+    index = build_vertical_index(mesh)
+    slope = math.tan(math.radians(10.0))
+    path = Toolpath(vertices=[PathVertex((0.6 + 0.1) / slope, 5.0, 0.6, 0.0, 20.0),
+                              PathVertex((0.6 + 0.2) / slope, 5.0, 0.6, 0.1, 20.0)])
+    _, stats = displace_layer([path], index, mesh, profile,
+                              refine_boundaries=False)
+    assert stats.displaced == 2
+    assert stats.min_delta == pytest.approx(0.1, abs=1e-9)
+    assert stats.max_delta == pytest.approx(0.2, abs=1e-9)
+    merged = antialias.DisplacementStats()
+    merged.merge(antialias.DisplacementStats())
+    merged.merge(stats)
+    report = merged.as_dict(h=profile.h)
+    assert report["delta_range_mm"] == [stats.min_delta, stats.max_delta]
+    assert report["achieved_thickness_range_mm"] == pytest.approx([0.7, 0.8])
+    # nothing displaced: no range, and the report stays valid JSON
+    empty = antialias.DisplacementStats().as_dict(h=profile.h)
+    assert empty["delta_range_mm"] is None
+    assert empty["achieved_thickness_range_mm"] is None
+    json.dumps(empty, allow_nan=False)
 
 
 def test_bottom_facing_untouched():

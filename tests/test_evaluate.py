@@ -8,7 +8,7 @@ from toolpath_aa.evaluate import (EvaluationError, PrintedTrack,
                                   critical_angle, error_map,
                                   estimate_print_time, sample_mesh_surface,
                                   track_distance, tracks_from_program)
-from toolpath_aa.fixtures import flat_box_fixture, flat_box_mesh
+from toolpath_aa.fixtures import dome_fixture, flat_box_fixture, flat_box_mesh
 from toolpath_aa.gcode import PrinterProfile, parse_gcode
 
 
@@ -145,6 +145,38 @@ def test_sampling_deterministic():
     p2, n2 = sample_mesh_surface(mesh, 7, seed=9)
     assert np.array_equal(p1, p2)
     assert np.array_equal(n1, n2)
+
+
+def sample_per_triangle(mesh, samples_per_mm2, seed):
+    """Reference for `sample_mesh_surface`: one triangle at a time, two
+    draws each."""
+    rng = np.random.default_rng(seed)
+    a = mesh.vertices[mesh.triangles[:, 0]]
+    b = mesh.vertices[mesh.triangles[:, 1]]
+    c = mesh.vertices[mesh.triangles[:, 2]]
+    areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    counts = np.maximum(1, np.round(areas * samples_per_mm2)).astype(int)
+    pts = []
+    nrms = []
+    for i, n in enumerate(counts):
+        r1 = rng.random(n)
+        r2 = rng.random(n)
+        flip = r1 + r2 > 1.0
+        r1[flip] = 1.0 - r1[flip]
+        r2[flip] = 1.0 - r2[flip]
+        pts.append(a[i] + np.outer(r1, b[i] - a[i]) + np.outer(r2, c[i] - a[i]))
+        nrms.append(np.repeat(mesh.normals[i][None, :], n, axis=0))
+    return np.vstack(pts), np.vstack(nrms)
+
+
+@pytest.mark.parametrize("density", [0.01, 7.0, 50.0])
+def test_sampling_matches_per_triangle_loop_bitwise(density):
+    mesh = dome_fixture()[0]
+    p, n = sample_mesh_surface(mesh, density, seed=3)
+    p_ref, n_ref = sample_per_triangle(mesh, density, seed=3)
+    assert p.shape == p_ref.shape and n.shape == n_ref.shape
+    assert np.array_equal(p.view(np.uint8), p_ref.view(np.uint8))
+    assert np.array_equal(n.view(np.uint8), n_ref.view(np.uint8))
 
 
 def test_exports(tmp_path):

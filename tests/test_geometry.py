@@ -4,7 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from toolpath_aa.geometry import (EmptyMeshError, StlParseError, build_mesh,
+from toolpath_aa.geometry import (PAIR_BLOCK, Z_DEDUPE_TOL, EmptyMeshError,
+                                  StlParseError, VerticalRayIndex, build_mesh,
                                   build_vertical_index, cast_vertical,
                                   cast_vertical_batch, cast_vertical_brute,
                                   load_mesh, mesh_to_stl_ascii,
@@ -169,3 +170,185 @@ def test_determinism():
     assert (h1 is None) == (h2 is None)
     if h1 is not None:
         assert h1 == h2
+
+
+def cast_per_cell(index, xs, ys, qzs):
+    """Reference for `cast_vertical_batch`: rays grouped by grid cell, each
+    cell's rays tested against the cell's CSR slice in one broadcast, and
+    `argmin` per ray."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    qzs = np.asarray(qzs, dtype=np.float64)
+    n = len(xs)
+    delta = np.zeros(n)
+    facing_top = np.zeros(n, dtype=bool)
+    hit = np.zeros(n, dtype=bool)
+    inb = ((xs >= index.xy_min[0]) & (xs <= index.xy_max[0])
+           & (ys >= index.xy_min[1]) & (ys <= index.xy_max[1]))
+    if not inb.any():
+        return delta, facing_top, hit
+    ix = np.clip(((xs - index.xy_min[0]) / index.cell[0]).astype(np.int64),
+                 0, index.nx - 1)
+    iy = np.clip(((ys - index.xy_min[1]) / index.cell[1]).astype(np.int64),
+                 0, index.ny - 1)
+    cell_id = np.where(inb, ix * index.ny + iy, -1)
+    order = np.argsort(cell_id, kind="stable")
+    tri_pts = index._tri_pts
+    eps = 1e-12
+    start = 0
+    while start < n:
+        cid = cell_id[order[start]]
+        end = start
+        while end < n and cell_id[order[end]] == cid:
+            end += 1
+        if cid >= 0:
+            pts = order[start:end]
+            cand = index.items[index.offsets[cid]:index.offsets[cid + 1]]
+            if len(cand):
+                t = tri_pts[cand]
+                px = xs[pts][:, None]
+                py = ys[pts][:, None]
+                ax, ay = t[None, :, 0, 0], t[None, :, 0, 1]
+                bx, by = t[None, :, 1, 0], t[None, :, 1, 1]
+                cx, cy = t[None, :, 2, 0], t[None, :, 2, 1]
+                d = (by - cy) * (ax - cx) + (cx - bx) * (ay - cy)
+                okd = np.abs(d) > 1e-30
+                safe = np.where(okd, d, 1.0)
+                w0 = ((by - cy) * (px - cx) + (cx - bx) * (py - cy)) / safe
+                w1 = ((cy - ay) * (px - cx) + (ax - cx) * (py - cy)) / safe
+                w2 = 1.0 - w0 - w1
+                inside = okd & (w0 >= -eps) & (w1 >= -eps) & (w2 >= -eps)
+                z = (w0 * t[None, :, 0, 2] + w1 * t[None, :, 1, 2]
+                     + w2 * t[None, :, 2, 2])
+                dz = z - qzs[pts][:, None]
+                dist = np.where(inside, np.abs(dz), np.inf)
+                above_bias = np.where(dz >= 0, 0.0, Z_DEDUPE_TOL * 0.5)
+                best = np.argmin(dist + above_bias, axis=1)
+                rows = np.arange(len(pts))
+                got = np.isfinite(dist[rows, best])
+                sel = pts[got]
+                bsel = best[got]
+                delta[sel] = dz[rows[got], bsel]
+                facing_top[sel] = index._nz[cand[bsel]] > 0
+                hit[sel] = True
+        start = end
+    return delta, facing_top, hit
+
+
+def assert_cast_matches_reference(index, xs, ys, qzs):
+    got = cast_vertical_batch(index, xs, ys, qzs)
+    ref = cast_per_cell(index, xs, ys, qzs)
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype and g.shape == r.shape
+        # bitwise: signed zeros and the last bit must agree
+        assert np.array_equal(g.view(np.uint8), r.view(np.uint8))
+    return got
+
+
+def test_csr_slices_list_covering_triangles_in_order():
+    mesh = _random_mesh(500, seed=4)
+    index = build_vertical_index(mesh)
+    tris = mesh.vertices[mesh.triangles]
+    ilo = index._cell_of(tris[:, :, :2].min(axis=1))
+    ihi = index._cell_of(tris[:, :, :2].max(axis=1))
+    assert index.offsets[0] == 0 and index.offsets[-1] == len(index.items)
+    for cx in range(index.nx):
+        for cy in range(index.ny):
+            c = cx * index.ny + cy
+            covering = np.flatnonzero((ilo[:, 0] <= cx) & (cx <= ihi[:, 0])
+                                      & (ilo[:, 1] <= cy) & (cy <= ihi[:, 1]))
+            got = index.items[index.offsets[c]:index.offsets[c + 1]]
+            assert got.tolist() == covering.tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flat_cast_matches_per_cell_on_random_meshes(seed):
+    mesh = _random_mesh(2_000, seed=seed)
+    index = build_vertical_index(mesh)
+    q = np.random.default_rng(100 + seed).uniform(-2, 52, size=(5_000, 3))
+    _, _, hit = assert_cast_matches_reference(index, q[:, 0], q[:, 1], q[:, 2])
+    assert hit.any() and not hit.all()
+
+
+def test_flat_cast_matches_per_cell_outside_bounds_and_on_borders():
+    mesh = _random_mesh(300, seed=8)
+    index = build_vertical_index(mesh)
+    (x0, y0), (x1, y1) = index.xy_min, index.xy_max
+    # every cell border line, the bounds themselves and one ulp beyond
+    bx = np.concatenate([x0 + np.arange(index.nx + 1) * index.cell[0],
+                         [x0, x1, np.nextafter(x0, -np.inf), np.nextafter(x1, np.inf)]])
+    by = np.concatenate([y0 + np.arange(index.ny + 1) * index.cell[1],
+                         [y0, y1, np.nextafter(y0, -np.inf), np.nextafter(y1, np.inf)]])
+    gx, gy = np.meshgrid(bx, by)
+    xs, ys = gx.ravel(), gy.ravel()
+    for qz in (-5.0, 25.0, 60.0):
+        assert_cast_matches_reference(index, xs, ys, np.full(len(xs), qz))
+    far = np.array([x0 - 10.0, x1 + 10.0, (x0 + x1) / 2, np.nan])
+    _, _, hit = assert_cast_matches_reference(
+        index, far, np.array([y0, y1, y1 + 10.0, y0]), np.zeros(4))
+    assert not hit.any()
+
+
+def test_flat_cast_matches_per_cell_in_empty_cells():
+    # two small triangles in opposite corners leave the cells between empty
+    pts = np.array([[0, 0, 1], [1, 0, 1], [0, 1, 1],
+                    [49, 49, 2], [50, 49, 2], [50, 50, 2]], dtype=float)
+    mesh = build_mesh(pts, np.arange(6).reshape(2, 3))
+    index = VerticalRayIndex(mesh, target_per_cell=0.01)
+    assert (np.diff(index.offsets) == 0).any()
+    q = np.random.default_rng(3).uniform(0, 50, size=(2_000, 3))
+    _, _, hit = assert_cast_matches_reference(index, q[:, 0], q[:, 1], q[:, 2])
+    assert hit.sum() < 100
+
+
+def test_flat_cast_matches_per_cell_with_vertical_triangles():
+    cube = cube_mesh()   # four vertical walls
+    verticals = np.flatnonzero(np.abs(cube.normals[:, 2]) < 1e-12)
+    assert len(verticals) == 8
+    index = build_vertical_index(cube)
+    edge = np.array([0.0, 0.25, 0.5, 1.0])
+    gx, gy = np.meshgrid(edge, edge)
+    xs, ys = gx.ravel(), gy.ravel()
+    for qz in (-1.0, 0.5, 2.0):
+        _, _, hit = assert_cast_matches_reference(index, xs, ys,
+                                                    np.full(len(xs), qz))
+        assert hit.all()
+    mesh = _random_mesh(400, seed=9)
+    walls = mesh.vertices[mesh.triangles[:40]].copy()
+    walls[:, 2, :2] = walls[:, 0, :2]          # third vertex above the first
+    walls[:, 2, 2] += 2.0
+    pts = np.vstack([mesh.vertices[mesh.triangles].reshape(-1, 3),
+                     walls.reshape(-1, 3)])
+    mixed = build_mesh(pts, np.arange(len(pts)).reshape(-1, 3))
+    index = build_vertical_index(mixed)
+    # rays through the walls' own vertices and along their edges
+    on_walls = np.vstack([walls[:, 0], (walls[:, 0] + walls[:, 1]) / 2])
+    q = np.vstack([on_walls,
+                   np.random.default_rng(2).uniform(-2, 52, size=(2_000, 3))])
+    assert_cast_matches_reference(index, q[:, 0], q[:, 1], q[:, 2])
+
+
+def test_flat_cast_matches_per_cell_across_several_blocks():
+    # a stack of coplanar and mirrored flat triangles over one footprint:
+    # every cell holds more than PAIR_BLOCK candidates, and equal keys make
+    # the first minimum decide which triangle (and so which facing) wins
+    n = PAIR_BLOCK + 500
+    rng = np.random.default_rng(6)
+    z = np.repeat(rng.choice([1.0, 2.0, 3.0], n // 2), 2)[:n]
+    tris = np.zeros((n, 3, 3))
+    tris[:, :, 0] = [0.0, 10.0, 0.0]
+    tris[:, :, 1] = [0.0, 0.0, 10.0]
+    tris[1::2] = tris[1::2, ::-1]              # every other one faces down
+    tris[:, :, 2] = z[:, None]
+    mesh = build_mesh(tris.reshape(-1, 3), np.arange(3 * n).reshape(-1, 3))
+    index = VerticalRayIndex(mesh, target_per_cell=float(n))   # one cell
+    q = rng.uniform(0, 10, size=(40, 3))
+    q[:, 2] = rng.choice([0.0, 1.5, 2.0, 2.5, 4.0], len(q))
+    assert_cast_matches_reference(index, q[:, 0], q[:, 1], q[:, 2])
+    # many rays over a small mesh: the pairs fill several blocks
+    mesh = _random_mesh(300, seed=12)
+    index = build_vertical_index(mesh)
+    q = np.random.default_rng(13).uniform(0, 50, size=(20_000, 3))
+    cells = np.array([index.candidates(x, y).size for x, y in q[:, :2]])
+    assert cells.sum() > 5 * PAIR_BLOCK
+    assert_cast_matches_reference(index, q[:, 0], q[:, 1], q[:, 2])

@@ -145,7 +145,7 @@ def test_find_cycle_ignores_nodes_downstream_of_a_cycle():
 
 def test_dome_cycles_name_real_cycle_nodes():
     mesh, gcode = fixtures.dome_fixture()
-    config = PipelineConfig(workers=1, ordering_enabled=False)
+    config = PipelineConfig(ordering_enabled=False)
     program, _, _ = run_pipeline(config, gcode_text=gcode, mesh=mesh)
     eps = interference_threshold(config.profile)
     cycles = 0
@@ -530,7 +530,7 @@ def ordering_structure(layers, eps):
 
 def displaced_layers(cross_hatch):
     mesh, gcode = fixtures.wedge_fixture(cross_hatch=cross_hatch)
-    config = PipelineConfig(workers=1, ordering_enabled=False)
+    config = PipelineConfig(ordering_enabled=False)
     program, _, _ = run_pipeline(config, gcode_text=gcode, mesh=mesh)
     return [layer.toolpaths() for layer in program.layers
             if any(p.modified for p in layer.toolpaths())]

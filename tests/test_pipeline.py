@@ -3,6 +3,7 @@ import json
 import pytest
 
 from toolpath_aa import cli
+from toolpath_aa.antialias import ThicknessError
 from toolpath_aa.fixtures import flat_box_fixture, wedge_fixture
 from toolpath_aa.gcode import PrinterProfile, parse_gcode
 from toolpath_aa.geometry import mesh_to_stl_binary
@@ -22,7 +23,7 @@ def motion_values(program):
 def test_flat_box_pass_through():
     profile = PrinterProfile()
     mesh, gcode = flat_box_fixture(profile)
-    config = PipelineConfig(profile=profile, workers=1)
+    config = PipelineConfig(profile=profile)
     program, report, text = run_pipeline(config, gcode_text=gcode, mesh=mesh)
     assert report["displacement"]["vertices_displaced"] == 0
     # zero displacement: emitted motion equals the input motion exactly
@@ -37,7 +38,7 @@ def test_wedge_end_to_end_report(tmp_path):
     mesh, gcode = wedge_fixture(profile)
     report_path = tmp_path / "stats.json"
     out_path = tmp_path / "out.gcode"
-    config = PipelineConfig(profile=profile, workers=1,
+    config = PipelineConfig(profile=profile,
                             out_path=str(out_path),
                             report_path=str(report_path),
                             error_map_path=str(tmp_path / "map.ply"),
@@ -62,7 +63,7 @@ def test_wedge_end_to_end_report(tmp_path):
 def test_pipeline_determinism():
     profile = PrinterProfile()
     mesh, gcode = wedge_fixture(profile)
-    config = PipelineConfig(profile=profile, workers=1,
+    config = PipelineConfig(profile=profile,
                             order_expansion_cap=20_000)
     _, _, t1 = run_pipeline(config, gcode_text=gcode, mesh=mesh)
     _, _, t2 = run_pipeline(config, gcode_text=gcode, mesh=mesh)
@@ -75,7 +76,7 @@ def test_wedge_search_proves_every_layer_optimal():
     profile = PrinterProfile()
     mesh, gcode = wedge_fixture(profile)
     cap = 20_000
-    config = PipelineConfig(profile=profile, workers=1,
+    config = PipelineConfig(profile=profile,
                             order_expansion_cap=cap)
     _, report, _ = run_pipeline(config, gcode_text=gcode, mesh=mesh)
     layers = [r for r in report["ordering"]["layers"] if not r.get("skipped")]
@@ -139,6 +140,48 @@ def test_cli_geometry_error(tmp_path, capsys):
         "--out", str(tmp_path / "o.gcode"),
     ])
     assert code == cli.EXIT_GEOMETRY
+
+
+def test_cli_evaluation_error(tmp_path, capsys):
+    # G1 moves without a feedrate, off the mesh so that no rescale sets
+    # one, leave the print time undefined
+    _, mpath = write_fixture_files(tmp_path)
+    bad = tmp_path / "nofeed.gcode"
+    bad.write_text("G0 X30 Y1 Z0.6\nG1 X35 Y1 E1\nG1 X35 Y5 E2\n")
+    out = tmp_path / "o.gcode"
+    out.write_text("stale")
+    code = cli.main([
+        "--gcode", str(bad), "--mesh", str(mpath), "--out", str(out),
+    ])
+    assert code == cli.EXIT_EVALUATION == 7
+    assert "evaluation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_thickness_error(tmp_path, monkeypatch, capsys):
+    gpath, mpath = write_fixture_files(tmp_path)
+    out = tmp_path / "o.gcode"
+    out.write_text("stale")
+
+    def fail(config):
+        raise ThicknessError("displaced thickness -0.1 <= 0")
+
+    monkeypatch.setattr(cli, "run_pipeline", fail)
+    code = cli.main([
+        "--gcode", str(gpath), "--mesh", str(mpath), "--out", str(out),
+    ])
+    assert code == cli.EXIT_THICKNESS == 6
+    assert "thickness error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_has_no_workers_flag(tmp_path, capsys):
+    gpath, mpath = write_fixture_files(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--gcode", str(gpath), "--mesh", str(mpath),
+                  "--out", str(tmp_path / "o.gcode"), "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_cli_sweep_and_weighted(tmp_path):
