@@ -12,7 +12,7 @@ from .antialias import (DisplacementWindow, adjust_extrusion,
                         resample_path, sweep_slicing_plane)
 from .evaluate import critical_angle, error_map, estimate_print_time
 from .gcode import (PathVertex, PrinterProfile, PrintProgram, Toolpath,
-                    emit_gcode, extract_paths, parse_gcode)
+                    emit_gcode, parse_gcode)
 from .geometry import (SurfaceHit, TriangleMesh, VerticalRayIndex,
                        build_vertical_index, cast_vertical, load_mesh)
 from .ordering import (ConstraintGraph, SubPath, build_constraint_graph,
@@ -26,7 +26,7 @@ __all__ = [
     "displace_layer", "reduce_overlap_flow", "resample_path",
     "sweep_slicing_plane", "critical_angle", "error_map",
     "estimate_print_time", "PathVertex", "PrinterProfile", "PrintProgram",
-    "Toolpath", "emit_gcode", "extract_paths", "parse_gcode", "SurfaceHit",
+    "Toolpath", "emit_gcode", "parse_gcode", "SurfaceHit",
     "TriangleMesh", "VerticalRayIndex", "build_vertical_index",
     "cast_vertical", "load_mesh", "ConstraintGraph", "SubPath",
     "build_constraint_graph", "evaluate_order", "exterior_angle",

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import cast_vertical_batch
+from .geometry import BoxGrid, cast_vertical_batch
 from .gcode import PathVertex
 
 WINDOW_EPS = 1e-12   # float guard at the displacement window boundary
@@ -235,8 +235,9 @@ def _refine_window_boundaries(paths, index, window, cand):
             )
             inserts.append((k, t, nv))
         for k, t, nv in reversed(inserts):
+            # a new end vertex: the caller may keep the old one
             b = verts[k + 1]
-            b.e = b.e * (1.0 - t)
+            verts[k + 1] = PathVertex(b.x, b.y, b.z, b.e * (1.0 - t), b.f, b.delta)
             verts.insert(k + 1, nv)
             dnv, topnv, hitnv = _cast_one(index, nv)
             rows.insert(k + 1, (dnv, topnv, hitnv))
@@ -368,7 +369,7 @@ def _polygon_centroid(poly):
 
 
 def _segments_of(paths, layer_idx):
-    """(ref, p1, p2, delta1, delta2) for every deposition segment."""
+    """(ref, a, b) for every deposition segment a -> b."""
     segs = []
     for pi, path in enumerate(paths):
         verts = path.vertices
@@ -380,29 +381,11 @@ def _segments_of(paths, layer_idx):
     return segs
 
 
-class _XYGrid:
-    def __init__(self, cell):
-        self.cell = cell
-        self.bins = {}
-
-    def _keys(self, p1, p2, pad):
-        x0 = min(p1[0], p2[0]) - pad
-        x1 = max(p1[0], p2[0]) + pad
-        y0 = min(p1[1], p2[1]) - pad
-        y1 = max(p1[1], p2[1]) + pad
-        for ix in range(int(math.floor(x0 / self.cell)), int(math.floor(x1 / self.cell)) + 1):
-            for iy in range(int(math.floor(y0 / self.cell)), int(math.floor(y1 / self.cell)) + 1):
-                yield (ix, iy)
-
-    def insert(self, idx, p1, p2, pad):
-        for key in self._keys(p1, p2, pad):
-            self.bins.setdefault(key, []).append(idx)
-
-    def query(self, p1, p2, pad):
-        found = set()
-        for key in self._keys(p1, p2, pad):
-            found.update(self.bins.get(key, ()))
-        return found
+def _padded_boxes(segs, pad):
+    """(lo, hi) XY boxes of the segments, grown by pad on every side."""
+    ends = np.array([(a.x, a.y, b.x, b.y) for _ref, a, b in segs])
+    ends = ends.reshape(-1, 2, 2)
+    return ends.min(axis=1) - pad, ends.max(axis=1) + pad
 
 
 def detect_overlaps(program, profile):
@@ -411,10 +394,10 @@ def detect_overlaps(program, profile):
     The upper track's bottom is the lower layer's flat top (base_z), so
     the penetration is the lower track's positive displacement, sampled
     at the centroid of the XY intersection of the two swept rectangles.
-    Does not touch extrusion. Returns (records, report).
+    Does not touch extrusion. Returns (records, report); the records come
+    sorted by (upper, lower), as the grid's pairs do.
     """
     half = profile.d / 2.0
-    cell = max(profile.d, profile.w)
     records = []
     layers = [layer.toolpaths() for layer in program.layers]
     for li in range(len(layers) - 1):
@@ -427,28 +410,26 @@ def detect_overlaps(program, profile):
         upper_segs = _segments_of(layers[li + 1], li + 1)
         if not upper_segs:
             continue
-        grid = _XYGrid(cell)
-        for k, (_ref, a, b) in enumerate(lower_segs):
-            grid.insert(k, a.xy(), b.xy(), half)
+        grid = BoxGrid(*_padded_boxes(lower_segs, half),
+                       cell=max(profile.d, profile.w))
         upper_bottom = program.layers[li].base_z
-        for uref, ua, ub in upper_segs:
-            upper_rect = _segment_rect(ua.xy(), ub.xy(), half)
-            for k in sorted(grid.query(ua.xy(), ub.xy(), half)):
-                lref, la, lb = lower_segs[k]
-                lower_rect = _segment_rect(la.xy(), lb.xy(), half)
-                poly = _clip_polygon(lower_rect, upper_rect)
-                if len(poly) < 3:
-                    continue
-                area = abs(_signed_area(poly))
-                if area <= 1e-12:
-                    continue
-                cx, cy = _polygon_centroid(poly)
-                pen = _penetration_at(la, lb, cx, cy, upper_bottom)
-                if pen <= 0:
-                    continue
-                records.append(OverlapRecord(lower=lref, upper=uref,
-                                             volume=area * pen))
-    records.sort(key=lambda r: (r.upper, r.lower))
+        uq, lq = grid.pairs(*_padded_boxes(upper_segs, half))
+        for u, k in zip(uq.tolist(), lq.tolist()):
+            uref, ua, ub = upper_segs[u]
+            lref, la, lb = lower_segs[k]
+            poly = _clip_polygon(_segment_rect(la.xy(), lb.xy(), half),
+                                 _segment_rect(ua.xy(), ub.xy(), half))
+            if len(poly) < 3:
+                continue
+            area = abs(_signed_area(poly))
+            if area <= 1e-12:
+                continue
+            cx, cy = _polygon_centroid(poly)
+            pen = _penetration_at(la, lb, cx, cy, upper_bottom)
+            if pen <= 0:
+                continue
+            records.append(OverlapRecord(lower=lref, upper=uref,
+                                         volume=area * pen))
     return records, {"overlap_records": len(records),
                      "overlap_volume_mm3": sum(r.volume for r in records)}
 

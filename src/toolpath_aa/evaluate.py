@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcode import EOnly, Toolpath, Travel
+from .geometry import BoxGrid
 
 VIS_CLAMP = 0.3   # mm, error map colour scale end
 
@@ -156,8 +157,8 @@ def track_distance(track, px, py, pz):
 
 
 class _TrackGrid:
-    """Tracks binned by their padded XY box into square cells, with the
-    per-track terms of `track_distance` held as arrays."""
+    """Tracks binned in a `BoxGrid` by their XY box padded by a track width,
+    with the per-track terms of `track_distance` held as arrays."""
 
     BATCH = 4096   # points per pass and point-track pairs per distance call
 
@@ -178,45 +179,34 @@ class _TrackGrid:
         self.half = width / 2.0
         self.dtop = top2 - self.top1
         self.dbot = bot2 - self.bot1
-        bins = {}
-        for k, tr in enumerate(tracks):
-            pad = tr.width
-            x0 = min(tr.x1, tr.x2) - pad
-            x1 = max(tr.x1, tr.x2) + pad
-            y0 = min(tr.y1, tr.y2) - pad
-            y1 = max(tr.y1, tr.y2) + pad
-            for ix in range(int(math.floor(x0 / cell)), int(math.floor(x1 / cell)) + 1):
-                for iy in range(int(math.floor(y0 / cell)), int(math.floor(y1 / cell)) + 1):
-                    bins.setdefault((ix, iy), []).append(k)
-        self.bins = {key: np.array(ks) for key, ks in bins.items()}
-        if bins:
-            self.key_lo = np.min(list(bins), axis=0)
-            self.key_hi = np.max(list(bins), axis=0)
+        pad = width[:, None]
+        self.grid = BoxGrid(np.minimum(cols[:, 0:2], cols[:, 2:4]) - pad,
+                            np.maximum(cols[:, 0:2], cols[:, 2:4]) + pad, cell)
 
     def nearest_distances(self, points):
         """Distance from each point to its nearest track, over bounded
         batches of points."""
         best = np.full(len(points), math.inf)
-        if self.bins:
-            for a in range(0, len(points), self.BATCH):
-                best[a:a + self.BATCH] = self._nearest(points[a:a + self.BATCH])
+        for a in range(0, len(points), self.BATCH):
+            best[a:a + self.BATCH] = self._nearest(points[a:a + self.BATCH])
         return best
 
     def _nearest(self, points):
         """Each pass adds the ring of cells one step further out around
         every undecided point's cell; a point is decided once no unseen
-        track can be closer."""
+        track can be closer. Cells count from the grid's origin."""
         px, py, pz = points.T
         best = np.full(len(points), math.inf)
-        cx = np.floor(px / self.cell).astype(np.int64)
-        cy = np.floor(py / self.cell).astype(np.int64)
-        (kx0, ky0), (kx1, ky1) = self.key_lo, self.key_hi
-        max_ring = np.max([cx - kx0, kx1 - cx, cy - ky0, ky1 - cy], axis=0)
+        g = self.grid
+        x0, y0 = g.xy_min
+        cx = np.floor((px - x0) / self.cell).astype(np.int64)
+        cy = np.floor((py - y0) / self.cell).astype(np.int64)
+        max_ring = np.max([cx, g.nx - 1 - cx, cy, g.ny - 1 - cy], axis=0)
         # a track binned in no cell of rings 0..r lies farther than the
         # point's own cell border plus r cells
-        border = np.maximum(np.min([px - cx * self.cell, (cx + 1) * self.cell - px,
-                                    py - cy * self.cell, (cy + 1) * self.cell - py],
-                                   axis=0), 0.0)
+        bx, by = x0 + cx * self.cell, y0 + cy * self.cell
+        border = np.maximum(np.min([px - bx, bx + self.cell - px,
+                                    py - by, by + self.cell - py], axis=0), 0.0)
         cell_id = (cx - cx.min()) * (cy.max() - cy.min() + 1) + (cy - cy.min())
         todo = np.arange(len(points))
         ring = 0
@@ -225,7 +215,7 @@ class _TrackGrid:
             starts = np.flatnonzero(np.diff(cell_id[by_cell])) + 1
             for idx in np.split(by_cell, starts):
                 cand = self._ring_tracks(int(cx[idx[0]]), int(cy[idx[0]]), ring)
-                if cand is None:
+                if not cand.size:
                     continue
                 step = max(1, self.BATCH // len(cand))
                 for c in range(0, len(idx), step):
@@ -239,17 +229,13 @@ class _TrackGrid:
         return best
 
     def _ring_tracks(self, cx, cy, ring):
-        """Tracks binned in the cells at Chebyshev distance `ring`, once
-        per cell they are binned in."""
-        if ring == 0:
-            cells = [(cx, cy)]
-        else:
-            cells = [(ix, iy) for ix in range(cx - ring, cx + ring + 1)
-                     for iy in (cy - ring, cy + ring)]
-            cells += [(ix, iy) for ix in (cx - ring, cx + ring)
-                      for iy in range(cy - ring + 1, cy + ring)]
-        found = [self.bins[c] for c in cells if c in self.bins]
-        return np.concatenate(found) if found else None
+        """Tracks binned in the grid's cells at Chebyshev distance `ring`,
+        once per cell they are binned in."""
+        g = self.grid
+        xs = np.arange(max(cx - ring, 0), min(cx + ring, g.nx - 1) + 1)
+        ys = np.arange(max(cy - ring, 0), min(cy + ring, g.ny - 1) + 1)
+        on_ring = np.maximum.outer(abs(xs - cx), abs(ys - cy)) == ring
+        return g.cell_items((xs[:, None] * g.ny + ys)[on_ring])[1]
 
     def _distances(self, px, py, pz, k):
         """`track_distance` from each point (rows) to each track k (columns)."""

@@ -597,11 +597,6 @@ def emit_gcode(program):
     return program.newline.join(em.lines) + program.newline
 
 
-def extract_paths(program):
-    """Per-layer toolpath lists (references into the program)."""
-    return [layer.toolpaths() for layer in program.layers]
-
-
 def total_extrusion(program):
     total = 0.0
     for layer in program.layers:

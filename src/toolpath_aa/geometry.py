@@ -1,10 +1,11 @@
-"""Triangle mesh loading, XY-grid spatial index, vertical ray casting, and
+"""Triangle mesh loading, the XY box grid, vertical ray casting, and
 batched XY distances between toolpath polylines.
 
 All coordinates are millimeters. The mesh is the reference surface that
 toolpath vertices are snapped towards; queries are always vertical lines,
 so the acceleration structure is a uniform 2D grid over the XY footprint
-of the triangles.
+of the triangles. The same box grid finds overlapping tracks, the tracks
+near a surface sample and the polylines near each other.
 """
 
 from __future__ import annotations
@@ -249,6 +250,83 @@ def mesh_to_stl_ascii(mesh, name="mesh"):
 
 
 # ---------------------------------------------------------------------------
+# XY box grid
+
+class BoxGrid:
+    """Uniform XY grid binning axis-aligned boxes, given as (n, 2) arrays
+    of lower and upper corners, by the cells they cover.
+
+    With a `cell` size the cells are squares of that size; without one the
+    grid has about `target_per_cell` boxes per cell, shaped to the extent.
+    The bins are stored in compressed sparse row (CSR) form: the ids of the
+    boxes binned in cell c are items[offsets[c]:offsets[c + 1]], in
+    ascending order. Cell (ix, iy) has id ix * ny + iy and starts at
+    xy_min + (ix, iy) * cell.
+    """
+
+    def __init__(self, lo, hi, cell=None, target_per_cell=4.0):
+        self.size = len(lo)
+        self.xy_min = lo.min(axis=0, initial=np.inf)
+        self.xy_max = hi.max(axis=0, initial=-np.inf)
+        span = np.maximum(self.xy_max - self.xy_min, 1e-9)
+        if cell is None:
+            cell_count = max(1, int(self.size / target_per_cell))
+            aspect = span[0] / span[1]
+            self.nx = max(1, int(round(math.sqrt(cell_count * aspect))))
+            self.ny = max(1, int(round(cell_count / max(self.nx, 1))))
+            self.cell = span / np.array([self.nx, self.ny])
+        else:
+            self.nx, self.ny = (np.floor(span / cell).astype(np.int64) + 1).tolist()
+            self.cell = np.array([cell, cell], dtype=np.float64)
+        # a stable sort by cell keeps each cell's boxes in id order
+        box, cell_id = self._box_cells(lo, hi)
+        self.items = box[np.argsort(cell_id, kind="stable")]
+        self.offsets = np.zeros(self.nx * self.ny + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cell_id, minlength=self.nx * self.ny),
+                  out=self.offsets[1:])
+
+    def _cell_of(self, xy):
+        xy = np.asarray(xy, dtype=np.float64)
+        idx = np.floor((xy - self.xy_min) / self.cell).astype(np.int64)
+        idx = np.clip(idx, 0, [self.nx - 1, self.ny - 1])
+        return idx.reshape(-1, 2) if xy.ndim > 1 else idx
+
+    def _box_cells(self, lo, hi):
+        """(box, cell id) for every cell each box covers, box by box."""
+        ilo = self._cell_of(lo)
+        ihi = self._cell_of(hi)
+        ny_b = ihi[:, 1] - ilo[:, 1] + 1
+        count = (ihi[:, 0] - ilo[:, 0] + 1) * ny_b
+        box = np.repeat(np.arange(len(lo), dtype=np.int64), count)
+        k = (np.arange(len(box), dtype=np.int64)
+             - np.repeat(np.cumsum(count) - count, count))
+        cx = ilo[box, 0] + k // ny_b[box]
+        return box, cx * self.ny + ilo[box, 1] + k % ny_b[box]
+
+    def pairs(self, lo, hi):
+        """Sorted, distinct (query, box) index arrays for every query box
+        that shares a cell with a binned box. A query box wholly outside
+        the grid's extent touches no cell."""
+        near = np.flatnonzero(((lo <= self.xy_max) & (hi >= self.xy_min)).all(axis=1))
+        query, cell_id = self._box_cells(lo[near], hi[near])
+        count, box = self.cell_items(cell_id)
+        # keys come in runs by query, each cell's boxes ascending, which a
+        # stable sort merges; np.unique's first quicksort raised a job's
+        # peak RSS by about 1 MB
+        key = np.sort(np.repeat(near[query], count) * self.size + box, kind="stable")
+        key = key[np.diff(key, prepend=-1) != 0]
+        return np.divmod(key, max(self.size, 1))
+
+    def cell_items(self, cells):
+        """(box count per cell, the cells' box ids concatenated in order)."""
+        first = self.offsets[cells]
+        count = self.offsets[cells + 1] - first
+        at = (np.arange(count.sum(), dtype=np.int64)
+              + np.repeat(first - (np.cumsum(count) - count), count))
+        return count, self.items[at]
+
+
+# ---------------------------------------------------------------------------
 # Vertical ray index
 
 @dataclass(frozen=True)
@@ -265,11 +343,9 @@ class SurfaceHit:
     triangle: int
 
 
-class VerticalRayIndex:
-    """Uniform XY grid binning triangles by their XY bounding boxes.
+class VerticalRayIndex(BoxGrid):
+    """A `BoxGrid` of the mesh's triangles by their XY bounding boxes.
 
-    The bins are stored in compressed sparse row (CSR) form: the triangle
-    ids of cell c are items[offsets[c]:offsets[c + 1]], in ascending order.
     Immutable after construction; safe for concurrent read-only queries.
     Query results match brute-force intersection over all triangles.
     """
@@ -281,46 +357,12 @@ class VerticalRayIndex:
         tris = mesh.vertices[mesh.triangles]
         self._tri_pts = np.ascontiguousarray(tris)
         self._nz = mesh.normals[:, 2].copy()
-        lo = tris[:, :, :2].min(axis=1)
-        hi = tris[:, :, :2].max(axis=1)
-        self.xy_min = lo.min(axis=0)
-        self.xy_max = hi.max(axis=0)
-        span = np.maximum(self.xy_max - self.xy_min, 1e-9)
-        cell_count = max(1, int(mesh.triangle_count / target_per_cell))
-        aspect = span[0] / span[1]
-        self.nx = max(1, int(round(math.sqrt(cell_count * aspect))))
-        self.ny = max(1, int(round(cell_count / max(self.nx, 1))))
-        self.cell = span / np.array([self.nx, self.ny])
-        ilo = self._cell_of(lo)
-        ihi = self._cell_of(hi)
-        # one (triangle, cell) entry per cell of each triangle's cell box;
-        # a stable sort by cell keeps each cell's triangles in id order
-        ny_t = ihi[:, 1] - ilo[:, 1] + 1
-        count = (ihi[:, 0] - ilo[:, 0] + 1) * ny_t
-        tri = np.repeat(np.arange(mesh.triangle_count, dtype=np.int64), count)
-        k = (np.arange(len(tri), dtype=np.int64)
-             - np.repeat(np.cumsum(count) - count, count))
-        cx = ilo[tri, 0] + k // ny_t[tri]
-        cy = ilo[tri, 1] + k % ny_t[tri]
-        cell_id = cx * self.ny + cy
-        self.items = tri[np.argsort(cell_id, kind="stable")]
-        self.offsets = np.zeros(self.nx * self.ny + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cell_id, minlength=self.nx * self.ny),
-                  out=self.offsets[1:])
-
-    def _cell_of(self, xy):
-        xy = np.asarray(xy, dtype=np.float64)
-        idx = np.floor((xy - self.xy_min) / self.cell).astype(np.int64)
-        idx = np.clip(idx, 0, [self.nx - 1, self.ny - 1])
-        return idx.reshape(-1, 2) if xy.ndim > 1 else idx
+        super().__init__(tris[:, :, :2].min(axis=1), tris[:, :, :2].max(axis=1),
+                         target_per_cell=target_per_cell)
 
     def candidates(self, x, y):
-        if (x < self.xy_min[0] or x > self.xy_max[0]
-                or y < self.xy_min[1] or y > self.xy_max[1]):
-            return np.empty(0, dtype=np.int64)
-        idx = self._cell_of(np.array([x, y]))
-        c = int(idx[0]) * self.ny + int(idx[1])
-        return self.items[self.offsets[c]:self.offsets[c + 1]]
+        point = np.array([[x, y]], dtype=np.float64)
+        return self.pairs(point, point)[1]
 
 
 def build_vertical_index(mesh):
@@ -419,15 +461,11 @@ def cast_vertical_batch(index, xs, ys, qzs):
 
     rays = np.flatnonzero((xs >= index.xy_min[0]) & (xs <= index.xy_max[0])
                           & (ys >= index.xy_min[1]) & (ys <= index.xy_max[1]))
-    ix = np.clip(((xs[rays] - index.xy_min[0]) / index.cell[0]).astype(np.int64),
-                 0, index.nx - 1)
-    iy = np.clip(((ys[rays] - index.xy_min[1]) / index.cell[1]).astype(np.int64),
-                 0, index.ny - 1)
+    ix, iy = index._cell_of(np.column_stack([xs[rays], ys[rays]])).T
     cell_id = ix * index.ny + iy
-    first = index.offsets[cell_id]
-    count = index.offsets[cell_id + 1] - first
+    count = np.diff(index.offsets)[cell_id]
     keep = count > 0
-    rays, first, count = rays[keep], first[keep], count[keep]
+    rays, cell_id, count = rays[keep], cell_id[keep], count[keep]
     pairs_through = np.cumsum(count)
     tri_pts = index._tri_pts
     eps = 1e-12
@@ -436,10 +474,9 @@ def cast_vertical_batch(index, xs, ys, qzs):
         base = pairs_through[r0] - count[r0]
         r1 = max(r0 + 1, int(np.searchsorted(pairs_through, base + PAIR_BLOCK,
                                              side="right")))
-        c = count[r0:r1]
+        c, cand = index.cell_items(cell_id[r0:r1])
         starts = pairs_through[r0:r1] - c - base   # each ray's first pair
         ray_of = np.repeat(np.arange(r1 - r0), c)
-        cand = index.items[np.arange(len(ray_of)) + (first[r0:r1] - starts)[ray_of]]
         pts = rays[r0:r1]
         px = xs[pts][ray_of]
         py = ys[pts][ray_of]
@@ -561,8 +598,9 @@ def box_pairs(coords, eps):
     lo = np.array([c[:, :2].min(axis=0) for c in coords]).reshape(-1, 2)
     hi = np.array([c[:, :2].max(axis=0) for c in coords]).reshape(-1, 2)
     reach = eps * (1.0 + BOX_SLACK)
-    pairs = []
-    for i in range(len(coords)):
-        gap = np.maximum(lo[i + 1:] - hi[i], lo[i] - hi[i + 1:]).max(axis=1)
-        pairs.extend((i, j) for j in (np.nonzero(gap <= reach)[0] + i + 1).tolist())
-    return pairs
+    # boxes within reach of each other overlap, with room for rounding,
+    # once both grow by reach
+    i, j = BoxGrid(lo - reach, hi + reach).pairs(lo - reach, hi + reach)
+    i, j = i[i < j], j[i < j]
+    gap = np.maximum(lo[j] - hi[i], lo[i] - hi[j]).max(axis=1)
+    return list(zip(i[gap <= reach].tolist(), j[gap <= reach].tolist()))

@@ -83,9 +83,9 @@ def run_pipeline(config, gcode_text=None, mesh=None):
     # resample + displace + rescale, per layer
     t0 = time.perf_counter()
     stats = antialias.DisplacementStats()
-    pristine = None
-    for li, layer in enumerate(program.layers):
+    for layer in program.layers:
         paths = layer.toolpaths()
+        original = [path.vertices for path in paths]
         local = antialias.DisplacementStats()
         for path in paths:
             antialias.resample_path(path, profile.w)
@@ -94,9 +94,8 @@ def run_pipeline(config, gcode_text=None, mesh=None):
         # an untouched layer reverts to its original (un-resampled) motion
         # so a zero-displacement run emits exactly the input values
         if local.displaced == 0:
-            if pristine is None:
-                pristine = parse_gcode(gcode_text)
-            layer.events = pristine.layers[li].events
+            for path, verts in zip(paths, original):
+                path.vertices = verts
         stats.merge(local)
     report["timings_s"]["antialias"] = time.perf_counter() - t0
     report["displacement"] = stats.as_dict(h=profile.h)

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +13,11 @@ from toolpath_aa.antialias import (DisplacementWindow, ThicknessError,
                                    detect_overlaps, displace_layer,
                                    reduce_overlap_flow, resample_path,
                                    sweep_slicing_plane)
-from toolpath_aa.fixtures import wedge_fixture, wedge_mesh
+from toolpath_aa.fixtures import dome_fixture, wedge_fixture, wedge_mesh
 from toolpath_aa.gcode import (Layer, PathVertex, PrinterProfile,
                                PrintProgram, Toolpath, parse_gcode)
 from toolpath_aa.geometry import build_vertical_index
+from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 
 
 def straight_path(length, e_total=2.0, n=2, z=0.6):
@@ -285,6 +288,53 @@ def test_no_displacement_no_overlaps():
     records, report = detect_overlaps(program, profile)
     assert records == []
     assert report["overlap_volume_mm3"] == 0
+
+
+def test_refine_window_boundaries_keeps_input_vertices():
+    env = WedgeEnv()
+    window = DisplacementWindow.for_profile(env.profile)
+    inserted = 0
+    for layer in env.program.layers:
+        paths = layer.toolpaths()
+        before = [(v, dataclasses.astuple(v)) for p in paths for v in p.vertices]
+        cand = antialias._candidates(paths, env.index)
+        antialias._refine_window_boundaries(paths, env.index, window, cand)
+        inserted += sum(len(p.vertices) for p in paths) - len(before)
+        assert [dataclasses.astuple(v) for v, _ in before] == [
+            values for _, values in before]
+    assert inserted > 0
+
+
+class AllPairsGrid:
+    """Stands in for `BoxGrid` in `detect_overlaps`: every (upper, lower)
+    pair whose padded boxes overlap, computed all-pairs. The boxes grow by
+    a further millimetre, so the reference does not rest on the pad that
+    `detect_overlaps` chose."""
+
+    def __init__(self, lo, hi, cell=None):
+        self.lo, self.hi = lo - 1.0, hi + 1.0
+
+    def pairs(self, lo, hi):
+        return np.nonzero(((lo[:, None] - 1.0 <= self.hi[None])
+                           & (hi[:, None] + 1.0 >= self.lo[None])).all(axis=2))
+
+
+@pytest.mark.parametrize("scene", ["wedge", "wedge_hatch", "dome"])
+def test_overlaps_match_all_pairs_reference(scene, monkeypatch):
+    profile = PrinterProfile(s=0.3)
+    if scene == "dome":
+        mesh, gcode = dome_fixture(profile)
+    else:
+        mesh, gcode = wedge_fixture(profile, cross_hatch=(scene == "wedge_hatch"))
+    config = PipelineConfig(profile=profile, ordering_enabled=False,
+                            overlap_enabled=False)
+    program, _, _ = run_pipeline(config, gcode_text=gcode, mesh=mesh)
+    fast, _ = detect_overlaps(program, profile)
+    monkeypatch.setattr(antialias, "BoxGrid", AllPairsGrid)
+    reference, _ = detect_overlaps(program, profile)
+    assert len(fast) > 0
+    assert [(r.lower, r.upper, r.volume.hex()) for r in fast] == [
+        (r.lower, r.upper, r.volume.hex()) for r in reference]
 
 
 def test_sweep_zero_at_s0_and_monotone():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from toolpath_aa import antialias
-from toolpath_aa.evaluate import (EvaluationError, PrintedTrack,
+from toolpath_aa.evaluate import (EvaluationError, PrintedTrack, _TrackGrid,
                                   critical_angle, error_map,
                                   estimate_print_time, sample_mesh_surface,
                                   track_distance, tracks_from_program)
@@ -118,6 +118,23 @@ def test_error_map_far_samples_match_brute():
                          brute=True)
     assert np.sum(em_brute.distances > 2.0) > len(em_brute.distances) // 3
     assert np.allclose(em_grid.distances, em_brute.distances, atol=1e-12)
+
+
+def test_track_grid_off_the_origin_matches_brute():
+    # thin short tracks and points off any multiple of the cell size, so
+    # the grid's origin is not on the lattice of its cells: a stop rule
+    # that measured the cell border from another origin settles some
+    # points on a farther track
+    rng = np.random.default_rng(11)
+    tracks = [PrintedTrack(x1=x, y1=y, x2=x + dx, y2=y + dy, top1=1.0,
+                           top2=1.0, bot1=0.5, bot2=0.5, width=0.05)
+              for (x, y), (dx, dy) in zip(rng.uniform(0.37, 30.0, (25, 2)),
+                                          rng.normal(0.0, 1.0, (25, 2)))]
+    points = np.column_stack([rng.uniform(-5.0, 35.0, (3000, 2)),
+                              rng.uniform(0.0, 1.5, 3000)])
+    got = _TrackGrid(tracks).nearest_distances(points)
+    want = [min(track_distance(tr, *p) for tr in tracks) for p in points.tolist()]
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_error_map_zero_length_track_matches_brute():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toolpath_aa.gcode import (GcodeParseError, PrinterProfile, emit_gcode,
-                               extract_paths, parse_gcode, total_extrusion)
+                               parse_gcode, total_extrusion)
 
 SIMPLE = """G90
 M82
@@ -17,7 +17,7 @@ G1 X10 Y0 E0.5 F1200
 
 def test_segment_basics_and_feed_conversion():
     prog = parse_gcode(SIMPLE)
-    paths = extract_paths(prog)
+    paths = [l.toolpaths() for l in prog.layers]
     assert len(paths) == 1 and len(paths[0]) == 1
     tp = paths[0][0]
     assert len(tp.vertices) == 2

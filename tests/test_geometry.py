@@ -4,8 +4,9 @@ import struct
 import numpy as np
 import pytest
 
-from toolpath_aa.geometry import (PAIR_BLOCK, Z_DEDUPE_TOL, EmptyMeshError,
-                                  StlParseError, VerticalRayIndex, build_mesh,
+from toolpath_aa.geometry import (BOX_SLACK, PAIR_BLOCK, Z_DEDUPE_TOL,
+                                  BoxGrid, EmptyMeshError, StlParseError,
+                                  VerticalRayIndex, box_pairs, build_mesh,
                                   build_vertical_index, cast_vertical,
                                   cast_vertical_batch, cast_vertical_brute,
                                   load_mesh, mesh_to_stl_ascii,
@@ -352,3 +353,83 @@ def test_flat_cast_matches_per_cell_across_several_blocks():
     cells = np.array([index.candidates(x, y).size for x, y in q[:, :2]])
     assert cells.sum() > 5 * PAIR_BLOCK
     assert_cast_matches_reference(index, q[:, 0], q[:, 1], q[:, 2])
+
+
+# ---------------------------------------------------------------------------
+# BoxGrid and the polyline box prefilter, against all-pairs references
+
+def overlapping(alo, ahi, blo, bhi):
+    """All (a, b) index pairs of closed boxes that overlap, in numpy."""
+    return ((alo[:, None] <= bhi[None]) & (ahi[:, None] >= blo[None])).all(axis=2)
+
+
+def random_boxes(rng, n, lo=0.0, hi=50.0, size=6.0, snap=None):
+    corner = rng.uniform(lo, hi, (n, 2))
+    extent = rng.uniform(0.0, size, (n, 2)) * (rng.random((n, 1)) > 0.1)
+    if snap:   # corners on cell borders, some boxes touching others
+        corner, extent = np.round(corner / snap) * snap, np.round(extent / snap) * snap
+    return corner, corner + extent
+
+
+@pytest.mark.parametrize("cell", [None, 0.7, 1.0, 4.0, 100.0])
+def test_box_grid_pairs_match_all_pairs(cell):
+    rng = np.random.default_rng(21)
+    for trial in range(6):
+        snap = 1.0 if trial % 2 else None
+        glo, ghi = random_boxes(rng, 150, snap=snap)
+        qlo, qhi = random_boxes(rng, 120, lo=-15.0, hi=65.0, snap=snap)
+        grid = BoxGrid(glo, ghi, cell=cell)
+        q, b = grid.pairs(qlo, qhi)
+        key = q * len(glo) + b
+        assert (np.diff(key) > 0).all()           # sorted and distinct
+        got = set(zip(q.tolist(), b.tolist()))
+        # every overlapping pair is there ...
+        assert set(zip(*np.nonzero(overlapping(qlo, qhi, glo, ghi)))) <= got
+        # ... and exactly the pairs sharing a cell, queries outside excluded
+        inside = ((qlo <= grid.xy_max) & (qhi >= grid.xy_min)).all(axis=1)
+        share = overlapping(grid._cell_of(qlo), grid._cell_of(qhi),
+                            grid._cell_of(glo), grid._cell_of(ghi))
+        assert got == set(zip(*np.nonzero(share & inside[:, None])))
+
+
+def test_box_grid_queries_outside_the_extent_give_no_pairs():
+    glo, ghi = random_boxes(np.random.default_rng(4), 40, hi=10.0, size=2.0)
+    for cell in (None, 1.0):
+        grid = BoxGrid(glo, ghi, cell=cell)
+        (x0, y0), (x1, y1) = grid.xy_min, grid.xy_max
+        far = np.array([[x0 - 3, y0], [x1 + 1, y0], [x0, y1 + 1], [x0, y0 - 3],
+                        [x1 + 1, y1 + 1], [x0 - 50, y0 - 50]])
+        q, b = grid.pairs(far, far + 2.0)
+        assert q.size == 0 and b.size == 0
+        # a box touching the extent's right edge meets the boxes there
+        _, b = grid.pairs(np.array([[x1, y0]]), np.array([[x1 + 1, y1]]))
+        assert np.argmax(ghi[:, 0]) in b.tolist()
+    empty = BoxGrid(np.zeros((0, 2)), np.zeros((0, 2)))
+    assert empty.pairs(glo, ghi)[0].size == 0
+
+
+def reference_box_pairs(coords, eps):
+    lo = np.array([c[:, :2].min(axis=0) for c in coords])
+    hi = np.array([c[:, :2].max(axis=0) for c in coords])
+    reach = eps * (1.0 + BOX_SLACK)
+    gap = np.maximum(lo[None] - hi[:, None], lo[:, None] - hi[None]).max(axis=2)
+    return [(i, j) for i, j in zip(*np.nonzero(gap <= reach)) if i < j]
+
+
+def test_box_pairs_match_all_pairs_gap_filter():
+    eps = 2.0
+    reach = eps * (1.0 + BOX_SLACK)
+    # exactly reach apart (kept), one ulp further (dropped), a lone vertex
+    edge = [np.array([[-3.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+            np.array([[reach, 0.5, 0.0], [reach + 1.0, 0.5, 0.0]]),
+            np.array([[-np.nextafter(reach, np.inf) - 3.0, 0.0, 0.0]]),
+            np.array([[0.0, 1.0 + reach, 0.0]])]
+    assert box_pairs(edge, eps) == reference_box_pairs(edge, eps) == [
+        (0, 1), (0, 3)]
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 30, 200):
+        coords = [np.column_stack([rng.uniform(0, 40) + rng.normal(0, 3, k).cumsum(),
+                                   rng.uniform(0, 40) + rng.normal(0, 3, k).cumsum(),
+                                   np.zeros(k)])
+                  for k in rng.integers(1, 7, n)]
+        assert box_pairs(coords, eps) == reference_box_pairs(coords, eps)
