@@ -205,10 +205,12 @@ def _candidates(paths, index):
 def _refine_window_boundaries(paths, index, window, cand):
     """Insert a vertex where a segment's surface offset crosses the
     window boundary (one endpoint displaceable, the other out of window
-    on the same top-facing surface)."""
-    for path, rows in zip(paths, cand):
+    on the same top-facing surface). The new vertices of all paths are
+    cast in one batch; each ray is cast on its own, so this gives the
+    rows that one cast per vertex would."""
+    inserts = []
+    for pi, (path, rows) in enumerate(zip(paths, cand)):
         verts = path.vertices
-        inserts = []
         for k in range(len(verts) - 1):
             (d0, top0, hit0) = rows[k]
             (d1, top1, hit1) = rows[k + 1]
@@ -233,21 +235,23 @@ def _refine_window_boundaries(paths, index, window, cand):
                 e=b.e * t,
                 f=b.f,
             )
-            inserts.append((k, t, nv))
-        for k, t, nv in reversed(inserts):
-            # a new end vertex: the caller may keep the old one
-            b = verts[k + 1]
-            verts[k + 1] = PathVertex(b.x, b.y, b.z, b.e * (1.0 - t), b.f, b.delta)
-            verts.insert(k + 1, nv)
-            dnv, topnv, hitnv = _cast_one(index, nv)
-            rows.insert(k + 1, (dnv, topnv, hitnv))
-    return cand
-
-
-def _cast_one(index, v):
+            inserts.append((pi, k, t, nv))
+    if not inserts:
+        return cand
+    new = [nv for _, _, _, nv in inserts]
     delta, top, hit = cast_vertical_batch(
-        index, np.array([v.x]), np.array([v.y]), np.array([v.z]))
-    return float(delta[0]), bool(top[0]), bool(hit[0])
+        index, np.array([v.x for v in new]), np.array([v.y for v in new]),
+        np.array([v.z for v in new]))
+    # back to front, so that each path's earlier split points keep their k
+    for i in range(len(inserts) - 1, -1, -1):
+        pi, k, t, nv = inserts[i]
+        verts = paths[pi].vertices
+        # a new end vertex: the caller may keep the old one
+        b = verts[k + 1]
+        verts[k + 1] = PathVertex(b.x, b.y, b.z, b.e * (1.0 - t), b.f, b.delta)
+        verts.insert(k + 1, nv)
+        cand[pi].insert(k + 1, (float(delta[i]), bool(top[i]), bool(hit[i])))
+    return cand
 
 
 # ---------------------------------------------------------------------------

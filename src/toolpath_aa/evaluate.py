@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import replace_atomically
 from .gcode import EOnly, Toolpath, Travel
 from .geometry import BoxGrid
 
@@ -280,7 +281,7 @@ class ErrorMap:
         }
 
     def export_csv(self, path):
-        with open(path, "w") as f:
+        with replace_atomically(path) as f:
             f.write("x,y,z,distance_mm\n")
             for p, d in zip(self.points, self.distances):
                 f.write(f"{p[0]:.5f},{p[1]:.5f},{p[2]:.5f},{d:.6f}\n")
@@ -291,7 +292,7 @@ class ErrorMap:
         t = np.clip(self.distances / self.clamp, 0.0, 1.0)
         red = (t * 255).astype(np.uint8)
         blue = ((1.0 - t) * 255).astype(np.uint8)
-        with open(path, "w") as f:
+        with replace_atomically(path) as f:
             f.write("ply\nformat ascii 1.0\n")
             f.write(f"comment colormap linear blue->red over 0.0..{self.clamp} mm\n")
             f.write(f"comment seed {self.seed} density {self.samples_per_mm2}\n")

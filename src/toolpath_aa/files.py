@@ -1,0 +1,28 @@
+"""Output files that appear whole or not at all.
+
+Each file is written beside its target under a temporary name and moved
+into place with `os.replace`, so a failed run leaves an existing target
+as it was and no half-written file behind. There is no fsync: this
+guards against a failed or killed run, not against a power loss.
+"""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+
+
+@contextmanager
+def replace_atomically(path, newline=None):
+    """Yield a text file that replaces `path` when the block exits
+    cleanly; on an exception the temporary file is removed."""
+    head, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline=newline)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise

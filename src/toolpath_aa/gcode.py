@@ -185,7 +185,14 @@ class PrinterProfile:
 
 
 _WORD_SHAPE_RE = re.compile(r"([A-Za-z])\s*([^\sA-Za-z]*)")
-_NUMBER_RE = re.compile(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?$")
+# a word's value never holds a letter, so no exponent form is read
+_NUMBER = r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)"
+_NUMBER_RE = re.compile(_NUMBER + "$")
+# the canonical slicer move: G0/G1 and then X, Y, Z, E, F, each at most
+# once, in this order, one space apart, no comment; any other line takes
+# the general path, which reads it the same way
+_MOVE_RE = re.compile("G([01])" + "".join(
+    f"(?: {letter}({_NUMBER}))?" for letter in "XYZEF"))
 _CMD_RE = re.compile(r"^([GMgm])\s*([0-9]+)")
 
 # commands the parser interprets; everything else passes through verbatim
@@ -264,8 +271,20 @@ class _Parser:
         lines = text.split("\n")
         if lines and lines[-1] == "":
             lines.pop()
+        move_of = _MOVE_RE.fullmatch
         for lineno, raw in enumerate(lines, 1):
-            self.line(lineno, raw.rstrip("\r"))
+            raw = raw.rstrip("\r")
+            m = None if self.xyz_relative else move_of(raw)
+            if m is None:
+                self.line(lineno, raw)
+                continue
+            g, x, y, z, e, f = m.groups()
+            self.move(None if x is None else float(x),
+                      None if y is None else float(y),
+                      None if z is None else float(z),
+                      None if e is None else float(e),
+                      None if f is None else float(f),
+                      rapid=(g == "0"), lineno=lineno)
         self.close_path()
         self._split_epilogue()
         self._assign_kinds()
@@ -334,28 +353,30 @@ class _Parser:
                         "extruding XY move in relative coordinate mode", lineno)
                 self.add_event(RawLine(raw))
                 return
-            self.move(words, rapid=(number == 0.0), lineno=lineno)
+            self.move(*map(words.get, "XYZEF"), rapid=(number == 0.0),
+                      lineno=lineno)
             return
         # any other command: preserved verbatim, breaks the current path
         self.add_event(RawLine(raw))
 
-    def move(self, words, rapid, lineno):
-        new_x = words.get("X", self.x)
-        new_y = words.get("Y", self.y)
-        new_z = words.get("Z", self.z)
-        if "F" in words:
-            self.f = words["F"] / FEED_FACTOR
+    def move(self, x, y, z, e, f, rapid, lineno):
+        """One G0/G1 move; each word value is None when the line lacks it."""
+        new_x = self.x if x is None else x
+        new_y = self.y if y is None else y
+        new_z = self.z if z is None else z
+        if f is not None:
+            self.f = f / FEED_FACTOR
 
         e_delta = 0.0
-        if "E" in words:
+        if e is not None:
             if self.e_mode == "absolute":
-                e_delta = words["E"] - self.e
-                self.e = words["E"]
+                e_delta = e - self.e
+                self.e = e
             else:
-                e_delta = words["E"]
+                e_delta = e
                 self.e += e_delta
 
-        moved_xy = (("X" in words or "Y" in words)
+        moved_xy = ((x is not None or y is not None)
                     and new_x is not None and new_y is not None
                     and (self.x is None or self.y is None
                          or new_x != self.x or new_y != self.y))
@@ -391,27 +412,23 @@ class _Parser:
                     vertices=[PathVertex(self.x, self.y, new_z, 0.0, self.f)],
                     layer_index=len(self.program.layers) - 1)
                 self.layer.events.append(self.path)
-            v = PathVertex(new_x, new_y, new_z, e_delta, self.f)
             prev = self.path.vertices[-1]
-            if math.dist(prev.xyz(), v.xyz()) < DUPLICATE_TOL:
-                prev.e += v.e     # merge duplicate vertex, keep its extrusion
+            if math.dist((prev.x, prev.y, prev.z),
+                         (new_x, new_y, new_z)) < DUPLICATE_TOL:
+                prev.e += e_delta     # merge duplicate vertex, keep its extrusion
             else:
-                self.path.vertices.append(v)
+                self.path.vertices.append(
+                    PathVertex(new_x, new_y, new_z, e_delta, self.f))
         else:
-            if ("E" in words and "X" not in words and "Y" not in words):
-                self.add_event(EOnly(
-                    delta_e=e_delta,
-                    f=(words["F"] / FEED_FACTOR) if "F" in words else None,
-                    z=words.get("Z")))
+            feed = None if f is None else f / FEED_FACTOR
+            if e is not None and x is None and y is None:
+                self.add_event(EOnly(delta_e=e_delta, f=feed, z=z))
             else:
-                self.add_event(Travel(
-                    x=words.get("X"), y=words.get("Y"), z=words.get("Z"),
-                    f=(words["F"] / FEED_FACTOR) if "F" in words else None,
-                    rapid=rapid))
-            if "Z" in words:
-                self.travel_z = words["Z"]
+                self.add_event(Travel(x=x, y=y, z=z, f=feed, rapid=rapid))
+            if z is not None:
+                self.travel_z = z
                 if self.layer is not None and self.layer.base_z is None:
-                    self.layer.base_z = words["Z"]
+                    self.layer.base_z = z
         self.x, self.y, self.z = new_x, new_y, new_z
 
     def _starts_new_layer(self, z):
@@ -477,6 +494,12 @@ def parse_gcode(text):
 
 def _fmt(value):
     return f"{value:.{FORMAT_DECIMALS}f}"
+
+
+# the same digits as `_fmt`; a %-template with a fixed precision formats
+# an extruding move about twice as fast as per-word nested format specs
+_NUM_FMT = f"%.{FORMAT_DECIMALS}f"
+_MOVE_FMT = "G1 X{0} Y{0} Z{0} E{0}".format(_NUM_FMT)
 
 
 class _Emitter:
@@ -549,23 +572,23 @@ class _Emitter:
                 or self.z is None or abs((self.z or 0) - start.z) > DUPLICATE_TOL):
             # re-position without extruding (covers reordered paths)
             self.travel(Travel(x=start.x, y=start.y, z=start.z, f=None))
+        if len(verts) < 2:
+            return
+        absolute = self.e_mode == "absolute"
+        e_accum = self.e_accum
+        f_word = self.f_word
+        append = self.lines.append
         for v in verts[1:]:
-            self.e_accum += v.e
-            parts = [
-                "G1",
-                f"X{_fmt(v.x)}",
-                f"Y{_fmt(v.y)}",
-                f"Z{_fmt(v.z)}",
-            ]
-            if self.e_mode == "absolute":
-                parts.append(f"E{_fmt(self.e_accum)}")
-            else:
-                parts.append(f"E{_fmt(v.e)}")
-            fpart = self._f_part(v.f)
-            if fpart:
-                parts.append(fpart.strip())
-            self.lines.append(" ".join(parts))
-            self.x, self.y, self.z = v.x, v.y, v.z
+            e_accum += v.e
+            word = _NUM_FMT % (v.f * FEED_FACTOR)
+            line = _MOVE_FMT % (v.x, v.y, v.z, e_accum if absolute else v.e)
+            if word != f_word:
+                f_word = word
+                line += " F" + word
+            append(line)
+        self.e_accum = e_accum
+        self.f_word = f_word
+        self.x, self.y, self.z = v.x, v.y, v.z
 
     def event(self, ev):
         if isinstance(ev, RawLine):

@@ -208,11 +208,20 @@ def _load_stl_ascii(data):
 
 
 def _weld(tri_points):
-    """Merge exactly-equal vertices; returns (vertices, triangles)."""
-    flat = np.ascontiguousarray(tri_points)
-    uniq, inverse = np.unique(flat.round(9), axis=0, return_inverse=True)
-    triangles = inverse.reshape(-1, 3)
-    return uniq, triangles
+    """Merge vertices that are equal after rounding to 1e-9 mm; returns
+    (vertices, triangles), the vertices sorted by x, then y, then z, as
+    `np.unique(axis=0)` gives them. Every zero coordinate comes out as
+    +0.0 (rounding keeps the sign, adding 0.0 clears it), so -0.0 and
+    +0.0 weld into one vertex."""
+    flat = np.asarray(tri_points).round(9) + 0.0
+    order = np.lexsort(flat.T[::-1])
+    rows = flat[order]
+    first = np.empty(len(rows), dtype=bool)
+    first[:1] = True
+    np.any(rows[1:] != rows[:-1], axis=1, out=first[1:])
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return rows[first], inverse.reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import antialias, evaluate, geometry, ordering
+from .files import replace_atomically
 from .gcode import (PrinterProfile, Travel, emit_gcode, parse_gcode,
                     total_extrusion)
 
@@ -17,6 +18,7 @@ class ConfigError(Exception):
 
 
 MIN_THICKNESS = 0.05   # mm, below this deposition is unreliable
+REPORT_SCHEMA_VERSION = 1
 
 
 @dataclass
@@ -52,14 +54,17 @@ def run_pipeline(config, gcode_text=None, mesh=None):
     in the config or directly as text/mesh. Returns (program, report)."""
     config.validate()
     profile = config.profile
-    report = {"profile": _profile_dict(profile), "timings_s": {}}
+    report = {"schema_version": REPORT_SCHEMA_VERSION,
+              "profile": _profile_dict(profile), "timings_s": {}}
     t_all = time.perf_counter()
 
+    t0 = time.perf_counter()
     if gcode_text is None:
         with open(config.gcode_path, "r", encoding="utf-8") as fh:
             gcode_text = fh.read()
     if mesh is None:
         mesh = geometry.load_mesh_file(config.mesh_path)
+    report["timings_s"]["load"] = time.perf_counter() - t0
     report["mesh"] = {
         "triangles": mesh.triangle_count,
         "degenerate_dropped": mesh.degenerate_dropped,
@@ -130,9 +135,12 @@ def run_pipeline(config, gcode_text=None, mesh=None):
     t0 = time.perf_counter()
     text_out = emit_gcode(program)
     report["timings_s"]["emit"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    print_time = evaluate.estimate_print_time(program)
+    report["timings_s"]["print_time"] = time.perf_counter() - t0
     report["output"] = {
         "total_e": total_extrusion(program),
-        "estimated_print_time_s": evaluate.estimate_print_time(program),
+        "estimated_print_time_s": print_time,
     }
 
     if config.error_map_path:
@@ -151,10 +159,10 @@ def run_pipeline(config, gcode_text=None, mesh=None):
     report["timings_s"]["total"] = time.perf_counter() - t_all
 
     if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8", newline="") as fh:
+        with replace_atomically(config.out_path, newline="") as fh:
             fh.write(text_out)
     if config.report_path:
-        with open(config.report_path, "w", encoding="utf-8") as fh:
+        with replace_atomically(config.report_path) as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
     return program, report, text_out
 

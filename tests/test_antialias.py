@@ -16,7 +16,7 @@ from toolpath_aa.antialias import (DisplacementWindow, ThicknessError,
 from toolpath_aa.fixtures import dome_fixture, wedge_fixture, wedge_mesh
 from toolpath_aa.gcode import (Layer, PathVertex, PrinterProfile,
                                PrintProgram, Toolpath, parse_gcode)
-from toolpath_aa.geometry import build_vertical_index
+from toolpath_aa.geometry import build_vertical_index, cast_vertical_batch
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 
 
@@ -302,7 +302,16 @@ def test_refine_window_boundaries_keeps_input_vertices():
         inserted += sum(len(p.vertices) for p in paths) - len(before)
         assert [dataclasses.astuple(v) for v, _ in before] == [
             values for _, values in before]
+        # the batched rows equal a cast of each vertex on its own
+        for path, rows in zip(paths, cand):
+            assert rows == [_cast_alone(env.index, v) for v in path.vertices]
     assert inserted > 0
+
+
+def _cast_alone(index, v):
+    delta, top, hit = cast_vertical_batch(
+        index, np.array([v.x]), np.array([v.y]), np.array([v.z]))
+    return float(delta[0]), bool(top[0]), bool(hit[0])
 
 
 class AllPairsGrid:

@@ -1,11 +1,16 @@
 import math
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toolpath_aa.gcode import (GcodeParseError, PrinterProfile, emit_gcode,
-                               parse_gcode, total_extrusion)
+from toolpath_aa import gcode
+from toolpath_aa.fixtures import dome_fixture, flat_box_fixture, wedge_fixture
+from toolpath_aa.gcode import (GcodeParseError, PrinterProfile, Travel,
+                               emit_gcode, parse_gcode, total_extrusion)
+from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 
 SIMPLE = """G90
 M82
@@ -228,3 +233,148 @@ def test_total_extrusion_conserved_roundtrip(points):
     out = emit_gcode(prog)
     assert total_extrusion(parse_gcode(out)) == pytest.approx(
         total_extrusion(prog), abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# The one-pattern move tokeniser against the general tokeniser
+
+_NUMBER_TEXT = st.from_regex(
+    r"[-+]?(?:[0-9]{1,3}\.?[0-9]{0,3}|\.[0-9]{1,3})", fullmatch=True)
+_BAD_NUMBER = st.sampled_from(
+    ["", ".", "-", "+.", "1..2", "1.2.3", "1e3", "--1", "1-2", "1,5"])
+_VARIANTS = ["canonical", "canonical", "lower", "swap", "n_word", "comment",
+             "double_space", "leading_zero", "duplicate", "bad_number"]
+_OTHER_LINES = st.sampled_from([
+    "M82", "M83", "G92 E0", "G91", "G90", ";LAYER:1", ";TYPE:FILL",
+    "G0 Z1.2", "M106 S255", ""])
+
+
+@st.composite
+def _move_line(draw):
+    letters = draw(st.lists(st.sampled_from("XYZEF"), unique=True))
+    letters.sort(key="XYZEF".index)
+    words = [f"{letter}{draw(_NUMBER_TEXT)}" for letter in letters]
+    head = draw(st.sampled_from(["G0", "G1"]))
+    variant = draw(st.sampled_from(_VARIANTS))
+    if variant == "lower":
+        return " ".join([head] + words).lower()
+    if variant == "swap":
+        words = list(draw(st.permutations(words)))
+    elif variant == "n_word":
+        head = f"N{draw(st.integers(0, 999))} {head}"
+    elif variant == "leading_zero":
+        head = head[0] + "0" + head[1]
+    elif variant == "duplicate":
+        letter = draw(st.sampled_from("XYZEF"))
+        words.append(f"{letter}{draw(_NUMBER_TEXT)}")
+    elif variant == "bad_number":
+        letter = draw(st.sampled_from("XYZEF"))
+        words.insert(draw(st.integers(0, len(words))),
+                     f"{letter}{draw(_BAD_NUMBER)}")
+    line = " ".join([head] + words)
+    if variant == "comment":
+        line += " ; move"
+    elif variant == "double_space":
+        line = line.replace(" ", "  ", 1)
+    return line
+
+
+def _parse_outcome(text):
+    try:
+        return parse_gcode(text)
+    except GcodeParseError as exc:
+        return ("GcodeParseError", exc.line, str(exc))
+
+
+def test_move_pattern_reads_only_the_canonical_form():
+    assert gcode._MOVE_RE.fullmatch("G1 X-1.5 Y.25 Z0.6 E3. F1200")
+    assert gcode._MOVE_RE.fullmatch("G0")
+    for line in ["G1 Y1 X2", "g1 X1", "G01 X1", "N3 G1 X1", "G1 X1 ;c",
+                 "G1  X1", "G1 X1 X2", "G1 X1e3", "G1 X.", "G1 X1 "]:
+        assert gcode._MOVE_RE.fullmatch(line) is None, line
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_move_line(), _OTHER_LINES), max_size=40))
+def test_move_pattern_parses_like_the_general_tokeniser(lines):
+    text = "\n".join(["G0 X0 Y0 Z0.6"] + lines) + "\n"
+    with mock.patch.object(gcode, "_MOVE_RE", re.compile(r"(?!)")):
+        reference = _parse_outcome(text)
+    assert _parse_outcome(text) == reference
+
+
+# ---------------------------------------------------------------------------
+# One format per extruding move against the per-word emitter
+
+class _PerWordEmitter(gcode._Emitter):
+    """The per-word formatting of extruding moves, kept as the reference."""
+
+    def toolpath(self, tp):
+        verts = tp.vertices
+        start = verts[0]
+        if (self.x is None or self.y is None
+                or math.dist((self.x, self.y), start.xy()) > gcode.DUPLICATE_TOL
+                or self.z is None
+                or abs((self.z or 0) - start.z) > gcode.DUPLICATE_TOL):
+            self.travel(Travel(x=start.x, y=start.y, z=start.z, f=None))
+        for v in verts[1:]:
+            self.e_accum += v.e
+            parts = ["G1", f"X{gcode._fmt(v.x)}", f"Y{gcode._fmt(v.y)}",
+                     f"Z{gcode._fmt(v.z)}"]
+            if self.e_mode == "absolute":
+                parts.append(f"E{gcode._fmt(self.e_accum)}")
+            else:
+                parts.append(f"E{gcode._fmt(v.e)}")
+            fpart = self._f_part(v.f)
+            if fpart:
+                parts.append(fpart.strip())
+            self.lines.append(" ".join(parts))
+            self.x, self.y, self.z = v.x, v.y, v.z
+
+
+def _emit_per_word(program):
+    with mock.patch.object(gcode, "_Emitter", _PerWordEmitter):
+        return emit_gcode(program)
+
+
+@pytest.mark.parametrize("make", [
+    wedge_fixture, flat_box_fixture, dome_fixture,
+    lambda: wedge_fixture(cross_hatch=True)])
+def test_emit_matches_per_word_reference_on_fixtures(make):
+    mesh, text = make()
+    program = parse_gcode(text)
+    assert emit_gcode(program) == _emit_per_word(program)
+    config = PipelineConfig(ordering_enabled=False)
+    processed, _report, _text = run_pipeline(config, gcode_text=text,
+                                             mesh=mesh)
+    assert emit_gcode(processed) == _emit_per_word(processed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(["M82", "M83"]),
+       moves=st.lists(st.tuples(
+           st.integers(-200, 200), st.integers(-200, 200),
+           st.integers(1, 50), st.sampled_from([None, 600, 1200, 1234.56789]),
+           st.booleans()), min_size=1, max_size=30),
+       shifts=st.lists(st.sampled_from([0.0, 0.0, 0.15, -0.2, 1e-7]),
+                       min_size=1, max_size=8))
+def test_emit_matches_per_word_reference_on_random_programs(mode, moves,
+                                                           shifts):
+    lines = [mode, "G92 E0", "G0 X0 Y0 Z0.6 F7200"]
+    e = 0.0
+    for x, y, de, feed, travel in moves:
+        if travel:
+            lines.append(f"G0 X{x / 10} Y{y / 10}")
+            continue
+        e += de / 100.0
+        word = e if mode == "M82" else de / 100.0
+        lines.append(f"G1 X{x / 10} Y{y / 10} E{word:.5f}"
+                     + (f" F{feed}" if feed else ""))
+    program = parse_gcode("\n".join(lines) + "\n")
+    verts = [v for tp in program.all_toolpaths() for v in tp.vertices]
+    for i, v in enumerate(verts):
+        d = shifts[i % len(shifts)]
+        v.z += d
+        v.delta = d
+        v.f *= 1.0 + d
+    assert emit_gcode(program) == _emit_per_word(program)

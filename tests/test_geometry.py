@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from toolpath_aa import geometry
 from toolpath_aa.geometry import (BOX_SLACK, PAIR_BLOCK, Z_DEDUPE_TOL,
                                   BoxGrid, EmptyMeshError, StlParseError,
                                   VerticalRayIndex, box_pairs, build_mesh,
@@ -433,3 +434,57 @@ def test_box_pairs_match_all_pairs_gap_filter():
                                    np.zeros(k)])
                   for k in rng.integers(1, 7, n)]
         assert box_pairs(coords, eps) == reference_box_pairs(coords, eps)
+
+
+# ---------------------------------------------------------------------------
+# Vertex weld against np.unique
+
+# rounded to 1e-9 mm, the near values weld into 0.0, -0.0 or 1.0
+_WELD_POOL = np.array([0.0, -0.0, 3e-10, -3e-10, 1.0, 1.0 + 4e-10,
+                       1.0 - 4e-10, -2.5, 7.25, 1e-3, -1e-3])
+
+
+def _stl_points(points, fmt):
+    """STL bytes of a triangle soup, and the points its loader reads."""
+    if fmt == "stl_binary":
+        rec = np.zeros(len(points) // 3, dtype=[("n", "<f4", 3),
+                                                ("p", "<f4", 9), ("a", "<u2")])
+        rec["p"] = points.reshape(-1, 9)
+        data = b"w".ljust(80, b"\0") + struct.pack("<I", len(rec)) + rec.tobytes()
+        return data, points.astype(np.float32).astype(np.float64)
+    lines = ["solid w"]
+    for tri in points.reshape(-1, 3, 3):
+        lines += ["facet normal 0 0 1", "outer loop"]
+        lines += ["vertex " + " ".join(map(repr, p.tolist())) for p in tri]
+        lines += ["endloop", "endfacet"]
+    return ("\n".join(lines + ["endsolid w"]) + "\n").encode(), points
+
+
+@pytest.mark.parametrize("fmt", ["stl_binary", "stl_ascii"])
+@pytest.mark.parametrize("seed", range(4))
+def test_weld_matches_np_unique(fmt, seed):
+    rng = np.random.default_rng(seed)
+    points = rng.choice(_WELD_POOL, size=(3 * 150, 3))
+    points[:30] = rng.uniform(-5.0, 5.0, size=(30, 3))
+    points[30:60] = points[:30]                  # exact duplicate rows
+    points[60:90] = points[:30] + rng.uniform(-4e-10, 4e-10, size=(30, 3))
+    data, read = _stl_points(points, fmt)
+    rounded = read.round(9)
+    assert np.signbit(rounded[rounded == 0]).any()    # -0.0 reaches the weld
+
+    mesh = load_mesh(data, fmt)
+    uniq, inverse = np.unique(rounded, axis=0, return_inverse=True)
+    reference = build_mesh(uniq, inverse.reshape(-1, 3))
+    assert mesh.vertices.shape == reference.vertices.shape
+    assert (mesh.vertices == reference.vertices).all()
+    assert np.array_equal(mesh.triangles, reference.triangles)
+    assert not np.signbit(mesh.vertices[mesh.vertices == 0]).any()
+
+
+def test_weld_keeps_distinct_rows_apart():
+    points = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0 + 2e-9], [1.0, 2.0, 3.0],
+                       [-0.0, 0.0, 1.0], [0.0, -0.0, 1.0], [0.0, 0.0, 1.0]])
+    vertices, triangles = geometry._weld(points)
+    assert vertices.tolist() == [[0.0, 0.0, 1.0], [1.0, 2.0, 3.0],
+                                 [1.0, 2.0, 3.0 + 2e-9]]
+    assert triangles.tolist() == [[1, 2, 1], [0, 0, 0]]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from toolpath_aa import cli
+from toolpath_aa import cli, pipeline
 from toolpath_aa.antialias import ThicknessError
 from toolpath_aa.fixtures import flat_box_fixture, wedge_fixture
 from toolpath_aa.gcode import PrinterProfile, parse_gcode
@@ -54,10 +54,42 @@ def test_wedge_end_to_end_report(tmp_path):
     reparsed = parse_gcode(out_path.read_text())
     assert len(reparsed.layers) == len(program.layers)
     assert [r["s"] for r in data["sweep_s"]] == [0.0, 0.3]
+    assert data["schema_version"] == 1
+    stages = dict(data["timings_s"])
+    total = stages.pop("total")
+    assert set(stages) == {"load", "parse", "index", "antialias", "overlap",
+                           "sweep", "ordering", "emit", "print_time",
+                           "error_map"}
+    assert sum(stages.values()) <= total
     # layer monotonicity survives every stage
     for prog in (program, reparsed):
         zs = [l.base_z for l in prog.layers]
         assert all(a < b for a, b in zip(zs, zs[1:]))
+
+
+@pytest.mark.parametrize("map_name", ["map.csv", "map.ply"])
+def test_failed_run_leaves_existing_outputs_and_no_temporary_file(
+        tmp_path, monkeypatch, map_name):
+    mesh, gcode = wedge_fixture()
+    paths = {name: tmp_path / name
+             for name in ("out.gcode", "stats.json", map_name)}
+    for path in paths.values():
+        path.write_text("from an earlier run\n")
+    config = PipelineConfig(out_path=str(paths["out.gcode"]),
+                            report_path=str(paths["stats.json"]),
+                            error_map_path=str(paths[map_name]),
+                            ordering_enabled=False, error_map_density=1.0)
+    # text that cannot be encoded fails the G-code write itself; the error
+    # map before it is written whole, the report after it never starts
+    monkeypatch.setattr(pipeline, "emit_gcode",
+                        lambda program: "G1 X0 Y0\n" * 100 + "\ud800\n")
+    with pytest.raises(UnicodeEncodeError):
+        run_pipeline(config, gcode_text=gcode, mesh=mesh)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(paths)
+    assert paths["out.gcode"].read_text() == "from an earlier run\n"
+    assert paths["stats.json"].read_text() == "from an earlier run\n"
+    assert paths[map_name].read_text().startswith(
+        "x,y,z,distance_mm\n" if map_name.endswith(".csv") else "ply\n")
 
 
 def test_pipeline_determinism():
