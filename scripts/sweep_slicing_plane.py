@@ -12,12 +12,8 @@ from toolpath_aa.gcode import PrinterProfile, parse_gcode
 
 
 def sweep(name, mesh, gcode, profile, s_values):
-    program = parse_gcode(gcode)
-    for layer in program.layers:
-        for p in layer.toolpaths():
-            antialias.resample_path(p, profile.w)
     index = geometry.build_vertical_index(mesh)
-    rows = antialias.sweep_slicing_plane(program, mesh, index, profile,
+    rows = antialias.sweep_slicing_plane(parse_gcode(gcode), index, profile,
                                          s_values)
     print(f"\n{name}: slicing plane s (mm) -> overlap volume (mm^3)")
     for s, v in rows:

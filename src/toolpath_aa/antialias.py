@@ -4,6 +4,7 @@ compensation."""
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -59,16 +60,6 @@ class DisplacementStats:
     min_delta: float = math.inf     # over displaced vertices only
     max_delta: float = -math.inf
     per_layer_histogram: dict = field(default_factory=dict)
-
-    def merge(self, other):
-        self.total += other.total
-        self.displaced += other.displaced
-        self.skipped_bottom_facing += other.skipped_bottom_facing
-        self.skipped_out_of_window += other.skipped_out_of_window
-        self.missed += other.missed
-        self.min_delta = min(self.min_delta, other.min_delta)
-        self.max_delta = max(self.max_delta, other.max_delta)
-        self.per_layer_histogram.update(other.per_layer_histogram)
 
     def thickness_range(self, h):
         """Achieved local thickness range (reported, never enforced)."""
@@ -132,7 +123,7 @@ def resample_path(path, w):
 # ---------------------------------------------------------------------------
 # Displacement
 
-def displace_layer(paths, index, mesh, profile, s=None, stats=None,
+def displace_layer(paths, index, profile, s=None, stats=None,
                    refine_boundaries=True):
     """Snap top-facing vertices onto the surface within the displacement
     window. Vertices with no hit, a bottom-facing hit, or an out-of-window
@@ -475,14 +466,12 @@ def reduce_overlap_flow(program, profile):
 # ---------------------------------------------------------------------------
 # Slicing plane sweep
 
-def sweep_slicing_plane(program, mesh, index, profile, s_values):
+def sweep_slicing_plane(program, index, profile, s_values):
     """Total overlap volume as a function of the slicing plane position.
 
-    Each s is evaluated on a scratch copy of the program; the input is
-    never mutated.
+    Each s is evaluated on a scratch copy of the program as parsed, which
+    is resampled and then displaced; the input is never mutated.
     """
-    import copy
-
     rows = []
     for s in s_values:
         if not (0 <= s <= profile.h):
@@ -490,8 +479,10 @@ def sweep_slicing_plane(program, mesh, index, profile, s_values):
         scratch = copy.deepcopy(program)
         stats = DisplacementStats()
         for layer in scratch.layers:
-            displace_layer(layer.toolpaths(), index, mesh, profile,
-                           s=s, stats=stats)
+            paths = layer.toolpaths()
+            for path in paths:
+                resample_path(path, profile.w)
+            displace_layer(paths, index, profile, s=s, stats=stats)
         _, report = detect_overlaps(scratch, profile)
         rows.append((s, report["overlap_volume_mm3"]))
     return rows

@@ -172,10 +172,13 @@ class PrinterProfile:
             raise ValueError(f"alpha must be in (0, pi/2], got {self.alpha}")
         if self.h <= 0:
             raise ValueError("layer thickness h must be positive")
-        if self.f_min > self.f_ini:
-            raise ValueError("f_min must not exceed f_ini")
+        if not (0 < self.f_min <= self.f_ini):
+            raise ValueError(f"need 0 < f_min <= f_ini, got f_min={self.f_min}, "
+                             f"f_ini={self.f_ini}")
         if not (0 <= self.s <= self.h):
             raise ValueError(f"slicing plane s must lie in [0, h], got {self.s}")
+        if self.d <= 0:
+            raise ValueError(f"track width d must be positive, got {self.d}")
         if self.filament_diameter <= 0:
             raise ValueError("filament diameter must be positive")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEGENERATE_AREA = 1e-9  # mm^2, triangles below this are dropped at load
-Z_DEDUPE_TOL = 1e-9     # mm, duplicate hits at shared edges merged by z
+BELOW_BIAS = 5e-10      # mm, added to a hit below's distance: ties go above
 PAIR_BLOCK = 4096       # ray-triangle or point-segment pairs per numpy call:
                         # bounds the temporaries
 
@@ -66,9 +66,6 @@ class TriangleMesh:
     @property
     def triangle_count(self):
         return len(self.triangles)
-
-    def triangle_points(self, i):
-        return self.vertices[self.triangles[i]]
 
     def bounds(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
@@ -189,6 +186,8 @@ def _load_stl_ascii(data):
                 pts.append([float(w) for w in words[1:4]])
             except ValueError:
                 raise StlParseError("non-numeric vertex coordinate", line=lineno)
+            if not all(map(math.isfinite, pts[-1])):
+                raise StlParseError("non-finite vertex in ASCII STL", line=lineno)
             nvert_in_facet += 1
         elif key == "outer":
             in_loop = True
@@ -349,7 +348,6 @@ class SurfaceHit:
     point: tuple
     delta: float
     facing: str
-    triangle: int
 
 
 class VerticalRayIndex(BoxGrid):
@@ -369,86 +367,58 @@ class VerticalRayIndex(BoxGrid):
         super().__init__(tris[:, :, :2].min(axis=1), tris[:, :, :2].max(axis=1),
                          target_per_cell=target_per_cell)
 
-    def candidates(self, x, y):
-        point = np.array([[x, y]], dtype=np.float64)
-        return self.pairs(point, point)[1]
-
 
 def build_vertical_index(mesh):
     return VerticalRayIndex(mesh)
 
 
-def _vertical_hits(tri_pts, nz, candidates, x, y):
-    """z values and facing for all candidate triangles crossed by the
-    vertical line through (x, y). Boundary (edge/vertex) hits count."""
-    if len(candidates) == 0:
-        return []
-    t = tri_pts[candidates]
+def _ray_keys(t, px, py, qz):
+    """(dz, dist, key) for vertical rays through (px, py) at height qz
+    against triangles t, pair by pair. dz is surface z minus qz; dist is
+    |dz|, or inf where the ray misses (boundary hits count); key adds
+    BELOW_BIAS to a hit below, so that a tie goes to the hit above. Each
+    ray keeps the first minimum of its key."""
     ax, ay = t[:, 0, 0], t[:, 0, 1]
     bx, by = t[:, 1, 0], t[:, 1, 1]
     cx, cy = t[:, 2, 0], t[:, 2, 1]
     d = (by - cy) * (ax - cx) + (cx - bx) * (ay - cy)
-    ok = np.abs(d) > 1e-30  # vertical triangles cannot be hit by a vertical ray
-    w0 = np.zeros_like(d)
-    w1 = np.zeros_like(d)
-    w0[ok] = ((by - cy) * (x - cx) + (cx - bx) * (y - cy))[ok] / d[ok]
-    w1[ok] = ((cy - ay) * (x - cx) + (ax - cx) * (y - cy))[ok] / d[ok]
+    okd = np.abs(d) > 1e-30  # vertical triangles: no vertical ray hits them
+    safe = np.where(okd, d, 1.0)
+    w0 = ((by - cy) * (px - cx) + (cx - bx) * (py - cy)) / safe
+    w1 = ((cy - ay) * (px - cx) + (ax - cx) * (py - cy)) / safe
     w2 = 1.0 - w0 - w1
     eps = 1e-12
-    inside = ok & (w0 >= -eps) & (w1 >= -eps) & (w2 >= -eps)
-    if not inside.any():
-        return []
-    z = (w0 * t[:, 0, 2] + w1 * t[:, 1, 2] + w2 * t[:, 2, 2])[inside]
-    which = candidates[inside]
-    facing_top = nz[which] > 0
-    out = []
-    order = np.argsort(z, kind="stable")
-    last_z = None
-    for k in order:
-        zk = float(z[k])
-        if last_z is not None and abs(zk - last_z) <= Z_DEDUPE_TOL:
-            continue  # duplicate hit on a shared edge
-        last_z = zk
-        out.append((zk, bool(facing_top[k]), int(which[k])))
-    return out
+    inside = okd & (w0 >= -eps) & (w1 >= -eps) & (w2 >= -eps)
+    z = w0 * t[:, 0, 2] + w1 * t[:, 1, 2] + w2 * t[:, 2, 2]
+    dz = z - qz
+    dist = np.where(inside, np.abs(dz), np.inf)
+    return dz, dist, dist + np.where(dz >= 0, 0.0, BELOW_BIAS)
 
 
-def cast_vertical(index, mesh, query):
-    """Closest surface point on the vertical line through query.
+def _surface_hit(query, delta, top, hit):
+    if not hit:
+        return None
+    x, y, qz = (float(c) for c in query[:3])
+    return SurfaceHit(point=(x, y, qz + float(delta)), delta=float(delta),
+                      facing="top" if top else "bottom")
 
-    Ties between a hit above and below are broken toward the hit above.
-    Returns None when the vertical line misses the mesh.
-    """
-    x, y, qz = float(query[0]), float(query[1]), float(query[2])
-    hits = _vertical_hits(index._tri_pts, index._nz, index.candidates(x, y), x, y)
-    return _pick_hit(hits, x, y, qz)
+
+def cast_vertical(index, query):
+    """Closest surface point on the vertical line through query: one ray
+    of `cast_vertical_batch`. Returns None when the line misses the mesh."""
+    delta, top, hit = cast_vertical_batch(index, [query[0]], [query[1]],
+                                          [query[2]])
+    return _surface_hit(query, delta[0], top[0], hit[0])
 
 
 def cast_vertical_brute(mesh, query):
-    """Brute-force oracle: same contract as cast_vertical, all triangles."""
-    x, y, qz = float(query[0]), float(query[1]), float(query[2])
-    tri_pts = mesh.vertices[mesh.triangles]
-    all_idx = np.arange(mesh.triangle_count, dtype=np.int64)
-    hits = _vertical_hits(tri_pts, mesh.normals[:, 2], all_idx, x, y)
-    return _pick_hit(hits, x, y, qz)
-
-
-def _pick_hit(hits, x, y, qz):
-    if not hits:
-        return None
-    best = None
-    best_key = None
-    for z, top, tri in hits:
-        dist = abs(z - qz)
-        above = z >= qz
-        # ties broken toward the hit above
-        key = (dist, 0 if above else 1)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (z, top, tri)
-    z, top, tri = best
-    return SurfaceHit(point=(x, y, z), delta=z - qz,
-                      facing="top" if top else "bottom", triangle=tri)
+    """Grid-free oracle for `cast_vertical`: the ray meets every triangle
+    at once and keeps the first minimum of the batch's key."""
+    dz, dist, key = _ray_keys(mesh.vertices[mesh.triangles], float(query[0]),
+                              float(query[1]), float(query[2]))
+    best = int(np.argmin(key))     # a NaN key is its own minimum: no hit
+    return _surface_hit(query, dz[best], mesh.normals[best, 2] > 0,
+                        np.isfinite(dist[best]))
 
 
 def cast_vertical_batch(index, xs, ys, qzs):
@@ -476,8 +446,6 @@ def cast_vertical_batch(index, xs, ys, qzs):
     keep = count > 0
     rays, cell_id, count = rays[keep], cell_id[keep], count[keep]
     pairs_through = np.cumsum(count)
-    tri_pts = index._tri_pts
-    eps = 1e-12
     r0 = 0
     while r0 < len(rays):
         base = pairs_through[r0] - count[r0]
@@ -487,24 +455,8 @@ def cast_vertical_batch(index, xs, ys, qzs):
         starts = pairs_through[r0:r1] - c - base   # each ray's first pair
         ray_of = np.repeat(np.arange(r1 - r0), c)
         pts = rays[r0:r1]
-        px = xs[pts][ray_of]
-        py = ys[pts][ray_of]
-        t = tri_pts[cand]
-        ax, ay = t[:, 0, 0], t[:, 0, 1]
-        bx, by = t[:, 1, 0], t[:, 1, 1]
-        cx, cy = t[:, 2, 0], t[:, 2, 1]
-        d = (by - cy) * (ax - cx) + (cx - bx) * (ay - cy)
-        okd = np.abs(d) > 1e-30  # vertical triangles: no vertical ray hits them
-        safe = np.where(okd, d, 1.0)
-        w0 = ((by - cy) * (px - cx) + (cx - bx) * (py - cy)) / safe
-        w1 = ((cy - ay) * (px - cx) + (ax - cx) * (py - cy)) / safe
-        w2 = 1.0 - w0 - w1
-        inside = okd & (w0 >= -eps) & (w1 >= -eps) & (w2 >= -eps)
-        z = w0 * t[:, 0, 2] + w1 * t[:, 1, 2] + w2 * t[:, 2, 2]
-        dz = z - qzs[pts][ray_of]
-        dist = np.where(inside, np.abs(dz), np.inf)
-        # prefer the hit above on ties: a hit below pays a tiny bias
-        key = dist + np.where(dz >= 0, 0.0, Z_DEDUPE_TOL * 0.5)
+        dz, dist, key = _ray_keys(index._tri_pts[cand], xs[pts][ray_of],
+                                  ys[pts][ray_of], qzs[pts][ray_of])
         at_min = key == np.minimum.reduceat(key, starts)[ray_of]
         pair = np.arange(len(key))
         best = np.minimum.reduceat(np.where(at_min, pair, len(key)), starts)

@@ -95,11 +95,6 @@ def nearest_on_polyline_brute(x, y, verts):
     return math.sqrt(best[0]), best[1], best[2], best[3]
 
 
-def polyline_min_distance(verts_a, verts_b):
-    """Closest XY approach between two polylines (vertex lists)."""
-    return polyline_distance(polyline_array(verts_a), polyline_array(verts_b))
-
-
 # ---------------------------------------------------------------------------
 # Threshold and neighbour pairs
 

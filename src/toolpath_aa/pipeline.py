@@ -85,23 +85,31 @@ def run_pipeline(config, gcode_text=None, mesh=None):
     index = geometry.build_vertical_index(mesh)
     report["timings_s"]["index"] = time.perf_counter() - t0
 
+    if config.sweep_s:
+        # before the displacement: the sweep copies the program as parsed
+        t0 = time.perf_counter()
+        rows = antialias.sweep_slicing_plane(program, index, profile,
+                                             config.sweep_s)
+        report["sweep_s"] = [{"s": s, "overlap_volume_mm3": v}
+                             for s, v in rows]
+        report["timings_s"]["sweep"] = time.perf_counter() - t0
+
     # resample + displace + rescale, per layer
     t0 = time.perf_counter()
     stats = antialias.DisplacementStats()
     for layer in program.layers:
         paths = layer.toolpaths()
         original = [path.vertices for path in paths]
-        local = antialias.DisplacementStats()
+        displaced = stats.displaced
         for path in paths:
             antialias.resample_path(path, profile.w)
-        antialias.displace_layer(paths, index, mesh, profile, stats=local)
+        antialias.displace_layer(paths, index, profile, stats=stats)
         antialias.rescale_paths(paths, profile)
         # an untouched layer reverts to its original (un-resampled) motion
         # so a zero-displacement run emits exactly the input values
-        if local.displaced == 0:
+        if stats.displaced == displaced:
             for path, verts in zip(paths, original):
                 path.vertices = verts
-        stats.merge(local)
     report["timings_s"]["antialias"] = time.perf_counter() - t0
     report["displacement"] = stats.as_dict(h=profile.h)
 
@@ -111,19 +119,6 @@ def run_pipeline(config, gcode_text=None, mesh=None):
                                                                  profile)
         report["timings_s"]["overlap"] = time.perf_counter() - t0
         report["overlap"] = overlap_report
-
-    if config.sweep_s:
-        t0 = time.perf_counter()
-        # the sweep must run on an un-displaced program: reparse the input
-        pristine = parse_gcode(gcode_text)
-        for layer in pristine.layers:
-            for path in layer.toolpaths():
-                antialias.resample_path(path, profile.w)
-        rows = antialias.sweep_slicing_plane(pristine, mesh, index, profile,
-                                             config.sweep_s)
-        report["sweep_s"] = [{"s": s, "overlap_volume_mm3": v}
-                             for s, v in rows]
-        report["timings_s"]["sweep"] = time.perf_counter() - t0
 
     if config.ordering_enabled:
         t0 = time.perf_counter()

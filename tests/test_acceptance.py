@@ -46,8 +46,8 @@ def test_c01_displacement_bound():
         for s in (0.06, 0.2, PROFILE.h / 2):
             mesh, program, index = _prepared(fn)
             for layer in program.layers:
-                antialias.displace_layer(layer.toolpaths(), index, mesh,
-                                         PROFILE, s=s)
+                antialias.displace_layer(layer.toolpaths(), index, PROFILE,
+                                         s=s)
             lo, hi = s - PROFILE.h, s
             for d in _all_deltas(program):
                 if not (lo <= d <= hi):
@@ -267,7 +267,7 @@ def test_c08_slicing_plane_sweep_trend():
     """Overlap volume grows with s and vanishes at s = 0 on the wedge."""
     t0 = time.perf_counter()
     mesh, program, index = _prepared(fixtures.wedge_fixture, cross_hatch=True)
-    rows = antialias.sweep_slicing_plane(program, mesh, index, PROFILE,
+    rows = antialias.sweep_slicing_plane(program, index, PROFILE,
                                          [0.0, 0.06, 0.2, 0.3])
     vols = dict(rows)
     assert vols[0.0] == 0.0
@@ -300,7 +300,7 @@ def test_c10_throughput():
     stats = antialias.DisplacementStats()
     for layer in program.layers:
         paths = layer.toolpaths()
-        antialias.displace_layer(paths, index, mesh, PROFILE, stats=stats)
+        antialias.displace_layer(paths, index, PROFILE, stats=stats)
         antialias.rescale_paths(paths, PROFILE)
     dt = time.perf_counter() - t0
     assert dt < 5.0
@@ -325,7 +325,7 @@ def test_c11_topological_validity():
     # wedge end-to-end layers
     mesh, program, index = _prepared(fixtures.wedge_fixture)
     for layer in program.layers:
-        antialias.displace_layer(layer.toolpaths(), index, mesh, PROFILE)
+        antialias.displace_layer(layer.toolpaths(), index, PROFILE)
     eps = ordering.interference_threshold(PROFILE)
     for layer in program.layers:
         paths = layer.toolpaths()

@@ -126,8 +126,8 @@ class WedgeEnv:
     def displace_all(self, s=None):
         stats = antialias.DisplacementStats()
         for layer in self.program.layers:
-            displace_layer(layer.toolpaths(), self.index, self.mesh,
-                           self.profile, s=s, stats=stats)
+            displace_layer(layer.toolpaths(), self.index, self.profile,
+                           s=s, stats=stats)
         return stats
 
 
@@ -165,7 +165,7 @@ def test_displace_idempotent():
     before = [(v.x, v.y, v.z) for layer in env.program.layers
               for tp in layer.toolpaths() for v in tp.vertices]
     for layer in env.program.layers:
-        displace_layer(layer.toolpaths(), env.index, env.mesh, env.profile,
+        displace_layer(layer.toolpaths(), env.index, env.profile,
                        refine_boundaries=False)
     after = [(v.x, v.y, v.z) for layer in env.program.layers
              for tp in layer.toolpaths() for v in tp.vertices]
@@ -183,7 +183,7 @@ def test_displace_extreme_half_layer():
     x = (0.6 + 0.3) / slope          # surface z = 0.9, vertex z = 0.6
     path = Toolpath(vertices=[PathVertex(x - 0.5, 5.0, 0.6, 0.0, 20.0),
                               PathVertex(x, 5.0, 0.6, 0.1, 20.0)])
-    displace_layer([path], index, mesh, profile, refine_boundaries=False)
+    displace_layer([path], index, profile, refine_boundaries=False)
     assert path.vertices[1].delta == pytest.approx(+0.3, abs=1e-9)
     assert path.vertices[1].z == pytest.approx(0.9, abs=1e-9)
 
@@ -196,7 +196,7 @@ def test_displace_zero_offset_untouched():
     x = 0.6 / slope                   # surface exactly at the vertex
     path = Toolpath(vertices=[PathVertex(x - 0.5, 5.0, 0.6, 0.0, 20.0),
                               PathVertex(x, 5.0, 0.6, 0.1, 20.0)])
-    displace_layer([path], index, mesh, profile, refine_boundaries=False)
+    displace_layer([path], index, profile, refine_boundaries=False)
     assert path.vertices[1].delta == 0.0
     assert path.vertices[1].z == pytest.approx(0.6)
 
@@ -209,15 +209,12 @@ def test_stats_range_of_raised_only_layer():
     slope = math.tan(math.radians(10.0))
     path = Toolpath(vertices=[PathVertex((0.6 + 0.1) / slope, 5.0, 0.6, 0.0, 20.0),
                               PathVertex((0.6 + 0.2) / slope, 5.0, 0.6, 0.1, 20.0)])
-    _, stats = displace_layer([path], index, mesh, profile,
+    _, stats = displace_layer([path], index, profile,
                               refine_boundaries=False)
     assert stats.displaced == 2
     assert stats.min_delta == pytest.approx(0.1, abs=1e-9)
     assert stats.max_delta == pytest.approx(0.2, abs=1e-9)
-    merged = antialias.DisplacementStats()
-    merged.merge(antialias.DisplacementStats())
-    merged.merge(stats)
-    report = merged.as_dict(h=profile.h)
+    report = stats.as_dict(h=profile.h)
     assert report["delta_range_mm"] == [stats.min_delta, stats.max_delta]
     assert report["achieved_thickness_range_mm"] == pytest.approx([0.7, 0.8])
     # nothing displaced: no range, and the report stays valid JSON
@@ -235,7 +232,7 @@ def test_bottom_facing_untouched():
     # bottom (facing down), so it must stay untouched
     v = PathVertex(10.0, 5.0, 0.2, 0.1, 20.0)
     path = Toolpath(vertices=[PathVertex(9.5, 5.0, 0.2, 0.0, 20.0), v])
-    _, stats = displace_layer([path], index, mesh, profile,
+    _, stats = displace_layer([path], index, profile,
                               refine_boundaries=False)
     assert v.z == pytest.approx(0.2)
     assert stats.skipped_bottom_facing >= 1
@@ -348,7 +345,7 @@ def test_overlaps_match_all_pairs_reference(scene, monkeypatch):
 
 def test_sweep_zero_at_s0_and_monotone():
     env = WedgeEnv(cross=True)
-    rows = sweep_slicing_plane(env.program, env.mesh, env.index, env.profile,
+    rows = sweep_slicing_plane(env.program, env.index, env.profile,
                                [0.0, 0.06, 0.2, 0.3])
     vols = [v for _s, v in rows]
     assert vols[0] == 0.0
@@ -360,7 +357,7 @@ def test_sweep_does_not_mutate_input():
     env = WedgeEnv(cross=True)
     before = [(v.x, v.y, v.z, v.e) for layer in env.program.layers
               for tp in layer.toolpaths() for v in tp.vertices]
-    sweep_slicing_plane(env.program, env.mesh, env.index, env.profile, [0.3])
+    sweep_slicing_plane(env.program, env.index, env.profile, [0.3])
     after = [(v.x, v.y, v.z, v.e) for layer in env.program.layers
              for tp in layer.toolpaths() for v in tp.vertices]
     assert before == after

@@ -207,6 +207,12 @@ def test_profile_validation():
         PrinterProfile(f_ini=10.0, f_min=13.0)
     with pytest.raises(ValueError):
         PrinterProfile(s=0.7, h=0.6)
+    for f_ini, f_min in ((20.0, 0.0), (20.0, -2.0), (-1.0, -2.0)):
+        with pytest.raises(ValueError):
+            PrinterProfile(f_ini=f_ini, f_min=f_min)
+    for d in (0.0, -0.4):
+        with pytest.raises(ValueError):
+            PrinterProfile(d=d)
     p = PrinterProfile()
     assert p.s == pytest.approx(0.3)
     assert p.d == pytest.approx(0.8)

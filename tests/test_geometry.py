@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from toolpath_aa import geometry
-from toolpath_aa.geometry import (BOX_SLACK, PAIR_BLOCK, Z_DEDUPE_TOL,
+from toolpath_aa.geometry import (BELOW_BIAS, BOX_SLACK, PAIR_BLOCK,
                                   BoxGrid, EmptyMeshError, StlParseError,
                                   VerticalRayIndex, box_pairs, build_mesh,
                                   build_vertical_index, cast_vertical,
                                   cast_vertical_batch, cast_vertical_brute,
                                   load_mesh, mesh_to_stl_ascii,
                                   mesh_to_stl_binary)
+from toolpath_aa import antialias, fixtures
 from toolpath_aa.fixtures import flat_box_mesh, wedge_mesh
+from toolpath_aa.gcode import PrinterProfile, parse_gcode
 
 ASCII_ONE_FACET = """solid one
   facet normal 0 0 1
@@ -64,6 +66,14 @@ def test_degenerate_dropped_and_counted():
     assert mesh.degenerate_dropped == 1
 
 
+@pytest.mark.parametrize("word", ["nan", "inf", "-inf"])
+def test_ascii_non_finite_vertex_names_its_line(word):
+    text = ASCII_ONE_FACET.replace("vertex 1 0 0", f"vertex 1 {word} 0")
+    with pytest.raises(StlParseError) as err:
+        load_mesh(text, fmt="stl_ascii")
+    assert err.value.line == 5
+
+
 def test_truncated_binary_reports_offset():
     cube = cube_mesh()
     data = mesh_to_stl_binary(cube)
@@ -86,7 +96,7 @@ def test_normals_unit_length():
 def test_cast_wedge_analytic():
     mesh = wedge_mesh(angle_deg=10.0, base=20.0, depth=10.0)
     index = build_vertical_index(mesh)
-    hit = cast_vertical(index, mesh, (10.0, 5.0, 1.0))
+    hit = cast_vertical(index, (10.0, 5.0, 1.0))
     expected_z = 10.0 * math.tan(math.radians(10.0))
     assert hit is not None
     assert hit.facing == "top"
@@ -97,7 +107,7 @@ def test_cast_wedge_analytic():
 def test_cast_on_surface_zero_delta():
     cube = cube_mesh()
     index = build_vertical_index(cube)
-    hit = cast_vertical(index, cube, (0.5, 0.5, 1.0))
+    hit = cast_vertical(index, (0.5, 0.5, 1.0))
     assert hit.facing == "top"
     assert abs(hit.delta) < 1e-12
 
@@ -105,13 +115,13 @@ def test_cast_on_surface_zero_delta():
 def test_cast_outside_silhouette_misses():
     cube = cube_mesh()
     index = build_vertical_index(cube)
-    assert cast_vertical(index, cube, (5.0, 5.0, 0.5)) is None
+    assert cast_vertical(index, (5.0, 5.0, 0.5)) is None
 
 
 def test_tie_prefers_hit_above():
     cube = cube_mesh()  # faces at z=0 and z=1
     index = build_vertical_index(cube)
-    hit = cast_vertical(index, cube, (0.5, 0.5, 0.5))
+    hit = cast_vertical(index, (0.5, 0.5, 0.5))
     assert hit.delta == pytest.approx(+0.5)
     assert hit.facing == "top"
 
@@ -119,7 +129,7 @@ def test_tie_prefers_hit_above():
 def test_index_matches_brute_force_cube():
     cube = cube_mesh()
     index = build_vertical_index(cube)
-    hit_a = cast_vertical(index, cube, (0.5, 0.5, 2.0))
+    hit_a = cast_vertical(index, (0.5, 0.5, 2.0))
     hit_b = cast_vertical_brute(cube, (0.5, 0.5, 2.0))
     assert abs(hit_a.point[2] - hit_b.point[2]) < 1e-9
 
@@ -140,7 +150,7 @@ def test_oracle_equivalence_random_mesh():
     rng = np.random.default_rng(11)
     queries = rng.uniform(-2, 52, size=(1000, 3))
     for q in queries:
-        a = cast_vertical(index, mesh, q)
+        a = cast_vertical(index, q)
         b = cast_vertical_brute(mesh, q)
         if a is None or b is None:
             assert a is None and b is None
@@ -148,18 +158,45 @@ def test_oracle_equivalence_random_mesh():
             assert abs(a.point[2] - b.point[2]) < 1e-9
 
 
+def assert_batch_matches_brute(mesh, index, q):
+    """The batch equals the grid-free oracle ray by ray, bit for bit."""
+    delta, top, hit = cast_vertical_batch(index, q[:, 0], q[:, 1], q[:, 2])
+    for k in range(len(q)):
+        ref = cast_vertical_brute(mesh, q[k])
+        assert hit[k] == (ref is not None)
+        if ref is not None:
+            assert delta[k].tobytes() == np.float64(ref.delta).tobytes()
+            assert top[k] == (ref.facing == "top")
+    return hit
+
+
 def test_batch_matches_scalar():
     mesh = _random_mesh(500, seed=3)
     index = build_vertical_index(mesh)
-    rng = np.random.default_rng(5)
-    q = rng.uniform(-2, 52, size=(300, 3))
-    delta, top, hit = cast_vertical_batch(index, q[:, 0], q[:, 1], q[:, 2])
+    q = np.random.default_rng(5).uniform(-2, 52, size=(300, 3))
+    hit = assert_batch_matches_brute(mesh, index, q)
+    assert hit.any() and not hit.all()
     for k in range(len(q)):
-        ref = cast_vertical(index, mesh, q[k])
-        assert hit[k] == (ref is not None)
-        if ref is not None:
-            assert delta[k] == pytest.approx(ref.delta, abs=1e-9)
-            assert top[k] == (ref.facing == "top")
+        assert cast_vertical(index, q[k]) == cast_vertical_brute(mesh, q[k])
+
+
+@pytest.mark.parametrize("name", ["wedge", "wedge_hatch", "flat_box", "dome"])
+def test_batch_matches_brute_on_fixture_vertices(name):
+    # every resampled vertex, among them the dome's rays through shared
+    # triangle edges, where two triangles give hits a few ulps apart
+    profile = PrinterProfile()
+    if name == "flat_box":
+        mesh, gcode = fixtures.flat_box_fixture(profile)
+    elif name == "dome":
+        mesh, gcode = fixtures.dome_fixture(profile)
+    else:
+        mesh, gcode = fixtures.wedge_fixture(
+            profile, cross_hatch=(name == "wedge_hatch"))
+    program = parse_gcode(gcode)
+    q = np.array([v.xyz() for path in program.all_toolpaths()
+                  for v in antialias.resample_path(path, profile.w).vertices])
+    hit = assert_batch_matches_brute(mesh, build_vertical_index(mesh), q)
+    assert hit.any()
 
 
 def test_determinism():
@@ -167,8 +204,8 @@ def test_determinism():
     i1 = build_vertical_index(mesh)
     i2 = build_vertical_index(mesh)
     q = (25.0, 25.0, 10.0)
-    h1 = cast_vertical(i1, mesh, q)
-    h2 = cast_vertical(i2, mesh, q)
+    h1 = cast_vertical(i1, q)
+    h2 = cast_vertical(i2, q)
     assert (h1 is None) == (h2 is None)
     if h1 is not None:
         assert h1 == h2
@@ -224,7 +261,7 @@ def cast_per_cell(index, xs, ys, qzs):
                      + w2 * t[None, :, 2, 2])
                 dz = z - qzs[pts][:, None]
                 dist = np.where(inside, np.abs(dz), np.inf)
-                above_bias = np.where(dz >= 0, 0.0, Z_DEDUPE_TOL * 0.5)
+                above_bias = np.where(dz >= 0, 0.0, BELOW_BIAS)
                 best = np.argmin(dist + above_bias, axis=1)
                 rows = np.arange(len(pts))
                 got = np.isfinite(dist[rows, best])
@@ -351,8 +388,8 @@ def test_flat_cast_matches_per_cell_across_several_blocks():
     mesh = _random_mesh(300, seed=12)
     index = build_vertical_index(mesh)
     q = np.random.default_rng(13).uniform(0, 50, size=(20_000, 3))
-    cells = np.array([index.candidates(x, y).size for x, y in q[:, :2]])
-    assert cells.sum() > 5 * PAIR_BLOCK
+    ix, iy = index._cell_of(q[:, :2]).T
+    assert np.diff(index.offsets)[ix * index.ny + iy].sum() > 5 * PAIR_BLOCK
     assert_cast_matches_reference(index, q[:, 0], q[:, 1], q[:, 2])
 
 

@@ -13,7 +13,6 @@ from toolpath_aa.ordering import (ConstraintGraph, OrderingError, SubPath,
                                   exterior_angle, find_neighbors, gap_cost,
                                   interference_threshold,
                                   nearest_on_polyline_brute, order_paths,
-                                  polyline_min_distance,
                                   polyline_min_distance_brute, split_paths)
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 
@@ -445,7 +444,8 @@ def assert_matches_brute(a, b):
     """The numpy min distance and the batched nearest points equal the
     scalar reference bit for bit."""
     va, vb = as_verts(a), as_verts(b)
-    assert (polyline_min_distance(va, vb).hex()
+    assert (geometry.polyline_distance(np.array(a, dtype=float),
+                                       np.array(b, dtype=float)).hex()
             == polyline_min_distance_brute(va, vb).hex())
     for src, dst, vdst in ((a, b, vb), (b, a, va)):
         dist, z, endpoint = geometry.nearest_points(

@@ -1,12 +1,13 @@
+import copy
 import json
 
 import pytest
 
-from toolpath_aa import cli, pipeline
+from toolpath_aa import antialias, cli, pipeline
 from toolpath_aa.antialias import ThicknessError
-from toolpath_aa.fixtures import flat_box_fixture, wedge_fixture
+from toolpath_aa.fixtures import dome_fixture, flat_box_fixture, wedge_fixture
 from toolpath_aa.gcode import PrinterProfile, parse_gcode
-from toolpath_aa.geometry import mesh_to_stl_binary
+from toolpath_aa.geometry import build_vertical_index, mesh_to_stl_binary
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 
 
@@ -65,6 +66,49 @@ def test_wedge_end_to_end_report(tmp_path):
     for prog in (program, reparsed):
         zs = [l.base_z for l in prog.layers]
         assert all(a < b for a, b in zip(zs, zs[1:]))
+
+
+def sweep_reference(gcode, mesh, profile, s_values):
+    """Overlap volume per s from the input parsed and resampled once, each
+    s displacing a copy of it."""
+    program = parse_gcode(gcode)
+    for path in program.all_toolpaths():
+        antialias.resample_path(path, profile.w)
+    index = build_vertical_index(mesh)
+    rows = []
+    for s in s_values:
+        scratch = copy.deepcopy(program)
+        for layer in scratch.layers:
+            antialias.displace_layer(layer.toolpaths(), index, profile, s=s)
+        rows.append((s, antialias.detect_overlaps(scratch, profile)[1][
+            "overlap_volume_mm3"]))
+    return rows
+
+
+@pytest.mark.parametrize("name", ["wedge_hatch", "dome"])
+def test_sweep_parses_once_and_matches_reference(name, monkeypatch):
+    profile = PrinterProfile()
+    if name == "dome":
+        mesh, gcode = dome_fixture(profile)
+    else:
+        mesh, gcode = wedge_fixture(profile, cross_hatch=True)
+    s_values = [0.0, 0.06, 0.1, 0.2, 0.3]
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_gcode(text)
+
+    monkeypatch.setattr(pipeline, "parse_gcode", counted)
+    config = PipelineConfig(profile=profile, ordering_enabled=False,
+                            sweep_s=s_values)
+    _, report, _ = run_pipeline(config, gcode_text=gcode, mesh=mesh)
+    assert len(calls) == 1
+    got = [(r["s"], float(r["overlap_volume_mm3"]).hex())
+           for r in report["sweep_s"]]
+    ref = sweep_reference(gcode, mesh, profile, s_values)
+    assert got == [(s, float(v).hex()) for s, v in ref]
+    assert ref[-1][1] > 0.0
 
 
 @pytest.mark.parametrize("map_name", ["map.csv", "map.ply"])
@@ -149,6 +193,17 @@ def test_cli_config_error(tmp_path, capsys):
         "--out", str(tmp_path / "o.gcode"), "--alpha", "0",
     ])
     assert code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("args", [["--fini", "-1", "--fmin", "-2"],
+                                  ["--fmin", "0"], ["--d", "-0.4"]])
+def test_cli_rejects_non_positive_feed_and_width(tmp_path, capsys, args):
+    gpath, mpath = write_fixture_files(tmp_path)
+    out = tmp_path / "o.gcode"
+    code = cli.main(["--gcode", str(gpath), "--mesh", str(mpath),
+                     "--out", str(out)] + args)
+    assert code == cli.EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_cli_parse_error(tmp_path, capsys):
