@@ -11,8 +11,8 @@ from .antialias import (DisplacementWindow, adjust_extrusion,
                         adjust_feedrate, displace_layer, reduce_overlap_flow,
                         resample_path, sweep_slicing_plane)
 from .evaluate import critical_angle, error_map, estimate_print_time
-from .gcode import (PathVertex, PrinterProfile, PrintProgram, Toolpath,
-                    emit_gcode, parse_gcode)
+from .gcode import (PrinterProfile, PrintProgram, Toolpath, emit_gcode,
+                    parse_gcode)
 from .geometry import (SurfaceHit, TriangleMesh, VerticalRayIndex,
                        build_vertical_index, cast_vertical, load_mesh)
 from .ordering import (ConstraintGraph, SubPath, build_constraint_graph,
@@ -25,7 +25,7 @@ __all__ = [
     "DisplacementWindow", "adjust_extrusion", "adjust_feedrate",
     "displace_layer", "reduce_overlap_flow", "resample_path",
     "sweep_slicing_plane", "critical_angle", "error_map",
-    "estimate_print_time", "PathVertex", "PrinterProfile", "PrintProgram",
+    "estimate_print_time", "PrinterProfile", "PrintProgram",
     "Toolpath", "emit_gcode", "parse_gcode", "SurfaceHit",
     "TriangleMesh", "VerticalRayIndex", "build_vertical_index",
     "cast_vertical", "load_mesh", "ConstraintGraph", "SubPath",

@@ -4,14 +4,13 @@ compensation."""
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .geometry import BoxGrid, cast_vertical_batch
-from .gcode import PathVertex
+from .gcode import DELTA, E, F, VERTEX_COLUMNS, X, Y, Z, Layer, PrintProgram
 
 WINDOW_EPS = 1e-12   # float guard at the displacement window boundary
 SNAP_EPS = 1e-9      # displacements below this are treated as zero
@@ -37,10 +36,11 @@ class DisplacementWindow:
         return cls(lo=s - profile.h, hi=s)
 
     def contains(self, delta):
-        return self.lo - WINDOW_EPS <= delta <= self.hi + WINDOW_EPS
+        """Elementwise on an array of offsets."""
+        return (self.lo - WINDOW_EPS <= delta) & (delta <= self.hi + WINDOW_EPS)
 
     def clamp(self, delta):
-        return min(max(delta, self.lo), self.hi)
+        return np.minimum(np.maximum(delta, self.lo), self.hi)
 
 
 @dataclass
@@ -98,25 +98,24 @@ def resample_path(path, w):
     verts = path.vertices
     if len(verts) < 2:
         return path
-    out = [verts[0]]
-    for prev, cur in zip(verts, verts[1:]):
-        seg = math.dist(prev.xyz(), cur.xyz())
-        if seg <= w or seg == 0.0:
-            out.append(cur)
-            continue
-        n = math.ceil(seg / w)
-        for k in range(1, n):
-            t = k / n
-            out.append(PathVertex(
-                x=prev.x + (cur.x - prev.x) * t,
-                y=prev.y + (cur.y - prev.y) * t,
-                z=prev.z + (cur.z - prev.z) * t,
-                e=cur.e / n,
-                f=cur.f,
-                delta=prev.delta + (cur.delta - prev.delta) * t,
-            ))
-        out.append(PathVertex(cur.x, cur.y, cur.z, cur.e / n, cur.f, cur.delta))
-    path.vertices = out
+    xyz = verts[:, :3].tolist()
+    # pieces per segment; math.dist is the length the split rule was
+    # written against, and a segment of length <= w keeps one piece
+    seg = np.fromiter(map(math.dist, xyz, xyz[1:]), np.float64, len(xyz) - 1)
+    pieces = np.maximum(np.ceil(seg / w), 1.0).astype(np.int64)
+    if (pieces == 1).all():
+        return path
+    # piece k of a segment prev -> cur ends at t = k / n, the last at cur
+    of = np.repeat(np.arange(len(pieces)), pieces)
+    n = pieces[of]
+    k = np.arange(len(of)) - np.repeat(np.cumsum(pieces) - pieces, pieces) + 1
+    prev, cur = verts[of], verts[of + 1]
+    out = prev + (cur - prev) * (k / n)[:, None]
+    last = k == n
+    out[last] = cur[last]
+    out[:, E] = cur[:, E] / n
+    out[:, F] = cur[:, F]
+    path.vertices = np.concatenate([verts[:1], out])
     return path
 
 
@@ -137,112 +136,88 @@ def displace_layer(paths, index, profile, s=None, stats=None,
     window = DisplacementWindow.for_profile(profile, s)
     if stats is None:
         stats = DisplacementStats()
+    if not paths:
+        return paths, stats
 
-    cand = _candidates(paths, index)
+    # the layer's vertices as one new array: the paths' old arrays, which
+    # the caller may keep, are never written
+    verts = np.concatenate([path.vertices for path in paths])
+    ends = np.cumsum([len(path) for path in paths])
+    cast = _cast(index, verts)
     if refine_boundaries:
-        cand = _refine_window_boundaries(paths, index, window, cand)
+        verts, ends, cast = _refine_window_boundaries(verts, ends, index,
+                                                      window, cast)
+    delta, top, hit = cast
+    inside = window.contains(delta)
+    snap = hit & top & inside
+    d = window.clamp(delta)
+    moved = snap & (np.abs(d) > SNAP_EPS)
+    verts[moved, Z] += d[moved]
+    verts[snap, DELTA] = np.where(moved[snap], d[snap], 0.0)
 
+    stats.total += len(verts)
+    stats.missed += int(np.count_nonzero(~hit))
+    stats.skipped_bottom_facing += int(np.count_nonzero(hit & ~top))
+    stats.skipped_out_of_window += int(np.count_nonzero(hit & top & ~inside))
     hist = {}
-    for path, rows in zip(paths, cand):
-        moved = False
-        for v, (delta, top, hit) in zip(path.vertices, rows):
-            stats.total += 1
-            if not hit:
-                stats.missed += 1
-            elif not top:
-                stats.skipped_bottom_facing += 1
-            elif not window.contains(delta):
-                stats.skipped_out_of_window += 1
-            else:
-                d = window.clamp(float(delta))
-                if abs(d) > SNAP_EPS:
-                    v.z += d
-                    v.delta = d
-                    moved = True
-                    stats.displaced += 1
-                    stats.min_delta = min(stats.min_delta, d)
-                    stats.max_delta = max(stats.max_delta, d)
-                    bucket = round(d, 2)
-                    hist[bucket] = hist.get(bucket, 0) + 1
-                else:
-                    v.delta = 0.0
-        if moved:
+    shifts = d[moved].tolist()
+    for dv in shifts:
+        bucket = round(dv, 2)
+        hist[bucket] = hist.get(bucket, 0) + 1
+    if shifts:
+        stats.displaced += len(shifts)
+        stats.min_delta = min(stats.min_delta, min(shifts))
+        stats.max_delta = max(stats.max_delta, max(shifts))
+    stats.per_layer_histogram[paths[0].layer_index] = hist
+
+    for path, rows, path_moved in zip(paths, np.split(verts, ends[:-1]),
+                                      np.split(moved, ends[:-1])):
+        path.vertices = rows
+        if path_moved.any():
             path.modified = True
-    if paths:
-        key = paths[0].layer_index
-        stats.per_layer_histogram[key] = hist
     return paths, stats
 
 
-def _candidates(paths, index):
-    """Per-path list of (delta, facing_top, hit) rows for every vertex."""
-    all_verts = [v for path in paths for v in path.vertices]
-    if not all_verts:
-        return [[] for _ in paths]
-    xs = np.fromiter((v.x for v in all_verts), dtype=np.float64)
-    ys = np.fromiter((v.y for v in all_verts), dtype=np.float64)
-    zs = np.fromiter((v.z for v in all_verts), dtype=np.float64)
-    delta, facing_top, hit = cast_vertical_batch(index, xs, ys, zs)
-    out = []
-    i = 0
-    for path in paths:
-        n = len(path.vertices)
-        out.append([(float(delta[k]), bool(facing_top[k]), bool(hit[k]))
-                    for k in range(i, i + n)])
-        i += n
-    return out
+def _cast(index, verts):
+    """(delta, facing_top, hit) arrays for every vertex row."""
+    return cast_vertical_batch(index, verts[:, X], verts[:, Y], verts[:, Z])
 
 
-def _refine_window_boundaries(paths, index, window, cand):
+def _refine_window_boundaries(verts, ends, index, window, cast):
     """Insert a vertex where a segment's surface offset crosses the
     window boundary (one endpoint displaceable, the other out of window
-    on the same top-facing surface). The new vertices of all paths are
-    cast in one batch; each ray is cast on its own, so this gives the
-    rows that one cast per vertex would."""
-    inserts = []
-    for pi, (path, rows) in enumerate(zip(paths, cand)):
-        verts = path.vertices
-        for k in range(len(verts) - 1):
-            (d0, top0, hit0) = rows[k]
-            (d1, top1, hit1) = rows[k + 1]
-            if not (hit0 and hit1 and top0 and top1):
-                continue
-            in0 = window.contains(d0)
-            in1 = window.contains(d1)
-            if in0 == in1:
-                continue
-            lo, hi = window.lo, window.hi
-            edge = hi if max(d0, d1) > hi else lo
-            if abs(d1 - d0) < 1e-12:
-                continue
-            t = (edge - d0) / (d1 - d0)
-            if not (1e-6 < t < 1.0 - 1e-6):
-                continue
-            a, b = verts[k], verts[k + 1]
-            nv = PathVertex(
-                x=a.x + (b.x - a.x) * t,
-                y=a.y + (b.y - a.y) * t,
-                z=a.z + (b.z - a.z) * t,
-                e=b.e * t,
-                f=b.f,
-            )
-            inserts.append((pi, k, t, nv))
-    if not inserts:
-        return cand
-    new = [nv for _, _, _, nv in inserts]
-    delta, top, hit = cast_vertical_batch(
-        index, np.array([v.x for v in new]), np.array([v.y for v in new]),
-        np.array([v.z for v in new]))
-    # back to front, so that each path's earlier split points keep their k
-    for i in range(len(inserts) - 1, -1, -1):
-        pi, k, t, nv = inserts[i]
-        verts = paths[pi].vertices
-        # a new end vertex: the caller may keep the old one
-        b = verts[k + 1]
-        verts[k + 1] = PathVertex(b.x, b.y, b.z, b.e * (1.0 - t), b.f, b.delta)
-        verts.insert(k + 1, nv)
-        cand[pi].insert(k + 1, (float(delta[i]), bool(top[i]), bool(hit[i])))
-    return cand
+    on the same top-facing surface). `verts` holds the rows of paths that
+    end at the row counts `ends`, and `cast` their cast arrays; returns
+    all three with the new rows in place. The E of each split segment's
+    end row is rescaled in `verts` itself. The new vertices are cast in
+    one batch; each ray is cast on its own, so this gives the rows that
+    one cast per vertex would."""
+    delta, top, hit = cast
+    ok = hit & top
+    inside = window.contains(delta)
+    within_path = np.ones(max(len(verts) - 1, 0), dtype=bool)
+    within_path[ends[:-1] - 1] = False
+    k = np.flatnonzero(within_path & ok[:-1] & ok[1:]
+                       & (inside[:-1] != inside[1:]))
+    d0, d1 = delta[k], delta[k + 1]
+    steep = np.abs(d1 - d0) >= 1e-12
+    k, d0, d1 = k[steep], d0[steep], d1[steep]
+    edge = np.where(np.maximum(d0, d1) > window.hi, window.hi, window.lo)
+    t = (edge - d0) / (d1 - d0)
+    interior = (1e-6 < t) & (t < 1.0 - 1e-6)
+    k, t = k[interior], t[interior]
+    if not len(k):
+        return verts, ends, cast
+    a, b = verts[k], verts[k + 1]
+    new = np.zeros((len(k), VERTEX_COLUMNS))
+    new[:, :3] = a[:, :3] + (b[:, :3] - a[:, :3]) * t[:, None]
+    new[:, E] = b[:, E] * t
+    new[:, F] = b[:, F]
+    verts[k + 1, E] = b[:, E] * (1.0 - t)
+    new_cast = _cast(index, new)
+    verts = np.insert(verts, k + 1, new, axis=0)
+    cast = tuple(np.insert(c, k + 1, nc) for c, nc in zip(cast, new_cast))
+    return verts, ends + np.searchsorted(k, ends), cast
 
 
 # ---------------------------------------------------------------------------
@@ -250,21 +225,21 @@ def _refine_window_boundaries(paths, index, window, cand):
 
 def adjust_extrusion(e, z, delta):
     """Filament length for a track whose thickness z changed by delta:
-    e' = e * (z + delta) / z."""
+    e' = e * (z + delta) / z. Elementwise on arrays of e and delta."""
     if z <= 0:
         raise ThicknessError(f"non-positive base thickness {z}")
-    if z + delta <= 0:
-        raise ThicknessError(f"displaced thickness {z + delta} <= 0")
+    if np.any(z + delta <= 0):
+        raise ThicknessError(f"displaced thickness {np.min(z + delta)} <= 0")
     return e * (z + delta) / z
 
 
 def adjust_feedrate(delta1, delta2, h, f_ini, f_min):
     """Linear slowdown with the height change across a segment, clamped
-    to [f_min, f_ini]."""
+    to [f_min, f_ini]. Elementwise on arrays of deltas."""
     if h <= 0:
         raise ValueError("layer thickness must be positive")
     f = f_ini + abs(delta1 - delta2) / h * (f_min - f_ini)
-    return min(max(f, f_min), f_ini)
+    return np.minimum(np.maximum(f, f_min), f_ini)
 
 
 def rescale_paths(paths, profile):
@@ -276,12 +251,14 @@ def rescale_paths(paths, profile):
         if not path.modified:
             continue
         verts = path.vertices
-        for prev, v in zip(verts, verts[1:]):
-            if v.delta != 0.0:
-                v.e = adjust_extrusion(v.e, profile.h, v.delta)
-            if v.delta != prev.delta or v.delta != 0.0:
-                v.f = adjust_feedrate(prev.delta, v.delta, profile.h,
-                                      profile.f_ini, profile.f_min)
+        prev, cur = verts[:-1, DELTA], verts[1:, DELTA]
+        thick = np.flatnonzero(cur != 0.0) + 1
+        slow = np.flatnonzero((cur != prev) | (cur != 0.0)) + 1
+        verts[thick, E] = adjust_extrusion(verts[thick, E], profile.h,
+                                           verts[thick, DELTA])
+        verts[slow, F] = adjust_feedrate(verts[slow - 1, DELTA],
+                                         verts[slow, DELTA], profile.h,
+                                         profile.f_ini, profile.f_min)
     return paths
 
 
@@ -364,22 +341,23 @@ def _polygon_centroid(poly):
 
 
 def _segments_of(paths, layer_idx):
-    """(ref, a, b) for every deposition segment a -> b."""
-    segs = []
+    """(refs, a, b) for every deposition segment a -> b: its (layer, path,
+    segment) reference and the (m, 6) arrays of its start and end rows."""
+    refs = []
+    starts = [np.empty((0, VERTEX_COLUMNS))]
+    ends = [np.empty((0, VERTEX_COLUMNS))]
     for pi, path in enumerate(paths):
         verts = path.vertices
-        for si in range(1, len(verts)):
-            a, b = verts[si - 1], verts[si]
-            if b.e <= 0:
-                continue
-            segs.append(((layer_idx, pi, si), a, b))
-    return segs
+        si = np.flatnonzero(verts[1:, E] > 0) + 1
+        refs += [(layer_idx, pi, k) for k in si.tolist()]
+        starts.append(verts[si - 1])
+        ends.append(verts[si])
+    return refs, np.concatenate(starts), np.concatenate(ends)
 
 
-def _padded_boxes(segs, pad):
-    """(lo, hi) XY boxes of the segments, grown by pad on every side."""
-    ends = np.array([(a.x, a.y, b.x, b.y) for _ref, a, b in segs])
-    ends = ends.reshape(-1, 2, 2)
+def _padded_boxes(a, b, pad):
+    """(lo, hi) XY boxes of the segments a -> b, grown by pad on every side."""
+    ends = np.stack([a[:, :2], b[:, :2]], axis=1)
     return ends.min(axis=1) - pad, ends.max(axis=1) + pad
 
 
@@ -396,50 +374,49 @@ def detect_overlaps(program, profile):
     records = []
     layers = [layer.toolpaths() for layer in program.layers]
     for li in range(len(layers) - 1):
-        lower_segs = [
-            s for s in _segments_of(layers[li], li)
-            if s[1].delta > 0 or s[2].delta > 0
-        ]
-        if not lower_segs:
+        lrefs, la, lb = _segments_of(layers[li], li)
+        raised = np.flatnonzero((la[:, DELTA] > 0) | (lb[:, DELTA] > 0))
+        if not raised.size:
             continue
-        upper_segs = _segments_of(layers[li + 1], li + 1)
-        if not upper_segs:
+        urefs, ua, ub = _segments_of(layers[li + 1], li + 1)
+        if not urefs:
             continue
-        grid = BoxGrid(*_padded_boxes(lower_segs, half),
+        la, lb = la[raised], lb[raised]
+        grid = BoxGrid(*_padded_boxes(la, lb, half),
                        cell=max(profile.d, profile.w))
         upper_bottom = program.layers[li].base_z
-        uq, lq = grid.pairs(*_padded_boxes(upper_segs, half))
+        uq, lq = grid.pairs(*_padded_boxes(ua, ub, half))
+        la, lb, ua, ub = la.tolist(), lb.tolist(), ua.tolist(), ub.tolist()
         for u, k in zip(uq.tolist(), lq.tolist()):
-            uref, ua, ub = upper_segs[u]
-            lref, la, lb = lower_segs[k]
-            poly = _clip_polygon(_segment_rect(la.xy(), lb.xy(), half),
-                                 _segment_rect(ua.xy(), ub.xy(), half))
+            poly = _clip_polygon(_segment_rect(la[k], lb[k], half),
+                                 _segment_rect(ua[u], ub[u], half))
             if len(poly) < 3:
                 continue
             area = abs(_signed_area(poly))
             if area <= 1e-12:
                 continue
             cx, cy = _polygon_centroid(poly)
-            pen = _penetration_at(la, lb, cx, cy, upper_bottom)
+            pen = _penetration_at(la[k], lb[k], cx, cy, upper_bottom)
             if pen <= 0:
                 continue
-            records.append(OverlapRecord(lower=lref, upper=uref,
-                                         volume=area * pen))
+            records.append(OverlapRecord(lower=lrefs[raised[k]],
+                                         upper=urefs[u], volume=area * pen))
     return records, {"overlap_records": len(records),
                      "overlap_volume_mm3": sum(r.volume for r in records)}
 
 
 def _penetration_at(la, lb, cx, cy, upper_bottom):
-    """Lower-track top above the upper track's bottom at (cx, cy)."""
-    dx = lb.x - la.x
-    dy = lb.y - la.y
+    """Lower-track top above the upper track's bottom at (cx, cy); la and
+    lb are the segment's vertex rows."""
+    dx = lb[X] - la[X]
+    dy = lb[Y] - la[Y]
     L2 = dx * dx + dy * dy
     if L2 < 1e-18:
         t = 0.0
     else:
-        t = ((cx - la.x) * dx + (cy - la.y) * dy) / L2
+        t = ((cx - la[X]) * dx + (cy - la[Y]) * dy) / L2
         t = min(max(t, 0.0), 1.0)
-    top = la.z + (lb.z - la.z) * t
+    top = la[Z] + (lb[Z] - la[Z]) * t
     return top - upper_bottom
 
 
@@ -452,12 +429,13 @@ def reduce_overlap_flow(program, profile):
     clamped = 0
     for rec in records:
         li, pi, si = rec.upper
-        vertex = layers[li][pi].vertices[si]
+        verts = layers[li][pi].vertices
+        e = float(verts[si, E])
         de = rec.volume / profile.filament_area
-        if vertex.e - de < 0:
-            de = vertex.e
+        if e - de < 0:
+            de = e
             clamped += 1
-        vertex.e -= de
+        verts[si, E] = e - de
     report = dict(report)
     report["upper_segments_clamped_to_zero"] = clamped
     return records, report
@@ -469,14 +447,19 @@ def reduce_overlap_flow(program, profile):
 def sweep_slicing_plane(program, index, profile, s_values):
     """Total overlap volume as a function of the slicing plane position.
 
-    Each s is evaluated on a scratch copy of the program as parsed, which
-    is resampled and then displaced; the input is never mutated.
+    Each s is evaluated on scratch copies of the program's toolpaths as
+    parsed, which are resampled and then displaced; the input is never
+    mutated.
     """
     rows = []
     for s in s_values:
         if not (0 <= s <= profile.h):
             raise ValueError(f"s={s} outside [0, {profile.h}]")
-        scratch = copy.deepcopy(program)
+        scratch = PrintProgram(layers=[
+            Layer(layer.base_z, [
+                replace(path, vertices=path.vertices.copy())
+                for path in layer.toolpaths()])
+            for layer in program.layers])
         stats = DisplacementStats()
         for layer in scratch.layers:
             paths = layer.toolpaths()

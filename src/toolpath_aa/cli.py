@@ -68,6 +68,19 @@ def build_parser():
     return p
 
 
+# each error class the pipeline raises: its message label and exit code,
+# in the order the classes are matched
+FAILURES = (
+    (ValueError, "configuration error", EXIT_CONFIG),
+    (ConfigError, "configuration error", EXIT_CONFIG),
+    (GcodeParseError, "G-code parse error", EXIT_PARSE),
+    (MeshError, "geometry error", EXIT_GEOMETRY),
+    (OrderingError, "ordering error", EXIT_ORDERING),
+    (ThicknessError, "thickness error", EXIT_THICKNESS),
+    (EvaluationError, "evaluation error", EXIT_EVALUATION),
+)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
@@ -85,35 +98,15 @@ def main(argv=None):
             overlap_enabled=not args.no_overlap,
             report_path=args.report, error_map_path=args.error_map,
             sweep_s=sweep)
-    except (ValueError, ConfigError) as exc:
-        print(f"aa: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         _program, report, _text = run_pipeline(config)
-    except (ValueError, ConfigError) as exc:
-        print(f"aa: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except GcodeParseError as exc:
-        print(f"aa: G-code parse error: {exc}", file=sys.stderr)
-        _cleanup(args.out)
-        return EXIT_PARSE
-    except MeshError as exc:
-        print(f"aa: geometry error: {exc}", file=sys.stderr)
-        _cleanup(args.out)
-        return EXIT_GEOMETRY
-    except OrderingError as exc:
-        print(f"aa: ordering error: {exc}", file=sys.stderr)
-        _cleanup(args.out)
-        return EXIT_ORDERING
-    except ThicknessError as exc:
-        print(f"aa: thickness error: {exc}", file=sys.stderr)
-        _cleanup(args.out)
-        return EXIT_THICKNESS
-    except EvaluationError as exc:
-        print(f"aa: evaluation error: {exc}", file=sys.stderr)
-        _cleanup(args.out)
-        return EXIT_EVALUATION
+    except tuple(cls for cls, _label, _code in FAILURES) as exc:
+        label, code = next((label, code) for cls, label, code in FAILURES
+                           if isinstance(exc, cls))
+        print(f"aa: {label}: {exc}", file=sys.stderr)
+        if code != EXIT_CONFIG:
+            # a configuration error leaves --out as it was
+            _cleanup(args.out)
+        return code
 
     moved = report["displacement"]["vertices_displaced"]
     total = report["displacement"]["vertices_total"]

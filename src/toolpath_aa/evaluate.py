@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .files import replace_atomically
-from .gcode import EOnly, Toolpath, Travel
+from .gcode import DELTA, E, EOnly, Toolpath, Travel, X, Y, Z
 from .geometry import BoxGrid
 
 VIS_CLAMP = 0.3   # mm, error map colour scale end
@@ -59,11 +59,7 @@ def estimate_print_time(program):
             raise EvaluationError("move with zero or unset feedrate")
         return modal_f
 
-    events = list(program.prologue)
-    for layer in program.layers:
-        events.extend(layer.events)
-    events.extend(program.epilogue)
-    for ev in events:
+    for ev in program.events():
         if isinstance(ev, Travel):
             dist = axis_len(ev.x, ev.y, ev.z)
             if dist > 0:
@@ -76,14 +72,12 @@ def estimate_print_time(program):
             elif ev.f is not None:
                 modal_f = ev.f
         elif isinstance(ev, Toolpath):
-            verts = ev.vertices
-            start = verts[0]
-            dist = axis_len(start.x, start.y, start.z)
+            rows = ev.vertices[:, :5].tolist()
+            dist = axis_len(*rows[0][:3])
             if dist > 0:
                 total += dist / feed(None)
-            for v in verts[1:]:
-                seg = axis_len(v.x, v.y, v.z)
-                total += seg / feed(v.f)
+            for vx, vy, vz, _e, vf in rows[1:]:
+                total += axis_len(vx, vy, vz) / feed(vf)
     return total
 
 
@@ -115,19 +109,18 @@ def tracks_from_program(program, profile):
     flat tops minus the layer thickness (displacement never moves track
     bottoms)."""
     tracks = []
-    for layer in program.layers:
-        for path in layer.toolpaths():
-            verts = path.vertices
-            for a, b in zip(verts, verts[1:]):
-                if b.e <= 0:
-                    continue
-                tracks.append(PrintedTrack(
-                    x1=a.x, y1=a.y, x2=b.x, y2=b.y,
-                    top1=a.z, top2=b.z,
-                    bot1=(a.z - a.delta) - profile.h,
-                    bot2=(b.z - b.delta) - profile.h,
-                    width=profile.d,
-                ))
+    for path in program.all_toolpaths():
+        rows = path.vertices.tolist()
+        for a, b in zip(rows, rows[1:]):
+            if b[E] <= 0:
+                continue
+            tracks.append(PrintedTrack(
+                x1=a[X], y1=a[Y], x2=b[X], y2=b[Y],
+                top1=a[Z], top2=b[Z],
+                bot1=(a[Z] - a[DELTA]) - profile.h,
+                bot2=(b[Z] - b[DELTA]) - profile.h,
+                width=profile.d,
+            ))
     return tracks
 
 

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .gcode import PathVertex, PrinterProfile, Toolpath
+from .gcode import DELTA, E, PrinterProfile, Toolpath
 from .geometry import build_mesh
 from .ordering import SubPath, ConstraintGraph
 
@@ -310,14 +310,11 @@ GRID = 0.75    # shared x raster so nearest-point feet land on vertices
 
 
 def _loop(points_with_delta, f=20.0, h=LAYER_Z):
-    verts = []
-    for (x, y, d) in points_with_delta:
-        verts.append(PathVertex(x, y, h + d, e=0.1, f=f, delta=d))
-    verts.append(PathVertex(verts[0].x, verts[0].y, verts[0].z, e=0.1, f=f,
-                            delta=verts[0].delta))
-    verts[0].e = 0.0
+    rows = [(x, y, h + d, 0.1, f, d) for (x, y, d) in points_with_delta]
+    verts = np.array(rows + rows[:1])
+    verts[0, E] = 0.0
     tp = Toolpath(vertices=verts, closed=True, kind="infill", layer_index=0)
-    tp.modified = any(v.delta != 0 for v in verts)
+    tp.modified = bool((verts[:, DELTA] != 0).any())
     return tp
 
 
@@ -460,11 +457,11 @@ def ordering_scene():
         p_entry = ORDERING_SCENE_POINTS[entry_key]
         p_exit = ORDERING_SCENE_POINTS[exit_key]
         mid = tuple((a + b) / 2 for a, b in zip(p_entry, p_exit))
-        verts = [
-            PathVertex(*p_entry, e=0.0, f=20.0),
-            PathVertex(mid[0], mid[1], height, e=0.1, f=20.0),
-            PathVertex(*p_exit, e=0.1, f=20.0),
-        ]
+        verts = np.array([
+            (*p_entry, 0.0, 20.0, 0.0),
+            (mid[0], mid[1], height, 0.1, 20.0, 0.0),
+            (*p_exit, 0.1, 20.0, 0.0),
+        ])
         parent = parents.get(pid)
         if parent is None:
             parent = Toolpath(vertices=[], closed=True, kind="infill",

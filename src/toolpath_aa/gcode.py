@@ -16,6 +16,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 FEED_FACTOR = 60.0          # F word (mm/min) -> mm/s
 DUPLICATE_TOL = 1e-9        # consecutive duplicate vertices merged below this
 CLOSURE_TOL = 1e-6          # first ~ last distance flagging a closed path
@@ -28,45 +30,50 @@ class GcodeParseError(Exception):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-@dataclass
-class PathVertex:
-    """One toolpath vertex; e is the filament length of the segment that
-    ends here (0 on the first vertex), f its feedrate in mm/s, delta the
-    vertical displacement applied by anti-aliasing."""
-
-    x: float
-    y: float
-    z: float
-    e: float = 0.0
-    f: float = 0.0
-    delta: float = 0.0
-
-    def xy(self):
-        return (self.x, self.y)
-
-    def xyz(self):
-        return (self.x, self.y, self.z)
+# Columns of a toolpath's (n, 6) float64 vertex array, one row per vertex:
+# position, the filament length of the segment that ends at the vertex (0
+# on the first one), that segment's feedrate in mm/s, and the vertical
+# displacement applied by anti-aliasing. x, y, z come first, so a vertex
+# array is also a polyline for the XY distance functions in `geometry`.
+VERTEX_COLUMNS = 6
+X, Y, Z, E, F, DELTA = range(VERTEX_COLUMNS)
 
 
 @dataclass
 class Toolpath:
-    vertices: list
+    """A polyline of vertex rows; see the column indices above."""
+
+    vertices: np.ndarray
     closed: bool = False
     kind: str = "unknown"     # perimeter | infill | unknown
     layer_index: int = 0
     modified: bool = False
 
+    def __post_init__(self):
+        self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(
+            -1, VERTEX_COLUMNS)
+
+    def __eq__(self, other):
+        """Value equality, with the vertex arrays compared elementwise."""
+        if not isinstance(other, Toolpath):
+            return NotImplemented
+        return (np.array_equal(self.vertices, other.vertices)
+                and (self.closed, self.kind, self.layer_index, self.modified)
+                == (other.closed, other.kind, other.layer_index,
+                    other.modified))
+
     def __len__(self):
         return len(self.vertices)
 
     def length(self):
+        xy = self.vertices[:, :2].tolist()
         total = 0.0
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            total += math.dist(a.xy(), b.xy())
+        for a, b in zip(xy, xy[1:]):
+            total += math.dist(a, b)
         return total
 
     def total_e(self):
-        return sum(v.e for v in self.vertices)
+        return sum(self.vertices[:, E].tolist())
 
 
 @dataclass
@@ -128,6 +135,13 @@ class PrintProgram:
     extrusion_mode: str = "absolute"
     newline: str = "\n"
     warnings: list = field(default_factory=list)
+
+    def events(self):
+        """Every event in file order: prologue, layers, epilogue."""
+        yield from self.prologue
+        for layer in self.layers:
+            yield from layer.events
+        yield from self.epilogue
 
     def all_toolpaths(self):
         for layer in self.layers:
@@ -248,20 +262,22 @@ class _Parser:
         self.xyz_relative = False
         self.layer = None
         self.path = None
+        self.rows = None        # vertex rows of the open path
         self.layer_comments = ";LAYER:" in text
         self.travel_z = None     # z last set by a travel move
 
     def close_path(self):
         if self.path is not None:
-            if len(self.path.vertices) >= 2:
-                first = self.path.vertices[0]
-                last = self.path.vertices[-1]
-                if math.dist(first.xyz(), last.xyz()) < CLOSURE_TOL:
+            rows = self.rows
+            if len(rows) >= 2:
+                self.path.vertices = np.array(rows)
+                if math.dist(rows[0][:3], rows[-1][:3]) < CLOSURE_TOL:
                     self.path.closed = True
             else:
                 # a lone vertex is not a path
                 self.layer.events.remove(self.path)
         self.path = None
+        self.rows = None
 
     def add_event(self, ev):
         self.close_path()
@@ -411,17 +427,15 @@ class _Parser:
                 self.program.layers.append(self.layer)
                 self.travel_z = None
             if self.path is None:
-                self.path = Toolpath(
-                    vertices=[PathVertex(self.x, self.y, new_z, 0.0, self.f)],
-                    layer_index=len(self.program.layers) - 1)
+                self.path = Toolpath(vertices=(),
+                                     layer_index=len(self.program.layers) - 1)
+                self.rows = [[self.x, self.y, new_z, 0.0, self.f, 0.0]]
                 self.layer.events.append(self.path)
-            prev = self.path.vertices[-1]
-            if math.dist((prev.x, prev.y, prev.z),
-                         (new_x, new_y, new_z)) < DUPLICATE_TOL:
-                prev.e += e_delta     # merge duplicate vertex, keep its extrusion
+            prev = self.rows[-1]
+            if math.dist(prev[:3], (new_x, new_y, new_z)) < DUPLICATE_TOL:
+                prev[E] += e_delta    # merge duplicate vertex, keep its extrusion
             else:
-                self.path.vertices.append(
-                    PathVertex(new_x, new_y, new_z, e_delta, self.f))
+                self.rows.append([new_x, new_y, new_z, e_delta, self.f, 0.0])
         else:
             feed = None if f is None else f / FEED_FACTOR
             if e is not None and x is None and y is None:
@@ -469,11 +483,7 @@ class _Parser:
     def _assign_kinds(self):
         """Tag toolpaths with the most recent ;TYPE: comment before them."""
         kind = "unknown"
-        events = list(self.program.prologue)
-        for layer in self.program.layers:
-            events.extend(layer.events)
-        events.extend(self.program.epilogue)
-        for ev in events:
+        for ev in self.program.events():
             if isinstance(ev, RawLine) and ";TYPE:" in ev.text:
                 tag = ev.text.split(";TYPE:", 1)[1].strip().upper()
                 if "PERIM" in tag or tag.startswith("WALL"):
@@ -569,29 +579,29 @@ class _Emitter:
 
     def toolpath(self, tp):
         verts = tp.vertices
-        start = verts[0]
+        x, y, z = verts[0, :3].tolist()
         if (self.x is None or self.y is None
-                or math.dist((self.x, self.y), start.xy()) > DUPLICATE_TOL
-                or self.z is None or abs((self.z or 0) - start.z) > DUPLICATE_TOL):
+                or math.dist((self.x, self.y), (x, y)) > DUPLICATE_TOL
+                or self.z is None or abs((self.z or 0) - z) > DUPLICATE_TOL):
             # re-position without extruding (covers reordered paths)
-            self.travel(Travel(x=start.x, y=start.y, z=start.z, f=None))
+            self.travel(Travel(x=x, y=y, z=z, f=None))
         if len(verts) < 2:
             return
         absolute = self.e_mode == "absolute"
         e_accum = self.e_accum
         f_word = self.f_word
         append = self.lines.append
-        for v in verts[1:]:
-            e_accum += v.e
-            word = _NUM_FMT % (v.f * FEED_FACTOR)
-            line = _MOVE_FMT % (v.x, v.y, v.z, e_accum if absolute else v.e)
+        for x, y, z, e, f in verts[1:, :5].tolist():
+            e_accum += e
+            word = _NUM_FMT % (f * FEED_FACTOR)
+            line = _MOVE_FMT % (x, y, z, e_accum if absolute else e)
             if word != f_word:
                 f_word = word
                 line += " F" + word
             append(line)
         self.e_accum = e_accum
         self.f_word = f_word
-        self.x, self.y, self.z = v.x, v.y, v.z
+        self.x, self.y, self.z = x, y, z
 
     def event(self, ev):
         if isinstance(ev, RawLine):
@@ -613,25 +623,16 @@ class _Emitter:
 def emit_gcode(program):
     """Serialise a PrintProgram back to G-code text."""
     em = _Emitter(program)
-    for ev in program.prologue:
-        em.event(ev)
-    for layer in program.layers:
-        for ev in layer.events:
-            em.event(ev)
-    for ev in program.epilogue:
+    for ev in program.events():
         em.event(ev)
     return program.newline.join(em.lines) + program.newline
 
 
 def total_extrusion(program):
     total = 0.0
-    for layer in program.layers:
-        for ev in layer.events:
-            if isinstance(ev, Toolpath):
-                total += ev.total_e()
-            elif isinstance(ev, EOnly):
-                total += ev.delta_e
-    for ev in list(program.prologue) + list(program.epilogue):
-        if isinstance(ev, EOnly):
+    for ev in program.events():
+        if isinstance(ev, Toolpath):
+            total += ev.total_e()
+        elif isinstance(ev, EOnly):
             total += ev.delta_e
     return total

@@ -474,17 +474,13 @@ def cast_vertical_batch(index, xs, ys, qzs):
 # ---------------------------------------------------------------------------
 # XY polyline distances, batched
 #
-# Polylines are (n, 3) arrays of x, y, z. These are the numpy twins of the
-# scalar loops in `ordering` (`_seg_point_dist2`,
-# `polyline_min_distance_brute`, `nearest_on_polyline_brute`): the same
-# operations in the same order, so they return bitwise the same values.
+# Polylines are arrays whose first three columns are x, y, z, such as a
+# toolpath's vertex array. These are the numpy twins of the scalar loops
+# in `ordering` (`_seg_point_dist2`, `polyline_min_distance_brute`,
+# `nearest_on_polyline_brute`): the same operations in the same order, so
+# they return bitwise the same values.
 
 BOX_SLACK = 1e-6     # relative margin on eps before a box gap rules a pair out
-
-
-def polyline_array(verts):
-    """(n, 3) array of a vertex list's x, y, z."""
-    return np.array([(v.x, v.y, v.z) for v in verts], dtype=float).reshape(-1, 3)
 
 
 def _pair_blocks(n_points, n_segs):

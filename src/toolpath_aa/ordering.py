@@ -5,8 +5,9 @@ for a topological order that minimises (weighted) seam count.
 Heights are compared with a tie tolerance; a pair of subpaths whose mean
 height difference stays within it is independent. Gap bookkeeping counts
 each gap location once: the free-transition test uses the coarse
-tolerance eps_gap, while set membership uses exact location identity
-(1e-6): revisiting a cut point is free, distinct nearby cuts still count.
+tolerance eps_gap, while set membership uses location ids (endpoints
+within MATCH_TOL share one): revisiting a cut point is free, distinct
+nearby cuts still count.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ import time
 import warnings
 from dataclasses import dataclass, field
 
-from .geometry import (box_pairs, nearest_points, polyline_array,
-                       polyline_distance)
+import numpy as np
+
+from .gcode import E, EOnly, Toolpath, Travel, Z
+from .geometry import box_pairs, nearest_points, polyline_distance
 
 TIE_TOL = 1e-6          # mm, height ties below this create no constraint
 MATCH_TOL = 1e-6        # mm, two gap locations closer than this are the same
@@ -56,36 +59,37 @@ def _seg_seg_dist(a1, a2, b1, b2):
 
 
 def polyline_min_distance_brute(verts_a, verts_b):
-    """Closest XY approach between two polylines (vertex lists)."""
+    """Closest XY approach between two polylines (vertex arrays)."""
+    xy_a = verts_a[:, :2].tolist()
+    xy_b = verts_b[:, :2].tolist()
     best = math.inf
-    for i in range(len(verts_a) - 1):
-        a1 = verts_a[i].xy()
-        a2 = verts_a[i + 1].xy()
-        for j in range(len(verts_b) - 1):
-            b1 = verts_b[j].xy()
-            b2 = verts_b[j + 1].xy()
-            best = min(best, _seg_seg_dist(a1, a2, b1, b2))
+    for i in range(len(xy_a) - 1):
+        a1, a2 = xy_a[i], xy_a[i + 1]
+        for j in range(len(xy_b) - 1):
+            best = min(best, _seg_seg_dist(a1, a2, xy_b[j], xy_b[j + 1]))
             if best == 0.0:
                 return 0.0
-    if len(verts_a) == 1 or len(verts_b) == 1:
-        for va in verts_a:
-            for vb in verts_b:
-                best = min(best, math.dist(va.xy(), vb.xy()))
+    if len(xy_a) == 1 or len(xy_b) == 1:
+        for pa in xy_a:
+            for pb in xy_b:
+                best = min(best, math.dist(pa, pb))
     return best
 
 
 def nearest_on_polyline_brute(x, y, verts):
-    """Nearest point on the polyline: (dist, z at point, (px, py),
-    endpoint_hit) where endpoint_hit is 0/-1/+1 for interior/first/last."""
+    """Nearest point on the polyline (a vertex array): (dist, z at point,
+    (px, py), endpoint_hit) where endpoint_hit is 0/-1/+1 for
+    interior/first/last."""
     best = (math.inf, 0.0, (0.0, 0.0), 0)
-    n = len(verts)
+    pts = verts[:, :3].tolist()
+    n = len(pts)
     for i in range(n - 1):
-        a, b = verts[i], verts[i + 1]
-        d2, t = _seg_point_dist2(x, y, a.x, a.y, b.x, b.y)
+        (ax, ay, az), (bx, by, bz) = pts[i], pts[i + 1]
+        d2, t = _seg_point_dist2(x, y, ax, ay, bx, by)
         if d2 < best[0]:
-            z = a.z + (b.z - a.z) * t
-            px = a.x + (b.x - a.x) * t
-            py = a.y + (b.y - a.y) * t
+            z = az + (bz - az) * t
+            px = ax + (bx - ax) * t
+            py = ay + (by - ay) * t
             endpoint = 0
             if i == 0 and t <= 0.0:
                 endpoint = -1
@@ -119,7 +123,7 @@ def find_neighbors(paths, eps):
     Pairs where neither path was modified are skipped: unmodified paths
     bypass ordering entirely.
     """
-    coords = [polyline_array(p.vertices) for p in paths]
+    coords = [p.vertices for p in paths]
     return [(i, j) for i, j in box_pairs(coords, eps)
             if (paths[i].modified or paths[j].modified)
             and polyline_distance(coords[i], coords[j]) < eps]
@@ -128,14 +132,14 @@ def find_neighbors(paths, eps):
 # ---------------------------------------------------------------------------
 # Splitting
 
-@dataclass
+@dataclass(eq=False)
 class SubPath:
     parent: object            # Toolpath
     parent_id: int
-    cycle: list               # the parent's (possibly rotated) vertex list
+    cycle: np.ndarray         # the parent's (possibly rotated) vertex rows
     start: int                # vertex range [start, end] within cycle
     end: int
-    vertices: list
+    vertices: np.ndarray      # rows of cycle
     modified: bool
     first_is_cut: bool
     last_is_cut: bool
@@ -146,43 +150,39 @@ class SubPath:
 
     @property
     def entry(self):
-        return self.vertices[0].xyz()
+        return tuple(self.vertices[0, :3].tolist())
 
     @property
     def exit(self):
-        return self.vertices[-1].xyz()
+        return tuple(self.vertices[-1, :3].tolist())
 
     @property
     def height(self):
-        return sum(v.z for v in self.vertices) / len(self.vertices)
+        return sum(self.vertices[:, Z].tolist()) / len(self.vertices)
 
     def __len__(self):
         return len(self.vertices)
 
 
 def _unique_cycle(path):
-    """Vertex list with the closing duplicate folded into the first
-    vertex's segment extrusion."""
-    verts = list(path.vertices)
+    """The path's vertex rows; for a closed path, a copy with the closing
+    duplicate folded into the first vertex's segment extrusion."""
+    verts = path.vertices
     if path.closed and len(verts) > 2 \
-            and math.dist(verts[0].xyz(), verts[-1].xyz()) < 1e-6:
-        closing = verts.pop()
-        verts[0] = _clone_vertex(verts[0], e=closing.e)
+            and math.dist(verts[0, :3].tolist(), verts[-1, :3].tolist()) < 1e-6:
+        cycle = verts[:-1].copy()
+        cycle[0, E] = verts[-1, E]
+        return cycle
     return verts
-
-
-def _clone_vertex(v, e=None):
-    from .gcode import PathVertex
-    return PathVertex(v.x, v.y, v.z, v.e if e is None else e, v.f, v.delta)
 
 
 def _signals(path_verts, other_verts, eps):
     """Per-vertex height sign against the nearest point of the neighbour:
     +1/-1 strict, 0 tie, None out of range."""
-    p = polyline_array(path_verts)
-    dist, z, _ep = nearest_points(p, polyline_array(other_verts))
+    dist, z, _ep = nearest_points(path_verts, other_verts)
     return [None if d >= eps else +1 if dz > TIE_TOL else -1 if dz < -TIE_TOL
-            else 0 for d, dz in zip(dist.tolist(), (p[:, 2] - z).tolist())]
+            else 0 for d, dz in zip(dist.tolist(),
+                                    (path_verts[:, Z] - z).tolist())]
 
 
 def _cuts_from_signals(signals, closed):
@@ -209,11 +209,12 @@ def _cuts_from_signals(signals, closed):
 
 
 def _orientation(verts):
+    xy = verts[:, :2].tolist()
     area = 0.0
-    n = len(verts)
+    n = len(xy)
     for i in range(n):
-        x1, y1 = verts[i].xy()
-        x2, y2 = verts[(i + 1) % n].xy()
+        x1, y1 = xy[i]
+        x2, y2 = xy[(i + 1) % n]
         area += x1 * y2 - x2 * y1
     return 1.0 if area >= 0 else -1.0
 
@@ -245,19 +246,21 @@ def _materialise(path, pid, cycle, cuts):
     if not cuts:
         return [SubPath(parent=path, parent_id=pid, cycle=cycle,
                         start=0, end=len(cycle) - 1,
-                        vertices=list(cycle) + ([cycle[0]] if path.closed else []),
+                        vertices=(np.concatenate([cycle, cycle[:1]])
+                                  if path.closed else cycle),
                         modified=path.modified,
                         first_is_cut=False, last_is_cut=False,
                         orientation=orientation)]
     out = []
     if path.closed:
         n = len(cycle)
-        rotated = cycle[cuts[0]:] + cycle[:cuts[0]]
+        rotated = np.concatenate([cycle[cuts[0]:], cycle[:cuts[0]]])
         shifted = [(c - cuts[0]) % n for c in cuts]
         shifted.sort()
         boundaries = shifted + [n]
         for a, b in zip(boundaries, boundaries[1:]):
-            verts = rotated[a:b + 1] if b < n else rotated[a:] + [rotated[0]]
+            verts = (rotated[a:b + 1] if b < n
+                     else np.concatenate([rotated[a:], rotated[:1]]))
             out.append(SubPath(parent=path, parent_id=pid, cycle=rotated,
                                start=a, end=b % n, vertices=verts,
                                modified=path.modified,
@@ -288,15 +291,14 @@ def compare_heights(sa, sb, eps):
     into the other."""
     total = 0.0
     count = 0
-    ca, cb = polyline_array(sa.vertices), polyline_array(sb.vertices)
-    for src, dst, cs, cd, sign in ((sa, sb, ca, cb, +1.0),
-                                   (sb, sa, cb, ca, -1.0)):
-        verts = src.vertices
-        near = zip(*(a.tolist() for a in nearest_points(cs, cd)))
-        for vi, (v, (dist, z, endpoint)) in enumerate(zip(verts, near)):
+    for src, dst, sign in ((sa, sb, +1.0), (sb, sa, -1.0)):
+        zs = src.vertices[:, Z].tolist()
+        near = zip(*(a.tolist()
+                     for a in nearest_points(src.vertices, dst.vertices)))
+        for vi, (vz, (dist, z, endpoint)) in enumerate(zip(zs, near)):
             if vi == 0 and src.first_is_cut:
                 continue
-            if vi == len(verts) - 1 and src.last_is_cut:
+            if vi == len(zs) - 1 and src.last_is_cut:
                 continue
             if dist >= eps:
                 continue
@@ -304,7 +306,7 @@ def compare_heights(sa, sb, eps):
                 continue
             if endpoint == +1 and dst.last_is_cut:
                 continue
-            total += sign * (v.z - z)
+            total += sign * (vz - z)
             count += 1
     if count == 0:
         return None
@@ -342,7 +344,7 @@ def build_constraint_graph(subpaths, eps, _resplit_budget=1):
 
 def _build_graph_once(subpaths, eps):
     graph = ConstraintGraph(nodes=subpaths)
-    coords = [polyline_array(sp.vertices) for sp in subpaths]
+    coords = [sp.vertices for sp in subpaths]
     for i, j in box_pairs(coords, eps):
         a, b = subpaths[i], subpaths[j]
         if not (a.modified and b.modified):
@@ -397,12 +399,12 @@ def _find_cycle(graph):
 def _resplit_cycle(subpaths, cycle):
     """Split the tallest cycle member at its extremal-height vertex; this
     resolves cycles born from near-tie comparisons."""
-    pick = max(cycle[:-1], key=lambda i: max(v.z for v in subpaths[i].vertices))
+    pick = max(cycle[:-1], key=lambda i: subpaths[i].vertices[:, Z].max())
     sp = subpaths[pick]
     if len(sp.vertices) < 3:
         return None
-    interior = range(1, len(sp.vertices) - 1)
-    cut = max(interior, key=lambda k: sp.vertices[k].z)
+    # the first highest interior vertex
+    cut = 1 + int(np.argmax(sp.vertices[1:-1, Z]))
     left = SubPath(parent=sp.parent, parent_id=sp.parent_id, cycle=sp.cycle,
                    start=sp.start, end=sp.start + cut,
                    vertices=sp.vertices[:cut + 1], modified=sp.modified,
@@ -437,7 +439,7 @@ def exterior_angle(path, vertex_index):
     Straight walls give pi, convex corners more, concave notches less.
     Open-path endpoints default to pi.
     """
-    verts = _unique_cycle(path) if path.closed else list(path.vertices)
+    verts = _unique_cycle(path)
     n = len(verts)
     if not path.closed and (vertex_index == 0 or vertex_index == n - 1):
         return math.pi
@@ -448,11 +450,11 @@ def exterior_angle(path, vertex_index):
 
 def _exterior_angle_at(verts, i, orientation, closed):
     n = len(verts)
-    prev_pt = verts[(i - 1) % n] if closed else verts[i - 1]
-    cur = verts[i]
-    next_pt = verts[(i + 1) % n] if closed else verts[i + 1]
-    ax, ay = cur.x - prev_pt.x, cur.y - prev_pt.y
-    bx, by = next_pt.x - cur.x, next_pt.y - cur.y
+    px, py = verts[(i - 1) % n if closed else i - 1, :2].tolist()
+    cx, cy = verts[i, :2].tolist()
+    nx, ny = verts[(i + 1) % n if closed else i + 1, :2].tolist()
+    ax, ay = cx - px, cy - py
+    bx, by = nx - cx, ny - cy
     la = math.hypot(ax, ay)
     lb = math.hypot(bx, by)
     if la < 1e-12 or lb < 1e-12:
@@ -544,27 +546,27 @@ def order_paths(graph, eps_gap, weighted=False, max_expansions=10_000_000):
 
 
 class _Locations:
-    """Exact-location ids for subpath endpoints plus a pairwise
-    near-within-eps_gap matrix, so the search never recomputes distances."""
+    """Location ids for the endpoints of the modified subpaths, plus a
+    pairwise near-within-eps_gap matrix, so that no cost recomputes a
+    distance. Endpoints are taken in node order, entry before exit; each
+    takes the id of the first earlier endpoint within MATCH_TOL, or else a
+    new id whose point it is. Every cost charges a gap once per id."""
 
     def __init__(self, nodes, modified, eps_gap):
         self.points = []
         self.entry_loc = {}
         self.exit_loc = {}
-        key_to_id = {}
+        seen = []                  # (endpoint, id) so far
         for i in modified:
-            for which, p in (("entry", nodes[i].entry),
-                             ("exit", nodes[i].exit)):
-                key = (round(p[0], 6), round(p[1], 6), round(p[2], 6))
-                loc = key_to_id.get(key)
+            for ids, p in ((self.entry_loc, nodes[i].entry),
+                           (self.exit_loc, nodes[i].exit)):
+                loc = next((q_loc for q, q_loc in seen
+                            if math.dist(p, q) <= MATCH_TOL), None)
                 if loc is None:
                     loc = len(self.points)
-                    key_to_id[key] = loc
                     self.points.append(p)
-                if which == "entry":
-                    self.entry_loc[i] = loc
-                else:
-                    self.exit_loc[i] = loc
+                seen.append((p, loc))
+                ids[i] = loc
         n = len(self.points)
         self.near = [[False] * n for _ in range(n)]
         for a in range(n):
@@ -725,35 +727,37 @@ def _search(nodes, modified, succ, indeg, eps_gap, unweighted, max_expansions):
             rem.discard(i)
             for v in succ[i]:
                 indeg2[v] -= 1
-        cost, locs_pts = _order_cost(nodes, seq, eps_gap, unweighted)
-        best.update(cost=cost, order=seq, gaps=locs_pts)
+        cost, gaps = _order_cost(nodes, seq, locs, unweighted)
+        best.update(cost=cost, order=seq, gaps=gaps)
     return {"cost": best["cost"], "order": best["order"],
             "gaps": best["gaps"], "orders": counters["orders"],
             "expansions": counters["expansions"], "capped": counters["capped"]}
 
 
-def _order_cost(nodes, seq, eps_gap, unweighted):
-    gaps = []
+def _order_cost(nodes, seq, locs, unweighted):
+    """(cost, gap points) of the node sequence seq, charged by the ids
+    and near matrix of `locs` as the search charges them."""
+    paid = []
     cost = 0.0
 
-    def charge(point, weight):
-        if any(math.dist(point, q) <= MATCH_TOL for q in gaps):
+    def charge(loc, weight):
+        if loc in paid:
             return 0.0
-        gaps.append(point)
+        paid.append(loc)
         return 1.0 if unweighted else weight
 
     prev = None
     for i in seq:
         sp = nodes[i]
         if prev is None:
-            cost += charge(sp.entry, sp.entry_weight)
-        elif math.dist(nodes[prev].exit, sp.entry) > eps_gap:
-            cost += charge(nodes[prev].exit, nodes[prev].exit_weight)
-            cost += charge(sp.entry, sp.entry_weight)
+            cost += charge(locs.entry_loc[i], sp.entry_weight)
+        elif not locs.near[locs.exit_loc[prev]][locs.entry_loc[i]]:
+            cost += charge(locs.exit_loc[prev], nodes[prev].exit_weight)
+            cost += charge(locs.entry_loc[i], sp.entry_weight)
         prev = i
     if prev is not None:
-        cost += charge(nodes[prev].exit, nodes[prev].exit_weight)
-    return cost, gaps
+        cost += charge(locs.exit_loc[prev], nodes[prev].exit_weight)
+    return cost, [locs.points[loc] for loc in paid]
 
 
 def relink_travels(layer, ordered_subpaths, eps_gap, travel_f):
@@ -766,27 +770,25 @@ def relink_travels(layer, ordered_subpaths, eps_gap, travel_f):
     Either way the travel's Z is already the destination's displaced
     height.
     """
-    from .gcode import EOnly, Toolpath, Travel
-
     head = [ev for ev in layer.events
             if not isinstance(ev, (Toolpath, Travel, EOnly))]
     events = list(head)
     pos = None
     for sp in ordered_subpaths:
-        entry = sp.vertices[0]
+        entry = sp.entry
+        x, y, z = entry
         if pos is None:
-            events.append(Travel(x=entry.x, y=entry.y, z=entry.z,
-                                 f=travel_f, rapid=True))
+            events.append(Travel(x=x, y=y, z=z, f=travel_f, rapid=True))
         else:
-            gap = math.dist(pos, entry.xyz())
+            gap = math.dist(pos, entry)
             if gap > MATCH_TOL:
-                events.append(Travel(x=entry.x, y=entry.y, z=entry.z,
-                                     f=travel_f, rapid=(gap > eps_gap)))
-        events.append(Toolpath(vertices=list(sp.vertices), closed=False,
+                events.append(Travel(x=x, y=y, z=z, f=travel_f,
+                                     rapid=(gap > eps_gap)))
+        events.append(Toolpath(vertices=sp.vertices, closed=False,
                                kind=sp.parent.kind,
                                layer_index=sp.parent.layer_index,
                                modified=sp.modified))
-        pos = sp.vertices[-1].xyz()
+        pos = sp.exit
     layer.events = events
     return layer
 
@@ -804,5 +806,5 @@ def evaluate_order(graph, sequence, eps_gap, weighted=False):
     for u, v in graph.edges:
         if u in modified and v in modified and position[u] >= position[v]:
             raise OrderingError(f"sequence violates edge {u} -> {v}")
-    cost, locs = _order_cost(nodes, sequence, eps_gap, not weighted)
-    return cost, locs
+    locs = _Locations(nodes, sorted(modified), eps_gap)
+    return _order_cost(nodes, sequence, locs, not weighted)

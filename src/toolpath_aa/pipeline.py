@@ -162,7 +162,7 @@ def run_pipeline(config, gcode_text=None, mesh=None):
     return program, report, text_out
 
 
-def order_program(program, profile, weighted=False, cap=200_000):
+def order_program(program, profile, weighted, cap):
     """Split, order and relink every layer that has modified paths."""
     eps = ordering.interference_threshold(profile)
     eps_gap = 4.0 * profile.w
@@ -196,11 +196,7 @@ def order_program(program, profile, weighted=False, cap=200_000):
 
 def _travel_feed(program):
     best = 0.0
-    for layer in program.layers:
-        for ev in layer.events:
-            if isinstance(ev, Travel) and ev.f:
-                best = max(best, ev.f)
-    for ev in list(program.prologue) + list(program.epilogue):
+    for ev in program.events():
         if isinstance(ev, Travel) and ev.f:
             best = max(best, ev.f)
     return best or 120.0

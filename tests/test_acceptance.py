@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from toolpath_aa import antialias, evaluate, fixtures, geometry, ordering
-from toolpath_aa.gcode import (PathVertex, PrinterProfile, parse_gcode,
+from toolpath_aa.gcode import (DELTA, PrinterProfile, parse_gcode,
                                emit_gcode, total_extrusion)
 from toolpath_aa.ordering import ConstraintGraph, SubPath
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
@@ -29,8 +29,8 @@ def _prepared(fixture_fn, **kw):
 
 
 def _all_deltas(program):
-    return [v.delta for layer in program.layers
-            for tp in layer.toolpaths() for v in tp.vertices]
+    return [d for layer in program.layers
+            for tp in layer.toolpaths() for d in tp.vertices[:, DELTA].tolist()]
 
 
 def test_c01_displacement_bound():
@@ -70,9 +70,9 @@ def test_c02_wedge_snap_accuracy():
     worst = 0.0
     for layer in program.layers:
         for tp in layer.toolpaths():
-            for v in tp.vertices:
-                if v.delta != 0.0:
-                    worst = max(worst, abs(v.z - v.x * slope))
+            for x, _y, z, _e, _f, delta in tp.vertices.tolist():
+                if delta != 0.0:
+                    worst = max(worst, abs(z - x * slope))
     assert worst < 1e-6
 
     def top_face_max(prog):
@@ -155,8 +155,7 @@ def _random_graph(rng, n):
         def pt():
             return (float(rng.integers(0, 6)) * 2.0,
                     float(rng.integers(0, 6)) * 2.0, 0.6)
-        verts = [PathVertex(*pt(), e=0.0, f=20.0),
-                 PathVertex(*pt(), e=0.1, f=20.0)]
+        verts = np.array([(*pt(), 0.0, 20.0, 0.0), (*pt(), 0.1, 20.0, 0.0)])
         sp = SubPath(parent=None, parent_id=i, cycle=verts, start=0, end=1,
                      vertices=verts, modified=True, first_is_cut=True,
                      last_is_cut=True, index=i)
@@ -176,13 +175,13 @@ def _brute_min(graph, eps_gap, weighted):
     for u, v in graph.edges:
         succ.setdefault(u, []).append(v)
         indeg[v] += 1
+    locs = ordering._Locations(nodes, range(len(nodes)), eps_gap)
     best = [math.inf]
     order = []
 
     def rec():
         if len(order) == len(nodes):
-            cost, _ = ordering._order_cost(nodes, order, eps_gap,
-                                           not weighted)
+            cost, _ = ordering._order_cost(nodes, order, locs, not weighted)
             best[0] = min(best[0], cost)
             return
         for i in range(len(nodes)):
@@ -342,7 +341,8 @@ def test_c11_topological_validity():
     check(graph, ordering.order_paths(graph, EPS_GAP))
     # seven-node scene with an unmodified path added
     graph, _ = fixtures.ordering_scene()
-    pv = [PathVertex(50, 50, 0.6, 0, 20), PathVertex(51, 50, 0.6, 1, 20)]
+    pv = np.array([(50, 50, 0.6, 0, 20, 0), (51, 50, 0.6, 1, 20, 0)],
+                  dtype=float)
     from toolpath_aa.gcode import Toolpath
     graph.nodes.append(SubPath(parent=Toolpath(vertices=pv), parent_id=9,
                                cycle=pv, start=0, end=1, vertices=pv,
@@ -399,8 +399,7 @@ def test_c12_roundtrip_fidelity():
         rows = []
         for layer in prog.layers:
             for tp in layer.toolpaths():
-                for v in tp.vertices:
-                    rows.append((v.x, v.y, v.z, v.e, v.f))
+                rows += tp.vertices[:, :5].tolist()
         return rows
 
     m1, m2 = motion(prog1), motion(prog2)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -13,49 +12,53 @@ from toolpath_aa.antialias import (DisplacementWindow, ThicknessError,
                                    detect_overlaps, displace_layer,
                                    reduce_overlap_flow, resample_path,
                                    sweep_slicing_plane)
+from toolpath_aa import fixtures
 from toolpath_aa.fixtures import dome_fixture, wedge_fixture, wedge_mesh
-from toolpath_aa.gcode import (Layer, PathVertex, PrinterProfile,
+from toolpath_aa.gcode import (DELTA, E, F, X, Y, Z, Layer, PrinterProfile,
                                PrintProgram, Toolpath, parse_gcode)
 from toolpath_aa.geometry import build_vertical_index, cast_vertical_batch
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 
 
 def straight_path(length, e_total=2.0, n=2, z=0.6):
-    verts = [PathVertex(0, 0, z, 0.0, 20.0)]
+    verts = [(0, 0, z, 0.0, 20.0, 0.0)]
     for k in range(1, n):
-        verts.append(PathVertex(length * k / (n - 1), 0, z,
-                                e_total / (n - 1), 20.0))
+        verts.append((length * k / (n - 1), 0, z, e_total / (n - 1), 20.0,
+                      0.0))
     return Toolpath(vertices=verts)
+
+
+def _segment_lengths(verts, axes=2):
+    pts = verts[:, :axes].tolist()
+    return [math.dist(a, b) for a, b in zip(pts, pts[1:])]
 
 
 def test_resample_splits_into_equal_pieces():
     path = straight_path(2.0, e_total=2.0)
     resample_path(path, 0.8)
-    segs = [math.dist(a.xy(), b.xy())
-            for a, b in zip(path.vertices, path.vertices[1:])]
+    segs = _segment_lengths(path.vertices)
     assert len(segs) == 3
     assert all(s == pytest.approx(2.0 / 3.0) for s in segs)
-    assert all(v.e == pytest.approx(2.0 / 3.0) for v in path.vertices[1:])
+    assert all(e == pytest.approx(2.0 / 3.0) for e in path.vertices[1:, E])
 
 
 def test_resample_short_segment_unchanged():
     path = straight_path(0.5)
-    before = [v.xyz() for v in path.vertices]
+    before = path.vertices[:, :3].tolist()
     resample_path(path, 0.8)
-    assert [v.xyz() for v in path.vertices] == before
+    assert path.vertices[:, :3].tolist() == before
 
 
 def test_resample_closed_square():
     pts = [(0, 0), (4, 0), (4, 4), (0, 4), (0, 0)]
-    verts = [PathVertex(x, y, 0.6, 0.0 if i == 0 else 1.0, 20.0)
+    verts = [(x, y, 0.6, 0.0 if i == 0 else 1.0, 20.0, 0.0)
              for i, (x, y) in enumerate(pts)]
     path = Toolpath(vertices=verts, closed=True)
     resample_path(path, 0.8)
     assert path.closed
-    segs = [math.dist(a.xy(), b.xy())
-            for a, b in zip(path.vertices, path.vertices[1:])]
+    segs = _segment_lengths(path.vertices)
     assert len(segs) == 20                 # ceil(4/0.8) = 5 per side
-    assert path.vertices[0].xyz() == path.vertices[-1].xyz()
+    assert path.vertices[0, :3].tolist() == path.vertices[-1, :3].tolist()
     assert path.total_e() == pytest.approx(4.0)
 
 
@@ -64,19 +67,66 @@ def test_resample_closed_square():
                 min_size=2, max_size=8, unique=True),
        st.floats(0.1, 3.0, allow_nan=False))
 def test_resample_properties(points, w):
-    verts = [PathVertex(x / 10.0, y / 10.0, 0.6,
-                        0.0 if i == 0 else 1.0, 20.0)
-             for i, (x, y) in enumerate(points)]
-    path = Toolpath(vertices=list(verts))
+    verts = np.array([(x / 10.0, y / 10.0, 0.6,
+                       0.0 if i == 0 else 1.0, 20.0, 0.0)
+                      for i, (x, y) in enumerate(points)])
+    path = Toolpath(vertices=verts)
     total_len = path.length()
     total_e = path.total_e()
     resample_path(path, w)
     assert path.length() == pytest.approx(total_len, abs=1e-9)
     assert path.total_e() == pytest.approx(total_e, abs=1e-9)
-    for a, b in zip(path.vertices, path.vertices[1:]):
-        assert math.dist(a.xyz(), b.xyz()) <= w + 1e-9
-    assert path.vertices[0].xyz() == verts[0].xyz()
-    assert path.vertices[-1].xyz() == verts[-1].xyz()
+    for seg in _segment_lengths(path.vertices, axes=3):
+        assert seg <= w + 1e-9
+    assert path.vertices[0, :3].tolist() == verts[0, :3].tolist()
+    assert path.vertices[-1, :3].tolist() == verts[-1, :3].tolist()
+
+
+def resample_reference(verts, w):
+    """The per-vertex loop that `resample_path` replaced, on vertex rows."""
+    rows = verts.tolist()
+    out = rows[:1]
+    for prev, cur in zip(rows, rows[1:]):
+        seg = math.dist(prev[:3], cur[:3])
+        if seg <= w or seg == 0.0:
+            out.append(cur)
+            continue
+        n = math.ceil(seg / w)
+        for k in range(1, n):
+            t = k / n
+            out.append([prev[X] + (cur[X] - prev[X]) * t,
+                        prev[Y] + (cur[Y] - prev[Y]) * t,
+                        prev[Z] + (cur[Z] - prev[Z]) * t,
+                        cur[E] / n,
+                        cur[F],
+                        prev[DELTA] + (cur[DELTA] - prev[DELTA]) * t])
+        out.append([cur[X], cur[Y], cur[Z], cur[E] / n, cur[F], cur[DELTA]])
+    return np.array(out)
+
+
+def _fixture_paths():
+    profile = PrinterProfile()
+    paths = fixtures.three_paths_scene()
+    for _mesh, gcode in (wedge_fixture(profile),
+                         wedge_fixture(profile, cross_hatch=True),
+                         fixtures.flat_box_fixture(profile),
+                         dome_fixture(profile)):
+        paths += parse_gcode(gcode).all_toolpaths()
+    return paths
+
+
+@pytest.mark.parametrize("w", [0.8, 0.3])
+def test_resample_matches_per_vertex_reference(w):
+    # bit for bit, on every toolpath of every fixture; the scene's loops
+    # carry nonzero deltas
+    resampled = 0
+    for path in _fixture_paths():
+        expected = resample_reference(path.vertices, w)
+        resample_path(path, w)
+        assert path.vertices.shape == expected.shape
+        assert path.vertices.tobytes() == expected.tobytes()
+        resampled += len(expected)
+    assert resampled > 1000
 
 
 def test_window_default_and_general():
@@ -138,10 +188,10 @@ def test_displace_wedge_window_and_snap():
     slope = math.tan(math.radians(10.0))
     for layer in env.program.layers:
         for tp in layer.toolpaths():
-            for v in tp.vertices:
-                assert -0.3 - 1e-12 <= v.delta <= 0.3 + 1e-12
-                if v.delta != 0.0:
-                    assert abs(v.z - v.x * slope) < 1e-6
+            for x, _y, z, _e, _f, delta in tp.vertices.tolist():
+                assert -0.3 - 1e-12 <= delta <= 0.3 + 1e-12
+                if delta != 0.0:
+                    assert abs(z - x * slope) < 1e-6
                     assert tp.modified
 
 
@@ -152,9 +202,9 @@ def test_displace_untouched_vertex_keeps_flat_z():
     found = False
     for layer in env.program.layers:
         for tp in layer.toolpaths():
-            for v in tp.vertices:
-                if v.delta == 0.0 and v.e > 0:
-                    assert v.z == pytest.approx(layer.base_z)
+            for _x, _y, z, e, _f, delta in tp.vertices.tolist():
+                if delta == 0.0 and e > 0:
+                    assert z == pytest.approx(layer.base_z)
                     found = True
     assert found
 
@@ -162,13 +212,13 @@ def test_displace_untouched_vertex_keeps_flat_z():
 def test_displace_idempotent():
     env = WedgeEnv()
     env.displace_all()
-    before = [(v.x, v.y, v.z) for layer in env.program.layers
-              for tp in layer.toolpaths() for v in tp.vertices]
+    before = [v for layer in env.program.layers
+              for tp in layer.toolpaths() for v in tp.vertices[:, :3].tolist()]
     for layer in env.program.layers:
         displace_layer(layer.toolpaths(), env.index, env.profile,
                        refine_boundaries=False)
-    after = [(v.x, v.y, v.z) for layer in env.program.layers
-             for tp in layer.toolpaths() for v in tp.vertices]
+    after = [v for layer in env.program.layers
+             for tp in layer.toolpaths() for v in tp.vertices[:, :3].tolist()]
     assert len(before) == len(after)
     for a, b in zip(before, after):
         assert math.dist(a, b) < 1e-9
@@ -181,11 +231,11 @@ def test_displace_extreme_half_layer():
     index = build_vertical_index(mesh)
     slope = math.tan(math.radians(10.0))
     x = (0.6 + 0.3) / slope          # surface z = 0.9, vertex z = 0.6
-    path = Toolpath(vertices=[PathVertex(x - 0.5, 5.0, 0.6, 0.0, 20.0),
-                              PathVertex(x, 5.0, 0.6, 0.1, 20.0)])
+    path = Toolpath(vertices=[(x - 0.5, 5.0, 0.6, 0.0, 20.0, 0.0),
+                              (x, 5.0, 0.6, 0.1, 20.0, 0.0)])
     displace_layer([path], index, profile, refine_boundaries=False)
-    assert path.vertices[1].delta == pytest.approx(+0.3, abs=1e-9)
-    assert path.vertices[1].z == pytest.approx(0.9, abs=1e-9)
+    assert path.vertices[1, DELTA] == pytest.approx(+0.3, abs=1e-9)
+    assert path.vertices[1, Z] == pytest.approx(0.9, abs=1e-9)
 
 
 def test_displace_zero_offset_untouched():
@@ -194,11 +244,11 @@ def test_displace_zero_offset_untouched():
     index = build_vertical_index(mesh)
     slope = math.tan(math.radians(10.0))
     x = 0.6 / slope                   # surface exactly at the vertex
-    path = Toolpath(vertices=[PathVertex(x - 0.5, 5.0, 0.6, 0.0, 20.0),
-                              PathVertex(x, 5.0, 0.6, 0.1, 20.0)])
+    path = Toolpath(vertices=[(x - 0.5, 5.0, 0.6, 0.0, 20.0, 0.0),
+                              (x, 5.0, 0.6, 0.1, 20.0, 0.0)])
     displace_layer([path], index, profile, refine_boundaries=False)
-    assert path.vertices[1].delta == 0.0
-    assert path.vertices[1].z == pytest.approx(0.6)
+    assert path.vertices[1, DELTA] == 0.0
+    assert path.vertices[1, Z] == pytest.approx(0.6)
 
 
 def test_stats_range_of_raised_only_layer():
@@ -207,8 +257,8 @@ def test_stats_range_of_raised_only_layer():
     mesh = wedge_mesh()
     index = build_vertical_index(mesh)
     slope = math.tan(math.radians(10.0))
-    path = Toolpath(vertices=[PathVertex((0.6 + 0.1) / slope, 5.0, 0.6, 0.0, 20.0),
-                              PathVertex((0.6 + 0.2) / slope, 5.0, 0.6, 0.1, 20.0)])
+    path = Toolpath(vertices=[((0.6 + 0.1) / slope, 5.0, 0.6, 0.0, 20.0, 0.0),
+                              ((0.6 + 0.2) / slope, 5.0, 0.6, 0.1, 20.0, 0.0)])
     _, stats = displace_layer([path], index, profile,
                               refine_boundaries=False)
     assert stats.displaced == 2
@@ -230,22 +280,22 @@ def test_bottom_facing_untouched():
     index = build_vertical_index(mesh)
     # vertex just above the wedge bottom plane: closest surface is the
     # bottom (facing down), so it must stay untouched
-    v = PathVertex(10.0, 5.0, 0.2, 0.1, 20.0)
-    path = Toolpath(vertices=[PathVertex(9.5, 5.0, 0.2, 0.0, 20.0), v])
+    path = Toolpath(vertices=[(9.5, 5.0, 0.2, 0.0, 20.0, 0.0),
+                              (10.0, 5.0, 0.2, 0.1, 20.0, 0.0)])
     _, stats = displace_layer([path], index, profile,
                               refine_boundaries=False)
-    assert v.z == pytest.approx(0.2)
+    assert path.vertices[1, Z] == pytest.approx(0.2)
     assert stats.skipped_bottom_facing >= 1
 
 
 def _synthetic_overlap_program(raise_by=0.2, upper_e=5.0):
     profile = PrinterProfile()
     p = PrintProgram()
-    low = Toolpath(vertices=[PathVertex(0, 0, 0.6 + raise_by, 0.0, 20, raise_by),
-                             PathVertex(10, 0, 0.6 + raise_by, 5.0, 20, raise_by)],
+    low = Toolpath(vertices=[(0, 0, 0.6 + raise_by, 0.0, 20, raise_by),
+                             (10, 0, 0.6 + raise_by, 5.0, 20, raise_by)],
                    layer_index=0, modified=True)
-    up = Toolpath(vertices=[PathVertex(0, 0, 1.2, 0.0, 20, 0.0),
-                            PathVertex(10, 0, 1.2, upper_e, 20, 0.0)],
+    up = Toolpath(vertices=[(0, 0, 1.2, 0.0, 20, 0.0),
+                            (10, 0, 1.2, upper_e, 20, 0.0)],
                   layer_index=1)
     l0 = Layer(base_z=0.6, events=[low])
     l1 = Layer(base_z=1.2, events=[up])
@@ -293,21 +343,25 @@ def test_refine_window_boundaries_keeps_input_vertices():
     inserted = 0
     for layer in env.program.layers:
         paths = layer.toolpaths()
-        before = [(v, dataclasses.astuple(v)) for p in paths for v in p.vertices]
-        cand = antialias._candidates(paths, env.index)
-        antialias._refine_window_boundaries(paths, env.index, window, cand)
-        inserted += sum(len(p.vertices) for p in paths) - len(before)
-        assert [dataclasses.astuple(v) for v, _ in before] == [
-            values for _, values in before]
+        before = [p.vertices.copy() for p in paths]
+        verts = np.concatenate([p.vertices for p in paths])
+        ends = np.cumsum([len(p) for p in paths])
+        cast = antialias._cast(env.index, verts)
+        verts, ends, cast = antialias._refine_window_boundaries(
+            verts, ends, env.index, window, cast)
+        inserted += len(verts) - sum(len(v) for v in before)
+        assert all(np.array_equal(p.vertices, v)
+                   for p, v in zip(paths, before))
+        assert ends[-1] == len(verts)
         # the batched rows equal a cast of each vertex on its own
-        for path, rows in zip(paths, cand):
-            assert rows == [_cast_alone(env.index, v) for v in path.vertices]
+        rows = list(zip(*(c.tolist() for c in cast)))
+        assert rows == [_cast_alone(env.index, v) for v in verts]
     assert inserted > 0
 
 
 def _cast_alone(index, v):
     delta, top, hit = cast_vertical_batch(
-        index, np.array([v.x]), np.array([v.y]), np.array([v.z]))
+        index, np.array([v[X]]), np.array([v[Y]]), np.array([v[Z]]))
     return float(delta[0]), bool(top[0]), bool(hit[0])
 
 
@@ -355,11 +409,11 @@ def test_sweep_zero_at_s0_and_monotone():
 
 def test_sweep_does_not_mutate_input():
     env = WedgeEnv(cross=True)
-    before = [(v.x, v.y, v.z, v.e) for layer in env.program.layers
-              for tp in layer.toolpaths() for v in tp.vertices]
+    before = [v for layer in env.program.layers
+              for tp in layer.toolpaths() for v in tp.vertices[:, :4].tolist()]
     sweep_slicing_plane(env.program, env.index, env.profile, [0.3])
-    after = [(v.x, v.y, v.z, v.e) for layer in env.program.layers
-             for tp in layer.toolpaths() for v in tp.vertices]
+    after = [v for layer in env.program.layers
+             for tp in layer.toolpaths() for v in tp.vertices[:, :4].tolist()]
     assert before == after
 
 
@@ -371,24 +425,25 @@ def test_rescale_paths_adjusts_e_and_f():
     pre = {}
     for li, layer in enumerate(env.program.layers):
         for pi, tp in enumerate(layer.toolpaths()):
-            for si, v in enumerate(tp.vertices):
-                pre[(li, pi, si)] = v.e
+            for si, e in enumerate(tp.vertices[:, E].tolist()):
+                pre[(li, pi, si)] = e
     for layer in env.program.layers:
         antialias.rescale_paths(layer.toolpaths(), profile)
     checked = 0
     for li, layer in enumerate(env.program.layers):
         for pi, tp in enumerate(layer.toolpaths()):
-            for si, v in enumerate(tp.vertices):
+            rows = tp.vertices.tolist()
+            for si, v in enumerate(rows):
                 if si == 0:
                     continue
                 expected = pre[(li, pi, si)]
-                if v.delta != 0.0 and tp.modified:
-                    expected = expected * (profile.h + v.delta) / profile.h
-                    prev = tp.vertices[si - 1]
-                    f_exp = adjust_feedrate(prev.delta, v.delta, profile.h,
+                if v[DELTA] != 0.0 and tp.modified:
+                    expected = expected * (profile.h + v[DELTA]) / profile.h
+                    prev = rows[si - 1]
+                    f_exp = adjust_feedrate(prev[DELTA], v[DELTA], profile.h,
                                             profile.f_ini, profile.f_min)
-                    assert v.f == pytest.approx(f_exp)
+                    assert v[F] == pytest.approx(f_exp)
                     checked += 1
-                assert v.e == pytest.approx(expected)
-                assert v.e >= 0
+                assert v[E] == pytest.approx(expected)
+                assert v[E] >= 0
     assert checked > 0

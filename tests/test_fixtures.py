@@ -4,7 +4,7 @@ import pytest
 
 from toolpath_aa.fixtures import (dome_fixture, three_paths_scene, ordering_scene,
                                   flat_box_fixture, wedge_fixture, wedge_mesh)
-from toolpath_aa.gcode import PrinterProfile, parse_gcode, total_extrusion
+from toolpath_aa.gcode import DELTA, PrinterProfile, parse_gcode, total_extrusion
 
 
 def test_wedge_mesh_volume_analytic():
@@ -57,7 +57,7 @@ def test_three_paths_scene_shape():
     paths = three_paths_scene()
     assert len(paths) == 3
     assert all(p.closed and p.modified for p in paths)
-    deltas = [v.delta for p in paths for v in p.vertices]
+    deltas = [d for p in paths for d in p.vertices[:, DELTA].tolist()]
     assert max(deltas) <= 0.3 and min(deltas) >= -0.3
 
 

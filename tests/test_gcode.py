@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from toolpath_aa import gcode
 from toolpath_aa.fixtures import dome_fixture, flat_box_fixture, wedge_fixture
-from toolpath_aa.gcode import (GcodeParseError, PrinterProfile, Travel,
-                               emit_gcode, parse_gcode, total_extrusion)
+from toolpath_aa.gcode import (DELTA, E, F, X, Y, Z, GcodeParseError,
+                               PrinterProfile, Travel, emit_gcode, parse_gcode,
+                               total_extrusion)
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 
 SIMPLE = """G90
@@ -27,8 +28,8 @@ def test_segment_basics_and_feed_conversion():
     tp = paths[0][0]
     assert len(tp.vertices) == 2
     v = tp.vertices[1]
-    assert v.x == 10 and v.e == pytest.approx(0.5)
-    assert v.f == pytest.approx(20.0)          # 1200 mm/min
+    assert v[X] == 10 and v[E] == pytest.approx(0.5)
+    assert v[F] == pytest.approx(20.0)          # 1200 mm/min
     assert tp.length() == pytest.approx(10.0)
 
 
@@ -96,17 +97,17 @@ def test_roundtrip_motion_identical():
     v1 = prog1.layers[0].toolpaths()[0].vertices
     v2 = prog2.layers[0].toolpaths()[0].vertices
     assert len(v1) == len(v2)
-    for a, b in zip(v1, v2):
-        assert math.dist(a.xyz(), b.xyz()) < 1e-6
-        assert a.e == pytest.approx(b.e, abs=1e-6)
-        assert a.f == pytest.approx(b.f, abs=1e-6)
+    for a, b in zip(v1.tolist(), v2.tolist()):
+        assert math.dist(a[:3], b[:3]) < 1e-6
+        assert a[E] == pytest.approx(b[E], abs=1e-6)
+        assert a[F] == pytest.approx(b[F], abs=1e-6)
 
 
 def test_emit_displaced_z_word():
     prog = parse_gcode(SIMPLE)
     v = prog.layers[0].toolpaths()[0].vertices[1]
-    v.z += 0.2
-    v.delta = 0.2
+    v[Z] += 0.2
+    v[DELTA] = 0.2
     out = emit_gcode(prog)
     assert "Z0.80000" in out
 
@@ -123,7 +124,7 @@ def test_relative_e_mode_roundtrip():
     assert "M83" in out
     prog2 = parse_gcode(out)
     assert total_extrusion(prog2) == pytest.approx(1.25, abs=1e-6)
-    segs = [v.e for v in prog2.layers[0].toolpaths()[0].vertices[1:]]
+    segs = prog2.layers[0].toolpaths()[0].vertices[1:, E].tolist()
     assert segs == [pytest.approx(0.5), pytest.approx(0.75)]
 
 
@@ -316,26 +317,26 @@ class _PerWordEmitter(gcode._Emitter):
     """The per-word formatting of extruding moves, kept as the reference."""
 
     def toolpath(self, tp):
-        verts = tp.vertices
-        start = verts[0]
+        rows = tp.vertices.tolist()
+        sx, sy, sz = rows[0][:3]
         if (self.x is None or self.y is None
-                or math.dist((self.x, self.y), start.xy()) > gcode.DUPLICATE_TOL
+                or math.dist((self.x, self.y), (sx, sy)) > gcode.DUPLICATE_TOL
                 or self.z is None
-                or abs((self.z or 0) - start.z) > gcode.DUPLICATE_TOL):
-            self.travel(Travel(x=start.x, y=start.y, z=start.z, f=None))
-        for v in verts[1:]:
-            self.e_accum += v.e
-            parts = ["G1", f"X{gcode._fmt(v.x)}", f"Y{gcode._fmt(v.y)}",
-                     f"Z{gcode._fmt(v.z)}"]
+                or abs((self.z or 0) - sz) > gcode.DUPLICATE_TOL):
+            self.travel(Travel(x=sx, y=sy, z=sz, f=None))
+        for v in rows[1:]:
+            self.e_accum += v[E]
+            parts = ["G1", f"X{gcode._fmt(v[X])}", f"Y{gcode._fmt(v[Y])}",
+                     f"Z{gcode._fmt(v[Z])}"]
             if self.e_mode == "absolute":
                 parts.append(f"E{gcode._fmt(self.e_accum)}")
             else:
-                parts.append(f"E{gcode._fmt(v.e)}")
-            fpart = self._f_part(v.f)
+                parts.append(f"E{gcode._fmt(v[E])}")
+            fpart = self._f_part(v[F])
             if fpart:
                 parts.append(fpart.strip())
             self.lines.append(" ".join(parts))
-            self.x, self.y, self.z = v.x, v.y, v.z
+            self.x, self.y, self.z = v[X], v[Y], v[Z]
 
 
 def _emit_per_word(program):
@@ -380,7 +381,7 @@ def test_emit_matches_per_word_reference_on_random_programs(mode, moves,
     verts = [v for tp in program.all_toolpaths() for v in tp.vertices]
     for i, v in enumerate(verts):
         d = shifts[i % len(shifts)]
-        v.z += d
-        v.delta = d
-        v.f *= 1.0 + d
+        v[Z] += d
+        v[DELTA] = d
+        v[F] *= 1.0 + d
     assert emit_gcode(program) == _emit_per_word(program)

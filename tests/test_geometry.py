@@ -193,8 +193,8 @@ def test_batch_matches_brute_on_fixture_vertices(name):
         mesh, gcode = fixtures.wedge_fixture(
             profile, cross_hatch=(name == "wedge_hatch"))
     program = parse_gcode(gcode)
-    q = np.array([v.xyz() for path in program.all_toolpaths()
-                  for v in antialias.resample_path(path, profile.w).vertices])
+    q = np.concatenate([antialias.resample_path(path, profile.w).vertices[:, :3]
+                        for path in program.all_toolpaths()])
     hit = assert_batch_matches_brute(mesh, build_vertical_index(mesh), q)
     assert hit.any()
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toolpath_aa import fixtures, geometry, ordering
-from toolpath_aa.gcode import PathVertex, PrinterProfile, Toolpath
+from toolpath_aa.gcode import DELTA, X, Z, PrinterProfile, Toolpath
 from toolpath_aa.ordering import (ConstraintGraph, OrderingError, SubPath,
                                   build_constraint_graph, evaluate_order,
                                   exterior_angle, find_neighbors, gap_cost,
@@ -23,7 +23,7 @@ def line_path(y, z=0.6, x0=0.0, x1=10.0, modified=True, delta=0.0, n=14):
     verts = []
     for k in range(n):
         x = x0 + (x1 - x0) * k / (n - 1)
-        verts.append(PathVertex(x, y, z, 0.0 if k == 0 else 0.1, 20.0, delta))
+        verts.append((x, y, z, 0.0 if k == 0 else 0.1, 20.0, delta))
     tp = Toolpath(vertices=verts, modified=modified)
     return tp
 
@@ -71,16 +71,16 @@ def test_split_constant_offset_no_cuts():
 def test_split_sign_flip_cuts_at_new_sign():
     # path a rises above b halfway along
     a = line_path(0.0, n=11)
-    for v in a.vertices:
-        v.z = 0.5 if v.x < 5.0 else 0.7
-        v.delta = v.z - 0.6
+    a.vertices[:, Z] = np.where(a.vertices[:, X] < 5.0, 0.5, 0.7)
+    a.vertices[:, DELTA] = a.vertices[:, Z] - 0.6
     b = line_path(0.8, z=0.6)
     subs = split_paths([a, b], [(0, 1)], 1.625)
     pieces_a = [sp for sp in subs if sp.parent_id == 0]
     assert len(pieces_a) == 2
     cut = pieces_a[1].vertices[0]
-    assert cut.z == pytest.approx(0.7)
-    assert pieces_a[0].vertices[-1] is cut
+    assert cut[Z] == pytest.approx(0.7)
+    # both pieces hold the one cut vertex row
+    assert np.shares_memory(pieces_a[0].vertices[-1], cut)
 
 
 def test_three_paths_partition_and_graph():
@@ -174,7 +174,7 @@ def square_loop(side=4.0, reverse=False):
     pts = [(0, 0), (side, 0), (side, side), (0, side), (0, 0)]
     if reverse:
         pts = pts[::-1]
-    verts = [PathVertex(x, y, 0.6, 0.0 if k == 0 else 1.0, 20.0)
+    verts = [(x, y, 0.6, 0.0 if k == 0 else 1.0, 20.0, 0.0)
              for k, (x, y) in enumerate(pts)]
     return Toolpath(vertices=verts, closed=True)
 
@@ -190,16 +190,16 @@ def test_exterior_angle_square():
 def test_exterior_angle_straight_and_notch():
     pts = [(0, 0), (4, 0), (4, 1), (5, 1), (5, 0), (9, 0), (9, 9), (0, 9),
            (0, 0)]
-    verts = [PathVertex(x, y, 0.6, 0.0 if k == 0 else 1.0, 20.0)
+    verts = [(x, y, 0.6, 0.0 if k == 0 else 1.0, 20.0, 0.0)
              for k, (x, y) in enumerate(pts)]
     loop = Toolpath(vertices=verts, closed=True)
-    mid = PathVertex(2, 0, 0.6, 1.0, 20.0)
-    loop.vertices.insert(1, mid)
+    mid = (2, 0, 0.6, 1.0, 20.0, 0.0)
+    loop.vertices = np.insert(loop.vertices, 1, mid, axis=0)
     assert exterior_angle(loop, 1) == pytest.approx(math.pi)       # straight
     assert exterior_angle(loop, 3) == pytest.approx(math.pi / 2)   # notch in
-    out = Toolpath(vertices=[PathVertex(0, 0, 0.6, 0, 20),
-                             PathVertex(1, 0, 0.6, 1, 20),
-                             PathVertex(2, 0, 0.6, 1, 20)])
+    out = Toolpath(vertices=[(0, 0, 0.6, 0, 20, 0),
+                             (1, 0, 0.6, 1, 20, 0),
+                             (2, 0, 0.6, 1, 20, 0)])
     assert exterior_angle(out, 0) == pytest.approx(math.pi)        # endpoint
 
 
@@ -246,6 +246,27 @@ def test_ordering_scene_fixture_weighted_ordinal():
     assert f_start < a_start
 
 
+def test_search_and_evaluate_share_seam_identity():
+    # A's and C's exits lie 2e-7 mm apart, within MATCH_TOL but on two
+    # sides of a 6-decimal rounding boundary: one gap location, so every
+    # order costs 5 seams, and the search and evaluate_order agree
+    ends = [((0.0, 0.0, 0.6), (10.0000004, 0.0, 0.6)),
+            ((30.0, 0.0, 0.6), (40.0, 0.0, 0.6)),
+            ((20.0, 0.0, 0.6), (10.0000006, 0.0, 0.6))]
+    nodes = []
+    for i, (entry, exit_) in enumerate(ends):
+        verts = np.array([(*entry, 0.0, 20.0, 0.0), (*exit_, 0.1, 20.0, 0.0)])
+        nodes.append(SubPath(parent=None, parent_id=i, cycle=verts, start=0,
+                             end=1, vertices=verts, modified=True,
+                             first_is_cut=False, last_is_cut=False, index=i))
+    graph = ConstraintGraph(nodes=nodes)
+    res = order_paths(graph, EPS_GAP)
+    order = [sp.index for sp in res.order]
+    cost, gaps = evaluate_order(graph, order, EPS_GAP)
+    assert (res.cost, len(res.gap_locations)) == (5.0, 5)
+    assert (cost, len(gaps)) == (5.0, 5)
+
+
 def test_evaluate_order_rejects_invalid():
     graph, labels = ordering_scene_fixture()
     with pytest.raises(OrderingError):
@@ -256,7 +277,8 @@ def test_unmodified_emitted_first():
     graph, labels = ordering_scene_fixture()
     plain = fixtures.ordering_scene()[0].nodes[0]
     # craft: two unmodified + the seven modified
-    pv = [PathVertex(50, 50, 0.6, 0, 20), PathVertex(51, 50, 0.6, 1, 20)]
+    pv = np.array([(50, 50, 0.6, 0, 20, 0), (51, 50, 0.6, 1, 20, 0)],
+                  dtype=float)
     un1 = SubPath(parent=Toolpath(vertices=pv), parent_id=9, cycle=pv,
                   start=0, end=1, vertices=pv, modified=False,
                   first_is_cut=False, last_is_cut=False, index=90)
@@ -294,7 +316,7 @@ def test_split_soundness_constant_sign():
         neighbor_map.setdefault(j, []).append(i)
     subs = split_paths(paths, pairs, eps)
     for sp in subs:
-        verts = list(sp.vertices)
+        verts = sp.vertices
         if sp.first_is_cut:          # shared cut vertices carry the
             verts = verts[1:]        # neighbouring piece's sign
         if sp.last_is_cut:
@@ -313,13 +335,14 @@ def brute_min(nodes, edges, eps_gap, weighted):
     for u, v in edges:
         succ.setdefault(u, set()).add(v)
     idx = [i for i, sp in enumerate(nodes) if sp.modified]
+    locs = ordering._Locations(nodes, idx, eps_gap)
     best = math.inf
     for perm in itertools.permutations(idx):
         pos = {n: k for k, n in enumerate(perm)}
         if any(pos.get(u, -1) > pos.get(v, 10 ** 9)
                for u in succ for v in succ[u]):
             continue
-        cost, _ = ordering._order_cost(nodes, list(perm), eps_gap,
+        cost, _ = ordering._order_cost(nodes, list(perm), locs,
                                        not weighted)
         best = min(best, cost)
     return best
@@ -335,8 +358,7 @@ def random_instance(rng, n):
                     float(rng.integers(0, 6)) * 2.0,
                     0.6)
         entry, exit_ = pt(), pt()
-        verts = [PathVertex(*entry, e=0.0, f=20.0),
-                 PathVertex(*exit_, e=0.1, f=20.0)]
+        verts = np.array([(*entry, 0.0, 20.0, 0.0), (*exit_, 0.1, 20.0, 0.0)])
         sp = SubPath(parent=None, parent_id=i, cycle=verts, start=0, end=1,
                      vertices=verts, modified=True, first_is_cut=True,
                      last_is_cut=True, index=i)
@@ -437,7 +459,7 @@ def polyline_pair(draw):
 
 
 def as_verts(pts):
-    return [PathVertex(x, y, z) for x, y, z in pts]
+    return np.array(pts, dtype=float).reshape(-1, 3)
 
 
 def assert_matches_brute(a, b):
@@ -499,19 +521,15 @@ def test_numpy_distances_match_scalar_on_random_floats():
 def scalar_reference(monkeypatch):
     """Route the ordering stage through the scalar reference: every pair
     of polylines is a candidate, distances come from the brute loops."""
-    def verts(c):
-        return as_verts(c.tolist())
-
     def nearest(p, s):
-        vs = verts(s)
-        rows = [nearest_on_polyline_brute(x, y, vs) for x, y, _ in p.tolist()]
+        rows = [nearest_on_polyline_brute(x, y, s) for x, y in p[:, :2].tolist()]
         return (np.array([r[0] for r in rows]), np.array([r[1] for r in rows]),
                 np.array([r[3] for r in rows], dtype=np.int64))
 
     monkeypatch.setattr(ordering, "box_pairs", lambda coords, eps: list(
         itertools.combinations(range(len(coords)), 2)))
-    monkeypatch.setattr(ordering, "polyline_distance", lambda a, b:
-                        polyline_min_distance_brute(verts(a), verts(b)))
+    monkeypatch.setattr(ordering, "polyline_distance",
+                        polyline_min_distance_brute)
     monkeypatch.setattr(ordering, "nearest_points", nearest)
 
 

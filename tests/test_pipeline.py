@@ -15,9 +15,8 @@ def motion_values(program):
     out = []
     for layer in program.layers:
         for tp in layer.toolpaths():
-            for v in tp.vertices:
-                out.append((round(v.x, 5), round(v.y, 5), round(v.z, 5),
-                            round(v.e, 5), round(v.f, 5)))
+            for v in tp.vertices[:, :5].tolist():
+                out.append(tuple(round(c, 5) for c in v))
     return out
 
 

@@ -1,11 +1,18 @@
-"""The scripts under scripts/ run to completion from any directory."""
+"""The scripts under scripts/ run to completion from any directory, and
+the benchmark's traced job still finds every entry point it wraps."""
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from toolpath_aa import fixtures
+from toolpath_aa.geometry import mesh_to_stl_binary
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name, cwd):
@@ -37,3 +44,41 @@ def test_wedge_demo_leaves_its_artifacts(tmp_path):
     assert summary["aa_error_max_mm"] < summary["flat_error_max_mm"]
     for name in ("wedge_aa_errors.ply", "wedge_flat_errors.ply"):
         assert (tmp_path / "out" / name).read_text().startswith("ply\n")
+
+
+def test_trace_job_entry_points_resolve_and_count(tmp_path, monkeypatch):
+    # perfbench/tracejob.py replaces each entry point at the module
+    # attribute the pipeline calls it through, and reads counts from its
+    # arguments and result; a renamed function or a changed return would
+    # otherwise only show as a missing metric
+    spec = importlib.util.spec_from_file_location(
+        "tracejob", ROOT / "perfbench" / "tracejob.py")
+    tracejob = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracejob)
+    modules = {}
+    for module, attr, _name, _counter in tracejob.ENTRY_POINTS:
+        mod = modules.setdefault(
+            module, importlib.import_module(f"toolpath_aa.{module}"))
+        assert callable(getattr(mod, attr, None)), f"{module}.{attr}"
+        monkeypatch.setattr(mod, attr, getattr(mod, attr))  # undo the wrap
+    tracer = tracejob.Tracer("contract")
+    for module, attr, name, counter in tracejob.ENTRY_POINTS:
+        tracer.wrap(modules[module], attr, name, counter)
+
+    mesh, gcode = fixtures.wedge_fixture(cross_hatch=True)
+    (tmp_path / "in.gcode").write_text(gcode)
+    (tmp_path / "in.stl").write_bytes(mesh_to_stl_binary(mesh))
+    code = modules["cli"].main([
+        "--gcode", str(tmp_path / "in.gcode"), "--mesh", str(tmp_path / "in.stl"),
+        "--out", str(tmp_path / "out.gcode"), "--sweep-s", "0.1,0.3",
+        "--error-map", str(tmp_path / "errors.csv")])
+    assert code == 0
+    assert {s["name"] for s in tracer.spans} == {
+        name for _module, _attr, name, _counter in tracejob.ENTRY_POINTS}
+    assert not any("error" in s for s in tracer.spans)
+    counts = {}
+    for span in tracer.spans:
+        for key, value in span["counts"].items():
+            counts[key] = counts.get(key, 0) + value
+    assert counts["vertices"] >= counts["displaced"] > 0
+    assert counts["rays"] > 0 and counts["edges"] > 0
