@@ -12,6 +12,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np
 
 from toolpath_aa import antialias, evaluate, fixtures
+from toolpath_aa.files import replace_atomically
 from toolpath_aa.gcode import PrinterProfile, parse_gcode
 from toolpath_aa.geometry import mesh_to_stl_binary
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
@@ -24,7 +25,7 @@ def main():
     mesh, gcode = fixtures.wedge_fixture(profile)
     with open(os.path.join(out_dir, "wedge.stl"), "wb") as f:
         f.write(mesh_to_stl_binary(mesh))
-    with open(os.path.join(out_dir, "wedge_flat.gcode"), "w") as f:
+    with replace_atomically(os.path.join(out_dir, "wedge_flat.gcode")) as f:
         f.write(gcode)
 
     config = PipelineConfig(
@@ -66,7 +67,7 @@ def main():
     print(f"estimated time     : flat {t_flat:.1f} s -> aa {t_aa:.1f} s "
           f"({t_aa / t_flat - 1:+.1%})")
     print(f"artifacts in {out_dir}")
-    with open(os.path.join(out_dir, "wedge_summary.json"), "w") as f:
+    with replace_atomically(os.path.join(out_dir, "wedge_summary.json")) as f:
         json.dump({
             "flat_error_max_mm": slope_max(flat_map),
             "aa_error_max_mm": slope_max(aa_map),

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import BoxGrid, cast_vertical_batch
-from .gcode import DELTA, E, F, VERTEX_COLUMNS, X, Y, Z, Layer, PrintProgram
+from .gcode import (DELTA, E, F, VERTEX_COLUMNS, X, Y, Z, Layer, PrintProgram,
+                    deposition_segments)
 
 WINDOW_EPS = 1e-12   # float guard at the displacement window boundary
 SNAP_EPS = 1e-9      # displacements below this are treated as zero
@@ -340,21 +341,6 @@ def _polygon_centroid(poly):
     return cx, cy
 
 
-def _segments_of(paths, layer_idx):
-    """(refs, a, b) for every deposition segment a -> b: its (layer, path,
-    segment) reference and the (m, 6) arrays of its start and end rows."""
-    refs = []
-    starts = [np.empty((0, VERTEX_COLUMNS))]
-    ends = [np.empty((0, VERTEX_COLUMNS))]
-    for pi, path in enumerate(paths):
-        verts = path.vertices
-        si = np.flatnonzero(verts[1:, E] > 0) + 1
-        refs += [(layer_idx, pi, k) for k in si.tolist()]
-        starts.append(verts[si - 1])
-        ends.append(verts[si])
-    return refs, np.concatenate(starts), np.concatenate(ends)
-
-
 def _padded_boxes(a, b, pad):
     """(lo, hi) XY boxes of the segments a -> b, grown by pad on every side."""
     ends = np.stack([a[:, :2], b[:, :2]], axis=1)
@@ -374,18 +360,21 @@ def detect_overlaps(program, profile):
     records = []
     layers = [layer.toolpaths() for layer in program.layers]
     for li in range(len(layers) - 1):
-        lrefs, la, lb = _segments_of(layers[li], li)
+        lpath, lrow, la, lb = deposition_segments(layers[li])
         raised = np.flatnonzero((la[:, DELTA] > 0) | (lb[:, DELTA] > 0))
         if not raised.size:
             continue
-        urefs, ua, ub = _segments_of(layers[li + 1], li + 1)
-        if not urefs:
+        upath, urow, ua, ub = deposition_segments(layers[li + 1])
+        if not urow.size:
             continue
         la, lb = la[raised], lb[raised]
         grid = BoxGrid(*_padded_boxes(la, lb, half),
                        cell=max(profile.d, profile.w))
         upper_bottom = program.layers[li].base_z
         uq, lq = grid.pairs(*_padded_boxes(ua, ub, half))
+        lrefs = [(li, p, k) for p, k in zip(lpath[raised].tolist(),
+                                            lrow[raised].tolist())]
+        urefs = [(li + 1, p, k) for p, k in zip(upath.tolist(), urow.tolist())]
         la, lb, ua, ub = la.tolist(), lb.tolist(), ua.tolist(), ub.tolist()
         for u, k in zip(uq.tolist(), lq.tolist()):
             poly = _clip_polygon(_segment_rect(la[k], lb[k], half),
@@ -399,8 +388,8 @@ def detect_overlaps(program, profile):
             pen = _penetration_at(la[k], lb[k], cx, cy, upper_bottom)
             if pen <= 0:
                 continue
-            records.append(OverlapRecord(lower=lrefs[raised[k]],
-                                         upper=urefs[u], volume=area * pen))
+            records.append(OverlapRecord(lower=lrefs[k], upper=urefs[u],
+                                         volume=area * pen))
     return records, {"overlap_records": len(records),
                      "overlap_volume_mm3": sum(r.volume for r in records)}
 

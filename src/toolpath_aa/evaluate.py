@@ -9,10 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .files import replace_atomically
-from .gcode import DELTA, E, EOnly, Toolpath, Travel, X, Y, Z
+from .gcode import (DELTA, EOnly, Toolpath, Travel, X, Y, Z,
+                    deposition_segments)
 from .geometry import BoxGrid
 
 VIS_CLAMP = 0.3   # mm, error map colour scale end
+EXPORT_BLOCK = 4096   # rows formatted per template in the error map exports
 
 
 class EvaluationError(Exception):
@@ -83,53 +85,31 @@ def estimate_print_time(program):
 
 # ---------------------------------------------------------------------------
 # Printed track model
-
-@dataclass
-class PrintedTrack:
-    """Rectangular-section track: segment endpoints with per-endpoint top
-    and bottom heights, swept with width d in XY."""
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-    top1: float
-    top2: float
-    bot1: float
-    bot2: float
-    width: float
-
-    def __post_init__(self):
-        if self.top1 <= self.bot1 or self.top2 <= self.bot2:
-            raise ValueError("track top must lie above track bottom")
-
+#
+# Tracks are one (n, 9) float array, a row per deposition segment: x1, y1,
+# x2, y2, top1, top2, bot1, bot2, width. A track is a box with vertical
+# sides, width wide, swept along the segment; its top and bottom
+# interpolate linearly between the endpoints.
 
 def tracks_from_program(program, profile):
-    """Track boxes of every extruding segment. Bottoms are the undisplaced
+    """Track rows of every deposition segment. Bottoms are the undisplaced
     flat tops minus the layer thickness (displacement never moves track
     bottoms)."""
-    tracks = []
-    for path in program.all_toolpaths():
-        rows = path.vertices.tolist()
-        for a, b in zip(rows, rows[1:]):
-            if b[E] <= 0:
-                continue
-            tracks.append(PrintedTrack(
-                x1=a[X], y1=a[Y], x2=b[X], y2=b[Y],
-                top1=a[Z], top2=b[Z],
-                bot1=(a[Z] - a[DELTA]) - profile.h,
-                bot2=(b[Z] - b[DELTA]) - profile.h,
-                width=profile.d,
-            ))
-    return tracks
+    _, _, a, b = deposition_segments(list(program.all_toolpaths()))
+    top1, top2 = a[:, Z], b[:, Z]
+    bot1 = (top1 - a[:, DELTA]) - profile.h
+    bot2 = (top2 - b[:, DELTA]) - profile.h
+    if np.any((top1 <= bot1) | (top2 <= bot2)):
+        raise ValueError("track top must lie above track bottom")
+    return np.column_stack([a[:, X], a[:, Y], b[:, X], b[:, Y], top1, top2,
+                            bot1, bot2, np.full(len(a), profile.d)])
 
 
 def track_distance(track, px, py, pz):
-    """Distance from a point to the track box (0 inside). The box has
-    vertical sides; the top/bottom interpolate linearly along the
-    segment."""
-    ux = track.x2 - track.x1
-    uy = track.y2 - track.y1
+    """Distance from a point to the box of one track row (0 inside)."""
+    x1, y1, x2, y2, top1, top2, bot1, bot2, width = track
+    ux = x2 - x1
+    uy = y2 - y1
     length = math.hypot(ux, uy)
     if length < 1e-12:
         s = 0.0
@@ -137,16 +117,16 @@ def track_distance(track, px, py, pz):
     else:
         ux /= length
         uy /= length
-        s = (px - track.x1) * ux + (py - track.y1) * uy
+        s = (px - x1) * ux + (py - y1) * uy
     s_star = min(max(s, 0.0), length)
-    t = (px - track.x1) * (-uy) + (py - track.y1) * ux
-    t_star = min(max(t, -track.width / 2.0), track.width / 2.0)
+    t = (px - x1) * (-uy) + (py - y1) * ux
+    t_star = min(max(t, -width / 2.0), width / 2.0)
     frac = s_star / length if length > 1e-12 else 0.0
-    top = track.top1 + (track.top2 - track.top1) * frac
-    bot = track.bot1 + (track.bot2 - track.bot1) * frac
+    top = top1 + (top2 - top1) * frac
+    bot = bot1 + (bot2 - bot1) * frac
     z_star = min(max(pz, bot), top)
-    cx = track.x1 + ux * s_star + (-uy) * t_star
-    cy = track.y1 + uy * s_star + ux * t_star
+    cx = x1 + ux * s_star + (-uy) * t_star
+    cy = y1 + uy * s_star + ux * t_star
     return math.dist((px, py, pz), (cx, cy, z_star))
 
 
@@ -158,13 +138,12 @@ class _TrackGrid:
 
     def __init__(self, tracks, cell=2.0):
         self.cell = cell
-        cols = np.array([(tr.x1, tr.y1, tr.x2, tr.y2, tr.top1, tr.top2,
-                          tr.bot1, tr.bot2, tr.width) for tr in tracks],
-                        dtype=float).reshape(-1, 9)
-        self.x1, self.y1, x2, y2, self.top1, top2, self.bot1, bot2, width = cols.T
-        # the same operations, in the same order, as track_distance
-        self.length = np.array([math.hypot(tr.x2 - tr.x1, tr.y2 - tr.y1)
-                                for tr in tracks], dtype=float)
+        self.x1, self.y1, x2, y2, self.top1, top2, self.bot1, bot2, width = tracks.T
+        # the same operations, in the same order, as track_distance; np.hypot
+        # can differ from math.hypot in the last bit
+        self.length = np.fromiter(
+            map(math.hypot, (x2 - self.x1).tolist(), (y2 - self.y1).tolist()),
+            np.float64, len(tracks))
         self.degenerate = self.length < 1e-12
         self.along = self.length > 1e-12
         safe = np.where(self.degenerate, 1.0, self.length)
@@ -174,8 +153,8 @@ class _TrackGrid:
         self.dtop = top2 - self.top1
         self.dbot = bot2 - self.bot1
         pad = width[:, None]
-        self.grid = BoxGrid(np.minimum(cols[:, 0:2], cols[:, 2:4]) - pad,
-                            np.maximum(cols[:, 0:2], cols[:, 2:4]) + pad, cell)
+        self.grid = BoxGrid(np.minimum(tracks[:, 0:2], tracks[:, 2:4]) - pad,
+                            np.maximum(tracks[:, 0:2], tracks[:, 2:4]) + pad, cell)
 
     def nearest_distances(self, points):
         """Distance from each point to its nearest track, over bounded
@@ -276,8 +255,7 @@ class ErrorMap:
     def export_csv(self, path):
         with replace_atomically(path) as f:
             f.write("x,y,z,distance_mm\n")
-            for p, d in zip(self.points, self.distances):
-                f.write(f"{p[0]:.5f},{p[1]:.5f},{p[2]:.5f},{d:.6f}\n")
+            _write_rows(f, "%.5f,%.5f,%.5f,%.6f\n", self.points, self.distances)
 
     def export_ply(self, path):
         """Point cloud with a linear blue (0.0) to red (0.3 mm) ramp."""
@@ -293,8 +271,16 @@ class ErrorMap:
             f.write("property float x\nproperty float y\nproperty float z\n")
             f.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
             f.write("end_header\n")
-            for p, r, b in zip(self.points, red, blue):
-                f.write(f"{p[0]:.5f} {p[1]:.5f} {p[2]:.5f} {r} 0 {b}\n")
+            _write_rows(f, "%.5f %.5f %.5f %d 0 %d\n", self.points, red, blue)
+
+
+def _write_rows(f, row_format, *columns):
+    """Write one `row_format` line per row of the columns side by side,
+    formatting each block of EXPORT_BLOCK rows with one %-template. The
+    block is stacked as floats; `%d` prints a whole one as an integer."""
+    for a in range(0, len(columns[0]), EXPORT_BLOCK):
+        block = np.column_stack([c[a:a + EXPORT_BLOCK] for c in columns])
+        f.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 def sample_mesh_surface(mesh, samples_per_mm2=50.0, seed=0):
@@ -326,12 +312,13 @@ def sample_mesh_surface(mesh, samples_per_mm2=50.0, seed=0):
 
 def error_map(mesh, tracks, samples_per_mm2=50.0, seed=0, brute=False):
     """Distance from surface samples to the nearest printed track."""
-    if not tracks:
+    if not len(tracks):
         raise EvaluationError("no printed tracks to evaluate")
     points, normals = sample_mesh_surface(mesh, samples_per_mm2, seed)
     if brute:
-        dists = np.array([min(track_distance(tr, p[0], p[1], p[2])
-                              for tr in tracks) for p in points])
+        rows = tracks.tolist()
+        dists = np.array([min(track_distance(tr, *p) for tr in rows)
+                          for p in points.tolist()])
     else:
         dists = _TrackGrid(tracks).nearest_distances(points)
     return ErrorMap(points=points, normals=normals, distances=dists,

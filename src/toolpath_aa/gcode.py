@@ -76,6 +76,20 @@ class Toolpath:
         return sum(self.vertices[:, E].tolist())
 
 
+def deposition_segments(paths):
+    """The one rule for which vertex rows form a deposition segment: a row
+    after a path's first whose E is positive ends one, which starts at the
+    row before. Returns (path index, end row index, start rows, end rows)
+    over `paths`, in path and then row order; the rows are (m, 6) arrays."""
+    verts = np.concatenate([p.vertices for p in paths]
+                           + [np.empty((0, VERTEX_COLUMNS))])
+    sizes = np.array([len(p) for p in paths], dtype=np.int64)
+    path = np.repeat(np.arange(len(paths)), sizes)
+    row = np.arange(len(verts)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    end = np.flatnonzero((row > 0) & (verts[:, E] > 0))
+    return path[end], row[end], verts[end - 1], verts[end]
+
+
 @dataclass
 class RawLine:
     text: str
@@ -409,19 +423,11 @@ class _Parser:
                 raise GcodeParseError(
                     "extruding move with unknown start position", lineno)
             if self.layer is not None and self.layer.base_z is None:
-                prev = self.program.layers[-2] if len(self.program.layers) > 1 else None
-                if prev is not None and prev.base_z is not None \
-                        and new_z < prev.base_z - 1e-9:
-                    self.program.warnings.append(
-                        f"line {lineno}: deposition z decreased "
-                        f"({prev.base_z:.5f} -> {new_z:.5f})")
+                self._warn_below(new_z, lineno, self.program.layers[:-1])
                 self.layer.base_z = new_z
                 self.travel_z = None
             elif self._starts_new_layer(new_z):
-                if self.layer is not None and new_z < self.layer.base_z - 1e-9:
-                    self.program.warnings.append(
-                        f"line {lineno}: deposition z decreased "
-                        f"({self.layer.base_z:.5f} -> {new_z:.5f})")
+                self._warn_below(new_z, lineno, self.program.layers)
                 self.close_path()
                 self.layer = Layer(base_z=new_z)
                 self.program.layers.append(self.layer)
@@ -447,6 +453,14 @@ class _Parser:
                 if self.layer is not None and self.layer.base_z is None:
                     self.layer.base_z = z
         self.x, self.y, self.z = new_x, new_y, new_z
+
+    def _warn_below(self, z, lineno, earlier):
+        """Warn when a new layer's first deposition, at z, lies below the
+        last of the `earlier` layers."""
+        prev_z = earlier[-1].base_z if earlier else None
+        if prev_z is not None and z < prev_z - 1e-9:
+            self.program.warnings.append(f"line {lineno}: deposition z "
+                                         f"decreased ({prev_z:.5f} -> {z:.5f})")
 
     def _starts_new_layer(self, z):
         """Layer split rule: the first deposition, or (in files without

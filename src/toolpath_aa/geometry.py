@@ -475,10 +475,10 @@ def cast_vertical_batch(index, xs, ys, qzs):
 # XY polyline distances, batched
 #
 # Polylines are arrays whose first three columns are x, y, z, such as a
-# toolpath's vertex array. These are the numpy twins of the scalar loops
-# in `ordering` (`_seg_point_dist2`, `polyline_min_distance_brute`,
-# `nearest_on_polyline_brute`): the same operations in the same order, so
-# they return bitwise the same values.
+# toolpath's vertex array. These are the numpy twins of the scalar
+# reference loops in the ordering tests (`_seg_point_dist2`,
+# `polyline_min_distance_brute`, `nearest_on_polyline_brute`): the same
+# operations in the same order, so they return bitwise the same values.
 
 BOX_SLACK = 1e-6     # relative margin on eps before a box gap rules a pair out
 

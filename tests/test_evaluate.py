@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from toolpath_aa import antialias
-from toolpath_aa.evaluate import (EvaluationError, PrintedTrack, _TrackGrid,
+from toolpath_aa.evaluate import (ErrorMap, EvaluationError, _TrackGrid,
                                   critical_angle, error_map,
                                   estimate_print_time, sample_mesh_surface,
                                   track_distance, tracks_from_program)
-from toolpath_aa.fixtures import dome_fixture, flat_box_fixture, flat_box_mesh
-from toolpath_aa.gcode import PrinterProfile, parse_gcode
+from toolpath_aa.fixtures import (dome_fixture, flat_box_fixture, flat_box_mesh,
+                                  wedge_fixture)
+from toolpath_aa.gcode import (DELTA, E, X, Y, Z, Layer, PrinterProfile,
+                               PrintProgram, Toolpath, parse_gcode)
+from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 
 
 def test_critical_angle_paper_value():
@@ -48,8 +51,8 @@ def test_estimate_linearity():
 
 
 def test_track_distance_inside_and_outside():
-    tr = PrintedTrack(x1=0, y1=0, x2=10, y2=0, top1=0.6, top2=0.6,
-                      bot1=0.0, bot2=0.0, width=0.8)
+    # x1, y1, x2, y2, top1, top2, bot1, bot2, width
+    tr = (0, 0, 10, 0, 0.6, 0.6, 0.0, 0.0, 0.8)
     assert track_distance(tr, 5, 0, 0.3) == 0.0
     assert track_distance(tr, 5, 0.4, 0.3) == 0.0         # on the side
     assert track_distance(tr, 5, 1.4, 0.3) == pytest.approx(1.0)
@@ -58,17 +61,19 @@ def test_track_distance_inside_and_outside():
 
 
 def test_track_distance_sloped_top():
-    tr = PrintedTrack(x1=0, y1=0, x2=10, y2=0, top1=0.6, top2=1.6,
-                      bot1=0.0, bot2=0.0, width=0.8)
+    tr = (0, 0, 10, 0, 0.6, 1.6, 0.0, 0.0, 0.8)
     # above the midpoint the top is 1.1
     assert track_distance(tr, 5, 0, 1.1) == pytest.approx(0.0, abs=1e-12)
     assert track_distance(tr, 5, 0, 1.6) == pytest.approx(0.5)
 
 
 def test_invalid_track_rejected():
+    # a start row lowered by the whole layer thickness: its track top
+    # meets its bottom
+    path = Toolpath(vertices=[(0, 0, 0.0, 0, 20, -0.6), (1, 0, 0.6, 0.1, 20, 0)])
     with pytest.raises(ValueError):
-        PrintedTrack(x1=0, y1=0, x2=1, y2=0, top1=0.0, top2=0.5,
-                     bot1=0.5, bot2=0.0, width=0.8)
+        tracks_from_program(PrintProgram(layers=[Layer(0.6, [path])]),
+                            PrinterProfile())
 
 
 def box_program_tracks():
@@ -110,9 +115,9 @@ def test_error_map_far_samples_match_brute():
     # grid cell from every track, so their search rings grow past the
     # first, and a ring can hold a farther track than the next one does
     mesh, tracks = box_program_tracks()
-    corners = [tr for tr in tracks
-               if (max(tr.x1, tr.x2) < 3.0 and max(tr.y1, tr.y2) < 3.0)
-               or (min(tr.x1, tr.x2) > 8.0 and min(tr.y1, tr.y2) > 5.0)]
+    x1, y1, x2, y2 = tracks[:, :4].T
+    corners = tracks[((np.maximum(x1, x2) < 3.0) & (np.maximum(y1, y2) < 3.0))
+                     | ((np.minimum(x1, x2) > 8.0) & (np.minimum(y1, y2) > 5.0))]
     em_grid = error_map(mesh, corners, samples_per_mm2=3, seed=5)
     em_brute = error_map(mesh, corners, samples_per_mm2=3, seed=5,
                          brute=True)
@@ -126,10 +131,9 @@ def test_track_grid_off_the_origin_matches_brute():
     # that measured the cell border from another origin settles some
     # points on a farther track
     rng = np.random.default_rng(11)
-    tracks = [PrintedTrack(x1=x, y1=y, x2=x + dx, y2=y + dy, top1=1.0,
-                           top2=1.0, bot1=0.5, bot2=0.5, width=0.05)
-              for (x, y), (dx, dy) in zip(rng.uniform(0.37, 30.0, (25, 2)),
-                                          rng.normal(0.0, 1.0, (25, 2)))]
+    tracks = np.array([(x, y, x + dx, y + dy, 1.0, 1.0, 0.5, 0.5, 0.05)
+                       for (x, y), (dx, dy) in zip(rng.uniform(0.37, 30.0, (25, 2)),
+                                                   rng.normal(0.0, 1.0, (25, 2)))])
     points = np.column_stack([rng.uniform(-5.0, 35.0, (3000, 2)),
                               rng.uniform(0.0, 1.5, 3000)])
     got = _TrackGrid(tracks).nearest_distances(points)
@@ -139,11 +143,10 @@ def test_track_grid_off_the_origin_matches_brute():
 
 def test_error_map_zero_length_track_matches_brute():
     mesh, tracks = box_program_tracks()
-    dot = PrintedTrack(x1=5.0, y1=5.0, x2=5.0, y2=5.0, top1=1.2, top2=1.2,
-                       bot1=0.6, bot2=0.6, width=0.8)
-    assert track_distance(dot, 5.0, 5.4, 1.0) == 0.0
-    assert track_distance(dot, 5.0, 6.4, 1.0) == pytest.approx(1.0)
-    for subset in ([dot], tracks[:20] + [dot]):
+    dot = np.array([[5.0, 5.0, 5.0, 5.0, 1.2, 1.2, 0.6, 0.6, 0.8]])
+    assert track_distance(dot[0], 5.0, 5.4, 1.0) == 0.0
+    assert track_distance(dot[0], 5.0, 6.4, 1.0) == pytest.approx(1.0)
+    for subset in (dot, np.vstack([tracks[:20], dot])):
         em_grid = error_map(mesh, subset, samples_per_mm2=3, seed=5)
         em_brute = error_map(mesh, subset, samples_per_mm2=3, seed=5,
                              brute=True)
@@ -212,3 +215,95 @@ def test_exports(tmp_path):
     summary = em.summary()
     assert summary["samples"] == len(em.points)
     assert 0 <= summary["mean_mm"] <= summary["max_mm"]
+
+
+# four hand-picked samples: a signed zero, a distance exactly at the clamp,
+# one above it, and one that rounds to zero in the CSV and is not quite
+# zero in the colour ramp
+FORMAT_POINTS = [[0.0, -0.0, 0.6], [12.345678, -3.2, 1.05],
+                 [-1e-7, 2.5, 100.25], [7.0, 0.125, 0.3]]
+FORMAT_DISTANCES = [-0.0, 0.3, 0.45, 1e-7]
+CSV_ROWS = ("0.00000,-0.00000,0.60000,-0.000000\n"
+            "12.34568,-3.20000,1.05000,0.300000\n"
+            "-0.00000,2.50000,100.25000,0.450000\n"
+            "7.00000,0.12500,0.30000,0.000000\n")
+PLY_HEADER = ("ply\nformat ascii 1.0\n"
+              "comment colormap linear blue->red over 0.0..0.3 mm\n"
+              "comment seed 7 density 2.5\n"
+              "element vertex {n}\n"
+              "property float x\nproperty float y\nproperty float z\n"
+              "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+              "end_header\n")
+PLY_ROWS = ("0.00000 -0.00000 0.60000 0 0 255\n"
+            "12.34568 -3.20000 1.05000 255 0 0\n"
+            "-0.00000 2.50000 100.25000 255 0 0\n"
+            "7.00000 0.12500 0.30000 0 0 254\n")
+
+
+@pytest.mark.parametrize("repeats", [1, 1025])
+def test_export_text_is_pinned(tmp_path, repeats):
+    # 1,025 repeats make 4,100 rows, more than one block of formatted rows
+    em = ErrorMap(points=np.tile(FORMAT_POINTS, (repeats, 1)),
+                  normals=np.tile([0.0, 0.0, 1.0], (4 * repeats, 1)),
+                  distances=np.tile(FORMAT_DISTANCES, repeats),
+                  samples_per_mm2=2.5, seed=7)
+    em.export_csv(tmp_path / "map.csv")
+    em.export_ply(tmp_path / "map.ply")
+    assert ((tmp_path / "map.csv").read_bytes().decode()
+            == "x,y,z,distance_mm\n" + CSV_ROWS * repeats)
+    assert ((tmp_path / "map.ply").read_bytes().decode()
+            == PLY_HEADER.format(n=4 * repeats) + PLY_ROWS * repeats)
+
+
+def tracks_per_segment(program, profile):
+    """Reference for `tracks_from_program`: the per-segment loop over each
+    path's rows that it replaced, one track row per deposition segment."""
+    tracks = []
+    for path in program.all_toolpaths():
+        rows = path.vertices.tolist()
+        for a, b in zip(rows, rows[1:]):
+            if b[E] <= 0:
+                continue
+            tracks.append((a[X], a[Y], b[X], b[Y], a[Z], b[Z],
+                           (a[Z] - a[DELTA]) - profile.h,
+                           (b[Z] - b[DELTA]) - profile.h, profile.d))
+    return np.array(tracks, dtype=float).reshape(-1, 9)
+
+
+@pytest.mark.parametrize("make", [wedge_fixture, dome_fixture])
+def test_tracks_match_per_segment_loop_bitwise(make):
+    profile = PrinterProfile()
+    mesh, gcode = make()
+    program, _, _ = run_pipeline(PipelineConfig(ordering_enabled=False),
+                                 gcode_text=gcode, mesh=mesh)
+    got = tracks_from_program(program, profile)
+    want = tracks_per_segment(program, profile)
+    assert got.shape == want.shape and len(got) > 100
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def two_layer_line(e_mid):
+    """Two layers of one three-segment line along x, the lower one raised
+    by 0.2 mm; the middle segment of each deposits e_mid."""
+    def line(z, delta):
+        return Toolpath(vertices=[
+            (x, 0.0, z + delta, 0.0 if x == 0 else (e_mid if x == 2 else 0.1),
+             20.0, delta) for x in range(4)])
+    return PrintProgram(layers=[Layer(0.6, [line(0.6, 0.2)]),
+                                Layer(1.2, [line(1.2, 0.0)])])
+
+
+def test_zero_e_segment_is_no_track_and_no_overlap():
+    # overlap compensation can clamp an interior segment's E to 0; it then
+    # deposits nothing, so it is neither a track nor an overlapping segment
+    profile = PrinterProfile()
+    full, gap = two_layer_line(0.1), two_layer_line(0.0)
+    assert len(tracks_from_program(full, profile)) == 6
+    tracks = tracks_from_program(gap, profile)
+    assert tracks[:, [0, 2]].tolist() == [[0, 1], [2, 3]] * 2
+    records, _ = antialias.detect_overlaps(full, profile)
+    assert [(r.lower, r.upper) for r in records] == [
+        ((0, 0, k), (1, 0, k)) for k in (1, 2, 3)]
+    records, _ = antialias.detect_overlaps(gap, profile)
+    assert [(r.lower, r.upper) for r in records] == [
+        ((0, 0, 1), (1, 0, 1)), ((0, 0, 3), (1, 0, 3))]

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from toolpath_aa import gcode
 from toolpath_aa.fixtures import dome_fixture, flat_box_fixture, wedge_fixture
 from toolpath_aa.gcode import (DELTA, E, F, X, Y, Z, GcodeParseError,
-                               PrinterProfile, Travel, emit_gcode, parse_gcode,
+                               PrinterProfile, Toolpath, Travel,
+                               deposition_segments, emit_gcode, parse_gcode,
                                total_extrusion)
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 
@@ -179,6 +180,41 @@ def test_z_decrease_warns_not_errors():
     )
     prog = parse_gcode(text)
     assert prog.warnings
+
+
+@pytest.mark.parametrize("marked", [False, True])
+def test_z_decrease_warning_names_line_and_heights(marked):
+    # with ;LAYER: comments the second layer is opened by its comment and
+    # takes its z from its first deposition; without them, by the travel
+    # that changes z
+    first = "G0 X0 Y0 Z1.2\nG1 X10 Y0 E0.5 F1200\n"
+    second = ("G1 X0 Y0 Z0.6 E1.0\n" if marked
+              else "G0 X0 Y0 Z0.6\nG1 X10 Y0 E1.0\n")
+    if marked:
+        first, second = ";LAYER:0\n" + first, ";LAYER:1\n" + second
+    prog = parse_gcode(first + second)
+    assert [l.base_z for l in prog.layers] == [1.2, 0.6]
+    line = 5 if marked else 4
+    assert prog.warnings == [
+        f"line {line}: deposition z decreased (1.20000 -> 0.60000)"]
+    rising = parse_gcode((first + second).replace("Z1.2", "Z0.3"))
+    assert [l.base_z for l in rising.layers] == [0.3, 0.6]
+    assert rising.warnings == []
+
+
+def test_deposition_segments_skip_first_rows_and_zero_e():
+    # a first row's E (a merged duplicate vertex can leave one) starts no
+    # segment, an end row with E <= 0 ends none, and an empty path has none
+    def path(es):
+        return Toolpath(vertices=[(k, 0.0, 0.6, e, 20.0, 0.0)
+                                  for k, e in enumerate(es)])
+    paths = [path([0.5, 0.1, 0.0, 0.2]), path([]), path([0.0, -0.1, 0.3])]
+    pi, row, a, b = deposition_segments(paths)
+    assert pi.tolist() == [0, 0, 2] and row.tolist() == [1, 3, 2]
+    assert a[:, X].tolist() == [0, 2, 1] and b[:, X].tolist() == [1, 3, 2]
+    assert b[:, E].tolist() == [0.1, 0.2, 0.3]
+    pi, row, a, b = deposition_segments([])
+    assert pi.size == row.size == 0 and a.shape == b.shape == (0, 6)
 
 
 def test_comment_lines_byte_identical():

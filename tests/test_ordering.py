@@ -11,9 +11,8 @@ from toolpath_aa.gcode import DELTA, X, Z, PrinterProfile, Toolpath
 from toolpath_aa.ordering import (ConstraintGraph, OrderingError, SubPath,
                                   build_constraint_graph, evaluate_order,
                                   exterior_angle, find_neighbors, gap_cost,
-                                  interference_threshold,
-                                  nearest_on_polyline_brute, order_paths,
-                                  polyline_min_distance_brute, split_paths)
+                                  interference_threshold, order_paths,
+                                  split_paths)
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 
 EPS_GAP = 3.2   # 4 * w for w = 0.8
@@ -431,6 +430,72 @@ def test_relink_near_transition_is_continuous():
 
 # ---------------------------------------------------------------------------
 # numpy distances against the scalar reference
+#
+# The scalar XY loops below are the reference for the batched distances in
+# `geometry`, which must return bitwise the same values.
+
+
+def _seg_point_dist2(px, py, ax, ay, bx, by):
+    dx, dy = bx - ax, by - ay
+    L2 = dx * dx + dy * dy
+    if L2 < 1e-18:
+        t = 0.0
+    else:
+        t = ((px - ax) * dx + (py - ay) * dy) / L2
+        t = min(max(t, 0.0), 1.0)
+    cx, cy = ax + t * dx, ay + t * dy
+    return (px - cx) ** 2 + (py - cy) ** 2, t
+
+
+def _seg_seg_dist(a1, a2, b1, b2):
+    best = math.inf
+    for p, (s1, s2) in ((a1, (b1, b2)), (a2, (b1, b2)),
+                        (b1, (a1, a2)), (b2, (a1, a2))):
+        d2, _ = _seg_point_dist2(p[0], p[1], s1[0], s1[1], s2[0], s2[1])
+        best = min(best, d2)
+    return math.sqrt(best)
+
+
+def polyline_min_distance_brute(verts_a, verts_b):
+    """Closest XY approach between two polylines (vertex arrays)."""
+    xy_a = verts_a[:, :2].tolist()
+    xy_b = verts_b[:, :2].tolist()
+    best = math.inf
+    for i in range(len(xy_a) - 1):
+        a1, a2 = xy_a[i], xy_a[i + 1]
+        for j in range(len(xy_b) - 1):
+            best = min(best, _seg_seg_dist(a1, a2, xy_b[j], xy_b[j + 1]))
+            if best == 0.0:
+                return 0.0
+    if len(xy_a) == 1 or len(xy_b) == 1:
+        for pa in xy_a:
+            for pb in xy_b:
+                best = min(best, math.dist(pa, pb))
+    return best
+
+
+def nearest_on_polyline_brute(x, y, verts):
+    """Nearest point on the polyline (a vertex array): (dist, z at point,
+    (px, py), endpoint_hit) where endpoint_hit is 0/-1/+1 for
+    interior/first/last."""
+    best = (math.inf, 0.0, (0.0, 0.0), 0)
+    pts = verts[:, :3].tolist()
+    n = len(pts)
+    for i in range(n - 1):
+        (ax, ay, az), (bx, by, bz) = pts[i], pts[i + 1]
+        d2, t = _seg_point_dist2(x, y, ax, ay, bx, by)
+        if d2 < best[0]:
+            z = az + (bz - az) * t
+            px = ax + (bx - ax) * t
+            py = ay + (by - ay) * t
+            endpoint = 0
+            if i == 0 and t <= 0.0:
+                endpoint = -1
+            elif i == n - 2 and t >= 1.0:
+                endpoint = +1
+            best = (d2, z, (px, py), endpoint)
+    return math.sqrt(best[0]), best[1], best[2], best[3]
+
 
 coord = st.one_of(st.integers(-4, 4).map(lambda k: k * 0.5),
                   st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False))
