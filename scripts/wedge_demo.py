@@ -23,7 +23,8 @@ def main():
     os.makedirs(out_dir, exist_ok=True)
     profile = PrinterProfile()
     mesh, gcode = fixtures.wedge_fixture(profile)
-    with open(os.path.join(out_dir, "wedge.stl"), "wb") as f:
+    with replace_atomically(os.path.join(out_dir, "wedge.stl"),
+                            binary=True) as f:
         f.write(mesh_to_stl_binary(mesh))
     with replace_atomically(os.path.join(out_dir, "wedge_flat.gcode")) as f:
         f.write(gcode)

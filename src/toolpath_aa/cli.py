@@ -2,9 +2,9 @@
 source mesh.
 
 Exit codes: 0 ok, 2 configuration error, 3 G-code parse error,
-4 geometry error, 5 ordering error, 6 thickness error (a track would have
-zero or negative thickness), 7 evaluation error (a move without a
-feedrate).
+4 geometry error, 5 ordering error (a bug: height cycles are repaired,
+not raised), 6 thickness error (a track would have zero or negative
+thickness), 7 evaluation error (a move without a feedrate).
 """
 
 from __future__ import annotations

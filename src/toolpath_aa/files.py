@@ -13,12 +13,14 @@ from contextlib import contextmanager
 
 
 @contextmanager
-def replace_atomically(path, newline=None):
-    """Yield a text file that replaces `path` when the block exits
-    cleanly; on an exception the temporary file is removed."""
+def replace_atomically(path, newline=None, binary=False):
+    """Yield a text file (a binary one if `binary`) that replaces `path`
+    when the block exits cleanly; on an exception the temporary file is
+    removed."""
     head, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(head, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline=newline)
+    fh = (open(tmp, "xb") if binary
+          else open(tmp, "x", encoding="utf-8", newline=newline))
     try:
         with fh:
             yield fh

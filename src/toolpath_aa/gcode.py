@@ -73,7 +73,9 @@ class Toolpath:
         return total
 
     def total_e(self):
-        return sum(self.vertices[:, E].tolist())
+        """Filament of the path's segments; the first row's E ends no
+        segment of this path (see `deposition_segments`) and is not emitted."""
+        return sum(self.vertices[1:, E].tolist())
 
 
 def deposition_segments(paths):

@@ -248,6 +248,7 @@ def compare_heights(sa, sb, eps):
 class ConstraintGraph:
     nodes: list
     edges: list = field(default_factory=list)   # (u, v): u prints before v
+    dropped: list = field(default_factory=list)  # (u, v, mean) cut from cycles
 
     def in_degrees(self):
         deg = [0] * len(self.nodes)
@@ -256,21 +257,21 @@ class ConstraintGraph:
         return deg
 
 
-def build_constraint_graph(subpaths, eps, _resplit_budget=1):
+def build_constraint_graph(subpaths, eps):
     """Edge u -> v whenever u and v come within eps and u is decisively
     lower: the lower subpath must print first. Only modified subpaths of
-    distinct parents are constrained. The result is checked acyclic."""
+    distinct parents are constrained. Each height cycle loses the edge
+    with the weakest evidence, the smallest |mean height difference|
+    (the first such edge in cycle order); removed edges go to `dropped`
+    as (u, v, mean), so the result is acyclic."""
     graph = _build_graph_once(subpaths, eps)
-    cycle = _find_cycle(graph)
-    if cycle is None:
-        return graph
-    if _resplit_budget > 0:
-        repaired = _resplit_cycle(subpaths, cycle)
-        if repaired is not None:
-            return build_constraint_graph(repaired, eps,
-                                          _resplit_budget=_resplit_budget - 1)
-    names = " -> ".join(str(i) for i in cycle)
-    raise OrderingError(f"height constraint graph has a cycle: {names}")
+    while (cycle := _find_cycle(graph)) is not None:
+        means = [(compare_heights(subpaths[u], subpaths[v], eps), u, v)
+                 for u, v in zip(cycle, cycle[1:])]
+        mean, u, v = min(means, key=lambda t: abs(t[0]))
+        graph.edges.remove((u, v))
+        graph.dropped.append((u, v, mean))
+    return graph
 
 
 def _build_graph_once(subpaths, eps):
@@ -325,31 +326,6 @@ def _find_cycle(graph):
         cur = pred[cur][0]
     cycle = list(pos)[pos[cur]:][::-1]
     return cycle + [cycle[0]]
-
-
-def _resplit_cycle(subpaths, cycle):
-    """Split the tallest cycle member at its extremal-height vertex; this
-    resolves cycles born from near-tie comparisons."""
-    pick = max(cycle[:-1], key=lambda i: subpaths[i].vertices[:, Z].max())
-    sp = subpaths[pick]
-    if len(sp.vertices) < 3:
-        return None
-    # the first highest interior vertex
-    cut = 1 + int(np.argmax(sp.vertices[1:-1, Z]))
-    left = SubPath(parent=sp.parent, parent_id=sp.parent_id, cycle=sp.cycle,
-                   start=sp.start, end=sp.start + cut,
-                   vertices=sp.vertices[:cut + 1], modified=sp.modified,
-                   first_is_cut=sp.first_is_cut, last_is_cut=True,
-                   orientation=sp.orientation)
-    right = SubPath(parent=sp.parent, parent_id=sp.parent_id, cycle=sp.cycle,
-                    start=sp.start + cut, end=sp.end,
-                    vertices=sp.vertices[cut:], modified=sp.modified,
-                    first_is_cut=True, last_is_cut=sp.last_is_cut,
-                    orientation=sp.orientation)
-    out = subpaths[:pick] + [left, right] + subpaths[pick + 1:]
-    for k, s in enumerate(out):
-        s.index = k
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +413,11 @@ class OrderResult:
             "suboptimal": self.suboptimal,
             "wall_time_s": self.wall_time,
             "expansions": self.expansions,
+            "cycle_edges_dropped": [
+                {"from": u, "to": v, "mean_dz_mm": mean,
+                 "from_entry": list(graph.nodes[u].entry),
+                 "to_entry": list(graph.nodes[v].entry)}
+                for u, v, mean in graph.dropped],
         }
 
 
@@ -601,7 +582,10 @@ def _search(nodes, modified, succ, indeg, eps_gap, unweighted, max_expansions):
         if counters["capped"]:
             return
         counters["expansions"] += 1
-        if counters["expansions"] > max_expansions:
+        # on a DAG the first complete order comes within n + 1 expansions,
+        # since nothing is pruned before it; the cap applies after that
+        if (counters["expansions"] > max_expansions
+                and best["order"] is not None):
             counters["capped"] = True
             return
         if not remaining:
@@ -646,20 +630,6 @@ def _search(nodes, modified, succ, indeg, eps_gap, unweighted, max_expansions):
 
     root_bound = lower_bound(None)
     dfs(0.0, None)
-    if best["order"] is None:
-        # cap hit before any complete order: finish greedily, ignoring cost
-        indeg2 = dict(indeg)
-        rem = set(modified)
-        seq = []
-        while rem:
-            ready = sorted(i for i in rem if indeg2[i] == 0)
-            i = ready[0]
-            seq.append(i)
-            rem.discard(i)
-            for v in succ[i]:
-                indeg2[v] -= 1
-        cost, gaps = _order_cost(nodes, seq, locs, unweighted)
-        best.update(cost=cost, order=seq, gaps=gaps)
     return {"cost": best["cost"], "order": best["order"],
             "gaps": best["gaps"], "orders": counters["orders"],
             "expansions": counters["expansions"], "capped": counters["capped"]}

@@ -18,7 +18,7 @@ class ConfigError(Exception):
 
 
 MIN_THICKNESS = 0.05   # mm, below this deposition is unreliable
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 @dataclass

@@ -108,9 +108,9 @@ def test_graph_ties_are_independent():
     assert graph.edges == []
 
 
-def test_cycle_detection_and_hard_error(monkeypatch):
+def test_cycle_detection_drops_the_weakest_edge(monkeypatch):
     # force a rock-paper-scissors height relation between three mutually
-    # close paths: the re-split cannot break it, so a hard error reports
+    # close paths: the cycle loses one edge and the graph comes out acyclic
     a = line_path(0.0)
     b = line_path(0.6)
     c = line_path(1.2)
@@ -122,9 +122,29 @@ def test_cycle_detection_and_hard_error(monkeypatch):
         return -1.0 if (sa.parent_id, sb.parent_id) in below else 1.0
 
     monkeypatch.setattr(ordering, "compare_heights", cyclic)
-    with pytest.raises(OrderingError) as exc:
-        build_constraint_graph(subs, 1.625)
-    assert "cycle" in str(exc.value)
+    graph = build_constraint_graph(subs, 1.625)
+    assert ordering._find_cycle(graph) is None
+    assert len(graph.dropped) == 1
+    u, v, mean = graph.dropped[0]
+    assert abs(mean) == 1.0
+    assert len(graph.edges) == 2 and (u, v) not in graph.edges
+
+
+def test_cycle_loses_its_smallest_height_difference(monkeypatch):
+    # the same cycle with one weak edge (1 -> 2): that edge goes, whatever
+    # its place in the cycle
+    subs = split_paths([line_path(0.0), line_path(0.6), line_path(1.2)],
+                       [(0, 1), (1, 2), (0, 2)], 1.625)
+    below = {(0, 1): 0.2, (1, 2): 0.01, (2, 0): 0.1}
+
+    def cyclic(sa, sb, eps):
+        key = (sa.parent_id, sb.parent_id)
+        return -below[key] if key in below else below[key[::-1]]
+
+    monkeypatch.setattr(ordering, "compare_heights", cyclic)
+    graph = build_constraint_graph(subs, 1.625)
+    assert graph.dropped == [(1, 2, -0.01)]
+    assert sorted(graph.edges) == [(0, 1), (2, 0)]
 
 
 def cycle_edges(cycle):
@@ -234,6 +254,21 @@ def test_ordering_scene_fixture_optimal_search():
     res = order_paths(graph, EPS_GAP)
     assert res.cost == pytest.approx(3)
     assert not res.suboptimal
+
+
+def test_cap_below_first_order_keeps_the_first_order():
+    # the cap takes effect only once a complete order exists, which the
+    # search reaches in n + 1 expansions
+    graph, labels = ordering_scene_fixture()
+    res = order_paths(graph, EPS_GAP, max_expansions=1)
+    order = [sp.index for sp in res.order]
+    assert res.suboptimal
+    assert res.expansions == len(graph.nodes) + 2
+    pos = {i: k for k, i in enumerate(order)}
+    assert all(pos[u] < pos[v] for u, v in graph.edges)
+    cost, gaps = evaluate_order(graph, order, EPS_GAP)
+    assert res.cost == cost
+    assert len(res.gap_locations) == len(gaps)
 
 
 def test_ordering_scene_fixture_weighted_ordinal():

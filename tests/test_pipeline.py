@@ -2,11 +2,14 @@ import copy
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toolpath_aa import antialias, cli, pipeline
 from toolpath_aa.antialias import ThicknessError
+from toolpath_aa.files import replace_atomically
 from toolpath_aa.fixtures import dome_fixture, flat_box_fixture, wedge_fixture
-from toolpath_aa.gcode import PrinterProfile, parse_gcode
+from toolpath_aa.gcode import PrinterProfile, parse_gcode, total_extrusion
 from toolpath_aa.geometry import build_vertical_index, mesh_to_stl_binary
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 
@@ -54,7 +57,7 @@ def test_wedge_end_to_end_report(tmp_path):
     reparsed = parse_gcode(out_path.read_text())
     assert len(reparsed.layers) == len(program.layers)
     assert [r["s"] for r in data["sweep_s"]] == [0.0, 0.3]
-    assert data["schema_version"] == 1
+    assert data["schema_version"] == 2
     stages = dict(data["timings_s"])
     total = stages.pop("total")
     assert set(stages) == {"load", "parse", "index", "antialias", "overlap",
@@ -133,6 +136,71 @@ def test_failed_run_leaves_existing_outputs_and_no_temporary_file(
     assert paths["stats.json"].read_text() == "from an earlier run\n"
     assert paths[map_name].read_text().startswith(
         "x,y,z,distance_mm\n" if map_name.endswith(".csv") else "ply\n")
+
+
+def test_binary_replace_keeps_the_target_on_error(tmp_path):
+    target = tmp_path / "wedge.stl"
+    old = bytes(range(256)) * 4
+    target.write_bytes(old)
+    with pytest.raises(RuntimeError):
+        with replace_atomically(str(target), binary=True) as fh:
+            fh.write(b"\x00" * 100)
+            raise RuntimeError("failed mid-write")
+    assert target.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["wedge.stl"]
+    with replace_atomically(str(target), binary=True) as fh:
+        fh.write(b"\r\n\xff")
+    assert target.read_bytes() == b"\r\n\xff"
+    assert [p.name for p in tmp_path.iterdir()] == ["wedge.stl"]
+
+
+def run_ordered_and_flat(mesh, gcode):
+    """(report, re-parsed output) with ordering on, and the re-parsed
+    output with it off."""
+    _, report, text = run_pipeline(PipelineConfig(order_expansion_cap=2_000),
+                                   gcode_text=gcode, mesh=mesh)
+    _, _, flat = run_pipeline(PipelineConfig(ordering_enabled=False),
+                              gcode_text=gcode, mesh=mesh)
+    return report, parse_gcode(text), parse_gcode(flat)
+
+
+@pytest.mark.parametrize("name, dropped", [("dome", {1: 4}),
+                                           ("wedge_hatch", {})])
+def test_ordering_runs_end_to_end(name, dropped):
+    if name == "dome":
+        mesh, gcode = dome_fixture()
+    else:
+        mesh, gcode = wedge_fixture(cross_hatch=True)
+    report, ordered, flat = run_ordered_and_flat(mesh, gcode)
+    layers = [r for r in report["ordering"]["layers"] if not r.get("skipped")]
+    assert layers
+    edges = {r["layer"]: r["cycle_edges_dropped"] for r in layers
+             if r["cycle_edges_dropped"]}
+    assert {k: len(v) for k, v in edges.items()} == dropped
+    for edge in sum(edges.values(), []):
+        # each cycle loses its weak edge, not one of the decisive ones
+        assert abs(edge["mean_dz_mm"]) <= 0.05
+        assert edge["from"] != edge["to"]
+        assert len(edge["from_entry"]) == len(edge["to_entry"]) == 3
+    assert len(ordered.layers) == len(flat.layers)
+    # the report counts the filament the G-code holds
+    assert report["output"]["total_e"] == pytest.approx(
+        total_extrusion(ordered), abs=1e-4)
+    assert total_extrusion(ordered) == pytest.approx(total_extrusion(flat),
+                                                     abs=1e-6)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.floats(6.0, 20.0), st.floats(1.0, 3.5), st.floats(8.0, 14.0))
+@example(12.0, 1.5, 10.0)
+@example(12.09, 3.44, 13.39)
+def test_random_domes_order_without_error(radius, cap_height, extent):
+    mesh, gcode = dome_fixture(radius=radius, cap_height=cap_height,
+                               extent=extent)
+    _, ordered, flat = run_ordered_and_flat(mesh, gcode)
+    assert len(ordered.layers) == len(flat.layers)
+    assert total_extrusion(ordered) == pytest.approx(total_extrusion(flat),
+                                                     abs=1e-6)
 
 
 def test_pipeline_determinism():
