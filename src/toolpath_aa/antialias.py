@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import BoxGrid, cast_vertical_batch
+from .geometry import BoxGrid, cast_vertical_batch, signed_area
 from .gcode import (DELTA, E, F, VERTEX_COLUMNS, X, Y, Z, Layer, PrintProgram,
                     deposition_segments)
 
@@ -284,20 +284,9 @@ def _segment_rect(p1, p2, half_width):
     ]
 
 
-def _signed_area(poly):
-    """Shoelace area, positive for a counter-clockwise polygon."""
-    area = 0.0
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        area += x1 * y2 - x2 * y1
-    return area / 2.0
-
-
 def _clip_polygon(subject, clip):
     """Sutherland-Hodgman clipping of a convex polygon by a convex polygon."""
-    if _signed_area(clip) < 0:
+    if signed_area(clip) < 0:
         clip = clip[::-1]
     output = subject
     n = len(clip)
@@ -368,10 +357,16 @@ def detect_overlaps(program, profile):
         if not urow.size:
             continue
         la, lb = la[raised], lb[raised]
-        grid = BoxGrid(*_padded_boxes(la, lb, half),
-                       cell=max(profile.d, profile.w))
+        llo, lhi = _padded_boxes(la, lb, half)
+        ulo, uhi = _padded_boxes(ua, ub, half)
+        grid = BoxGrid(llo, lhi, cell=max(profile.d, profile.w))
         upper_bottom = program.layers[li].base_z
-        uq, lq = grid.pairs(*_padded_boxes(ua, ub, half))
+        uq, lq = grid.pairs(ulo, uhi)
+        # only boxes that meet can clip to an area; the margin keeps every
+        # pair within the clip's own 1e-12 tolerance
+        meet = ((ulo[uq] - 1e-9 <= lhi[lq] + 1e-9)
+                & (llo[lq] - 1e-9 <= uhi[uq] + 1e-9)).all(axis=1)
+        uq, lq = uq[meet], lq[meet]
         lrefs = [(li, p, k) for p, k in zip(lpath[raised].tolist(),
                                             lrow[raised].tolist())]
         urefs = [(li + 1, p, k) for p, k in zip(upath.tolist(), urow.tolist())]
@@ -381,7 +376,7 @@ def detect_overlaps(program, profile):
                                  _segment_rect(ua[u], ub[u], half))
             if len(poly) < 3:
                 continue
-            area = abs(_signed_area(poly))
+            area = abs(signed_area(poly))
             if area <= 1e-12:
                 continue
             cx, cy = _polygon_centroid(poly)

@@ -103,9 +103,6 @@ def main(argv=None):
         label, code = next((label, code) for cls, label, code in FAILURES
                            if isinstance(exc, cls))
         print(f"aa: {label}: {exc}", file=sys.stderr)
-        if code != EXIT_CONFIG:
-            # a configuration error leaves --out as it was
-            _cleanup(args.out)
         return code
 
     moved = report["displacement"]["vertices_displaced"]
@@ -113,16 +110,6 @@ def main(argv=None):
     print(f"aa: displaced {moved}/{total} vertices; "
           f"estimated print time {report['output']['estimated_print_time_s']:.1f} s")
     return EXIT_OK
-
-
-def _cleanup(path):
-    import os
-
-    if path and os.path.exists(path):
-        try:
-            os.remove(path)
-        except OSError:
-            pass
 
 
 if __name__ == "__main__":

@@ -467,9 +467,9 @@ def ordering_scene():
             parent = Toolpath(vertices=[], closed=True, kind="infill",
                               layer_index=0, modified=True)
             parents[pid] = parent
-        sp = SubPath(parent=parent, parent_id=pid, cycle=verts, start=0,
-                     end=2, vertices=verts, modified=True,
-                     first_is_cut=True, last_is_cut=True, index=k)
+        sp = SubPath(parent=parent, parent_id=pid, vertices=verts,
+                     modified=True, first_is_cut=True, last_is_cut=True,
+                     index=k)
         sp.entry_weight = ORDERING_SCENE_WEIGHTS.get(entry_key, 1.5)
         sp.exit_weight = ORDERING_SCENE_WEIGHTS.get(exit_key, 1.5)
         subpaths.append(sp)

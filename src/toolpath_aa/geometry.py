@@ -561,3 +561,15 @@ def box_pairs(coords, eps):
     i, j = i[i < j], j[i < j]
     gap = np.maximum(lo[j] - hi[i], lo[i] - hi[j]).max(axis=1)
     return list(zip(i[gap <= reach].tolist(), j[gap <= reach].tolist()))
+
+
+def signed_area(xy):
+    """Shoelace area of a polygon given as (x, y) pairs, positive when it
+    runs counter-clockwise."""
+    area = 0.0
+    n = len(xy)
+    for i in range(n):
+        x1, y1 = xy[i]
+        x2, y2 = xy[(i + 1) % n]
+        area += x1 * y2 - x2 * y1
+    return area / 2.0

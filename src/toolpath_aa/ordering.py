@@ -16,14 +16,16 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .gcode import E, EOnly, Toolpath, Travel, Z
-from .geometry import box_pairs, nearest_points, polyline_distance
+from .geometry import box_pairs, nearest_points, polyline_distance, signed_area
 
 TIE_TOL = 1e-6          # mm, height ties below this create no constraint
 MATCH_TOL = 1e-6        # mm, two gap locations closer than this are the same
+EXPANSION_CAP = 50_000  # search expansions before the best order so far stands
 
 
 class OrderingError(Exception):
@@ -67,16 +69,12 @@ def find_neighbors(paths, eps):
 class SubPath:
     parent: object            # Toolpath
     parent_id: int
-    cycle: np.ndarray         # the parent's (possibly rotated) vertex rows
-    start: int                # vertex range [start, end] within cycle
-    end: int
-    vertices: np.ndarray      # rows of cycle
+    vertices: np.ndarray      # a run of the parent's vertex rows
     modified: bool
     first_is_cut: bool
     last_is_cut: bool
     index: int = -1
-    orientation: float = 1.0  # +1 CCW interior-left, -1 CW
-    entry_weight: float = 1.5
+    entry_weight: float = 1.5  # gap_cost at the first and last vertex
     exit_weight: float = 1.5
 
     @property
@@ -87,7 +85,7 @@ class SubPath:
     def exit(self):
         return tuple(self.vertices[-1, :3].tolist())
 
-    @property
+    @cached_property
     def height(self):
         return sum(self.vertices[:, Z].tolist()) / len(self.vertices)
 
@@ -124,30 +122,12 @@ def _cuts_from_signals(signals, closed):
     if len(strict) < 2:
         return set()
     cuts = set()
-    if closed:
-        prev_sign = strict[-1][1]
-        for i, s in strict:
-            if s != prev_sign:
-                cuts.add(i)
-            prev_sign = s
-    else:
-        prev_sign = strict[0][1]
-        for i, s in strict[1:]:
-            if s != prev_sign:
-                cuts.add(i)
-            prev_sign = s
+    prev_sign = strict[-1 if closed else 0][1]
+    for i, s in strict:
+        if s != prev_sign:
+            cuts.add(i)
+        prev_sign = s
     return cuts
-
-
-def _orientation(verts):
-    xy = verts[:, :2].tolist()
-    area = 0.0
-    n = len(xy)
-    for i in range(n):
-        x1, y1 = xy[i]
-        x2, y2 = xy[(i + 1) % n]
-        area += x1 * y2 - x2 * y1
-    return 1.0 if area >= 0 else -1.0
 
 
 def split_paths(paths, neighbor_pairs, eps):
@@ -173,41 +153,31 @@ def split_paths(paths, neighbor_pairs, eps):
 
 
 def _materialise(path, pid, cycle, cuts):
-    orientation = _orientation(cycle) if path.closed else 1.0
-    if not cuts:
-        return [SubPath(parent=path, parent_id=pid, cycle=cycle,
-                        start=0, end=len(cycle) - 1,
-                        vertices=(np.concatenate([cycle, cycle[:1]])
-                                  if path.closed else cycle),
-                        modified=path.modified,
-                        first_is_cut=False, last_is_cut=False,
-                        orientation=orientation)]
+    """The subpaths between consecutive cuts, each weighted by the seam
+    cost at its first and last vertex. A closed path is rotated to start
+    at its first cut; uncut, it is one piece from vertex 0 round to 0."""
+    n = len(cycle)
+    closed = path.closed
+    ccw = not closed or signed_area(cycle[:, :2].tolist()) >= 0
+    bounds = [0] + cuts + [n - 1]
+    if closed:
+        first = cuts[0] if cuts else 0
+        cycle = np.concatenate([cycle[first:], cycle[:first]])
+        bounds = sorted((c - first) % n for c in cuts) or [0]
+        bounds.append(n)
+    cut_loop = closed and bool(cuts)
     out = []
-    if path.closed:
-        n = len(cycle)
-        rotated = np.concatenate([cycle[cuts[0]:], cycle[:cuts[0]]])
-        shifted = [(c - cuts[0]) % n for c in cuts]
-        shifted.sort()
-        boundaries = shifted + [n]
-        for a, b in zip(boundaries, boundaries[1:]):
-            verts = (rotated[a:b + 1] if b < n
-                     else np.concatenate([rotated[a:], rotated[:1]]))
-            out.append(SubPath(parent=path, parent_id=pid, cycle=rotated,
-                               start=a, end=b % n, vertices=verts,
-                               modified=path.modified,
-                               first_is_cut=True, last_is_cut=True,
-                               orientation=orientation))
-    else:
-        boundaries = [0] + list(cuts) + [len(cycle) - 1]
-        for k, (a, b) in enumerate(zip(boundaries, boundaries[1:])):
-            if b <= a:
-                continue
-            out.append(SubPath(parent=path, parent_id=pid, cycle=cycle,
-                               start=a, end=b, vertices=cycle[a:b + 1],
-                               modified=path.modified,
-                               first_is_cut=(k > 0),
-                               last_is_cut=(b < len(cycle) - 1),
-                               orientation=orientation))
+    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if cuts and b <= a:
+            continue                # an open path cut at its last vertex
+        out.append(SubPath(
+            parent=path, parent_id=pid,
+            vertices=(cycle[a:b + 1] if b < n
+                      else np.concatenate([cycle[a:], cycle[:1]])),
+            modified=path.modified,
+            first_is_cut=cut_loop or k > 0, last_is_cut=cut_loop or b < n - 1,
+            entry_weight=gap_cost(_exterior_angle_at(cycle, a, closed, ccw)),
+            exit_weight=gap_cost(_exterior_angle_at(cycle, b % n, closed, ccw))))
     return out
 
 
@@ -276,15 +246,14 @@ def build_constraint_graph(subpaths, eps):
 
 def _build_graph_once(subpaths, eps):
     graph = ConstraintGraph(nodes=subpaths)
-    coords = [sp.vertices for sp in subpaths]
-    for i, j in box_pairs(coords, eps):
+    for i, j in box_pairs([sp.vertices for sp in subpaths], eps):
         a, b = subpaths[i], subpaths[j]
         if not (a.modified and b.modified):
             continue
         if a.parent_id == b.parent_id:
             continue
-        if polyline_distance(coords[i], coords[j]) >= eps:
-            continue
+        # subpaths have two rows or more, so a pair at least eps apart has
+        # no nearest point within eps and compares as None
         mean = compare_heights(a, b, eps)
         if mean is None or abs(mean) <= TIE_TOL:
             continue
@@ -347,16 +316,16 @@ def exterior_angle(path, vertex_index):
     Open-path endpoints default to pi.
     """
     verts = _unique_cycle(path)
+    ccw = not path.closed or signed_area(verts[:, :2].tolist()) >= 0
+    return _exterior_angle_at(verts, vertex_index, path.closed, ccw)
+
+
+def _exterior_angle_at(verts, i, closed, ccw):
+    """`exterior_angle` at row i of the path's unique vertex rows, for a
+    path whose interior lies to the left (`ccw`) or to the right."""
     n = len(verts)
-    if not path.closed and (vertex_index == 0 or vertex_index == n - 1):
+    if not closed and i in (0, n - 1):
         return math.pi
-    orientation = _orientation(verts) if path.closed else 1.0
-    return _exterior_angle_at(verts, vertex_index, orientation,
-                              closed=path.closed)
-
-
-def _exterior_angle_at(verts, i, orientation, closed):
-    n = len(verts)
     px, py = verts[(i - 1) % n if closed else i - 1, :2].tolist()
     cx, cy = verts[i, :2].tolist()
     nx, ny = verts[(i + 1) % n if closed else i + 1, :2].tolist()
@@ -366,27 +335,8 @@ def _exterior_angle_at(verts, i, orientation, closed):
     lb = math.hypot(bx, by)
     if la < 1e-12 or lb < 1e-12:
         return math.pi
-    turn = math.atan2(ax * by - ay * bx, ax * bx + ay * by) * orientation
-    return math.pi + turn
-
-
-def assign_seam_weights(subpaths):
-    """Precompute the weighted seam cost at every subpath entry and exit."""
-    for sp in subpaths:
-        sp.entry_weight = _endpoint_weight(sp, 0)
-        sp.exit_weight = _endpoint_weight(sp, len(sp.vertices) - 1)
-    return subpaths
-
-
-def _endpoint_weight(sp, vi):
-    cycle = sp.cycle
-    n = len(cycle)
-    closed = sp.parent.closed
-    idx = (sp.start + vi) % n if closed else sp.start + vi
-    if not closed and (idx == 0 or idx == len(cycle) - 1):
-        return gap_cost(math.pi)
-    theta = _exterior_angle_at(cycle, idx, sp.orientation, closed)
-    return gap_cost(theta)
+    turn = math.atan2(ax * by - ay * bx, ax * bx + ay * by)
+    return math.pi + (turn if ccw else -turn)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +350,7 @@ class OrderResult:
     explored_orders: int
     expansions: int
     suboptimal: bool
+    root_bound: float         # the search's lower bound before any choice
     wall_time: float
 
     def report(self, graph):
@@ -411,6 +362,7 @@ class OrderResult:
             "gaps": len(self.gap_locations),
             "gap_locations": [list(map(float, p)) for p in self.gap_locations],
             "suboptimal": self.suboptimal,
+            "root_bound": self.root_bound,
             "wall_time_s": self.wall_time,
             "expansions": self.expansions,
             "cycle_edges_dropped": [
@@ -421,7 +373,7 @@ class OrderResult:
         }
 
 
-def order_paths(graph, eps_gap, weighted=False, max_expansions=10_000_000):
+def order_paths(graph, eps_gap, weighted=False, max_expansions=EXPANSION_CAP):
     """Minimal-seam topological order of the constraint graph.
 
     Unmodified subpaths are emitted first in their original order and do
@@ -436,7 +388,7 @@ def order_paths(graph, eps_gap, weighted=False, max_expansions=10_000_000):
     if not modified:
         return OrderResult(order=prefix, cost=0.0, gap_locations=[],
                            explored_orders=1, expansions=0, suboptimal=False,
-                           wall_time=time.perf_counter() - t0)
+                           root_bound=0.0, wall_time=time.perf_counter() - t0)
 
     mset = set(modified)
     succ = {i: [] for i in modified}
@@ -454,37 +406,42 @@ def order_paths(graph, eps_gap, weighted=False, max_expansions=10_000_000):
                        explored_orders=result["orders"],
                        expansions=result["expansions"],
                        suboptimal=result["capped"],
+                       root_bound=result["root_bound"],
                        wall_time=time.perf_counter() - t0)
 
 
 class _Locations:
-    """Location ids for the endpoints of the modified subpaths, plus a
-    pairwise near-within-eps_gap matrix, so that no cost recomputes a
-    distance. Endpoints are taken in node order, entry before exit; each
-    takes the id of the first earlier endpoint within MATCH_TOL, or else a
-    new id whose point it is. Every cost charges a gap once per id."""
+    """Location ids for the endpoints of the modified subpaths, plus for
+    each location the set of locations within eps_gap (itself included),
+    so that no cost recomputes a distance. Endpoints are taken in node
+    order, entry before exit; each takes the id of the first earlier
+    endpoint within MATCH_TOL, or else a new id whose point it is. Both
+    distance tests run on the box grid's candidate pairs only. Every cost
+    charges a gap once per id."""
 
     def __init__(self, nodes, modified, eps_gap):
+        ends = [p for i in modified for p in (nodes[i].entry, nodes[i].exit)]
+        earliest = {}
+        # each point is a one-row polyline to box_pairs, whose pairs come
+        # sorted by (i, j): j meets its earliest match first
+        for i, j in box_pairs(np.reshape(ends, (-1, 1, 3)), MATCH_TOL):
+            if j not in earliest and math.dist(ends[i], ends[j]) <= MATCH_TOL:
+                earliest[j] = i
+        ids = []
         self.points = []
-        self.entry_loc = {}
-        self.exit_loc = {}
-        seen = []                  # (endpoint, id) so far
-        for i in modified:
-            for ids, p in ((self.entry_loc, nodes[i].entry),
-                           (self.exit_loc, nodes[i].exit)):
-                loc = next((q_loc for q, q_loc in seen
-                            if math.dist(p, q) <= MATCH_TOL), None)
-                if loc is None:
-                    loc = len(self.points)
-                    self.points.append(p)
-                seen.append((p, loc))
-                ids[i] = loc
-        n = len(self.points)
-        self.near = [[False] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                self.near[a][b] = math.dist(self.points[a],
-                                            self.points[b]) <= eps_gap
+        for j, p in enumerate(ends):
+            if j in earliest:
+                ids.append(ids[earliest[j]])
+            else:
+                ids.append(len(self.points))
+                self.points.append(p)
+        self.entry_loc = dict(zip(modified, ids[0::2]))
+        self.exit_loc = dict(zip(modified, ids[1::2]))
+        self.near = [{a} for a in range(len(self.points))]
+        for a, b in box_pairs(np.reshape(self.points, (-1, 1, 3)), eps_gap):
+            if math.dist(self.points[a], self.points[b]) <= eps_gap:
+                self.near[a].add(b)
+                self.near[b].add(a)
 
 
 def _search(nodes, modified, succ, indeg, eps_gap, unweighted, max_expansions):
@@ -525,20 +482,18 @@ def _search(nodes, modified, succ, indeg, eps_gap, unweighted, max_expansions):
         are free; each location contributes at most once."""
         prev_exit = exit_loc[prev] if prev is not None else None
         prev_w = weight_of[("exit", prev)] if prev is not None else 0.0
-        entry_ids = {}
-        exit_ids = {}
+        entry_ids = set()
+        exit_ids = set()
         loc_weight = {}
         for i in remaining:
             le = entry_loc[i]
             lx = exit_loc[i]
-            entry_ids[le] = True
-            exit_ids[lx] = True
+            entry_ids.add(le)
+            exit_ids.add(lx)
             for loc, w in ((le, weight_of[("entry", i)]),
                            (lx, weight_of[("exit", i)])):
                 if loc not in loc_weight or w < loc_weight[loc]:
                     loc_weight[loc] = w
-        exit_list = list(exit_ids)
-        entry_list = list(entry_ids)
         counted = set()
 
         def extra(loc):
@@ -556,13 +511,9 @@ def _search(nodes, modified, succ, indeg, eps_gap, unweighted, max_expansions):
             if in_gaps[loc]:
                 continue
             row = near[loc]
-            entry_ok = True
-            if loc in entry_ids:
-                entry_ok = ((prev_exit is not None and row[prev_exit])
-                            or any(row[q] for q in exit_list))
-            exit_ok = True
-            if loc in exit_ids:
-                exit_ok = any(row[q] for q in entry_list)
+            entry_ok = (loc not in entry_ids or prev_exit in row
+                        or not row.isdisjoint(exit_ids))
+            exit_ok = loc not in exit_ids or not row.isdisjoint(entry_ids)
             if entry_ok and exit_ok:
                 continue
             bound += extra(loc)
@@ -604,7 +555,7 @@ def _search(nodes, modified, succ, indeg, eps_gap, unweighted, max_expansions):
         prev_exit = exit_loc[prev] if prev is not None else None
 
         def sort_key(i):
-            matches = prev_exit is not None and near[entry_loc[i]][prev_exit]
+            matches = prev_exit is not None and entry_loc[i] in near[prev_exit]
             return (0 if matches else 1, nodes[i].height, i)
 
         for i in sorted(ready, key=sort_key):
@@ -612,7 +563,7 @@ def _search(nodes, modified, succ, indeg, eps_gap, unweighted, max_expansions):
             added = 0.0
             if prev is None:
                 added += charge(entry_loc[i], weight_of[("entry", i)])
-            elif not near[prev_exit][entry_loc[i]]:
+            elif entry_loc[i] not in near[prev_exit]:
                 added += charge(exit_loc[prev], weight_of[("exit", prev)])
                 added += charge(entry_loc[i], weight_of[("entry", i)])
             order.append(i)
@@ -632,12 +583,13 @@ def _search(nodes, modified, succ, indeg, eps_gap, unweighted, max_expansions):
     dfs(0.0, None)
     return {"cost": best["cost"], "order": best["order"],
             "gaps": best["gaps"], "orders": counters["orders"],
-            "expansions": counters["expansions"], "capped": counters["capped"]}
+            "expansions": counters["expansions"], "capped": counters["capped"],
+            "root_bound": root_bound}
 
 
 def _order_cost(nodes, seq, locs, unweighted):
     """(cost, gap points) of the node sequence seq, charged by the ids
-    and near matrix of `locs` as the search charges them."""
+    and near sets of `locs` as the search charges them."""
     paid = []
     cost = 0.0
 
@@ -652,7 +604,7 @@ def _order_cost(nodes, seq, locs, unweighted):
         sp = nodes[i]
         if prev is None:
             cost += charge(locs.entry_loc[i], sp.entry_weight)
-        elif not locs.near[locs.exit_loc[prev]][locs.entry_loc[i]]:
+        elif locs.entry_loc[i] not in locs.near[locs.exit_loc[prev]]:
             cost += charge(locs.exit_loc[prev], nodes[prev].exit_weight)
             cost += charge(locs.entry_loc[i], sp.entry_weight)
         prev = i

@@ -18,7 +18,7 @@ class ConfigError(Exception):
 
 
 MIN_THICKNESS = 0.05   # mm, below this deposition is unreliable
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -33,7 +33,7 @@ class PipelineConfig:
     report_path: str = None
     error_map_path: str = None
     sweep_s: list = field(default_factory=list)
-    order_expansion_cap: int = 50_000
+    order_expansion_cap: int = ordering.EXPANSION_CAP
     error_map_density: float = 50.0
     seed: int = 0
 
@@ -176,8 +176,6 @@ def order_program(program, profile, weighted, cap):
         pairs = ordering.find_neighbors(paths, eps)
         subpaths = ordering.split_paths(paths, pairs, eps)
         graph = ordering.build_constraint_graph(subpaths, eps)
-        if weighted:
-            ordering.assign_seam_weights(graph.nodes)
         result = ordering.order_paths(graph, eps_gap, weighted=weighted,
                                       max_expansions=cap)
         ordering.relink_travels(layer, result.order, eps_gap, travel_f)

@@ -156,9 +156,8 @@ def _random_graph(rng, n):
             return (float(rng.integers(0, 6)) * 2.0,
                     float(rng.integers(0, 6)) * 2.0, 0.6)
         verts = np.array([(*pt(), 0.0, 20.0, 0.0), (*pt(), 0.1, 20.0, 0.0)])
-        sp = SubPath(parent=None, parent_id=i, cycle=verts, start=0, end=1,
-                     vertices=verts, modified=True, first_is_cut=True,
-                     last_is_cut=True, index=i)
+        sp = SubPath(parent=None, parent_id=i, vertices=verts, modified=True,
+                     first_is_cut=True, last_is_cut=True, index=i)
         sp.entry_weight = 1.0 + float(rng.integers(0, 4)) / 4.0
         sp.exit_weight = 1.0 + float(rng.integers(0, 4)) / 4.0
         nodes.append(sp)
@@ -345,9 +344,9 @@ def test_c11_topological_validity():
                   dtype=float)
     from toolpath_aa.gcode import Toolpath
     graph.nodes.append(SubPath(parent=Toolpath(vertices=pv), parent_id=9,
-                               cycle=pv, start=0, end=1, vertices=pv,
-                               modified=False, first_is_cut=False,
-                               last_is_cut=False, index=9))
+                               vertices=pv, modified=False,
+                               first_is_cut=False, last_is_cut=False,
+                               index=9))
     check(graph, ordering.order_paths(graph, EPS_GAP))
     print(f"\nACCEPTANCE 11 PASS topological validity: {checked_orders} "
           f"orders, zero violations ({time.perf_counter()-t0:.1f}s)")

@@ -263,6 +263,7 @@ def test_cap_below_first_order_keeps_the_first_order():
     res = order_paths(graph, EPS_GAP, max_expansions=1)
     order = [sp.index for sp in res.order]
     assert res.suboptimal
+    assert res.root_bound <= res.cost
     assert res.expansions == len(graph.nodes) + 2
     pos = {i: k for k, i in enumerate(order)}
     assert all(pos[u] < pos[v] for u, v in graph.edges)
@@ -290,9 +291,9 @@ def test_search_and_evaluate_share_seam_identity():
     nodes = []
     for i, (entry, exit_) in enumerate(ends):
         verts = np.array([(*entry, 0.0, 20.0, 0.0), (*exit_, 0.1, 20.0, 0.0)])
-        nodes.append(SubPath(parent=None, parent_id=i, cycle=verts, start=0,
-                             end=1, vertices=verts, modified=True,
-                             first_is_cut=False, last_is_cut=False, index=i))
+        nodes.append(SubPath(parent=None, parent_id=i, vertices=verts,
+                             modified=True, first_is_cut=False,
+                             last_is_cut=False, index=i))
     graph = ConstraintGraph(nodes=nodes)
     res = order_paths(graph, EPS_GAP)
     order = [sp.index for sp in res.order]
@@ -313,9 +314,9 @@ def test_unmodified_emitted_first():
     # craft: two unmodified + the seven modified
     pv = np.array([(50, 50, 0.6, 0, 20, 0), (51, 50, 0.6, 1, 20, 0)],
                   dtype=float)
-    un1 = SubPath(parent=Toolpath(vertices=pv), parent_id=9, cycle=pv,
-                  start=0, end=1, vertices=pv, modified=False,
-                  first_is_cut=False, last_is_cut=False, index=90)
+    un1 = SubPath(parent=Toolpath(vertices=pv), parent_id=9, vertices=pv,
+                  modified=False, first_is_cut=False, last_is_cut=False,
+                  index=90)
     graph.nodes.append(un1)
     res = order_paths(graph, EPS_GAP)
     assert res.order[0] is un1
@@ -393,9 +394,8 @@ def random_instance(rng, n):
                     0.6)
         entry, exit_ = pt(), pt()
         verts = np.array([(*entry, 0.0, 20.0, 0.0), (*exit_, 0.1, 20.0, 0.0)])
-        sp = SubPath(parent=None, parent_id=i, cycle=verts, start=0, end=1,
-                     vertices=verts, modified=True, first_is_cut=True,
-                     last_is_cut=True, index=i)
+        sp = SubPath(parent=None, parent_id=i, vertices=verts, modified=True,
+                     first_is_cut=True, last_is_cut=True, index=i)
         sp.entry_weight = 1.0 + float(rng.integers(0, 4)) / 4.0
         sp.exit_weight = 1.0 + float(rng.integers(0, 4)) / 4.0
         nodes.append(sp)
@@ -422,6 +422,134 @@ def test_order_paths_matches_brute_force(weighted):
         pos = {id(sp): k for k, sp in enumerate(res.order)}
         for u, v in graph.edges:
             assert pos[id(graph.nodes[u])] < pos[id(graph.nodes[v])]
+
+
+# ---------------------------------------------------------------------------
+# gap locations and seam weights against all-pairs references
+
+def locations_reference(nodes, modified, eps_gap):
+    """(endpoint ids, location points, near sets) by testing every pair:
+    each endpoint takes the id of the first earlier endpoint within
+    MATCH_TOL, and a location is near every location within eps_gap."""
+    ends = [p for i in modified for p in (nodes[i].entry, nodes[i].exit)]
+    ids, points = [], []
+    for j, p in enumerate(ends):
+        loc = next((ids[i] for i in range(j)
+                    if math.dist(ends[i], p) <= ordering.MATCH_TOL), None)
+        if loc is None:
+            loc = len(points)
+            points.append(p)
+        ids.append(loc)
+    near = [{b for b, q in enumerate(points) if math.dist(p, q) <= eps_gap}
+            for p in points]
+    return ids, points, near
+
+
+def assert_locations_match_reference(nodes, modified, eps_gap):
+    locs = ordering._Locations(nodes, modified, eps_gap)
+    ids, points, near = locations_reference(nodes, modified, eps_gap)
+    assert [loc for i in modified
+            for loc in (locs.entry_loc[i], locs.exit_loc[i])] == ids
+    assert locs.points == points
+    assert locs.near == near
+    ends = [p for i in modified for p in (nodes[i].entry, nodes[i].exit)]
+    # endpoints that joined a location at a different point
+    return sum(p != points[loc] for p, loc in zip(ends, ids))
+
+
+@pytest.mark.parametrize("eps_gap", [2.0, EPS_GAP])
+def test_locations_match_all_pairs_reference(eps_gap):
+    # endpoints on a 2 mm grid coincide, and some are nudged by multiples
+    # of 4e-7 mm: chains within MATCH_TOL of a neighbour but not of the
+    # neighbour's neighbour; 2 mm grid steps sit exactly at eps_gap = 2
+    rng = np.random.default_rng(11)
+    nudged = 0
+    for _ in range(60):
+        nodes = []
+        for i in range(int(rng.integers(1, 30))):
+            ends = []
+            for _ in range(2):
+                p = rng.integers(0, 5, 3) * np.array([2.0, 2.0, 0.0]) + 0.6
+                p += rng.integers(-3, 4, 3) * 4e-7 * (rng.random() < 0.5)
+                ends.append(tuple(p.tolist()))
+            verts = np.array([(*ends[0], 0.0, 20.0, 0.0),
+                              (*ends[1], 0.1, 20.0, 0.0)])
+            nodes.append(SubPath(parent=None, parent_id=i, vertices=verts,
+                                 modified=True, first_is_cut=True,
+                                 last_is_cut=True, index=i))
+        modified = [i for i in range(len(nodes)) if rng.random() < 0.8]
+        nudged += assert_locations_match_reference(nodes, modified, eps_gap)
+    assert nudged > 0
+
+
+@pytest.mark.parametrize("cross_hatch", [False, True])
+def test_locations_match_all_pairs_reference_on_wedge_layers(cross_hatch):
+    eps = interference_threshold(PrinterProfile())
+    for paths in displaced_layers(cross_hatch):
+        subs = split_paths(paths, find_neighbors(paths, eps), eps)
+        modified = [i for i, sp in enumerate(subs) if sp.modified]
+        assert_locations_match_reference(subs, modified, EPS_GAP)
+
+
+def assert_seam_weights_at_ends(subpaths):
+    """Each subpath's weights are gap_cost of the parent's exterior angle
+    at the parent vertex its first and last rows come from."""
+    for sp in subpaths:
+        cycle = ordering._unique_cycle(sp.parent)
+        for row, weight in ((sp.vertices[0], sp.entry_weight),
+                            (sp.vertices[-1], sp.exit_weight)):
+            k, = np.flatnonzero((cycle[:, :3] == row[:3]).all(axis=1))
+            assert weight == gap_cost(exterior_angle(sp.parent, int(k)))
+
+
+def test_seam_weights_on_three_paths_scene():
+    paths = fixtures.three_paths_scene()
+    eps = interference_threshold(PrinterProfile())
+    subs = split_paths(paths, find_neighbors(paths, eps), eps)
+    assert len(subs) == 7 and all(sp.first_is_cut for sp in subs)
+    assert_seam_weights_at_ends(subs)
+    assert {sp.entry_weight for sp in subs} == {1.5, 1.75}
+
+
+def square_path(clockwise):
+    corners = [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]
+    pts = []
+    for (x0, y0), (x1, y1) in zip(corners, corners[1:] + corners[:1]):
+        pts += [(x0, y0), ((x0 + x1) / 2, (y0 + y1) / 2)]
+    if clockwise:
+        pts = pts[:1] + pts[:0:-1]
+    rows = [(x, y, 0.6, 0.1, 20.0, 0.1) for x, y in pts + pts[:1]]
+    return Toolpath(vertices=rows, closed=True, modified=True)
+
+
+@pytest.mark.parametrize("clockwise", [False, True])
+@pytest.mark.parametrize("cuts", [[], [2], [2, 5]])
+def test_seam_weights_on_a_closed_square(clockwise, cuts):
+    # vertices alternate corner and side midpoint, starting at a corner;
+    # cut at corner 2 (and at midpoint 5): every corner is convex, 3pi/2,
+    # whichever way the loop runs
+    square = square_path(clockwise)
+    cycle = ordering._unique_cycle(square)
+    subs = ordering._materialise(square, 0, cycle, cuts)
+    assert len(subs) == max(len(cuts), 1)
+    assert_seam_weights_at_ends(subs)
+    assert subs[0].entry_weight == subs[-1].exit_weight == gap_cost(1.5 * math.pi)
+    if len(cuts) == 2:
+        assert subs[0].exit_weight == subs[1].entry_weight == gap_cost(math.pi)
+
+
+@pytest.mark.parametrize("cuts", [[], [3], [3, 5]])
+def test_seam_weights_on_an_open_path(cuts):
+    # an L: right along y = 0, a left turn at vertex 3, then up along x = 3
+    rows = [(float(min(k, 3)), float(max(k - 3, 0)), 0.6, 0.1, 20.0, 0.1)
+            for k in range(7)]
+    path = Toolpath(vertices=rows, closed=False, modified=True)
+    subs = ordering._materialise(path, 0, path.vertices, cuts)
+    assert len(subs) == len(cuts) + 1
+    assert_seam_weights_at_ends(subs)
+    assert subs[0].entry_weight == subs[-1].exit_weight == gap_cost(math.pi)
+    if cuts:
+        assert subs[0].exit_weight == gap_cost(1.5 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +768,7 @@ def ordering_structure(layers, eps):
         pairs = find_neighbors(paths, eps)
         subs = split_paths(paths, pairs, eps)
         graph = build_constraint_graph(subs, eps)
-        out.append((pairs, [(sp.parent_id, sp.start, sp.end, len(sp.vertices),
+        out.append((pairs, [(sp.parent_id, sp.vertices.tobytes(),
                              sp.first_is_cut, sp.last_is_cut)
                             for sp in graph.nodes], graph.edges))
     return out

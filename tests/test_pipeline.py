@@ -57,7 +57,7 @@ def test_wedge_end_to_end_report(tmp_path):
     reparsed = parse_gcode(out_path.read_text())
     assert len(reparsed.layers) == len(program.layers)
     assert [r["s"] for r in data["sweep_s"]] == [0.0, 0.3]
-    assert data["schema_version"] == 2
+    assert data["schema_version"] == 3
     stages = dict(data["timings_s"])
     total = stages.pop("total")
     assert set(stages) == {"load", "parse", "index", "antialias", "overlap",
@@ -227,6 +227,7 @@ def test_wedge_search_proves_every_layer_optimal():
     for r in layers:
         assert not r["suboptimal"], r["layer"]
         assert r["expansions"] < cap, r["layer"]
+        assert r["root_bound"] == r["best_cost"], r["layer"]
 
 
 def write_fixture_files(tmp_path, cross=False):
@@ -285,6 +286,21 @@ def test_cli_parse_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_failed_run_keeps_an_earlier_output(tmp_path, capsys):
+    _, mpath = write_fixture_files(tmp_path)
+    bad = tmp_path / "bad.gcode"
+    bad.write_text("G0 X0 Y0 Z0.6\nG2 X5 Y5 I2 J0 E1\n")
+    out = tmp_path / "out.gcode"
+    out.write_bytes(b"old output")
+    code = cli.main([
+        "--gcode", str(bad), "--mesh", str(mpath), "--out", str(out),
+    ])
+    assert code == cli.EXIT_PARSE == 3
+    assert out.read_bytes() == b"old output"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "bad.gcode", "in.gcode", "model.stl", "out.gcode"]
+
+
 def test_cli_geometry_error(tmp_path, capsys):
     gpath, _ = write_fixture_files(tmp_path)
     bad = tmp_path / "bad.stl"
@@ -309,7 +325,7 @@ def test_cli_evaluation_error(tmp_path, capsys):
     ])
     assert code == cli.EXIT_EVALUATION == 7
     assert "evaluation error" in capsys.readouterr().err
-    assert not out.exists()
+    assert out.read_text() == "stale"      # a failed run leaves --out as it was
 
 
 def test_cli_thickness_error(tmp_path, monkeypatch, capsys):
@@ -326,7 +342,7 @@ def test_cli_thickness_error(tmp_path, monkeypatch, capsys):
     ])
     assert code == cli.EXIT_THICKNESS == 6
     assert "thickness error" in capsys.readouterr().err
-    assert not out.exists()
+    assert out.read_text() == "stale"
 
 
 def test_cli_has_no_workers_flag(tmp_path, capsys):
