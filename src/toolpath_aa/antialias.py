@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import BoxGrid, cast_vertical_batch, signed_area
+from .geometry import BoxGrid, cast_vertical_batch
 from .gcode import (DELTA, E, F, VERTEX_COLUMNS, X, Y, Z, Layer, PrintProgram,
                     deposition_segments)
 
@@ -266,68 +266,79 @@ def rescale_paths(paths, profile):
 # ---------------------------------------------------------------------------
 # Overlap detection and flow compensation
 
-def _segment_rect(p1, p2, half_width):
-    """Corners of the XY rectangle swept by a segment of width 2*half_width."""
-    dx = p2[0] - p1[0]
-    dy = p2[1] - p1[1]
-    length = math.hypot(dx, dy)
-    if length < 1e-12:
-        nx, ny = half_width, 0.0
-    else:
-        nx = -dy / length * half_width
-        ny = dx / length * half_width
-    return [
-        (p1[0] + nx, p1[1] + ny),
-        (p2[0] + nx, p2[1] + ny),
-        (p2[0] - nx, p2[1] - ny),
-        (p1[0] - nx, p1[1] - ny),
-    ]
+def _segment_rects(a, b, half_width):
+    """Corners a + n, b + n, b - n, a - n of the XY rectangles swept by the
+    segments a -> b of width 2 * half_width, as (m, 4) x and y arrays."""
+    dx = b[:, X] - a[:, X]
+    dy = b[:, Y] - a[:, Y]
+    # np.hypot can differ from math.hypot in the last bit
+    length = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()),
+                         np.float64, len(dx))
+    short = length < 1e-12
+    safe = np.where(short, 1.0, length)
+    nx = np.where(short, half_width, -dy / safe * half_width)
+    ny = np.where(short, 0.0, dx / safe * half_width)
+    return (np.column_stack([a[:, X] + nx, b[:, X] + nx, b[:, X] - nx, a[:, X] - nx]),
+            np.column_stack([a[:, Y] + ny, b[:, Y] + ny, b[:, Y] - ny, a[:, Y] - ny]))
 
 
-def _clip_polygon(subject, clip):
-    """Sutherland-Hodgman clipping of a convex polygon by a convex polygon."""
-    if signed_area(clip) < 0:
-        clip = clip[::-1]
-    output = subject
-    n = len(clip)
-    for i in range(n):
-        if not output:
-            return []
-        a = clip[i]
-        b = clip[(i + 1) % n]
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        inputs = output
-        output = []
-        prev = inputs[-1]
-        prev_in = ex * (prev[1] - a[1]) - ey * (prev[0] - a[0]) >= -1e-12
-        for cur in inputs:
-            cur_in = ex * (cur[1] - a[1]) - ey * (cur[0] - a[0]) >= -1e-12
-            if cur_in:
-                if not prev_in:
-                    output.append(_intersect(prev, cur, a, b))
-                output.append(cur)
-            elif prev_in:
-                output.append(_intersect(prev, cur, a, b))
-            prev, prev_in = cur, cur_in
-    return output
+def _signed_areas(xs, ys, n):
+    """`signed_area` of each row's first n corners, its terms added in the
+    same order."""
+    j = np.arange(xs.shape[1])
+    nxt = np.where(j + 1 < n[:, None], j + 1, 0)
+    xn = np.take_along_axis(xs, nxt, axis=1)
+    yn = np.take_along_axis(ys, nxt, axis=1)
+    terms = np.where(j < n[:, None], xs * yn - xn * ys, 0.0)
+    area = np.zeros(len(xs))
+    for col in terms.T:
+        area = area + col
+    return area / 2.0
 
 
-def _intersect(p, q, a, b):
-    x1, y1 = p
-    x2, y2 = q
-    x3, y3 = a
-    x4, y4 = b
-    den = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
-    if abs(den) < 1e-30:
-        return q
-    t = ((x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4)) / den
-    return (x1 + t * (x2 - x1), y1 + t * (y2 - y1))
-
-
-def _polygon_centroid(poly):
-    cx = sum(p[0] for p in poly) / len(poly)
-    cy = sum(p[1] for p in poly) / len(poly)
-    return cx, cy
+def _clip_rects(xs, ys, cxs, cys):
+    """Sutherland-Hodgman clipping of each row's subject quadrilateral
+    (xs, ys) by its convex clip quadrilateral (cxs, cys), with the scalar
+    algorithm's float operations: a vertex is inside an edge within 1e-12,
+    and an edge crossing nearly parallel to the clip edge (|den| < 1e-30)
+    yields its end vertex. Returns the clipped polygons as zero-padded
+    (m, k) x and y arrays and each one's vertex count."""
+    clockwise = (_signed_areas(cxs, cys, np.full(len(cxs), 4)) < 0)[:, None]
+    cxs = np.where(clockwise, cxs[:, ::-1], cxs)
+    cys = np.where(clockwise, cys[:, ::-1], cys)
+    n = np.full(len(xs), 4)
+    for i in range(4):
+        ax, ay = cxs[:, i, None], cys[:, i, None]
+        bx, by = cxs[:, (i + 1) % 4, None], cys[:, (i + 1) % 4, None]
+        ex, ey = bx - ax, by - ay
+        j = np.arange(xs.shape[1])
+        valid = j < n[:, None]
+        inside = ex * (ys - ay) - ey * (xs - ax) >= -1e-12
+        prev = np.where(j == 0, n[:, None] - 1, j - 1) % xs.shape[1]
+        px = np.take_along_axis(xs, prev, axis=1)
+        py = np.take_along_axis(ys, prev, axis=1)
+        # where prev -> cur crosses the edge's line, prev first
+        cross = valid & (inside != np.take_along_axis(inside, prev, axis=1))
+        keep = valid & inside
+        den = (px - xs) * (ay - by) - (py - ys) * (ax - bx)
+        parallel = np.abs(den) < 1e-30
+        t = (((px - ax) * (ay - by) - (py - ay) * (ax - bx))
+             / np.where(parallel, 1.0, den))
+        hx = np.where(parallel, xs, px + t * (xs - px))
+        hy = np.where(parallel, ys, py + t * (ys - py))
+        count = cross.astype(np.int64) + keep
+        at = np.cumsum(count, axis=1) - count
+        n = count.sum(axis=1)
+        out_x = np.zeros((len(xs), max(int(n.max(initial=0)), 1)))
+        out_y = np.zeros_like(out_x)
+        r, c = np.nonzero(cross)
+        out_x[r, at[r, c]] = hx[r, c]
+        out_y[r, at[r, c]] = hy[r, c]
+        r, c = np.nonzero(keep)
+        out_x[r, at[r, c] + cross[r, c]] = xs[r, c]
+        out_y[r, at[r, c] + cross[r, c]] = ys[r, c]
+        xs, ys = out_x, out_y
+    return xs, ys, n
 
 
 def _padded_boxes(a, b, pad):
@@ -342,11 +353,13 @@ def detect_overlaps(program, profile):
     The upper track's bottom is the lower layer's flat top (base_z), so
     the penetration is the lower track's positive displacement, sampled
     at the centroid of the XY intersection of the two swept rectangles.
-    Does not touch extrusion. Returns (records, report); the records come
-    sorted by (upper, lower), as the grid's pairs do.
+    The candidate pairs of every layer pair are gathered first and then
+    clipped in one batch. Does not touch extrusion. Returns (records,
+    report); the records come by layer pair and then sorted by (upper,
+    lower), as the grid's pairs do.
     """
     half = profile.d / 2.0
-    records = []
+    found = []
     layers = [layer.toolpaths() for layer in program.layers]
     for li in range(len(layers) - 1):
         lpath, lrow, la, lb = deposition_segments(layers[li])
@@ -356,52 +369,53 @@ def detect_overlaps(program, profile):
         upath, urow, ua, ub = deposition_segments(layers[li + 1])
         if not urow.size:
             continue
-        la, lb = la[raised], lb[raised]
-        llo, lhi = _padded_boxes(la, lb, half)
+        llo, lhi = _padded_boxes(la[raised], lb[raised], half)
         ulo, uhi = _padded_boxes(ua, ub, half)
         grid = BoxGrid(llo, lhi, cell=max(profile.d, profile.w))
-        upper_bottom = program.layers[li].base_z
         uq, lq = grid.pairs(ulo, uhi)
         # only boxes that meet can clip to an area; the margin keeps every
         # pair within the clip's own 1e-12 tolerance
         meet = ((ulo[uq] - 1e-9 <= lhi[lq] + 1e-9)
                 & (llo[lq] - 1e-9 <= uhi[uq] + 1e-9)).all(axis=1)
-        uq, lq = uq[meet], lq[meet]
-        lrefs = [(li, p, k) for p, k in zip(lpath[raised].tolist(),
-                                            lrow[raised].tolist())]
-        urefs = [(li + 1, p, k) for p, k in zip(upath.tolist(), urow.tolist())]
-        la, lb, ua, ub = la.tolist(), lb.tolist(), ua.tolist(), ub.tolist()
-        for u, k in zip(uq.tolist(), lq.tolist()):
-            poly = _clip_polygon(_segment_rect(la[k], lb[k], half),
-                                 _segment_rect(ua[u], ub[u], half))
-            if len(poly) < 3:
-                continue
-            area = abs(signed_area(poly))
-            if area <= 1e-12:
-                continue
-            cx, cy = _polygon_centroid(poly)
-            pen = _penetration_at(la[k], lb[k], cx, cy, upper_bottom)
-            if pen <= 0:
-                continue
-            records.append(OverlapRecord(lower=lrefs[k], upper=urefs[u],
-                                         volume=area * pen))
+        uq, k = uq[meet], raised[lq[meet]]
+        found.append((np.full(len(k), li), lpath[k], lrow[k], upath[uq],
+                      urow[uq], la[k], lb[k], ua[uq], ub[uq],
+                      np.full(len(k), program.layers[li].base_z)))
+    records = []
+    if found:
+        li, lpath, lrow, upath, urow, la, lb, ua, ub, upper_bottom = (
+            np.concatenate(column) for column in zip(*found))
+        xs, ys, n = _clip_rects(*_segment_rects(la, lb, half),
+                                *_segment_rects(ua, ub, half))
+        area = np.abs(_signed_areas(xs, ys, n))
+        # sum over the polygon's vertices, in order, over its vertex count
+        used = np.arange(xs.shape[1]) < n[:, None]
+        cx = cy = np.zeros(len(xs))
+        for x, y, u in zip(xs.T, ys.T, used.T):
+            cx = cx + np.where(u, x, 0.0)
+            cy = cy + np.where(u, y, 0.0)
+        cx, cy = cx / np.maximum(n, 1), cy / np.maximum(n, 1)
+        pen = _tops_at(la, lb, cx, cy) - upper_bottom
+        hit = np.flatnonzero((n >= 3) & (area > 1e-12) & (pen > 0))
+        for i, lp, lr, up, ur, volume in zip(
+                *(c[hit].tolist() for c in (li, lpath, lrow, upath, urow)),
+                (area[hit] * pen[hit]).tolist()):
+            records.append(OverlapRecord(lower=(i, lp, lr), upper=(i + 1, up, ur),
+                                         volume=volume))
     return records, {"overlap_records": len(records),
                      "overlap_volume_mm3": sum(r.volume for r in records)}
 
 
-def _penetration_at(la, lb, cx, cy, upper_bottom):
-    """Lower-track top above the upper track's bottom at (cx, cy); la and
-    lb are the segment's vertex rows."""
-    dx = lb[X] - la[X]
-    dy = lb[Y] - la[Y]
+def _tops_at(la, lb, cx, cy):
+    """Track top over the point (cx, cy) projected onto each segment
+    la -> lb (rows of vertex arrays) and clamped to it."""
+    dx = lb[:, X] - la[:, X]
+    dy = lb[:, Y] - la[:, Y]
     L2 = dx * dx + dy * dy
-    if L2 < 1e-18:
-        t = 0.0
-    else:
-        t = ((cx - la[X]) * dx + (cy - la[Y]) * dy) / L2
-        t = min(max(t, 0.0), 1.0)
-    top = la[Z] + (lb[Z] - la[Z]) * t
-    return top - upper_bottom
+    point = L2 < 1e-18
+    t = ((cx - la[:, X]) * dx + (cy - la[:, Y]) * dy) / np.where(point, 1.0, L2)
+    t = np.where(point, 0.0, np.minimum(np.maximum(t, 0.0), 1.0))
+    return la[:, Z] + (lb[:, Z] - la[:, Z]) * t
 
 
 def reduce_overlap_flow(program, profile):

@@ -15,6 +15,9 @@ from .geometry import BoxGrid
 
 VIS_CLAMP = 0.3   # mm, error map colour scale end
 EXPORT_BLOCK = 4096   # rows formatted per template in the error map exports
+GRID_CELL = 0.6       # mm, cell of the error map's track grid
+CHUNK = 1024          # samples per nearest-track pass
+BLOCK = 4096          # sample-track pairs per distance evaluation
 
 
 class EvaluationError(Exception):
@@ -125,19 +128,18 @@ def track_distance(track, px, py, pz):
     top = top1 + (top2 - top1) * frac
     bot = bot1 + (bot2 - bot1) * frac
     z_star = min(max(pz, bot), top)
-    cx = x1 + ux * s_star + (-uy) * t_star
-    cy = y1 + uy * s_star + ux * t_star
-    return math.dist((px, py, pz), (cx, cy, z_star))
+    dx = px - (x1 + ux * s_star + (-uy) * t_star)
+    dy = py - (y1 + uy * s_star + ux * t_star)
+    dz = pz - z_star
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 class _TrackGrid:
-    """Tracks binned in a `BoxGrid` by their XY box padded by a track width,
-    with the per-track terms of `track_distance` held as arrays."""
+    """Tracks binned in a `BoxGrid` of GRID_CELL cells by their XY box padded
+    by a track width, with the per-track terms of `track_distance` held as
+    arrays."""
 
-    BATCH = 4096   # points per pass and point-track pairs per distance call
-
-    def __init__(self, tracks, cell=2.0):
-        self.cell = cell
+    def __init__(self, tracks):
         self.x1, self.y1, x2, y2, self.top1, top2, self.bot1, bot2, width = tracks.T
         # the same operations, in the same order, as track_distance; np.hypot
         # can differ from math.hypot in the last bit
@@ -152,70 +154,67 @@ class _TrackGrid:
         self.half = width / 2.0
         self.dtop = top2 - self.top1
         self.dbot = bot2 - self.bot1
+        # a track's footprint lies at least half its width inside the box
+        # it is binned by
+        self.inset = float(self.half.min())
         pad = width[:, None]
         self.grid = BoxGrid(np.minimum(tracks[:, 0:2], tracks[:, 2:4]) - pad,
-                            np.maximum(tracks[:, 0:2], tracks[:, 2:4]) + pad, cell)
+                            np.maximum(tracks[:, 0:2], tracks[:, 2:4]) + pad,
+                            GRID_CELL)
 
     def nearest_distances(self, points):
-        """Distance from each point to its nearest track, over bounded
-        batches of points."""
-        best = np.full(len(points), math.inf)
-        for a in range(0, len(points), self.BATCH):
-            best[a:a + self.BATCH] = self._nearest(points[a:a + self.BATCH])
-        return best
-
-    def _nearest(self, points):
-        """Each pass adds the ring of cells one step further out around
-        every undecided point's cell; a point is decided once no unseen
-        track can be closer. Cells count from the grid's origin."""
+        """Distance from each point to its nearest track. Each pass pairs
+        every undecided point with the tracks binned in the ring of cells
+        one step further out around its cell, a chunk of points at a time;
+        a point is decided once no unseen track can be closer. Cells count
+        from the grid's origin."""
         px, py, pz = points.T
         best = np.full(len(points), math.inf)
         g = self.grid
         x0, y0 = g.xy_min
-        cx = np.floor((px - x0) / self.cell).astype(np.int64)
-        cy = np.floor((py - y0) / self.cell).astype(np.int64)
+        cx = np.floor((px - x0) / GRID_CELL).astype(np.int64)
+        cy = np.floor((py - y0) / GRID_CELL).astype(np.int64)
         max_ring = np.max([cx, g.nx - 1 - cx, cy, g.ny - 1 - cy], axis=0)
-        # a track binned in no cell of rings 0..r lies farther than the
-        # point's own cell border plus r cells
-        bx, by = x0 + cx * self.cell, y0 + cy * self.cell
-        border = np.maximum(np.min([px - bx, bx + self.cell - px,
-                                    py - by, by + self.cell - py], axis=0), 0.0)
-        cell_id = (cx - cx.min()) * (cy.max() - cy.min() + 1) + (cy - cy.min())
+        # a track binned in no cell of rings 0..r has its box farther than
+        # the point's own cell border plus r cells, and its footprint a
+        # further inset away
+        bx, by = x0 + cx * GRID_CELL, y0 + cy * GRID_CELL
+        border = np.maximum(np.min([px - bx, bx + GRID_CELL - px,
+                                    py - by, by + GRID_CELL - py], axis=0), 0.0)
         todo = np.arange(len(points))
         ring = 0
         while todo.size:
-            by_cell = todo[np.argsort(cell_id[todo], kind="stable")]
-            starts = np.flatnonzero(np.diff(cell_id[by_cell])) + 1
-            for idx in np.split(by_cell, starts):
-                cand = self._ring_tracks(int(cx[idx[0]]), int(cy[idx[0]]), ring)
-                if not cand.size:
+            dx, dy = _ring_offsets(ring)
+            for a in range(0, todo.size, CHUNK):
+                chunk = todo[a:a + CHUNK]
+                ix = (cx[chunk, None] + dx).ravel()
+                iy = (cy[chunk, None] + dy).ravel()
+                inside = (ix >= 0) & (ix < g.nx) & (iy >= 0) & (iy < g.ny)
+                count, track = g.cell_items((ix * g.ny + iy)[inside])
+                # (point, track) pairs, point-major
+                point = np.repeat(np.repeat(chunk, len(dx))[inside], count)
+                if not point.size:
                     continue
-                step = max(1, self.BATCH // len(cand))
-                for c in range(0, len(idx), step):
-                    sel = idx[c:c + step]
-                    d = self._distances(px[sel], py[sel], pz[sel], cand).min(axis=1)
-                    best[sel] = np.minimum(best[sel], d)
-            done = ((best[todo] <= border[todo] + ring * self.cell)
+                d = np.empty(point.size)
+                for b in range(0, point.size, BLOCK):
+                    p = point[b:b + BLOCK]
+                    d[b:b + BLOCK] = self._distances(px[p], py[p], pz[p],
+                                                     track[b:b + BLOCK])
+                first = np.flatnonzero(np.diff(point, prepend=-1))
+                seen = point[first]
+                best[seen] = np.minimum(best[seen], np.minimum.reduceat(d, first))
+            done = ((best[todo] <= border[todo] + (ring * GRID_CELL + self.inset))
                     | (max_ring[todo] <= ring))
             todo = todo[~done]
             ring += 1
         return best
 
-    def _ring_tracks(self, cx, cy, ring):
-        """Tracks binned in the grid's cells at Chebyshev distance `ring`,
-        once per cell they are binned in."""
-        g = self.grid
-        xs = np.arange(max(cx - ring, 0), min(cx + ring, g.nx - 1) + 1)
-        ys = np.arange(max(cy - ring, 0), min(cy + ring, g.ny - 1) + 1)
-        on_ring = np.maximum.outer(abs(xs - cx), abs(ys - cy)) == ring
-        return g.cell_items((xs[:, None] * g.ny + ys)[on_ring])[1]
-
     def _distances(self, px, py, pz, k):
-        """`track_distance` from each point (rows) to each track k (columns)."""
+        """`track_distance` from each point to track k, pair by pair."""
         x1, y1, ux, uy = self.x1[k], self.y1[k], self.ux[k], self.uy[k]
         length, along, half = self.length[k], self.along[k], self.half[k]
-        rx = px[:, None] - x1
-        ry = py[:, None] - y1
+        rx = px - x1
+        ry = py - y1
         s = np.where(self.degenerate[k], 0.0, rx * ux + ry * uy)
         s_star = np.minimum(np.maximum(s, 0.0), length)
         t = rx * (-uy) + ry * ux
@@ -223,10 +222,21 @@ class _TrackGrid:
         frac = np.where(along, s_star / np.where(along, length, 1.0), 0.0)
         top = self.top1[k] + self.dtop[k] * frac
         bot = self.bot1[k] + self.dbot[k] * frac
-        dz = pz[:, None] - np.minimum(np.maximum(pz[:, None], bot), top)
-        dx = px[:, None] - (x1 + ux * s_star + (-uy) * t_star)
-        dy = py[:, None] - (y1 + uy * s_star + ux * t_star)
+        dz = pz - np.minimum(np.maximum(pz, bot), top)
+        dx = px - (x1 + ux * s_star + (-uy) * t_star)
+        dy = py - (y1 + uy * s_star + ux * t_star)
         return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def _ring_offsets(ring):
+    """(dx, dy) offsets of the 8 * ring cells (1 for ring 0) at Chebyshev
+    distance `ring`, walking round the square's four sides."""
+    if ring == 0:
+        return np.zeros(1, np.int64), np.zeros(1, np.int64)
+    side = np.arange(-ring, ring)
+    edge = np.full(2 * ring, ring)
+    return (np.concatenate([side, edge, -side, -edge]),
+            np.concatenate([-edge, side, edge, -side]))
 
 
 @dataclass
@@ -240,13 +250,14 @@ class ErrorMap:
 
     def summary(self):
         d = self.distances
+        p50, p95, p99 = _percentiles(d, (50, 95, 99))
         return {
             "samples": int(len(d)),
             "mean_mm": float(d.mean()),
             "max_mm": float(d.max()),
-            "p50_mm": float(np.percentile(d, 50)),
-            "p95_mm": float(np.percentile(d, 95)),
-            "p99_mm": float(np.percentile(d, 99)),
+            "p50_mm": p50,
+            "p95_mm": p95,
+            "p99_mm": p99,
             "samples_per_mm2": self.samples_per_mm2,
             "seed": self.seed,
             "clamp_mm": self.clamp,
@@ -272,6 +283,23 @@ class ErrorMap:
             f.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
             f.write("end_header\n")
             _write_rows(f, "%.5f %.5f %.5f %d 0 %d\n", self.points, red, blue)
+
+
+def _percentiles(values, percents):
+    """`np.percentile(values, q)` for each q, by numpy's default linear
+    rule on one partition: index v = (n - 1) q, then a + (b - a) t, or
+    b - (b - a) (1 - t) when t >= 0.5, between the values a and b at
+    floor(v) and the next index. np.percentile itself imports numpy.ma."""
+    n = len(values)
+    at = [(n - 1) * (q / 100) for q in percents]
+    lo = [min(math.floor(v), n - 1) for v in at]
+    hi = [min(i + 1, n - 1) for i in lo]
+    part = np.partition(values, sorted(set(lo + hi)))
+    out = []
+    for v, i, j in zip(at, lo, hi):
+        a, b, t = float(part[i]), float(part[j]), v - i
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
 
 
 def _write_rows(f, row_format, *columns):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -15,8 +16,10 @@ from toolpath_aa.antialias import (DisplacementWindow, ThicknessError,
 from toolpath_aa import fixtures
 from toolpath_aa.fixtures import dome_fixture, wedge_fixture, wedge_mesh
 from toolpath_aa.gcode import (DELTA, E, F, X, Y, Z, Layer, PrinterProfile,
-                               PrintProgram, Toolpath, parse_gcode)
-from toolpath_aa.geometry import build_vertical_index, cast_vertical_batch
+                               PrintProgram, Toolpath, deposition_segments,
+                               parse_gcode)
+from toolpath_aa.geometry import (build_vertical_index, cast_vertical_batch,
+                                  signed_area)
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 
 
@@ -395,6 +398,244 @@ def test_overlaps_match_all_pairs_reference(scene, monkeypatch):
     assert len(fast) > 0
     assert [(r.lower, r.upper, r.volume.hex()) for r in fast] == [
         (r.lower, r.upper, r.volume.hex()) for r in reference]
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference for the batched overlap clip: one pair at a time
+
+def _segment_rect(p1, p2, half_width):
+    """Corners of the XY rectangle swept by a segment of width 2*half_width."""
+    dx = p2[0] - p1[0]
+    dy = p2[1] - p1[1]
+    length = math.hypot(dx, dy)
+    if length < 1e-12:
+        nx, ny = half_width, 0.0
+    else:
+        nx = -dy / length * half_width
+        ny = dx / length * half_width
+    return [
+        (p1[0] + nx, p1[1] + ny),
+        (p2[0] + nx, p2[1] + ny),
+        (p2[0] - nx, p2[1] - ny),
+        (p1[0] - nx, p1[1] - ny),
+    ]
+
+
+def _inside(p, a, b):
+    ex, ey = b[0] - a[0], b[1] - a[1]
+    return ex * (p[1] - a[1]) - ey * (p[0] - a[0]) >= -1e-12
+
+
+def _clip_polygon(subject, clip):
+    """Sutherland-Hodgman clipping of a convex polygon by a convex polygon."""
+    if signed_area(clip) < 0:
+        clip = clip[::-1]
+    output = subject
+    n = len(clip)
+    for i in range(n):
+        if not output:
+            return []
+        a = clip[i]
+        b = clip[(i + 1) % n]
+        inputs = output
+        output = []
+        prev = inputs[-1]
+        prev_in = _inside(prev, a, b)
+        for cur in inputs:
+            cur_in = _inside(cur, a, b)
+            if cur_in:
+                if not prev_in:
+                    output.append(_intersect(prev, cur, a, b))
+                output.append(cur)
+            elif prev_in:
+                output.append(_intersect(prev, cur, a, b))
+            prev, prev_in = cur, cur_in
+    return output
+
+
+def _den(p, q, a, b):
+    return (p[0] - q[0]) * (a[1] - b[1]) - (p[1] - q[1]) * (a[0] - b[0])
+
+
+def _intersect(p, q, a, b):
+    x1, y1 = p
+    x2, y2 = q
+    x3, y3 = a
+    x4, y4 = b
+    den = _den(p, q, a, b)
+    if abs(den) < 1e-30:
+        return q
+    t = ((x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4)) / den
+    return (x1 + t * (x2 - x1), y1 + t * (y2 - y1))
+
+
+def _polygon_centroid(poly):
+    # the additions in order, as sum() made them before Python 3.12
+    cx = cy = 0.0
+    for x, y in poly:
+        cx += x
+        cy += y
+    return cx / len(poly), cy / len(poly)
+
+
+def _penetration_at(la, lb, cx, cy, upper_bottom):
+    """Lower-track top above the upper track's bottom at (cx, cy); la and
+    lb are the segment's vertex rows."""
+    dx = lb[X] - la[X]
+    dy = lb[Y] - la[Y]
+    L2 = dx * dx + dy * dy
+    if L2 < 1e-18:
+        t = 0.0
+    else:
+        t = ((cx - la[X]) * dx + (cy - la[Y]) * dy) / L2
+        t = min(max(t, 0.0), 1.0)
+    top = la[Z] + (lb[Z] - la[Z]) * t
+    return top - upper_bottom
+
+
+def overlaps_pair_by_pair(program, profile):
+    """Reference for `detect_overlaps`: every raised lower segment against
+    every upper segment whose padded box lies within 1 mm of its own, one
+    pair at a time, in (layer pair, upper, lower) order."""
+    half = profile.d / 2.0
+    records = []
+    layers = [layer.toolpaths() for layer in program.layers]
+    for li in range(len(layers) - 1):
+        lpath, lrow, la, lb = deposition_segments(layers[li])
+        upath, urow, ua, ub = deposition_segments(layers[li + 1])
+        raised = np.flatnonzero((la[:, DELTA] > 0) | (lb[:, DELTA] > 0))
+        llo = np.minimum(la[raised, :2], lb[raised, :2]) - half - 1.0
+        lhi = np.maximum(la[raised, :2], lb[raised, :2]) + half + 1.0
+        ulo = np.minimum(ua[:, :2], ub[:, :2]) - half
+        uhi = np.maximum(ua[:, :2], ub[:, :2]) + half
+        near = ((ulo[:, None] <= lhi[None]) & (uhi[:, None] >= llo[None])).all(axis=2)
+        for u, j in zip(*np.nonzero(near)):
+            k = raised[j]
+            poly = _clip_polygon(_segment_rect(la[k].tolist(), lb[k].tolist(), half),
+                                 _segment_rect(ua[u].tolist(), ub[u].tolist(), half))
+            if len(poly) < 3:
+                continue
+            area = abs(signed_area(poly))
+            if area <= 1e-12:
+                continue
+            cx, cy = _polygon_centroid(poly)
+            pen = _penetration_at(la[k].tolist(), lb[k].tolist(), cx, cy,
+                                  program.layers[li].base_z)
+            if pen <= 0:
+                continue
+            records.append(((li, int(lpath[k]), int(lrow[k])),
+                            (li + 1, int(upath[u]), int(urow[u])),
+                            (area * pen).hex()))
+    return records
+
+
+def record_keys(records):
+    return [(r.lower, r.upper, r.volume.hex()) for r in records]
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5])
+@pytest.mark.parametrize("scene", ["wedge", "wedge_hatch", "dome"])
+def test_overlaps_match_scalar_clip_bitwise(scene, s):
+    profile = PrinterProfile(s=s)
+    if scene == "dome":
+        mesh, gcode = dome_fixture(profile)
+    else:
+        mesh, gcode = wedge_fixture(profile, cross_hatch=(scene == "wedge_hatch"))
+    config = PipelineConfig(profile=profile, ordering_enabled=False,
+                            overlap_enabled=False)
+    program, _, _ = run_pipeline(config, gcode_text=gcode, mesh=mesh)
+    records, report = detect_overlaps(program, profile)
+    assert len(records) > 50
+    assert record_keys(records) == overlaps_pair_by_pair(program, profile)
+    assert report["overlap_volume_mm3"] == sum(r.volume for r in records)
+
+
+def two_layers(lower, upper, raise_by=0.2):
+    """A program of one layer of raised lower segments and one of flat
+    upper segments, each given as ((x1, y1), (x2, y2))."""
+    def layer(segments, z, delta):
+        return [Toolpath(vertices=[(x1, y1, z + delta, 0.0, 20.0, delta),
+                                   (x2, y2, z + delta, 0.1, 20.0, delta)])
+                for (x1, y1), (x2, y2) in segments]
+    return PrintProgram(layers=[Layer(0.6, layer(lower, 0.6, raise_by)),
+                                Layer(1.2, layer(upper, 1.2, 0.0))])
+
+
+# touching rectangles: 0.8 mm tracks whose centre lines lie 0.8 mm apart,
+# then 1e-13 mm further and 1e-13 mm nearer, along x and along a diagonal
+TOUCHING = [([((0.0, y), (2.0, y))], [((0.5, 0.0), (2.5, 0.0))])
+            for y in (0.8, 0.8 + 1e-13, 0.8 - 1e-13)] + [
+    ([((0.0, 0.0), (2.0, 2.0))],
+     [((c, -c), (2.0 + c, 2.0 - c))])
+    for c in (0.4 * math.sqrt(2.0), 0.4 * math.sqrt(2.0) + 1e-13)]
+
+
+@pytest.mark.parametrize("lower, upper", [
+    # a zero-length lower segment, then a zero-length upper segment, each
+    # inside the other track
+    ([((1.0, 0.0), (1.0, 0.0))], [((0.0, 0.0), (2.0, 0.0))]),
+    ([((0.0, 0.0), (2.0, 0.0))], [((1.0, 0.1), (1.0, 0.1))]),
+    ([((1.0, 0.0), (1.0, 0.0))], [((1.0, 0.0), (1.0, 0.0))]),
+] + TOUCHING + [
+    # no upper box meets a lower one
+    ([((0.0, 0.0), (2.0, 0.0))], [((0.0, 5.0), (2.0, 5.0))]),
+], ids=["zero_length_lower", "zero_length_upper", "zero_length_both",
+        "touching", "apart_1e-13", "overlapping_1e-13", "touching_diagonal",
+        "apart_1e-13_diagonal", "no_meeting_boxes"])
+def test_overlaps_match_scalar_clip_on_hand_built_pairs(lower, upper):
+    program = two_layers(lower, upper)
+    profile = PrinterProfile()
+    records, report = detect_overlaps(program, profile)
+    assert record_keys(records) == overlaps_pair_by_pair(program, profile)
+    assert report["overlap_records"] == len(records)
+    # the clipped polygons themselves, slivers and empty ones included
+    half = profile.d / 2.0
+    for (a, b), (c, d) in itertools.product(lower, upper):
+        want = _clip_polygon(_segment_rect(a, b, half), _segment_rect(c, d, half))
+        rects = [antialias._segment_rects(np.array([p]), np.array([q]), half)
+                 for p, q in ((a, b), (c, d))]
+        xs, ys, n = antialias._clip_rects(*rects[0], *rects[1])
+        got = list(zip(xs[0, :n[0]].tolist(), ys[0, :n[0]].tolist()))
+        assert [(x.hex(), y.hex()) for x, y in got] == [
+            (x.hex(), y.hex()) for x, y in want]
+
+
+def test_hand_built_overlaps_are_what_the_geometry_says():
+    profile = PrinterProfile()
+    # a zero-length lower segment is a 0.8 mm line, not an area
+    assert detect_overlaps(two_layers(*[[((1.0, 0.0), (1.0, 0.0))],
+                                        [((0.0, 0.0), (2.0, 0.0))]]),
+                           profile)[0] == []
+    # touching tracks and tracks apart by a box give nothing
+    for lower, upper in TOUCHING + [([((0.0, 0.0), (2.0, 0.0))],
+                                     [((0.0, 5.0), (2.0, 5.0))])]:
+        assert detect_overlaps(two_layers(lower, upper), profile)[0] == []
+    # 1.5 mm of common length, raised 0.2 mm, 0.8 mm wide: 0.24 mm^3
+    (rec,), _ = detect_overlaps(two_layers([((0.0, 0.0), (2.0, 0.0))],
+                                           [((0.5, 0.0), (2.5, 0.0))]), profile)
+    assert rec.volume == pytest.approx(0.24, abs=1e-12)
+
+
+def test_clip_keeps_the_end_vertex_of_a_parallel_crossing():
+    # a subject edge P -> Q parallel to the clip edge (0, 0) -> (3, 1), on
+    # the 1e-12 tolerance line, where rounding puts P inside and Q outside:
+    # the scalar clip's |den| < 1e-30 case returns Q as the crossing
+    y1 = 0.1 + 2e-5
+    p = (3 * y1 + 1e-12, y1)
+    q = (p[0] + 0.75, p[1] + 0.25)
+    clip = [(0.0, 0.0), (3.0, 1.0), (2.0, 4.0), (-1.0, 3.0)]
+    assert _den(p, q, clip[0], clip[1]) == 0.0
+    assert _inside(p, clip[0], clip[1]) and not _inside(q, clip[0], clip[1])
+    subject = [p, q, (q[0] - 1.0, q[1] + 3.0), (p[0] - 1.0, p[1] + 3.0)]
+    # walked backwards, Q -> P crosses inwards and P comes out twice
+    for sub, cl, end in ((subject, clip, [q]), (subject[::-1], clip[::-1], [p, p])):
+        want = _clip_polygon(sub, cl)
+        xs, ys, n = antialias._clip_rects(*(np.array([c]) for c in zip(*sub)),
+                                          *(np.array([c]) for c in zip(*cl)))
+        got = list(zip(xs[0, :n[0]].tolist(), ys[0, :n[0]].tolist()))
+        assert [v for v in want if v == end[0]] == end
+        assert [(x.hex(), y.hex()) for x, y in got] == [
+            (x.hex(), y.hex()) for x, y in want]
 
 
 def test_sweep_zero_at_s0_and_monotone():

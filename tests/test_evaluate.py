@@ -1,11 +1,16 @@
+import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from toolpath_aa import antialias
-from toolpath_aa.evaluate import (ErrorMap, EvaluationError, _TrackGrid,
-                                  critical_angle, error_map,
+from toolpath_aa.evaluate import (ErrorMap, EvaluationError, _percentiles,
+                                  _TrackGrid, critical_angle, error_map,
                                   estimate_print_time, sample_mesh_surface,
                                   track_distance, tracks_from_program)
 from toolpath_aa.fixtures import (dome_fixture, flat_box_fixture, flat_box_mesh,
@@ -107,7 +112,7 @@ def test_error_map_grid_matches_brute():
     mesh, tracks = box_program_tracks()
     em_grid = error_map(mesh, tracks, samples_per_mm2=3, seed=5)
     em_brute = error_map(mesh, tracks, samples_per_mm2=3, seed=5, brute=True)
-    assert np.allclose(em_grid.distances, em_brute.distances, atol=1e-12)
+    assert np.array_equal(em_grid.distances, em_brute.distances)
 
 
 def test_error_map_far_samples_match_brute():
@@ -122,7 +127,7 @@ def test_error_map_far_samples_match_brute():
     em_brute = error_map(mesh, corners, samples_per_mm2=3, seed=5,
                          brute=True)
     assert np.sum(em_brute.distances > 2.0) > len(em_brute.distances) // 3
-    assert np.allclose(em_grid.distances, em_brute.distances, atol=1e-12)
+    assert np.array_equal(em_grid.distances, em_brute.distances)
 
 
 def test_track_grid_off_the_origin_matches_brute():
@@ -138,7 +143,7 @@ def test_track_grid_off_the_origin_matches_brute():
                               rng.uniform(0.0, 1.5, 3000)])
     got = _TrackGrid(tracks).nearest_distances(points)
     want = [min(track_distance(tr, *p) for tr in tracks) for p in points.tolist()]
-    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    assert np.array_equal(got, want)
 
 
 def test_error_map_zero_length_track_matches_brute():
@@ -150,7 +155,58 @@ def test_error_map_zero_length_track_matches_brute():
         em_grid = error_map(mesh, subset, samples_per_mm2=3, seed=5)
         em_brute = error_map(mesh, subset, samples_per_mm2=3, seed=5,
                              brute=True)
-        assert np.allclose(em_grid.distances, em_brute.distances, atol=1e-12)
+        assert np.array_equal(em_grid.distances, em_brute.distances)
+
+
+def nearest_all_pairs(grid, points, pairs=1 << 16):
+    """Reference for `_TrackGrid.nearest_distances`: the grid's per-pair
+    kernel from every point to every track, without the grid's cells, the
+    minimum taken over all tracks, a block of points at a time."""
+    tracks = np.arange(len(grid.x1))
+    step = max(1, pairs // len(tracks))
+    best = np.empty(len(points))
+    for a in range(0, len(points), step):
+        block = points[a:a + step]
+        p = np.repeat(np.arange(len(block)), len(tracks))
+        d = grid._distances(block[p, 0], block[p, 1], block[p, 2],
+                            np.tile(tracks, len(block)))
+        best[a:a + step] = d.reshape(len(block), len(tracks)).min(axis=1)
+    return best
+
+
+@functools.lru_cache(maxsize=None)
+def scene_tracks_and_samples(scene):
+    """The printed tracks of a fixture run without ordering, and the error
+    map's samples of its mesh at the default density."""
+    if scene == "dome":
+        mesh, gcode = dome_fixture()
+    else:
+        mesh, gcode = wedge_fixture(cross_hatch=(scene == "wedge_hatch"))
+    program, _, _ = run_pipeline(PipelineConfig(ordering_enabled=False),
+                                 gcode_text=gcode, mesh=mesh)
+    points, _ = sample_mesh_surface(mesh, 50.0, seed=0)
+    return tracks_from_program(program, PrinterProfile()), points
+
+
+@pytest.mark.parametrize("tracks_kept", ["all", "every_5th", "every_5th_thin"])
+@pytest.mark.parametrize("scene", ["wedge", "wedge_hatch", "dome"])
+def test_track_grid_matches_all_pairs_at_full_density(scene, tracks_kept):
+    # every sample the error map takes at its default density. With every
+    # 5th track, more samples lie rings away from their nearest track, so a
+    # stop rule that counted the footprint's inset twice settles some on a
+    # farther one. A track 0.05 mm wide is binned in few cells, so a ring
+    # short of a cell misses some nearest tracks too; a wide track's box
+    # reaches the ring's neighbouring cells as well.
+    tracks, points = scene_tracks_and_samples(scene)
+    if tracks_kept != "all":
+        tracks = tracks[::5].copy()
+    if tracks_kept == "every_5th_thin":
+        tracks[:, 8] = 0.05
+    grid = _TrackGrid(tracks)
+    got = grid.nearest_distances(points)
+    want = nearest_all_pairs(grid, points)
+    assert len(points) > 25000
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 def test_error_map_requires_tracks():
@@ -215,6 +271,44 @@ def test_exports(tmp_path):
     summary = em.summary()
     assert summary["samples"] == len(em.points)
     assert 0 <= summary["mean_mm"] <= summary["max_mm"]
+
+
+@pytest.mark.parametrize("n", list(range(1, 40)) + [1000, 26888, 26889])
+def test_percentiles_match_numpy_bitwise(n):
+    rng = np.random.default_rng(n)
+    for rep in range(60):
+        if rep % 4 == 0:
+            d = rng.random(n)
+        elif rep % 4 == 1:
+            d = rng.exponential(0.1, n)
+        elif rep % 4 == 2:
+            d = np.round(rng.random(n), 2)      # ties
+        else:
+            d = rng.random(n) * 10.0 ** rng.integers(-8, 3, n)
+        got = _percentiles(d, (50, 95, 99))
+        want = [float(np.percentile(d, q)) for q in (50, 95, 99)]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_error_map_run_leaves_numpy_ma_unimported(tmp_path):
+    # np.percentile imports numpy.ma on its first call; the summary does not
+    # need it
+    code = ("import sys\n"
+            "from toolpath_aa.fixtures import wedge_fixture\n"
+            "from toolpath_aa.pipeline import PipelineConfig, run_pipeline\n"
+            "mesh, gcode = wedge_fixture()\n"
+            "_, report, _ = run_pipeline(PipelineConfig(\n"
+            f"    error_map_path={str(tmp_path / 'map.csv')!r},\n"
+            "    error_map_density=5.0), gcode_text=gcode, mesh=mesh)\n"
+            "assert report['error_map']['p99_mm'] > 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"]
 
 
 # four hand-picked samples: a signed zero, a distance exactly at the clamp,
