@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import BoxGrid, cast_vertical_batch
+from .geometry import BoxGrid, cast_vertical_batch, segment_param
 from .gcode import (DELTA, E, F, VERTEX_COLUMNS, X, Y, Z, Layer, PrintProgram,
                     deposition_segments)
 
@@ -409,12 +409,8 @@ def detect_overlaps(program, profile):
 def _tops_at(la, lb, cx, cy):
     """Track top over the point (cx, cy) projected onto each segment
     la -> lb (rows of vertex arrays) and clamped to it."""
-    dx = lb[:, X] - la[:, X]
-    dy = lb[:, Y] - la[:, Y]
-    L2 = dx * dx + dy * dy
-    point = L2 < 1e-18
-    t = ((cx - la[:, X]) * dx + (cy - la[:, Y]) * dy) / np.where(point, 1.0, L2)
-    t = np.where(point, 0.0, np.minimum(np.maximum(t, 0.0), 1.0))
+    t = segment_param(cx, cy, la[:, X], la[:, Y],
+                      lb[:, X] - la[:, X], lb[:, Y] - la[:, Y])
     return la[:, Z] + (lb[:, Z] - la[:, Z]) * t
 
 

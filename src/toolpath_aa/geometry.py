@@ -492,16 +492,23 @@ def _pair_blocks(n_points, n_segs):
             yield slice(r, r + rows), slice(c, c + cols)
 
 
+def segment_param(px, py, ax, ay, dx, dy):
+    """Parameter in [0, 1] of the point (px, py) projected onto the segment
+    from (ax, ay) along (dx, dy), clamped to it; 0 on a segment shorter
+    than 1e-9. Arguments broadcast."""
+    L2 = dx * dx + dy * dy
+    flat = L2 < 1e-18
+    t = ((px - ax) * dx + (py - ay) * dy) / np.where(flat, 1.0, L2)
+    return np.where(flat, 0.0, np.minimum(np.maximum(t, 0.0), 1.0))
+
+
 def _point_segment_dist2(p, a, b):
     """`_seg_point_dist2` of every point p[k] against every segment
     a[i] -> b[i]: (squared distance, t), each of shape (len(p), len(a))."""
     px, py = p[:, :1], p[:, 1:2]
     ax, ay = a[:, 0], a[:, 1]
     dx, dy = b[:, 0] - ax, b[:, 1] - ay
-    L2 = dx * dx + dy * dy
-    flat = L2 < 1e-18
-    t = ((px - ax) * dx + (py - ay) * dy) / np.where(flat, 1.0, L2)
-    t = np.where(flat, 0.0, np.minimum(np.maximum(t, 0.0), 1.0))
+    t = segment_param(px, py, ax, ay, dx, dy)
     # a Python float's `** 2` is libm pow, which can differ from x * x in
     # the last bit; float_power calls the same pow
     d2 = (np.float_power(px - (ax + t * dx), 2.0)

@@ -382,44 +382,26 @@ def order_paths(graph, eps_gap, weighted=False, max_expansions=EXPANSION_CAP):
     each gap location counted once.
     """
     t0 = time.perf_counter()
-    nodes = graph.nodes
-    modified = [i for i, sp in enumerate(nodes) if sp.modified]
-    prefix = [sp for sp in nodes if not sp.modified]
-    if not modified:
-        return OrderResult(order=prefix, cost=0.0, gap_locations=[],
-                           explored_orders=1, expansions=0, suboptimal=False,
-                           root_bound=0.0, wall_time=time.perf_counter() - t0)
-
-    mset = set(modified)
-    succ = {i: [] for i in modified}
-    indeg = {i: 0 for i in modified}
-    for u, v in graph.edges:
-        if u in mset and v in mset:
-            succ[u].append(v)
-            indeg[v] += 1
-
-    result = _search(nodes, modified, succ, indeg, eps_gap, not weighted,
-                     max_expansions)
-    order_sps = prefix + [nodes[i] for i in result["order"]]
-    return OrderResult(order=order_sps, cost=result["cost"],
-                       gap_locations=result["gaps"],
-                       explored_orders=result["orders"],
-                       expansions=result["expansions"],
-                       suboptimal=result["capped"],
-                       root_bound=result["root_bound"],
+    modified = [i for i, sp in enumerate(graph.nodes) if sp.modified]
+    seams = _Seams(graph.nodes, modified, eps_gap, weighted)
+    return OrderResult(*_search(graph, seams, max_expansions),
                        wall_time=time.perf_counter() - t0)
 
 
-class _Locations:
-    """Location ids for the endpoints of the modified subpaths, plus for
-    each location the set of locations within eps_gap (itself included),
-    so that no cost recomputes a distance. Endpoints are taken in node
-    order, entry before exit; each takes the id of the first earlier
-    endpoint within MATCH_TOL, or else a new id whose point it is. Both
-    distance tests run on the box grid's candidate pairs only. Every cost
-    charges a gap once per id."""
+class _Seams:
+    """Where the seams of the modified subpaths can fall, and what a step
+    of an order pays for them.
 
-    def __init__(self, nodes, modified, eps_gap):
+    Location ids: endpoints are taken in node order, entry before exit;
+    each takes the id of the first earlier endpoint within MATCH_TOL, or
+    else a new id whose point it is. `near[a]` is the set of locations
+    within eps_gap of `a` (itself included), so that no cost recomputes a
+    distance; both distance tests run on the box grid's candidate pairs
+    only. `entry[i]` and `exit[i]` are node i's (location, weight) pairs,
+    the weight 1.0 unless seams are weighted. Every cost charges a
+    location once."""
+
+    def __init__(self, nodes, modified, eps_gap, weighted):
         ends = [p for i in modified for p in (nodes[i].entry, nodes[i].exit)]
         earliest = {}
         # each point is a one-row polyline to box_pairs, whose pairs come
@@ -435,43 +417,74 @@ class _Locations:
             else:
                 ids.append(len(self.points))
                 self.points.append(p)
-        self.entry_loc = dict(zip(modified, ids[0::2]))
-        self.exit_loc = dict(zip(modified, ids[1::2]))
+        self.entry = {i: (loc, nodes[i].entry_weight if weighted else 1.0)
+                      for i, loc in zip(modified, ids[0::2])}
+        self.exit = {i: (loc, nodes[i].exit_weight if weighted else 1.0)
+                     for i, loc in zip(modified, ids[1::2])}
         self.near = [{a} for a in range(len(self.points))]
         for a, b in box_pairs(np.reshape(self.points, (-1, 1, 3)), eps_gap):
             if math.dist(self.points[a], self.points[b]) <= eps_gap:
                 self.near[a].add(b)
                 self.near[b].add(a)
 
+    def step(self, prev, nxt):
+        """The (location, weight) pairs the step prev -> nxt may pay: the
+        first entry when prev is None, the last exit when nxt is None, and
+        otherwise both ends unless the entry lies within eps_gap of the
+        exit."""
+        if prev is None:
+            return () if nxt is None else (self.entry[nxt],)
+        if nxt is None:
+            return (self.exit[prev],)
+        if self.entry[nxt][0] in self.near[self.exit[prev][0]]:
+            return ()
+        return (self.exit[prev], self.entry[nxt])
 
-def _search(nodes, modified, succ, indeg, eps_gap, unweighted, max_expansions):
-    best = {"cost": math.inf, "order": None, "gaps": None}
-    counters = {"expansions": 0, "orders": 0, "capped": False}
-    locs = _Locations(nodes, modified, eps_gap)
-    near = locs.near
-    entry_loc = locs.entry_loc
-    exit_loc = locs.exit_loc
-    in_gaps = [False] * len(locs.points)
+    def cost(self, seq):
+        """(cost, gap points) of the node sequence seq."""
+        paid = {}
+        cost = 0.0
+        for prev, nxt in zip([None, *seq], [*seq, None]):
+            for loc, weight in self.step(prev, nxt):
+                if loc not in paid:
+                    paid[loc] = None
+                    cost += weight
+        return cost, [self.points[loc] for loc in paid]
+
+
+def _search(graph, seams, max_expansions):
+    """Depth-first branch and bound over the topological orders of the
+    modified nodes. Returns OrderResult's fields up to its wall time: the
+    unmodified nodes in their original order, then the best order found."""
+    nodes = graph.nodes
+    entry, exit_, near = seams.entry, seams.exit, seams.near
+    remaining = set(entry)
+    succ = {i: [] for i in entry}
+    indeg = dict.fromkeys(entry, 0)
+    for u, v in graph.edges:
+        if u in remaining and v in remaining:
+            succ[u].append(v)
+            indeg[v] += 1
+    in_gaps = [False] * len(seams.points)
     gap_list = []
     order = []
-    indeg = dict(indeg)
-    weight_of = {}
-    for i in modified:
-        weight_of[("entry", i)] = 1.0 if unweighted else nodes[i].entry_weight
-        weight_of[("exit", i)] = 1.0 if unweighted else nodes[i].exit_weight
+    best_cost, best_order, best_gaps = math.inf, None, None
+    expansions = orders = 0
+    capped = False
 
-    def charge(loc, weight):
-        if in_gaps[loc]:
-            return 0.0
-        in_gaps[loc] = True
-        gap_list.append(loc)
-        return weight
+    def pay(step):
+        """Charge the step's locations that are not in the gap set yet."""
+        added = 0.0
+        for loc, weight in step:
+            if not in_gaps[loc]:
+                in_gaps[loc] = True
+                gap_list.append(loc)
+                added += weight
+        return added
 
     def pop_gaps(mark):
         while len(gap_list) > mark:
             in_gaps[gap_list.pop()] = False
-
-    remaining = set(modified)
 
     def lower_bound(prev):
         """Admissible: a remaining entry gap can only be avoided by an
@@ -480,18 +493,14 @@ def _search(nodes, modified, succ, indeg, eps_gap, unweighted, max_expansions):
         after it. The last node's exit is always paid, and so, at the
         root, is the first node's entry. Locations already in the gap set
         are free; each location contributes at most once."""
-        prev_exit = exit_loc[prev] if prev is not None else None
-        prev_w = weight_of[("exit", prev)] if prev is not None else 0.0
+        prev_exit, prev_w = exit_[prev] if prev is not None else (None, 0.0)
         entry_ids = set()
         exit_ids = set()
         loc_weight = {}
         for i in remaining:
-            le = entry_loc[i]
-            lx = exit_loc[i]
-            entry_ids.add(le)
-            exit_ids.add(lx)
-            for loc, w in ((le, weight_of[("entry", i)]),
-                           (lx, weight_of[("exit", i)])):
+            entry_ids.add(entry[i][0])
+            exit_ids.add(exit_[i][0])
+            for loc, w in (entry[i], exit_[i]):
                 if loc not in loc_weight or w < loc_weight[loc]:
                     loc_weight[loc] = w
         counted = set()
@@ -521,51 +530,41 @@ def _search(nodes, modified, succ, indeg, eps_gap, unweighted, max_expansions):
 
         lasts = [i for i in remaining if not succ[i]]
         if prev is not None:
-            return bound + min((extra(exit_loc[i]) for i in lasts), default=0.0)
+            return bound + min((extra(exit_[i][0]) for i in lasts),
+                               default=0.0)
         firsts = [i for i in remaining if indeg[i] == 0]
-        ends = min((extra(entry_loc[f]) if entry_loc[f] == exit_loc[i]
-                    else extra(entry_loc[f]) + extra(exit_loc[i])
+        ends = min((extra(entry[f][0]) if entry[f][0] == exit_[i][0]
+                    else extra(entry[f][0]) + extra(exit_[i][0])
                     for f in firsts for i in lasts
                     if f != i or len(remaining) == 1), default=0.0)
         return bound + ends
 
     def dfs(cost, prev):
-        if counters["capped"]:
+        nonlocal best_cost, best_order, best_gaps, expansions, orders, capped
+        if capped:
             return
-        counters["expansions"] += 1
+        expansions += 1
         # on a DAG the first complete order comes within n + 1 expansions,
         # since nothing is pruned before it; the cap applies after that
-        if (counters["expansions"] > max_expansions
-                and best["order"] is not None):
-            counters["capped"] = True
+        if expansions > max_expansions and best_order is not None:
+            capped = True
             return
         if not remaining:
             mark = len(gap_list)
-            final = cost + charge(exit_loc[prev], weight_of[("exit", prev)])
-            counters["orders"] += 1
-            if final < best["cost"]:
-                best["cost"] = final
-                best["order"] = list(order)
-                best["gaps"] = [locs.points[g] for g in gap_list]
+            final = cost + pay(seams.step(prev, None))
+            orders += 1
+            if final < best_cost:
+                best_cost, best_order = final, list(order)
+                best_gaps = [seams.points[g] for g in gap_list]
             pop_gaps(mark)
             return
-        if cost + lower_bound(prev) >= best["cost"]:
+        if cost + lower_bound(prev) >= best_cost:
             return
-        ready = [i for i in remaining if indeg[i] == 0]
-        prev_exit = exit_loc[prev] if prev is not None else None
-
-        def sort_key(i):
-            matches = prev_exit is not None and entry_loc[i] in near[prev_exit]
-            return (0 if matches else 1, nodes[i].height, i)
-
-        for i in sorted(ready, key=sort_key):
+        steps = {i: seams.step(prev, i) for i in remaining if indeg[i] == 0}
+        for i in sorted(steps, key=lambda i: (bool(steps[i]),
+                                              nodes[i].height, i)):
             mark = len(gap_list)
-            added = 0.0
-            if prev is None:
-                added += charge(entry_loc[i], weight_of[("entry", i)])
-            elif entry_loc[i] not in near[prev_exit]:
-                added += charge(exit_loc[prev], weight_of[("exit", prev)])
-                added += charge(entry_loc[i], weight_of[("entry", i)])
+            added = pay(steps[i])
             order.append(i)
             remaining.discard(i)
             for v in succ[i]:
@@ -576,41 +575,14 @@ def _search(nodes, modified, succ, indeg, eps_gap, unweighted, max_expansions):
             remaining.add(i)
             order.pop()
             pop_gaps(mark)
-            if counters["capped"] or best["cost"] <= root_bound:
+            if capped or best_cost <= root_bound:
                 return
 
     root_bound = lower_bound(None)
     dfs(0.0, None)
-    return {"cost": best["cost"], "order": best["order"],
-            "gaps": best["gaps"], "orders": counters["orders"],
-            "expansions": counters["expansions"], "capped": counters["capped"],
-            "root_bound": root_bound}
-
-
-def _order_cost(nodes, seq, locs, unweighted):
-    """(cost, gap points) of the node sequence seq, charged by the ids
-    and near sets of `locs` as the search charges them."""
-    paid = []
-    cost = 0.0
-
-    def charge(loc, weight):
-        if loc in paid:
-            return 0.0
-        paid.append(loc)
-        return 1.0 if unweighted else weight
-
-    prev = None
-    for i in seq:
-        sp = nodes[i]
-        if prev is None:
-            cost += charge(locs.entry_loc[i], sp.entry_weight)
-        elif locs.entry_loc[i] not in locs.near[locs.exit_loc[prev]]:
-            cost += charge(locs.exit_loc[prev], nodes[prev].exit_weight)
-            cost += charge(locs.entry_loc[i], sp.entry_weight)
-        prev = i
-    if prev is not None:
-        cost += charge(locs.exit_loc[prev], nodes[prev].exit_weight)
-    return cost, [locs.points[loc] for loc in paid]
+    return ([sp for sp in nodes if not sp.modified]
+            + [nodes[i] for i in best_order],
+            best_cost, best_gaps, orders, expansions, capped, root_bound)
 
 
 def relink_travels(layer, ordered_subpaths, eps_gap, travel_f):
@@ -659,5 +631,4 @@ def evaluate_order(graph, sequence, eps_gap, weighted=False):
     for u, v in graph.edges:
         if u in modified and v in modified and position[u] >= position[v]:
             raise OrderingError(f"sequence violates edge {u} -> {v}")
-    locs = _Locations(nodes, sorted(modified), eps_gap)
-    return _order_cost(nodes, sequence, locs, not weighted)
+    return _Seams(nodes, sorted(modified), eps_gap, weighted).cost(sequence)

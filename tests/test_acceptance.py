@@ -174,13 +174,13 @@ def _brute_min(graph, eps_gap, weighted):
     for u, v in graph.edges:
         succ.setdefault(u, []).append(v)
         indeg[v] += 1
-    locs = ordering._Locations(nodes, range(len(nodes)), eps_gap)
+    seams = ordering._Seams(nodes, range(len(nodes)), eps_gap, weighted)
     best = [math.inf]
     order = []
 
     def rec():
         if len(order) == len(nodes):
-            cost, _ = ordering._order_cost(nodes, order, locs, not weighted)
+            cost, _ = seams.cost(order)
             best[0] = min(best[0], cost)
             return
         for i in range(len(nodes)):

@@ -302,6 +302,20 @@ def test_search_and_evaluate_share_seam_identity():
     assert (cost, len(gaps)) == (5.0, 5)
 
 
+def test_layer_without_modified_nodes_costs_nothing():
+    pv = np.array([(0, 0, 0.6, 0, 20, 0), (1, 0, 0.6, 1, 20, 0)], dtype=float)
+    graph = ConstraintGraph(nodes=[
+        SubPath(parent=Toolpath(vertices=pv), parent_id=0, vertices=pv,
+                modified=False, first_is_cut=False, last_is_cut=False,
+                index=0)])
+    for weighted in (False, True):
+        res = order_paths(graph, EPS_GAP, weighted=weighted)
+        assert res.order == graph.nodes
+        assert (res.cost, res.gap_locations, res.root_bound) == (0.0, [], 0.0)
+        assert not res.suboptimal
+        assert evaluate_order(graph, [], EPS_GAP, weighted) == (0.0, [])
+
+
 def test_evaluate_order_rejects_invalid():
     graph, labels = ordering_scene_fixture()
     with pytest.raises(OrderingError):
@@ -370,15 +384,14 @@ def brute_min(nodes, edges, eps_gap, weighted):
     for u, v in edges:
         succ.setdefault(u, set()).add(v)
     idx = [i for i, sp in enumerate(nodes) if sp.modified]
-    locs = ordering._Locations(nodes, idx, eps_gap)
+    seams = ordering._Seams(nodes, idx, eps_gap, weighted)
     best = math.inf
     for perm in itertools.permutations(idx):
         pos = {n: k for k, n in enumerate(perm)}
         if any(pos.get(u, -1) > pos.get(v, 10 ** 9)
                for u in succ for v in succ[u]):
             continue
-        cost, _ = ordering._order_cost(nodes, list(perm), locs,
-                                       not weighted)
+        cost, _ = seams.cost(list(perm))
         best = min(best, cost)
     return best
 
@@ -424,6 +437,51 @@ def test_order_paths_matches_brute_force(weighted):
             assert pos[id(graph.nodes[u])] < pos[id(graph.nodes[v])]
 
 
+@st.composite
+def search_instances(draw):
+    """0-8 modified nodes whose endpoints sit on a 2 mm grid, so locations
+    coincide and fall within EPS_GAP; no edges, or a random DAG over a
+    random ranking of the nodes."""
+    n = draw(st.integers(0, 8))
+    point = st.tuples(st.integers(0, 5), st.integers(0, 5))
+    weight = st.sampled_from([1.0, 1.25, 1.5, 1.75])
+    nodes = []
+    for i in range(n):
+        (ex, ey), (xx, xy) = draw(point), draw(point)
+        verts = np.array([(ex * 2.0, ey * 2.0, 0.6, 0.0, 20.0, 0.0),
+                          (xx * 2.0, xy * 2.0, 0.6, 0.1, 20.0, 0.0)])
+        nodes.append(SubPath(parent=None, parent_id=i, vertices=verts,
+                             modified=True, first_is_cut=True,
+                             last_is_cut=True, index=i,
+                             entry_weight=draw(weight),
+                             exit_weight=draw(weight)))
+    edges = []
+    if draw(st.booleans()):
+        rank = draw(st.permutations(range(n)))
+        edges = [(rank[a], rank[b]) for a in range(n) for b in range(a + 1, n)
+                 if draw(st.booleans())]
+    return ConstraintGraph(nodes=nodes, edges=edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_instances(), st.booleans(), st.sampled_from([1, 5, 50_000]))
+def test_search_agrees_with_its_cost_rule(graph, weighted, max_expansions):
+    res = order_paths(graph, EPS_GAP, weighted=weighted,
+                      max_expansions=max_expansions)
+    order = [sp.index for sp in res.order]
+    pos = {i: k for k, i in enumerate(order)}
+    assert all(pos[u] < pos[v] for u, v in graph.edges)
+    # the search's cost and gaps are the cost rule's, bit for bit
+    assert (res.cost, res.gap_locations) == evaluate_order(
+        graph, order, EPS_GAP, weighted=weighted)
+    best = brute_min(graph.nodes, graph.edges, EPS_GAP, weighted)
+    assert res.root_bound <= best
+    # 8 free nodes can take over 40,000 expansions, so a 50,000 cap is
+    # not always enough to prove the optimum
+    if not res.suboptimal:
+        assert res.cost == best
+
+
 # ---------------------------------------------------------------------------
 # gap locations and seam weights against all-pairs references
 
@@ -446,12 +504,12 @@ def locations_reference(nodes, modified, eps_gap):
 
 
 def assert_locations_match_reference(nodes, modified, eps_gap):
-    locs = ordering._Locations(nodes, modified, eps_gap)
+    seams = ordering._Seams(nodes, modified, eps_gap, False)
     ids, points, near = locations_reference(nodes, modified, eps_gap)
     assert [loc for i in modified
-            for loc in (locs.entry_loc[i], locs.exit_loc[i])] == ids
-    assert locs.points == points
-    assert locs.near == near
+            for loc, _ in (seams.entry[i], seams.exit[i])] == ids
+    assert seams.points == points
+    assert seams.near == near
     ends = [p for i in modified for p in (nodes[i].entry, nodes[i].exit)]
     # endpoints that joined a location at a different point
     return sum(p != points[loc] for p, loc in zip(ends, ids))

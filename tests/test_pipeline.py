@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from toolpath_aa import antialias, cli, pipeline
 from toolpath_aa.antialias import ThicknessError
 from toolpath_aa.files import replace_atomically
-from toolpath_aa.fixtures import dome_fixture, flat_box_fixture, wedge_fixture
+from toolpath_aa.fixtures import (dome_fixture, flat_box_fixture, wedge_fixture,
+                                  wedge_mesh)
 from toolpath_aa.gcode import PrinterProfile, parse_gcode, total_extrusion
 from toolpath_aa.geometry import build_vertical_index, mesh_to_stl_binary
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
@@ -368,3 +370,44 @@ def test_cli_sweep_and_weighted(tmp_path):
     sweep = {row["s"]: row["overlap_volume_mm3"] for row in data["sweep_s"]}
     assert sweep[0.0] == 0.0
     assert sweep[0.3] >= 0.0
+
+
+def nested_loops_gcode():
+    """Two layers over the 20x10 wedge, each two concentric closed
+    counter-clockwise rectangles that start at their lower-left corner;
+    the upper layer's loops start 3 mm further up the slope."""
+    fil_area = PrinterProfile().filament_area
+    lines = ["G90", "M82", "G92 E0"]
+    e = 0.0
+    for layer, (z, x0) in enumerate(((0.6, 1.0), (1.2, 4.0))):
+        lines.append(f";LAYER:{layer}")
+        for (ax, ay), (bx, by) in (((x0, 1.0), (19.0, 9.0)),
+                                   ((x0 + 0.8, 1.8), (18.2, 8.2))):
+            pts = [(ax, ay), (bx, ay), (bx, by), (ax, by), (ax, ay)]
+            lines += [";TYPE:WALL-OUTER",
+                      f"G0 X{ax:.3f} Y{ay:.3f} Z{z:.3f} F7200"]
+            for p, q in zip(pts, pts[1:]):
+                e += math.dist(p, q) * 0.8 * 0.6 / fil_area
+                lines.append(f"G1 X{q[0]:.3f} Y{q[1]:.3f} E{e:.5f} F1200")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("weighted, costs", [
+    (False, [(3.0, 3), (2.0, 2)]),
+    # seams on the loops' convex corners weigh gap_cost(3pi/2) = 1.75
+    (True, [(5.0, 3), (3.5, 2)]),
+])
+def test_cli_weighted_seams_price_corners(tmp_path, weighted, costs):
+    gpath = tmp_path / "loops.gcode"
+    mpath = tmp_path / "model.stl"
+    rep = tmp_path / "rep.json"
+    gpath.write_text(nested_loops_gcode())
+    mpath.write_bytes(mesh_to_stl_binary(wedge_mesh()))
+    code = cli.main([
+        "--gcode", str(gpath), "--mesh", str(mpath),
+        "--out", str(tmp_path / "o.gcode"), "--report", str(rep),
+        *(["--weighted-seams"] if weighted else []),
+    ])
+    assert code == 0
+    layers = json.loads(rep.read_text())["ordering"]["layers"]
+    assert [(r["best_cost"], r["gaps"]) for r in layers] == costs

@@ -4,6 +4,7 @@ the benchmark's traced job still finds every entry point it wraps."""
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from toolpath_aa.geometry import mesh_to_stl_binary
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
+TRACEJOB = ROOT / "perfbench" / "tracejob.py"
 
 
 def run_script(name, cwd):
@@ -46,15 +48,19 @@ def test_wedge_demo_leaves_its_artifacts(tmp_path):
         assert (tmp_path / "out" / name).read_text().startswith("ply\n")
 
 
+def load_tracejob():
+    spec = importlib.util.spec_from_file_location("tracejob", TRACEJOB)
+    tracejob = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracejob)
+    return tracejob
+
+
 def test_trace_job_entry_points_resolve_and_count(tmp_path, monkeypatch):
     # perfbench/tracejob.py replaces each entry point at the module
     # attribute the pipeline calls it through, and reads counts from its
     # arguments and result; a renamed function or a changed return would
     # otherwise only show as a missing metric
-    spec = importlib.util.spec_from_file_location(
-        "tracejob", ROOT / "perfbench" / "tracejob.py")
-    tracejob = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracejob)
+    tracejob = load_tracejob()
     modules = {}
     for module, attr, _name, _counter in tracejob.ENTRY_POINTS:
         mod = modules.setdefault(
@@ -82,3 +88,24 @@ def test_trace_job_entry_points_resolve_and_count(tmp_path, monkeypatch):
             counts[key] = counts.get(key, 0) + value
     assert counts["vertices"] >= counts["displaced"] > 0
     assert counts["rays"] > 0 and counts["edges"] > 0
+
+
+def test_trace_job_script_spans_every_entry_point(tmp_path):
+    # the benchmark's traced pass runs the script in a fresh interpreter:
+    # every entry point it wraps must fire on an ordered wedge with a
+    # sweep and an error map
+    mesh, gcode = fixtures.wedge_fixture()
+    (tmp_path / "in.gcode").write_text(gcode)
+    (tmp_path / "in.stl").write_bytes(mesh_to_stl_binary(mesh))
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    result = subprocess.run(
+        [sys.executable, str(TRACEJOB), "spans.json", "wedge", "--",
+         "--gcode", "in.gcode", "--mesh", "in.stl", "--out", "out.gcode",
+         "--sweep-s", "0.3", "--error-map", "map.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    trace = json.loads((tmp_path / "spans.json").read_text())
+    assert trace["exit"] == 0
+    assert {s["name"] for s in trace["spans"]} == {
+        name for _module, _attr, name, _counter in load_tracejob().ENTRY_POINTS}
