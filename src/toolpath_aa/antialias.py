@@ -11,7 +11,7 @@ import numpy as np
 
 from .geometry import BoxGrid, cast_vertical_batch, segment_param
 from .gcode import (DELTA, E, F, VERTEX_COLUMNS, X, Y, Z, Layer, PrintProgram,
-                    deposition_segments)
+                    deposition_segments, fold_sum)
 
 WINDOW_EPS = 1e-12   # float guard at the displacement window boundary
 SNAP_EPS = 1e-9      # displacements below this are treated as zero
@@ -403,7 +403,7 @@ def detect_overlaps(program, profile):
             records.append(OverlapRecord(lower=(i, lp, lr), upper=(i + 1, up, ur),
                                          volume=volume))
     return records, {"overlap_records": len(records),
-                     "overlap_volume_mm3": sum(r.volume for r in records)}
+                     "overlap_volume_mm3": fold_sum(r.volume for r in records)}
 
 
 def _tops_at(la, lb, cx, cy):

@@ -75,7 +75,16 @@ class Toolpath:
     def total_e(self):
         """Filament of the path's segments; the first row's E ends no
         segment of this path (see `deposition_segments`) and is not emitted."""
-        return sum(self.vertices[1:, E].tolist())
+        return fold_sum(self.vertices[1:, E].tolist())
+
+
+def fold_sum(values):
+    """Floats added left to right from 0.0, on every Python: the builtin
+    `sum()` compensates its additions since 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def deposition_segments(paths):

@@ -421,75 +421,86 @@ def cast_vertical_brute(mesh, query):
                         np.isfinite(dist[best]))
 
 
+def first_minima(count, pair_values):
+    """Each row's first minimum over its candidate pairs, as `argmin` over
+    them in order would pick it. Row r has count[r] pairs; pair_values(rows)
+    returns arrays over the pairs of those rows, row by row, the first of
+    them the key. The pairs are evaluated in blocks of whole rows and at
+    most PAIR_BLOCK pairs (a row with more forms one block on its own).
+    Returns (hit, values): a row has no hit when it has no pairs or its
+    minimum key is not finite (a NaN key is its row's minimum); `values`
+    hold each array's value at a hit row's first minimum, 0 elsewhere."""
+    count = np.asarray(count, dtype=np.int64)
+    rows = np.flatnonzero(count)
+    hit = np.zeros(len(count), dtype=bool)
+    out = []
+
+    def zeros(values):
+        return [np.zeros(len(hit), dtype=v.dtype) for v in values]
+
+    count = count[rows]
+    through = np.cumsum(count)
+    r0 = 0
+    while r0 < len(rows):
+        base = through[r0] - count[r0]
+        r1 = max(r0 + 1, int(np.searchsorted(through, base + PAIR_BLOCK,
+                                             side="right")))
+        values = pair_values(rows[r0:r1])
+        out = out or zeros(values)
+        key = values[0]
+        starts = through[r0:r1] - count[r0:r1] - base   # each row's first pair
+        low = np.minimum.reduceat(key, starts)
+        at_min = key == np.repeat(low, count[r0:r1])
+        best = np.minimum.reduceat(np.where(at_min, np.arange(len(key)),
+                                            len(key)), starts)
+        got = np.isfinite(low)
+        sel = rows[r0:r1][got]
+        hit[sel] = True
+        for o, v in zip(out, values):
+            o[sel] = v[best[got]]
+        r0 = r1
+    # with no pairs at all, a call on no rows gives the values' dtypes
+    return hit, out or zeros(pair_values(rows))
+
+
 def cast_vertical_batch(index, xs, ys, qzs):
     """Vectorised casting for many query points.
 
     Returns (delta, facing_top, hit) arrays. Every in-bounds ray is paired
-    with each candidate triangle of its grid cell; the pairs are evaluated
-    in blocks of at most PAIR_BLOCK (a ray with more candidates forms one
-    block on its own) and each ray keeps its first minimum, as `argmin`
-    over its candidates in id order would.
+    with each candidate triangle of its grid cell, in id order, and keeps
+    the first minimum of its key (`first_minima`).
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     qzs = np.asarray(qzs, dtype=np.float64)
-    n = len(xs)
-    delta = np.zeros(n)
-    facing_top = np.zeros(n, dtype=bool)
-    hit = np.zeros(n, dtype=bool)
-
+    cell_id = np.zeros(len(xs), dtype=np.int64)
+    count = np.zeros(len(xs), dtype=np.int64)
     rays = np.flatnonzero((xs >= index.xy_min[0]) & (xs <= index.xy_max[0])
                           & (ys >= index.xy_min[1]) & (ys <= index.xy_max[1]))
     ix, iy = index._cell_of(np.column_stack([xs[rays], ys[rays]])).T
-    cell_id = ix * index.ny + iy
-    count = np.diff(index.offsets)[cell_id]
-    keep = count > 0
-    rays, cell_id, count = rays[keep], cell_id[keep], count[keep]
-    pairs_through = np.cumsum(count)
-    r0 = 0
-    while r0 < len(rays):
-        base = pairs_through[r0] - count[r0]
-        r1 = max(r0 + 1, int(np.searchsorted(pairs_through, base + PAIR_BLOCK,
-                                             side="right")))
-        c, cand = index.cell_items(cell_id[r0:r1])
-        starts = pairs_through[r0:r1] - c - base   # each ray's first pair
-        ray_of = np.repeat(np.arange(r1 - r0), c)
-        pts = rays[r0:r1]
-        dz, dist, key = _ray_keys(index._tri_pts[cand], xs[pts][ray_of],
-                                  ys[pts][ray_of], qzs[pts][ray_of])
-        at_min = key == np.minimum.reduceat(key, starts)[ray_of]
-        pair = np.arange(len(key))
-        best = np.minimum.reduceat(np.where(at_min, pair, len(key)), starts)
-        got = best < len(key)          # a NaN key has no pair at its minimum
-        got[got] = np.isfinite(dist[best[got]])
-        sel = pts[got]
-        best = best[got]
-        delta[sel] = dz[best]
-        facing_top[sel] = index._nz[cand[best]] > 0
-        hit[sel] = True
-        r0 = r1
-    return delta, facing_top, hit
+    cell_id[rays] = ix * index.ny + iy
+    count[rays] = np.diff(index.offsets)[cell_id[rays]]
+
+    def pair_values(rays):
+        c, cand = index.cell_items(cell_id[rays])
+        dz, _, key = _ray_keys(index._tri_pts[cand], np.repeat(xs[rays], c),
+                               np.repeat(ys[rays], c), np.repeat(qzs[rays], c))
+        return key, dz, cand
+
+    hit, (_, delta, tri) = first_minima(count, pair_values)
+    return delta, hit & (index._nz[tri] > 0), hit
 
 
 # ---------------------------------------------------------------------------
 # XY polyline distances, batched
 #
 # Polylines are arrays whose first three columns are x, y, z, such as a
-# toolpath's vertex array. These are the numpy twins of the scalar
-# reference loops in the ordering tests (`_seg_point_dist2`,
-# `polyline_min_distance_brute`, `nearest_on_polyline_brute`): the same
-# operations in the same order, so they return bitwise the same values.
+# toolpath's vertex array. `nearest_points` is the numpy twin of the
+# scalar reference loops in the ordering tests (`_seg_point_dist2`,
+# `nearest_on_polyline_brute`): the same operations in the same order, so
+# it returns bitwise the same values.
 
 BOX_SLACK = 1e-6     # relative margin on eps before a box gap rules a pair out
-
-
-def _pair_blocks(n_points, n_segs):
-    """Row-major (point, segment) slices of at most PAIR_BLOCK pairs each."""
-    cols = min(n_segs, PAIR_BLOCK)
-    rows = PAIR_BLOCK // cols
-    for r in range(0, n_points, rows):
-        for c in range(0, n_segs, cols):
-            yield slice(r, r + rows), slice(c, c + cols)
 
 
 def segment_param(px, py, ax, ay, dx, dy):
@@ -502,58 +513,42 @@ def segment_param(px, py, ax, ay, dx, dy):
     return np.where(flat, 0.0, np.minimum(np.maximum(t, 0.0), 1.0))
 
 
-def _point_segment_dist2(p, a, b):
-    """`_seg_point_dist2` of every point p[k] against every segment
-    a[i] -> b[i]: (squared distance, t), each of shape (len(p), len(a))."""
-    px, py = p[:, :1], p[:, 1:2]
-    ax, ay = a[:, 0], a[:, 1]
-    dx, dy = b[:, 0] - ax, b[:, 1] - ay
-    t = segment_param(px, py, ax, ay, dx, dy)
-    # a Python float's `** 2` is libm pow, which can differ from x * x in
-    # the last bit; float_power calls the same pow
-    d2 = (np.float_power(px - (ax + t * dx), 2.0)
-          + np.float_power(py - (ay + t * dy), 2.0))
-    return d2, t
+def nearest_points(points, lines):
+    """`nearest_on_polyline_brute` for every row of points[k] against the
+    polyline lines[k], job by job: (distance, z, endpoint flag) arrays over
+    all the jobs' rows in order. A row keeps its first nearest segment, as
+    the scalar strict `<` has it; against a polyline of one row it gets
+    (inf, 0, 0)."""
+    sizes = np.array([len(p) for p in points], dtype=np.int64)
+    lengths = np.array([len(s) for s in lines], dtype=np.int64)
+    xy = np.concatenate([p[:, :2] for p in points] + [np.empty((0, 2))])
+    line = np.concatenate([s[:, :3] for s in lines] + [np.empty((0, 3))])
+    job = np.repeat(np.arange(len(sizes)), sizes)
+    first = (np.cumsum(lengths) - lengths)[job]  # each row's line, in `line`
+    count = np.maximum(lengths - 1, 0)[job]
+    ax, ay = line[:, 0], line[:, 1]
+    dx, dy = np.diff(ax), np.diff(ay)
 
+    def pair_values(rows):
+        c = count[rows]
+        px, py = np.repeat(xy[rows, 0], c), np.repeat(xy[rows, 1], c)
+        a = np.arange(len(px)) + np.repeat(first[rows] - (np.cumsum(c) - c), c)
+        sx, sy, sdx, sdy = ax[a], ay[a], dx[a], dy[a]
+        t = segment_param(px, py, sx, sy, sdx, sdy)
+        # a Python float's `** 2` is libm pow, which can differ from x * x
+        # in the last bit; float_power calls the same pow
+        d2 = (np.float_power(px - (sx + t * sdx), 2.0)
+              + np.float_power(py - (sy + t * sdy), 2.0))
+        return d2, t, a
 
-def polyline_distance(a, b):
-    """`polyline_min_distance_brute` on coordinate arrays. The minimum over
-    all segment pairs of the four vertex-segment distances is the minimum
-    over every vertex of one polyline against every segment of the other."""
-    if len(a) < 2 or len(b) < 2:
-        return min((math.dist(p, q) for p in a[:, :2].tolist()
-                    for q in b[:, :2].tolist()), default=math.inf)
-    best = math.inf
-    for p, s in ((a, b), (b, a)):
-        for rows, cols in _pair_blocks(len(p), len(s) - 1):
-            d2, _ = _point_segment_dist2(p[rows], s[:-1][cols], s[1:][cols])
-            best = min(best, float(d2.min()))
-    return math.sqrt(best)
-
-
-def nearest_points(p, s):
-    """`nearest_on_polyline_brute` for every point p[k] against the
-    polyline s (both coordinate arrays): (distance, z, endpoint flag)
-    arrays. The first minimum wins, as the scalar strict `<` has it."""
-    n, m = len(p), len(s) - 1
-    best = np.full(n, math.inf)
-    seg = np.zeros(n, dtype=np.int64)
-    t = np.zeros(n)
-    if m < 1:
-        return best, np.zeros(n), np.zeros(n, dtype=np.int64)
-    for rows, cols in _pair_blocks(n, m):
-        d2, tb = _point_segment_dist2(p[rows], s[:-1][cols], s[1:][cols])
-        k = d2.argmin(axis=1)
-        r = np.arange(len(k))
-        dk = d2[r, k]
-        better = dk < best[rows]
-        best[rows] = np.where(better, dk, best[rows])
-        seg[rows] = np.where(better, k + cols.start, seg[rows])
-        t[rows] = np.where(better, tb[r, k], t[rows])
-    za, zb = s[seg, 2], s[seg + 1, 2]
-    endpoint = np.where((seg == 0) & (t <= 0.0), -1,
-                        np.where((seg == m - 1) & (t >= 1.0), 1, 0))
-    return np.sqrt(best), za + (zb - za) * t, endpoint
+    hit, (d2, t, a) = first_minima(count, pair_values)
+    za, zb = line[a[hit], 2], line[a[hit] + 1, 2]
+    z = np.zeros(len(hit))
+    z[hit] = za + (zb - za) * t[hit]
+    seg = a - first
+    endpoint = np.where(hit & (seg == 0) & (t <= 0.0), -1,
+                        np.where(hit & (seg == count - 1) & (t >= 1.0), 1, 0))
+    return np.sqrt(np.where(hit, d2, math.inf)), z, endpoint
 
 
 def box_pairs(coords, eps):

@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .gcode import E, EOnly, Toolpath, Travel, Z
-from .geometry import box_pairs, nearest_points, polyline_distance, signed_area
+from .gcode import E, EOnly, Toolpath, Travel, Z, fold_sum
+from .geometry import box_pairs, nearest_points, signed_area
 
 TIE_TOL = 1e-6          # mm, height ties below this create no constraint
 MATCH_TOL = 1e-6        # mm, two gap locations closer than this are the same
@@ -51,15 +51,21 @@ def interference_threshold(profile, dh=None):
 
 
 def find_neighbors(paths, eps):
-    """Unordered index pairs whose closest XY approach is below eps.
+    """Unordered index pairs whose closest XY approach is below eps: some
+    vertex of one path lies within eps of the other path's segments.
 
     Pairs where neither path was modified are skipped: unmodified paths
     bypass ordering entirely.
     """
     coords = [p.vertices for p in paths]
-    return [(i, j) for i, j in box_pairs(coords, eps)
-            if (paths[i].modified or paths[j].modified)
-            and polyline_distance(coords[i], coords[j]) < eps]
+    pairs = [(i, j) for i, j in box_pairs(coords, eps)
+             if paths[i].modified or paths[j].modified]
+    jobs = [job for i, j in pairs for job in ((i, j), (j, i))]
+    dist, _, _ = nearest_points([coords[i] for i, _ in jobs],
+                                [coords[j] for _, j in jobs])
+    job = np.repeat(np.arange(len(jobs)), [len(coords[i]) for i, _ in jobs])
+    near = set((job[dist < eps] // 2).tolist())
+    return [pair for k, pair in enumerate(pairs) if k in near]
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +93,7 @@ class SubPath:
 
     @cached_property
     def height(self):
-        return sum(self.vertices[:, Z].tolist()) / len(self.vertices)
+        return fold_sum(self.vertices[:, Z].tolist()) / len(self.vertices)
 
     def __len__(self):
         return len(self.vertices)
@@ -105,13 +111,12 @@ def _unique_cycle(path):
     return verts
 
 
-def _signals(path_verts, other_verts, eps):
-    """Per-vertex height sign against the nearest point of the neighbour:
-    +1/-1 strict, 0 tie, None out of range."""
-    dist, z, _ep = nearest_points(path_verts, other_verts)
+def _signals(verts, dist, z, eps):
+    """Per-vertex height sign against the nearest point of the neighbour,
+    given each vertex's distance to it and its z: +1/-1 strict, 0 tie,
+    None out of range."""
     return [None if d >= eps else +1 if dz > TIE_TOL else -1 if dz < -TIE_TOL
-            else 0 for d, dz in zip(dist.tolist(),
-                                    (path_verts[:, Z] - z).tolist())]
+            else 0 for d, dz in zip(dist.tolist(), (verts[:, Z] - z).tolist())]
 
 
 def _cuts_from_signals(signals, closed):
@@ -134,19 +139,18 @@ def split_paths(paths, neighbor_pairs, eps):
     """Cut every path at the vertices where its height relation to some
     neighbour flips sign, so each resulting subpath is consistently
     above, below, or tied with each neighbour along its whole extent."""
-    neighbor_map = {}
-    for i, j in neighbor_pairs:
-        neighbor_map.setdefault(i, []).append(j)
-        neighbor_map.setdefault(j, []).append(i)
-
+    jobs = list(neighbor_pairs) + [(j, i) for i, j in neighbor_pairs]
+    cycles = [_unique_cycle(path) for path in paths]
+    dist, z, _ = nearest_points([cycles[i] for i, _ in jobs],
+                                [paths[j].vertices for _, j in jobs])
+    cuts = [set() for _ in paths]
+    rows = np.cumsum([len(cycles[i]) for i, _ in jobs], dtype=np.int64)[:-1]
+    for (i, _), d, zs in zip(jobs, np.split(dist, rows), np.split(z, rows)):
+        cuts[i] |= _cuts_from_signals(_signals(cycles[i], d, zs, eps),
+                                      paths[i].closed)
     subpaths = []
     for pid, path in enumerate(paths):
-        cycle = _unique_cycle(path)
-        cuts = set()
-        for q in neighbor_map.get(pid, ()):
-            sig = _signals(cycle, paths[q].vertices, eps)
-            cuts |= _cuts_from_signals(sig, path.closed)
-        subpaths.extend(_materialise(path, pid, cycle, sorted(cuts)))
+        subpaths.extend(_materialise(path, pid, cycles[pid], sorted(cuts[pid])))
     for k, sp in enumerate(subpaths):
         sp.index = k
     return subpaths
@@ -184,34 +188,31 @@ def _materialise(path, pid, cycle, cuts):
 # ---------------------------------------------------------------------------
 # Height comparison and the constraint graph
 
-def compare_heights(sa, sb, eps):
-    """Mean signed height difference (a minus b) over nearest-point pairs
-    within eps. Pairs sourced at a cut vertex, or whose nearest point
-    lands on the other subpath's cut endpoint, are skipped: a shared cut
-    vertex belongs to two subpaths and would smear one pair's relation
-    into the other."""
-    total = 0.0
-    count = 0
-    for src, dst, sign in ((sa, sb, +1.0), (sb, sa, -1.0)):
-        zs = src.vertices[:, Z].tolist()
-        near = zip(*(a.tolist()
-                     for a in nearest_points(src.vertices, dst.vertices)))
-        for vi, (vz, (dist, z, endpoint)) in enumerate(zip(zs, near)):
-            if vi == 0 and src.first_is_cut:
-                continue
-            if vi == len(zs) - 1 and src.last_is_cut:
-                continue
-            if dist >= eps:
-                continue
-            if endpoint == -1 and dst.first_is_cut:
-                continue
-            if endpoint == +1 and dst.last_is_cut:
-                continue
-            total += sign * (vz - z)
-            count += 1
-    if count == 0:
-        return None
-    return total / count
+def compare_heights(pairs, eps):
+    """Mean signed height difference (a minus b) over the nearest-point
+    pairs within eps, for every subpath pair (a, b); None where there are
+    none. Pairs sourced at a cut vertex, or whose nearest point lands on
+    the other subpath's cut endpoint, are skipped: a shared cut vertex
+    belongs to two subpaths and would smear one pair's relation into the
+    other. Each mean adds its terms left to right, a's rows then b's."""
+    jobs = [job for sa, sb in pairs for job in ((sa, sb), (sb, sa))]
+    dist, z, endpoint = nearest_points([src.vertices for src, _ in jobs],
+                                       [dst.vertices for _, dst in jobs])
+    size = np.array([len(src) for src, _ in jobs], dtype=np.int64)
+    job = np.repeat(np.arange(len(jobs)), size)
+    row = np.arange(len(job)) - (np.cumsum(size) - size)[job]
+    cut = np.array([(src.first_is_cut, src.last_is_cut, dst.first_is_cut,
+                     dst.last_is_cut) for src, dst in jobs],
+                   dtype=bool).reshape(-1, 4)[job].T
+    keep = (~(cut[0] & (row == 0)) & ~(cut[1] & (row == size[job] - 1))
+            & (dist < eps) & ~(cut[2] & (endpoint == -1))
+            & ~(cut[3] & (endpoint == 1)))
+    vz = np.concatenate([src.vertices[:, Z] for src, _ in jobs] + [[]])
+    terms = (np.where(job % 2 == 0, 1.0, -1.0) * (vz - z))[keep].tolist()
+    count = np.bincount(job[keep] // 2, minlength=len(pairs)).tolist()
+    ends = np.cumsum(count, dtype=np.int64).tolist()
+    return [fold_sum(terms[e - c:e]) / c if c else None
+            for e, c in zip(ends, count)]
 
 
 @dataclass
@@ -234,33 +235,21 @@ def build_constraint_graph(subpaths, eps):
     with the weakest evidence, the smallest |mean height difference|
     (the first such edge in cycle order); removed edges go to `dropped`
     as (u, v, mean), so the result is acyclic."""
-    graph = _build_graph_once(subpaths, eps)
+    graph = ConstraintGraph(nodes=subpaths)
+    pairs = [(i, j) for i, j in box_pairs([sp.vertices for sp in subpaths], eps)
+             if subpaths[i].modified and subpaths[j].modified
+             and subpaths[i].parent_id != subpaths[j].parent_id]
+    means = compare_heights([(subpaths[i], subpaths[j]) for i, j in pairs], eps)
+    for (i, j), mean in zip(pairs, means):
+        if mean is not None and abs(mean) > TIE_TOL:
+            graph.edges.append((i, j) if mean < 0 else (j, i))
     while (cycle := _find_cycle(graph)) is not None:
-        means = [(compare_heights(subpaths[u], subpaths[v], eps), u, v)
-                 for u, v in zip(cycle, cycle[1:])]
-        mean, u, v = min(means, key=lambda t: abs(t[0]))
+        edges = list(zip(cycle, cycle[1:]))
+        means = compare_heights([(subpaths[u], subpaths[v]) for u, v in edges],
+                                eps)
+        mean, (u, v) = min(zip(means, edges), key=lambda t: abs(t[0]))
         graph.edges.remove((u, v))
         graph.dropped.append((u, v, mean))
-    return graph
-
-
-def _build_graph_once(subpaths, eps):
-    graph = ConstraintGraph(nodes=subpaths)
-    for i, j in box_pairs([sp.vertices for sp in subpaths], eps):
-        a, b = subpaths[i], subpaths[j]
-        if not (a.modified and b.modified):
-            continue
-        if a.parent_id == b.parent_id:
-            continue
-        # subpaths have two rows or more, so a pair at least eps apart has
-        # no nearest point within eps and compares as None
-        mean = compare_heights(a, b, eps)
-        if mean is None or abs(mean) <= TIE_TOL:
-            continue
-        if mean < 0:
-            graph.edges.append((i, j))
-        else:
-            graph.edges.append((j, i))
     return graph
 
 

@@ -18,7 +18,7 @@ class ConfigError(Exception):
 
 
 MIN_THICKNESS = 0.05   # mm, below this deposition is unreliable
-REPORT_SCHEMA_VERSION = 3
+REPORT_SCHEMA_VERSION = 4
 
 
 @dataclass
@@ -173,15 +173,21 @@ def order_program(program, profile, weighted, cap):
         if not any(p.modified for p in paths):
             layer_reports.append({"layer": li, "skipped": True})
             continue
+        t0 = time.perf_counter()
         pairs = ordering.find_neighbors(paths, eps)
+        t1 = time.perf_counter()
         subpaths = ordering.split_paths(paths, pairs, eps)
+        t2 = time.perf_counter()
         graph = ordering.build_constraint_graph(subpaths, eps)
+        t3 = time.perf_counter()
         result = ordering.order_paths(graph, eps_gap, weighted=weighted,
                                       max_expansions=cap)
+        t4 = time.perf_counter()
         ordering.relink_travels(layer, result.order, eps_gap, travel_f)
         rep = result.report(graph)
-        rep["layer"] = li
-        rep["neighbor_pairs"] = len(pairs)
+        rep.update(layer=li, neighbor_pairs=len(pairs), neighbors_s=t1 - t0,
+                   split_s=t2 - t1, graph_s=t3 - t2,
+                   relink_s=time.perf_counter() - t4)
         layer_reports.append(rep)
     return {
         "epsilon_mm": eps,

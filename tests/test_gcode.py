@@ -278,6 +278,13 @@ def test_total_extrusion_conserved_roundtrip(points):
         total_extrusion(prog), abs=1e-6)
 
 
+
+def test_path_filament_adds_left_to_right():
+    # the first row's E ends no segment; a compensated sum would give 1.0
+    rows = [(float(k), 0.0, 0.6, e, 20.0, 0.0)
+            for k, e in enumerate((5.0, 1e16, 1.0, -1e16))]
+    assert Toolpath(vertices=rows).total_e() == 0.0
+
 # ---------------------------------------------------------------------------
 # The one-pattern move tokeniser against the general tokeniser
 

@@ -53,6 +53,36 @@ def test_find_neighbors_skips_unmodified_pairs():
     assert find_neighbors([a, c], 1.625) == [(0, 1)]
 
 
+def test_empty_and_one_sided_layers():
+    a = line_path(0.0)
+    assert find_neighbors([a], 1.625) == []          # one modified path
+    b = line_path(0.8)
+    subs = split_paths([a, b], [], 1.625)            # close, but no pairs
+    assert [len(sp) for sp in subs] == [len(a), len(b)]
+    assert not any(sp.first_is_cut or sp.last_is_cut for sp in subs)
+    # no candidate pairs: nothing to compare, no edges
+    far = split_paths([a, line_path(30.0)], [], 1.625)
+    graph = build_constraint_graph(far, 1.625)
+    assert graph.edges == [] and graph.dropped == []
+    assert ordering.compare_heights([], 1.625) == []
+
+
+def test_one_row_path_meets_a_neighbour_through_its_segments():
+    # the lone vertex is 5 mm from b's vertices but 0.5 mm from its segment
+    dot = Toolpath(vertices=[(5.0, 0.5, 0.6, 0.0, 20.0, 0.0)], modified=True)
+    b = line_path(0.0, n=2)
+    assert find_neighbors([dot, b], 1.625) == [(0, 1)]
+    assert find_neighbors([dot, dot], 1.625) == []
+
+
+def test_height_adds_left_to_right():
+    # a compensated sum (builtin sum() from Python 3.12) would give 1/3
+    verts = [(0.0, 0.0, z, 0.0, 20.0, 0.0) for z in (1e16, 1.0, -1e16)]
+    sp = SubPath(parent=None, parent_id=0, vertices=np.array(verts),
+                 modified=True, first_is_cut=False, last_is_cut=False)
+    assert sp.height == 0.0
+
+
 def test_split_isolated_path_returned_whole():
     a = line_path(0.0)
     subs = split_paths([a], [], 1.625)
@@ -117,9 +147,10 @@ def test_cycle_detection_drops_the_weakest_edge(monkeypatch):
     subs = split_paths([a, b, c], [(0, 1), (1, 2), (0, 2)], 1.625)
     assert len(subs) == 3
 
-    def cyclic(sa, sb, eps):
+    def cyclic(pairs, eps):
         below = {(0, 1), (1, 2), (2, 0)}
-        return -1.0 if (sa.parent_id, sb.parent_id) in below else 1.0
+        return [-1.0 if (sa.parent_id, sb.parent_id) in below else 1.0
+                for sa, sb in pairs]
 
     monkeypatch.setattr(ordering, "compare_heights", cyclic)
     graph = build_constraint_graph(subs, 1.625)
@@ -137,9 +168,10 @@ def test_cycle_loses_its_smallest_height_difference(monkeypatch):
                        [(0, 1), (1, 2), (0, 2)], 1.625)
     below = {(0, 1): 0.2, (1, 2): 0.01, (2, 0): 0.1}
 
-    def cyclic(sa, sb, eps):
-        key = (sa.parent_id, sb.parent_id)
-        return -below[key] if key in below else below[key[::-1]]
+    def cyclic(pairs, eps):
+        keys = [(sa.parent_id, sb.parent_id) for sa, sb in pairs]
+        return [-below[key] if key in below else below[key[::-1]]
+                for key in keys]
 
     monkeypatch.setattr(ordering, "compare_heights", cyclic)
     graph = build_constraint_graph(subs, 1.625)
@@ -161,24 +193,26 @@ def test_find_cycle_ignores_nodes_downstream_of_a_cycle():
     assert all(e in graph.edges for e in cycle_edges(cycle))
 
 
-def test_dome_cycles_name_real_cycle_nodes():
-    mesh, gcode = fixtures.dome_fixture()
-    config = PipelineConfig(ordering_enabled=False)
-    program, _, _ = run_pipeline(config, gcode_text=gcode, mesh=mesh)
-    eps = interference_threshold(config.profile)
-    cycles = 0
-    for layer in program.layers:
-        paths = layer.toolpaths()
-        if not any(p.modified for p in paths):
-            continue
-        subs = split_paths(paths, find_neighbors(paths, eps), eps)
-        graph = ordering._build_graph_once(subs, eps)
-        cycle = ordering._find_cycle(graph)
+def test_dome_cycles_name_real_cycle_nodes(monkeypatch):
+    # every cycle the graph breaks, as found, runs along edges it has then
+    found = []
+
+    def spy(graph):
+        cycle = find_cycle(graph)
         if cycle is not None:
-            cycles += 1
-            assert len(cycle) > 2 and cycle[0] == cycle[-1]
-            assert all(e in graph.edges for e in cycle_edges(cycle))
-    assert cycles > 0
+            found.append((cycle, list(graph.edges)))
+        return cycle
+
+    find_cycle = ordering._find_cycle
+    monkeypatch.setattr(ordering, "_find_cycle", spy)
+    eps = interference_threshold(PrinterProfile())
+    for paths in displaced_layers(fixtures.dome_fixture()):
+        build_constraint_graph(
+            split_paths(paths, find_neighbors(paths, eps), eps), eps)
+    assert found
+    for cycle, edges in found:
+        assert len(cycle) > 2 and cycle[0] == cycle[-1]
+        assert all(e in edges for e in cycle_edges(cycle))
 
 
 def test_gap_cost_formula():
@@ -371,7 +405,8 @@ def test_split_soundness_constant_sign():
         if sp.last_is_cut:
             verts = verts[:-1]
         for q in neighbor_map.get(sp.parent_id, ()):
-            signals = ordering._signals(verts, paths[q].vertices, eps)
+            dist, z, _ = geometry.nearest_points([verts], [paths[q].vertices])
+            signals = ordering._signals(verts, dist, z, eps)
             strict = [s for s in signals if s in (1, -1)]
             assert len(set(strict)) <= 1, (sp.parent_id, q)
 
@@ -543,7 +578,7 @@ def test_locations_match_all_pairs_reference(eps_gap):
 @pytest.mark.parametrize("cross_hatch", [False, True])
 def test_locations_match_all_pairs_reference_on_wedge_layers(cross_hatch):
     eps = interference_threshold(PrinterProfile())
-    for paths in displaced_layers(cross_hatch):
+    for paths in displaced_layers(fixtures.wedge_fixture(cross_hatch=cross_hatch)):
         subs = split_paths(paths, find_neighbors(paths, eps), eps)
         modified = [i for i, sp in enumerate(subs) if sp.modified]
         assert_locations_match_reference(subs, modified, EPS_GAP)
@@ -678,7 +713,8 @@ def _seg_seg_dist(a1, a2, b1, b2):
 
 
 def polyline_min_distance_brute(verts_a, verts_b):
-    """Closest XY approach between two polylines (vertex arrays)."""
+    """Closest XY approach between two polylines (vertex arrays) of two
+    rows or more."""
     xy_a = verts_a[:, :2].tolist()
     xy_b = verts_b[:, :2].tolist()
     best = math.inf
@@ -688,10 +724,6 @@ def polyline_min_distance_brute(verts_a, verts_b):
             best = min(best, _seg_seg_dist(a1, a2, xy_b[j], xy_b[j + 1]))
             if best == 0.0:
                 return 0.0
-    if len(xy_a) == 1 or len(xy_b) == 1:
-        for pa in xy_a:
-            for pb in xy_b:
-                best = min(best, math.dist(pa, pb))
     return best
 
 
@@ -749,21 +781,22 @@ def as_verts(pts):
 
 
 def assert_matches_brute(a, b):
-    """The numpy min distance and the batched nearest points equal the
-    scalar reference bit for bit."""
+    """The batched nearest points of a against b and of b against a, in
+    one call, equal the scalar reference bit for bit; so does their least
+    distance, the polylines' closest approach, which the neighbour test
+    reads."""
     va, vb = as_verts(a), as_verts(b)
-    assert (geometry.polyline_distance(np.array(a, dtype=float),
-                                       np.array(b, dtype=float)).hex()
-            == polyline_min_distance_brute(va, vb).hex())
-    for src, dst, vdst in ((a, b, vb), (b, a, va)):
-        dist, z, endpoint = geometry.nearest_points(
-            np.array(src, dtype=float), np.array(dst, dtype=float))
-        for (x, y, _), d, zz, ep in zip(src, dist.tolist(), z.tolist(),
-                                        endpoint.tolist()):
-            rd, rz, _pt, rep = nearest_on_polyline_brute(x, y, vdst)
-            assert d.hex() == rd.hex()
-            if rd < math.inf:
-                assert (zz, ep) == (rz, rep)
+    dist, z, endpoint = geometry.nearest_points([va, vb], [vb, va])
+    if len(a) > 1 and len(b) > 1:
+        assert (float(dist.min()).hex()
+                == polyline_min_distance_brute(va, vb).hex())
+    rows = [(x, y, vdst) for src, vdst in ((a, vb), (b, va))
+            for x, y, _ in src]
+    assert len(dist) == len(rows)
+    for (x, y, vdst), d, zz, ep in zip(rows, dist.tolist(), z.tolist(),
+                                       endpoint.tolist()):
+        rd, rz, _pt, rep = nearest_on_polyline_brute(x, y, vdst)
+        assert (d.hex(), zz, ep) == (rd.hex(), rz, rep)
 
 
 @settings(max_examples=300, deadline=None)
@@ -779,13 +812,13 @@ def test_numpy_distances_span_several_blocks():
     zig = [(0.05 * k, float(k % 2), 0.6 + 0.01 * k) for k in range(120)]
     wig = [(0.04 * k, 1.5 + rng.random(), 0.6) for k in range(150)]
     # out along the x axis and back over the same line: more segments than
-    # one block holds, and equally near segments in two different blocks
+    # one block holds, and equally near segments at both ends of a row
     n = geometry.PAIR_BLOCK // 2 + 100
     line = ([(float(k), 0.0, 0.6) for k in range(n)]
             + [(float(k), 0.0, 0.7) for k in range(n - 1, -1, -1)])
     probe = [(10.3, 1.0, 0.6), (2000.5, -0.5, 0.6), (-3.0, 0.2, 0.6)]
-    assert len(list(geometry._pair_blocks(len(zig), len(wig) - 1))) > 1
-    assert len(list(geometry._pair_blocks(len(probe), len(line) - 1))) > len(probe)
+    assert len(zig) * (len(wig) - 1) > 2 * geometry.PAIR_BLOCK
+    assert len(line) - 1 > geometry.PAIR_BLOCK    # a row is a block alone
     assert_matches_brute(zig, wig)
     assert_matches_brute(probe, line)
 
@@ -798,29 +831,90 @@ def test_numpy_distances_match_scalar_on_random_floats():
     points = [tuple(p) for p in rng.uniform(-5.0, 5.0, (3000, 3)).tolist()]
     line = [tuple(p) for p in rng.uniform(-5.0, 5.0, (30, 3)).tolist()]
     assert_matches_brute(points[:60], line)
-    dist, _, _ = geometry.nearest_points(np.array(points), np.array(line))
+    dist, _, _ = geometry.nearest_points([np.array(points)], [np.array(line)])
     vline = as_verts(line)
     assert [d.hex() for d in dist.tolist()] == [
         nearest_on_polyline_brute(x, y, vline)[0].hex() for x, y, _ in points]
 
 
+def test_nearest_points_empty_and_one_row_target():
+    dist, z, endpoint = geometry.nearest_points([], [])
+    assert (len(dist), len(z), len(endpoint)) == (0, 0, 0)
+    dist, z, endpoint = geometry.nearest_points(
+        [as_verts([(0.0, 0.0, 0.6), (1.0, 0.0, 0.6)])],
+        [as_verts([(0.0, 0.0, 0.7)])])
+    assert dist.tolist() == [math.inf] * 2
+    assert z.tolist() == [0.0, 0.0] and endpoint.tolist() == [0, 0]
+
+
+def nearest_points_brute(points, lines):
+    """`geometry.nearest_points` by the scalar loop, job by job."""
+    rows = [nearest_on_polyline_brute(x, y, s) for p, s in zip(points, lines)
+            for x, y in p[:, :2].tolist()]
+    return (np.array([r[0] for r in rows]), np.array([r[1] for r in rows]),
+            np.array([r[3] for r in rows], dtype=np.int64))
+
+
+def compare_heights_brute(sa, sb, eps):
+    """`ordering.compare_heights` of one pair by the scalar loop."""
+    total = 0.0
+    count = 0
+    for src, dst, sign in ((sa, sb, +1.0), (sb, sa, -1.0)):
+        zs = src.vertices[:, Z].tolist()
+        near = zip(*(a.tolist() for a in nearest_points_brute(
+            [src.vertices], [dst.vertices])))
+        for vi, (vz, (dist, z, endpoint)) in enumerate(zip(zs, near)):
+            if vi == 0 and src.first_is_cut:
+                continue
+            if vi == len(zs) - 1 and src.last_is_cut:
+                continue
+            if dist >= eps:
+                continue
+            if endpoint == -1 and dst.first_is_cut:
+                continue
+            if endpoint == +1 and dst.last_is_cut:
+                continue
+            total += sign * (vz - z)
+            count += 1
+    if count == 0:
+        return None
+    return total / count
+
+
 def scalar_reference(monkeypatch):
     """Route the ordering stage through the scalar reference: every pair
-    of polylines is a candidate, distances come from the brute loops."""
-    def nearest(p, s):
-        rows = [nearest_on_polyline_brute(x, y, s) for x, y in p[:, :2].tolist()]
-        return (np.array([r[0] for r in rows]), np.array([r[1] for r in rows]),
-                np.array([r[3] for r in rows], dtype=np.int64))
-
+    of polylines is a candidate, nearest points and height means come
+    from the brute loops, one pair at a time."""
     monkeypatch.setattr(ordering, "box_pairs", lambda coords, eps: list(
         itertools.combinations(range(len(coords)), 2)))
-    monkeypatch.setattr(ordering, "polyline_distance",
-                        polyline_min_distance_brute)
-    monkeypatch.setattr(ordering, "nearest_points", nearest)
+    monkeypatch.setattr(ordering, "nearest_points", nearest_points_brute)
+    monkeypatch.setattr(ordering, "compare_heights", lambda pairs, eps: [
+        compare_heights_brute(sa, sb, eps) for sa, sb in pairs])
+
+
+def test_height_means_add_in_scalar_order():
+    # hundreds of terms spread over ten decades, so that their sums round:
+    # a pairwise sum (np.sum) rounds differently from the scalar loop's
+    # left-to-right one
+    rng = np.random.default_rng(5)
+    a = line_path(0.0, n=200)
+    a.vertices[:, Z] = (rng.uniform(0.0, 1.0, 200)
+                        * 10.0 ** rng.integers(-8, 3, 200))
+    sa, sb = split_paths([a, line_path(0.5, n=150)], [], 1.625)
+    means = ordering.compare_heights([(sa, sb), (sb, sa)], 1.625)
+    assert [m.hex() for m in means] == [
+        compare_heights_brute(sa, sb, 1.625).hex(),
+        compare_heights_brute(sb, sa, 1.625).hex()]
+    terms = np.concatenate([
+        src.vertices[:, Z] - nearest_points_brute([src.vertices],
+                                                  [dst.vertices])[1]
+        for src, dst in ((sa, sb), (sb, sa))]) * np.repeat([1.0, -1.0], [200, 150])
+    assert float(np.sum(terms)) / len(terms) != means[0]
 
 
 def ordering_structure(layers, eps):
-    """Per layer: neighbour pairs, subpath boundaries, graph edges."""
+    """Per layer: neighbour pairs, subpath boundaries, graph edges, and the
+    edges cycles lost, with their means as hex."""
     out = []
     for paths in layers:
         pairs = find_neighbors(paths, eps)
@@ -828,26 +922,36 @@ def ordering_structure(layers, eps):
         graph = build_constraint_graph(subs, eps)
         out.append((pairs, [(sp.parent_id, sp.vertices.tobytes(),
                              sp.first_is_cut, sp.last_is_cut)
-                            for sp in graph.nodes], graph.edges))
+                            for sp in graph.nodes], graph.edges,
+                    [(u, v, mean.hex()) for u, v, mean in graph.dropped]))
     return out
 
 
-def displaced_layers(cross_hatch):
-    mesh, gcode = fixtures.wedge_fixture(cross_hatch=cross_hatch)
+def displaced_layers(fixture):
+    """The modified layers of a (mesh, gcode) fixture, displaced."""
+    mesh, gcode = fixture
     config = PipelineConfig(ordering_enabled=False)
     program, _, _ = run_pipeline(config, gcode_text=gcode, mesh=mesh)
     return [layer.toolpaths() for layer in program.layers
             if any(p.modified for p in layer.toolpaths())]
 
 
-@pytest.mark.parametrize("scene", ["wedge", "wedge_hatch", "three_paths"])
+@pytest.mark.parametrize("scene", ["wedge", "wedge_hatch", "three_paths",
+                                   "dome_cycles"])
 def test_ordering_structure_matches_scalar_reference(scene, monkeypatch):
     eps = interference_threshold(PrinterProfile())
     if scene == "three_paths":
         layers = [fixtures.three_paths_scene()]
+    elif scene == "dome_cycles":
+        # the dome's second modified layer: 16 paths, 4 edges lost to
+        # cycles, two of whose means differ in the last hex digit only
+        layers = displaced_layers(fixtures.dome_fixture())[1:2]
     else:
-        layers = displaced_layers(cross_hatch=(scene == "wedge_hatch"))
+        layers = displaced_layers(
+            fixtures.wedge_fixture(cross_hatch=(scene == "wedge_hatch")))
     fast = ordering_structure(layers, eps)
     scalar_reference(monkeypatch)
     assert fast == ordering_structure(layers, eps)
-    assert sum(len(pairs) for pairs, _, _ in fast) > 0
+    assert sum(len(pairs) for pairs, *_ in fast) > 0
+    if scene == "dome_cycles":
+        assert len(layers[0]) == 16 and len(fast[0][3]) == 4

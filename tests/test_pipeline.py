@@ -59,13 +59,21 @@ def test_wedge_end_to_end_report(tmp_path):
     reparsed = parse_gcode(out_path.read_text())
     assert len(reparsed.layers) == len(program.layers)
     assert [r["s"] for r in data["sweep_s"]] == [0.0, 0.3]
-    assert data["schema_version"] == 3
+    assert data["schema_version"] == 4
     stages = dict(data["timings_s"])
     total = stages.pop("total")
     assert set(stages) == {"load", "parse", "index", "antialias", "overlap",
                            "sweep", "ordering", "emit", "print_time",
                            "error_map"}
     assert sum(stages.values()) <= total
+    # each ordered layer times its stages, which lie inside the ordering's
+    layers = [r for r in data["ordering"]["layers"] if not r.get("skipped")]
+    assert layers
+    layer_stages = [r[k] for r in layers
+                    for k in ("neighbors_s", "split_s", "graph_s",
+                              "wall_time_s", "relink_s")]
+    assert min(layer_stages) >= 0.0
+    assert sum(layer_stages) <= stages["ordering"]
     # layer monotonicity survives every stage
     for prog in (program, reparsed):
         zs = [l.base_z for l in prog.layers]
