@@ -4,7 +4,8 @@ source mesh.
 Exit codes: 0 ok, 2 configuration error, 3 G-code parse error,
 4 geometry error, 5 ordering error (a bug: height cycles are repaired,
 not raised), 6 thickness error (a track would have zero or negative
-thickness), 7 evaluation error (a move without a feedrate).
+thickness), 7 evaluation error (a move without a feedrate), 8 I/O error
+(an input that cannot be read, an output that cannot be written).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ EXIT_GEOMETRY = 4
 EXIT_ORDERING = 5
 EXIT_THICKNESS = 6
 EXIT_EVALUATION = 7
+EXIT_IO = 8
 
 
 def build_parser():
@@ -78,6 +80,7 @@ FAILURES = (
     (OrderingError, "ordering error", EXIT_ORDERING),
     (ThicknessError, "thickness error", EXIT_THICKNESS),
     (EvaluationError, "evaluation error", EXIT_EVALUATION),
+    (OSError, "I/O error", EXIT_IO),
 )
 
 

@@ -19,8 +19,12 @@ def replace_atomically(path, newline=None, binary=False):
     removed."""
     head, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(head, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    fh = (open(tmp, "xb") if binary
-          else open(tmp, "x", encoding="utf-8", newline=newline))
+    try:
+        fh = (open(tmp, "xb") if binary
+              else open(tmp, "x", encoding="utf-8", newline=newline))
+    except OSError as exc:
+        exc.filename = path     # name the target, not its temporary name
+        raise
     try:
         with fh:
             yield fh

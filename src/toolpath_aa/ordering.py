@@ -51,21 +51,21 @@ def interference_threshold(profile, dh=None):
 
 
 def find_neighbors(paths, eps):
-    """Unordered index pairs whose closest XY approach is below eps: some
-    vertex of one path lies within eps of the other path's segments.
-
-    Pairs where neither path was modified are skipped: unmodified paths
-    bypass ordering entirely.
-    """
+    """Index pairs i < j whose closest XY approach is below eps: some vertex
+    of one path lies within eps of the other path's segments. Each maps to
+    its sides' rows, ((dist, z) of i's vertices against j, then j's against
+    i). Pairs where neither path was modified are skipped: unmodified paths
+    bypass ordering entirely."""
     coords = [p.vertices for p in paths]
     pairs = [(i, j) for i, j in box_pairs(coords, eps)
              if paths[i].modified or paths[j].modified]
     jobs = [job for i, j in pairs for job in ((i, j), (j, i))]
-    dist, _, _ = nearest_points([coords[i] for i, _ in jobs],
+    dist, z, _ = nearest_points([coords[i] for i, _ in jobs],
                                 [coords[j] for _, j in jobs])
-    job = np.repeat(np.arange(len(jobs)), [len(coords[i]) for i, _ in jobs])
-    near = set((job[dist < eps] // 2).tolist())
-    return [pair for k, pair in enumerate(pairs) if k in near]
+    rows = np.cumsum([len(coords[i]) for i, _ in jobs], dtype=np.int64)[:-1]
+    sides = iter(zip(np.split(dist, rows), np.split(z, rows)))
+    return {pair: (a, b) for pair, a, b in zip(pairs, sides, sides)
+            if (a[0] < eps).any() or (b[0] < eps).any()}
 
 
 # ---------------------------------------------------------------------------
@@ -135,19 +135,18 @@ def _cuts_from_signals(signals, closed):
     return cuts
 
 
-def split_paths(paths, neighbor_pairs, eps):
+def split_paths(paths, neighbors, eps):
     """Cut every path at the vertices where its height relation to some
     neighbour flips sign, so each resulting subpath is consistently
-    above, below, or tied with each neighbour along its whole extent."""
-    jobs = list(neighbor_pairs) + [(j, i) for i, j in neighbor_pairs]
+    above, below, or tied with each neighbour along its whole extent, as
+    `find_neighbors`' rows for the pair tell."""
     cycles = [_unique_cycle(path) for path in paths]
-    dist, z, _ = nearest_points([cycles[i] for i, _ in jobs],
-                                [paths[j].vertices for _, j in jobs])
     cuts = [set() for _ in paths]
-    rows = np.cumsum([len(cycles[i]) for i, _ in jobs], dtype=np.int64)[:-1]
-    for (i, _), d, zs in zip(jobs, np.split(dist, rows), np.split(z, rows)):
-        cuts[i] |= _cuts_from_signals(_signals(cycles[i], d, zs, eps),
-                                      paths[i].closed)
+    for pair, sides in neighbors.items():
+        for i, (dist, z) in zip(pair, sides):
+            n = len(cycles[i])      # a cycle's rows lead its path's
+            cuts[i] |= _cuts_from_signals(
+                _signals(cycles[i], dist[:n], z[:n], eps), paths[i].closed)
     subpaths = []
     for pid, path in enumerate(paths):
         subpaths.extend(_materialise(path, pid, cycles[pid], sorted(cuts[pid])))

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 from . import antialias, evaluate, geometry, ordering
 from .files import replace_atomically
-from .gcode import (PrinterProfile, Travel, emit_gcode, parse_gcode,
-                    total_extrusion)
+from .gcode import (GcodeParseError, PrinterProfile, Travel, emit_gcode,
+                    parse_gcode, total_extrusion)
 
 
 class ConfigError(Exception):
@@ -60,8 +60,13 @@ def run_pipeline(config, gcode_text=None, mesh=None):
 
     t0 = time.perf_counter()
     if gcode_text is None:
-        with open(config.gcode_path, "r", encoding="utf-8") as fh:
-            gcode_text = fh.read()
+        try:
+            with open(config.gcode_path, "r", encoding="utf-8") as fh:
+                gcode_text = fh.read()
+        except UnicodeDecodeError as exc:   # a ValueError, not a bad config
+            raise GcodeParseError(
+                f"byte {exc.start} is not UTF-8",
+                exc.object.count(b"\n", 0, exc.start) + 1) from None
     if mesh is None:
         mesh = geometry.load_mesh_file(config.mesh_path)
     report["timings_s"]["load"] = time.perf_counter() - t0

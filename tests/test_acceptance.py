@@ -110,7 +110,7 @@ def test_c03_three_paths_15_combinatorics():
     paths = fixtures.three_paths_scene()
     eps = ordering.interference_threshold(PROFILE)
     pairs = ordering.find_neighbors(paths, eps)
-    assert pairs == [(0, 1), (1, 2)]          # path1-path3 independent
+    assert list(pairs) == [(0, 1), (1, 2)]    # path1-path3 independent
     subs = ordering.split_paths(paths, pairs, eps)
     assert len(subs) == 7
     labels = fixtures.label_scene_subpaths(subs)

@@ -14,6 +14,7 @@ from toolpath_aa.ordering import (ConstraintGraph, OrderingError, SubPath,
                                   interference_threshold, order_paths,
                                   split_paths)
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
+from test_pipeline import nested_loops_gcode
 
 EPS_GAP = 3.2   # 4 * w for w = 0.8
 
@@ -48,20 +49,20 @@ def test_find_neighbors_by_distance():
 def test_find_neighbors_skips_unmodified_pairs():
     a = line_path(0.0, modified=False)
     b = line_path(0.8, modified=False)
-    assert find_neighbors([a, b], 1.625) == []
+    assert list(find_neighbors([a, b], 1.625)) == []
     c = line_path(0.8, modified=True)
-    assert find_neighbors([a, c], 1.625) == [(0, 1)]
+    assert list(find_neighbors([a, c], 1.625)) == [(0, 1)]
 
 
 def test_empty_and_one_sided_layers():
     a = line_path(0.0)
-    assert find_neighbors([a], 1.625) == []          # one modified path
+    assert list(find_neighbors([a], 1.625)) == []    # one modified path
     b = line_path(0.8)
-    subs = split_paths([a, b], [], 1.625)            # close, but no pairs
+    subs = split_paths([a, b], {}, 1.625)            # close, but no pairs
     assert [len(sp) for sp in subs] == [len(a), len(b)]
     assert not any(sp.first_is_cut or sp.last_is_cut for sp in subs)
     # no candidate pairs: nothing to compare, no edges
-    far = split_paths([a, line_path(30.0)], [], 1.625)
+    far = split_paths([a, line_path(30.0)], {}, 1.625)
     graph = build_constraint_graph(far, 1.625)
     assert graph.edges == [] and graph.dropped == []
     assert ordering.compare_heights([], 1.625) == []
@@ -71,8 +72,8 @@ def test_one_row_path_meets_a_neighbour_through_its_segments():
     # the lone vertex is 5 mm from b's vertices but 0.5 mm from its segment
     dot = Toolpath(vertices=[(5.0, 0.5, 0.6, 0.0, 20.0, 0.0)], modified=True)
     b = line_path(0.0, n=2)
-    assert find_neighbors([dot, b], 1.625) == [(0, 1)]
-    assert find_neighbors([dot, dot], 1.625) == []
+    assert list(find_neighbors([dot, b], 1.625)) == [(0, 1)]
+    assert list(find_neighbors([dot, dot], 1.625)) == []
 
 
 def test_height_adds_left_to_right():
@@ -85,7 +86,7 @@ def test_height_adds_left_to_right():
 
 def test_split_isolated_path_returned_whole():
     a = line_path(0.0)
-    subs = split_paths([a], [], 1.625)
+    subs = split_paths([a], {}, 1.625)
     assert len(subs) == 1
     assert len(subs[0].vertices) == len(a.vertices)
 
@@ -93,7 +94,7 @@ def test_split_isolated_path_returned_whole():
 def test_split_constant_offset_no_cuts():
     a = line_path(0.0, z=0.65, delta=0.05)
     b = line_path(0.8, z=0.6)
-    subs = split_paths([a, b], [(0, 1)], 1.625)
+    subs = split_paths([a, b], find_neighbors([a, b], 1.625), 1.625)
     assert len(subs) == 2
 
 
@@ -103,7 +104,7 @@ def test_split_sign_flip_cuts_at_new_sign():
     a.vertices[:, Z] = np.where(a.vertices[:, X] < 5.0, 0.5, 0.7)
     a.vertices[:, DELTA] = a.vertices[:, Z] - 0.6
     b = line_path(0.8, z=0.6)
-    subs = split_paths([a, b], [(0, 1)], 1.625)
+    subs = split_paths([a, b], find_neighbors([a, b], 1.625), 1.625)
     pieces_a = [sp for sp in subs if sp.parent_id == 0]
     assert len(pieces_a) == 2
     cut = pieces_a[1].vertices[0]
@@ -117,7 +118,7 @@ def test_three_paths_partition_and_graph():
     profile = PrinterProfile()
     eps = interference_threshold(profile)
     pairs = find_neighbors(paths, eps)
-    assert pairs == [(0, 1), (1, 2)]
+    assert list(pairs) == [(0, 1), (1, 2)]
     subs = split_paths(paths, pairs, eps)
     assert len(subs) == 7
     labels = fixtures.label_scene_subpaths(subs)
@@ -133,7 +134,7 @@ def test_three_paths_partition_and_graph():
 def test_graph_ties_are_independent():
     a = line_path(0.0, z=0.6)
     b = line_path(0.8, z=0.6 + 5e-7)
-    subs = split_paths([a, b], [(0, 1)], 1.625)
+    subs = split_paths([a, b], find_neighbors([a, b], 1.625), 1.625)
     graph = build_constraint_graph(subs, 1.625)
     assert graph.edges == []
 
@@ -144,7 +145,7 @@ def test_cycle_detection_drops_the_weakest_edge(monkeypatch):
     a = line_path(0.0)
     b = line_path(0.6)
     c = line_path(1.2)
-    subs = split_paths([a, b, c], [(0, 1), (1, 2), (0, 2)], 1.625)
+    subs = split_paths([a, b, c], find_neighbors([a, b, c], 1.625), 1.625)
     assert len(subs) == 3
 
     def cyclic(pairs, eps):
@@ -164,8 +165,8 @@ def test_cycle_detection_drops_the_weakest_edge(monkeypatch):
 def test_cycle_loses_its_smallest_height_difference(monkeypatch):
     # the same cycle with one weak edge (1 -> 2): that edge goes, whatever
     # its place in the cycle
-    subs = split_paths([line_path(0.0), line_path(0.6), line_path(1.2)],
-                       [(0, 1), (1, 2), (0, 2)], 1.625)
+    paths = [line_path(0.0), line_path(0.6), line_path(1.2)]
+    subs = split_paths(paths, find_neighbors(paths, 1.625), 1.625)
     below = {(0, 1): 0.2, (1, 2): 0.01, (2, 0): 0.1}
 
     def cyclic(pairs, eps):
@@ -655,7 +656,7 @@ def test_relink_travels():
     a = line_path(0.0)
     b = line_path(12.0)          # entry 12 mm away from a's exit
     layer = Layer(base_z=0.6, events=[a, b])
-    subs = split_paths([a, b], [], 1.625)
+    subs = split_paths([a, b], {}, 1.625)
     graph = build_constraint_graph(subs, 1.625)
     res = order_paths(graph, EPS_GAP)
     relink_travels(layer, res.order, EPS_GAP, travel_f=120.0)
@@ -674,7 +675,7 @@ def test_relink_near_transition_is_continuous():
     a = line_path(0.0, x0=0, x1=10)
     b = line_path(1.0, x0=10, x1=20)   # entry 1 mm from a's exit (< eps_gap)
     layer = Layer(base_z=0.6, events=[a, b])
-    subs = split_paths([a, b], [], 1.625)
+    subs = split_paths([a, b], {}, 1.625)
     graph = build_constraint_graph(subs, 1.625)
     res = order_paths(graph, EPS_GAP)
     relink_travels(layer, res.order, EPS_GAP, travel_f=120.0)
@@ -884,10 +885,17 @@ def compare_heights_brute(sa, sb, eps):
 def scalar_reference(monkeypatch):
     """Route the ordering stage through the scalar reference: every pair
     of polylines is a candidate, nearest points and height means come
-    from the brute loops, one pair at a time."""
+    from the brute loops, one pair at a time. The split's rows are each
+    cycle's own, not the first rows of its path's."""
     monkeypatch.setattr(ordering, "box_pairs", lambda coords, eps: list(
         itertools.combinations(range(len(coords)), 2)))
     monkeypatch.setattr(ordering, "nearest_points", nearest_points_brute)
+    find_neighbors = ordering.find_neighbors
+    monkeypatch.setattr(ordering, "find_neighbors", lambda paths, eps: {
+        pair: tuple(nearest_points_brute([ordering._unique_cycle(paths[i])],
+                                         [paths[j].vertices])[:2]
+                    for i, j in (pair, pair[::-1]))
+        for pair in find_neighbors(paths, eps)})
     monkeypatch.setattr(ordering, "compare_heights", lambda pairs, eps: [
         compare_heights_brute(sa, sb, eps) for sa, sb in pairs])
 
@@ -900,7 +908,7 @@ def test_height_means_add_in_scalar_order():
     a = line_path(0.0, n=200)
     a.vertices[:, Z] = (rng.uniform(0.0, 1.0, 200)
                         * 10.0 ** rng.integers(-8, 3, 200))
-    sa, sb = split_paths([a, line_path(0.5, n=150)], [], 1.625)
+    sa, sb = split_paths([a, line_path(0.5, n=150)], {}, 1.625)
     means = ordering.compare_heights([(sa, sb), (sb, sa)], 1.625)
     assert [m.hex() for m in means] == [
         compare_heights_brute(sa, sb, 1.625).hex(),
@@ -917,12 +925,12 @@ def ordering_structure(layers, eps):
     edges cycles lost, with their means as hex."""
     out = []
     for paths in layers:
-        pairs = find_neighbors(paths, eps)
+        pairs = ordering.find_neighbors(paths, eps)
         subs = split_paths(paths, pairs, eps)
         graph = build_constraint_graph(subs, eps)
-        out.append((pairs, [(sp.parent_id, sp.vertices.tobytes(),
-                             sp.first_is_cut, sp.last_is_cut)
-                            for sp in graph.nodes], graph.edges,
+        out.append((list(pairs), [(sp.parent_id, sp.vertices.tobytes(),
+                                   sp.first_is_cut, sp.last_is_cut)
+                                  for sp in graph.nodes], graph.edges,
                     [(u, v, mean.hex()) for u, v, mean in graph.dropped]))
     return out
 
@@ -937,11 +945,17 @@ def displaced_layers(fixture):
 
 
 @pytest.mark.parametrize("scene", ["wedge", "wedge_hatch", "three_paths",
-                                   "dome_cycles"])
+                                   "dome_cycles", "nested_loops"])
 def test_ordering_structure_matches_scalar_reference(scene, monkeypatch):
     eps = interference_threshold(PrinterProfile())
     if scene == "three_paths":
         layers = [fixtures.three_paths_scene()]
+    elif scene == "nested_loops":
+        # closed paths: of each loop's neighbour rows the split reads
+        # those before its closing vertex
+        layers = displaced_layers((fixtures.wedge_mesh(),
+                                   nested_loops_gcode()))
+        assert all(p.closed for paths in layers for p in paths)
     elif scene == "dome_cycles":
         # the dome's second modified layer: 16 paths, 4 edges lost to
         # cycles, two of whose means differ in the last hex digit only

@@ -296,6 +296,50 @@ def test_cli_parse_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_non_utf8_gcode_is_a_parse_error(tmp_path, capsys):
+    # the bad byte lies past the first 8 KiB, so the offset is the file's
+    _, mpath = write_fixture_files(tmp_path)
+    bad = tmp_path / "bad.gcode"
+    bad.write_bytes(b"; comment\n" * 1000 + b"G0 X0 Y0 Z0.6 ;\xff\n")
+    out = tmp_path / "o.gcode"
+    code = cli.main([
+        "--gcode", str(bad), "--mesh", str(mpath), "--out", str(out),
+    ])
+    assert code == cli.EXIT_PARSE == 3
+    assert capsys.readouterr().err == (
+        "aa: G-code parse error: line 1001: byte 10015 is not UTF-8\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("missing", ["--gcode", "--mesh"])
+def test_cli_missing_input_is_an_io_error(tmp_path, capsys, missing):
+    gpath, mpath = write_fixture_files(tmp_path)
+    out = tmp_path / "o.gcode"
+    args = {"--gcode": str(gpath), "--mesh": str(mpath), "--out": str(out),
+            missing: str(tmp_path / "absent")}
+    code = cli.main([word for item in args.items() for word in item])
+    assert code == cli.EXIT_IO == 8
+    err = capsys.readouterr().err
+    assert err.startswith("aa: I/O error: ")
+    assert repr(str(tmp_path / "absent")) in err
+    assert not out.exists()
+
+
+def test_cli_out_in_a_missing_directory_is_an_io_error(tmp_path, capsys):
+    gpath, mpath = write_fixture_files(tmp_path)
+    out = tmp_path / "missing" / "o.gcode"
+    code = cli.main([
+        "--gcode", str(gpath), "--mesh", str(mpath), "--out", str(out),
+        "--no-ordering",
+    ])
+    assert code == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("aa: I/O error: ") and repr(str(out)) in err
+    # nothing is left behind, no temporary file and no directory
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "in.gcode", "model.stl"]
+
+
 def test_cli_failed_run_keeps_an_earlier_output(tmp_path, capsys):
     _, mpath = write_fixture_files(tmp_path)
     bad = tmp_path / "bad.gcode"

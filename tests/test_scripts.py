@@ -77,7 +77,8 @@ def test_trace_job_entry_points_resolve_and_count(tmp_path, monkeypatch):
     code = modules["cli"].main([
         "--gcode", str(tmp_path / "in.gcode"), "--mesh", str(tmp_path / "in.stl"),
         "--out", str(tmp_path / "out.gcode"), "--sweep-s", "0.1,0.3",
-        "--error-map", str(tmp_path / "errors.csv")])
+        "--error-map", str(tmp_path / "errors.csv"),
+        "--report", str(tmp_path / "report.json")])
     assert code == 0
     assert {s["name"] for s in tracer.spans} == {
         name for _module, _attr, name, _counter in tracejob.ENTRY_POINTS}
@@ -88,6 +89,12 @@ def test_trace_job_entry_points_resolve_and_count(tmp_path, monkeypatch):
             counts[key] = counts.get(key, 0) + value
     assert counts["vertices"] >= counts["displaced"] > 0
     assert counts["rays"] > 0 and counts["edges"] > 0
+    # the tracer reads len() of find_neighbors' and split_paths' results
+    layers = json.loads((tmp_path / "report.json").read_text())[
+        "ordering"]["layers"]
+    assert counts["pairs"] == sum(r.get("neighbor_pairs", 0) for r in layers)
+    assert counts["subpaths"] == sum(r.get("subpaths", 0) for r in layers)
+    assert counts["pairs"] > 0
 
 
 def test_trace_job_script_spans_every_entry_point(tmp_path):
