@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .files import replace_atomically
-from .gcode import (DELTA, EOnly, Toolpath, Travel, X, Y, Z,
-                    deposition_segments)
+from .gcode import (DELTA, VERTEX_COLUMNS, EOnly, F, Toolpath, Travel, X,
+                    Y, Z, deposition_segments, fold_sum)
 from .geometry import BoxGrid
 
 VIS_CLAMP = 0.3   # mm, error map colour scale end
@@ -36,54 +37,47 @@ def critical_angle(h, w):
 # Print time
 
 def estimate_print_time(program):
-    """Constant-feedrate kinematics: sum of move length / feedrate over
-    deposition, travel and retraction moves. No acceleration model, so
-    estimates skew slightly fast on short segments."""
-    total = 0.0
-    x = y = z = None
+    """Constant-feedrate kinematics: move length / feedrate over deposition,
+    travel and retraction moves, added left to right. No acceleration
+    model, so estimates skew slightly fast on short segments. The paths'
+    segment terms come from one array pass, by a single move's operations."""
+    events = [ev for ev in program.events()
+              if isinstance(ev, (Toolpath, Travel, EOnly))]
+    paths = [ev.vertices for ev in events if isinstance(ev, Toolpath)]
+    rows = np.concatenate(paths + [np.empty((0, VERTEX_COLUMNS))])
+    inner = np.ones(len(rows), dtype=bool)      # rows after a path's first
+    inner[np.cumsum([0] + [len(v) for v in paths])[:-1]] = False
+    feeds = rows[inner, F]
+    if not feeds.all():
+        raise EvaluationError("move with zero or unset feedrate")
+    dx, dy, dz = np.diff(rows[:, :3], axis=0)[inner[1:]].T
+    segments = iter((np.sqrt(dx * dx + dy * dy + dz * dz) / feeds).tolist())
+    terms = []
+    pos = (None, None, None)
     modal_f = None
-
-    def axis_len(nx, ny, nz):
-        nonlocal x, y, z
-        dx = 0.0 if (nx is None or x is None) else nx - x
-        dy = 0.0 if (ny is None or y is None) else ny - y
-        dz = 0.0 if (nz is None or z is None) else nz - z
-        if nx is not None:
-            x = nx
-        if ny is not None:
-            y = ny
-        if nz is not None:
-            z = nz
-        return math.sqrt(dx * dx + dy * dy + dz * dz)
-
-    def feed(f):
-        nonlocal modal_f
+    for ev in events:
+        if isinstance(ev, Toolpath):
+            target, f = ev.vertices[0, :3].tolist(), None
+        elif isinstance(ev, Travel):
+            target, f = (ev.x, ev.y, ev.z), ev.f
+        else:
+            target, f = pos, ev.f
+        dx, dy, dz = (0.0 if a is None or b is None else a - b
+                      for a, b in zip(target, pos))
+        pos = tuple(b if a is None else a for a, b in zip(target, pos))
+        length = (abs(ev.delta_e) if isinstance(ev, EOnly)
+                  else math.sqrt(dx * dx + dy * dy + dz * dz))
         if f is not None:
             modal_f = f
-        if not modal_f:
-            raise EvaluationError("move with zero or unset feedrate")
-        return modal_f
-
-    for ev in program.events():
-        if isinstance(ev, Travel):
-            dist = axis_len(ev.x, ev.y, ev.z)
-            if dist > 0:
-                total += dist / feed(ev.f)
-            elif ev.f is not None:
-                modal_f = ev.f
-        elif isinstance(ev, EOnly):
-            if ev.delta_e != 0:
-                total += abs(ev.delta_e) / feed(ev.f)
-            elif ev.f is not None:
-                modal_f = ev.f
-        elif isinstance(ev, Toolpath):
-            rows = ev.vertices[:, :5].tolist()
-            dist = axis_len(*rows[0][:3])
-            if dist > 0:
-                total += dist / feed(None)
-            for vx, vy, vz, _e, vf in rows[1:]:
-                total += axis_len(vx, vy, vz) / feed(vf)
-    return total
+        if length > 0:
+            if not modal_f:
+                raise EvaluationError("move with zero or unset feedrate")
+            terms.append(length / modal_f)
+        if isinstance(ev, Toolpath) and len(ev.vertices) > 1:
+            terms.extend(islice(segments, len(ev.vertices) - 1))
+            pos = tuple(ev.vertices[-1, :3].tolist())
+            modal_f = float(ev.vertices[-1, F])
+    return fold_sum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -265,24 +259,29 @@ class ErrorMap:
 
     def export_csv(self, path):
         with replace_atomically(path) as f:
-            f.write("x,y,z,distance_mm\n")
-            _write_rows(f, "%.5f,%.5f,%.5f,%.6f\n", self.points, self.distances)
+            self.write_csv(f)
 
     def export_ply(self, path):
+        with replace_atomically(path) as f:
+            self.write_ply(f)
+
+    def write_csv(self, f):
+        f.write("x,y,z,distance_mm\n")
+        _write_rows(f, "%.5f,%.5f,%.5f,%.6f\n", self.points, self.distances)
+
+    def write_ply(self, f):
         """Point cloud with a linear blue (0.0) to red (0.3 mm) ramp."""
-        n = len(self.points)
         t = np.clip(self.distances / self.clamp, 0.0, 1.0)
         red = (t * 255).astype(np.uint8)
         blue = ((1.0 - t) * 255).astype(np.uint8)
-        with replace_atomically(path) as f:
-            f.write("ply\nformat ascii 1.0\n")
-            f.write(f"comment colormap linear blue->red over 0.0..{self.clamp} mm\n")
-            f.write(f"comment seed {self.seed} density {self.samples_per_mm2}\n")
-            f.write(f"element vertex {n}\n")
-            f.write("property float x\nproperty float y\nproperty float z\n")
-            f.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
-            f.write("end_header\n")
-            _write_rows(f, "%.5f %.5f %.5f %d 0 %d\n", self.points, red, blue)
+        f.write("ply\nformat ascii 1.0\n")
+        f.write(f"comment colormap linear blue->red over 0.0..{self.clamp} mm\n")
+        f.write(f"comment seed {self.seed} density {self.samples_per_mm2}\n")
+        f.write(f"element vertex {len(self.points)}\n")
+        f.write("property float x\nproperty float y\nproperty float z\n")
+        f.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
+        f.write("end_header\n")
+        _write_rows(f, "%.5f %.5f %.5f %d 0 %d\n", self.points, red, blue)
 
 
 def _percentiles(values, percents):

@@ -2,8 +2,10 @@
 
 Each file is written beside its target under a temporary name and moved
 into place with `os.replace`, so a failed run leaves an existing target
-as it was and no half-written file behind. There is no fsync: this
-guards against a failed or killed run, not against a power loss.
+as it was and no half-written file behind. Files opened on one
+`contextlib.ExitStack` move only once every one is written, as the stack
+unwinds. There is no fsync: this guards against a failed or killed run,
+not against a power loss.
 """
 
 from __future__ import annotations

@@ -386,8 +386,8 @@ class _Seams:
     within eps_gap of `a` (itself included), so that no cost recomputes a
     distance; both distance tests run on the box grid's candidate pairs
     only. `entry[i]` and `exit[i]` are node i's (location, weight) pairs,
-    the weight 1.0 unless seams are weighted. Every cost charges a
-    location once."""
+    the weight 1.0 unless seams are weighted. The ledger of paid locations
+    flags them in `paid` and lists them in paying order."""
 
     def __init__(self, nodes, modified, eps_gap, weighted):
         ends = [p for i in modified for p in (nodes[i].entry, nodes[i].exit)]
@@ -414,6 +414,8 @@ class _Seams:
             if math.dist(self.points[a], self.points[b]) <= eps_gap:
                 self.near[a].add(b)
                 self.near[b].add(a)
+        self.paid = [False] * len(self.points)
+        self.ledger = []
 
     def step(self, prev, nxt):
         """The (location, weight) pairs the step prev -> nxt may pay: the
@@ -428,16 +430,30 @@ class _Seams:
             return ()
         return (self.exit[prev], self.entry[nxt])
 
+    def pay(self, step):
+        """Pay the step's unpaid locations; their weights' sum in step order."""
+        added = 0.0
+        for loc, weight in step:
+            if not self.paid[loc]:
+                self.paid[loc] = True
+                self.ledger.append(loc)
+                added += weight
+        return added
+
+    def undo(self, mark):
+        """Unpay the locations paid since the ledger held `mark` of them."""
+        while len(self.ledger) > mark:
+            self.paid[self.ledger.pop()] = False
+
     def cost(self, seq):
-        """(cost, gap points) of the node sequence seq."""
-        paid = {}
+        """(cost, gap points) of seq: each step's `pay` added to the total."""
+        mark = len(self.ledger)
         cost = 0.0
         for prev, nxt in zip([None, *seq], [*seq, None]):
-            for loc, weight in self.step(prev, nxt):
-                if loc not in paid:
-                    paid[loc] = None
-                    cost += weight
-        return cost, [self.points[loc] for loc in paid]
+            cost += self.pay(self.step(prev, nxt))
+        gaps = [self.points[loc] for loc in self.ledger[mark:]]
+        self.undo(mark)
+        return cost, gaps
 
 
 def _search(graph, seams, max_expansions):
@@ -445,7 +461,7 @@ def _search(graph, seams, max_expansions):
     modified nodes. Returns OrderResult's fields up to its wall time: the
     unmodified nodes in their original order, then the best order found."""
     nodes = graph.nodes
-    entry, exit_, near = seams.entry, seams.exit, seams.near
+    entry, exit_, near, paid = seams.entry, seams.exit, seams.near, seams.paid
     remaining = set(entry)
     succ = {i: [] for i in entry}
     indeg = dict.fromkeys(entry, 0)
@@ -453,34 +469,18 @@ def _search(graph, seams, max_expansions):
         if u in remaining and v in remaining:
             succ[u].append(v)
             indeg[v] += 1
-    in_gaps = [False] * len(seams.points)
-    gap_list = []
     order = []
-    best_cost, best_order, best_gaps = math.inf, None, None
+    best_cost, best_order = math.inf, None
     expansions = orders = 0
     capped = False
-
-    def pay(step):
-        """Charge the step's locations that are not in the gap set yet."""
-        added = 0.0
-        for loc, weight in step:
-            if not in_gaps[loc]:
-                in_gaps[loc] = True
-                gap_list.append(loc)
-                added += weight
-        return added
-
-    def pop_gaps(mark):
-        while len(gap_list) > mark:
-            in_gaps[gap_list.pop()] = False
 
     def lower_bound(prev):
         """Admissible: a remaining entry gap can only be avoided by an
         exit within eps_gap immediately before it (the previous exit or a
         remaining exit); a remaining exit gap only by a remaining entry
         after it. The last node's exit is always paid, and so, at the
-        root, is the first node's entry. Locations already in the gap set
-        are free; each location contributes at most once."""
+        root, is the first node's entry. Locations already paid are free;
+        each location contributes at most once."""
         prev_exit, prev_w = exit_[prev] if prev is not None else (None, 0.0)
         entry_ids = set()
         exit_ids = set()
@@ -495,7 +495,7 @@ def _search(graph, seams, max_expansions):
 
         def extra(loc):
             """What paying `loc` adds to the bound (0 once paid or counted)."""
-            if in_gaps[loc] or loc in counted:
+            if paid[loc] or loc in counted:
                 return 0.0
             if loc == prev_exit:
                 # the pending exit of the placed node may pay this
@@ -505,7 +505,7 @@ def _search(graph, seams, max_expansions):
 
         bound = 0.0
         for loc in loc_weight:
-            if in_gaps[loc]:
+            if paid[loc]:
                 continue
             row = near[loc]
             entry_ok = (loc not in entry_ids or prev_exit in row
@@ -528,7 +528,7 @@ def _search(graph, seams, max_expansions):
         return bound + ends
 
     def dfs(cost, prev):
-        nonlocal best_cost, best_order, best_gaps, expansions, orders, capped
+        nonlocal best_cost, best_order, expansions, orders, capped
         if capped:
             return
         expansions += 1
@@ -538,21 +538,20 @@ def _search(graph, seams, max_expansions):
             capped = True
             return
         if not remaining:
-            mark = len(gap_list)
-            final = cost + pay(seams.step(prev, None))
+            mark = len(seams.ledger)
+            final = cost + seams.pay(seams.step(prev, None))
             orders += 1
             if final < best_cost:
                 best_cost, best_order = final, list(order)
-                best_gaps = [seams.points[g] for g in gap_list]
-            pop_gaps(mark)
+            seams.undo(mark)
             return
         if cost + lower_bound(prev) >= best_cost:
             return
         steps = {i: seams.step(prev, i) for i in remaining if indeg[i] == 0}
         for i in sorted(steps, key=lambda i: (bool(steps[i]),
                                               nodes[i].height, i)):
-            mark = len(gap_list)
-            added = pay(steps[i])
+            mark = len(seams.ledger)
+            added = seams.pay(steps[i])
             order.append(i)
             remaining.discard(i)
             for v in succ[i]:
@@ -562,15 +561,15 @@ def _search(graph, seams, max_expansions):
                 indeg[v] += 1
             remaining.add(i)
             order.pop()
-            pop_gaps(mark)
+            seams.undo(mark)
             if capped or best_cost <= root_bound:
                 return
 
     root_bound = lower_bound(None)
     dfs(0.0, None)
     return ([sp for sp in nodes if not sp.modified]
-            + [nodes[i] for i in best_order],
-            best_cost, best_gaps, orders, expansions, capped, root_bound)
+            + [nodes[i] for i in best_order], best_cost,
+            seams.cost(best_order)[1], orders, expansions, capped, root_bound)
 
 
 def relink_travels(layer, ordered_subpaths, eps_gap, travel_f):

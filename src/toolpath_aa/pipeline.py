@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 from . import antialias, evaluate, geometry, ordering
@@ -149,20 +150,26 @@ def run_pipeline(config, gcode_text=None, mesh=None):
         emap = evaluate.error_map(mesh, tracks,
                                   samples_per_mm2=config.error_map_density,
                                   seed=config.seed)
-        if config.error_map_path.endswith(".csv"):
-            emap.export_csv(config.error_map_path)
-        else:
-            emap.export_ply(config.error_map_path)
         report["error_map"] = emap.summary()
         report["timings_s"]["error_map"] = time.perf_counter() - t0
 
     report["timings_s"]["total"] = time.perf_counter() - t_all
 
-    if config.out_path:
-        with replace_atomically(config.out_path, newline="") as fh:
+    # every output goes to a temporary file first; the stack moves them into
+    # place only once all of them are written whole
+    with ExitStack() as outputs:
+        if config.error_map_path:
+            fh = outputs.enter_context(replace_atomically(config.error_map_path))
+            if config.error_map_path.endswith(".csv"):
+                emap.write_csv(fh)
+            else:
+                emap.write_ply(fh)
+        if config.out_path:
+            fh = outputs.enter_context(
+                replace_atomically(config.out_path, newline=""))
             fh.write(text_out)
-    if config.report_path:
-        with replace_atomically(config.report_path) as fh:
+        if config.report_path:
+            fh = outputs.enter_context(replace_atomically(config.report_path))
             json.dump(report, fh, indent=2, sort_keys=True)
     return program, report, text_out
 

@@ -15,8 +15,9 @@ from toolpath_aa.evaluate import (ErrorMap, EvaluationError, _percentiles,
                                   track_distance, tracks_from_program)
 from toolpath_aa.fixtures import (dome_fixture, flat_box_fixture, flat_box_mesh,
                                   wedge_fixture)
-from toolpath_aa.gcode import (DELTA, E, X, Y, Z, Layer, PrinterProfile,
-                               PrintProgram, Toolpath, parse_gcode)
+from toolpath_aa.gcode import (DELTA, E, X, Y, Z, EOnly, Layer,
+                               PrinterProfile, PrintProgram, Toolpath, Travel,
+                               parse_gcode)
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 
 
@@ -53,6 +54,75 @@ def test_estimate_linearity():
                   .replace("F900", "F1800")
     t2 = estimate_print_time(parse_gcode(doubled))
     assert t2 == pytest.approx(t1 / 2.0)
+
+
+def print_time_reference(program):
+    """Move by move: each move's length / feedrate added to the total as it
+    comes, a travel's missing axes and a first move from nowhere counting
+    0, and a zero or unset feed raising once a move needs it."""
+    total = 0.0
+    x = y = z = None
+    modal_f = None
+
+    def axis_len(nx, ny, nz):
+        nonlocal x, y, z
+        dx = 0.0 if (nx is None or x is None) else nx - x
+        dy = 0.0 if (ny is None or y is None) else ny - y
+        dz = 0.0 if (nz is None or z is None) else nz - z
+        x, y, z = (x if nx is None else nx, y if ny is None else ny,
+                   z if nz is None else nz)
+        return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+    def feed(f):
+        nonlocal modal_f
+        if f is not None:
+            modal_f = f
+        if not modal_f:
+            raise EvaluationError("move with zero or unset feedrate")
+        return modal_f
+
+    for ev in program.events():
+        if isinstance(ev, Travel):
+            dist = axis_len(ev.x, ev.y, ev.z)
+            if dist > 0:
+                total += dist / feed(ev.f)
+            elif ev.f is not None:
+                modal_f = ev.f
+        elif isinstance(ev, EOnly):
+            if ev.delta_e != 0:
+                total += abs(ev.delta_e) / feed(ev.f)
+            elif ev.f is not None:
+                modal_f = ev.f
+        elif isinstance(ev, Toolpath):
+            rows = ev.vertices[:, :5].tolist()
+            dist = axis_len(*rows[0][:3])
+            if dist > 0:
+                total += dist / feed(None)
+            for vx, vy, vz, _e, vf in rows[1:]:
+                total += axis_len(vx, vy, vz) / feed(vf)
+    return total
+
+
+RETRACTS = ("G90\nM83\nG0 X1 Y1 Z0.6 F3000\nG1 X5 Y1 E0.2 F1200\n"
+            "G1 E-0.8 F2400\nG0 Z1.0\nG0 X9 F6000\nG1 E0.8 F2400\n"
+            "G1 X9 Y4 E0.1 F900\nG1 X2 Y4 E0.2\nG1 E0 F1800\n"
+            "G0 X2 Y2\nG1 X2 Y3 E0.1 F600\n")
+
+
+@pytest.mark.parametrize("name", ["wedge", "hatch", "dome", "retracts"])
+def test_print_time_matches_move_by_move_reference(name):
+    if name == "retracts":
+        programs = [parse_gcode(RETRACTS)]
+    else:
+        mesh, gcode = {"wedge": wedge_fixture, "dome": dome_fixture,
+                       "hatch": functools.partial(wedge_fixture,
+                                                  cross_hatch=True)}[name]()
+        programs = [parse_gcode(gcode),
+                    run_pipeline(PipelineConfig(order_expansion_cap=2_000),
+                                 gcode_text=gcode, mesh=mesh)[0]]
+    for program in programs:
+        assert (estimate_print_time(program).hex()
+                == print_time_reference(program).hex())
 
 
 def test_track_distance_inside_and_outside():

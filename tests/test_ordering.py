@@ -477,10 +477,12 @@ def test_order_paths_matches_brute_force(weighted):
 def search_instances(draw):
     """0-8 modified nodes whose endpoints sit on a 2 mm grid, so locations
     coincide and fall within EPS_GAP; no edges, or a random DAG over a
-    random ranking of the nodes."""
+    random ranking of the nodes. Seam weights are multiples of 0.25, whose
+    sums are exact, or the `gap_cost` of an angle, whose sums round."""
     n = draw(st.integers(0, 8))
     point = st.tuples(st.integers(0, 5), st.integers(0, 5))
-    weight = st.sampled_from([1.0, 1.25, 1.5, 1.75])
+    weight = st.one_of(st.sampled_from([1.0, 1.25, 1.5, 1.75]),
+                       st.floats(0.0, 2 * math.pi).map(gap_cost))
     nodes = []
     for i in range(n):
         (ex, ey), (xx, xy) = draw(point), draw(point)
@@ -511,11 +513,14 @@ def test_search_agrees_with_its_cost_rule(graph, weighted, max_expansions):
     assert (res.cost, res.gap_locations) == evaluate_order(
         graph, order, EPS_GAP, weighted=weighted)
     best = brute_min(graph.nodes, graph.edges, EPS_GAP, weighted)
-    assert res.root_bound <= best
+    # the bound and the other orders add their weights in other orders, so
+    # on gap_cost weights they can round a last bit off the search's cost;
+    # on multiples of 0.25 distinct costs lie at least 0.25 apart
+    assert res.root_bound <= best + 1e-9
     # 8 free nodes can take over 40,000 expansions, so a 50,000 cap is
     # not always enough to prove the optimum
     if not res.suboptimal:
-        assert res.cost == best
+        assert res.cost == pytest.approx(best, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

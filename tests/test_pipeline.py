@@ -136,16 +136,15 @@ def test_failed_run_leaves_existing_outputs_and_no_temporary_file(
                             error_map_path=str(paths[map_name]),
                             ordering_enabled=False, error_map_density=1.0)
     # text that cannot be encoded fails the G-code write itself; the error
-    # map before it is written whole, the report after it never starts
+    # map before it is written whole but never moved into place, and the
+    # report after it never starts
     monkeypatch.setattr(pipeline, "emit_gcode",
                         lambda program: "G1 X0 Y0\n" * 100 + "\ud800\n")
     with pytest.raises(UnicodeEncodeError):
         run_pipeline(config, gcode_text=gcode, mesh=mesh)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(paths)
-    assert paths["out.gcode"].read_text() == "from an earlier run\n"
-    assert paths["stats.json"].read_text() == "from an earlier run\n"
-    assert paths[map_name].read_text().startswith(
-        "x,y,z,distance_mm\n" if map_name.endswith(".csv") else "ply\n")
+    for path in paths.values():
+        assert path.read_text() == "from an earlier run\n"
 
 
 def test_binary_replace_keeps_the_target_on_error(tmp_path):
@@ -353,6 +352,25 @@ def test_cli_failed_run_keeps_an_earlier_output(tmp_path, capsys):
     assert out.read_bytes() == b"old output"
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "bad.gcode", "in.gcode", "model.stl", "out.gcode"]
+
+
+def test_cli_outputs_are_replaced_together(tmp_path, capsys):
+    # the report cannot be opened, after the error map and the G-code are
+    # written: neither of them replaces its earlier file
+    gpath, mpath = write_fixture_files(tmp_path)
+    out, emap = tmp_path / "out.gcode", tmp_path / "map.csv"
+    out.write_bytes(b"old output")
+    emap.write_bytes(b"old map")
+    code = cli.main([
+        "--gcode", str(gpath), "--mesh", str(mpath), "--out", str(out),
+        "--no-ordering", "--error-map", str(emap),
+        "--report", str(tmp_path / "nodir" / "r.json"),
+    ])
+    assert code == cli.EXIT_IO == 8
+    assert out.read_bytes() == b"old output"
+    assert emap.read_bytes() == b"old map"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "in.gcode", "map.csv", "model.stl", "out.gcode"]
 
 
 def test_cli_geometry_error(tmp_path, capsys):

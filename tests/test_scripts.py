@@ -1,6 +1,7 @@
 """The scripts under scripts/ run to completion from any directory, and
 the benchmark's traced job still finds every entry point it wraps."""
 
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -11,15 +12,17 @@ from pathlib import Path
 
 from toolpath_aa import fixtures
 from toolpath_aa.geometry import mesh_to_stl_binary
+from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 TRACEJOB = ROOT / "perfbench" / "tracejob.py"
 
 
-def run_script(name, cwd):
-    result = subprocess.run([sys.executable, str(SCRIPTS / name)], cwd=cwd,
-                            capture_output=True, text=True, timeout=120)
+def run_script(name, cwd, *args):
+    result = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+                            cwd=cwd, capture_output=True, text=True,
+                            timeout=120)
     assert result.returncode == 0, result.stderr
     return result.stdout
 
@@ -46,6 +49,20 @@ def test_wedge_demo_leaves_its_artifacts(tmp_path):
     assert summary["aa_error_max_mm"] < summary["flat_error_max_mm"]
     for name in ("wedge_aa_errors.ply", "wedge_flat_errors.ply"):
         assert (tmp_path / "out" / name).read_text().startswith("ply\n")
+
+
+def test_output_digests_leave_out_the_timings(tmp_path):
+    # two runs time differently; their digests agree, and the G-code's is
+    # that of the pipeline's text
+    out = run_script("output_digests.py", tmp_path, "wedge")
+    assert run_script("output_digests.py", tmp_path, "wedge") == out
+    rows = [line.split() for line in out.splitlines()]
+    assert [row[:2] for row in rows] == [["wedge", "plain"],
+                                         ["wedge", "weighted"]]
+    mesh, gcode = fixtures.wedge_fixture()
+    _, _, text = run_pipeline(PipelineConfig(), gcode_text=gcode, mesh=mesh)
+    assert rows[0][3] == hashlib.sha256(text.encode()).hexdigest()
+    assert all(len(row[5]) == 64 for row in rows)
 
 
 def load_tracejob():
