@@ -45,7 +45,8 @@ def main():
     flat_tracks = evaluate.tracks_from_program(flat, profile)
     flat_map = evaluate.error_map(mesh, flat_tracks, samples_per_mm2=20,
                                   seed=1)
-    flat_map.export_ply(os.path.join(out_dir, "wedge_flat_errors.ply"))
+    with replace_atomically(os.path.join(out_dir, "wedge_flat_errors.ply")) as f:
+        flat_map.write_ply(f)
 
     aa_tracks = evaluate.tracks_from_program(program, profile)
     aa_map = evaluate.error_map(mesh, aa_tracks, samples_per_mm2=20, seed=1)

@@ -62,14 +62,12 @@ class DisplacementStats:
     max_delta: float = -math.inf
     per_layer_histogram: dict = field(default_factory=dict)
 
-    def thickness_range(self, h):
-        """Achieved local thickness range (reported, never enforced)."""
-        return (h + self.min_delta, h + self.max_delta)
-
-    def as_dict(self, h=None):
-        """Report fields; the ranges are None when nothing was displaced."""
+    def as_dict(self, h):
+        """Report fields; the ranges are None when nothing was displaced.
+        The achieved local thickness range, for layer thickness h, is
+        reported, never enforced."""
         moved = self.displaced > 0
-        out = {
+        return {
             "vertices_total": self.total,
             "vertices_displaced": self.displaced,
             "skipped_bottom_facing": self.skipped_bottom_facing,
@@ -77,11 +75,9 @@ class DisplacementStats:
             "missed": self.missed,
             "delta_range_mm": [self.min_delta, self.max_delta] if moved else None,
             "per_layer_delta_histogram": self.per_layer_histogram,
+            "achieved_thickness_range_mm": ([h + self.min_delta, h + self.max_delta]
+                                            if moved else None),
         }
-        if h is not None:
-            out["achieved_thickness_range_mm"] = (
-                list(self.thickness_range(h)) if moved else None)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +119,7 @@ def resample_path(path, w):
 # ---------------------------------------------------------------------------
 # Displacement
 
-def displace_layer(paths, index, profile, s=None, stats=None,
-                   refine_boundaries=True):
+def displace_layer(paths, index, profile, s=None, stats=None):
     """Snap top-facing vertices onto the surface within the displacement
     window. Vertices with no hit, a bottom-facing hit, or an out-of-window
     offset stay untouched (and are counted in the stats report).
@@ -144,10 +139,8 @@ def displace_layer(paths, index, profile, s=None, stats=None,
     # the caller may keep, are never written
     verts = np.concatenate([path.vertices for path in paths])
     ends = np.cumsum([len(path) for path in paths])
-    cast = _cast(index, verts)
-    if refine_boundaries:
-        verts, ends, cast = _refine_window_boundaries(verts, ends, index,
-                                                      window, cast)
+    verts, ends, cast = _refine_window_boundaries(verts, ends, index, window,
+                                                  _cast(index, verts))
     delta, top, hit = cast
     inside = window.contains(delta)
     snap = hit & top & inside

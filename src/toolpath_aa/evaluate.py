@@ -9,10 +9,9 @@ from itertools import islice
 
 import numpy as np
 
-from .files import replace_atomically
 from .gcode import (DELTA, VERTEX_COLUMNS, EOnly, F, Toolpath, Travel, X,
                     Y, Z, deposition_segments, fold_sum)
-from .geometry import BoxGrid
+from .geometry import BoxGrid, _triangle_areas
 
 VIS_CLAMP = 0.3   # mm, error map colour scale end
 EXPORT_BLOCK = 4096   # rows formatted per template in the error map exports
@@ -102,41 +101,16 @@ def tracks_from_program(program, profile):
                             bot1, bot2, np.full(len(a), profile.d)])
 
 
-def track_distance(track, px, py, pz):
-    """Distance from a point to the box of one track row (0 inside)."""
-    x1, y1, x2, y2, top1, top2, bot1, bot2, width = track
-    ux = x2 - x1
-    uy = y2 - y1
-    length = math.hypot(ux, uy)
-    if length < 1e-12:
-        s = 0.0
-        ux, uy = 1.0, 0.0
-    else:
-        ux /= length
-        uy /= length
-        s = (px - x1) * ux + (py - y1) * uy
-    s_star = min(max(s, 0.0), length)
-    t = (px - x1) * (-uy) + (py - y1) * ux
-    t_star = min(max(t, -width / 2.0), width / 2.0)
-    frac = s_star / length if length > 1e-12 else 0.0
-    top = top1 + (top2 - top1) * frac
-    bot = bot1 + (bot2 - bot1) * frac
-    z_star = min(max(pz, bot), top)
-    dx = px - (x1 + ux * s_star + (-uy) * t_star)
-    dy = py - (y1 + uy * s_star + ux * t_star)
-    dz = pz - z_star
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
-
-
 class _TrackGrid:
     """Tracks binned in a `BoxGrid` of GRID_CELL cells by their XY box padded
-    by a track width, with the per-track terms of `track_distance` held as
-    arrays."""
+    by a track width, with the per-track terms of the point-to-box distance
+    held as arrays. The scalar reference, `track_distance` in
+    tests/test_evaluate.py, takes one track row and the same operations in
+    the same order."""
 
     def __init__(self, tracks):
         self.x1, self.y1, x2, y2, self.top1, top2, self.bot1, bot2, width = tracks.T
-        # the same operations, in the same order, as track_distance; np.hypot
-        # can differ from math.hypot in the last bit
+        # np.hypot can differ from math.hypot in the last bit
         self.length = np.fromiter(
             map(math.hypot, (x2 - self.x1).tolist(), (y2 - self.y1).tolist()),
             np.float64, len(tracks))
@@ -204,7 +178,8 @@ class _TrackGrid:
         return best
 
     def _distances(self, px, py, pz, k):
-        """`track_distance` from each point to track k, pair by pair."""
+        """Distance from each point to the box of track k (0 inside), pair
+        by pair."""
         x1, y1, ux, uy = self.x1[k], self.y1[k], self.ux[k], self.uy[k]
         length, along, half = self.length[k], self.along[k], self.half[k]
         rx = px - x1
@@ -256,14 +231,6 @@ class ErrorMap:
             "seed": self.seed,
             "clamp_mm": self.clamp,
         }
-
-    def export_csv(self, path):
-        with replace_atomically(path) as f:
-            self.write_csv(f)
-
-    def export_ply(self, path):
-        with replace_atomically(path) as f:
-            self.write_ply(f)
 
     def write_csv(self, f):
         f.write("x,y,z,distance_mm\n")
@@ -320,7 +287,7 @@ def sample_mesh_surface(mesh, samples_per_mm2=50.0, seed=0):
     a = mesh.vertices[mesh.triangles[:, 0]]
     b = mesh.vertices[mesh.triangles[:, 1]]
     c = mesh.vertices[mesh.triangles[:, 2]]
-    areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    areas = _triangle_areas(mesh.vertices, mesh.triangles)
     counts = np.maximum(1, np.round(areas * samples_per_mm2)).astype(int)
     tri = np.repeat(np.arange(len(counts)), counts)
     before = np.cumsum(counts) - counts       # samples of earlier triangles
@@ -337,16 +304,11 @@ def sample_mesh_surface(mesh, samples_per_mm2=50.0, seed=0):
     return pts, mesh.normals[tri]
 
 
-def error_map(mesh, tracks, samples_per_mm2=50.0, seed=0, brute=False):
+def error_map(mesh, tracks, samples_per_mm2=50.0, seed=0):
     """Distance from surface samples to the nearest printed track."""
     if not len(tracks):
         raise EvaluationError("no printed tracks to evaluate")
     points, normals = sample_mesh_surface(mesh, samples_per_mm2, seed)
-    if brute:
-        rows = tracks.tolist()
-        dists = np.array([min(track_distance(tr, *p) for tr in rows)
-                          for p in points.tolist()])
-    else:
-        dists = _TrackGrid(tracks).nearest_distances(points)
+    dists = _TrackGrid(tracks).nearest_distances(points)
     return ErrorMap(points=points, normals=normals, distances=dists,
                     samples_per_mm2=samples_per_mm2, seed=seed)

@@ -65,13 +65,6 @@ class Toolpath:
     def __len__(self):
         return len(self.vertices)
 
-    def length(self):
-        xy = self.vertices[:, :2].tolist()
-        total = 0.0
-        for a, b in zip(xy, xy[1:]):
-            total += math.dist(a, b)
-        return total
-
     def total_e(self):
         """Filament of the path's segments; the first row's E ends no
         segment of this path (see `deposition_segments`) and is not emitted."""
@@ -446,7 +439,9 @@ class _Parser:
             if self.path is None:
                 self.path = Toolpath(vertices=(),
                                      layer_index=len(self.program.layers) - 1)
-                self.rows = [[self.x, self.y, new_z, 0.0, self.f, 0.0]]
+                # the path starts where the travel left the nozzle
+                start_z = new_z if self.z is None else self.z
+                self.rows = [[self.x, self.y, start_z, 0.0, self.f, 0.0]]
                 self.layer.events.append(self.path)
             prev = self.rows[-1]
             if math.dist(prev[:3], (new_x, new_y, new_z)) < DUPLICATE_TOL:

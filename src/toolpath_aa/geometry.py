@@ -115,21 +115,16 @@ def build_mesh(vertices, triangles):
 # ---------------------------------------------------------------------------
 # STL input
 
-def load_mesh(data, fmt=None):
-    """Parse STL bytes into a TriangleMesh.
+def load_mesh(data):
+    """Parse STL bytes, ASCII or binary as detected, into a TriangleMesh.
 
-    fmt is 'stl_ascii', 'stl_binary', or None to auto-detect. Degenerate
-    triangles are dropped and counted in mesh.degenerate_dropped.
+    Degenerate triangles are dropped and counted in mesh.degenerate_dropped.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
-    if fmt is None:
-        fmt = _detect_stl_format(data)
-    if fmt == "stl_ascii":
+    if _is_ascii_stl(data):
         return _load_stl_ascii(data)
-    if fmt == "stl_binary":
-        return _load_stl_binary(data)
-    raise ValueError(f"unknown mesh format {fmt!r}")
+    return _load_stl_binary(data)
 
 
 def load_mesh_file(path):
@@ -137,13 +132,10 @@ def load_mesh_file(path):
         return load_mesh(f.read())
 
 
-def _detect_stl_format(data):
-    head = data[:512].lstrip()
-    if head.startswith(b"solid"):
-        # A binary file may still start with 'solid'; check for 'facet'.
-        if b"facet" in data[:1024] or len(data) < 84:
-            return "stl_ascii"
-    return "stl_binary"
+def _is_ascii_stl(data):
+    # a binary file may still start with 'solid'; check for 'facet'
+    return (data[:512].lstrip().startswith(b"solid")
+            and (b"facet" in data[:1024] or len(data) < 84))
 
 
 def _load_stl_binary(data):
@@ -224,7 +216,7 @@ def _weld(tri_points):
 
 
 # ---------------------------------------------------------------------------
-# STL output (used by fixture generators and tests)
+# STL output (the scripts write their fixture meshes with it)
 
 def mesh_to_stl_binary(mesh, header=b"toolpath-aa"):
     count = mesh.triangle_count
@@ -240,21 +232,6 @@ def mesh_to_stl_binary(mesh, header=b"toolpath-aa"):
         )
         out += rec
     return bytes(out)
-
-
-def mesh_to_stl_ascii(mesh, name="mesh"):
-    lines = [f"solid {name}"]
-    tris = mesh.vertices[mesh.triangles]
-    for i in range(mesh.triangle_count):
-        n = mesh.normals[i]
-        lines.append(f"  facet normal {n[0]:.9g} {n[1]:.9g} {n[2]:.9g}")
-        lines.append("    outer loop")
-        for p in tris[i]:
-            lines.append(f"      vertex {p[0]:.9g} {p[1]:.9g} {p[2]:.9g}")
-        lines.append("    endloop")
-        lines.append("  endfacet")
-    lines.append(f"endsolid {name}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +314,6 @@ class BoxGrid:
 # ---------------------------------------------------------------------------
 # Vertical ray index
 
-@dataclass(frozen=True)
-class SurfaceHit:
-    """Closest intersection of a vertical line with the mesh.
-
-    delta is surface z minus query z; facing is 'top' when the triangle
-    normal points upward (nz > 0), else 'bottom'.
-    """
-
-    point: tuple
-    delta: float
-    facing: str
-
-
 class VerticalRayIndex(BoxGrid):
     """A `BoxGrid` of the mesh's triangles by their XY bounding boxes.
 
@@ -393,32 +357,6 @@ def _ray_keys(t, px, py, qz):
     dz = z - qz
     dist = np.where(inside, np.abs(dz), np.inf)
     return dz, dist, dist + np.where(dz >= 0, 0.0, BELOW_BIAS)
-
-
-def _surface_hit(query, delta, top, hit):
-    if not hit:
-        return None
-    x, y, qz = (float(c) for c in query[:3])
-    return SurfaceHit(point=(x, y, qz + float(delta)), delta=float(delta),
-                      facing="top" if top else "bottom")
-
-
-def cast_vertical(index, query):
-    """Closest surface point on the vertical line through query: one ray
-    of `cast_vertical_batch`. Returns None when the line misses the mesh."""
-    delta, top, hit = cast_vertical_batch(index, [query[0]], [query[1]],
-                                          [query[2]])
-    return _surface_hit(query, delta[0], top[0], hit[0])
-
-
-def cast_vertical_brute(mesh, query):
-    """Grid-free oracle for `cast_vertical`: the ray meets every triangle
-    at once and keeps the first minimum of the batch's key."""
-    dz, dist, key = _ray_keys(mesh.vertices[mesh.triangles], float(query[0]),
-                              float(query[1]), float(query[2]))
-    best = int(np.argmin(key))     # a NaN key is its own minimum: no hit
-    return _surface_hit(query, dz[best], mesh.normals[best, 2] > 0,
-                        np.isfinite(dist[best]))
 
 
 def first_minima(count, pair_values):

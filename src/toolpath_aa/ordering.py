@@ -35,19 +35,16 @@ class OrderingError(Exception):
 # ---------------------------------------------------------------------------
 # Threshold and neighbour pairs
 
-def interference_threshold(profile, dh=None):
-    """Nozzle interference radius: (tau + d)/2 + dh * cot(alpha).
+def interference_threshold(profile):
+    """Nozzle interference radius: (tau + d)/2 + h * cot(alpha).
 
-    dh defaults to the layer thickness (a conservative bound: the
-    anti-aliasing never displaces a path by more than that)."""
-    if dh is None:
-        dh = profile.h
-    if dh < 0:
-        raise ValueError("height difference must be non-negative")
+    The height difference is taken as the layer thickness h, a
+    conservative bound: the anti-aliasing never displaces a path by more
+    than that."""
     if profile.alpha <= 0:
         raise ValueError("alpha = 0 leaves an infinite flange, no threshold")
     cot = 1.0 / math.tan(profile.alpha)
-    return (profile.tau + profile.d) / 2.0 + dh * cot
+    return (profile.tau + profile.d) / 2.0 + profile.h * cot
 
 
 def find_neighbors(paths, eps):
@@ -297,20 +294,11 @@ def gap_cost(theta):
     return 1.0 + theta / (2 * math.pi)
 
 
-def exterior_angle(path, vertex_index):
-    """Angle opening to the outside of the model at a path vertex.
-
-    Straight walls give pi, convex corners more, concave notches less.
-    Open-path endpoints default to pi.
-    """
-    verts = _unique_cycle(path)
-    ccw = not path.closed or signed_area(verts[:, :2].tolist()) >= 0
-    return _exterior_angle_at(verts, vertex_index, path.closed, ccw)
-
-
 def _exterior_angle_at(verts, i, closed, ccw):
-    """`exterior_angle` at row i of the path's unique vertex rows, for a
-    path whose interior lies to the left (`ccw`) or to the right."""
+    """Angle opening to the outside of the model at row i of a path's
+    unique vertex rows, for a path whose interior lies to the left (`ccw`)
+    or to the right. Straight walls give pi, convex corners more, concave
+    notches less; open-path endpoints default to pi."""
     n = len(verts)
     if not closed and i in (0, n - 1):
         return math.pi

@@ -52,8 +52,36 @@ class PipelineConfig:
 
 def run_pipeline(config, gcode_text=None, mesh=None):
     """Run the full anti-aliasing pipeline. Inputs may be given as paths
-    in the config or directly as text/mesh. Returns (program, report)."""
+    in the config or directly as text/mesh. Returns (program, report,
+    G-code text)."""
     config.validate()
+    # every output is opened as a temporary file before any work, so an
+    # unwritable one fails at once; the stack moves them into place only
+    # once all of them are written whole
+    with ExitStack() as outputs:
+        def open_output(path, newline=None):
+            return path and outputs.enter_context(
+                replace_atomically(path, newline=newline))
+
+        emap_fh = open_output(config.error_map_path)
+        out_fh = open_output(config.out_path, newline="")
+        report_fh = open_output(config.report_path)
+        program, report, text_out, emap = _run(config, gcode_text, mesh)
+        if emap_fh:
+            if config.error_map_path.endswith(".csv"):
+                emap.write_csv(emap_fh)
+            else:
+                emap.write_ply(emap_fh)
+        if out_fh:
+            out_fh.write(text_out)
+        if report_fh:
+            json.dump(report, report_fh, indent=2, sort_keys=True)
+    return program, report, text_out
+
+
+def _run(config, gcode_text, mesh):
+    """The pipeline's stages; returns (program, report, G-code text, error
+    map or None)."""
     profile = config.profile
     report = {"schema_version": REPORT_SCHEMA_VERSION,
               "profile": _profile_dict(profile), "timings_s": {}}
@@ -144,6 +172,7 @@ def run_pipeline(config, gcode_text=None, mesh=None):
         "estimated_print_time_s": print_time,
     }
 
+    emap = None
     if config.error_map_path:
         t0 = time.perf_counter()
         tracks = evaluate.tracks_from_program(program, profile)
@@ -154,24 +183,7 @@ def run_pipeline(config, gcode_text=None, mesh=None):
         report["timings_s"]["error_map"] = time.perf_counter() - t0
 
     report["timings_s"]["total"] = time.perf_counter() - t_all
-
-    # every output goes to a temporary file first; the stack moves them into
-    # place only once all of them are written whole
-    with ExitStack() as outputs:
-        if config.error_map_path:
-            fh = outputs.enter_context(replace_atomically(config.error_map_path))
-            if config.error_map_path.endswith(".csv"):
-                emap.write_csv(fh)
-            else:
-                emap.write_ply(fh)
-        if config.out_path:
-            fh = outputs.enter_context(
-                replace_atomically(config.out_path, newline=""))
-            fh.write(text_out)
-        if config.report_path:
-            fh = outputs.enter_context(replace_atomically(config.report_path))
-            json.dump(report, fh, indent=2, sort_keys=True)
-    return program, report, text_out
+    return program, report, text_out, emap
 
 
 def order_program(program, profile, weighted, cap):

@@ -13,6 +13,7 @@ from toolpath_aa.gcode import (DELTA, PrinterProfile, parse_gcode,
                                emit_gcode, total_extrusion)
 from toolpath_aa.ordering import ConstraintGraph, SubPath
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
+import scenes
 
 PROFILE = PrinterProfile()          # w=0.8 tau=1.25 alpha=45deg h=0.6
 EPS_GAP = 4.0 * PROFILE.w
@@ -39,7 +40,7 @@ def test_c01_displacement_bound():
     fixture_fns = [
         ("wedge", fixtures.wedge_fixture),
         ("dome", fixtures.dome_fixture),
-        ("flat_box", fixtures.flat_box_fixture),
+        ("flat_box", scenes.flat_box_fixture),
     ]
     violations = 0
     for name, fn in fixture_fns:
@@ -107,13 +108,13 @@ def test_c03_three_paths_15_combinatorics():
     """Seven-way split, acyclic graph, and the scene's exact order costs."""
     t0 = time.perf_counter()
     # geometric half: neighbour relations, splitting, constraint graph
-    paths = fixtures.three_paths_scene()
+    paths = scenes.three_paths_scene()
     eps = ordering.interference_threshold(PROFILE)
     pairs = ordering.find_neighbors(paths, eps)
     assert list(pairs) == [(0, 1), (1, 2)]    # path1-path3 independent
     subs = ordering.split_paths(paths, pairs, eps)
     assert len(subs) == 7
-    labels = fixtures.label_scene_subpaths(subs)
+    labels = scenes.label_scene_subpaths(subs)
     partition = {name: labels[name].parent_id for name in "ABCDEFG"}
     assert partition == {"A": 0, "B": 0, "C": 1, "D": 1, "E": 1,
                          "F": 2, "G": 2}
@@ -122,7 +123,7 @@ def test_c03_three_paths_15_combinatorics():
     assert ordering._find_cycle(graph_geo) is None
 
     # combinatorial half: exact seam counts on the seven-node scene
-    graph, lab = fixtures.ordering_scene()
+    graph, lab = scenes.ordering_scene()
 
     def seq(s):
         return [lab[c] for c in s]
@@ -134,7 +135,7 @@ def test_c03_three_paths_15_combinatorics():
     res = ordering.order_paths(graph, EPS_GAP)
     assert res.cost == 3 and not res.suboptimal
     got = {tuple(round(c, 6) for c in p) for p in locs1}
-    want = {tuple(round(c, 6) for c in fixtures.ORDERING_SCENE_POINTS[k])
+    want = {tuple(round(c, 6) for c in scenes.ORDERING_SCENE_POINTS[k])
             for k in ("AB", "BA", "GF")}
     assert got == want
     a_start, _ = ordering.evaluate_order(graph, seq("AFDECGB"), EPS_GAP,
@@ -333,13 +334,13 @@ def test_c11_topological_validity():
         check(graph, ordering.order_paths(graph, EPS_GAP,
                                           max_expansions=10_000))
     # three_paths geometric scene
-    paths = fixtures.three_paths_scene()
+    paths = scenes.three_paths_scene()
     pairs = ordering.find_neighbors(paths, eps)
     subs = ordering.split_paths(paths, pairs, eps)
     graph = ordering.build_constraint_graph(subs, eps)
     check(graph, ordering.order_paths(graph, EPS_GAP))
     # seven-node scene with an unmodified path added
-    graph, _ = fixtures.ordering_scene()
+    graph, _ = scenes.ordering_scene()
     pv = np.array([(50, 50, 0.6, 0, 20, 0), (51, 50, 0.6, 1, 20, 0)],
                   dtype=float)
     from toolpath_aa.gcode import Toolpath
@@ -365,7 +366,7 @@ def _corpus():
     _, g2b = fixtures.dome_fixture(PROFILE, radius=16.0, cap_height=4.0,
                                    extent=22.0)
     parts.append(g2b)
-    _, g3 = fixtures.flat_box_fixture(PROFILE)
+    _, g3 = scenes.flat_box_fixture(PROFILE)
     parts.append(g3)
     extras = [
         "; handcrafted section",

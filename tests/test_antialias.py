@@ -13,7 +13,6 @@ from toolpath_aa.antialias import (DisplacementWindow, ThicknessError,
                                    detect_overlaps, displace_layer,
                                    reduce_overlap_flow, resample_path,
                                    sweep_slicing_plane)
-from toolpath_aa import fixtures
 from toolpath_aa.fixtures import dome_fixture, wedge_fixture, wedge_mesh
 from toolpath_aa.gcode import (DELTA, E, F, X, Y, Z, Layer, PrinterProfile,
                                PrintProgram, Toolpath, deposition_segments,
@@ -21,6 +20,7 @@ from toolpath_aa.gcode import (DELTA, E, F, X, Y, Z, Layer, PrinterProfile,
 from toolpath_aa.geometry import (build_vertical_index, cast_vertical_batch,
                                   signed_area)
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
+from scenes import flat_box_fixture, three_paths_scene
 
 
 def straight_path(length, e_total=2.0, n=2, z=0.6):
@@ -74,10 +74,11 @@ def test_resample_properties(points, w):
                        0.0 if i == 0 else 1.0, 20.0, 0.0)
                       for i, (x, y) in enumerate(points)])
     path = Toolpath(vertices=verts)
-    total_len = path.length()
+    total_len = sum(_segment_lengths(path.vertices))
     total_e = path.total_e()
     resample_path(path, w)
-    assert path.length() == pytest.approx(total_len, abs=1e-9)
+    assert sum(_segment_lengths(path.vertices)) == pytest.approx(total_len,
+                                                                 abs=1e-9)
     assert path.total_e() == pytest.approx(total_e, abs=1e-9)
     for seg in _segment_lengths(path.vertices, axes=3):
         assert seg <= w + 1e-9
@@ -109,10 +110,10 @@ def resample_reference(verts, w):
 
 def _fixture_paths():
     profile = PrinterProfile()
-    paths = fixtures.three_paths_scene()
+    paths = three_paths_scene()
     for _mesh, gcode in (wedge_fixture(profile),
                          wedge_fixture(profile, cross_hatch=True),
-                         fixtures.flat_box_fixture(profile),
+                         flat_box_fixture(profile),
                          dome_fixture(profile)):
         paths += parse_gcode(gcode).all_toolpaths()
     return paths
@@ -213,18 +214,19 @@ def test_displace_untouched_vertex_keeps_flat_z():
 
 
 def test_displace_idempotent():
+    # a second pass may add vertices where a segment crosses the window's
+    # edge, but moves none: every vertex of the first pass comes back, in
+    # order, among the second pass's vertices
     env = WedgeEnv()
     env.displace_all()
-    before = [v for layer in env.program.layers
-              for tp in layer.toolpaths() for v in tp.vertices[:, :3].tolist()]
-    for layer in env.program.layers:
-        displace_layer(layer.toolpaths(), env.index, env.profile,
-                       refine_boundaries=False)
-    after = [v for layer in env.program.layers
-             for tp in layer.toolpaths() for v in tp.vertices[:, :3].tolist()]
-    assert len(before) == len(after)
-    for a, b in zip(before, after):
-        assert math.dist(a, b) < 1e-9
+    paths = list(env.program.all_toolpaths())
+    before = [tp.vertices[:, :3].tolist() for tp in paths]
+    env.displace_all()
+    for rows, tp in zip(before, paths):
+        after = iter(tp.vertices[:, :3].tolist())
+        for a in rows:
+            # consumes the second pass's rows up to the match
+            assert any(math.dist(a, b) < 1e-9 for b in after)
 
 
 def test_displace_extreme_half_layer():
@@ -236,7 +238,7 @@ def test_displace_extreme_half_layer():
     x = (0.6 + 0.3) / slope          # surface z = 0.9, vertex z = 0.6
     path = Toolpath(vertices=[(x - 0.5, 5.0, 0.6, 0.0, 20.0, 0.0),
                               (x, 5.0, 0.6, 0.1, 20.0, 0.0)])
-    displace_layer([path], index, profile, refine_boundaries=False)
+    displace_layer([path], index, profile)
     assert path.vertices[1, DELTA] == pytest.approx(+0.3, abs=1e-9)
     assert path.vertices[1, Z] == pytest.approx(0.9, abs=1e-9)
 
@@ -249,7 +251,7 @@ def test_displace_zero_offset_untouched():
     x = 0.6 / slope                   # surface exactly at the vertex
     path = Toolpath(vertices=[(x - 0.5, 5.0, 0.6, 0.0, 20.0, 0.0),
                               (x, 5.0, 0.6, 0.1, 20.0, 0.0)])
-    displace_layer([path], index, profile, refine_boundaries=False)
+    displace_layer([path], index, profile)
     assert path.vertices[1, DELTA] == 0.0
     assert path.vertices[1, Z] == pytest.approx(0.6)
 
@@ -262,16 +264,15 @@ def test_stats_range_of_raised_only_layer():
     slope = math.tan(math.radians(10.0))
     path = Toolpath(vertices=[((0.6 + 0.1) / slope, 5.0, 0.6, 0.0, 20.0, 0.0),
                               ((0.6 + 0.2) / slope, 5.0, 0.6, 0.1, 20.0, 0.0)])
-    _, stats = displace_layer([path], index, profile,
-                              refine_boundaries=False)
+    _, stats = displace_layer([path], index, profile)
     assert stats.displaced == 2
     assert stats.min_delta == pytest.approx(0.1, abs=1e-9)
     assert stats.max_delta == pytest.approx(0.2, abs=1e-9)
-    report = stats.as_dict(h=profile.h)
+    report = stats.as_dict(profile.h)
     assert report["delta_range_mm"] == [stats.min_delta, stats.max_delta]
     assert report["achieved_thickness_range_mm"] == pytest.approx([0.7, 0.8])
     # nothing displaced: no range, and the report stays valid JSON
-    empty = antialias.DisplacementStats().as_dict(h=profile.h)
+    empty = antialias.DisplacementStats().as_dict(profile.h)
     assert empty["delta_range_mm"] is None
     assert empty["achieved_thickness_range_mm"] is None
     json.dumps(empty, allow_nan=False)
@@ -285,8 +286,7 @@ def test_bottom_facing_untouched():
     # bottom (facing down), so it must stay untouched
     path = Toolpath(vertices=[(9.5, 5.0, 0.2, 0.0, 20.0, 0.0),
                               (10.0, 5.0, 0.2, 0.1, 20.0, 0.0)])
-    _, stats = displace_layer([path], index, profile,
-                              refine_boundaries=False)
+    _, stats = displace_layer([path], index, profile)
     assert path.vertices[1, Z] == pytest.approx(0.2)
     assert stats.skipped_bottom_facing >= 1
 

@@ -12,13 +12,14 @@ from toolpath_aa import antialias
 from toolpath_aa.evaluate import (ErrorMap, EvaluationError, _percentiles,
                                   _TrackGrid, critical_angle, error_map,
                                   estimate_print_time, sample_mesh_surface,
-                                  track_distance, tracks_from_program)
-from toolpath_aa.fixtures import (dome_fixture, flat_box_fixture, flat_box_mesh,
-                                  wedge_fixture)
+                                  tracks_from_program)
+from toolpath_aa.files import replace_atomically
+from toolpath_aa.fixtures import dome_fixture, wedge_fixture
 from toolpath_aa.gcode import (DELTA, E, X, Y, Z, EOnly, Layer,
                                PrinterProfile, PrintProgram, Toolpath, Travel,
                                parse_gcode)
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
+from scenes import flat_box_fixture, flat_box_mesh
 
 
 def test_critical_angle_paper_value():
@@ -125,6 +126,49 @@ def test_print_time_matches_move_by_move_reference(name):
                 == print_time_reference(program).hex())
 
 
+def track_distance(track, px, py, pz):
+    """Distance from a point to the box of one track row (0 inside): the
+    scalar reference for `_TrackGrid`, which takes the same operations in
+    the same order."""
+    x1, y1, x2, y2, top1, top2, bot1, bot2, width = track
+    ux = x2 - x1
+    uy = y2 - y1
+    length = math.hypot(ux, uy)
+    if length < 1e-12:
+        s = 0.0
+        ux, uy = 1.0, 0.0
+    else:
+        ux /= length
+        uy /= length
+        s = (px - x1) * ux + (py - y1) * uy
+    s_star = min(max(s, 0.0), length)
+    t = (px - x1) * (-uy) + (py - y1) * ux
+    t_star = min(max(t, -width / 2.0), width / 2.0)
+    frac = s_star / length if length > 1e-12 else 0.0
+    top = top1 + (top2 - top1) * frac
+    bot = bot1 + (bot2 - bot1) * frac
+    z_star = min(max(pz, bot), top)
+    dx = px - (x1 + ux * s_star + (-uy) * t_star)
+    dy = py - (y1 + uy * s_star + ux * t_star)
+    dz = pz - z_star
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def error_map_brute(mesh, tracks, samples_per_mm2, seed):
+    """Reference for the distances of `error_map`: every surface sample
+    against every track by `track_distance`."""
+    points, _ = sample_mesh_surface(mesh, samples_per_mm2, seed)
+    rows = tracks.tolist()
+    return np.array([min(track_distance(tr, *p) for tr in rows)
+                     for p in points.tolist()])
+
+
+def export(em, path):
+    """Write the map as `run_pipeline` does: CSV by the suffix, else PLY."""
+    with replace_atomically(path) as fh:
+        (em.write_csv if str(path).endswith(".csv") else em.write_ply)(fh)
+
+
 def test_track_distance_inside_and_outside():
     # x1, y1, x2, y2, top1, top2, bot1, bot2, width
     tr = (0, 0, 10, 0, 0.6, 0.6, 0.0, 0.0, 0.8)
@@ -181,8 +225,8 @@ def test_error_map_monotone_under_union():
 def test_error_map_grid_matches_brute():
     mesh, tracks = box_program_tracks()
     em_grid = error_map(mesh, tracks, samples_per_mm2=3, seed=5)
-    em_brute = error_map(mesh, tracks, samples_per_mm2=3, seed=5, brute=True)
-    assert np.array_equal(em_grid.distances, em_brute.distances)
+    brute = error_map_brute(mesh, tracks, samples_per_mm2=3, seed=5)
+    assert np.array_equal(em_grid.distances, brute)
 
 
 def test_error_map_far_samples_match_brute():
@@ -194,10 +238,9 @@ def test_error_map_far_samples_match_brute():
     corners = tracks[((np.maximum(x1, x2) < 3.0) & (np.maximum(y1, y2) < 3.0))
                      | ((np.minimum(x1, x2) > 8.0) & (np.minimum(y1, y2) > 5.0))]
     em_grid = error_map(mesh, corners, samples_per_mm2=3, seed=5)
-    em_brute = error_map(mesh, corners, samples_per_mm2=3, seed=5,
-                         brute=True)
-    assert np.sum(em_brute.distances > 2.0) > len(em_brute.distances) // 3
-    assert np.array_equal(em_grid.distances, em_brute.distances)
+    brute = error_map_brute(mesh, corners, samples_per_mm2=3, seed=5)
+    assert np.sum(brute > 2.0) > len(brute) // 3
+    assert np.array_equal(em_grid.distances, brute)
 
 
 def test_track_grid_off_the_origin_matches_brute():
@@ -223,9 +266,8 @@ def test_error_map_zero_length_track_matches_brute():
     assert track_distance(dot[0], 5.0, 6.4, 1.0) == pytest.approx(1.0)
     for subset in (dot, np.vstack([tracks[:20], dot])):
         em_grid = error_map(mesh, subset, samples_per_mm2=3, seed=5)
-        em_brute = error_map(mesh, subset, samples_per_mm2=3, seed=5,
-                             brute=True)
-        assert np.array_equal(em_grid.distances, em_brute.distances)
+        brute = error_map_brute(mesh, subset, samples_per_mm2=3, seed=5)
+        assert np.array_equal(em_grid.distances, brute)
 
 
 def nearest_all_pairs(grid, points, pairs=1 << 16):
@@ -330,8 +372,8 @@ def test_exports(tmp_path):
     em = error_map(mesh, tracks, samples_per_mm2=2, seed=1)
     csv = tmp_path / "map.csv"
     ply = tmp_path / "map.ply"
-    em.export_csv(csv)
-    em.export_ply(ply)
+    export(em, csv)
+    export(em, ply)
     lines = csv.read_text().strip().split("\n")
     assert lines[0] == "x,y,z,distance_mm"
     assert len(lines) == len(em.points) + 1
@@ -411,8 +453,8 @@ def test_export_text_is_pinned(tmp_path, repeats):
                   normals=np.tile([0.0, 0.0, 1.0], (4 * repeats, 1)),
                   distances=np.tile(FORMAT_DISTANCES, repeats),
                   samples_per_mm2=2.5, seed=7)
-    em.export_csv(tmp_path / "map.csv")
-    em.export_ply(tmp_path / "map.ply")
+    export(em, tmp_path / "map.csv")
+    export(em, tmp_path / "map.ply")
     assert ((tmp_path / "map.csv").read_bytes().decode()
             == "x,y,z,distance_mm\n" + CSV_ROWS * repeats)
     assert ((tmp_path / "map.ply").read_bytes().decode()

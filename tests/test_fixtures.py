@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from toolpath_aa.fixtures import (dome_fixture, three_paths_scene, ordering_scene,
-                                  flat_box_fixture, wedge_fixture, wedge_mesh)
+from toolpath_aa.fixtures import dome_fixture, wedge_fixture, wedge_mesh
 from toolpath_aa.gcode import DELTA, PrinterProfile, parse_gcode, total_extrusion
+from scenes import flat_box_fixture, ordering_scene, three_paths_scene
 
 
 def test_wedge_mesh_volume_analytic():

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toolpath_aa import gcode
-from toolpath_aa.fixtures import dome_fixture, flat_box_fixture, wedge_fixture
+from toolpath_aa.fixtures import dome_fixture, wedge_fixture
 from toolpath_aa.gcode import (DELTA, E, F, X, Y, Z, GcodeParseError,
                                PrinterProfile, Toolpath, Travel,
                                deposition_segments, emit_gcode, parse_gcode,
                                total_extrusion)
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
+from scenes import flat_box_fixture
 
 SIMPLE = """G90
 M82
@@ -31,7 +32,8 @@ def test_segment_basics_and_feed_conversion():
     v = tp.vertices[1]
     assert v[X] == 10 and v[E] == pytest.approx(0.5)
     assert v[F] == pytest.approx(20.0)          # 1200 mm/min
-    assert tp.length() == pytest.approx(10.0)
+    assert math.dist(tp.vertices[0, :2],
+                     tp.vertices[1, :2]) == pytest.approx(10.0)
 
 
 def test_travel_breaks_toolpath():
@@ -102,6 +104,19 @@ def test_roundtrip_motion_identical():
         assert math.dist(a[:3], b[:3]) < 1e-6
         assert a[E] == pytest.approx(b[E], abs=1e-6)
         assert a[F] == pytest.approx(b[F], abs=1e-6)
+
+
+def test_roundtrip_of_ordered_displaced_output():
+    # a path starts at the z its travel left, not at the z of its first
+    # extruding move, which a displaced path changes
+    mesh, text = wedge_fixture()
+    program, _report, _text = run_pipeline(PipelineConfig(), gcode_text=text,
+                                           mesh=mesh)
+    paths = list(program.all_toolpaths())
+    again = list(parse_gcode(emit_gcode(program)).all_toolpaths())
+    assert [len(p) for p in again] == [len(p) for p in paths]
+    for p, q in zip(paths, again):
+        assert abs(p.vertices[:, :3] - q.vertices[:, :3]).max() < 1e-5
 
 
 def test_emit_displaced_z_word():

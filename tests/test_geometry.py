@@ -8,13 +8,12 @@ from toolpath_aa import geometry
 from toolpath_aa.geometry import (BELOW_BIAS, BOX_SLACK, PAIR_BLOCK,
                                   BoxGrid, EmptyMeshError, StlParseError,
                                   VerticalRayIndex, box_pairs, build_mesh,
-                                  build_vertical_index, cast_vertical,
-                                  cast_vertical_batch, cast_vertical_brute,
-                                  load_mesh, mesh_to_stl_ascii,
-                                  mesh_to_stl_binary)
+                                  build_vertical_index, cast_vertical_batch,
+                                  load_mesh, mesh_to_stl_binary)
 from toolpath_aa import antialias, fixtures
-from toolpath_aa.fixtures import flat_box_mesh, wedge_mesh
+from toolpath_aa.fixtures import wedge_mesh
 from toolpath_aa.gcode import PrinterProfile, parse_gcode
+from scenes import flat_box_fixture, flat_box_mesh
 
 ASCII_ONE_FACET = """solid one
   facet normal 0 0 1
@@ -32,8 +31,43 @@ def cube_mesh():
     return flat_box_mesh(1.0, 1.0, 1.0)
 
 
+def mesh_to_stl_ascii(mesh, name="mesh"):
+    lines = [f"solid {name}"]
+    tris = mesh.vertices[mesh.triangles]
+    for i in range(mesh.triangle_count):
+        n = mesh.normals[i]
+        lines.append(f"  facet normal {n[0]:.9g} {n[1]:.9g} {n[2]:.9g}")
+        lines.append("    outer loop")
+        for p in tris[i]:
+            lines.append(f"      vertex {p[0]:.9g} {p[1]:.9g} {p[2]:.9g}")
+        lines.append("    endloop")
+        lines.append("  endfacet")
+    lines.append(f"endsolid {name}")
+    return "\n".join(lines) + "\n"
+
+
+def cast_one(index, query):
+    """One ray of `cast_vertical_batch`: (delta, facing_top, hit), delta
+    being surface z minus query z, 0 on a miss."""
+    delta, top, hit = cast_vertical_batch(index, [query[0]], [query[1]],
+                                          [query[2]])
+    return delta[0], top[0], hit[0]
+
+
+def cast_vertical_brute(mesh, query):
+    """Grid-free oracle for `cast_one`: the ray meets every triangle at
+    once and keeps the first minimum of the batch's key."""
+    dz, dist, key = geometry._ray_keys(mesh.vertices[mesh.triangles],
+                                       float(query[0]), float(query[1]),
+                                       float(query[2]))
+    best = int(np.argmin(key))     # a NaN key is its own minimum: no hit
+    hit = bool(np.isfinite(dist[best]))
+    return (dz[best] if hit else np.float64(0.0),
+            hit and bool(mesh.normals[best, 2] > 0), hit)
+
+
 def test_ascii_single_facet():
-    mesh = load_mesh(ASCII_ONE_FACET, fmt="stl_ascii")
+    mesh = load_mesh(ASCII_ONE_FACET)
     assert mesh.triangle_count == 1
     assert np.allclose(mesh.normals[0], [0, 0, 1])
 
@@ -42,7 +76,7 @@ def test_binary_cube_roundtrip():
     cube = cube_mesh()
     assert cube.triangle_count == 12
     data = mesh_to_stl_binary(cube)
-    again = load_mesh(data, fmt="stl_binary")
+    again = load_mesh(data)
     assert again.triangle_count == 12
     assert abs(again.volume() - 1.0) < 1e-9
 
@@ -50,7 +84,7 @@ def test_binary_cube_roundtrip():
 def test_ascii_roundtrip():
     cube = cube_mesh()
     text = mesh_to_stl_ascii(cube)
-    again = load_mesh(text.encode(), fmt="stl_ascii")
+    again = load_mesh(text.encode())
     assert again.triangle_count == 12
 
 
@@ -70,7 +104,7 @@ def test_degenerate_dropped_and_counted():
 def test_ascii_non_finite_vertex_names_its_line(word):
     text = ASCII_ONE_FACET.replace("vertex 1 0 0", f"vertex 1 {word} 0")
     with pytest.raises(StlParseError) as err:
-        load_mesh(text, fmt="stl_ascii")
+        load_mesh(text)
     assert err.value.line == 5
 
 
@@ -78,13 +112,13 @@ def test_truncated_binary_reports_offset():
     cube = cube_mesh()
     data = mesh_to_stl_binary(cube)
     with pytest.raises(StlParseError):
-        load_mesh(data[:100], fmt="stl_binary")
+        load_mesh(data[:100])
 
 
 def test_zero_triangles_is_empty_mesh_error():
     header = b"\0" * 80 + struct.pack("<I", 0)
     with pytest.raises(EmptyMeshError):
-        load_mesh(header, fmt="stl_binary")
+        load_mesh(header)
 
 
 def test_normals_unit_length():
@@ -96,42 +130,42 @@ def test_normals_unit_length():
 def test_cast_wedge_analytic():
     mesh = wedge_mesh(angle_deg=10.0, base=20.0, depth=10.0)
     index = build_vertical_index(mesh)
-    hit = cast_vertical(index, (10.0, 5.0, 1.0))
+    delta, top, hit = cast_one(index, (10.0, 5.0, 1.0))
     expected_z = 10.0 * math.tan(math.radians(10.0))
-    assert hit is not None
-    assert hit.facing == "top"
-    assert abs(hit.point[2] - expected_z) < 1e-9
-    assert abs(hit.delta - (expected_z - 1.0)) < 1e-9
+    assert hit and top
+    assert abs(1.0 + delta - expected_z) < 1e-9
+    assert abs(delta - (expected_z - 1.0)) < 1e-9
 
 
 def test_cast_on_surface_zero_delta():
     cube = cube_mesh()
     index = build_vertical_index(cube)
-    hit = cast_vertical(index, (0.5, 0.5, 1.0))
-    assert hit.facing == "top"
-    assert abs(hit.delta) < 1e-12
+    delta, top, hit = cast_one(index, (0.5, 0.5, 1.0))
+    assert hit and top
+    assert abs(delta) < 1e-12
 
 
 def test_cast_outside_silhouette_misses():
     cube = cube_mesh()
     index = build_vertical_index(cube)
-    assert cast_vertical(index, (5.0, 5.0, 0.5)) is None
+    assert cast_one(index, (5.0, 5.0, 0.5)) == (0.0, False, False)
 
 
 def test_tie_prefers_hit_above():
     cube = cube_mesh()  # faces at z=0 and z=1
     index = build_vertical_index(cube)
-    hit = cast_vertical(index, (0.5, 0.5, 0.5))
-    assert hit.delta == pytest.approx(+0.5)
-    assert hit.facing == "top"
+    delta, top, hit = cast_one(index, (0.5, 0.5, 0.5))
+    assert hit and delta == pytest.approx(+0.5)
+    assert top
 
 
 def test_index_matches_brute_force_cube():
     cube = cube_mesh()
     index = build_vertical_index(cube)
-    hit_a = cast_vertical(index, (0.5, 0.5, 2.0))
-    hit_b = cast_vertical_brute(cube, (0.5, 0.5, 2.0))
-    assert abs(hit_a.point[2] - hit_b.point[2]) < 1e-9
+    delta_a, _, hit_a = cast_one(index, (0.5, 0.5, 2.0))
+    delta_b, _, hit_b = cast_vertical_brute(cube, (0.5, 0.5, 2.0))
+    assert hit_a and hit_b
+    assert abs(delta_a - delta_b) < 1e-9
 
 
 def _random_mesh(n_triangles, seed):
@@ -150,23 +184,22 @@ def test_oracle_equivalence_random_mesh():
     rng = np.random.default_rng(11)
     queries = rng.uniform(-2, 52, size=(1000, 3))
     for q in queries:
-        a = cast_vertical(index, q)
-        b = cast_vertical_brute(mesh, q)
-        if a is None or b is None:
-            assert a is None and b is None
-        else:
-            assert abs(a.point[2] - b.point[2]) < 1e-9
+        delta_a, _, hit_a = cast_one(index, q)
+        delta_b, _, hit_b = cast_vertical_brute(mesh, q)
+        assert hit_a == hit_b
+        if hit_a:
+            assert abs(delta_a - delta_b) < 1e-9
 
 
 def assert_batch_matches_brute(mesh, index, q):
     """The batch equals the grid-free oracle ray by ray, bit for bit."""
     delta, top, hit = cast_vertical_batch(index, q[:, 0], q[:, 1], q[:, 2])
     for k in range(len(q)):
-        ref = cast_vertical_brute(mesh, q[k])
-        assert hit[k] == (ref is not None)
-        if ref is not None:
-            assert delta[k].tobytes() == np.float64(ref.delta).tobytes()
-            assert top[k] == (ref.facing == "top")
+        ref_delta, ref_top, ref_hit = cast_vertical_brute(mesh, q[k])
+        assert hit[k] == ref_hit
+        if ref_hit:
+            assert delta[k].tobytes() == ref_delta.tobytes()
+            assert top[k] == ref_top
     return hit
 
 
@@ -177,7 +210,7 @@ def test_batch_matches_scalar():
     hit = assert_batch_matches_brute(mesh, index, q)
     assert hit.any() and not hit.all()
     for k in range(len(q)):
-        assert cast_vertical(index, q[k]) == cast_vertical_brute(mesh, q[k])
+        assert cast_one(index, q[k]) == cast_vertical_brute(mesh, q[k])
 
 
 @pytest.mark.parametrize("name", ["wedge", "wedge_hatch", "flat_box", "dome"])
@@ -186,7 +219,7 @@ def test_batch_matches_brute_on_fixture_vertices(name):
     # triangle edges, where two triangles give hits a few ulps apart
     profile = PrinterProfile()
     if name == "flat_box":
-        mesh, gcode = fixtures.flat_box_fixture(profile)
+        mesh, gcode = flat_box_fixture(profile)
     elif name == "dome":
         mesh, gcode = fixtures.dome_fixture(profile)
     else:
@@ -204,11 +237,7 @@ def test_determinism():
     i1 = build_vertical_index(mesh)
     i2 = build_vertical_index(mesh)
     q = (25.0, 25.0, 10.0)
-    h1 = cast_vertical(i1, q)
-    h2 = cast_vertical(i2, q)
-    assert (h1 is None) == (h2 is None)
-    if h1 is not None:
-        assert h1 == h2
+    assert cast_one(i1, q) == cast_one(i2, q)
 
 
 def cast_per_cell(index, xs, ys, qzs):
@@ -509,7 +538,7 @@ def test_weld_matches_np_unique(fmt, seed):
     rounded = read.round(9)
     assert np.signbit(rounded[rounded == 0]).any()    # -0.0 reaches the weld
 
-    mesh = load_mesh(data, fmt)
+    mesh = load_mesh(data)
     uniq, inverse = np.unique(rounded, axis=0, return_inverse=True)
     reference = build_mesh(uniq, inverse.reshape(-1, 3))
     assert mesh.vertices.shape == reference.vertices.shape

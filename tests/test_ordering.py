@@ -10,10 +10,11 @@ from toolpath_aa import fixtures, geometry, ordering
 from toolpath_aa.gcode import DELTA, X, Z, PrinterProfile, Toolpath
 from toolpath_aa.ordering import (ConstraintGraph, OrderingError, SubPath,
                                   build_constraint_graph, evaluate_order,
-                                  exterior_angle, find_neighbors, gap_cost,
+                                  find_neighbors, gap_cost,
                                   interference_threshold, order_paths,
                                   split_paths)
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
+import scenes
 from test_pipeline import nested_loops_gcode
 
 EPS_GAP = 3.2   # 4 * w for w = 0.8
@@ -31,7 +32,6 @@ def line_path(y, z=0.6, x0=0.0, x1=10.0, modified=True, delta=0.0, n=14):
 def test_threshold_paper_constants():
     p = PrinterProfile()   # tau 1.25, d 0.8, h 0.6, alpha 45 deg
     assert interference_threshold(p) == pytest.approx(1.625)
-    assert interference_threshold(p, dh=0.0) == pytest.approx(1.025)
     p90 = PrinterProfile(alpha=math.pi / 2)
     assert interference_threshold(p90) == pytest.approx(1.025, abs=1e-12)
 
@@ -114,14 +114,14 @@ def test_split_sign_flip_cuts_at_new_sign():
 
 
 def test_three_paths_partition_and_graph():
-    paths = fixtures.three_paths_scene()
+    paths = scenes.three_paths_scene()
     profile = PrinterProfile()
     eps = interference_threshold(profile)
     pairs = find_neighbors(paths, eps)
     assert list(pairs) == [(0, 1), (1, 2)]
     subs = split_paths(paths, pairs, eps)
     assert len(subs) == 7
-    labels = fixtures.label_scene_subpaths(subs)
+    labels = scenes.label_scene_subpaths(subs)
     assert {k: labels[k].parent_id for k in "ABCDEFG"} == {
         "A": 0, "B": 0, "C": 1, "D": 1, "E": 1, "F": 2, "G": 2}
     graph = build_constraint_graph(subs, eps)
@@ -233,6 +233,14 @@ def square_loop(side=4.0, reverse=False):
     return Toolpath(vertices=verts, closed=True)
 
 
+def exterior_angle(path, i):
+    """The exterior angle at row i of the path's unique vertex rows, the
+    path oriented as `split_paths` orients its parents."""
+    cycle = ordering._unique_cycle(path)
+    ccw = not path.closed or geometry.signed_area(cycle[:, :2].tolist()) >= 0
+    return ordering._exterior_angle_at(cycle, i, path.closed, ccw)
+
+
 def test_exterior_angle_square():
     sq = square_loop()
     # convex corner of a CCW square: opening 3*pi/2
@@ -261,7 +269,7 @@ def test_exterior_angle_straight_and_notch():
 # order_paths on the constructed seven-subpath scene
 
 def ordering_scene_fixture():
-    return fixtures.ordering_scene()
+    return scenes.ordering_scene()
 
 
 def seq(labels, s):
@@ -279,7 +287,7 @@ def test_ordering_scene_fixture_order1_gap_locations():
     graph, labels = ordering_scene_fixture()
     cost, locs = evaluate_order(graph, seq(labels, "AFDEBCG"), EPS_GAP)
     assert cost == 3
-    expected = {fixtures.ORDERING_SCENE_POINTS[k] for k in ("BA", "AB", "GF")}
+    expected = {scenes.ORDERING_SCENE_POINTS[k] for k in ("BA", "AB", "GF")}
     got = {tuple(round(c, 6) for c in p) for p in locs}
     assert got == {tuple(round(c, 6) for c in p) for p in expected}
 
@@ -359,7 +367,7 @@ def test_evaluate_order_rejects_invalid():
 
 def test_unmodified_emitted_first():
     graph, labels = ordering_scene_fixture()
-    plain = fixtures.ordering_scene()[0].nodes[0]
+    plain = scenes.ordering_scene()[0].nodes[0]
     # craft: two unmodified + the seven modified
     pv = np.array([(50, 50, 0.6, 0, 20, 0), (51, 50, 0.6, 1, 20, 0)],
                   dtype=float)
@@ -390,7 +398,7 @@ def test_weighted_cost_dominance():
 def test_split_soundness_constant_sign():
     # after splitting, each subpath's height relation to each neighbouring
     # parent never flips sign along its extent
-    paths = fixtures.three_paths_scene()
+    paths = scenes.three_paths_scene()
     profile = PrinterProfile()
     eps = interference_threshold(profile)
     pairs = find_neighbors(paths, eps)
@@ -602,7 +610,7 @@ def assert_seam_weights_at_ends(subpaths):
 
 
 def test_seam_weights_on_three_paths_scene():
-    paths = fixtures.three_paths_scene()
+    paths = scenes.three_paths_scene()
     eps = interference_threshold(PrinterProfile())
     subs = split_paths(paths, find_neighbors(paths, eps), eps)
     assert len(subs) == 7 and all(sp.first_is_cut for sp in subs)
@@ -954,7 +962,7 @@ def displaced_layers(fixture):
 def test_ordering_structure_matches_scalar_reference(scene, monkeypatch):
     eps = interference_threshold(PrinterProfile())
     if scene == "three_paths":
-        layers = [fixtures.three_paths_scene()]
+        layers = [scenes.three_paths_scene()]
     elif scene == "nested_loops":
         # closed paths: of each loop's neighbour rows the split reads
         # those before its closing vertex

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from toolpath_aa import antialias, cli, pipeline
 from toolpath_aa.antialias import ThicknessError
 from toolpath_aa.files import replace_atomically
-from toolpath_aa.fixtures import (dome_fixture, flat_box_fixture, wedge_fixture,
-                                  wedge_mesh)
+from toolpath_aa.fixtures import dome_fixture, wedge_fixture, wedge_mesh
 from toolpath_aa.gcode import PrinterProfile, parse_gcode, total_extrusion
 from toolpath_aa.geometry import build_vertical_index, mesh_to_stl_binary
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
+from scenes import flat_box_fixture
 
 
 def motion_values(program):
@@ -354,13 +354,19 @@ def test_cli_failed_run_keeps_an_earlier_output(tmp_path, capsys):
         "bad.gcode", "in.gcode", "model.stl", "out.gcode"]
 
 
-def test_cli_outputs_are_replaced_together(tmp_path, capsys):
-    # the report cannot be opened, after the error map and the G-code are
-    # written: neither of them replaces its earlier file
+def test_cli_outputs_are_replaced_together(tmp_path, capsys, monkeypatch):
+    # the report cannot be opened, after the error map and the G-code are:
+    # the run stops before it parses anything, neither of them replaces its
+    # earlier file, and no temporary file is left behind
     gpath, mpath = write_fixture_files(tmp_path)
     out, emap = tmp_path / "out.gcode", tmp_path / "map.csv"
     out.write_bytes(b"old output")
     emap.write_bytes(b"old map")
+
+    def parse_gcode(text):
+        raise AssertionError("parsed before the outputs were opened")
+
+    monkeypatch.setattr(pipeline, "parse_gcode", parse_gcode)
     code = cli.main([
         "--gcode", str(gpath), "--mesh", str(mpath), "--out", str(out),
         "--no-ordering", "--error-map", str(emap),
