@@ -3,18 +3,21 @@ both seam modes: the G-code, and the report with its timings removed
 (`timings_s` and the ordering layers' `*_s` stage times). Two checkouts
 that print the same lines give the same outputs.
 
-    python scripts/output_digests.py [wedge|hatch|dome|wedge40x20 ...]
+    python scripts/output_digests.py [wedge|hatch|dome|wedge40x20|loops ...]
 
 With no names, every input runs. The 40x20 wedge takes several seconds
-per seam mode."""
+per seam mode. `loops` is the nested closed loops of the tests over the
+20x10 wedge, the one input whose paths are closed."""
 
 import hashlib
 import json
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+for folder in ("src", "tests"):
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", folder))
 
+from scenes import nested_loops_gcode
 from toolpath_aa import fixtures
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 
@@ -23,6 +26,7 @@ INPUTS = {
     "hatch": lambda: fixtures.wedge_fixture(cross_hatch=True),
     "dome": lambda: fixtures.dome_fixture(),
     "wedge40x20": lambda: fixtures.wedge_fixture(base=40.0, depth=20.0),
+    "loops": lambda: (fixtures.wedge_mesh(), nested_loops_gcode()),
 }
 
 

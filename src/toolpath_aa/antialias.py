@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import BoxGrid, cast_vertical_batch, segment_param
+from .geometry import BoxGrid, cast_vertical_batch, ragged, segment_param
 from .gcode import (DELTA, E, F, VERTEX_COLUMNS, X, Y, Z, Layer, PrintProgram,
                     deposition_segments, fold_sum)
 
@@ -103,9 +103,9 @@ def resample_path(path, w):
     if (pieces == 1).all():
         return path
     # piece k of a segment prev -> cur ends at t = k / n, the last at cur
-    of = np.repeat(np.arange(len(pieces)), pieces)
+    of, k = ragged(pieces)
     n = pieces[of]
-    k = np.arange(len(of)) - np.repeat(np.cumsum(pieces) - pieces, pieces) + 1
+    k += 1
     prev, cur = verts[of], verts[of + 1]
     out = prev + (cur - prev) * (k / n)[:, None]
     last = k == n

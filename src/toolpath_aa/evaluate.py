@@ -11,7 +11,7 @@ import numpy as np
 
 from .gcode import (DELTA, VERTEX_COLUMNS, EOnly, F, Toolpath, Travel, X,
                     Y, Z, deposition_segments, fold_sum)
-from .geometry import BoxGrid, _triangle_areas
+from .geometry import BoxGrid, _triangle_areas, ragged
 
 VIS_CLAMP = 0.3   # mm, error map colour scale end
 EXPORT_BLOCK = 4096   # rows formatted per template in the error map exports
@@ -289,11 +289,11 @@ def sample_mesh_surface(mesh, samples_per_mm2=50.0, seed=0):
     c = mesh.vertices[mesh.triangles[:, 2]]
     areas = _triangle_areas(mesh.vertices, mesh.triangles)
     counts = np.maximum(1, np.round(areas * samples_per_mm2)).astype(int)
-    tri = np.repeat(np.arange(len(counts)), counts)
+    tri, k = ragged(counts)
     before = np.cumsum(counts) - counts       # samples of earlier triangles
-    # triangle i's draws start at 2 * before[i]: its sample j = before[i] + k
-    # takes r1 from 2 * before[i] + k = j + before[i], and r2 n_i further on
-    r1_at = np.arange(len(tri)) + before[tri]
+    # triangle i's draws start at 2 * before[i]: its sample k takes r1 from
+    # 2 * before[i] + k, and r2 n_i further on
+    r1_at = 2 * before[tri] + k
     draws = rng.random(2 * int(counts.sum()))
     r1 = draws[r1_at]
     r2 = draws[r1_at + counts[tri]]

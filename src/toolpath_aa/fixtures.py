@@ -10,6 +10,10 @@ import numpy as np
 from .gcode import PrinterProfile
 from .geometry import build_mesh
 
+DOME_GRID = 40        # dome mesh cells per side
+TRAVEL_F = 120.0      # mm/s, the fixture slicer's travel feed
+MAX_LAYERS = 200      # the fixture slicer's guard against a runaway height
+
 
 # ---------------------------------------------------------------------------
 # Meshes
@@ -38,11 +42,11 @@ def wedge_mesh(angle_deg=10.0, base=20.0, depth=10.0):
     return build_mesh(vertices, triangles)
 
 
-def dome_mesh(radius=12.0, cap_height=3.0, extent=16.0, n=40):
+def dome_mesh(radius=12.0, cap_height=3.0, extent=16.0):
     """Spherical-cap heightfield on a square base, closed underneath.
 
     z(x, y) = max(0, sqrt(R^2 - r^2) - (R - cap_height)) over a square of
-    side `extent` centred on the cap apex.
+    side `extent` centred on the cap apex, on a DOME_GRID square grid.
     """
     if radius <= 0 or cap_height <= 0 or extent <= 0:
         raise ValueError("dome parameters must be positive")
@@ -55,8 +59,7 @@ def dome_mesh(radius=12.0, cap_height=3.0, extent=16.0, n=40):
             return 0.0
         return max(0.0, math.sqrt(radius * radius - r2) - base_z)
 
-    xs = np.linspace(-half, half, n + 1)
-    ys = np.linspace(-half, half, n + 1)
+    xs = ys = np.linspace(-half, half, DOME_GRID + 1)
     idx = {}
     verts = []
     for j, y in enumerate(ys):
@@ -70,8 +73,8 @@ def dome_mesh(radius=12.0, cap_height=3.0, extent=16.0, n=40):
     for c in corners:
         verts.append(c)
     triangles = []
-    for j in range(n):
-        for i in range(n):
+    for j in range(DOME_GRID):
+        for i in range(DOME_GRID):
             a = idx[(i, j)]
             b = idx[(i + 1, j)]
             c = idx[(i + 1, j + 1)]
@@ -105,8 +108,7 @@ def _scan_intervals(zf, y, x0, x1, z_plane, step=0.02):
     return [(a, b) for a, b in spans if b - a > 1e-9]
 
 
-def slice_heightfield(zf, bounds, profile, travel_f=120.0,
-                      cross_hatch=False, max_layers=200, name="fixture"):
+def slice_heightfield(zf, bounds, profile, cross_hatch=False, name="fixture"):
     """Flat-slice a heightfield solid into serpentine straight infill.
 
     Contours are taken at the slicing plane (base + s) of each layer, the
@@ -164,7 +166,7 @@ def slice_heightfield(zf, bounds, profile, travel_f=120.0,
         return rows
 
     layer = 0
-    while layer < max_layers:
+    while layer < MAX_LAYERS:
         z_plane = layer * h + s
         z_top = (layer + 1) * h
         along_y = cross_hatch and layer % 2 == 1
@@ -193,10 +195,10 @@ def slice_heightfield(zf, bounds, profile, travel_f=120.0,
                     ts = ts[::-1]
                 if along_y:
                     lines.append(emit_move("G0", x=cc, y=ts[0], z=z_top,
-                                           f=travel_f))
+                                           f=TRAVEL_F))
                 else:
                     lines.append(emit_move("G0", x=ts[0], y=cc, z=z_top,
-                                           f=travel_f))
+                                           f=TRAVEL_F))
                 prev = ts[0]
                 for t in ts[1:]:
                     seg = abs(t - prev)

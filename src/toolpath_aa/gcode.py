@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import ragged
+
 FEED_FACTOR = 60.0          # F word (mm/min) -> mm/s
 DUPLICATE_TOL = 1e-9        # consecutive duplicate vertices merged below this
 CLOSURE_TOL = 1e-6          # first ~ last distance flagging a closed path
@@ -45,7 +47,6 @@ class Toolpath:
 
     vertices: np.ndarray
     closed: bool = False
-    kind: str = "unknown"     # perimeter | infill | unknown
     layer_index: int = 0
     modified: bool = False
 
@@ -58,9 +59,8 @@ class Toolpath:
         if not isinstance(other, Toolpath):
             return NotImplemented
         return (np.array_equal(self.vertices, other.vertices)
-                and (self.closed, self.kind, self.layer_index, self.modified)
-                == (other.closed, other.kind, other.layer_index,
-                    other.modified))
+                and (self.closed, self.layer_index, self.modified)
+                == (other.closed, other.layer_index, other.modified))
 
     def __len__(self):
         return len(self.vertices)
@@ -87,9 +87,7 @@ def deposition_segments(paths):
     over `paths`, in path and then row order; the rows are (m, 6) arrays."""
     verts = np.concatenate([p.vertices for p in paths]
                            + [np.empty((0, VERTEX_COLUMNS))])
-    sizes = np.array([len(p) for p in paths], dtype=np.int64)
-    path = np.repeat(np.arange(len(paths)), sizes)
-    row = np.arange(len(verts)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    path, row = ragged([len(p) for p in paths])
     end = np.flatnonzero((row > 0) & (verts[:, E] > 0))
     return path[end], row[end], verts[end - 1], verts[end]
 
@@ -324,7 +322,6 @@ class _Parser:
                       rapid=(g == "0"), lineno=lineno)
         self.close_path()
         self._split_epilogue()
-        self._assign_kinds()
         return self.program
 
     def line(self, lineno, raw):
@@ -499,21 +496,6 @@ class _Parser:
         for l in self.program.layers:
             if l.base_z is None:
                 l.base_z = 0.0
-
-    def _assign_kinds(self):
-        """Tag toolpaths with the most recent ;TYPE: comment before them."""
-        kind = "unknown"
-        for ev in self.program.events():
-            if isinstance(ev, RawLine) and ";TYPE:" in ev.text:
-                tag = ev.text.split(";TYPE:", 1)[1].strip().upper()
-                if "PERIM" in tag or tag.startswith("WALL"):
-                    kind = "perimeter"
-                elif "FILL" in tag or tag == "SKIN":
-                    kind = "infill"
-                else:
-                    kind = "unknown"
-            elif isinstance(ev, Toolpath):
-                ev.kind = kind
 
 
 def parse_gcode(text):

@@ -67,16 +67,6 @@ class TriangleMesh:
     def triangle_count(self):
         return len(self.triangles)
 
-    def bounds(self):
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
-
-    def volume(self):
-        """Signed volume by the divergence theorem (exact for closed meshes)."""
-        a = self.vertices[self.triangles[:, 0]]
-        b = self.vertices[self.triangles[:, 1]]
-        c = self.vertices[self.triangles[:, 2]]
-        return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
-
 
 def _face_normals(vertices, triangles):
     a = vertices[triangles[:, 0]]
@@ -218,9 +208,9 @@ def _weld(tri_points):
 # ---------------------------------------------------------------------------
 # STL output (the scripts write their fixture meshes with it)
 
-def mesh_to_stl_binary(mesh, header=b"toolpath-aa"):
+def mesh_to_stl_binary(mesh):
     count = mesh.triangle_count
-    out = bytearray(header[:80].ljust(80, b"\0"))
+    out = bytearray(b"toolpath-aa".ljust(80, b"\0"))
     out += struct.pack("<I", count)
     tris = mesh.vertices[mesh.triangles]  # (m, 3, 3)
     for i in range(count):
@@ -236,6 +226,16 @@ def mesh_to_stl_binary(mesh, header=b"toolpath-aa"):
 
 # ---------------------------------------------------------------------------
 # XY box grid
+
+def ragged(count):
+    """(owner, position) int64 arrays over the items of consecutive runs,
+    run r holding count[r] items: the run each item belongs to, and its
+    place in that run."""
+    count = np.asarray(count, dtype=np.int64)
+    owner = np.repeat(np.arange(len(count), dtype=np.int64), count)
+    start = np.cumsum(count) - count
+    return owner, np.arange(len(owner)) - np.repeat(start, count)
+
 
 class BoxGrid:
     """Uniform XY grid binning axis-aligned boxes, given as (n, 2) arrays
@@ -281,10 +281,7 @@ class BoxGrid:
         ilo = self._cell_of(lo)
         ihi = self._cell_of(hi)
         ny_b = ihi[:, 1] - ilo[:, 1] + 1
-        count = (ihi[:, 0] - ilo[:, 0] + 1) * ny_b
-        box = np.repeat(np.arange(len(lo), dtype=np.int64), count)
-        k = (np.arange(len(box), dtype=np.int64)
-             - np.repeat(np.cumsum(count) - count, count))
+        box, k = ragged((ihi[:, 0] - ilo[:, 0] + 1) * ny_b)
         cx = ilo[box, 0] + k // ny_b[box]
         return box, cx * self.ny + ilo[box, 1] + k % ny_b[box]
 
@@ -306,9 +303,8 @@ class BoxGrid:
         """(box count per cell, the cells' box ids concatenated in order)."""
         first = self.offsets[cells]
         count = self.offsets[cells + 1] - first
-        at = (np.arange(count.sum(), dtype=np.int64)
-              + np.repeat(first - (np.cumsum(count) - count), count))
-        return count, self.items[at]
+        cell, k = ragged(count)
+        return count, self.items[first[cell] + k]
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +320,6 @@ class VerticalRayIndex(BoxGrid):
     def __init__(self, mesh, target_per_cell=4.0):
         if mesh.triangle_count == 0:
             raise EmptyMeshError("cannot index an empty mesh")
-        self.mesh = mesh
         tris = mesh.vertices[mesh.triangles]
         self._tri_pts = np.ascontiguousarray(tris)
         self._nz = mesh.normals[:, 2].copy()
@@ -457,11 +452,10 @@ def nearest_points(points, lines):
     all the jobs' rows in order. A row keeps its first nearest segment, as
     the scalar strict `<` has it; against a polyline of one row it gets
     (inf, 0, 0)."""
-    sizes = np.array([len(p) for p in points], dtype=np.int64)
     lengths = np.array([len(s) for s in lines], dtype=np.int64)
     xy = np.concatenate([p[:, :2] for p in points] + [np.empty((0, 2))])
     line = np.concatenate([s[:, :3] for s in lines] + [np.empty((0, 3))])
-    job = np.repeat(np.arange(len(sizes)), sizes)
+    job, _ = ragged([len(p) for p in points])
     first = (np.cumsum(lengths) - lengths)[job]  # each row's line, in `line`
     count = np.maximum(lengths - 1, 0)[job]
     ax, ay = line[:, 0], line[:, 1]
@@ -470,7 +464,8 @@ def nearest_points(points, lines):
     def pair_values(rows):
         c = count[rows]
         px, py = np.repeat(xy[rows, 0], c), np.repeat(xy[rows, 1], c)
-        a = np.arange(len(px)) + np.repeat(first[rows] - (np.cumsum(c) - c), c)
+        row, k = ragged(c)
+        a = first[rows][row] + k
         sx, sy, sdx, sdy = ax[a], ay[a], dx[a], dy[a]
         t = segment_param(px, py, sx, sy, sdx, sdy)
         # a Python float's `** 2` is libm pow, which can differ from x * x

@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .gcode import E, EOnly, Toolpath, Travel, Z, fold_sum
-from .geometry import box_pairs, nearest_points, signed_area
+from .gcode import CLOSURE_TOL, E, EOnly, Toolpath, Travel, Z, fold_sum
+from .geometry import box_pairs, nearest_points, ragged, signed_area
 
 TIE_TOL = 1e-6          # mm, height ties below this create no constraint
 MATCH_TOL = 1e-6        # mm, two gap locations closer than this are the same
@@ -101,7 +101,8 @@ def _unique_cycle(path):
     duplicate folded into the first vertex's segment extrusion."""
     verts = path.vertices
     if path.closed and len(verts) > 2 \
-            and math.dist(verts[0, :3].tolist(), verts[-1, :3].tolist()) < 1e-6:
+            and math.dist(verts[0, :3].tolist(),
+                          verts[-1, :3].tolist()) < CLOSURE_TOL:
         cycle = verts[:-1].copy()
         cycle[0, E] = verts[-1, E]
         return cycle
@@ -195,8 +196,7 @@ def compare_heights(pairs, eps):
     dist, z, endpoint = nearest_points([src.vertices for src, _ in jobs],
                                        [dst.vertices for _, dst in jobs])
     size = np.array([len(src) for src, _ in jobs], dtype=np.int64)
-    job = np.repeat(np.arange(len(jobs)), size)
-    row = np.arange(len(job)) - (np.cumsum(size) - size)[job]
+    job, row = ragged(size)
     cut = np.array([(src.first_is_cut, src.last_is_cut, dst.first_is_cut,
                      dst.last_is_cut) for src, dst in jobs],
                    dtype=bool).reshape(-1, 4)[job].T
@@ -217,41 +217,37 @@ class ConstraintGraph:
     edges: list = field(default_factory=list)   # (u, v): u prints before v
     dropped: list = field(default_factory=list)  # (u, v, mean) cut from cycles
 
-    def in_degrees(self):
-        deg = [0] * len(self.nodes)
-        for _, v in self.edges:
-            deg[v] += 1
-        return deg
-
 
 def build_constraint_graph(subpaths, eps):
     """Edge u -> v whenever u and v come within eps and u is decisively
     lower: the lower subpath must print first. Only modified subpaths of
     distinct parents are constrained. Each height cycle loses the edge
     with the weakest evidence, the smallest |mean height difference|
-    (the first such edge in cycle order); removed edges go to `dropped`
-    as (u, v, mean), so the result is acyclic."""
+    (the first such edge in cycle order), read from the one comparison
+    that made each edge; removed edges go to `dropped` as (u, v, mean),
+    so the result is acyclic."""
     graph = ConstraintGraph(nodes=subpaths)
     pairs = [(i, j) for i, j in box_pairs([sp.vertices for sp in subpaths], eps)
              if subpaths[i].modified and subpaths[j].modified
              and subpaths[i].parent_id != subpaths[j].parent_id]
     means = compare_heights([(subpaths[i], subpaths[j]) for i, j in pairs], eps)
+    below = {}      # each kept edge's mean, lower minus upper: -|mean|
     for (i, j), mean in zip(pairs, means):
         if mean is not None and abs(mean) > TIE_TOL:
-            graph.edges.append((i, j) if mean < 0 else (j, i))
+            below[(i, j) if mean < 0 else (j, i)] = -abs(mean)
+    graph.edges = list(below)
     while (cycle := _find_cycle(graph)) is not None:
-        edges = list(zip(cycle, cycle[1:]))
-        means = compare_heights([(subpaths[u], subpaths[v]) for u, v in edges],
-                                eps)
-        mean, (u, v) = min(zip(means, edges), key=lambda t: abs(t[0]))
-        graph.edges.remove((u, v))
-        graph.dropped.append((u, v, mean))
+        edge = min(zip(cycle, cycle[1:]), key=lambda e: -below[e])
+        graph.edges.remove(edge)
+        graph.dropped.append((*edge, below[edge]))
     return graph
 
 
 def _find_cycle(graph):
     n = len(graph.nodes)
-    indeg = graph.in_degrees()
+    indeg = [0] * n
+    for _, v in graph.edges:
+        indeg[v] += 1
     queue = [i for i in range(n) if indeg[i] == 0]
     seen = 0
     succ = {}
@@ -585,25 +581,9 @@ def relink_travels(layer, ordered_subpaths, eps_gap, travel_f):
                 events.append(Travel(x=x, y=y, z=z, f=travel_f,
                                      rapid=(gap > eps_gap)))
         events.append(Toolpath(vertices=sp.vertices, closed=False,
-                               kind=sp.parent.kind,
                                layer_index=sp.parent.layer_index,
                                modified=sp.modified))
         pos = sp.exit
     layer.events = events
     return layer
 
-
-def evaluate_order(graph, sequence, eps_gap, weighted=False):
-    """Cost of a specific topological order of the modified nodes.
-
-    sequence holds node indices into graph.nodes; raises if it violates a
-    constraint edge or misses a modified node."""
-    nodes = graph.nodes
-    modified = {i for i, sp in enumerate(nodes) if sp.modified}
-    if set(sequence) != modified:
-        raise OrderingError("sequence must cover exactly the modified subpaths")
-    position = {i: k for k, i in enumerate(sequence)}
-    for u, v in graph.edges:
-        if u in modified and v in modified and position[u] >= position[v]:
-            raise OrderingError(f"sequence violates edge {u} -> {v}")
-    return _Seams(nodes, sorted(modified), eps_gap, weighted).cost(sequence)

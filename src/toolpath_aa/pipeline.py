@@ -35,11 +35,14 @@ class PipelineConfig:
     error_map_path: str = None
     sweep_s: list = field(default_factory=list)
     order_expansion_cap: int = ordering.EXPANSION_CAP
-    error_map_density: float = 50.0
-    seed: int = 0
 
     def validate(self):
         self.profile.validate()
+        # the suffix, in any case, picks the error map's writer
+        if self.error_map_path and not self.error_map_path.lower().endswith(
+                (".csv", ".ply")):
+            raise ConfigError(f"error map {self.error_map_path!r} must end "
+                              "in .csv or .ply")
         for s in self.sweep_s:
             if not (0 <= s <= self.profile.h):
                 raise ConfigError(f"sweep value s={s} outside [0, h]")
@@ -68,7 +71,7 @@ def run_pipeline(config, gcode_text=None, mesh=None):
         report_fh = open_output(config.report_path)
         program, report, text_out, emap = _run(config, gcode_text, mesh)
         if emap_fh:
-            if config.error_map_path.endswith(".csv"):
+            if config.error_map_path.lower().endswith(".csv"):
                 emap.write_csv(emap_fh)
             else:
                 emap.write_ply(emap_fh)
@@ -176,9 +179,7 @@ def _run(config, gcode_text, mesh):
     if config.error_map_path:
         t0 = time.perf_counter()
         tracks = evaluate.tracks_from_program(program, profile)
-        emap = evaluate.error_map(mesh, tracks,
-                                  samples_per_mm2=config.error_map_density,
-                                  seed=config.seed)
+        emap = evaluate.error_map(mesh, tracks)
         report["error_map"] = emap.summary()
         report["timings_s"]["error_map"] = time.perf_counter() - t0
 

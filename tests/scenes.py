@@ -1,5 +1,6 @@
-"""Test scenes: the flat box, the three-path splitting scene and the
-seven-node ordering scene. The shipped fixtures are in
+"""Test scenes and helpers: the flat box, the mesh volume, the three-path
+splitting scene, the seven-node ordering scene with its order pricing,
+and the nested closed loops. The shipped fixtures are in
 `toolpath_aa.fixtures`."""
 
 import math
@@ -9,7 +10,8 @@ import numpy as np
 from toolpath_aa.fixtures import slice_heightfield
 from toolpath_aa.gcode import DELTA, E, PrinterProfile, Toolpath
 from toolpath_aa.geometry import build_mesh
-from toolpath_aa.ordering import ConstraintGraph, SubPath
+from toolpath_aa.ordering import (ConstraintGraph, OrderingError, SubPath,
+                                  _Seams)
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +38,14 @@ def flat_box_mesh(lx=10.0, ly=10.0, height=1.2):
     quad(2, 3, 7, 6)   # y = ly
     quad(3, 0, 4, 7)   # x = 0
     return build_mesh(vertices, triangles)
+
+
+def mesh_volume(mesh):
+    """Signed volume by the divergence theorem (exact for closed meshes)."""
+    a = mesh.vertices[mesh.triangles[:, 0]]
+    b = mesh.vertices[mesh.triangles[:, 1]]
+    c = mesh.vertices[mesh.triangles[:, 2]]
+    return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
 
 
 def flat_box_fixture(profile=None, lx=10.0, ly=10.0, height=1.2):
@@ -70,7 +80,7 @@ def _loop(points_with_delta, f=20.0, h=LAYER_Z):
     rows = [(x, y, h + d, 0.1, f, d) for (x, y, d) in points_with_delta]
     verts = np.array(rows + rows[:1])
     verts[0, E] = 0.0
-    tp = Toolpath(vertices=verts, closed=True, kind="infill", layer_index=0)
+    tp = Toolpath(vertices=verts, closed=True, layer_index=0)
     tp.modified = bool((verts[:, DELTA] != 0).any())
     return tp
 
@@ -221,8 +231,8 @@ def ordering_scene():
         ])
         parent = parents.get(pid)
         if parent is None:
-            parent = Toolpath(vertices=[], closed=True, kind="infill",
-                              layer_index=0, modified=True)
+            parent = Toolpath(vertices=[], closed=True, layer_index=0,
+                              modified=True)
             parents[pid] = parent
         sp = SubPath(parent=parent, parent_id=pid, vertices=verts,
                      modified=True, first_is_cut=True, last_is_cut=True,
@@ -233,3 +243,42 @@ def ordering_scene():
         labels[label] = k
     edges = [(labels[u], labels[v]) for u, v in ORDERING_SCENE_EDGES]
     return ConstraintGraph(nodes=subpaths, edges=edges), labels
+
+
+def evaluate_order(graph, sequence, eps_gap, weighted=False):
+    """Cost of a specific topological order of the modified nodes.
+
+    sequence holds node indices into graph.nodes; raises if it violates a
+    constraint edge or misses a modified node."""
+    nodes = graph.nodes
+    modified = {i for i, sp in enumerate(nodes) if sp.modified}
+    if set(sequence) != modified:
+        raise OrderingError("sequence must cover exactly the modified subpaths")
+    position = {i: k for k, i in enumerate(sequence)}
+    for u, v in graph.edges:
+        if u in modified and v in modified and position[u] >= position[v]:
+            raise OrderingError(f"sequence violates edge {u} -> {v}")
+    return _Seams(nodes, sorted(modified), eps_gap, weighted).cost(sequence)
+
+
+# ---------------------------------------------------------------------------
+# Nested closed loops
+
+def nested_loops_gcode():
+    """Two layers over the 20x10 wedge, each two concentric closed
+    counter-clockwise rectangles that start at their lower-left corner;
+    the upper layer's loops start 3 mm further up the slope."""
+    fil_area = PrinterProfile().filament_area
+    lines = ["G90", "M82", "G92 E0"]
+    e = 0.0
+    for layer, (z, x0) in enumerate(((0.6, 1.0), (1.2, 4.0))):
+        lines.append(f";LAYER:{layer}")
+        for (ax, ay), (bx, by) in (((x0, 1.0), (19.0, 9.0)),
+                                   ((x0 + 0.8, 1.8), (18.2, 8.2))):
+            pts = [(ax, ay), (bx, ay), (bx, by), (ax, by), (ax, ay)]
+            lines += [";TYPE:WALL-OUTER",
+                      f"G0 X{ax:.3f} Y{ay:.3f} Z{z:.3f} F7200"]
+            for p, q in zip(pts, pts[1:]):
+                e += math.dist(p, q) * 0.8 * 0.6 / fil_area
+                lines.append(f"G1 X{q[0]:.3f} Y{q[1]:.3f} E{e:.5f} F1200")
+    return "\n".join(lines) + "\n"

@@ -128,9 +128,9 @@ def test_c03_three_paths_15_combinatorics():
     def seq(s):
         return [lab[c] for c in s]
 
-    cost1, locs1 = ordering.evaluate_order(graph, seq("AFDEBCG"), EPS_GAP)
-    cost2, _ = ordering.evaluate_order(graph, seq("FAECDBG"), EPS_GAP)
-    cost3, _ = ordering.evaluate_order(graph, seq("ADFCEBG"), EPS_GAP)
+    cost1, locs1 = scenes.evaluate_order(graph, seq("AFDEBCG"), EPS_GAP)
+    cost2, _ = scenes.evaluate_order(graph, seq("FAECDBG"), EPS_GAP)
+    cost3, _ = scenes.evaluate_order(graph, seq("ADFCEBG"), EPS_GAP)
     assert (cost1, cost2, cost3) == (3, 3, 7)
     res = ordering.order_paths(graph, EPS_GAP)
     assert res.cost == 3 and not res.suboptimal
@@ -138,10 +138,10 @@ def test_c03_three_paths_15_combinatorics():
     want = {tuple(round(c, 6) for c in scenes.ORDERING_SCENE_POINTS[k])
             for k in ("AB", "BA", "GF")}
     assert got == want
-    a_start, _ = ordering.evaluate_order(graph, seq("AFDECGB"), EPS_GAP,
-                                         weighted=True)
-    f_start, _ = ordering.evaluate_order(graph, seq("FEABCDG"), EPS_GAP,
-                                         weighted=True)
+    a_start, _ = scenes.evaluate_order(graph, seq("AFDECGB"), EPS_GAP,
+                                       weighted=True)
+    f_start, _ = scenes.evaluate_order(graph, seq("FEABCDG"), EPS_GAP,
+                                       weighted=True)
     assert f_start < a_start
     dt = time.perf_counter() - t0
     assert dt < 1.0
@@ -225,12 +225,13 @@ def test_c05_volume_conservation():
     config = PipelineConfig(profile=PROFILE, ordering_enabled=False)
     program, report, _ = run_pipeline(config, gcode_text=gcode, mesh=mesh)
     deposited = total_extrusion(program) * PROFILE.filament_area
-    ratio = deposited / mesh.volume()
+    volume = scenes.mesh_volume(mesh)
+    ratio = deposited / volume
     assert abs(ratio - 1.0) < 0.02
     dt = time.perf_counter() - t0
     assert dt < 5.0
     print(f"\nACCEPTANCE 5 PASS volume: deposited {deposited:.1f} mm^3 vs "
-          f"mesh {mesh.volume():.1f} mm^3 (ratio {ratio:.4f}; {dt:.1f}s)")
+          f"mesh {volume:.1f} mm^3 (ratio {ratio:.4f}; {dt:.1f}s)")
 
 
 def test_c06_feedrate_endpoints():

@@ -410,8 +410,8 @@ def test_error_map_run_leaves_numpy_ma_unimported(tmp_path):
             "from toolpath_aa.pipeline import PipelineConfig, run_pipeline\n"
             "mesh, gcode = wedge_fixture()\n"
             "_, report, _ = run_pipeline(PipelineConfig(\n"
-            f"    error_map_path={str(tmp_path / 'map.csv')!r},\n"
-            "    error_map_density=5.0), gcode_text=gcode, mesh=mesh)\n"
+            f"    error_map_path={str(tmp_path / 'map.csv')!r}),\n"
+            "    gcode_text=gcode, mesh=mesh)\n"
             "assert report['error_map']['p99_mm'] > 0\n"
             "print('numpy.ma' in sys.modules)\n")
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -4,13 +4,14 @@ import pytest
 
 from toolpath_aa.fixtures import dome_fixture, wedge_fixture, wedge_mesh
 from toolpath_aa.gcode import DELTA, PrinterProfile, parse_gcode, total_extrusion
-from scenes import flat_box_fixture, ordering_scene, three_paths_scene
+from scenes import (flat_box_fixture, mesh_volume, ordering_scene,
+                    three_paths_scene)
 
 
 def test_wedge_mesh_volume_analytic():
     mesh = wedge_mesh(angle_deg=10.0, base=20.0, depth=10.0)
     expected = 0.5 * 20.0 * (20.0 * math.tan(math.radians(10.0))) * 10.0
-    assert mesh.volume() == pytest.approx(expected, rel=1e-9)
+    assert mesh_volume(mesh) == pytest.approx(expected, rel=1e-9)
 
 
 def test_wedge_mesh_rejects_bad_params():

@@ -72,16 +72,6 @@ def test_closed_square_five_vertices():
     assert tp.closed
 
 
-def test_type_comment_tags_kind():
-    text = (
-        ";TYPE:FILL\nG0 X0 Y0 Z0.6\nG1 X10 Y0 E0.5 F1200\n"
-        ";TYPE:PERIMETER\nG0 X0 Y2\nG1 X10 Y2 E1.0\n"
-    )
-    prog = parse_gcode(text)
-    kinds = [tp.kind for tp in prog.layers[0].toolpaths()]
-    assert kinds == ["infill", "perimeter"]
-
-
 def test_empty_layer_travel_only():
     text = (
         ";LAYER:0\nG0 X0 Y0 Z0.6\nG1 X10 Y0 E0.5 F1200\n"

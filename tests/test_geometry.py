@@ -9,11 +9,11 @@ from toolpath_aa.geometry import (BELOW_BIAS, BOX_SLACK, PAIR_BLOCK,
                                   BoxGrid, EmptyMeshError, StlParseError,
                                   VerticalRayIndex, box_pairs, build_mesh,
                                   build_vertical_index, cast_vertical_batch,
-                                  load_mesh, mesh_to_stl_binary)
+                                  load_mesh, mesh_to_stl_binary, ragged)
 from toolpath_aa import antialias, fixtures
 from toolpath_aa.fixtures import wedge_mesh
 from toolpath_aa.gcode import PrinterProfile, parse_gcode
-from scenes import flat_box_fixture, flat_box_mesh
+from scenes import flat_box_fixture, flat_box_mesh, mesh_volume
 
 ASCII_ONE_FACET = """solid one
   facet normal 0 0 1
@@ -78,7 +78,7 @@ def test_binary_cube_roundtrip():
     data = mesh_to_stl_binary(cube)
     again = load_mesh(data)
     assert again.triangle_count == 12
-    assert abs(again.volume() - 1.0) < 1e-9
+    assert abs(mesh_volume(again) - 1.0) < 1e-9
 
 
 def test_ascii_roundtrip():
@@ -481,6 +481,14 @@ def reference_box_pairs(coords, eps):
     reach = eps * (1.0 + BOX_SLACK)
     gap = np.maximum(lo[None] - hi[:, None], lo[:, None] - hi[None]).max(axis=2)
     return [(i, j) for i, j in zip(*np.nonzero(gap <= reach)) if i < j]
+
+
+def test_ragged_names_each_items_run_and_place():
+    owner, position = ragged([3, 0, 2, 1])
+    assert owner.tolist() == [0, 0, 0, 2, 2, 3]
+    assert position.tolist() == [0, 1, 2, 0, 1, 0]
+    assert owner.dtype == position.dtype == np.int64
+    assert [a.tolist() for a in ragged([])] == [[], []]
 
 
 def test_box_pairs_match_all_pairs_gap_filter():

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from toolpath_aa import fixtures, geometry, ordering
 from toolpath_aa.gcode import DELTA, X, Z, PrinterProfile, Toolpath
 from toolpath_aa.ordering import (ConstraintGraph, OrderingError, SubPath,
-                                  build_constraint_graph, evaluate_order,
-                                  find_neighbors, gap_cost,
-                                  interference_threshold, order_paths,
-                                  split_paths)
+                                  build_constraint_graph, find_neighbors,
+                                  gap_cost, interference_threshold,
+                                  order_paths, split_paths)
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 import scenes
-from test_pipeline import nested_loops_gcode
+from scenes import evaluate_order, nested_loops_gcode
 
 EPS_GAP = 3.2   # 4 * w for w = 0.8
 

@@ -1,6 +1,5 @@
 import copy
 import json
-import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +12,7 @@ from toolpath_aa.fixtures import dome_fixture, wedge_fixture, wedge_mesh
 from toolpath_aa.gcode import PrinterProfile, parse_gcode, total_extrusion
 from toolpath_aa.geometry import build_vertical_index, mesh_to_stl_binary
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
-from scenes import flat_box_fixture
+from scenes import flat_box_fixture, nested_loops_gcode
 
 
 def motion_values(program):
@@ -48,8 +47,7 @@ def test_wedge_end_to_end_report(tmp_path):
                             report_path=str(report_path),
                             error_map_path=str(tmp_path / "map.ply"),
                             sweep_s=[0.0, 0.3],
-                            order_expansion_cap=20_000,
-                            error_map_density=5.0)
+                            order_expansion_cap=20_000)
     program, report, text = run_pipeline(config, gcode_text=gcode, mesh=mesh)
     assert report["displacement"]["vertices_displaced"] > 0
     data = json.loads(report_path.read_text())
@@ -134,7 +132,7 @@ def test_failed_run_leaves_existing_outputs_and_no_temporary_file(
     config = PipelineConfig(out_path=str(paths["out.gcode"]),
                             report_path=str(paths["stats.json"]),
                             error_map_path=str(paths[map_name]),
-                            ordering_enabled=False, error_map_density=1.0)
+                            ordering_enabled=False)
     # text that cannot be encoded fails the G-code write itself; the error
     # map before it is written whole but never moved into place, and the
     # report after it never starts
@@ -379,6 +377,23 @@ def test_cli_outputs_are_replaced_together(tmp_path, capsys, monkeypatch):
         "in.gcode", "map.csv", "model.stl", "out.gcode"]
 
 
+def test_cli_error_map_writer_follows_the_suffix_in_any_case(tmp_path,
+                                                             capsys):
+    # an upper-case .CSV gets the CSV writer; a suffix that names neither
+    # writer is a configuration error before any output is opened
+    gpath, mpath = write_fixture_files(tmp_path)
+    args = ["--gcode", str(gpath), "--mesh", str(mpath), "--no-ordering",
+            "--out", str(tmp_path / "out.gcode")]
+    assert cli.main([*args, "--error-map", str(tmp_path / "m.CSV")]) == 0
+    assert (tmp_path / "m.CSV").read_text().startswith("x,y,z,distance_mm\n")
+    (tmp_path / "out.gcode").unlink()
+    code = cli.main([*args, "--error-map", str(tmp_path / "m.txt")])
+    assert code == cli.EXIT_CONFIG == 2
+    assert "m.txt" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "in.gcode", "m.CSV", "model.stl"]
+
+
 def test_cli_geometry_error(tmp_path, capsys):
     gpath, _ = write_fixture_files(tmp_path)
     bad = tmp_path / "bad.stl"
@@ -446,26 +461,6 @@ def test_cli_sweep_and_weighted(tmp_path):
     sweep = {row["s"]: row["overlap_volume_mm3"] for row in data["sweep_s"]}
     assert sweep[0.0] == 0.0
     assert sweep[0.3] >= 0.0
-
-
-def nested_loops_gcode():
-    """Two layers over the 20x10 wedge, each two concentric closed
-    counter-clockwise rectangles that start at their lower-left corner;
-    the upper layer's loops start 3 mm further up the slope."""
-    fil_area = PrinterProfile().filament_area
-    lines = ["G90", "M82", "G92 E0"]
-    e = 0.0
-    for layer, (z, x0) in enumerate(((0.6, 1.0), (1.2, 4.0))):
-        lines.append(f";LAYER:{layer}")
-        for (ax, ay), (bx, by) in (((x0, 1.0), (19.0, 9.0)),
-                                   ((x0 + 0.8, 1.8), (18.2, 8.2))):
-            pts = [(ax, ay), (bx, ay), (bx, by), (ax, by), (ax, ay)]
-            lines += [";TYPE:WALL-OUTER",
-                      f"G0 X{ax:.3f} Y{ay:.3f} Z{z:.3f} F7200"]
-            for p, q in zip(pts, pts[1:]):
-                e += math.dist(p, q) * 0.8 * 0.6 / fil_area
-                lines.append(f"G1 X{q[0]:.3f} Y{q[1]:.3f} E{e:.5f} F1200")
-    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("weighted, costs", [
