@@ -3,11 +3,13 @@ both seam modes: the G-code, and the report with its timings removed
 (`timings_s` and the ordering layers' `*_s` stage times). Two checkouts
 that print the same lines give the same outputs.
 
-    python scripts/output_digests.py [wedge|hatch|dome|wedge40x20|loops ...]
+    python scripts/output_digests.py [wedge|hatch|dome|wedge40x20|loops|retracts ...]
 
 With no names, every input runs. The 40x20 wedge takes several seconds
 per seam mode. `loops` is the nested closed loops of the tests over the
-20x10 wedge, the one input whose paths are closed."""
+20x10 wedge, the one input whose paths are closed. `retracts` is the
+20x10 wedge with a wipe-retract before each travel and a prime after it,
+the one input with retractions."""
 
 import hashlib
 import json
@@ -17,7 +19,7 @@ import sys
 for folder in ("src", "tests"):
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", folder))
 
-from scenes import nested_loops_gcode
+from scenes import nested_loops_gcode, retract_wedge_gcode
 from toolpath_aa import fixtures
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 
@@ -27,6 +29,7 @@ INPUTS = {
     "dome": lambda: fixtures.dome_fixture(),
     "wedge40x20": lambda: fixtures.wedge_fixture(base=40.0, depth=20.0),
     "loops": lambda: (fixtures.wedge_mesh(), nested_loops_gcode()),
+    "retracts": lambda: (fixtures.wedge_mesh(), retract_wedge_gcode()),
 }
 
 

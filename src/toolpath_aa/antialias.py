@@ -97,7 +97,12 @@ def resample_path(path, w):
         return path
     xyz = verts[:, :3].tolist()
     # pieces per segment; math.dist is the length the split rule was
-    # written against, and a segment of length <= w keeps one piece
+    # written against, and a segment of length <= w keeps one piece. The
+    # rule is exact: a segment longer than w by one ulp splits in two. On
+    # the seed-0 `bulk` benchmark input, 27,012 of 57,336 segments exceed
+    # w = 0.8 only by rounding and split; reading them as w long
+    # (ceil(seg / w - 1e-9)) made this stage about a third faster, but
+    # raised `bulk`'s volume error by 11.7%, past its 10% bound.
     seg = np.fromiter(map(math.dist, xyz, xyz[1:]), np.float64, len(xyz) - 1)
     pieces = np.maximum(np.ceil(seg / w), 1.0).astype(np.int64)
     if (pieces == 1).all():

@@ -2,10 +2,10 @@
 source mesh.
 
 Exit codes: 0 ok, 2 configuration error, 3 G-code parse error,
-4 geometry error, 5 ordering error (a bug: height cycles are repaired,
-not raised), 6 thickness error (a track would have zero or negative
+4 geometry error, 6 thickness error (a track would have zero or negative
 thickness), 7 evaluation error (a move without a feedrate), 8 I/O error
-(an input that cannot be read, an output that cannot be written).
+(an input that cannot be read, an output that cannot be written). Code 5
+is unused: height cycles are repaired, not raised.
 """
 
 from __future__ import annotations
@@ -18,14 +18,12 @@ from .antialias import ThicknessError
 from .evaluate import EvaluationError
 from .gcode import GcodeParseError, PrinterProfile
 from .geometry import MeshError
-from .ordering import OrderingError
 from .pipeline import ConfigError, PipelineConfig, run_pipeline
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_GEOMETRY = 4
-EXIT_ORDERING = 5
 EXIT_THICKNESS = 6
 EXIT_EVALUATION = 7
 EXIT_IO = 8
@@ -77,7 +75,6 @@ FAILURES = (
     (ConfigError, "configuration error", EXIT_CONFIG),
     (GcodeParseError, "G-code parse error", EXIT_PARSE),
     (MeshError, "geometry error", EXIT_GEOMETRY),
-    (OrderingError, "ordering error", EXIT_ORDERING),
     (ThicknessError, "thickness error", EXIT_THICKNESS),
     (EvaluationError, "evaluation error", EXIT_EVALUATION),
     (OSError, "I/O error", EXIT_IO),

@@ -9,8 +9,8 @@ from itertools import islice
 
 import numpy as np
 
-from .gcode import (DELTA, VERTEX_COLUMNS, EOnly, F, Toolpath, Travel, X,
-                    Y, Z, deposition_segments, fold_sum)
+from .gcode import (DELTA, VERTEX_COLUMNS, F, Move, Toolpath, X, Y, Z,
+                    deposition_segments, fold_sum)
 from .geometry import BoxGrid, _triangle_areas, ragged
 
 VIS_CLAMP = 0.3   # mm, error map colour scale end
@@ -41,7 +41,7 @@ def estimate_print_time(program):
     model, so estimates skew slightly fast on short segments. The paths'
     segment terms come from one array pass, by a single move's operations."""
     events = [ev for ev in program.events()
-              if isinstance(ev, (Toolpath, Travel, EOnly))]
+              if isinstance(ev, (Toolpath, Move))]
     paths = [ev.vertices for ev in events if isinstance(ev, Toolpath)]
     rows = np.concatenate(paths + [np.empty((0, VERTEX_COLUMNS))])
     inner = np.ones(len(rows), dtype=bool)      # rows after a path's first
@@ -57,14 +57,12 @@ def estimate_print_time(program):
     for ev in events:
         if isinstance(ev, Toolpath):
             target, f = ev.vertices[0, :3].tolist(), None
-        elif isinstance(ev, Travel):
-            target, f = (ev.x, ev.y, ev.z), ev.f
         else:
-            target, f = pos, ev.f
+            target, f = pos if ev.e_only else (ev.x, ev.y, ev.z), ev.f
         dx, dy, dz = (0.0 if a is None or b is None else a - b
                       for a, b in zip(target, pos))
         pos = tuple(b if a is None else a for a, b in zip(target, pos))
-        length = (abs(ev.delta_e) if isinstance(ev, EOnly)
+        length = (abs(ev.e) if isinstance(ev, Move) and ev.e_only
                   else math.sqrt(dx * dx + dy * dy + dz * dz))
         if f is not None:
             modal_f = f

@@ -98,24 +98,23 @@ class RawLine:
 
 
 @dataclass
-class Travel:
-    """Non-extruding move. Words record which axes the original line set."""
+class Move:
+    """A G0/G1 that lays no track: a travel, a retraction or prime, a wipe
+    (an XY move that retracts) or a Z hop. Each word is None when the line
+    lacks it; e is the relative filament amount, kept verbatim and never
+    rescaled."""
 
     x: float = None
     y: float = None
     z: float = None
+    e: float = None
     f: float = None           # mm/s
     rapid: bool = True        # G0 vs G1
 
-
-@dataclass
-class EOnly:
-    """Retraction or prime: E word without XY motion. The relative amount
-    is preserved verbatim and never rescaled."""
-
-    delta_e: float
-    f: float = None
-    z: float = None
+    @property
+    def e_only(self):
+        """A retraction or prime in place: an E word without X or Y."""
+        return self.e is not None and self.x is None and self.y is None
 
 
 @dataclass
@@ -446,11 +445,8 @@ class _Parser:
             else:
                 self.rows.append([new_x, new_y, new_z, e_delta, self.f, 0.0])
         else:
-            feed = None if f is None else f / FEED_FACTOR
-            if e is not None and x is None and y is None:
-                self.add_event(EOnly(delta_e=e_delta, f=feed, z=z))
-            else:
-                self.add_event(Travel(x=x, y=y, z=z, f=feed, rapid=rapid))
+            self.add_event(Move(x, y, z, None if e is None else e_delta,
+                                None if f is None else f / FEED_FACTOR, rapid))
             if z is not None:
                 self.travel_z = z
                 if self.layer is not None and self.layer.base_z is None:
@@ -531,44 +527,26 @@ class _Emitter:
     def raw(self, text):
         self.lines.append(text)
 
-    def _f_part(self, f_mmps):
-        if f_mmps is None:
-            return ""
-        word = _fmt(f_mmps * FEED_FACTOR)
-        if word != self.f_word:
-            self.f_word = word
-            return f" F{word}"
-        return ""
-
-    def travel(self, tv):
-        parts = ["G0" if tv.rapid else "G1"]
-        if tv.x is not None:
-            parts.append(f"X{_fmt(tv.x)}")
-            self.x = tv.x
-        if tv.y is not None:
-            parts.append(f"Y{_fmt(tv.y)}")
-            self.y = tv.y
-        if tv.z is not None:
-            parts.append(f"Z{_fmt(tv.z)}")
-            self.z = tv.z
-        fpart = self._f_part(tv.f)
-        if fpart:
-            parts.append(fpart.strip())
-        self.lines.append(" ".join(parts))
-
-    def e_only(self, ev):
-        self.e_accum += ev.delta_e
-        parts = ["G1"]
-        if ev.z is not None:
-            parts.append(f"Z{_fmt(ev.z)}")
-            self.z = ev.z
-        if self.e_mode == "absolute":
-            parts.append(f"E{_fmt(self.e_accum)}")
-        else:
-            parts.append(f"E{_fmt(ev.delta_e)}")
-        fpart = self._f_part(ev.f)
-        if fpart:
-            parts.append(fpart.strip())
+    def move(self, mv):
+        parts = ["G0" if mv.rapid else "G1"]
+        if mv.x is not None:
+            parts.append(f"X{_fmt(mv.x)}")
+            self.x = mv.x
+        if mv.y is not None:
+            parts.append(f"Y{_fmt(mv.y)}")
+            self.y = mv.y
+        if mv.z is not None:
+            parts.append(f"Z{_fmt(mv.z)}")
+            self.z = mv.z
+        if mv.e is not None:
+            self.e_accum += mv.e
+            e = self.e_accum if self.e_mode == "absolute" else mv.e
+            parts.append(f"E{_fmt(e)}")
+        if mv.f is not None:
+            word = _fmt(mv.f * FEED_FACTOR)
+            if word != self.f_word:
+                self.f_word = word
+                parts.append(f"F{word}")
         self.lines.append(" ".join(parts))
 
     def e_set(self, ev):
@@ -586,7 +564,7 @@ class _Emitter:
                 or math.dist((self.x, self.y), (x, y)) > DUPLICATE_TOL
                 or self.z is None or abs((self.z or 0) - z) > DUPLICATE_TOL):
             # re-position without extruding (covers reordered paths)
-            self.travel(Travel(x=x, y=y, z=z, f=None))
+            self.move(Move(x, y, z))
         if len(verts) < 2:
             return
         absolute = self.e_mode == "absolute"
@@ -608,10 +586,8 @@ class _Emitter:
     def event(self, ev):
         if isinstance(ev, RawLine):
             self.raw(ev.text)
-        elif isinstance(ev, Travel):
-            self.travel(ev)
-        elif isinstance(ev, EOnly):
-            self.e_only(ev)
+        elif isinstance(ev, Move):
+            self.move(ev)
         elif isinstance(ev, ESet):
             self.e_set(ev)
         elif isinstance(ev, ModeSwitch):
@@ -635,6 +611,6 @@ def total_extrusion(program):
     for ev in program.events():
         if isinstance(ev, Toolpath):
             total += ev.total_e()
-        elif isinstance(ev, EOnly):
-            total += ev.delta_e
+        elif isinstance(ev, Move) and ev.e is not None:
+            total += ev.e
     return total

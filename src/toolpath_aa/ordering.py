@@ -20,16 +20,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .gcode import CLOSURE_TOL, E, EOnly, Toolpath, Travel, Z, fold_sum
+from .gcode import CLOSURE_TOL, E, Move, Toolpath, Z, fold_sum
 from .geometry import box_pairs, nearest_points, ragged, signed_area
 
 TIE_TOL = 1e-6          # mm, height ties below this create no constraint
 MATCH_TOL = 1e-6        # mm, two gap locations closer than this are the same
 EXPANSION_CAP = 50_000  # search expansions before the best order so far stands
-
-
-class OrderingError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -567,19 +563,18 @@ def relink_travels(layer, ordered_subpaths, eps_gap, travel_f):
     height.
     """
     head = [ev for ev in layer.events
-            if not isinstance(ev, (Toolpath, Travel, EOnly))]
+            if not isinstance(ev, (Toolpath, Move))]
     events = list(head)
     pos = None
     for sp in ordered_subpaths:
         entry = sp.entry
         x, y, z = entry
         if pos is None:
-            events.append(Travel(x=x, y=y, z=z, f=travel_f, rapid=True))
+            events.append(Move(x, y, z, f=travel_f))
         else:
             gap = math.dist(pos, entry)
             if gap > MATCH_TOL:
-                events.append(Travel(x=x, y=y, z=z, f=travel_f,
-                                     rapid=(gap > eps_gap)))
+                events.append(Move(x, y, z, f=travel_f, rapid=gap > eps_gap))
         events.append(Toolpath(vertices=sp.vertices, closed=False,
                                layer_index=sp.parent.layer_index,
                                modified=sp.modified))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from . import antialias, evaluate, geometry, ordering
 from .files import replace_atomically
-from .gcode import (GcodeParseError, PrinterProfile, Travel, emit_gcode,
+from .gcode import (GcodeParseError, Move, PrinterProfile, emit_gcode,
                     parse_gcode, total_extrusion)
 
 
@@ -226,7 +226,7 @@ def order_program(program, profile, weighted, cap):
 def _travel_feed(program):
     best = 0.0
     for ev in program.events():
-        if isinstance(ev, Travel) and ev.f:
+        if isinstance(ev, Move) and not ev.e_only and ev.f:
             best = max(best, ev.f)
     return best or 120.0
 

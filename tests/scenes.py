@@ -1,17 +1,17 @@
 """Test scenes and helpers: the flat box, the mesh volume, the three-path
 splitting scene, the seven-node ordering scene with its order pricing,
-and the nested closed loops. The shipped fixtures are in
-`toolpath_aa.fixtures`."""
+the nested closed loops and the wedge with retractions. The shipped
+fixtures are in `toolpath_aa.fixtures`."""
 
 import math
+import re
 
 import numpy as np
 
-from toolpath_aa.fixtures import slice_heightfield
+from toolpath_aa.fixtures import slice_heightfield, wedge_fixture
 from toolpath_aa.gcode import DELTA, E, PrinterProfile, Toolpath
 from toolpath_aa.geometry import build_mesh
-from toolpath_aa.ordering import (ConstraintGraph, OrderingError, SubPath,
-                                  _Seams)
+from toolpath_aa.ordering import ConstraintGraph, SubPath, _Seams
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +253,11 @@ def evaluate_order(graph, sequence, eps_gap, weighted=False):
     nodes = graph.nodes
     modified = {i for i, sp in enumerate(nodes) if sp.modified}
     if set(sequence) != modified:
-        raise OrderingError("sequence must cover exactly the modified subpaths")
+        raise ValueError("sequence must cover exactly the modified subpaths")
     position = {i: k for k, i in enumerate(sequence)}
     for u, v in graph.edges:
         if u in modified and v in modified and position[u] >= position[v]:
-            raise OrderingError(f"sequence violates edge {u} -> {v}")
+            raise ValueError(f"sequence violates edge {u} -> {v}")
     return _Seams(nodes, sorted(modified), eps_gap, weighted).cost(sequence)
 
 
@@ -281,4 +281,30 @@ def nested_loops_gcode():
             for p, q in zip(pts, pts[1:]):
                 e += math.dist(p, q) * 0.8 * 0.6 / fil_area
                 lines.append(f"G1 X{q[0]:.3f} Y{q[1]:.3f} E{e:.5f} F1200")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The wedge with retractions
+
+_EXTRUDING_XY = re.compile(r"G1 X(\S+) Y(\S+) E(\S+)")
+
+
+def retract_wedge_gcode():
+    """The 20x10 wedge's text with a wipe and a prime around each travel
+    after the first. With `G1 X<x> Y<y> E<e>` the last extruding move
+    before the `G0`, a wipe `G1 X<x+0.4> Y<y> E<e-0.8>` just before it
+    retracts 0.8 mm while it moves on, and `G1 E<e>` just after it primes
+    the same amount back: 77 pairs."""
+    lines = []
+    last = None
+    for line in wedge_fixture()[1].splitlines():
+        if line.startswith("G0") and last:
+            x, y, e = last.groups()
+            lines += [f"G1 X{float(x) + 0.4:.5f} Y{y} "
+                      f"E{float(e) - 0.8:.5f} F2400.0",
+                      line, f"G1 E{e} F2400.0"]
+        else:
+            lines.append(line)
+        last = _EXTRUDING_XY.match(line) or last
     return "\n".join(lines) + "\n"

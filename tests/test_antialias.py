@@ -52,6 +52,16 @@ def test_resample_short_segment_unchanged():
     assert path.vertices[:, :3].tolist() == before
 
 
+def test_resample_splits_a_segment_longer_than_w_by_one_ulp():
+    # -29.2 - (-30.0) is 0.8000000000000007 in floating point
+    over = Toolpath(vertices=[(-30.0, 0, 0.6, 0.0, 20.0, 0.0),
+                              (-29.2, 0, 0.6, 1.0, 20.0, 0.0)])
+    assert len(resample_path(over, 0.8)) == 3
+    exact = Toolpath(vertices=[(0.0, 0, 0.6, 0.0, 20.0, 0.0),
+                               (0.8, 0, 0.6, 1.0, 20.0, 0.0)])
+    assert len(resample_path(exact, 0.8)) == 2
+
+
 def test_resample_closed_square():
     pts = [(0, 0), (4, 0), (4, 4), (0, 4), (0, 0)]
     verts = [(x, y, 0.6, 0.0 if i == 0 else 1.0, 20.0, 0.0)

@@ -15,8 +15,8 @@ from toolpath_aa.evaluate import (ErrorMap, EvaluationError, _percentiles,
                                   tracks_from_program)
 from toolpath_aa.files import replace_atomically
 from toolpath_aa.fixtures import dome_fixture, wedge_fixture
-from toolpath_aa.gcode import (DELTA, E, X, Y, Z, EOnly, Layer,
-                               PrinterProfile, PrintProgram, Toolpath, Travel,
+from toolpath_aa.gcode import (DELTA, E, X, Y, Z, Layer, Move,
+                               PrinterProfile, PrintProgram, Toolpath,
                                parse_gcode)
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 from scenes import flat_box_fixture, flat_box_mesh
@@ -83,15 +83,15 @@ def print_time_reference(program):
         return modal_f
 
     for ev in program.events():
-        if isinstance(ev, Travel):
+        if isinstance(ev, Move) and ev.e_only:
+            if ev.e != 0:
+                total += abs(ev.e) / feed(ev.f)
+            elif ev.f is not None:
+                modal_f = ev.f
+        elif isinstance(ev, Move):
             dist = axis_len(ev.x, ev.y, ev.z)
             if dist > 0:
                 total += dist / feed(ev.f)
-            elif ev.f is not None:
-                modal_f = ev.f
-        elif isinstance(ev, EOnly):
-            if ev.delta_e != 0:
-                total += abs(ev.delta_e) / feed(ev.f)
             elif ev.f is not None:
                 modal_f = ev.f
         elif isinstance(ev, Toolpath):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from toolpath_aa import gcode
 from toolpath_aa.fixtures import dome_fixture, wedge_fixture
 from toolpath_aa.gcode import (DELTA, E, F, X, Y, Z, GcodeParseError,
-                               PrinterProfile, Toolpath, Travel,
+                               Move, PrinterProfile, Toolpath,
                                deposition_segments, emit_gcode, parse_gcode,
                                total_extrusion)
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
@@ -145,6 +145,28 @@ def test_retraction_preserved_not_scaled():
     prog2 = parse_gcode(out)
     assert total_extrusion(prog2) == pytest.approx(total_extrusion(prog), abs=1e-6)
     assert total_extrusion(prog) == pytest.approx(0.5 - 2.0 + 2.0 + 0.5)
+
+
+@pytest.mark.parametrize("mode, es", [("M82", (0.5, 0.1, 0.5, 1.0)),
+                                      ("M83", (0.5, -0.4, 0.4, 0.5))])
+def test_wipe_and_prime_keep_their_e(mode, es):
+    # a wipe retracts while it moves; the prime repeats the current XY
+    text = (f"{mode}\nG92 E0\nG0 X0 Y0 Z0.6 F7200\n"
+            f"G1 X10 Y0 E{es[0]} F1200\n"
+            f"G1 X10.4 Y0 E{es[1]} F2400\n"
+            "G0 X0 Y1 F7200\n"
+            f"G1 X0 Y1 E{es[2]} F2400\n"
+            f"G1 X10 Y1 E{es[3]} F1200\n")
+    prog = parse_gcode(text)
+    assert total_extrusion(prog) == pytest.approx(1.0)
+    wipe, _travel, prime = [ev for ev in prog.events()
+                            if isinstance(ev, Move)][1:]
+    assert (wipe.x, wipe.e, prime.x, prime.y) == (10.4, pytest.approx(-0.4),
+                                                  0.0, 1.0)
+    out = emit_gcode(prog)
+    e_words = re.findall(r"^G[01] .*E(\S+)", out, re.M)
+    assert [float(e) for e in e_words] == list(es)
+    assert total_extrusion(parse_gcode(out)) == pytest.approx(1.0)
 
 
 def test_g92_resets_accumulator():
@@ -371,7 +393,7 @@ class _PerWordEmitter(gcode._Emitter):
                 or math.dist((self.x, self.y), (sx, sy)) > gcode.DUPLICATE_TOL
                 or self.z is None
                 or abs((self.z or 0) - sz) > gcode.DUPLICATE_TOL):
-            self.travel(Travel(x=sx, y=sy, z=sz, f=None))
+            self.move(Move(sx, sy, sz))
         for v in rows[1:]:
             self.e_accum += v[E]
             parts = ["G1", f"X{gcode._fmt(v[X])}", f"Y{gcode._fmt(v[Y])}",
@@ -380,9 +402,10 @@ class _PerWordEmitter(gcode._Emitter):
                 parts.append(f"E{gcode._fmt(self.e_accum)}")
             else:
                 parts.append(f"E{gcode._fmt(v[E])}")
-            fpart = self._f_part(v[F])
-            if fpart:
-                parts.append(fpart.strip())
+            word = gcode._fmt(v[F] * gcode.FEED_FACTOR)
+            if word != self.f_word:
+                self.f_word = word
+                parts.append(f"F{word}")
             self.lines.append(" ".join(parts))
             self.x, self.y, self.z = v[X], v[Y], v[Z]
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from toolpath_aa import fixtures, geometry, ordering
 from toolpath_aa.gcode import DELTA, X, Z, PrinterProfile, Toolpath
-from toolpath_aa.ordering import (ConstraintGraph, OrderingError, SubPath,
+from toolpath_aa.ordering import (ConstraintGraph, SubPath,
                                   build_constraint_graph, find_neighbors,
                                   gap_cost, interference_threshold,
                                   order_paths, split_paths)
@@ -360,7 +360,7 @@ def test_layer_without_modified_nodes_costs_nothing():
 
 def test_evaluate_order_rejects_invalid():
     graph, labels = ordering_scene_fixture()
-    with pytest.raises(OrderingError):
+    with pytest.raises(ValueError):
         evaluate_order(graph, seq(labels, "DAFCEBG"), EPS_GAP)  # D before A
 
 
@@ -662,7 +662,7 @@ def test_seam_weights_on_an_open_path(cuts):
 # relink
 
 def test_relink_travels():
-    from toolpath_aa.gcode import Layer, Travel
+    from toolpath_aa.gcode import Layer, Move
     from toolpath_aa.ordering import relink_travels
 
     a = line_path(0.0)
@@ -672,7 +672,7 @@ def test_relink_travels():
     graph = build_constraint_graph(subs, 1.625)
     res = order_paths(graph, EPS_GAP)
     relink_travels(layer, res.order, EPS_GAP, travel_f=120.0)
-    travels = [ev for ev in layer.events if isinstance(ev, Travel)]
+    travels = [ev for ev in layer.events if isinstance(ev, Move)]
     assert len(travels) == 2                      # lead-in + 12 mm gap
     assert travels[1].rapid
     assert travels[1].z is not None
@@ -681,7 +681,7 @@ def test_relink_travels():
 
 
 def test_relink_near_transition_is_continuous():
-    from toolpath_aa.gcode import Layer, Travel
+    from toolpath_aa.gcode import Layer, Move
     from toolpath_aa.ordering import relink_travels
 
     a = line_path(0.0, x0=0, x1=10)
@@ -691,7 +691,7 @@ def test_relink_near_transition_is_continuous():
     graph = build_constraint_graph(subs, 1.625)
     res = order_paths(graph, EPS_GAP)
     relink_travels(layer, res.order, EPS_GAP, travel_f=120.0)
-    travels = [ev for ev in layer.events if isinstance(ev, Travel)]
+    travels = [ev for ev in layer.events if isinstance(ev, Move)]
     assert len(travels) == 2
     assert travels[0].rapid            # lead-in
     assert not travels[1].rapid        # continuous deposition-speed link

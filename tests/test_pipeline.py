@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,7 @@ from toolpath_aa.fixtures import dome_fixture, wedge_fixture, wedge_mesh
 from toolpath_aa.gcode import PrinterProfile, parse_gcode, total_extrusion
 from toolpath_aa.geometry import build_vertical_index, mesh_to_stl_binary
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
-from scenes import flat_box_fixture, nested_loops_gcode
+from scenes import flat_box_fixture, nested_loops_gcode, retract_wedge_gcode
 
 
 def motion_values(program):
@@ -419,6 +420,30 @@ def test_cli_evaluation_error(tmp_path, capsys):
     assert code == cli.EXIT_EVALUATION == 7
     assert "evaluation error" in capsys.readouterr().err
     assert out.read_text() == "stale"      # a failed run leaves --out as it was
+
+
+def test_cli_keeps_wipes_and_primes_on_layers_it_does_not_reorder(tmp_path,
+                                                                  capsys):
+    # each of the wedge's 77 travels after the first has a wipe that
+    # retracts 0.8 mm before it and a prime that gives it back after it
+    _, mpath = write_fixture_files(tmp_path)
+    gpath, out, rep = (tmp_path / name
+                       for name in ("retracts.gcode", "o.gcode", "r.json"))
+    gpath.write_text(retract_wedge_gcode())
+    # with ordering on, relinking still drops them (ROADMAP item 4); the
+    # print times are those of the code that dropped every wipe's E
+    for flags, drops, seconds in ((["--no-ordering"], 77, 43.7176239219675),
+                                  ([], 0, 41.12732160110534)):
+        assert cli.main(["--gcode", str(gpath), "--mesh", str(mpath),
+                         "--out", str(out), "--report", str(rep)] + flags) == 0
+        es = [float(e) for e in
+              re.findall(r"^G[01] .*E(\S+)", out.read_text(), re.M)]
+        assert es[-1] == 54.90099              # the plain wedge's last E
+        assert sum(b < a for a, b in zip(es, es[1:])) == drops
+        report = json.loads(rep.read_text())
+        assert report["input"]["total_e"] == pytest.approx(55.19017, abs=1e-9)
+        assert report["output"]["estimated_print_time_s"] == pytest.approx(
+            seconds, rel=1e-12)
 
 
 def test_cli_thickness_error(tmp_path, monkeypatch, capsys):
