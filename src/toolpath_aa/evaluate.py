@@ -37,9 +37,11 @@ def critical_angle(h, w):
 
 def estimate_print_time(program):
     """Constant-feedrate kinematics: move length / feedrate over deposition,
-    travel and retraction moves, added left to right. No acceleration
-    model, so estimates skew slightly fast on short segments. The paths'
-    segment terms come from one array pass, by a single move's operations."""
+    travel and retraction moves, added left to right. As in Marlin, a
+    move's length is its XYZ length, or its |E| when it moves nowhere. No
+    acceleration model, so estimates skew slightly fast on short segments.
+    The paths' segment terms come from one array pass, by a single move's
+    operations."""
     events = [ev for ev in program.events()
               if isinstance(ev, (Toolpath, Move))]
     paths = [ev.vertices for ev in events if isinstance(ev, Toolpath)]
@@ -58,12 +60,13 @@ def estimate_print_time(program):
         if isinstance(ev, Toolpath):
             target, f = ev.vertices[0, :3].tolist(), None
         else:
-            target, f = pos if ev.e_only else (ev.x, ev.y, ev.z), ev.f
+            target, f = (ev.x, ev.y, ev.z), ev.f
         dx, dy, dz = (0.0 if a is None or b is None else a - b
                       for a, b in zip(target, pos))
         pos = tuple(b if a is None else a for a, b in zip(target, pos))
-        length = (abs(ev.e) if isinstance(ev, Move) and ev.e_only
-                  else math.sqrt(dx * dx + dy * dy + dz * dz))
+        length = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if not length and isinstance(ev, Move) and ev.e:
+            length = abs(ev.e)      # a retraction or prime in place
         if f is not None:
             modal_f = f
         if length > 0:

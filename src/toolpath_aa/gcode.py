@@ -147,7 +147,6 @@ class PrintProgram:
     prologue: list = field(default_factory=list)
     layers: list = field(default_factory=list)
     epilogue: list = field(default_factory=list)
-    extrusion_mode: str = "absolute"
     newline: str = "\n"
     warnings: list = field(default_factory=list)
 
@@ -273,7 +272,6 @@ class _Parser:
         self.e = 0.0
         self.f = 0.0            # mm/s
         self.e_mode = "absolute"
-        self.mode_seen = False
         self.xyz_relative = False
         self.layer = None
         self.path = None
@@ -362,12 +360,8 @@ class _Parser:
             self.add_event(RawLine(raw))
             return
         if letter == "M" and number in (82.0, 83.0):
-            mode = "absolute" if number == 82.0 else "relative"
-            self.e_mode = mode
-            if not self.mode_seen:
-                self.program.extrusion_mode = mode
-                self.mode_seen = True
-            self.add_event(ModeSwitch(mode, raw))
+            self.e_mode = "absolute" if number == 82.0 else "relative"
+            self.add_event(ModeSwitch(self.e_mode, raw))
             return
         if letter == "G" and number == 92.0:
             if any(k in words for k in "XYZ"):
@@ -514,14 +508,13 @@ _MOVE_FMT = "G1 X{0} Y{0} Z{0} E{0}".format(_NUM_FMT)
 
 
 class _Emitter:
-    def __init__(self, program):
-        self.program = program
+    def __init__(self):
         self.lines = []
         self.x = None
         self.y = None
         self.z = None
         self.e_accum = 0.0
-        self.e_mode = program.extrusion_mode
+        self.e_mode = "absolute"    # as the parser starts, until an M82/M83
         self.f_word = None        # last emitted F in mm/min (formatted value)
 
     def raw(self, text):
@@ -600,7 +593,7 @@ class _Emitter:
 
 def emit_gcode(program):
     """Serialise a PrintProgram back to G-code text."""
-    em = _Emitter(program)
+    em = _Emitter()
     for ev in program.events():
         em.event(ev)
     return program.newline.join(em.lines) + program.newline

@@ -12,6 +12,7 @@ nearby cuts still count.
 
 from __future__ import annotations
 
+import graphlib
 import math
 import time
 import warnings
@@ -47,11 +48,9 @@ def find_neighbors(paths, eps):
     """Index pairs i < j whose closest XY approach is below eps: some vertex
     of one path lies within eps of the other path's segments. Each maps to
     its sides' rows, ((dist, z) of i's vertices against j, then j's against
-    i). Pairs where neither path was modified are skipped: unmodified paths
-    bypass ordering entirely."""
+    i)."""
     coords = [p.vertices for p in paths]
-    pairs = [(i, j) for i, j in box_pairs(coords, eps)
-             if paths[i].modified or paths[j].modified]
+    pairs = box_pairs(coords, eps)
     jobs = [job for i, j in pairs for job in ((i, j), (j, i))]
     dist, z, _ = nearest_points([coords[i] for i, _ in jobs],
                                 [coords[j] for _, j in jobs])
@@ -69,10 +68,8 @@ class SubPath:
     parent: object            # Toolpath
     parent_id: int
     vertices: np.ndarray      # a run of the parent's vertex rows
-    modified: bool
     first_is_cut: bool
     last_is_cut: bool
-    index: int = -1
     entry_weight: float = 1.5  # gap_cost at the first and last vertex
     exit_weight: float = 1.5
 
@@ -141,12 +138,8 @@ def split_paths(paths, neighbors, eps):
             n = len(cycles[i])      # a cycle's rows lead its path's
             cuts[i] |= _cuts_from_signals(
                 _signals(cycles[i], dist[:n], z[:n], eps), paths[i].closed)
-    subpaths = []
-    for pid, path in enumerate(paths):
-        subpaths.extend(_materialise(path, pid, cycles[pid], sorted(cuts[pid])))
-    for k, sp in enumerate(subpaths):
-        sp.index = k
-    return subpaths
+    return [sp for pid, path in enumerate(paths)
+            for sp in _materialise(path, pid, cycles[pid], sorted(cuts[pid]))]
 
 
 def _materialise(path, pid, cycle, cuts):
@@ -171,7 +164,6 @@ def _materialise(path, pid, cycle, cuts):
             parent=path, parent_id=pid,
             vertices=(cycle[a:b + 1] if b < n
                       else np.concatenate([cycle[a:], cycle[:1]])),
-            modified=path.modified,
             first_is_cut=cut_loop or k > 0, last_is_cut=cut_loop or b < n - 1,
             entry_weight=gap_cost(_exterior_angle_at(cycle, a, closed, ccw)),
             exit_weight=gap_cost(_exterior_angle_at(cycle, b % n, closed, ccw))))
@@ -216,16 +208,15 @@ class ConstraintGraph:
 
 def build_constraint_graph(subpaths, eps):
     """Edge u -> v whenever u and v come within eps and u is decisively
-    lower: the lower subpath must print first. Only modified subpaths of
-    distinct parents are constrained. Each height cycle loses the edge
-    with the weakest evidence, the smallest |mean height difference|
-    (the first such edge in cycle order), read from the one comparison
-    that made each edge; removed edges go to `dropped` as (u, v, mean),
-    so the result is acyclic."""
+    lower: the lower subpath must print first. Only subpaths of distinct
+    parents are constrained. Each height cycle loses the edge with the
+    weakest evidence, the smallest |mean height difference| (the first
+    such edge in cycle order), read from the one comparison that made
+    each edge; removed edges go to `dropped` as (u, v, mean), so the
+    result is acyclic."""
     graph = ConstraintGraph(nodes=subpaths)
     pairs = [(i, j) for i, j in box_pairs([sp.vertices for sp in subpaths], eps)
-             if subpaths[i].modified and subpaths[j].modified
-             and subpaths[i].parent_id != subpaths[j].parent_id]
+             if subpaths[i].parent_id != subpaths[j].parent_id]
     means = compare_heights([(subpaths[i], subpaths[j]) for i, j in pairs], eps)
     below = {}      # each kept edge's mean, lower minus upper: -|mean|
     for (i, j), mean in zip(pairs, means):
@@ -240,38 +231,16 @@ def build_constraint_graph(subpaths, eps):
 
 
 def _find_cycle(graph):
-    n = len(graph.nodes)
-    indeg = [0] * n
-    for _, v in graph.edges:
-        indeg[v] += 1
-    queue = [i for i in range(n) if indeg[i] == 0]
-    seen = 0
-    succ = {}
+    """A cycle [a, b, ..., a] of the graph's edges, each node a predecessor
+    of the next, or None when the graph is acyclic."""
+    preds = {}
     for u, v in graph.edges:
-        succ.setdefault(u, []).append(v)
-    while queue:
-        u = queue.pop()
-        seen += 1
-        for v in succ.get(u, ()):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    if seen == n:
-        return None
-    # every node left over keeps a predecessor that is left over too, so a
-    # walk along predecessors closes a cycle (a walk along successors can
-    # start downstream of one and dead-end)
-    pred = {}
-    for u, v in graph.edges:
-        if indeg[u] > 0 and indeg[v] > 0:
-            pred.setdefault(v, []).append(u)
-    cur = min(pred)
-    pos = {}
-    while cur not in pos:
-        pos[cur] = len(pos)
-        cur = pred[cur][0]
-    cycle = list(pos)[pos[cur]:][::-1]
-    return cycle + [cycle[0]]
+        preds.setdefault(v, []).append(u)
+    try:
+        graphlib.TopologicalSorter(preds).prepare()
+    except graphlib.CycleError as exc:
+        return exc.args[1]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +281,7 @@ def _exterior_angle_at(verts, i, closed, ccw):
 
 @dataclass
 class OrderResult:
-    order: list               # SubPath sequence, unmodified first
+    order: list               # SubPath sequence
     cost: float
     gap_locations: list
     explored_orders: int
@@ -342,23 +311,18 @@ class OrderResult:
 
 
 def order_paths(graph, eps_gap, weighted=False, max_expansions=EXPANSION_CAP):
-    """Minimal-seam topological order of the constraint graph.
-
-    Unmodified subpaths are emitted first in their original order and do
-    not enter the objective; the branch and bound then minimises
-    entry gap + transition gaps + exit gap over the modified nodes, with
-    each gap location counted once.
-    """
+    """Minimal-seam topological order of the constraint graph: the branch
+    and bound minimises entry gap + transition gaps + exit gap, with each
+    gap location counted once."""
     t0 = time.perf_counter()
-    modified = [i for i, sp in enumerate(graph.nodes) if sp.modified]
-    seams = _Seams(graph.nodes, modified, eps_gap, weighted)
+    seams = _Seams(graph.nodes, eps_gap, weighted)
     return OrderResult(*_search(graph, seams, max_expansions),
                        wall_time=time.perf_counter() - t0)
 
 
 class _Seams:
-    """Where the seams of the modified subpaths can fall, and what a step
-    of an order pays for them.
+    """Where the seams of the subpaths can fall, and what a step of an
+    order pays for them.
 
     Location ids: endpoints are taken in node order, entry before exit;
     each takes the id of the first earlier endpoint within MATCH_TOL, or
@@ -369,8 +333,8 @@ class _Seams:
     the weight 1.0 unless seams are weighted. The ledger of paid locations
     flags them in `paid` and lists them in paying order."""
 
-    def __init__(self, nodes, modified, eps_gap, weighted):
-        ends = [p for i in modified for p in (nodes[i].entry, nodes[i].exit)]
+    def __init__(self, nodes, eps_gap, weighted):
+        ends = [p for sp in nodes for p in (sp.entry, sp.exit)]
         earliest = {}
         # each point is a one-row polyline to box_pairs, whose pairs come
         # sorted by (i, j): j meets its earliest match first
@@ -385,10 +349,10 @@ class _Seams:
             else:
                 ids.append(len(self.points))
                 self.points.append(p)
-        self.entry = {i: (loc, nodes[i].entry_weight if weighted else 1.0)
-                      for i, loc in zip(modified, ids[0::2])}
-        self.exit = {i: (loc, nodes[i].exit_weight if weighted else 1.0)
-                     for i, loc in zip(modified, ids[1::2])}
+        self.entry = [(loc, sp.entry_weight if weighted else 1.0)
+                      for sp, loc in zip(nodes, ids[0::2])]
+        self.exit = [(loc, sp.exit_weight if weighted else 1.0)
+                     for sp, loc in zip(nodes, ids[1::2])]
         self.near = [{a} for a in range(len(self.points))]
         for a, b in box_pairs(np.reshape(self.points, (-1, 1, 3)), eps_gap):
             if math.dist(self.points[a], self.points[b]) <= eps_gap:
@@ -438,17 +402,17 @@ class _Seams:
 
 def _search(graph, seams, max_expansions):
     """Depth-first branch and bound over the topological orders of the
-    modified nodes. Returns OrderResult's fields up to its wall time: the
-    unmodified nodes in their original order, then the best order found."""
+    nodes. Returns OrderResult's fields up to its wall time, the best
+    order found first."""
     nodes = graph.nodes
+    n = len(nodes)
     entry, exit_, near, paid = seams.entry, seams.exit, seams.near, seams.paid
-    remaining = set(entry)
-    succ = {i: [] for i in entry}
-    indeg = dict.fromkeys(entry, 0)
+    remaining = set(range(n))
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
     for u, v in graph.edges:
-        if u in remaining and v in remaining:
-            succ[u].append(v)
-            indeg[v] += 1
+        succ[u].append(v)
+        indeg[v] += 1
     order = []
     best_cost, best_order = math.inf, None
     expansions = orders = 0
@@ -547,13 +511,12 @@ def _search(graph, seams, max_expansions):
 
     root_bound = lower_bound(None)
     dfs(0.0, None)
-    return ([sp for sp in nodes if not sp.modified]
-            + [nodes[i] for i in best_order], best_cost,
+    return ([nodes[i] for i in best_order], best_cost,
             seams.cost(best_order)[1], orders, expansions, capped, root_bound)
 
 
-def relink_travels(layer, ordered_subpaths, eps_gap, travel_f):
-    """Rebuild a layer's event list from an ordered subpath sequence.
+def relink_travels(layer, paths, eps_gap, travel_f):
+    """Rebuild a layer's event list from a sequence of Toolpaths.
 
     Non-motion lines stay at the head in their original order; original
     travels and retractions are dropped (the new sequence regenerates
@@ -562,12 +525,11 @@ def relink_travels(layer, ordered_subpaths, eps_gap, travel_f):
     Either way the travel's Z is already the destination's displaced
     height.
     """
-    head = [ev for ev in layer.events
-            if not isinstance(ev, (Toolpath, Move))]
-    events = list(head)
+    events = [ev for ev in layer.events
+              if not isinstance(ev, (Toolpath, Move))]
     pos = None
-    for sp in ordered_subpaths:
-        entry = sp.entry
+    for path in paths:
+        entry = tuple(path.vertices[0, :3].tolist())
         x, y, z = entry
         if pos is None:
             events.append(Move(x, y, z, f=travel_f))
@@ -575,10 +537,6 @@ def relink_travels(layer, ordered_subpaths, eps_gap, travel_f):
             gap = math.dist(pos, entry)
             if gap > MATCH_TOL:
                 events.append(Move(x, y, z, f=travel_f, rapid=gap > eps_gap))
-        events.append(Toolpath(vertices=sp.vertices, closed=False,
-                               layer_index=sp.parent.layer_index,
-                               modified=sp.modified))
-        pos = sp.exit
+        events.append(path)
+        pos = tuple(path.vertices[-1, :3].tolist())
     layer.events = events
-    return layer
-

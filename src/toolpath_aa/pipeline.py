@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 from . import antialias, evaluate, geometry, ordering
 from .files import replace_atomically
-from .gcode import (GcodeParseError, Move, PrinterProfile, emit_gcode,
-                    parse_gcode, total_extrusion)
+from .gcode import (GcodeParseError, Move, PrinterProfile, Toolpath,
+                    emit_gcode, parse_gcode, total_extrusion)
 
 
 class ConfigError(Exception):
@@ -19,7 +19,7 @@ class ConfigError(Exception):
 
 
 MIN_THICKNESS = 0.05   # mm, below this deposition is unreliable
-REPORT_SCHEMA_VERSION = 4
+REPORT_SCHEMA_VERSION = 5
 
 
 @dataclass
@@ -188,14 +188,17 @@ def _run(config, gcode_text, mesh):
 
 
 def order_program(program, profile, weighted, cap):
-    """Split, order and relink every layer that has modified paths."""
+    """Split, order and relink every layer that has modified paths. Only
+    the modified paths enter the ordering stage; the unmodified ones print
+    first, whole and in input order."""
     eps = ordering.interference_threshold(profile)
     eps_gap = 4.0 * profile.w
     travel_f = _travel_feed(program)
     layer_reports = []
     for li, layer in enumerate(program.layers):
-        paths = layer.toolpaths()
-        if not any(p.modified for p in paths):
+        kept = [p for p in layer.toolpaths() if not p.modified]
+        paths = [p for p in layer.toolpaths() if p.modified]
+        if not paths:
             layer_reports.append({"layer": li, "skipped": True})
             continue
         t0 = time.perf_counter()
@@ -208,9 +211,12 @@ def order_program(program, profile, weighted, cap):
         result = ordering.order_paths(graph, eps_gap, weighted=weighted,
                                       max_expansions=cap)
         t4 = time.perf_counter()
-        ordering.relink_travels(layer, result.order, eps_gap, travel_f)
+        ordered = [Toolpath(sp.vertices, layer_index=sp.parent.layer_index,
+                            modified=True) for sp in result.order]
+        ordering.relink_travels(layer, kept + ordered, eps_gap, travel_f)
         rep = result.report(graph)
-        rep.update(layer=li, neighbor_pairs=len(pairs), neighbors_s=t1 - t0,
+        rep.update(layer=li, unmodified_paths=len(kept),
+                   neighbor_pairs=len(pairs), neighbors_s=t1 - t0,
                    split_s=t2 - t1, graph_s=t3 - t2,
                    relink_s=time.perf_counter() - t4)
         layer_reports.append(rep)

@@ -235,8 +235,7 @@ def ordering_scene():
                               modified=True)
             parents[pid] = parent
         sp = SubPath(parent=parent, parent_id=pid, vertices=verts,
-                     modified=True, first_is_cut=True, last_is_cut=True,
-                     index=k)
+                     first_is_cut=True, last_is_cut=True)
         sp.entry_weight = ORDERING_SCENE_WEIGHTS.get(entry_key, 1.5)
         sp.exit_weight = ORDERING_SCENE_WEIGHTS.get(exit_key, 1.5)
         subpaths.append(sp)
@@ -246,19 +245,17 @@ def ordering_scene():
 
 
 def evaluate_order(graph, sequence, eps_gap, weighted=False):
-    """Cost of a specific topological order of the modified nodes.
+    """Cost of a specific topological order of the nodes.
 
     sequence holds node indices into graph.nodes; raises if it violates a
-    constraint edge or misses a modified node."""
-    nodes = graph.nodes
-    modified = {i for i, sp in enumerate(nodes) if sp.modified}
-    if set(sequence) != modified:
-        raise ValueError("sequence must cover exactly the modified subpaths")
+    constraint edge or misses a node."""
+    if sorted(sequence) != list(range(len(graph.nodes))):
+        raise ValueError("sequence must cover exactly the subpaths")
     position = {i: k for k, i in enumerate(sequence)}
     for u, v in graph.edges:
-        if u in modified and v in modified and position[u] >= position[v]:
+        if position[u] >= position[v]:
             raise ValueError(f"sequence violates edge {u} -> {v}")
-    return _Seams(nodes, sorted(modified), eps_gap, weighted).cost(sequence)
+    return _Seams(graph.nodes, eps_gap, weighted).cost(sequence)
 
 
 # ---------------------------------------------------------------------------

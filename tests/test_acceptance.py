@@ -8,7 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from toolpath_aa import antialias, evaluate, fixtures, geometry, ordering
+from toolpath_aa import (antialias, evaluate, fixtures, geometry, ordering,
+                         pipeline)
 from toolpath_aa.gcode import (DELTA, PrinterProfile, parse_gcode,
                                emit_gcode, total_extrusion)
 from toolpath_aa.ordering import ConstraintGraph, SubPath
@@ -157,8 +158,8 @@ def _random_graph(rng, n):
             return (float(rng.integers(0, 6)) * 2.0,
                     float(rng.integers(0, 6)) * 2.0, 0.6)
         verts = np.array([(*pt(), 0.0, 20.0, 0.0), (*pt(), 0.1, 20.0, 0.0)])
-        sp = SubPath(parent=None, parent_id=i, vertices=verts, modified=True,
-                     first_is_cut=True, last_is_cut=True, index=i)
+        sp = SubPath(parent=None, parent_id=i, vertices=verts,
+                     first_is_cut=True, last_is_cut=True)
         sp.entry_weight = 1.0 + float(rng.integers(0, 4)) / 4.0
         sp.exit_weight = 1.0 + float(rng.integers(0, 4)) / 4.0
         nodes.append(sp)
@@ -175,7 +176,7 @@ def _brute_min(graph, eps_gap, weighted):
     for u, v in graph.edges:
         succ.setdefault(u, []).append(v)
         indeg[v] += 1
-    seams = ordering._Seams(nodes, range(len(nodes)), eps_gap, weighted)
+    seams = ordering._Seams(nodes, eps_gap, weighted)
     best = [math.inf]
     order = []
 
@@ -318,17 +319,16 @@ def test_c11_topological_validity():
         pos = {id(sp): k for k, sp in enumerate(result.order)}
         for u, v in graph.edges:
             assert pos[id(graph.nodes[u])] < pos[id(graph.nodes[v])]
-        mods = [sp.modified for sp in result.order]
-        assert mods == sorted(mods)      # all False before all True
         checked_orders += 1
 
-    # wedge end-to-end layers
+    # wedge end-to-end layers: their modified paths, which are all that
+    # the pipeline hands to the ordering stage
     mesh, program, index = _prepared(fixtures.wedge_fixture)
     for layer in program.layers:
         antialias.displace_layer(layer.toolpaths(), index, PROFILE)
     eps = ordering.interference_threshold(PROFILE)
     for layer in program.layers:
-        paths = layer.toolpaths()
+        paths = [p for p in layer.toolpaths() if p.modified]
         pairs = ordering.find_neighbors(paths, eps)
         subs = ordering.split_paths(paths, pairs, eps)
         graph = ordering.build_constraint_graph(subs, eps)
@@ -340,16 +340,14 @@ def test_c11_topological_validity():
     subs = ordering.split_paths(paths, pairs, eps)
     graph = ordering.build_constraint_graph(subs, eps)
     check(graph, ordering.order_paths(graph, EPS_GAP))
-    # seven-node scene with an unmodified path added
+    # seven-node scene
     graph, _ = scenes.ordering_scene()
-    pv = np.array([(50, 50, 0.6, 0, 20, 0), (51, 50, 0.6, 1, 20, 0)],
-                  dtype=float)
-    from toolpath_aa.gcode import Toolpath
-    graph.nodes.append(SubPath(parent=Toolpath(vertices=pv), parent_id=9,
-                               vertices=pv, modified=False,
-                               first_is_cut=False, last_is_cut=False,
-                               index=9))
     check(graph, ordering.order_paths(graph, EPS_GAP))
+    # relinked wedge layers: the unmodified paths print first
+    pipeline.order_program(program, PROFILE, weighted=False, cap=10_000)
+    for layer in program.layers:
+        mods = [tp.modified for tp in layer.toolpaths()]
+        assert mods == sorted(mods)      # all False before all True
     print(f"\nACCEPTANCE 11 PASS topological validity: {checked_orders} "
           f"orders, zero violations ({time.perf_counter()-t0:.1f}s)")
 

@@ -60,7 +60,8 @@ def test_estimate_linearity():
 def print_time_reference(program):
     """Move by move: each move's length / feedrate added to the total as it
     comes, a travel's missing axes and a first move from nowhere counting
-    0, and a zero or unset feed raising once a move needs it."""
+    0, a move that goes nowhere counting its |E|, and a zero or unset feed
+    raising once a move needs it."""
     total = 0.0
     x = y = z = None
     modal_f = None
@@ -83,13 +84,9 @@ def print_time_reference(program):
         return modal_f
 
     for ev in program.events():
-        if isinstance(ev, Move) and ev.e_only:
-            if ev.e != 0:
-                total += abs(ev.e) / feed(ev.f)
-            elif ev.f is not None:
-                modal_f = ev.f
-        elif isinstance(ev, Move):
-            dist = axis_len(ev.x, ev.y, ev.z)
+        if isinstance(ev, Move):
+            # its XYZ length, or its |E| when it moves nowhere
+            dist = axis_len(ev.x, ev.y, ev.z) or abs(ev.e or 0.0)
             if dist > 0:
                 total += dist / feed(ev.f)
             elif ev.f is not None:
@@ -122,6 +119,21 @@ def test_print_time_matches_move_by_move_reference(name):
                     run_pipeline(PipelineConfig(order_expansion_cap=2_000),
                                  gcode_text=gcode, mesh=mesh)[0]]
     for program in programs:
+        assert (estimate_print_time(program).hex()
+                == print_time_reference(program).hex())
+
+
+def test_print_time_times_a_hop_and_retract_by_its_hop():
+    # as in Marlin, a move that goes somewhere takes its XYZ length, and
+    # its E counts only when it goes nowhere: a Z hop that retracts on the
+    # way up takes the hop's time, and a separate retraction adds its own
+    head = "G0 X0 Y0 Z0.6 F600\n"
+    tail = "G0 Z0.6\nG1 X10 Y0 E1 F600\n"
+    together = parse_gcode(head + "G1 Z10.6 E-0.8 F600\n" + tail)
+    apart = parse_gcode(head + "G1 Z10.6 F600\nG1 E-0.8\n" + tail)
+    assert estimate_print_time(together) == pytest.approx(3.0)
+    assert estimate_print_time(apart) == pytest.approx(3.08)
+    for program in (together, apart):
         assert (estimate_print_time(program).hex()
                 == print_time_reference(program).hex())
 

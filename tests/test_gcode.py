@@ -124,14 +124,27 @@ def test_relative_e_mode_roundtrip():
         "G1 X10 Y0 E0.5 F1200\nG1 X20 Y0 E0.75\n"
     )
     prog = parse_gcode(text)
-    assert prog.extrusion_mode == "relative"
     assert total_extrusion(prog) == pytest.approx(1.25)
     out = emit_gcode(prog)
-    assert "M83" in out
+    # the path's E words are relative, as M83 set them
+    assert out.splitlines()[2:] == [
+        "G1 X10.00000 Y0.00000 Z0.60000 E0.50000 F1200.00000",
+        "G1 X20.00000 Y0.00000 Z0.60000 E0.75000"]
     prog2 = parse_gcode(out)
     assert total_extrusion(prog2) == pytest.approx(1.25, abs=1e-6)
     segs = prog2.layers[0].toolpaths()[0].vertices[1:, E].tolist()
     assert segs == [pytest.approx(0.5), pytest.approx(0.75)]
+
+
+def test_e_mode_before_the_first_switch_is_absolute():
+    # the parser reads E absolute until the M83, and so must the emitter:
+    # G1 E7 stays a 2 mm prime, not a 5 mm retraction written as G1 E2
+    text = ("G92 E0\nG1 X0 Y0 Z0.3 F600\nG1 E5\nG1 E7\nM83\n"
+            "G1 X10 E1\n")
+    out = emit_gcode(parse_gcode(text))
+    assert out.splitlines()[2:] == [
+        "G1 E5.00000", "G1 E7.00000", "M83",
+        "G1 X10.00000 Y0.00000 Z0.30000 E1.00000"]
 
 
 def test_retraction_preserved_not_scaled():

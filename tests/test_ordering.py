@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toolpath_aa import fixtures, geometry, ordering
-from toolpath_aa.gcode import DELTA, X, Z, PrinterProfile, Toolpath
+from toolpath_aa.gcode import (DELTA, X, Z, Layer, Move, PrintProgram,
+                               PrinterProfile, Toolpath)
 from toolpath_aa.ordering import (ConstraintGraph, SubPath,
                                   build_constraint_graph, find_neighbors,
                                   gap_cost, interference_threshold,
-                                  order_paths, split_paths)
-from toolpath_aa.pipeline import PipelineConfig, run_pipeline
+                                  order_paths, relink_travels, split_paths)
+from toolpath_aa.pipeline import PipelineConfig, order_program, run_pipeline
 import scenes
 from scenes import evaluate_order, nested_loops_gcode
 
@@ -45,12 +46,26 @@ def test_find_neighbors_by_distance():
     assert all(i != j for i, j in pairs)
 
 
+def order_layer(paths):
+    """`order_program` on a one-layer program of `paths`: (the layer, its
+    ordering report)."""
+    layer = Layer(base_z=0.6, events=list(paths))
+    report = order_program(PrintProgram(layers=[layer]), PrinterProfile(),
+                           weighted=False, cap=ordering.EXPANSION_CAP)
+    return layer, report["layers"][0]
+
+
 def test_find_neighbors_skips_unmodified_pairs():
+    # unmodified paths never reach the ordering stage: two of them within
+    # the interference radius of each other and of the modified c make no
+    # neighbour pair
     a = line_path(0.0, modified=False)
     b = line_path(0.8, modified=False)
-    assert list(find_neighbors([a, b], 1.625)) == []
-    c = line_path(0.8, modified=True)
-    assert list(find_neighbors([a, c], 1.625)) == [(0, 1)]
+    c = line_path(1.6, modified=True)
+    _, rep = order_layer([a, b, c])
+    assert (rep["unmodified_paths"], rep["subpaths"]) == (2, 1)
+    assert rep["neighbor_pairs"] == rep["edges"] == 0
+    assert list(find_neighbors([a, b, c], 1.625)) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_empty_and_one_sided_layers():
@@ -79,7 +94,7 @@ def test_height_adds_left_to_right():
     # a compensated sum (builtin sum() from Python 3.12) would give 1/3
     verts = [(0.0, 0.0, z, 0.0, 20.0, 0.0) for z in (1e16, 1.0, -1e16)]
     sp = SubPath(parent=None, parent_id=0, vertices=np.array(verts),
-                 modified=True, first_is_cut=False, last_is_cut=False)
+                 first_is_cut=False, last_is_cut=False)
     assert sp.height == 0.0
 
 
@@ -184,8 +199,8 @@ def cycle_edges(cycle):
 
 
 def test_find_cycle_ignores_nodes_downstream_of_a_cycle():
-    # node 0 is left over by Kahn's algorithm only because it hangs off
-    # the 1 <-> 2 cycle; it lies on no cycle itself
+    # node 0 cannot be sorted only because it hangs off the 1 <-> 2
+    # cycle; it lies on no cycle itself
     graph = ConstraintGraph(nodes=[0, 1, 2], edges=[(1, 2), (2, 1), (2, 0)])
     cycle = ordering._find_cycle(graph)
     assert cycle[0] == cycle[-1]
@@ -275,6 +290,11 @@ def seq(labels, s):
     return [labels[c] for c in s]
 
 
+def node_ids(graph, order):
+    """The graph's node indices of an order's subpaths."""
+    return [graph.nodes.index(sp) for sp in order]
+
+
 def test_ordering_scene_fixture_costs():
     graph, labels = ordering_scene_fixture()
     for order, expected in [("AFDEBCG", 3), ("FAECDBG", 3), ("ADFCEBG", 7)]:
@@ -303,7 +323,7 @@ def test_cap_below_first_order_keeps_the_first_order():
     # search reaches in n + 1 expansions
     graph, labels = ordering_scene_fixture()
     res = order_paths(graph, EPS_GAP, max_expansions=1)
-    order = [sp.index for sp in res.order]
+    order = node_ids(graph, res.order)
     assert res.suboptimal
     assert res.root_bound <= res.cost
     assert res.expansions == len(graph.nodes) + 2
@@ -334,25 +354,26 @@ def test_search_and_evaluate_share_seam_identity():
     for i, (entry, exit_) in enumerate(ends):
         verts = np.array([(*entry, 0.0, 20.0, 0.0), (*exit_, 0.1, 20.0, 0.0)])
         nodes.append(SubPath(parent=None, parent_id=i, vertices=verts,
-                             modified=True, first_is_cut=False,
-                             last_is_cut=False, index=i))
+                             first_is_cut=False, last_is_cut=False))
     graph = ConstraintGraph(nodes=nodes)
     res = order_paths(graph, EPS_GAP)
-    order = [sp.index for sp in res.order]
+    order = node_ids(graph, res.order)
     cost, gaps = evaluate_order(graph, order, EPS_GAP)
     assert (res.cost, len(res.gap_locations)) == (5.0, 5)
     assert (cost, len(gaps)) == (5.0, 5)
 
 
 def test_layer_without_modified_nodes_costs_nothing():
-    pv = np.array([(0, 0, 0.6, 0, 20, 0), (1, 0, 0.6, 1, 20, 0)], dtype=float)
-    graph = ConstraintGraph(nodes=[
-        SubPath(parent=Toolpath(vertices=pv), parent_id=0, vertices=pv,
-                modified=False, first_is_cut=False, last_is_cut=False,
-                index=0)])
+    # the layer is skipped and left as it was; an empty graph, all that
+    # such a layer could hand the search, costs nothing
+    a, b = line_path(0.0, modified=False), line_path(12.0, modified=False)
+    layer, rep = order_layer([a, b])
+    assert rep == {"layer": 0, "skipped": True}
+    assert layer.events == [a, b] and layer.events[0] is a
+    graph = ConstraintGraph(nodes=[])
     for weighted in (False, True):
         res = order_paths(graph, EPS_GAP, weighted=weighted)
-        assert res.order == graph.nodes
+        assert res.order == []
         assert (res.cost, res.gap_locations, res.root_bound) == (0.0, [], 0.0)
         assert not res.suboptimal
         assert evaluate_order(graph, [], EPS_GAP, weighted) == (0.0, [])
@@ -365,18 +386,49 @@ def test_evaluate_order_rejects_invalid():
 
 
 def test_unmodified_emitted_first():
-    graph, labels = ordering_scene_fixture()
-    plain = scenes.ordering_scene()[0].nodes[0]
-    # craft: two unmodified + the seven modified
-    pv = np.array([(50, 50, 0.6, 0, 20, 0), (51, 50, 0.6, 1, 20, 0)],
-                  dtype=float)
-    un1 = SubPath(parent=Toolpath(vertices=pv), parent_id=9, vertices=pv,
-                  modified=False, first_is_cut=False, last_is_cut=False,
-                  index=90)
-    graph.nodes.append(un1)
-    res = order_paths(graph, EPS_GAP)
-    assert res.order[0] is un1
-    assert all(sp.modified for sp in res.order[1:])
+    # the unmodified paths lead the relinked layer, whole and in input
+    # order, however the modified ones around them are ordered
+    mod1, mod2 = line_path(0.0), line_path(30.0)
+    un1 = line_path(50.0, modified=False)
+    un2 = line_path(40.0, modified=False)
+    layer, rep = order_layer([mod1, un1, mod2, un2])
+    paths = layer.toolpaths()
+    assert paths[:2] == [un1, un2] and paths[0] is un1 and paths[1] is un2
+    assert all(tp.modified for tp in paths[2:])
+    assert (rep["unmodified_paths"], rep["subpaths"]) == (2, 2)
+
+
+def unmodified_loop_scene():
+    """An unmodified closed 10 mm square at z 0.6, counter-clockwise from
+    (0, 0) with 0.5 mm between vertices, and a modified open path 0.8 mm
+    below its lower side, 0.15 mm higher than the square for x < 5 and
+    0.15 mm lower from x = 5 on."""
+    sides = [((0.0, 0.0), (0.5, 0.0)), ((10.0, 0.0), (0.0, 0.5)),
+             ((10.0, 10.0), (-0.5, 0.0)), ((0.0, 10.0), (0.0, -0.5))]
+    pts = [(x + k * dx, y + k * dy) for (x, y), (dx, dy) in sides
+           for k in range(20)]
+    loop = Toolpath(vertices=[(x, y, 0.6, 0.05 if k else 0.0, 20.0, 0.0)
+                              for k, (x, y) in enumerate(pts + pts[:1])],
+                    closed=True)
+    rows = []
+    for k in range(21):
+        dz = 0.15 if 0.5 * k < 5.0 else -0.15
+        rows.append((0.5 * k, -0.8, 0.6 + dz, 0.05 if k else 0.0, 20.0, dz))
+    return loop, Toolpath(vertices=rows, modified=True)
+
+
+def test_unmodified_loop_is_neither_cut_nor_cuts():
+    # the path's height flips beside the loop, but no constraint links an
+    # unmodified path: the loop prints first with its input vertices, and
+    # the path is not cut against it
+    loop, path = unmodified_loop_scene()
+    inputs = loop.vertices.copy(), path.vertices.copy()
+    layer, rep = order_layer([path, loop])
+    out = layer.toolpaths()
+    assert len(out) == 2 and out[0] is loop
+    assert np.array_equal(out[0].vertices, inputs[0])
+    assert np.array_equal(out[1].vertices, inputs[1]) and out[1].modified
+    assert (rep["unmodified_paths"], rep["subpaths"]) == (1, 1)
 
 
 def test_weighted_cost_dominance():
@@ -426,10 +478,9 @@ def brute_min(nodes, edges, eps_gap, weighted):
     succ = {}
     for u, v in edges:
         succ.setdefault(u, set()).add(v)
-    idx = [i for i, sp in enumerate(nodes) if sp.modified]
-    seams = ordering._Seams(nodes, idx, eps_gap, weighted)
+    seams = ordering._Seams(nodes, eps_gap, weighted)
     best = math.inf
-    for perm in itertools.permutations(idx):
+    for perm in itertools.permutations(range(len(nodes))):
         pos = {n: k for k, n in enumerate(perm)}
         if any(pos.get(u, -1) > pos.get(v, 10 ** 9)
                for u in succ for v in succ[u]):
@@ -450,8 +501,8 @@ def random_instance(rng, n):
                     0.6)
         entry, exit_ = pt(), pt()
         verts = np.array([(*entry, 0.0, 20.0, 0.0), (*exit_, 0.1, 20.0, 0.0)])
-        sp = SubPath(parent=None, parent_id=i, vertices=verts, modified=True,
-                     first_is_cut=True, last_is_cut=True, index=i)
+        sp = SubPath(parent=None, parent_id=i, vertices=verts,
+                     first_is_cut=True, last_is_cut=True)
         sp.entry_weight = 1.0 + float(rng.integers(0, 4)) / 4.0
         sp.exit_weight = 1.0 + float(rng.integers(0, 4)) / 4.0
         nodes.append(sp)
@@ -482,7 +533,7 @@ def test_order_paths_matches_brute_force(weighted):
 
 @st.composite
 def search_instances(draw):
-    """0-8 modified nodes whose endpoints sit on a 2 mm grid, so locations
+    """0-8 nodes whose endpoints sit on a 2 mm grid, so locations
     coincide and fall within EPS_GAP; no edges, or a random DAG over a
     random ranking of the nodes. Seam weights are multiples of 0.25, whose
     sums are exact, or the `gap_cost` of an angle, whose sums round."""
@@ -496,8 +547,7 @@ def search_instances(draw):
         verts = np.array([(ex * 2.0, ey * 2.0, 0.6, 0.0, 20.0, 0.0),
                           (xx * 2.0, xy * 2.0, 0.6, 0.1, 20.0, 0.0)])
         nodes.append(SubPath(parent=None, parent_id=i, vertices=verts,
-                             modified=True, first_is_cut=True,
-                             last_is_cut=True, index=i,
+                             first_is_cut=True, last_is_cut=True,
                              entry_weight=draw(weight),
                              exit_weight=draw(weight)))
     edges = []
@@ -513,7 +563,7 @@ def search_instances(draw):
 def test_search_agrees_with_its_cost_rule(graph, weighted, max_expansions):
     res = order_paths(graph, EPS_GAP, weighted=weighted,
                       max_expansions=max_expansions)
-    order = [sp.index for sp in res.order]
+    order = node_ids(graph, res.order)
     pos = {i: k for k, i in enumerate(order)}
     assert all(pos[u] < pos[v] for u, v in graph.edges)
     # the search's cost and gaps are the cost rule's, bit for bit
@@ -533,11 +583,11 @@ def test_search_agrees_with_its_cost_rule(graph, weighted, max_expansions):
 # ---------------------------------------------------------------------------
 # gap locations and seam weights against all-pairs references
 
-def locations_reference(nodes, modified, eps_gap):
+def locations_reference(nodes, eps_gap):
     """(endpoint ids, location points, near sets) by testing every pair:
     each endpoint takes the id of the first earlier endpoint within
     MATCH_TOL, and a location is near every location within eps_gap."""
-    ends = [p for i in modified for p in (nodes[i].entry, nodes[i].exit)]
+    ends = [p for sp in nodes for p in (sp.entry, sp.exit)]
     ids, points = [], []
     for j, p in enumerate(ends):
         loc = next((ids[i] for i in range(j)
@@ -551,14 +601,14 @@ def locations_reference(nodes, modified, eps_gap):
     return ids, points, near
 
 
-def assert_locations_match_reference(nodes, modified, eps_gap):
-    seams = ordering._Seams(nodes, modified, eps_gap, False)
-    ids, points, near = locations_reference(nodes, modified, eps_gap)
-    assert [loc for i in modified
-            for loc, _ in (seams.entry[i], seams.exit[i])] == ids
+def assert_locations_match_reference(nodes, eps_gap):
+    seams = ordering._Seams(nodes, eps_gap, False)
+    ids, points, near = locations_reference(nodes, eps_gap)
+    assert [loc for entry, exit_ in zip(seams.entry, seams.exit)
+            for loc, _ in (entry, exit_)] == ids
     assert seams.points == points
     assert seams.near == near
-    ends = [p for i in modified for p in (nodes[i].entry, nodes[i].exit)]
+    ends = [p for sp in nodes for p in (sp.entry, sp.exit)]
     # endpoints that joined a location at a different point
     return sum(p != points[loc] for p, loc in zip(ends, ids))
 
@@ -581,10 +631,10 @@ def test_locations_match_all_pairs_reference(eps_gap):
             verts = np.array([(*ends[0], 0.0, 20.0, 0.0),
                               (*ends[1], 0.1, 20.0, 0.0)])
             nodes.append(SubPath(parent=None, parent_id=i, vertices=verts,
-                                 modified=True, first_is_cut=True,
-                                 last_is_cut=True, index=i))
-        modified = [i for i in range(len(nodes)) if rng.random() < 0.8]
-        nudged += assert_locations_match_reference(nodes, modified, eps_gap)
+                                 first_is_cut=True, last_is_cut=True))
+        # a subset of the nodes, as a layer's ordered subpaths are
+        subset = [sp for sp in nodes if rng.random() < 0.8]
+        nudged += assert_locations_match_reference(subset, eps_gap)
     assert nudged > 0
 
 
@@ -593,8 +643,7 @@ def test_locations_match_all_pairs_reference_on_wedge_layers(cross_hatch):
     eps = interference_threshold(PrinterProfile())
     for paths in displaced_layers(fixtures.wedge_fixture(cross_hatch=cross_hatch)):
         subs = split_paths(paths, find_neighbors(paths, eps), eps)
-        modified = [i for i, sp in enumerate(subs) if sp.modified]
-        assert_locations_match_reference(subs, modified, EPS_GAP)
+        assert_locations_match_reference(subs, EPS_GAP)
 
 
 def assert_seam_weights_at_ends(subpaths):
@@ -662,16 +711,10 @@ def test_seam_weights_on_an_open_path(cuts):
 # relink
 
 def test_relink_travels():
-    from toolpath_aa.gcode import Layer, Move
-    from toolpath_aa.ordering import relink_travels
-
     a = line_path(0.0)
     b = line_path(12.0)          # entry 12 mm away from a's exit
     layer = Layer(base_z=0.6, events=[a, b])
-    subs = split_paths([a, b], {}, 1.625)
-    graph = build_constraint_graph(subs, 1.625)
-    res = order_paths(graph, EPS_GAP)
-    relink_travels(layer, res.order, EPS_GAP, travel_f=120.0)
+    relink_travels(layer, [a, b], EPS_GAP, travel_f=120.0)
     travels = [ev for ev in layer.events if isinstance(ev, Move)]
     assert len(travels) == 2                      # lead-in + 12 mm gap
     assert travels[1].rapid
@@ -681,16 +724,10 @@ def test_relink_travels():
 
 
 def test_relink_near_transition_is_continuous():
-    from toolpath_aa.gcode import Layer, Move
-    from toolpath_aa.ordering import relink_travels
-
     a = line_path(0.0, x0=0, x1=10)
     b = line_path(1.0, x0=10, x1=20)   # entry 1 mm from a's exit (< eps_gap)
     layer = Layer(base_z=0.6, events=[a, b])
-    subs = split_paths([a, b], {}, 1.625)
-    graph = build_constraint_graph(subs, 1.625)
-    res = order_paths(graph, EPS_GAP)
-    relink_travels(layer, res.order, EPS_GAP, travel_f=120.0)
+    relink_travels(layer, [a, b], EPS_GAP, travel_f=120.0)
     travels = [ev for ev in layer.events if isinstance(ev, Move)]
     assert len(travels) == 2
     assert travels[0].rapid            # lead-in
@@ -948,12 +985,14 @@ def ordering_structure(layers, eps):
 
 
 def displaced_layers(fixture):
-    """The modified layers of a (mesh, gcode) fixture, displaced."""
+    """The modified paths of each layer of a (mesh, gcode) fixture that
+    has some, displaced: what the pipeline hands to the ordering stage."""
     mesh, gcode = fixture
     config = PipelineConfig(ordering_enabled=False)
     program, _, _ = run_pipeline(config, gcode_text=gcode, mesh=mesh)
-    return [layer.toolpaths() for layer in program.layers
-            if any(p.modified for p in layer.toolpaths())]
+    layers = [[p for p in layer.toolpaths() if p.modified]
+              for layer in program.layers]
+    return [paths for paths in layers if paths]
 
 
 @pytest.mark.parametrize("scene", ["wedge", "wedge_hatch", "three_paths",

@@ -58,7 +58,7 @@ def test_wedge_end_to_end_report(tmp_path):
     reparsed = parse_gcode(out_path.read_text())
     assert len(reparsed.layers) == len(program.layers)
     assert [r["s"] for r in data["sweep_s"]] == [0.0, 0.3]
-    assert data["schema_version"] == 4
+    assert data["schema_version"] == 5
     stages = dict(data["timings_s"])
     total = stages.pop("total")
     assert set(stages) == {"load", "parse", "index", "antialias", "overlap",
@@ -185,6 +185,9 @@ def test_ordering_runs_end_to_end(name, dropped):
     edges = {r["layer"]: r["cycle_edges_dropped"] for r in layers
              if r["cycle_edges_dropped"]}
     assert {k: len(v) for k, v in edges.items()} == dropped
+    # the unmodified paths stay out of the ordering, counted apart
+    assert sum(r["unmodified_paths"] for r in layers) == {
+        "dome": 0, "wedge_hatch": 20}[name]
     for edge in sum(edges.values(), []):
         # each cycle loses its weak edge, not one of the decisive ones
         assert abs(edge["mean_dz_mm"]) <= 0.05
