@@ -17,10 +17,6 @@ WINDOW_EPS = 1e-12   # float guard at the displacement window boundary
 SNAP_EPS = 1e-9      # displacements below this are treated as zero
 
 
-class ThicknessError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class DisplacementWindow:
     """Allowed vertical displacement range for slicing plane position s:
@@ -32,8 +28,6 @@ class DisplacementWindow:
     @classmethod
     def for_profile(cls, profile, s=None):
         s = profile.s if s is None else s
-        if not (0 <= s <= profile.h):
-            raise ValueError(f"s={s} outside [0, h={profile.h}]")
         return cls(lo=s - profile.h, hi=s)
 
     def contains(self, delta):
@@ -90,8 +84,6 @@ def resample_path(path, w):
     interpolated linearly and e is divided proportionally. Endpoints are
     untouched and the closed flag survives.
     """
-    if w <= 0:
-        raise ValueError("resampling length must be positive")
     verts = path.vertices
     if len(verts) < 2:
         return path
@@ -225,18 +217,12 @@ def _refine_window_boundaries(verts, ends, index, window, cast):
 def adjust_extrusion(e, z, delta):
     """Filament length for a track whose thickness z changed by delta:
     e' = e * (z + delta) / z. Elementwise on arrays of e and delta."""
-    if z <= 0:
-        raise ThicknessError(f"non-positive base thickness {z}")
-    if np.any(z + delta <= 0):
-        raise ThicknessError(f"displaced thickness {np.min(z + delta)} <= 0")
     return e * (z + delta) / z
 
 
 def adjust_feedrate(delta1, delta2, h, f_ini, f_min):
     """Linear slowdown with the height change across a segment, clamped
     to [f_min, f_ini]. Elementwise on arrays of deltas."""
-    if h <= 0:
-        raise ValueError("layer thickness must be positive")
     f = f_ini + abs(delta1 - delta2) / h * (f_min - f_ini)
     return np.minimum(np.maximum(f, f_min), f_ini)
 
@@ -445,8 +431,6 @@ def sweep_slicing_plane(program, index, profile, s_values):
     """
     rows = []
     for s in s_values:
-        if not (0 <= s <= profile.h):
-            raise ValueError(f"s={s} outside [0, {profile.h}]")
         scratch = PrintProgram(layers=[
             Layer(layer.base_z, [
                 replace(path, vertices=path.vertices.copy())

@@ -1,11 +1,12 @@
 """`aa` command line: anti-alias a flat-sliced G-code file against its
 source mesh.
 
-Exit codes: 0 ok, 2 configuration error, 3 G-code parse error,
-4 geometry error, 6 thickness error (a track would have zero or negative
-thickness), 7 evaluation error (a move without a feedrate), 8 I/O error
-(an input that cannot be read, an output that cannot be written). Code 5
-is unused: height cycles are repaired, not raised.
+Exit codes: 0 ok, 2 configuration error (any setting out of range or
+not finite), 3 G-code parse error, 4 geometry error, 7 evaluation error (a
+move without a feedrate), 8 I/O error (an input that cannot be read, an
+output that cannot be written). Codes 5 and 6 are unused: height cycles
+are repaired, not raised, and the settings leave no track thinner than
+the slicing plane position s.
 """
 
 from __future__ import annotations
@@ -14,17 +15,15 @@ import argparse
 import math
 import sys
 
-from .antialias import ThicknessError
 from .evaluate import EvaluationError
 from .gcode import GcodeParseError, PrinterProfile
 from .geometry import MeshError
-from .pipeline import ConfigError, PipelineConfig, run_pipeline
+from .pipeline import PipelineConfig, run_pipeline
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_GEOMETRY = 4
-EXIT_THICKNESS = 6
 EXIT_EVALUATION = 7
 EXIT_IO = 8
 
@@ -72,10 +71,8 @@ def build_parser():
 # in the order the classes are matched
 FAILURES = (
     (ValueError, "configuration error", EXIT_CONFIG),
-    (ConfigError, "configuration error", EXIT_CONFIG),
     (GcodeParseError, "G-code parse error", EXIT_PARSE),
     (MeshError, "geometry error", EXIT_GEOMETRY),
-    (ThicknessError, "thickness error", EXIT_THICKNESS),
     (EvaluationError, "evaluation error", EXIT_EVALUATION),
     (OSError, "I/O error", EXIT_IO),
 )

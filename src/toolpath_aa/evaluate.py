@@ -96,8 +96,6 @@ def tracks_from_program(program, profile):
     top1, top2 = a[:, Z], b[:, Z]
     bot1 = (top1 - a[:, DELTA]) - profile.h
     bot2 = (top2 - b[:, DELTA]) - profile.h
-    if np.any((top1 <= bot1) | (top2 <= bot2)):
-        raise ValueError("track top must lie above track bottom")
     return np.column_stack([a[:, X], a[:, Y], b[:, X], b[:, Y], top1, top2,
                             bot1, bot2, np.full(len(a), profile.d)])
 

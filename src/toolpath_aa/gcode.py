@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -173,7 +173,7 @@ class PrinterProfile:
     inclination (radians); h: base layer thickness (mm); f_ini/f_min:
     deposition speeds (mm/s); s: slicing plane position in [0, h]
     (default h/2); d: track width (default w); filament_diameter feeds
-    the volume <-> filament length conversion.
+    the volume <-> filament length conversion. Every field is finite.
     """
 
     w: float = 0.8
@@ -194,6 +194,10 @@ class PrinterProfile:
         self.validate()
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not (0 < self.w < self.tau):
             raise ValueError(f"need 0 < w < tau, got w={self.w}, tau={self.tau}")
         if not (0 < self.alpha <= math.pi / 2):

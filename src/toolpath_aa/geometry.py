@@ -58,8 +58,6 @@ class TriangleMesh:
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
         self.triangles = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
-        if len(self.triangles) and self.triangles.max() >= len(self.vertices):
-            raise MeshError("triangle index out of range")
         if self.normals is None:
             self.normals = _face_normals(self.vertices, self.triangles)
 
@@ -318,8 +316,6 @@ class VerticalRayIndex(BoxGrid):
     """
 
     def __init__(self, mesh, target_per_cell=4.0):
-        if mesh.triangle_count == 0:
-            raise EmptyMeshError("cannot index an empty mesh")
         tris = mesh.vertices[mesh.triangles]
         self._tri_pts = np.ascontiguousarray(tris)
         self._nz = mesh.normals[:, 2].copy()

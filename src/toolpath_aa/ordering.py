@@ -15,7 +15,6 @@ from __future__ import annotations
 import graphlib
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,8 +37,6 @@ def interference_threshold(profile):
     The height difference is taken as the layer thickness h, a
     conservative bound: the anti-aliasing never displaces a path by more
     than that."""
-    if profile.alpha <= 0:
-        raise ValueError("alpha = 0 leaves an infinite flange, no threshold")
     cot = 1.0 / math.tan(profile.alpha)
     return (profile.tau + profile.d) / 2.0 + profile.h * cot
 
@@ -248,10 +245,8 @@ def _find_cycle(graph):
 
 def gap_cost(theta):
     """Visibility weight of a seam: 1 + theta / 2pi, theta the angle
-    opening to the model's outside at the gap."""
-    if theta < 0 or theta > 2 * math.pi:
-        warnings.warn(f"exterior angle {theta} clamped into [0, 2pi]")
-        theta = min(max(theta, 0.0), 2 * math.pi)
+    opening to the model's outside at the gap, which `_exterior_angle_at`
+    returns in [0, 2pi]."""
     return 1.0 + theta / (2 * math.pi)
 
 
@@ -402,8 +397,9 @@ class _Seams:
 
 def _search(graph, seams, max_expansions):
     """Depth-first branch and bound over the topological orders of the
-    nodes. Returns OrderResult's fields up to its wall time, the best
-    order found first."""
+    nodes, on an explicit stack, so that no layer is too large for it.
+    Returns OrderResult's fields up to its wall time, the best order
+    found first."""
     nodes = graph.nodes
     n = len(nodes)
     entry, exit_, near, paid = seams.entry, seams.exit, seams.near, seams.paid
@@ -471,46 +467,59 @@ def _search(graph, seams, max_expansions):
                     if f != i or len(remaining) == 1), default=0.0)
         return bound + ends
 
-    def dfs(cost, prev):
-        nonlocal best_cost, best_order, expansions, orders, capped
-        if capped:
-            return
+    root_bound = lower_bound(None)
+    start = len(seams.ledger)
+    # the open nodes of the depth-first walk, root first: each frame holds
+    # a node's cost, the node, the ledger mark from before it was placed,
+    # and its children not yet tried with their steps
+    stack = []
+    cost, prev, mark = 0.0, None, start
+    while True:
         expansions += 1
         # on a DAG the first complete order comes within n + 1 expansions,
         # since nothing is pruned before it; the cap applies after that
         if expansions > max_expansions and best_order is not None:
             capped = True
-            return
+            break
+        children, steps = (), None
         if not remaining:
-            mark = len(seams.ledger)
             final = cost + seams.pay(seams.step(prev, None))
             orders += 1
             if final < best_cost:
                 best_cost, best_order = final, list(order)
-            seams.undo(mark)
-            return
-        if cost + lower_bound(prev) >= best_cost:
-            return
-        steps = {i: seams.step(prev, i) for i in remaining if indeg[i] == 0}
-        for i in sorted(steps, key=lambda i: (bool(steps[i]),
-                                              nodes[i].height, i)):
-            mark = len(seams.ledger)
-            added = seams.pay(steps[i])
-            order.append(i)
-            remaining.discard(i)
-            for v in succ[i]:
-                indeg[v] -= 1
-            dfs(cost + added, i)
-            for v in succ[i]:
-                indeg[v] += 1
-            remaining.add(i)
-            order.pop()
-            seams.undo(mark)
-            if capped or best_cost <= root_bound:
-                return
-
-    root_bound = lower_bound(None)
-    dfs(0.0, None)
+        elif cost + lower_bound(prev) < best_cost:
+            steps = {i: seams.step(prev, i) for i in remaining if indeg[i] == 0}
+            children = sorted(steps, key=lambda i: (bool(steps[i]),
+                                                    nodes[i].height, i))
+        stack.append((cost, prev, mark, iter(children), steps))
+        # back up to the deepest open node with a child left, taking back
+        # each node left behind; an order that meets the root bound ends
+        # the search
+        nxt = None
+        while stack and best_cost > root_bound:
+            cost, prev, mark, children, steps = stack[-1]
+            nxt = next(children, None)
+            if nxt is not None:
+                break
+            stack.pop()
+            if prev is not None:
+                for v in succ[prev]:
+                    indeg[v] += 1
+                remaining.add(prev)
+                order.pop()
+                seams.undo(mark)
+        if nxt is None:
+            break
+        mark = len(seams.ledger)
+        cost += seams.pay(steps[nxt])
+        order.append(nxt)
+        remaining.discard(nxt)
+        for v in succ[nxt]:
+            indeg[v] -= 1
+        prev = nxt
+    # a search cut short leaves nodes placed; their payments go before the
+    # best order is priced
+    seams.undo(start)
     return ([nodes[i] for i in best_order], best_cost,
             seams.cost(best_order)[1], orders, expansions, capped, root_bound)
 

@@ -14,10 +14,6 @@ from .gcode import (GcodeParseError, Move, PrinterProfile, Toolpath,
                     emit_gcode, parse_gcode, total_extrusion)
 
 
-class ConfigError(Exception):
-    pass
-
-
 MIN_THICKNESS = 0.05   # mm, below this deposition is unreliable
 REPORT_SCHEMA_VERSION = 5
 
@@ -41,14 +37,15 @@ class PipelineConfig:
         # the suffix, in any case, picks the error map's writer
         if self.error_map_path and not self.error_map_path.lower().endswith(
                 (".csv", ".ply")):
-            raise ConfigError(f"error map {self.error_map_path!r} must end "
-                              "in .csv or .ply")
+            raise ValueError(f"error map {self.error_map_path!r} must end "
+                             "in .csv or .ply")
         for s in self.sweep_s:
             if not (0 <= s <= self.profile.h):
-                raise ConfigError(f"sweep value s={s} outside [0, h]")
-        # the deepest allowed downward displacement leaves thickness s
+                raise ValueError(f"sweep value s={s} outside [0, h]")
+        # the deepest allowed downward displacement leaves thickness s, so
+        # no track the stages make is thinner than MIN_THICKNESS
         if self.profile.s < MIN_THICKNESS - 1e-12:
-            raise ConfigError(
+            raise ValueError(
                 f"slicing plane s={self.profile.s} allows local thickness "
                 f"below the {MIN_THICKNESS} mm deposition minimum")
 

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toolpath_aa import antialias
-from toolpath_aa.antialias import (DisplacementWindow, ThicknessError,
-                                   adjust_extrusion, adjust_feedrate,
-                                   detect_overlaps, displace_layer,
-                                   reduce_overlap_flow, resample_path,
-                                   sweep_slicing_plane)
+from toolpath_aa.antialias import (DisplacementWindow, adjust_extrusion,
+                                   adjust_feedrate, detect_overlaps,
+                                   displace_layer, reduce_overlap_flow,
+                                   resample_path, sweep_slicing_plane)
 from toolpath_aa.fixtures import dome_fixture, wedge_fixture, wedge_mesh
 from toolpath_aa.gcode import (DELTA, E, F, X, Y, Z, Layer, PrinterProfile,
                                PrintProgram, Toolpath, deposition_segments,
@@ -155,8 +154,6 @@ def test_adjust_extrusion_examples():
     assert adjust_extrusion(2.0, 0.6, 0.0) == pytest.approx(2.0)
     assert adjust_extrusion(2.0, 0.6, +0.3) == pytest.approx(3.0)
     assert adjust_extrusion(2.0, 0.6, -0.3) == pytest.approx(1.0)
-    with pytest.raises(ThicknessError):
-        adjust_extrusion(2.0, 0.6, -0.6)
 
 
 def test_adjust_feedrate_examples():

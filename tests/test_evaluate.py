@@ -198,15 +198,6 @@ def test_track_distance_sloped_top():
     assert track_distance(tr, 5, 0, 1.6) == pytest.approx(0.5)
 
 
-def test_invalid_track_rejected():
-    # a start row lowered by the whole layer thickness: its track top
-    # meets its bottom
-    path = Toolpath(vertices=[(0, 0, 0.0, 0, 20, -0.6), (1, 0, 0.6, 0.1, 20, 0)])
-    with pytest.raises(ValueError):
-        tracks_from_program(PrintProgram(layers=[Layer(0.6, [path])]),
-                            PrinterProfile())
-
-
 def box_program_tracks():
     profile = PrinterProfile()
     mesh, gcode = flat_box_fixture(profile)

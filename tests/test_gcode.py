@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import fields
 from unittest import mock
 
 import pytest
@@ -290,6 +291,11 @@ def test_profile_validation():
     for d in (0.0, -0.4):
         with pytest.raises(ValueError):
             PrinterProfile(d=d)
+    # every field must be finite; h = inf would make the default s inf too
+    for f in fields(PrinterProfile):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^{f.name} must be finite"):
+                PrinterProfile(**{f.name: value})
     p = PrinterProfile()
     assert p.s == pytest.approx(0.3)
     assert p.d == pytest.approx(0.8)

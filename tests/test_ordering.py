@@ -234,8 +234,6 @@ def test_gap_cost_formula():
     assert gap_cost(0.0) == pytest.approx(1.0)
     assert gap_cost(math.pi) == pytest.approx(1.5)
     assert gap_cost(2 * math.pi) == pytest.approx(2.0)
-    with pytest.warns(UserWarning):
-        assert gap_cost(7.0) == pytest.approx(2.0)
 
 
 def square_loop(side=4.0, reverse=False):
@@ -377,6 +375,26 @@ def test_layer_without_modified_nodes_costs_nothing():
         assert (res.cost, res.gap_locations, res.root_bound) == (0.0, [], 0.0)
         assert not res.suboptimal
         assert evaluate_order(graph, [], EPS_GAP, weighted) == (0.0, [])
+
+
+def test_search_orders_a_layer_of_more_than_1000_subpaths():
+    # a chain of 1,100 pieces along a row, each 1 mm long and 1 mm from
+    # the next: its one order pays only the first entry and the last exit,
+    # which the root bound proves at the first leaf, 1,100 levels deep
+    n = 1100
+    nodes = [SubPath(parent=None, parent_id=i,
+                     vertices=np.array([(2.0 * i, 0.0, 0.6, 0.0, 20.0, 0.0),
+                                        (2.0 * i + 1, 0.0, 0.6, 0.1, 20.0,
+                                         0.0)]),
+                     first_is_cut=True, last_is_cut=True) for i in range(n)]
+    graph = ConstraintGraph(nodes=nodes,
+                            edges=[(i, i + 1) for i in range(n - 1)])
+    res = order_paths(graph, EPS_GAP)
+    assert res.order == nodes
+    assert (res.cost, res.root_bound, res.expansions) == (2.0, 2.0, n + 1)
+    # priced after the search took back every node it placed
+    assert res.gap_locations == [nodes[0].entry, nodes[-1].exit]
+    assert not res.suboptimal
 
 
 def test_evaluate_order_rejects_invalid():

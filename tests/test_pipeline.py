@@ -6,8 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toolpath_aa import antialias, cli, pipeline
-from toolpath_aa.antialias import ThicknessError
+from toolpath_aa import antialias, cli, evaluate, pipeline
 from toolpath_aa.files import replace_atomically
 from toolpath_aa.fixtures import dome_fixture, wedge_fixture, wedge_mesh
 from toolpath_aa.gcode import PrinterProfile, parse_gcode, total_extrusion
@@ -201,6 +200,26 @@ def test_ordering_runs_end_to_end(name, dropped):
                                                      abs=1e-6)
 
 
+@pytest.mark.parametrize("s", [0.05, 0.3, 0.6])
+@pytest.mark.parametrize("name", ["dome", "wedge_hatch"])
+def test_no_track_is_thinner_than_the_slicing_plane_position(name, s):
+    # the displacement window [s - h, s] leaves every track at least s
+    # thick, and PipelineConfig.validate keeps s >= MIN_THICKNESS, so no
+    # stage checks a thickness again. Ordering moves no vertex up or down;
+    # it is left off on the dome, where it takes seconds
+    profile = PrinterProfile(s=s)
+    if name == "dome":
+        mesh, gcode = dome_fixture(profile)
+    else:
+        mesh, gcode = wedge_fixture(profile, cross_hatch=True)
+    config = PipelineConfig(profile=profile, ordering_enabled=name != "dome")
+    program, report, _ = run_pipeline(config, gcode_text=gcode, mesh=mesh)
+    tracks = evaluate.tracks_from_program(program, profile)
+    assert (tracks[:, 4:6] - tracks[:, 6:8]).min() >= s - 1e-12
+    thinnest = report["displacement"]["achieved_thickness_range_mm"][0]
+    assert thinnest >= s - 1e-12
+
+
 @settings(max_examples=6, deadline=None)
 @given(st.floats(6.0, 20.0), st.floats(1.0, 3.5), st.floats(8.0, 14.0))
 @example(12.0, 1.5, 10.0)
@@ -283,6 +302,24 @@ def test_cli_rejects_non_positive_feed_and_width(tmp_path, capsys, args):
                      "--out", str(out)] + args)
     assert code == cli.EXIT_CONFIG
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--fini", "inf", "f_ini"), ("--h", "inf", "h"),
+    ("--filament-diameter", "inf", "filament_diameter"),
+    ("--d", "inf", "d"), ("--d", "nan", "d"), ("--tau", "inf", "tau")])
+def test_cli_rejects_non_finite_settings(tmp_path, capsys, flag, value, name):
+    gpath, mpath = write_fixture_files(tmp_path)
+    out = tmp_path / "o.gcode"
+    out.write_text("stale")
+    before = sorted(tmp_path.iterdir())
+    code = cli.main(["--gcode", str(gpath), "--mesh", str(mpath),
+                     "--out", str(out), flag, value])
+    assert code == cli.EXIT_CONFIG == 2
+    assert (f"configuration error: {name} must be finite, got {value}"
+            in capsys.readouterr().err)
+    assert out.read_text() == "stale"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_cli_parse_error(tmp_path, capsys):
@@ -447,23 +484,6 @@ def test_cli_keeps_wipes_and_primes_on_layers_it_does_not_reorder(tmp_path,
         assert report["input"]["total_e"] == pytest.approx(55.19017, abs=1e-9)
         assert report["output"]["estimated_print_time_s"] == pytest.approx(
             seconds, rel=1e-12)
-
-
-def test_cli_thickness_error(tmp_path, monkeypatch, capsys):
-    gpath, mpath = write_fixture_files(tmp_path)
-    out = tmp_path / "o.gcode"
-    out.write_text("stale")
-
-    def fail(config):
-        raise ThicknessError("displaced thickness -0.1 <= 0")
-
-    monkeypatch.setattr(cli, "run_pipeline", fail)
-    code = cli.main([
-        "--gcode", str(gpath), "--mesh", str(mpath), "--out", str(out),
-    ])
-    assert code == cli.EXIT_THICKNESS == 6
-    assert "thickness error" in capsys.readouterr().err
-    assert out.read_text() == "stale"
 
 
 def test_cli_has_no_workers_flag(tmp_path, capsys):
