@@ -19,9 +19,9 @@ import sys
 for folder in ("src", "tests"):
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", folder))
 
-from scenes import nested_loops_gcode, retract_wedge_gcode
-from toolpath_aa import fixtures
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
+import fixtures
+from scenes import nested_loops_gcode, retract_wedge_gcode
 
 INPUTS = {
     "wedge": lambda: fixtures.wedge_fixture(),

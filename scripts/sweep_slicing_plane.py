@@ -5,10 +5,12 @@ displacements) and grows as the window lets tracks rise higher."""
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+for folder in ("src", "tests"):
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", folder))
 
-from toolpath_aa import antialias, fixtures, geometry
+from toolpath_aa import antialias, geometry
 from toolpath_aa.gcode import PrinterProfile, parse_gcode
+import fixtures
 
 
 def sweep(name, mesh, gcode, profile, s_values):

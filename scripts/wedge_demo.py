@@ -7,15 +7,17 @@ import math
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+for folder in ("src", "tests"):
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", folder))
 
 import numpy as np
 
-from toolpath_aa import antialias, evaluate, fixtures
+from toolpath_aa import antialias, evaluate
 from toolpath_aa.files import replace_atomically
 from toolpath_aa.gcode import PrinterProfile, parse_gcode
-from toolpath_aa.geometry import mesh_to_stl_binary
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
+import fixtures
+from fixtures import mesh_to_stl_binary
 
 
 def main():

@@ -26,9 +26,8 @@ class DisplacementWindow:
     hi: float
 
     @classmethod
-    def for_profile(cls, profile, s=None):
-        s = profile.s if s is None else s
-        return cls(lo=s - profile.h, hi=s)
+    def for_profile(cls, profile):
+        return cls(lo=profile.s - profile.h, hi=profile.s)
 
     def contains(self, delta):
         """Elementwise on an array of offsets."""
@@ -116,7 +115,26 @@ def resample_path(path, w):
 # ---------------------------------------------------------------------------
 # Displacement
 
-def displace_layer(paths, index, profile, s=None, stats=None):
+def displace_program(program, index, profile):
+    """Resample every path to segments at most w long, then displace each
+    layer with `displace_layer`. A layer where no vertex moved gets its
+    parsed rows back, so a run that displaces nothing emits the input's
+    values. Returns the DisplacementStats."""
+    stats = DisplacementStats()
+    for layer in program.layers:
+        paths = layer.toolpaths()
+        parsed = [path.vertices for path in paths]
+        displaced = stats.displaced
+        for path in paths:
+            resample_path(path, profile.w)
+        displace_layer(paths, index, profile, stats=stats)
+        if stats.displaced == displaced:
+            for path, verts in zip(paths, parsed):
+                path.vertices = verts
+    return stats
+
+
+def displace_layer(paths, index, profile, stats=None):
     """Snap top-facing vertices onto the surface within the displacement
     window. Vertices with no hit, a bottom-facing hit, or an out-of-window
     offset stay untouched (and are counted in the stats report).
@@ -126,7 +144,7 @@ def displace_layer(paths, index, profile, s=None, stats=None):
     vertex at the (linearly estimated) crossing so the displaced band
     reaches the window edge instead of sagging over a whole segment.
     """
-    window = DisplacementWindow.for_profile(profile, s)
+    window = DisplacementWindow.for_profile(profile)
     if stats is None:
         stats = DisplacementStats()
     if not paths:
@@ -425,9 +443,10 @@ def reduce_overlap_flow(program, profile):
 def sweep_slicing_plane(program, index, profile, s_values):
     """Total overlap volume as a function of the slicing plane position.
 
-    Each s is evaluated on scratch copies of the program's toolpaths as
-    parsed, which are resampled and then displaced; the input is never
-    mutated.
+    Each s runs `displace_program` at that s on scratch copies of the
+    program's toolpaths as parsed; the input is never mutated. No flow is
+    rescaled: rescaling moves no vertex and keeps every deposition
+    segment, so the volume is the one the run itself detects.
     """
     rows = []
     for s in s_values:
@@ -436,12 +455,7 @@ def sweep_slicing_plane(program, index, profile, s_values):
                 replace(path, vertices=path.vertices.copy())
                 for path in layer.toolpaths()])
             for layer in program.layers])
-        stats = DisplacementStats()
-        for layer in scratch.layers:
-            paths = layer.toolpaths()
-            for path in paths:
-                resample_path(path, profile.w)
-            displace_layer(paths, index, profile, s=s, stats=stats)
+        displace_program(scratch, index, replace(profile, s=s))
         _, report = detect_overlaps(scratch, profile)
         rows.append((s, report["overlap_volume_mm3"]))
     return rows

@@ -2,11 +2,11 @@
 source mesh.
 
 Exit codes: 0 ok, 2 configuration error (any setting out of range or
-not finite), 3 G-code parse error, 4 geometry error, 7 evaluation error (a
-move without a feedrate), 8 I/O error (an input that cannot be read, an
-output that cannot be written). Codes 5 and 6 are unused: height cycles
-are repaired, not raised, and the settings leave no track thinner than
-the slicing plane position s.
+not finite), 3 G-code parse error (a number out of range included), 4
+geometry error, 7 evaluation error (a move without a feedrate), 8 I/O
+error (an input that cannot be read, an output that cannot be written).
+Codes 5 and 6 are unused: height cycles are repaired, not raised, and the
+settings leave no track thinner than the slicing plane position s.
 """
 
 from __future__ import annotations
@@ -62,8 +62,6 @@ def build_parser():
                    help="weight seams by local surface opening angle")
     p.add_argument("--no-ordering", action="store_true",
                    help="skip interference ordering (for studies)")
-    p.add_argument("--no-overlap", action="store_true",
-                   help="skip overlap flow compensation")
     return p
 
 
@@ -92,7 +90,6 @@ def main(argv=None):
             gcode_path=args.gcode, mesh_path=args.mesh, out_path=args.out,
             profile=profile, ordering_enabled=not args.no_ordering,
             weighted_seams=args.weighted_seams,
-            overlap_enabled=not args.no_overlap,
             report_path=args.report, error_map_path=args.error_map,
             sweep_s=sweep)
         _program, report, _text = run_pipeline(config)

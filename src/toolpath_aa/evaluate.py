@@ -1,5 +1,5 @@
-"""Quantitative evaluation: surface error maps against the input mesh,
-constant-feedrate print time estimates, and the critical surface angle."""
+"""Quantitative evaluation: surface error maps against the input mesh and
+constant-feedrate print time estimates."""
 
 from __future__ import annotations
 
@@ -22,14 +22,6 @@ BLOCK = 4096          # sample-track pairs per distance evaluation
 
 class EvaluationError(Exception):
     pass
-
-
-def critical_angle(h, w):
-    """Steepest surface slope (radians) the anti-aliasing can still track
-    with track spacing w and layer thickness h: arctan(h / w)."""
-    if h <= 0 or w <= 0:
-        raise ValueError("h and w must be positive")
-    return math.atan2(h, w)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ FEED_FACTOR = 60.0          # F word (mm/min) -> mm/s
 DUPLICATE_TOL = 1e-9        # consecutive duplicate vertices merged below this
 CLOSURE_TOL = 1e-6          # first ~ last distance flagging a closed path
 FORMAT_DECIMALS = 5
+COORDINATE_LIMIT = 1e5      # mm; a larger |X|, |Y| or |Z| is refused
 
 
 class GcodeParseError(Exception):
@@ -225,9 +226,14 @@ _NUMBER = r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)"
 _NUMBER_RE = re.compile(_NUMBER + "$")
 # the canonical slicer move: G0/G1 and then X, Y, Z, E, F, each at most
 # once, in this order, one space apart, no comment; any other line takes
-# the general path, which reads it the same way
+# the general path, which reads it the same way. Its values are in range
+# by their digits: at most 5 before the point for X, Y and Z (below
+# COORDINATE_LIMIT), 15 for E and F (finite); a longer one takes the
+# general path too, which checks its value
+_SHORT_NUMBER = r"[-+]?(?:[0-9]{{1,{}}}(?:\.[0-9]*)?|\.[0-9]+)"
 _MOVE_RE = re.compile("G([01])" + "".join(
-    f"(?: {letter}({_NUMBER}))?" for letter in "XYZEF"))
+    f"(?: {letter}({_SHORT_NUMBER.format(digits)}))?"
+    for letter, digits in zip("XYZEF", (5, 5, 5, 15, 15))))
 _CMD_RE = re.compile(r"^([GMgm])\s*([0-9]+)")
 
 # commands the parser interprets; everything else passes through verbatim
@@ -263,7 +269,12 @@ def _parse_words(code, lineno):
                 f"non-numeric value {value!r} for word {letter}", lineno)
         if letter in words:
             raise GcodeParseError(f"duplicate word {letter}", lineno)
-        words[letter] = float(value)
+        number = float(value)
+        if not (math.isfinite(number)
+                and (letter not in "XYZ" or abs(number) <= COORDINATE_LIMIT)):
+            raise GcodeParseError(
+                f"value {number!r} for word {letter} is out of range", lineno)
+        words[letter] = number
     return words
 
 

@@ -204,25 +204,6 @@ def _weld(tri_points):
 
 
 # ---------------------------------------------------------------------------
-# STL output (the scripts write their fixture meshes with it)
-
-def mesh_to_stl_binary(mesh):
-    count = mesh.triangle_count
-    out = bytearray(b"toolpath-aa".ljust(80, b"\0"))
-    out += struct.pack("<I", count)
-    tris = mesh.vertices[mesh.triangles]  # (m, 3, 3)
-    for i in range(count):
-        rec = struct.pack(
-            "<12fH",
-            *mesh.normals[i].astype(np.float32),
-            *tris[i].reshape(9).astype(np.float32),
-            0,
-        )
-        out += rec
-    return bytes(out)
-
-
-# ---------------------------------------------------------------------------
 # XY box grid
 
 def ragged(count):

@@ -26,7 +26,6 @@ class PipelineConfig:
     profile: PrinterProfile = field(default_factory=PrinterProfile)
     ordering_enabled: bool = True
     weighted_seams: bool = False
-    overlap_enabled: bool = True
     report_path: str = None
     error_map_path: str = None
     sweep_s: list = field(default_factory=list)
@@ -128,31 +127,18 @@ def _run(config, gcode_text, mesh):
                              for s, v in rows]
         report["timings_s"]["sweep"] = time.perf_counter() - t0
 
-    # resample + displace + rescale, per layer
+    # resample + displace, then rescale the displaced paths
     t0 = time.perf_counter()
-    stats = antialias.DisplacementStats()
+    stats = antialias.displace_program(program, index, profile)
     for layer in program.layers:
-        paths = layer.toolpaths()
-        original = [path.vertices for path in paths]
-        displaced = stats.displaced
-        for path in paths:
-            antialias.resample_path(path, profile.w)
-        antialias.displace_layer(paths, index, profile, stats=stats)
-        antialias.rescale_paths(paths, profile)
-        # an untouched layer reverts to its original (un-resampled) motion
-        # so a zero-displacement run emits exactly the input values
-        if stats.displaced == displaced:
-            for path, verts in zip(paths, original):
-                path.vertices = verts
+        antialias.rescale_paths(layer.toolpaths(), profile)
     report["timings_s"]["antialias"] = time.perf_counter() - t0
     report["displacement"] = stats.as_dict(h=profile.h)
 
-    if config.overlap_enabled:
-        t0 = time.perf_counter()
-        _records, overlap_report = antialias.reduce_overlap_flow(program,
-                                                                 profile)
-        report["timings_s"]["overlap"] = time.perf_counter() - t0
-        report["overlap"] = overlap_report
+    t0 = time.perf_counter()
+    _records, report["overlap"] = antialias.reduce_overlap_flow(program,
+                                                                profile)
+    report["timings_s"]["overlap"] = time.perf_counter() - t0
 
     if config.ordering_enabled:
         t0 = time.perf_counter()

@@ -1,14 +1,16 @@
 """Deterministic synthetic fixtures: the wedge and dome meshes and their
-flat-sliced G-code, from a heightfield slicer."""
+flat-sliced G-code, from a heightfield slicer; a binary STL writer for
+them; and the critical surface angle."""
 
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
-from .gcode import PrinterProfile
-from .geometry import build_mesh
+from toolpath_aa.gcode import PrinterProfile
+from toolpath_aa.geometry import build_mesh
 
 DOME_GRID = 40        # dome mesh cells per side
 TRAVEL_F = 120.0      # mm/s, the fixture slicer's travel feed
@@ -42,6 +44,24 @@ def wedge_mesh(angle_deg=10.0, base=20.0, depth=10.0):
     return build_mesh(vertices, triangles)
 
 
+def dome_height(radius, cap_height, extent):
+    """The dome's heightfield z(x, y): a spherical cap of the given radius
+    standing cap_height above z = 0, 0 outside it, and -1 (no solid)
+    outside the square of side `extent` centred on the apex."""
+    half = extent / 2.0
+    base_z = radius - cap_height
+
+    def zf(x, y):
+        if abs(x) > half or abs(y) > half:
+            return -1.0
+        r2 = x * x + y * y
+        if r2 >= radius * radius:
+            return 0.0
+        return max(0.0, math.sqrt(radius * radius - r2) - base_z)
+
+    return zf
+
+
 def dome_mesh(radius=12.0, cap_height=3.0, extent=16.0):
     """Spherical-cap heightfield on a square base, closed underneath.
 
@@ -51,14 +71,7 @@ def dome_mesh(radius=12.0, cap_height=3.0, extent=16.0):
     if radius <= 0 or cap_height <= 0 or extent <= 0:
         raise ValueError("dome parameters must be positive")
     half = extent / 2.0
-    base_z = radius - cap_height
-
-    def zf(x, y):
-        r2 = x * x + y * y
-        if r2 >= radius * radius:
-            return 0.0
-        return max(0.0, math.sqrt(radius * radius - r2) - base_z)
-
+    zf = dome_height(radius, cap_height, extent)
     xs = ys = np.linspace(-half, half, DOME_GRID + 1)
     idx = {}
     verts = []
@@ -243,17 +256,33 @@ def wedge_fixture(profile=None, angle_deg=10.0, base=20.0, depth=10.0,
 def dome_fixture(profile=None, radius=12.0, cap_height=3.0, extent=16.0):
     profile = profile or PrinterProfile()
     mesh = dome_mesh(radius, cap_height, extent)
-    base_z = radius - cap_height
     half = extent / 2.0
-
-    def zf(x, y):
-        if abs(x) > half or abs(y) > half:
-            return -1.0
-        r2 = x * x + y * y
-        if r2 >= radius * radius:
-            return 0.0
-        return max(0.0, math.sqrt(radius * radius - r2) - base_z)
-
-    gcode = slice_heightfield(zf, ((-half, half), (-half, half)), profile,
+    gcode = slice_heightfield(dome_height(radius, cap_height, extent),
+                              ((-half, half), (-half, half)), profile,
                               name="dome")
     return mesh, gcode
+
+
+# ---------------------------------------------------------------------------
+# STL output and the critical angle
+
+def mesh_to_stl_binary(mesh):
+    count = mesh.triangle_count
+    out = bytearray(b"toolpath-aa".ljust(80, b"\0"))
+    out += struct.pack("<I", count)
+    tris = mesh.vertices[mesh.triangles]  # (m, 3, 3)
+    for i in range(count):
+        rec = struct.pack(
+            "<12fH",
+            *mesh.normals[i].astype(np.float32),
+            *tris[i].reshape(9).astype(np.float32),
+            0,
+        )
+        out += rec
+    return bytes(out)
+
+
+def critical_angle(h, w):
+    """Steepest surface slope (radians) the anti-aliasing can still track
+    with track spacing w and layer thickness h: arctan(h / w)."""
+    return math.atan2(h, w)

@@ -1,17 +1,17 @@
 """Test scenes and helpers: the flat box, the mesh volume, the three-path
 splitting scene, the seven-node ordering scene with its order pricing,
-the nested closed loops and the wedge with retractions. The shipped
-fixtures are in `toolpath_aa.fixtures`."""
+the nested closed loops and the wedge with retractions. The wedge and
+dome fixtures are in `fixtures`."""
 
 import math
 import re
 
 import numpy as np
 
-from toolpath_aa.fixtures import slice_heightfield, wedge_fixture
 from toolpath_aa.gcode import DELTA, E, PrinterProfile, Toolpath
 from toolpath_aa.geometry import build_mesh
 from toolpath_aa.ordering import ConstraintGraph, SubPath, _Seams
+from fixtures import slice_heightfield, wedge_fixture
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,17 @@ with the measured values (run with -s to see them)."""
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from toolpath_aa import (antialias, evaluate, fixtures, geometry, ordering,
-                         pipeline)
+from toolpath_aa import antialias, evaluate, geometry, ordering, pipeline
 from toolpath_aa.gcode import (DELTA, PrinterProfile, parse_gcode,
                                emit_gcode, total_extrusion)
 from toolpath_aa.ordering import ConstraintGraph, SubPath
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
+import fixtures
 import scenes
 
 PROFILE = PrinterProfile()          # w=0.8 tau=1.25 alpha=45deg h=0.6
@@ -47,9 +48,9 @@ def test_c01_displacement_bound():
     for name, fn in fixture_fns:
         for s in (0.06, 0.2, PROFILE.h / 2):
             mesh, program, index = _prepared(fn)
+            profile = replace(PROFILE, s=s)
             for layer in program.layers:
-                antialias.displace_layer(layer.toolpaths(), index, PROFILE,
-                                         s=s)
+                antialias.displace_layer(layer.toolpaths(), index, profile)
             lo, hi = s - PROFILE.h, s
             for d in _all_deltas(program):
                 if not (lo <= d <= hi):
@@ -281,7 +282,7 @@ def test_c08_slicing_plane_sweep_trend():
 
 
 def test_c09_critical_angle():
-    deg = math.degrees(evaluate.critical_angle(0.6, 0.8))
+    deg = math.degrees(fixtures.critical_angle(0.6, 0.8))
     assert abs(deg - 36.87) <= 0.01
     print(f"\nACCEPTANCE 9 PASS critical angle: {deg:.4f} deg")
 

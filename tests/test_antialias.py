@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,15 +11,15 @@ from hypothesis import strategies as st
 from toolpath_aa import antialias
 from toolpath_aa.antialias import (DisplacementWindow, adjust_extrusion,
                                    adjust_feedrate, detect_overlaps,
-                                   displace_layer, reduce_overlap_flow,
+                                   displace_layer, displace_program,
+                                   reduce_overlap_flow, rescale_paths,
                                    resample_path, sweep_slicing_plane)
-from toolpath_aa.fixtures import dome_fixture, wedge_fixture, wedge_mesh
 from toolpath_aa.gcode import (DELTA, E, F, X, Y, Z, Layer, PrinterProfile,
                                PrintProgram, Toolpath, deposition_segments,
                                parse_gcode)
 from toolpath_aa.geometry import (build_vertical_index, cast_vertical_batch,
                                   signed_area)
-from toolpath_aa.pipeline import PipelineConfig, run_pipeline
+from fixtures import dome_fixture, wedge_fixture, wedge_mesh
 from scenes import flat_box_fixture, three_paths_scene
 
 
@@ -146,7 +147,7 @@ def test_window_default_and_general():
     p = PrinterProfile()
     win = DisplacementWindow.for_profile(p)
     assert (win.lo, win.hi) == (pytest.approx(-0.3), pytest.approx(0.3))
-    win2 = DisplacementWindow.for_profile(p, s=0.06)
+    win2 = DisplacementWindow.for_profile(replace(p, s=0.06))
     assert (win2.lo, win2.hi) == (pytest.approx(-0.54), pytest.approx(0.06))
 
 
@@ -184,11 +185,11 @@ class WedgeEnv:
                 antialias.resample_path(p, self.profile.w)
         self.index = build_vertical_index(self.mesh)
 
-    def displace_all(self, s=None):
+    def displace_all(self):
         stats = antialias.DisplacementStats()
         for layer in self.program.layers:
             displace_layer(layer.toolpaths(), self.index, self.profile,
-                           s=s, stats=stats)
+                           stats=stats)
         return stats
 
 
@@ -389,6 +390,15 @@ class AllPairsGrid:
                            & (hi[:, None] + 1.0 >= self.lo[None])).all(axis=2))
 
 
+def displaced_and_rescaled(gcode, mesh, profile):
+    """The program as a run hands it to the overlap compensation."""
+    program = parse_gcode(gcode)
+    displace_program(program, build_vertical_index(mesh), profile)
+    for layer in program.layers:
+        rescale_paths(layer.toolpaths(), profile)
+    return program
+
+
 @pytest.mark.parametrize("scene", ["wedge", "wedge_hatch", "dome"])
 def test_overlaps_match_all_pairs_reference(scene, monkeypatch):
     profile = PrinterProfile(s=0.3)
@@ -396,9 +406,7 @@ def test_overlaps_match_all_pairs_reference(scene, monkeypatch):
         mesh, gcode = dome_fixture(profile)
     else:
         mesh, gcode = wedge_fixture(profile, cross_hatch=(scene == "wedge_hatch"))
-    config = PipelineConfig(profile=profile, ordering_enabled=False,
-                            overlap_enabled=False)
-    program, _, _ = run_pipeline(config, gcode_text=gcode, mesh=mesh)
+    program = displaced_and_rescaled(gcode, mesh, profile)
     fast, _ = detect_overlaps(program, profile)
     monkeypatch.setattr(antialias, "BoxGrid", AllPairsGrid)
     reference, _ = detect_overlaps(program, profile)
@@ -548,9 +556,7 @@ def test_overlaps_match_scalar_clip_bitwise(scene, s):
         mesh, gcode = dome_fixture(profile)
     else:
         mesh, gcode = wedge_fixture(profile, cross_hatch=(scene == "wedge_hatch"))
-    config = PipelineConfig(profile=profile, ordering_enabled=False,
-                            overlap_enabled=False)
-    program, _, _ = run_pipeline(config, gcode_text=gcode, mesh=mesh)
+    program = displaced_and_rescaled(gcode, mesh, profile)
     records, report = detect_overlaps(program, profile)
     assert len(records) > 50
     assert record_keys(records) == overlaps_pair_by_pair(program, profile)

@@ -10,15 +10,15 @@ import pytest
 
 from toolpath_aa import antialias
 from toolpath_aa.evaluate import (ErrorMap, EvaluationError, _percentiles,
-                                  _TrackGrid, critical_angle, error_map,
+                                  _TrackGrid, error_map,
                                   estimate_print_time, sample_mesh_surface,
                                   tracks_from_program)
 from toolpath_aa.files import replace_atomically
-from toolpath_aa.fixtures import dome_fixture, wedge_fixture
 from toolpath_aa.gcode import (DELTA, E, X, Y, Z, Layer, Move,
                                PrinterProfile, PrintProgram, Toolpath,
                                parse_gcode)
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
+from fixtures import critical_angle, dome_fixture, wedge_fixture
 from scenes import flat_box_fixture, flat_box_mesh
 
 
@@ -27,8 +27,6 @@ def test_critical_angle_paper_value():
                                                                    abs=1e-3)
     assert critical_angle(1.0, 1.0) == pytest.approx(math.pi / 4)
     assert critical_angle(1e-9, 1.0) == pytest.approx(0.0, abs=1e-8)
-    with pytest.raises(ValueError):
-        critical_angle(0.0, 1.0)
 
 
 def test_estimate_single_move():
@@ -409,7 +407,7 @@ def test_error_map_run_leaves_numpy_ma_unimported(tmp_path):
     # np.percentile imports numpy.ma on its first call; the summary does not
     # need it
     code = ("import sys\n"
-            "from toolpath_aa.fixtures import wedge_fixture\n"
+            "from fixtures import wedge_fixture\n"
             "from toolpath_aa.pipeline import PipelineConfig, run_pipeline\n"
             "mesh, gcode = wedge_fixture()\n"
             "_, report, _ = run_pipeline(PipelineConfig(\n"
@@ -417,9 +415,11 @@ def test_error_map_run_leaves_numpy_ma_unimported(tmp_path):
             "    gcode_text=gcode, mesh=mesh)\n"
             "assert report['error_map']['p99_mm'] > 0\n"
             "print('numpy.ma' in sys.modules)\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    # the package, and the tests' folder for `fixtures`
+    tests = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        [str(tests.parent / "src"), str(tests)]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from toolpath_aa.fixtures import dome_fixture, wedge_fixture, wedge_mesh
 from toolpath_aa.gcode import DELTA, PrinterProfile, parse_gcode, total_extrusion
+from fixtures import dome_fixture, wedge_fixture, wedge_mesh
 from scenes import (flat_box_fixture, mesh_volume, ordering_scene,
                     three_paths_scene)
 

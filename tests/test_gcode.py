@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toolpath_aa import gcode
-from toolpath_aa.fixtures import dome_fixture, wedge_fixture
 from toolpath_aa.gcode import (DELTA, E, F, X, Y, Z, GcodeParseError,
                                Move, PrinterProfile, Toolpath,
                                deposition_segments, emit_gcode, parse_gcode,
                                total_extrusion)
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
+from fixtures import dome_fixture, wedge_fixture
 from scenes import flat_box_fixture
 
 SIMPLE = """G90
@@ -207,6 +207,30 @@ def test_non_numeric_word_errors_with_line():
     assert "line 1" in str(exc.value)
 
 
+@pytest.mark.parametrize("line, word", [
+    ("G1 X100000.001 Y0 E1", "X"),         # the one-pattern move's shape
+    ("G1 Y-123456 X0 E1", "Y"),            # the general path's
+    ("G0 Z" + "9" * 20, "Z"),
+    ("G1 X1 Y0 E" + "1" * 400, "E"),       # reads as inf
+    ("G1 X1 Y0 E1 F" + "1" * 400, "F"),
+    ("G92 E" + "1" * 400, "E"),
+], ids=["X_move_pattern", "Y_general", "Z_20_digits", "E_400_digits",
+        "F_400_digits", "G92_E_400_digits"])
+def test_out_of_range_word_errors_with_line_and_word(line, word):
+    with pytest.raises(GcodeParseError) as exc:
+        parse_gcode("G0 X0 Y0 Z0.6\n" + line + "\n")
+    assert re.fullmatch(f"line 2: value \\S+ for word {word} is out of range",
+                        str(exc.value))
+
+
+def test_coordinates_up_to_the_limit_parse():
+    prog = parse_gcode("G0 X0 Y0 Z0.6\nG1 X100000 Y0 E1\n"
+                       "G1 X0100000 Y-99999.99999 E2\n")
+    [path] = prog.all_toolpaths()
+    assert path.vertices[1:, X].tolist() == [100000.0, 100000.0]
+    assert path.vertices[2, Y] == -99999.99999
+
+
 def test_message_commands_pass_through():
     text = "M117 Hello World\nG0 X0 Y0 Z0.6\nG1 X1 Y0 E0.1 F1200\n"
     prog = parse_gcode(text)
@@ -338,8 +362,14 @@ _NUMBER_TEXT = st.from_regex(
     r"[-+]?(?:[0-9]{1,3}\.?[0-9]{0,3}|\.[0-9]{1,3})", fullmatch=True)
 _BAD_NUMBER = st.sampled_from(
     ["", ".", "-", "+.", "1..2", "1.2.3", "1e3", "--1", "1-2", "1,5"])
+# values at and past the fast path's digit limits: 1e5 itself and a
+# zero-padded form of it are in range, the rest are not
+_BIG_NUMBER = st.sampled_from(
+    ["99999.99999", "100000", "-100000.5", "0000100000", "123456789012345",
+     "1234567890123456.5", "9" * 20, "1" * 400])
 _VARIANTS = ["canonical", "canonical", "lower", "swap", "n_word", "comment",
-             "double_space", "leading_zero", "duplicate", "bad_number"]
+             "double_space", "leading_zero", "duplicate", "bad_number",
+             "big_number"]
 _OTHER_LINES = st.sampled_from([
     "M82", "M83", "G92 E0", "G91", "G90", ";LAYER:1", ";TYPE:FILL",
     "G0 Z1.2", "M106 S255", ""])
@@ -367,6 +397,9 @@ def _move_line(draw):
         letter = draw(st.sampled_from("XYZEF"))
         words.insert(draw(st.integers(0, len(words))),
                      f"{letter}{draw(_BAD_NUMBER)}")
+    elif variant == "big_number" and words:
+        k = draw(st.integers(0, len(words) - 1))
+        words[k] = words[k][0] + draw(_BIG_NUMBER)
     line = " ".join([head] + words)
     if variant == "comment":
         line += " ; move"

@@ -4,15 +4,15 @@ import struct
 import numpy as np
 import pytest
 
-from toolpath_aa import geometry
+from toolpath_aa import antialias, geometry
 from toolpath_aa.geometry import (BELOW_BIAS, BOX_SLACK, PAIR_BLOCK,
                                   BoxGrid, EmptyMeshError, StlParseError,
                                   VerticalRayIndex, box_pairs, build_mesh,
                                   build_vertical_index, cast_vertical_batch,
-                                  load_mesh, mesh_to_stl_binary, ragged)
-from toolpath_aa import antialias, fixtures
-from toolpath_aa.fixtures import wedge_mesh
+                                  load_mesh, ragged)
 from toolpath_aa.gcode import PrinterProfile, parse_gcode
+import fixtures
+from fixtures import mesh_to_stl_binary, wedge_mesh
 from scenes import flat_box_fixture, flat_box_mesh, mesh_volume
 
 ASCII_ONE_FACET = """solid one

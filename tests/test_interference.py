@@ -13,10 +13,10 @@ import math
 import numpy as np
 import pytest
 
-from toolpath_aa import fixtures
 from toolpath_aa.gcode import Layer, PrinterProfile, PrintProgram, Toolpath
 from toolpath_aa.geometry import box_pairs, nearest_points, ragged
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
+import fixtures
 
 DZ_TOL = 0.05      # mm, earlier material at most this much higher is fine
 JOIN_TOL = 1e-6    # mm, endpoints this close join two pieces at a cut

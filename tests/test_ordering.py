@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toolpath_aa import fixtures, geometry, ordering
+from toolpath_aa import geometry, ordering
 from toolpath_aa.gcode import (DELTA, X, Z, Layer, Move, PrintProgram,
                                PrinterProfile, Toolpath)
 from toolpath_aa.ordering import (ConstraintGraph, SubPath,
@@ -14,6 +14,7 @@ from toolpath_aa.ordering import (ConstraintGraph, SubPath,
                                   gap_cost, interference_threshold,
                                   order_paths, relink_travels, split_paths)
 from toolpath_aa.pipeline import PipelineConfig, order_program, run_pipeline
+import fixtures
 import scenes
 from scenes import evaluate_order, nested_loops_gcode
 

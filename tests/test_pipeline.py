@@ -1,17 +1,24 @@
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toolpath_aa import antialias, cli, evaluate, pipeline
 from toolpath_aa.files import replace_atomically
-from toolpath_aa.fixtures import dome_fixture, wedge_fixture, wedge_mesh
 from toolpath_aa.gcode import PrinterProfile, parse_gcode, total_extrusion
-from toolpath_aa.geometry import build_vertical_index, mesh_to_stl_binary
+from toolpath_aa.geometry import build_mesh, build_vertical_index
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
+from fixtures import (dome_fixture, mesh_to_stl_binary, wedge_fixture,
+                      wedge_mesh)
 from scenes import flat_box_fixture, nested_loops_gcode, retract_wedge_gcode
 
 
@@ -79,17 +86,24 @@ def test_wedge_end_to_end_report(tmp_path):
 
 
 def sweep_reference(gcode, mesh, profile, s_values):
-    """Overlap volume per s from the input parsed and resampled once, each
-    s displacing a copy of it."""
+    """Overlap volume per s from the input parsed once: each s resamples
+    and displaces a copy of it layer by layer, and a layer where no vertex
+    moved keeps its parsed rows."""
     program = parse_gcode(gcode)
-    for path in program.all_toolpaths():
-        antialias.resample_path(path, profile.w)
     index = build_vertical_index(mesh)
     rows = []
     for s in s_values:
         scratch = copy.deepcopy(program)
         for layer in scratch.layers:
-            antialias.displace_layer(layer.toolpaths(), index, profile, s=s)
+            paths = layer.toolpaths()
+            parsed = [path.vertices for path in paths]
+            for path in paths:
+                antialias.resample_path(path, profile.w)
+            _, stats = antialias.displace_layer(paths, index,
+                                                replace(profile, s=s))
+            if not stats.displaced:
+                for path, verts in zip(paths, parsed):
+                    path.vertices = verts
         rows.append((s, antialias.detect_overlaps(scratch, profile)[1][
             "overlap_volume_mm3"]))
     return rows
@@ -119,6 +133,61 @@ def test_sweep_parses_once_and_matches_reference(name, monkeypatch):
     ref = sweep_reference(gcode, mesh, profile, s_values)
     assert got == [(s, float(v).hex()) for s, v in ref]
     assert ref[-1][1] > 0.0
+
+
+def sloped_block_mesh(z0=0.65, z1=0.85, lx=10.0, ly=10.0):
+    """A block whose flat top rises along x from z0 to z1."""
+    vertices = np.array([(0, 0, 0), (lx, 0, 0), (lx, ly, 0), (0, ly, 0),
+                         (0, 0, z0), (lx, 0, z1), (lx, ly, z1), (0, ly, z0)],
+                        dtype=float)
+    quads = [(0, 3, 2, 1), (4, 5, 6, 7), (0, 1, 5, 4), (1, 2, 6, 5),
+             (2, 3, 7, 6), (3, 0, 4, 7)]
+    return build_mesh(vertices, [tri for a, b, c, d in quads
+                                 for tri in ((a, b, c), (a, c, d))])
+
+
+# two 8 mm tracks at z = 0.6, 0.05-0.25 mm under the block's top, and one
+# 8.2 mm track across both at z = 1.2, 0.35-0.55 mm above it. For s > 0.25
+# the window [s - 0.6, s] raises the lower tracks onto the top and leaves
+# the upper layer unmoved, with its one long segment
+RAISED_UNDER_UNMOVED_GCODE = """G90
+M82
+G92 E0
+;LAYER:0
+G0 X1 Y2 Z0.6 F7200
+G1 X9 Y2 E1 F1200
+G0 X1 Y2.8
+G1 X9 Y2.8 E2
+;LAYER:1
+G0 X1 Y1.5 Z1.2
+G1 X9 Y3.5 E3
+"""
+
+
+@pytest.mark.parametrize("s", [0.1, 0.3, 0.5])
+@pytest.mark.parametrize("name", ["wedge", "wedge_hatch", "dome",
+                                  "raised_under_unmoved"])
+def test_sweep_agrees_with_the_run(name, s):
+    # at the profile's own s, the sweep displaces the program as the run
+    # does, unmoved layers kept as parsed, so its row is the volume that
+    # the run's overlap compensation detects. A sweep that resampled the
+    # unmoved upper layer of `raised_under_unmoved` gave 0.73153 mm^3
+    # against the run's 0.73172 at s = 0.3 and 0.5
+    profile = PrinterProfile(s=s)
+    if name == "dome":
+        mesh, gcode = dome_fixture(profile)
+    elif name == "raised_under_unmoved":
+        mesh, gcode = sloped_block_mesh(), RAISED_UNDER_UNMOVED_GCODE
+    else:
+        mesh, gcode = wedge_fixture(profile, cross_hatch=name == "wedge_hatch")
+    config = PipelineConfig(profile=profile, ordering_enabled=False,
+                            sweep_s=[s])
+    _, report, _ = run_pipeline(config, gcode_text=gcode, mesh=mesh)
+    [row] = report["sweep_s"]
+    assert (float(row["overlap_volume_mm3"]).hex()
+            == float(report["overlap"]["overlap_volume_mm3"]).hex())
+    if s >= 0.3:
+        assert report["overlap"]["overlap_volume_mm3"] > 0.0
 
 
 @pytest.mark.parametrize("map_name", ["map.csv", "map.ply"])
@@ -322,6 +391,27 @@ def test_cli_rejects_non_finite_settings(tmp_path, capsys, flag, value, name):
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("number", ["100000000000000000000", "1" * 400],
+                         ids=["1e20", "400_digits"])
+def test_cli_out_of_range_number_is_a_parse_error(tmp_path, capsys, number):
+    # 1e20 mm lies far outside any build volume, and 400 digits read as
+    # inf; the rewritten line has the shape of the parser's one-pattern move
+    gpath, mpath = write_fixture_files(tmp_path)
+    text = gpath.read_text()
+    assert text.splitlines()[8].startswith("G1 X2.51478 ")
+    gpath.write_text(text.replace("G1 X2.51478", f"G1 X{number}", 1))
+    out = tmp_path / "o.gcode"
+    out.write_text("stale")
+    code = cli.main(["--gcode", str(gpath), "--mesh", str(mpath),
+                     "--out", str(out)])
+    assert code == cli.EXIT_PARSE == 3
+    value = "1e+20" if len(number) < 400 else "inf"
+    assert capsys.readouterr().err == (
+        f"aa: G-code parse error: line 9: value {value} for word X is out "
+        "of range\n")
+    assert out.read_text() == "stale"
+
+
 def test_cli_parse_error(tmp_path, capsys):
     gpath, mpath = write_fixture_files(tmp_path)
     bad = tmp_path / "bad.gcode"
@@ -484,6 +574,23 @@ def test_cli_keeps_wipes_and_primes_on_layers_it_does_not_reorder(tmp_path,
         assert report["input"]["total_e"] == pytest.approx(55.19017, abs=1e-9)
         assert report["output"]["estimated_print_time_s"] == pytest.approx(
             seconds, rel=1e-12)
+
+
+def test_cli_import_loads_every_module_of_the_package():
+    # the package holds only what `aa` runs: importing the CLI loads every
+    # module under src/toolpath_aa
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import json, sys, toolpath_aa.cli\n"
+            "print(json.dumps(sorted(m for m in sys.modules"
+            " if m.startswith('toolpath_aa.'))))\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=60,
+                            env=dict(os.environ, PYTHONPATH=str(src)))
+    assert result.returncode == 0, result.stderr
+    shipped = sorted(f"toolpath_aa.{f.stem}"
+                     for f in (src / "toolpath_aa").glob("*.py")
+                     if f.stem != "__init__")
+    assert json.loads(result.stdout) == shipped
 
 
 def test_cli_has_no_workers_flag(tmp_path, capsys):

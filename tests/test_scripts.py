@@ -10,9 +10,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from toolpath_aa import fixtures
-from toolpath_aa.geometry import mesh_to_stl_binary
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
+import fixtures
+from fixtures import mesh_to_stl_binary
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
