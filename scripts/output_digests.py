@@ -3,13 +3,15 @@ both seam modes: the G-code, and the report with its timings removed
 (`timings_s` and the ordering layers' `*_s` stage times). Two checkouts
 that print the same lines give the same outputs.
 
-    python scripts/output_digests.py [wedge|hatch|dome|wedge40x20|loops|retracts ...]
+    python scripts/output_digests.py [wedge|hatch|dome|wedge40x20|loops|retracts|hops ...]
 
 With no names, every input runs. The 40x20 wedge takes several seconds
 per seam mode. `loops` is the nested closed loops of the tests over the
 20x10 wedge, the one input whose paths are closed. `retracts` is the
 20x10 wedge with a wipe-retract before each travel and a prime after it,
-the one input with retractions."""
+the one input with retractions. `hops` is the cross-hatched 20x10 wedge
+with a Z hop opening each layer after the first, the one input whose
+layers start with a move above their deposition height."""
 
 import hashlib
 import json
@@ -21,7 +23,7 @@ for folder in ("src", "tests"):
 
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 import fixtures
-from scenes import nested_loops_gcode, retract_wedge_gcode
+from scenes import hop_wedge_gcode, nested_loops_gcode, retract_wedge_gcode
 
 INPUTS = {
     "wedge": lambda: fixtures.wedge_fixture(),
@@ -30,6 +32,7 @@ INPUTS = {
     "wedge40x20": lambda: fixtures.wedge_fixture(base=40.0, depth=20.0),
     "loops": lambda: (fixtures.wedge_mesh(), nested_loops_gcode()),
     "retracts": lambda: (fixtures.wedge_mesh(), retract_wedge_gcode()),
+    "hops": lambda: (fixtures.wedge_mesh(), hop_wedge_gcode()),
 }
 
 

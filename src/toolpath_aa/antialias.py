@@ -5,6 +5,7 @@ compensation."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -81,7 +82,7 @@ def resample_path(path, w):
 
     Split segments get equal-length pieces; x, y, z (and delta) are
     interpolated linearly and e is divided proportionally. Endpoints are
-    untouched and the closed flag survives.
+    untouched, so a closed path stays closed.
     """
     verts = path.vertices
     if len(verts) < 2:
@@ -119,9 +120,10 @@ def displace_program(program, index, profile):
     """Resample every path to segments at most w long, then displace each
     layer with `displace_layer`. A layer where no vertex moved gets its
     parsed rows back, so a run that displaces nothing emits the input's
-    values. Returns the DisplacementStats."""
+    values. Returns the DisplacementStats, whose histogram counts each
+    layer's nonzero DELTA rows by their value to 0.01 mm."""
     stats = DisplacementStats()
-    for layer in program.layers:
+    for li, layer in enumerate(program.layers):
         paths = layer.toolpaths()
         parsed = [path.vertices for path in paths]
         displaced = stats.displaced
@@ -131,6 +133,10 @@ def displace_program(program, index, profile):
         if stats.displaced == displaced:
             for path, verts in zip(paths, parsed):
                 path.vertices = verts
+        if paths:
+            delta = np.concatenate([path.vertices[:, DELTA] for path in paths])
+            stats.per_layer_histogram[li] = dict(Counter(
+                round(dv, 2) for dv in delta[delta != 0].tolist()))
     return stats
 
 
@@ -168,22 +174,13 @@ def displace_layer(paths, index, profile, stats=None):
     stats.missed += int(np.count_nonzero(~hit))
     stats.skipped_bottom_facing += int(np.count_nonzero(hit & ~top))
     stats.skipped_out_of_window += int(np.count_nonzero(hit & top & ~inside))
-    hist = {}
     shifts = d[moved].tolist()
-    for dv in shifts:
-        bucket = round(dv, 2)
-        hist[bucket] = hist.get(bucket, 0) + 1
     if shifts:
         stats.displaced += len(shifts)
         stats.min_delta = min(stats.min_delta, min(shifts))
         stats.max_delta = max(stats.max_delta, max(shifts))
-    stats.per_layer_histogram[paths[0].layer_index] = hist
-
-    for path, rows, path_moved in zip(paths, np.split(verts, ends[:-1]),
-                                      np.split(moved, ends[:-1])):
+    for path, rows in zip(paths, np.split(verts, ends[:-1])):
         path.vertices = rows
-        if path_moved.any():
-            path.modified = True
     return paths, stats
 
 

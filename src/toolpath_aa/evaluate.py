@@ -206,7 +206,6 @@ class ErrorMap:
     distances: np.ndarray         # (n,) unclamped distance to nearest track
     samples_per_mm2: float
     seed: int
-    clamp: float = VIS_CLAMP
 
     def summary(self):
         d = self.distances
@@ -220,7 +219,7 @@ class ErrorMap:
             "p99_mm": p99,
             "samples_per_mm2": self.samples_per_mm2,
             "seed": self.seed,
-            "clamp_mm": self.clamp,
+            "clamp_mm": VIS_CLAMP,
         }
 
     def write_csv(self, f):
@@ -229,11 +228,11 @@ class ErrorMap:
 
     def write_ply(self, f):
         """Point cloud with a linear blue (0.0) to red (0.3 mm) ramp."""
-        t = np.clip(self.distances / self.clamp, 0.0, 1.0)
+        t = np.clip(self.distances / VIS_CLAMP, 0.0, 1.0)
         red = (t * 255).astype(np.uint8)
         blue = ((1.0 - t) * 255).astype(np.uint8)
         f.write("ply\nformat ascii 1.0\n")
-        f.write(f"comment colormap linear blue->red over 0.0..{self.clamp} mm\n")
+        f.write(f"comment colormap linear blue->red over 0.0..{VIS_CLAMP} mm\n")
         f.write(f"comment seed {self.seed} density {self.samples_per_mm2}\n")
         f.write(f"element vertex {len(self.points)}\n")
         f.write("property float x\nproperty float y\nproperty float z\n")

@@ -22,7 +22,7 @@ from .geometry import ragged
 
 FEED_FACTOR = 60.0          # F word (mm/min) -> mm/s
 DUPLICATE_TOL = 1e-9        # consecutive duplicate vertices merged below this
-CLOSURE_TOL = 1e-6          # first ~ last distance flagging a closed path
+CLOSURE_TOL = 1e-6          # first ~ last distance making a path closed
 FORMAT_DECIMALS = 5
 COORDINATE_LIMIT = 1e5      # mm; a larger |X|, |Y| or |Z| is refused
 
@@ -44,12 +44,10 @@ X, Y, Z, E, F, DELTA = range(VERTEX_COLUMNS)
 
 @dataclass
 class Toolpath:
-    """A polyline of vertex rows; see the column indices above."""
+    """A polyline of vertex rows; see the column indices above. What the
+    path is (closed, modified) is read from the rows as they are now."""
 
     vertices: np.ndarray
-    closed: bool = False
-    layer_index: int = 0
-    modified: bool = False
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(
@@ -59,9 +57,19 @@ class Toolpath:
         """Value equality, with the vertex arrays compared elementwise."""
         if not isinstance(other, Toolpath):
             return NotImplemented
-        return (np.array_equal(self.vertices, other.vertices)
-                and (self.closed, self.layer_index, self.modified)
-                == (other.closed, other.layer_index, other.modified))
+        return np.array_equal(self.vertices, other.vertices)
+
+    @property
+    def closed(self):
+        """A loop: at least 2 rows, the first and last within CLOSURE_TOL."""
+        v = self.vertices
+        return len(v) >= 2 and math.dist(v[0, :3].tolist(),
+                                         v[-1, :3].tolist()) < CLOSURE_TOL
+
+    @property
+    def modified(self):
+        """Displaced by anti-aliasing: some row's DELTA is not zero."""
+        return bool(self.vertices[:, DELTA].any())
 
     def __len__(self):
         return len(self.vertices)
@@ -136,7 +144,7 @@ class ModeSwitch:
 
 @dataclass
 class Layer:
-    base_z: float
+    base_z: float             # first deposition's z; 0.0 if it has none
     events: list = field(default_factory=list)
 
     def toolpaths(self):
@@ -299,8 +307,6 @@ class _Parser:
             rows = self.rows
             if len(rows) >= 2:
                 self.path.vertices = np.array(rows)
-                if math.dist(rows[0][:3], rows[-1][:3]) < CLOSURE_TOL:
-                    self.path.closed = True
             else:
                 # a lone vertex is not a path
                 self.layer.events.remove(self.path)
@@ -442,8 +448,7 @@ class _Parser:
                 self.program.layers.append(self.layer)
                 self.travel_z = None
             if self.path is None:
-                self.path = Toolpath(vertices=(),
-                                     layer_index=len(self.program.layers) - 1)
+                self.path = Toolpath(vertices=())
                 # the path starts where the travel left the nozzle
                 start_z = new_z if self.z is None else self.z
                 self.rows = [[self.x, self.y, start_z, 0.0, self.f, 0.0]]
@@ -458,14 +463,13 @@ class _Parser:
                                 None if f is None else f / FEED_FACTOR, rapid))
             if z is not None:
                 self.travel_z = z
-                if self.layer is not None and self.layer.base_z is None:
-                    self.layer.base_z = z
         self.x, self.y, self.z = new_x, new_y, new_z
 
     def _warn_below(self, z, lineno, earlier):
         """Warn when a new layer's first deposition, at z, lies below the
-        last of the `earlier` layers."""
-        prev_z = earlier[-1].base_z if earlier else None
+        last deposition height of the `earlier` layers."""
+        prev_z = next((l.base_z for l in reversed(earlier)
+                       if l.base_z is not None), None)
         if prev_z is not None and z < prev_z - 1e-9:
             self.program.warnings.append(f"line {lineno}: deposition z "
                                          f"decreased ({prev_z:.5f} -> {z:.5f})")

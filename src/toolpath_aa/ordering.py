@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import graphlib
 import math
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .gcode import CLOSURE_TOL, E, Move, Toolpath, Z, fold_sum
+from .gcode import E, Move, Toolpath, Z, fold_sum
 from .geometry import box_pairs, nearest_points, ragged, signed_area
 
 TIE_TOL = 1e-6          # mm, height ties below this create no constraint
@@ -62,7 +61,6 @@ def find_neighbors(paths, eps):
 
 @dataclass(eq=False)
 class SubPath:
-    parent: object            # Toolpath
     parent_id: int
     vertices: np.ndarray      # a run of the parent's vertex rows
     first_is_cut: bool
@@ -90,9 +88,7 @@ def _unique_cycle(path):
     """The path's vertex rows; for a closed path, a copy with the closing
     duplicate folded into the first vertex's segment extrusion."""
     verts = path.vertices
-    if path.closed and len(verts) > 2 \
-            and math.dist(verts[0, :3].tolist(),
-                          verts[-1, :3].tolist()) < CLOSURE_TOL:
+    if path.closed and len(verts) > 2:
         cycle = verts[:-1].copy()
         cycle[0, E] = verts[-1, E]
         return cycle
@@ -158,7 +154,7 @@ def _materialise(path, pid, cycle, cuts):
         if cuts and b <= a:
             continue                # an open path cut at its last vertex
         out.append(SubPath(
-            parent=path, parent_id=pid,
+            parent_id=pid,
             vertices=(cycle[a:b + 1] if b < n
                       else np.concatenate([cycle[a:], cycle[:1]])),
             first_is_cut=cut_loop or k > 0, last_is_cut=cut_loop or b < n - 1,
@@ -283,7 +279,6 @@ class OrderResult:
     expansions: int
     suboptimal: bool
     root_bound: float         # the search's lower bound before any choice
-    wall_time: float
 
     def report(self, graph):
         return {
@@ -295,7 +290,6 @@ class OrderResult:
             "gap_locations": [list(map(float, p)) for p in self.gap_locations],
             "suboptimal": self.suboptimal,
             "root_bound": self.root_bound,
-            "wall_time_s": self.wall_time,
             "expansions": self.expansions,
             "cycle_edges_dropped": [
                 {"from": u, "to": v, "mean_dz_mm": mean,
@@ -309,10 +303,8 @@ def order_paths(graph, eps_gap, weighted=False, max_expansions=EXPANSION_CAP):
     """Minimal-seam topological order of the constraint graph: the branch
     and bound minimises entry gap + transition gaps + exit gap, with each
     gap location counted once."""
-    t0 = time.perf_counter()
     seams = _Seams(graph.nodes, eps_gap, weighted)
-    return OrderResult(*_search(graph, seams, max_expansions),
-                       wall_time=time.perf_counter() - t0)
+    return OrderResult(*_search(graph, seams, max_expansions))
 
 
 class _Seams:
@@ -398,8 +390,7 @@ class _Seams:
 def _search(graph, seams, max_expansions):
     """Depth-first branch and bound over the topological orders of the
     nodes, on an explicit stack, so that no layer is too large for it.
-    Returns OrderResult's fields up to its wall time, the best order
-    found first."""
+    Returns OrderResult's fields, the best order found first."""
     nodes = graph.nodes
     n = len(nodes)
     entry, exit_, near, paid = seams.entry, seams.exit, seams.near, seams.paid

@@ -194,13 +194,12 @@ def order_program(program, profile, weighted, cap):
         result = ordering.order_paths(graph, eps_gap, weighted=weighted,
                                       max_expansions=cap)
         t4 = time.perf_counter()
-        ordered = [Toolpath(sp.vertices, layer_index=sp.parent.layer_index,
-                            modified=True) for sp in result.order]
+        ordered = [Toolpath(sp.vertices) for sp in result.order]
         ordering.relink_travels(layer, kept + ordered, eps_gap, travel_f)
         rep = result.report(graph)
         rep.update(layer=li, unmodified_paths=len(kept),
                    neighbor_pairs=len(pairs), neighbors_s=t1 - t0,
-                   split_s=t2 - t1, graph_s=t3 - t2,
+                   split_s=t2 - t1, graph_s=t3 - t2, wall_time_s=t4 - t3,
                    relink_s=time.perf_counter() - t4)
         layer_reports.append(rep)
     return {

@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 
-from toolpath_aa.gcode import DELTA, E, PrinterProfile, Toolpath
+from toolpath_aa.gcode import E, PrinterProfile, Toolpath
 from toolpath_aa.geometry import build_mesh
 from toolpath_aa.ordering import ConstraintGraph, SubPath, _Seams
 from fixtures import slice_heightfield, wedge_fixture
@@ -80,9 +80,7 @@ def _loop(points_with_delta, f=20.0, h=LAYER_Z):
     rows = [(x, y, h + d, 0.1, f, d) for (x, y, d) in points_with_delta]
     verts = np.array(rows + rows[:1])
     verts[0, E] = 0.0
-    tp = Toolpath(vertices=verts, closed=True, layer_index=0)
-    tp.modified = bool((verts[:, DELTA] != 0).any())
-    return tp
+    return Toolpath(vertices=verts)
 
 
 def _grid_row(x0, x1, y, dz):
@@ -217,7 +215,6 @@ ORDERING_SCENE_WEIGHTS = {"DE": 1.2}
 def ordering_scene():
     """Seven-node constraint graph with the entry/exit coincidences of
     split closed loops; returns (graph, labels)."""
-    parents = {}
     subpaths = []
     labels = {}
     for k, (label, pid, entry_key, exit_key, height) in enumerate(ORDERING_SCENE_STRUCTURE):
@@ -229,12 +226,7 @@ def ordering_scene():
             (mid[0], mid[1], height, 0.1, 20.0, 0.0),
             (*p_exit, 0.1, 20.0, 0.0),
         ])
-        parent = parents.get(pid)
-        if parent is None:
-            parent = Toolpath(vertices=[], closed=True, layer_index=0,
-                              modified=True)
-            parents[pid] = parent
-        sp = SubPath(parent=parent, parent_id=pid, vertices=verts,
+        sp = SubPath(parent_id=pid, vertices=verts,
                      first_is_cut=True, last_is_cut=True)
         sp.entry_weight = ORDERING_SCENE_WEIGHTS.get(entry_key, 1.5)
         sp.exit_weight = ORDERING_SCENE_WEIGHTS.get(exit_key, 1.5)
@@ -304,4 +296,19 @@ def retract_wedge_gcode():
         else:
             lines.append(line)
         last = _EXTRUDING_XY.match(line) or last
+    return "\n".join(lines) + "\n"
+
+
+def hop_wedge_gcode():
+    """The cross-hatched 20x10 wedge's text with a Z hop, `G1 Z<z + 0.4>
+    F600` for a layer at height z, right after the `;LAYER:` line of each
+    layer but the first: five layers that open with a move laying no track
+    above their deposition height."""
+    h = PrinterProfile().h
+    lines = []
+    for line in wedge_fixture(cross_hatch=True)[1].splitlines():
+        lines.append(line)
+        if line.startswith(";LAYER:") and line != ";LAYER:0":
+            z = h * (int(line[len(";LAYER:"):]) + 1)
+            lines.append(f"G1 Z{z + 0.4:.5f} F600")
     return "\n".join(lines) + "\n"

@@ -159,7 +159,7 @@ def _random_graph(rng, n):
             return (float(rng.integers(0, 6)) * 2.0,
                     float(rng.integers(0, 6)) * 2.0, 0.6)
         verts = np.array([(*pt(), 0.0, 20.0, 0.0), (*pt(), 0.1, 20.0, 0.0)])
-        sp = SubPath(parent=None, parent_id=i, vertices=verts,
+        sp = SubPath(parent_id=i, vertices=verts,
                      first_is_cut=True, last_is_cut=True)
         sp.entry_weight = 1.0 + float(rng.integers(0, 4)) / 4.0
         sp.exit_weight = 1.0 + float(rng.integers(0, 4)) / 4.0

@@ -66,7 +66,7 @@ def test_resample_closed_square():
     pts = [(0, 0), (4, 0), (4, 4), (0, 4), (0, 0)]
     verts = [(x, y, 0.6, 0.0 if i == 0 else 1.0, 20.0, 0.0)
              for i, (x, y) in enumerate(pts)]
-    path = Toolpath(vertices=verts, closed=True)
+    path = Toolpath(vertices=verts)
     resample_path(path, 0.8)
     assert path.closed
     segs = _segment_lengths(path.vertices)
@@ -303,11 +303,9 @@ def _synthetic_overlap_program(raise_by=0.2, upper_e=5.0):
     profile = PrinterProfile()
     p = PrintProgram()
     low = Toolpath(vertices=[(0, 0, 0.6 + raise_by, 0.0, 20, raise_by),
-                             (10, 0, 0.6 + raise_by, 5.0, 20, raise_by)],
-                   layer_index=0, modified=True)
+                             (10, 0, 0.6 + raise_by, 5.0, 20, raise_by)])
     up = Toolpath(vertices=[(0, 0, 1.2, 0.0, 20, 0.0),
-                            (10, 0, 1.2, upper_e, 20, 0.0)],
-                  layer_index=1)
+                            (10, 0, 1.2, upper_e, 20, 0.0)])
     l0 = Layer(base_z=0.6, events=[low])
     l1 = Layer(base_z=1.2, events=[up])
     p.layers = [l0, l1]
@@ -342,7 +340,6 @@ def test_overlap_clamps_to_zero():
 
 def test_no_displacement_no_overlaps():
     program, profile = _synthetic_overlap_program(raise_by=0.0)
-    program.layers[0].toolpaths()[0].modified = False
     records, report = detect_overlaps(program, profile)
     assert records == []
     assert report["overlap_volume_mm3"] == 0
@@ -388,6 +385,34 @@ class AllPairsGrid:
     def pairs(self, lo, hi):
         return np.nonzero(((lo[:, None] - 1.0 <= self.hi[None])
                            & (hi[:, None] + 1.0 >= self.lo[None])).all(axis=2))
+
+
+def test_modified_is_a_displaced_row():
+    # after the displacement a path is modified exactly when one of its
+    # rows moved off its parsed height, which its DELTA records; a path the
+    # rays miss stays unmodified, and a layer where nothing moved gets its
+    # parsed rows back
+    profile = PrinterProfile()
+    mesh, gcode = wedge_fixture(profile)
+    program = parse_gcode(gcode)
+    off_mesh = [straight_path(5.0, z=z) for z in (0.6, 4.2)]
+    for path in off_mesh:
+        path.vertices[:, Y] += 50.0
+    program.layers[0].events.append(off_mesh[0])
+    program.layers.append(Layer(4.2, [off_mesh[1]]))
+    parsed = [[p.vertices for p in layer.toolpaths()]
+              for layer in program.layers]
+    displace_program(program, build_vertical_index(mesh), profile)
+    for layer, rows in zip(program.layers, parsed):
+        for path, before in zip(layer.toolpaths(), rows):
+            moved = bool((path.vertices[:, Z] != before[0, Z]).any())
+            assert path.modified == moved
+            assert path.modified == bool((path.vertices[:, DELTA] != 0).any())
+    assert [p.modified for p in program.layers[0].toolpaths()][-2:] == [
+        True, False]
+    reverted = program.layers[-1].toolpaths()
+    assert reverted[0].vertices is parsed[-1][0]
+    assert not any(p.modified for p in reverted)
 
 
 def displaced_and_rescaled(gcode, mesh, profile):

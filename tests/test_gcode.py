@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toolpath_aa import gcode
+from toolpath_aa import gcode, ordering
 from toolpath_aa.gcode import (DELTA, E, F, X, Y, Z, GcodeParseError,
                                Move, PrinterProfile, Toolpath,
                                deposition_segments, emit_gcode, parse_gcode,
                                total_extrusion)
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 from fixtures import dome_fixture, wedge_fixture
-from scenes import flat_box_fixture
+from scenes import flat_box_fixture, hop_wedge_gcode
 
 SIMPLE = """G90
 M82
@@ -71,6 +71,40 @@ def test_closed_square_five_vertices():
     tp = prog.layers[0].toolpaths()[0]
     assert len(tp.vertices) == 5
     assert tp.closed
+
+
+@pytest.mark.parametrize("gap, closed", [(5e-7, True), (2e-6, False)])
+def test_one_closure_rule(gap, closed):
+    # a path is closed when its first and last rows lie within CLOSURE_TOL
+    # (1e-6 mm); the ordering stage folds the closing row of exactly those
+    text = ("G0 X0 Y0 Z0.6\nG1 X4 Y0 E1 F1200\nG1 X4 Y4 E2\nG1 X0 Y4 E3\n"
+            f"G1 X{gap:.7f} Y0 E4\n")
+    tp = parse_gcode(text).layers[0].toolpaths()[0]
+    assert len(tp) == 5 and tp.closed is closed
+    assert len(ordering._unique_cycle(tp)) == (4 if closed else 5)
+    assert not Toolpath(vertices=tp.vertices[:1]).closed
+
+
+def test_z_hop_after_layer_comment_keeps_the_deposition_height():
+    # each layer's flat top is its first deposition height; a Z hop that
+    # opens the layer moves no track, so it changes neither base_z nor the
+    # overlap compensation, which takes base_z as the upper track's bottom
+    flat = wedge_fixture(cross_hatch=True)
+    runs = [run_pipeline(PipelineConfig(ordering_enabled=False),
+                         gcode_text=text, mesh=flat[0])
+            for text in (flat[1], hop_wedge_gcode())]
+    base_z = [[layer.base_z for layer in program.layers]
+              for program, _, _ in runs]
+    assert base_z[1] == base_z[0] == pytest.approx([0.6, 1.2, 1.8, 2.4, 3.0, 3.6])
+    assert runs[1][1]["overlap"] == runs[0][1]["overlap"]
+    # a layer that never deposits has no height of its own, and the next
+    # one is compared with the last height deposited
+    text = ";LAYER:0\nG0 X0 Y0 Z1.8\nG1 X9 Y0 E1\n;LAYER:1\nG0 Z2.4\n" \
+           ";LAYER:2\nG0 X0 Y0 Z0.6\nG1 X9 Y0 E2\n"
+    program = parse_gcode(text)
+    assert [l.base_z for l in program.layers] == [1.8, 0.0, 0.6]
+    assert program.warnings == [
+        "line 8: deposition z decreased (1.80000 -> 0.60000)"]
 
 
 def test_empty_layer_travel_only():

@@ -21,13 +21,15 @@ from scenes import evaluate_order, nested_loops_gcode
 EPS_GAP = 3.2   # 4 * w for w = 0.8
 
 
-def line_path(y, z=0.6, x0=0.0, x1=10.0, modified=True, delta=0.0, n=14):
+def line_path(y, z=0.6, x0=0.0, x1=10.0, modified=True, delta=0.01, n=14):
+    """A straight path along x at height z; a modified one's rows carry
+    the displacement `delta`, an unmodified one's 0."""
     verts = []
     for k in range(n):
         x = x0 + (x1 - x0) * k / (n - 1)
-        verts.append((x, y, z, 0.0 if k == 0 else 0.1, 20.0, delta))
-    tp = Toolpath(vertices=verts, modified=modified)
-    return tp
+        verts.append((x, y, z, 0.0 if k == 0 else 0.1, 20.0,
+                      delta if modified else 0.0))
+    return Toolpath(vertices=verts)
 
 
 def test_threshold_paper_constants():
@@ -85,7 +87,7 @@ def test_empty_and_one_sided_layers():
 
 def test_one_row_path_meets_a_neighbour_through_its_segments():
     # the lone vertex is 5 mm from b's vertices but 0.5 mm from its segment
-    dot = Toolpath(vertices=[(5.0, 0.5, 0.6, 0.0, 20.0, 0.0)], modified=True)
+    dot = Toolpath(vertices=[(5.0, 0.5, 0.6, 0.0, 20.0, 0.0)])
     b = line_path(0.0, n=2)
     assert list(find_neighbors([dot, b], 1.625)) == [(0, 1)]
     assert list(find_neighbors([dot, dot], 1.625)) == []
@@ -94,7 +96,7 @@ def test_one_row_path_meets_a_neighbour_through_its_segments():
 def test_height_adds_left_to_right():
     # a compensated sum (builtin sum() from Python 3.12) would give 1/3
     verts = [(0.0, 0.0, z, 0.0, 20.0, 0.0) for z in (1e16, 1.0, -1e16)]
-    sp = SubPath(parent=None, parent_id=0, vertices=np.array(verts),
+    sp = SubPath(parent_id=0, vertices=np.array(verts),
                  first_is_cut=False, last_is_cut=False)
     assert sp.height == 0.0
 
@@ -243,7 +245,7 @@ def square_loop(side=4.0, reverse=False):
         pts = pts[::-1]
     verts = [(x, y, 0.6, 0.0 if k == 0 else 1.0, 20.0, 0.0)
              for k, (x, y) in enumerate(pts)]
-    return Toolpath(vertices=verts, closed=True)
+    return Toolpath(vertices=verts)
 
 
 def exterior_angle(path, i):
@@ -267,7 +269,7 @@ def test_exterior_angle_straight_and_notch():
            (0, 0)]
     verts = [(x, y, 0.6, 0.0 if k == 0 else 1.0, 20.0, 0.0)
              for k, (x, y) in enumerate(pts)]
-    loop = Toolpath(vertices=verts, closed=True)
+    loop = Toolpath(vertices=verts)
     mid = (2, 0, 0.6, 1.0, 20.0, 0.0)
     loop.vertices = np.insert(loop.vertices, 1, mid, axis=0)
     assert exterior_angle(loop, 1) == pytest.approx(math.pi)       # straight
@@ -352,7 +354,7 @@ def test_search_and_evaluate_share_seam_identity():
     nodes = []
     for i, (entry, exit_) in enumerate(ends):
         verts = np.array([(*entry, 0.0, 20.0, 0.0), (*exit_, 0.1, 20.0, 0.0)])
-        nodes.append(SubPath(parent=None, parent_id=i, vertices=verts,
+        nodes.append(SubPath(parent_id=i, vertices=verts,
                              first_is_cut=False, last_is_cut=False))
     graph = ConstraintGraph(nodes=nodes)
     res = order_paths(graph, EPS_GAP)
@@ -383,7 +385,7 @@ def test_search_orders_a_layer_of_more_than_1000_subpaths():
     # the next: its one order pays only the first entry and the last exit,
     # which the root bound proves at the first leaf, 1,100 levels deep
     n = 1100
-    nodes = [SubPath(parent=None, parent_id=i,
+    nodes = [SubPath(parent_id=i,
                      vertices=np.array([(2.0 * i, 0.0, 0.6, 0.0, 20.0, 0.0),
                                         (2.0 * i + 1, 0.0, 0.6, 0.1, 20.0,
                                          0.0)]),
@@ -427,13 +429,12 @@ def unmodified_loop_scene():
     pts = [(x + k * dx, y + k * dy) for (x, y), (dx, dy) in sides
            for k in range(20)]
     loop = Toolpath(vertices=[(x, y, 0.6, 0.05 if k else 0.0, 20.0, 0.0)
-                              for k, (x, y) in enumerate(pts + pts[:1])],
-                    closed=True)
+                              for k, (x, y) in enumerate(pts + pts[:1])])
     rows = []
     for k in range(21):
         dz = 0.15 if 0.5 * k < 5.0 else -0.15
         rows.append((0.5 * k, -0.8, 0.6 + dz, 0.05 if k else 0.0, 20.0, dz))
-    return loop, Toolpath(vertices=rows, modified=True)
+    return loop, Toolpath(vertices=rows)
 
 
 def test_unmodified_loop_is_neither_cut_nor_cuts():
@@ -520,7 +521,7 @@ def random_instance(rng, n):
                     0.6)
         entry, exit_ = pt(), pt()
         verts = np.array([(*entry, 0.0, 20.0, 0.0), (*exit_, 0.1, 20.0, 0.0)])
-        sp = SubPath(parent=None, parent_id=i, vertices=verts,
+        sp = SubPath(parent_id=i, vertices=verts,
                      first_is_cut=True, last_is_cut=True)
         sp.entry_weight = 1.0 + float(rng.integers(0, 4)) / 4.0
         sp.exit_weight = 1.0 + float(rng.integers(0, 4)) / 4.0
@@ -565,7 +566,7 @@ def search_instances(draw):
         (ex, ey), (xx, xy) = draw(point), draw(point)
         verts = np.array([(ex * 2.0, ey * 2.0, 0.6, 0.0, 20.0, 0.0),
                           (xx * 2.0, xy * 2.0, 0.6, 0.1, 20.0, 0.0)])
-        nodes.append(SubPath(parent=None, parent_id=i, vertices=verts,
+        nodes.append(SubPath(parent_id=i, vertices=verts,
                              first_is_cut=True, last_is_cut=True,
                              entry_weight=draw(weight),
                              exit_weight=draw(weight)))
@@ -649,7 +650,7 @@ def test_locations_match_all_pairs_reference(eps_gap):
                 ends.append(tuple(p.tolist()))
             verts = np.array([(*ends[0], 0.0, 20.0, 0.0),
                               (*ends[1], 0.1, 20.0, 0.0)])
-            nodes.append(SubPath(parent=None, parent_id=i, vertices=verts,
+            nodes.append(SubPath(parent_id=i, vertices=verts,
                                  first_is_cut=True, last_is_cut=True))
         # a subset of the nodes, as a layer's ordered subpaths are
         subset = [sp for sp in nodes if rng.random() < 0.8]
@@ -665,15 +666,17 @@ def test_locations_match_all_pairs_reference_on_wedge_layers(cross_hatch):
         assert_locations_match_reference(subs, EPS_GAP)
 
 
-def assert_seam_weights_at_ends(subpaths):
-    """Each subpath's weights are gap_cost of the parent's exterior angle
-    at the parent vertex its first and last rows come from."""
+def assert_seam_weights_at_ends(subpaths, parents):
+    """Each subpath's weights are gap_cost of its parent's exterior angle
+    at the parent vertex its first and last rows come from; `parents` are
+    the split paths, indexed by parent_id."""
     for sp in subpaths:
-        cycle = ordering._unique_cycle(sp.parent)
+        parent = parents[sp.parent_id]
+        cycle = ordering._unique_cycle(parent)
         for row, weight in ((sp.vertices[0], sp.entry_weight),
                             (sp.vertices[-1], sp.exit_weight)):
             k, = np.flatnonzero((cycle[:, :3] == row[:3]).all(axis=1))
-            assert weight == gap_cost(exterior_angle(sp.parent, int(k)))
+            assert weight == gap_cost(exterior_angle(parent, int(k)))
 
 
 def test_seam_weights_on_three_paths_scene():
@@ -681,7 +684,7 @@ def test_seam_weights_on_three_paths_scene():
     eps = interference_threshold(PrinterProfile())
     subs = split_paths(paths, find_neighbors(paths, eps), eps)
     assert len(subs) == 7 and all(sp.first_is_cut for sp in subs)
-    assert_seam_weights_at_ends(subs)
+    assert_seam_weights_at_ends(subs, paths)
     assert {sp.entry_weight for sp in subs} == {1.5, 1.75}
 
 
@@ -693,7 +696,7 @@ def square_path(clockwise):
     if clockwise:
         pts = pts[:1] + pts[:0:-1]
     rows = [(x, y, 0.6, 0.1, 20.0, 0.1) for x, y in pts + pts[:1]]
-    return Toolpath(vertices=rows, closed=True, modified=True)
+    return Toolpath(vertices=rows)
 
 
 @pytest.mark.parametrize("clockwise", [False, True])
@@ -706,7 +709,7 @@ def test_seam_weights_on_a_closed_square(clockwise, cuts):
     cycle = ordering._unique_cycle(square)
     subs = ordering._materialise(square, 0, cycle, cuts)
     assert len(subs) == max(len(cuts), 1)
-    assert_seam_weights_at_ends(subs)
+    assert_seam_weights_at_ends(subs, [square])
     assert subs[0].entry_weight == subs[-1].exit_weight == gap_cost(1.5 * math.pi)
     if len(cuts) == 2:
         assert subs[0].exit_weight == subs[1].entry_weight == gap_cost(math.pi)
@@ -717,10 +720,10 @@ def test_seam_weights_on_an_open_path(cuts):
     # an L: right along y = 0, a left turn at vertex 3, then up along x = 3
     rows = [(float(min(k, 3)), float(max(k - 3, 0)), 0.6, 0.1, 20.0, 0.1)
             for k in range(7)]
-    path = Toolpath(vertices=rows, closed=False, modified=True)
+    path = Toolpath(vertices=rows)
     subs = ordering._materialise(path, 0, path.vertices, cuts)
     assert len(subs) == len(cuts) + 1
-    assert_seam_weights_at_ends(subs)
+    assert_seam_weights_at_ends(subs, [path])
     assert subs[0].entry_weight == subs[-1].exit_weight == gap_cost(math.pi)
     if cuts:
         assert subs[0].exit_weight == gap_cost(1.5 * math.pi)
