@@ -12,7 +12,7 @@ import numpy as np
 
 from .geometry import BoxGrid, cast_vertical_batch, ragged, segment_param
 from .gcode import (DELTA, E, F, VERTEX_COLUMNS, X, Y, Z, Layer, PrintProgram,
-                    deposition_segments, fold_sum)
+                    Toolpath, deposition_segments, fold_sum)
 
 WINDOW_EPS = 1e-12   # float guard at the displacement window boundary
 SNAP_EPS = 1e-9      # displacements below this are treated as zero
@@ -440,17 +440,16 @@ def reduce_overlap_flow(program, profile):
 def sweep_slicing_plane(program, index, profile, s_values):
     """Total overlap volume as a function of the slicing plane position.
 
-    Each s runs `displace_program` at that s on scratch copies of the
-    program's toolpaths as parsed; the input is never mutated. No flow is
-    rescaled: rescaling moves no vertex and keeps every deposition
-    segment, so the volume is the one the run itself detects.
+    Each s runs `displace_program` at that s on new toolpaths over the
+    parsed arrays, which no stage writes, so the input is never mutated.
+    No flow is rescaled: rescaling moves no vertex and keeps every
+    deposition segment, so the volume is the one the run itself detects.
     """
     rows = []
     for s in s_values:
         scratch = PrintProgram(layers=[
-            Layer(layer.base_z, [
-                replace(path, vertices=path.vertices.copy())
-                for path in layer.toolpaths()])
+            Layer(layer.base_z, [Toolpath(path.vertices)
+                                 for path in layer.toolpaths()])
             for layer in program.layers])
         displace_program(scratch, index, replace(profile, s=s))
         _, report = detect_overlaps(scratch, profile)

@@ -11,13 +11,11 @@ import numpy as np
 
 from .gcode import (DELTA, VERTEX_COLUMNS, F, Move, Toolpath, X, Y, Z,
                     deposition_segments, fold_sum)
-from .geometry import BoxGrid, _triangle_areas, ragged
+from .geometry import BoxGrid, _triangle_areas, first_minima, ragged
 
 VIS_CLAMP = 0.3   # mm, error map colour scale end
 EXPORT_BLOCK = 4096   # rows formatted per template in the error map exports
 GRID_CELL = 0.6       # mm, cell of the error map's track grid
-CHUNK = 1024          # samples per nearest-track pass
-BLOCK = 4096          # sample-track pairs per distance evaluation
 
 
 class EvaluationError(Exception):
@@ -38,8 +36,7 @@ def estimate_print_time(program):
               if isinstance(ev, (Toolpath, Move))]
     paths = [ev.vertices for ev in events if isinstance(ev, Toolpath)]
     rows = np.concatenate(paths + [np.empty((0, VERTEX_COLUMNS))])
-    inner = np.ones(len(rows), dtype=bool)      # rows after a path's first
-    inner[np.cumsum([0] + [len(v) for v in paths])[:-1]] = False
+    inner = ragged([len(v) for v in paths])[1] > 0   # rows after a path's first
     feeds = rows[inner, F]
     if not feeds.all():
         raise EvaluationError("move with zero or unset feedrate")
@@ -124,9 +121,9 @@ class _TrackGrid:
     def nearest_distances(self, points):
         """Distance from each point to its nearest track. Each pass pairs
         every undecided point with the tracks binned in the ring of cells
-        one step further out around its cell, a chunk of points at a time;
-        a point is decided once no unseen track can be closer. Cells count
-        from the grid's origin."""
+        one step further out around its cell, and keeps the nearest
+        (`first_minima`); a point is decided once no unseen track can be
+        closer. Cells count from the grid's origin."""
         px, py, pz = points.T
         best = np.full(len(points), math.inf)
         g = self.grid
@@ -140,28 +137,28 @@ class _TrackGrid:
         bx, by = x0 + cx * GRID_CELL, y0 + cy * GRID_CELL
         border = np.maximum(np.min([px - bx, bx + GRID_CELL - px,
                                     py - by, by + GRID_CELL - py], axis=0), 0.0)
+        # a ring's pairs are counted without listing its cells, which only
+        # the rows of a block do
+        binned = np.zeros((g.nx + 1, g.ny + 1), np.int64)
+        binned[1:, 1:] = np.diff(g.offsets).reshape(g.nx, g.ny).cumsum(0).cumsum(1)
         todo = np.arange(len(points))
         ring = 0
         while todo.size:
             dx, dy = _ring_offsets(ring)
-            for a in range(0, todo.size, CHUNK):
-                chunk = todo[a:a + CHUNK]
-                ix = (cx[chunk, None] + dx).ravel()
-                iy = (cy[chunk, None] + dy).ravel()
+            count = (_square_pairs(binned, cx[todo], cy[todo], ring)
+                     - _square_pairs(binned, cx[todo], cy[todo], ring - 1))
+
+            def pair_values(rows):
+                at = todo[rows]
+                ix, iy = cx[at, None] + dx, cy[at, None] + dy
                 inside = (ix >= 0) & (ix < g.nx) & (iy >= 0) & (iy < g.ny)
-                count, track = g.cell_items((ix * g.ny + iy)[inside])
-                # (point, track) pairs, point-major
-                point = np.repeat(np.repeat(chunk, len(dx))[inside], count)
-                if not point.size:
-                    continue
-                d = np.empty(point.size)
-                for b in range(0, point.size, BLOCK):
-                    p = point[b:b + BLOCK]
-                    d[b:b + BLOCK] = self._distances(px[p], py[p], pz[p],
-                                                     track[b:b + BLOCK])
-                first = np.flatnonzero(np.diff(point, prepend=-1))
-                seen = point[first]
-                best[seen] = np.minimum(best[seen], np.minimum.reduceat(d, first))
+                _, track = g.cell_items((ix * g.ny + iy)[inside])
+                p = np.repeat(at, count[rows])
+                return (self._distances(px[p], py[p], pz[p], track),)
+
+            hit, (d,) = first_minima(count, pair_values)
+            seen = todo[hit]
+            best[seen] = np.minimum(best[seen], d[hit])
             done = ((best[todo] <= border[todo] + (ring * GRID_CELL + self.inset))
                     | (max_ring[todo] <= ring))
             todo = todo[~done]
@@ -186,6 +183,15 @@ class _TrackGrid:
         dx = px - (x1 + ux * s_star + (-uy) * t_star)
         dy = py - (y1 + uy * s_star + ux * t_star)
         return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def _square_pairs(binned, cx, cy, ring):
+    """Tracks binned in the in-grid cells of rings 0..ring around the cells
+    (cx, cy), none for ring -1; binned[i, j] sums the cells [0, i) x [0, j)."""
+    nx, ny = binned.shape[0] - 1, binned.shape[1] - 1
+    lx, ly = np.clip(cx - ring, 0, nx), np.clip(cy - ring, 0, ny)
+    hx, hy = np.clip(cx + ring + 1, lx, nx), np.clip(cy + ring + 1, ly, ny)
+    return binned[hx, hy] - binned[lx, hy] - binned[hx, ly] + binned[lx, ly]
 
 
 def _ring_offsets(ring):

@@ -243,19 +243,15 @@ _MOVE_RE = re.compile("G([01])" + "".join(
     f"(?: {letter}({_SHORT_NUMBER.format(digits)}))?"
     for letter, digits in zip("XYZEF", (5, 5, 5, 15, 15))))
 _CMD_RE = re.compile(r"^([GMgm])\s*([0-9]+)")
+# a layer line, after a newline: nothing but a comment starting ;LAYER:, in
+# any case. The literal newline lets a search skip to the next line start
+_LAYER_LINE_RE = re.compile(r"\n\s*;LAYER:", re.IGNORECASE)
 
 # commands the parser interprets; everything else passes through verbatim
 _INTERPRETED = {
     ("G", 0.0), ("G", 1.0), ("G", 2.0), ("G", 3.0), ("G", 20.0),
     ("G", 90.0), ("G", 91.0), ("G", 92.0), ("M", 82.0), ("M", 83.0),
 }
-
-
-def _split_comment(line):
-    i = line.find(";")
-    if i < 0:
-        return line, None
-    return line[:i], line[i:]
 
 
 def _command_of(code):
@@ -299,7 +295,7 @@ class _Parser:
         self.layer = None
         self.path = None
         self.rows = None        # vertex rows of the open path
-        self.layer_comments = ";LAYER:" in text
+        self.layer_lines = _LAYER_LINE_RE.search("\n" + text) is not None
         self.travel_z = None     # z last set by a travel move
 
     def close_path(self):
@@ -309,7 +305,7 @@ class _Parser:
                 self.path.vertices = np.array(rows)
             else:
                 # a lone vertex is not a path
-                self.layer.events.remove(self.path)
+                self.layer.events.pop()     # the open path is the last event
         self.path = None
         self.rows = None
 
@@ -343,10 +339,9 @@ class _Parser:
         return self.program
 
     def line(self, lineno, raw):
-        code, comment = _split_comment(raw)
-        stripped = code.strip()
+        stripped = raw.partition(";")[0].strip()
         if not stripped:
-            if comment is not None and comment.upper().startswith(";LAYER:"):
+            if _LAYER_LINE_RE.match("\n" + raw):
                 # the comment and everything after belong to the new layer
                 self.close_path()
                 self.layer = Layer(base_z=None)
@@ -394,18 +389,15 @@ class _Parser:
             else:
                 self.add_event(RawLine(raw))
             return
-        if letter == "G" and number in (0.0, 1.0):
-            if self.xyz_relative:
-                if "E" in words and ("X" in words or "Y" in words):
-                    raise GcodeParseError(
-                        "extruding XY move in relative coordinate mode", lineno)
-                self.add_event(RawLine(raw))
-                return
-            self.move(*map(words.get, "XYZEF"), rapid=(number == 0.0),
-                      lineno=lineno)
+        # G0/G1, the one interpreted command left
+        if self.xyz_relative:
+            if "E" in words and ("X" in words or "Y" in words):
+                raise GcodeParseError(
+                    "extruding XY move in relative coordinate mode", lineno)
+            self.add_event(RawLine(raw))
             return
-        # any other command: preserved verbatim, breaks the current path
-        self.add_event(RawLine(raw))
+        self.move(*map(words.get, "XYZEF"), rapid=(number == 0.0),
+                  lineno=lineno)
 
     def move(self, x, y, z, e, f, rapid, lineno):
         """One G0/G1 move; each word value is None when the line lacks it."""
@@ -437,15 +429,13 @@ class _Parser:
             if self.x is None or self.y is None:
                 raise GcodeParseError(
                     "extruding move with unknown start position", lineno)
-            if self.layer is not None and self.layer.base_z is None:
+            if self._starts_new_layer():
+                self.close_path()
+                self.layer = Layer(base_z=None)
+                self.program.layers.append(self.layer)
+            if self.layer.base_z is None:
                 self._warn_below(new_z, lineno, self.program.layers[:-1])
                 self.layer.base_z = new_z
-                self.travel_z = None
-            elif self._starts_new_layer(new_z):
-                self._warn_below(new_z, lineno, self.program.layers)
-                self.close_path()
-                self.layer = Layer(base_z=new_z)
-                self.program.layers.append(self.layer)
                 self.travel_z = None
             if self.path is None:
                 self.path = Toolpath(vertices=())
@@ -474,15 +464,15 @@ class _Parser:
             self.program.warnings.append(f"line {lineno}: deposition z "
                                          f"decreased ({prev_z:.5f} -> {z:.5f})")
 
-    def _starts_new_layer(self, z):
+    def _starts_new_layer(self):
         """Layer split rule: the first deposition, or (in files without
-        ;LAYER: comments) a travel that established a different z.
+        ;LAYER: lines) a travel that established a different z.
         Deposition-only z variation, as in anti-aliased output, never
         splits a layer."""
         if self.layer is None:
             return True
-        if self.layer_comments:
-            return False      # only ;LAYER: comments split
+        if self.layer_lines:
+            return False      # only ;LAYER: lines split
         return (self.travel_z is not None
                 and abs(self.travel_z - self.layer.base_z) > 1e-9)
 
@@ -574,7 +564,7 @@ class _Emitter:
         x, y, z = verts[0, :3].tolist()
         if (self.x is None or self.y is None
                 or math.dist((self.x, self.y), (x, y)) > DUPLICATE_TOL
-                or self.z is None or abs((self.z or 0) - z) > DUPLICATE_TOL):
+                or self.z is None or abs(self.z - z) > DUPLICATE_TOL):
             # re-position without extruding (covers reordered paths)
             self.move(Move(x, y, z))
         if len(verts) < 2:

@@ -339,7 +339,8 @@ def first_minima(count, pair_values):
     most PAIR_BLOCK pairs (a row with more forms one block on its own).
     Returns (hit, values): a row has no hit when it has no pairs or its
     minimum key is not finite (a NaN key is its row's minimum); `values`
-    hold each array's value at a hit row's first minimum, 0 elsewhere."""
+    hold a hit row's least key, then each other array's value at its first
+    minimum (located only for those), 0 elsewhere."""
     count = np.asarray(count, dtype=np.int64)
     rows = np.flatnonzero(count)
     hit = np.zeros(len(count), dtype=bool)
@@ -360,14 +361,16 @@ def first_minima(count, pair_values):
         key = values[0]
         starts = through[r0:r1] - count[r0:r1] - base   # each row's first pair
         low = np.minimum.reduceat(key, starts)
-        at_min = key == np.repeat(low, count[r0:r1])
-        best = np.minimum.reduceat(np.where(at_min, np.arange(len(key)),
-                                            len(key)), starts)
         got = np.isfinite(low)
         sel = rows[r0:r1][got]
         hit[sel] = True
-        for o, v in zip(out, values):
-            o[sel] = v[best[got]]
+        out[0][sel] = low[got]
+        if len(values) > 1:
+            at_min = key == np.repeat(low, count[r0:r1])
+            best = np.minimum.reduceat(np.where(at_min, np.arange(len(key)),
+                                                len(key)), starts)
+            for o, v in zip(out[1:], values[1:]):
+                o[sel] = v[best[got]]
         r0 = r1
     # with no pairs at all, a call on no rows gives the values' dtypes
     return hit, out or zeros(pair_values(rows))

@@ -687,12 +687,14 @@ def test_sweep_zero_at_s0_and_monotone():
 
 
 def test_sweep_does_not_mutate_input():
+    # the sweep shares the parsed arrays: every byte of all six columns
+    # must come back as it was
     env = WedgeEnv(cross=True)
-    before = [v for layer in env.program.layers
-              for tp in layer.toolpaths() for v in tp.vertices[:, :4].tolist()]
+    before = [tp.vertices.tobytes() for layer in env.program.layers
+              for tp in layer.toolpaths()]
     sweep_slicing_plane(env.program, env.index, env.profile, [0.3])
-    after = [v for layer in env.program.layers
-             for tp in layer.toolpaths() for v in tp.vertices[:, :4].tolist()]
+    after = [tp.vertices.tobytes() for layer in env.program.layers
+             for tp in layer.toolpaths()]
     assert before == after
 
 

@@ -17,6 +17,7 @@ from toolpath_aa.files import replace_atomically
 from toolpath_aa.gcode import (DELTA, E, X, Y, Z, Layer, Move,
                                PrinterProfile, PrintProgram, Toolpath,
                                parse_gcode)
+from toolpath_aa.geometry import PAIR_BLOCK
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 from fixtures import critical_angle, dome_fixture, wedge_fixture
 from scenes import flat_box_fixture, flat_box_mesh
@@ -320,6 +321,40 @@ def test_track_grid_matches_all_pairs_at_full_density(scene, tracks_kept):
     want = nearest_all_pairs(grid, points)
     assert len(points) > 25000
     assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def test_track_grid_evaluates_at_most_a_block_of_pairs(monkeypatch):
+    # the ring passes bound their temporaries as the ray cast and the
+    # polyline queries do: each kernel call takes at most PAIR_BLOCK pairs,
+    # or the pairs of one sample that has more candidates than that
+    calls = []
+    kernel = _TrackGrid._distances
+
+    def spy(self, px, py, pz, k):
+        samples = np.unique(np.column_stack([px, py, pz]), axis=0)
+        calls.append((len(k), len(samples)))
+        return kernel(self, px, py, pz, k)
+
+    monkeypatch.setattr(_TrackGrid, "_distances", spy)
+    tracks, points = scene_tracks_and_samples("dome")
+    _TrackGrid(tracks).nearest_distances(points)
+    assert len(calls) > 1 and sum(n for n, _ in calls) > PAIR_BLOCK
+    assert all(n <= PAIR_BLOCK for n, _ in calls)
+    # a stack of short tracks over one spot: a sample above it has more
+    # candidates than a block holds
+    n = PAIR_BLOCK + 100
+    z = np.linspace(0.2, 8.0, n)
+    stack = np.column_stack([np.full(n, 1.0), np.zeros(n), np.full(n, 1.1),
+                             np.zeros(n), z, z, z - 0.2, z - 0.2, np.full(n, 0.4)])
+    far = np.array([[3.0, 3.0, 3.5, 3.0, 0.2, 0.2, 0.0, 0.0, 0.4]])
+    grid = _TrackGrid(np.vstack([stack, far]))
+    points = np.array([[1.05, 0.05, 9.0], [3.2, 3.1, 1.0], [1.02, -0.1, 4.33]])
+    calls.clear()
+    got = grid.nearest_distances(points)
+    assert max(n for n, _ in calls) > PAIR_BLOCK
+    assert all(n <= PAIR_BLOCK or samples == 1 for n, samples in calls)
+    assert np.array_equal(got.view(np.uint8),
+                          nearest_all_pairs(grid, points).view(np.uint8))
 
 
 def test_error_map_requires_tracks():

@@ -62,6 +62,27 @@ def test_layer_comment_splits():
     assert len(prog.layers) == 2
 
 
+def test_a_layer_line_is_a_whole_comment_line_in_any_case():
+    # one rule decides both whether ;LAYER: lines split the file and where
+    # they do: a line holding nothing but a comment that starts ;LAYER:,
+    # matched in any case. ;LAYER: text inside another line leaves the
+    # file split by Z
+    mid_line = ("M117 printing ;LAYER: count 2\n"
+                "G0 X0 Y0 Z0.6\nG1 X10 Y0 E0.5 F1200\n"
+                "G0 X0 Y0 Z1.2\nG1 X10 Y0 E1.0\n")
+    assert [l.base_z for l in parse_gcode(mid_line).layers] == [0.6, 1.2]
+    # a hop whose return Z rides on the extruding move splits no layer
+    # once layer lines split the file, whatever their case
+    hop = ("{}:0\nG0 X0 Y0 Z0.3\nG1 X10 Y0 E1 F1200\n"
+           "G0 Z0.7\nG0 X0 Y5\nG1 X10 Y5 Z0.3 E2\n"
+           "{}:1\nG0 X0 Y0 Z0.6\nG1 X10 Y0 E3\n"
+           "G0 Z1.0\nG0 X0 Y5\nG1 X10 Y5 Z0.6 E4\n")
+    for spelling in (";LAYER", ";layer", "  ;Layer"):
+        program = parse_gcode(hop.format(spelling, spelling))
+        assert [l.base_z for l in program.layers] == [0.3, 0.6]
+        assert [len(l.toolpaths()) for l in program.layers] == [2, 2]
+
+
 def test_closed_square_five_vertices():
     text = (
         "G0 X0 Y0 Z0.6\n"
