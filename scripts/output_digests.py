@@ -3,7 +3,7 @@ both seam modes: the G-code, and the report with its timings removed
 (`timings_s` and the ordering layers' `*_s` stage times). Two checkouts
 that print the same lines give the same outputs.
 
-    python scripts/output_digests.py [wedge|hatch|dome|wedge40x20|loops|retracts|hops ...]
+    python scripts/output_digests.py [wedge|hatch|dome|wedge40x20|loops|retracts|hops|emap ...]
 
 With no names, every input runs. The 40x20 wedge takes several seconds
 per seam mode. `loops` is the nested closed loops of the tests over the
@@ -11,12 +11,16 @@ per seam mode. `loops` is the nested closed loops of the tests over the
 20x10 wedge with a wipe-retract before each travel and a prime after it,
 the one input with retractions. `hops` is the cross-hatched 20x10 wedge
 with a Z hop opening each layer after the first, the one input whose
-layers start with a move above their deposition height."""
+layers start with a move above their deposition height. `emap` runs the
+dome without ordering and with an error map, once with a CSV and once with
+a PLY, written into a temporary directory, and prints their digests and
+the timing-free report's."""
 
 import hashlib
 import json
 import os
 import sys
+import tempfile
 
 for folder in ("src", "tests"):
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", folder))
@@ -36,23 +40,51 @@ INPUTS = {
 }
 
 
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def report_digest(report):
+    """Digest of the report without its timings."""
+    del report["timings_s"]
+    for layer in report.get("ordering", {}).get("layers", []):
+        for key in [k for k in layer if k.endswith("_s")]:
+            del layer[key]
+    return sha256(json.dumps(report, indent=2, sort_keys=True).encode())
+
+
 def digests(mesh, gcode, weighted):
     """(G-code digest, timing-free report digest, total expansions)."""
     _, report, text = run_pipeline(PipelineConfig(weighted_seams=weighted),
                                    gcode_text=gcode, mesh=mesh)
-    del report["timings_s"]
     layers = report["ordering"]["layers"]
-    for layer in layers:
-        for key in [k for k in layer if k.endswith("_s")]:
-            del layer[key]
-    body = json.dumps(report, indent=2, sort_keys=True)
-    return (hashlib.sha256(text.encode()).hexdigest(),
-            hashlib.sha256(body.encode()).hexdigest(),
+    return (sha256(text.encode()), report_digest(report),
             sum(layer.get("expansions", 0) for layer in layers))
 
 
+def error_map_digests(folder):
+    """(CSV digest, PLY digest, timing-free report digest) of the dome's
+    error map, the files written into `folder`."""
+    mesh, gcode = fixtures.dome_fixture()
+    files = []
+    for suffix in ("csv", "ply"):
+        path = os.path.join(folder, f"map.{suffix}")
+        _, report, _ = run_pipeline(
+            PipelineConfig(ordering_enabled=False, error_map_path=path),
+            gcode_text=gcode, mesh=mesh)
+        with open(path, "rb") as fh:
+            files.append(sha256(fh.read()))
+    return (*files, report_digest(report))
+
+
 def main(names):
-    for name in names or INPUTS:
+    for name in names or [*INPUTS, "emap"]:
+        if name == "emap":
+            with tempfile.TemporaryDirectory() as folder:
+                csv_sha, ply_sha, report_sha = error_map_digests(folder)
+            print(f"{name:<10} {'plain':<8} csv {csv_sha}  ply {ply_sha}  "
+                  f"report {report_sha}")
+            continue
         mesh, gcode = INPUTS[name]()
         for weighted in (False, True):
             gcode_sha, report_sha, expansions = digests(mesh, gcode, weighted)

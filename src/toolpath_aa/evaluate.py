@@ -3,6 +3,7 @@ constant-feedrate print time estimates."""
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -11,10 +12,11 @@ import numpy as np
 
 from .gcode import (DELTA, VERTEX_COLUMNS, F, Move, Toolpath, X, Y, Z,
                     deposition_segments, fold_sum)
-from .geometry import BoxGrid, _triangle_areas, first_minima, ragged
+from .geometry import (BoxGrid, _triangle_areas, first_minima, ragged,
+                       row_blocks)
 
 VIS_CLAMP = 0.3   # mm, error map colour scale end
-EXPORT_BLOCK = 4096   # rows formatted per template in the error map exports
+SAMPLE_BLOCK = 8192   # error map samples drawn, measured and exported at once
 GRID_CELL = 0.6       # mm, cell of the error map's track grid
 
 
@@ -92,9 +94,9 @@ def tracks_from_program(program, profile):
 class _TrackGrid:
     """Tracks binned in a `BoxGrid` of GRID_CELL cells by their XY box padded
     by a track width, with the per-track terms of the point-to-box distance
-    held as arrays. The scalar reference, `track_distance` in
-    tests/test_evaluate.py, takes one track row and the same operations in
-    the same order."""
+    held as arrays, and a summed-area table of the per-cell track counts.
+    The scalar reference, `track_distance` in tests/test_evaluate.py, takes
+    one track row and the same operations in the same order."""
 
     def __init__(self, tracks):
         self.x1, self.y1, x2, y2, self.top1, top2, self.bot1, bot2, width = tracks.T
@@ -117,13 +119,21 @@ class _TrackGrid:
         self.grid = BoxGrid(np.minimum(tracks[:, 0:2], tracks[:, 2:4]) - pad,
                             np.maximum(tracks[:, 0:2], tracks[:, 2:4]) + pad,
                             GRID_CELL)
+        # binned[i, j] counts the tracks binned in the cells [0, i) x [0, j),
+        # so a ring's pairs are counted without listing its cells, which only
+        # the rows of a block do
+        g = self.grid
+        self.binned = np.zeros((g.nx + 1, g.ny + 1), np.int64)
+        self.binned[1:, 1:] = (np.diff(g.offsets).reshape(g.nx, g.ny)
+                               .cumsum(0).cumsum(1))
 
     def nearest_distances(self, points):
         """Distance from each point to its nearest track. Each pass pairs
         every undecided point with the tracks binned in the ring of cells
         one step further out around its cell, and keeps the nearest
         (`first_minima`); a point is decided once no unseen track can be
-        closer. Cells count from the grid's origin."""
+        closer. Cells count from the grid's origin. A point's distance does
+        not depend on the other points of the call."""
         px, py, pz = points.T
         best = np.full(len(points), math.inf)
         g = self.grid
@@ -137,10 +147,7 @@ class _TrackGrid:
         bx, by = x0 + cx * GRID_CELL, y0 + cy * GRID_CELL
         border = np.maximum(np.min([px - bx, bx + GRID_CELL - px,
                                     py - by, by + GRID_CELL - py], axis=0), 0.0)
-        # a ring's pairs are counted without listing its cells, which only
-        # the rows of a block do
-        binned = np.zeros((g.nx + 1, g.ny + 1), np.int64)
-        binned[1:, 1:] = np.diff(g.offsets).reshape(g.nx, g.ny).cumsum(0).cumsum(1)
+        binned = self.binned
         todo = np.arange(len(points))
         ring = 0
         while todo.size:
@@ -230,13 +237,16 @@ class ErrorMap:
 
     def write_csv(self, f):
         f.write("x,y,z,distance_mm\n")
-        _write_rows(f, "%.5f,%.5f,%.5f,%.6f\n", self.points, self.distances)
+        _write_rows(f, "%.5f,%.5f,%.5f,%.6f\n", len(self.points),
+                    lambda s: (self.points[s], self.distances[s]))
 
     def write_ply(self, f):
         """Point cloud with a linear blue (0.0) to red (0.3 mm) ramp."""
-        t = np.clip(self.distances / VIS_CLAMP, 0.0, 1.0)
-        red = (t * 255).astype(np.uint8)
-        blue = ((1.0 - t) * 255).astype(np.uint8)
+        def columns(s):
+            t = np.clip(self.distances[s] / VIS_CLAMP, 0.0, 1.0)
+            return (self.points[s], (t * 255).astype(np.uint8),
+                    ((1.0 - t) * 255).astype(np.uint8))
+
         f.write("ply\nformat ascii 1.0\n")
         f.write(f"comment colormap linear blue->red over 0.0..{VIS_CLAMP} mm\n")
         f.write(f"comment seed {self.seed} density {self.samples_per_mm2}\n")
@@ -244,7 +254,7 @@ class ErrorMap:
         f.write("property float x\nproperty float y\nproperty float z\n")
         f.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
         f.write("end_header\n")
-        _write_rows(f, "%.5f %.5f %.5f %d 0 %d\n", self.points, red, blue)
+        _write_rows(f, "%.5f %.5f %.5f %d 0 %d\n", len(self.points), columns)
 
 
 def _percentiles(values, percents):
@@ -264,12 +274,13 @@ def _percentiles(values, percents):
     return out
 
 
-def _write_rows(f, row_format, *columns):
-    """Write one `row_format` line per row of the columns side by side,
-    formatting each block of EXPORT_BLOCK rows with one %-template. The
-    block is stacked as floats; `%d` prints a whole one as an integer."""
-    for a in range(0, len(columns[0]), EXPORT_BLOCK):
-        block = np.column_stack([c[a:a + EXPORT_BLOCK] for c in columns])
+def _write_rows(f, row_format, n, columns):
+    """Write one `row_format` line for each of n rows, SAMPLE_BLOCK rows
+    at a time: columns(s) gives the column arrays of the rows in slice s,
+    stacked side by side as floats and formatted with one %-template per
+    block (`%d` prints a whole float as an integer)."""
+    for a in range(0, n, SAMPLE_BLOCK):
+        block = np.column_stack(columns(slice(a, a + SAMPLE_BLOCK)))
         f.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
@@ -279,32 +290,84 @@ def sample_mesh_surface(mesh, samples_per_mm2=50.0, seed=0):
     Triangle i with n_i samples takes the next 2 * n_i values of one
     random stream: n_i for r1, then n_i for r2.
     """
-    rng = np.random.default_rng(seed)
-    a = mesh.vertices[mesh.triangles[:, 0]]
-    b = mesh.vertices[mesh.triangles[:, 1]]
-    c = mesh.vertices[mesh.triangles[:, 2]]
-    areas = _triangle_areas(mesh.vertices, mesh.triangles)
-    counts = np.maximum(1, np.round(areas * samples_per_mm2)).astype(int)
-    tri, k = ragged(counts)
-    before = np.cumsum(counts) - counts       # samples of earlier triangles
-    # triangle i's draws start at 2 * before[i]: its sample k takes r1 from
-    # 2 * before[i] + k, and r2 n_i further on
-    r1_at = 2 * before[tri] + k
-    draws = rng.random(2 * int(counts.sum()))
-    r1 = draws[r1_at]
-    r2 = draws[r1_at + counts[tri]]
-    flip = r1 + r2 > 1.0
-    r1[flip] = 1.0 - r1[flip]
-    r2[flip] = 1.0 - r2[flip]
-    pts = a[tri] + r1[:, None] * (b - a)[tri] + r2[:, None] * (c - a)[tri]
-    return pts, mesh.normals[tri]
+    points, normals, _ = _sample(mesh, samples_per_mm2, seed)
+    return points, normals
 
 
 def error_map(mesh, tracks, samples_per_mm2=50.0, seed=0):
     """Distance from surface samples to the nearest printed track."""
     if not len(tracks):
         raise EvaluationError("no printed tracks to evaluate")
-    points, normals = sample_mesh_surface(mesh, samples_per_mm2, seed)
-    dists = _TrackGrid(tracks).nearest_distances(points)
+    points, normals, dists = _sample(mesh, samples_per_mm2, seed,
+                                     _TrackGrid(tracks).nearest_distances)
     return ErrorMap(points=points, normals=normals, distances=dists,
                     samples_per_mm2=samples_per_mm2, seed=seed)
+
+
+def _sample(mesh, samples_per_mm2, seed, measure=None):
+    """(points, normals, distances) of `sample_mesh_surface`'s samples, the
+    distances by measure(points), or None without it. The outputs are
+    allocated first, then filled and measured a block of at most
+    SAMPLE_BLOCK samples at a time (`_fill`)."""
+    counts = np.maximum(1, np.round(_triangle_areas(mesh.vertices, mesh.triangles)
+                                    * samples_per_mm2)).astype(int)
+    n = int(counts.sum())
+    points, normals = np.empty((n, 3)), np.empty((n, 3))
+    dists = None if measure is None else np.empty(n)
+    for s in _fill(mesh, counts, np.random.default_rng(seed), points, normals):
+        if measure is not None:
+            dists[s] = measure(points[s])
+    return points, normals, dists
+
+
+def _fill(mesh, counts, rng, points, normals):
+    """Write the samples into points and normals block by block, yielding
+    each block's slice once it is written. Triangle i with n_i samples
+    takes the next 2 * n_i values of rng, n_i for r1, then n_i for r2;
+    successive calls continue the stream, so the blocks do not change the
+    samples. A block of whole triangles (`row_blocks`) draws its values
+    with one call. A triangle with more samples than a block is drawn a
+    block at a time, r1 from rng and r2 from a copy of it advanced by n_i,
+    which the blocks after it continue."""
+    a = 0
+    for t0, t1 in row_blocks(counts, SAMPLE_BLOCK):
+        n = int(counts[t0:t1].sum())
+        if n <= SAMPLE_BLOCK:
+            s = slice(a, a + n)
+            _place(mesh, t0, t1, *_block_draws(counts[t0:t1], rng),
+                   points[s], normals[s])
+            yield s
+            a += n
+            continue
+        second = copy.deepcopy(rng)
+        second.bit_generator.advance(n)
+        for k in range(0, n, SAMPLE_BLOCK):
+            m = min(SAMPLE_BLOCK, n - k)
+            s = slice(a, a + m)
+            _place(mesh, t0, t1, np.zeros(m, np.int64), rng.random(m),
+                   second.random(m), points[s], normals[s])
+            yield s
+            a += m
+        rng = second
+
+
+def _block_draws(count, rng):
+    """(triangle, r1, r2) over the samples of consecutive triangles holding
+    count[i] samples each, from one call on rng: triangle i's values start
+    at twice the samples of the triangles before it, its sample k takes r1
+    from there + k, and r2 count[i] further on."""
+    tri, k = ragged(count)
+    r1_at = 2 * (np.cumsum(count) - count)[tri] + k
+    draws = rng.random(2 * len(tri))
+    return tri, draws[r1_at], draws[r1_at + count[tri]]
+
+
+def _place(mesh, t0, t1, tri, r1, r2, points, normals):
+    """Write the samples (r1, r2) of triangles t0 + tri, tri < t1 - t0,
+    into points and normals."""
+    flip = r1 + r2 > 1.0
+    r1[flip] = 1.0 - r1[flip]
+    r2[flip] = 1.0 - r2[flip]
+    a, b, c = (mesh.vertices[mesh.triangles[t0:t1, j]] for j in range(3))
+    points[:] = a[tri] + r1[:, None] * (b - a)[tri] + r2[:, None] * (c - a)[tri]
+    normals[:] = mesh.normals[t0:t1][tri]

@@ -296,7 +296,7 @@ class _Parser:
         self.path = None
         self.rows = None        # vertex rows of the open path
         self.layer_lines = _LAYER_LINE_RE.search("\n" + text) is not None
-        self.travel_z = None     # z last set by a travel move
+        self.travelled = False   # a non-extruding move since the last deposition
 
     def close_path(self):
         if self.path is not None:
@@ -429,14 +429,14 @@ class _Parser:
             if self.x is None or self.y is None:
                 raise GcodeParseError(
                     "extruding move with unknown start position", lineno)
-            if self._starts_new_layer():
+            if self._starts_new_layer(new_z):
                 self.close_path()
                 self.layer = Layer(base_z=None)
                 self.program.layers.append(self.layer)
             if self.layer.base_z is None:
                 self._warn_below(new_z, lineno, self.program.layers[:-1])
                 self.layer.base_z = new_z
-                self.travel_z = None
+            self.travelled = False
             if self.path is None:
                 self.path = Toolpath(vertices=())
                 # the path starts where the travel left the nozzle
@@ -451,8 +451,7 @@ class _Parser:
         else:
             self.add_event(Move(x, y, z, None if e is None else e_delta,
                                 None if f is None else f / FEED_FACTOR, rapid))
-            if z is not None:
-                self.travel_z = z
+            self.travelled = True
         self.x, self.y, self.z = new_x, new_y, new_z
 
     def _warn_below(self, z, lineno, earlier):
@@ -464,17 +463,18 @@ class _Parser:
             self.program.warnings.append(f"line {lineno}: deposition z "
                                          f"decreased ({prev_z:.5f} -> {z:.5f})")
 
-    def _starts_new_layer(self):
+    def _starts_new_layer(self, z):
         """Layer split rule: the first deposition, or (in files without
-        ;LAYER: lines) a travel that established a different z.
-        Deposition-only z variation, as in anti-aliased output, never
-        splits a layer."""
+        ;LAYER: lines) a deposition that follows a non-extruding move and
+        ends at a z other than the layer's base_z. The deposition's own z
+        decides, so a Z hop that returns on the extruding move opens no
+        layer, and z variation within a run of depositions, as in
+        anti-aliased output, never splits one."""
         if self.layer is None:
             return True
         if self.layer_lines:
             return False      # only ;LAYER: lines split
-        return (self.travel_z is not None
-                and abs(self.travel_z - self.layer.base_z) > 1e-9)
+        return self.travelled and abs(z - self.layer.base_z) > 1e-9
 
     def _split_epilogue(self):
         """Trailing non-deposition events of the last layer become epilogue."""

@@ -216,6 +216,19 @@ def ragged(count):
     return owner, np.arange(len(owner)) - np.repeat(start, count)
 
 
+def row_blocks(count, size):
+    """(r0, r1) bounds of consecutive blocks of whole rows, row r holding
+    count[r] items: each block takes as many rows as hold at most `size`
+    items together, and a row with more forms a block of its own."""
+    through = np.cumsum(count)
+    r0 = 0
+    while r0 < len(through):
+        base = through[r0] - count[r0]
+        r1 = max(r0 + 1, int(np.searchsorted(through, base + size, side="right")))
+        yield r0, r1
+        r0 = r1
+
+
 class BoxGrid:
     """Uniform XY grid binning axis-aligned boxes, given as (n, 2) arrays
     of lower and upper corners, by the cells they cover.
@@ -336,7 +349,7 @@ def first_minima(count, pair_values):
     them in order would pick it. Row r has count[r] pairs; pair_values(rows)
     returns arrays over the pairs of those rows, row by row, the first of
     them the key. The pairs are evaluated in blocks of whole rows and at
-    most PAIR_BLOCK pairs (a row with more forms one block on its own).
+    most PAIR_BLOCK pairs (`row_blocks`).
     Returns (hit, values): a row has no hit when it has no pairs or its
     minimum key is not finite (a NaN key is its row's minimum); `values`
     hold a hit row's least key, then each other array's value at its first
@@ -350,28 +363,23 @@ def first_minima(count, pair_values):
         return [np.zeros(len(hit), dtype=v.dtype) for v in values]
 
     count = count[rows]
-    through = np.cumsum(count)
-    r0 = 0
-    while r0 < len(rows):
-        base = through[r0] - count[r0]
-        r1 = max(r0 + 1, int(np.searchsorted(through, base + PAIR_BLOCK,
-                                             side="right")))
+    for r0, r1 in row_blocks(count, PAIR_BLOCK):
+        block = count[r0:r1]
         values = pair_values(rows[r0:r1])
         out = out or zeros(values)
         key = values[0]
-        starts = through[r0:r1] - count[r0:r1] - base   # each row's first pair
+        starts = np.cumsum(block) - block    # each row's first pair
         low = np.minimum.reduceat(key, starts)
         got = np.isfinite(low)
         sel = rows[r0:r1][got]
         hit[sel] = True
         out[0][sel] = low[got]
         if len(values) > 1:
-            at_min = key == np.repeat(low, count[r0:r1])
+            at_min = key == np.repeat(low, block)
             best = np.minimum.reduceat(np.where(at_min, np.arange(len(key)),
                                                 len(key)), starts)
             for o, v in zip(out[1:], values[1:]):
                 o[sel] = v[best[got]]
-        r0 = r1
     # with no pairs at all, a call on no rows gives the values' dtypes
     return hit, out or zeros(pair_values(rows))
 

@@ -3,21 +3,22 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from toolpath_aa import antialias
-from toolpath_aa.evaluate import (ErrorMap, EvaluationError, _percentiles,
-                                  _TrackGrid, error_map,
+from toolpath_aa.evaluate import (SAMPLE_BLOCK, ErrorMap, EvaluationError,
+                                  _percentiles, _TrackGrid, error_map,
                                   estimate_print_time, sample_mesh_surface,
                                   tracks_from_program)
 from toolpath_aa.files import replace_atomically
 from toolpath_aa.gcode import (DELTA, E, X, Y, Z, Layer, Move,
                                PrinterProfile, PrintProgram, Toolpath,
                                parse_gcode)
-from toolpath_aa.geometry import PAIR_BLOCK
+from toolpath_aa.geometry import PAIR_BLOCK, _triangle_areas, build_mesh
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 from fixtures import critical_angle, dome_fixture, wedge_fixture
 from scenes import flat_box_fixture, flat_box_mesh
@@ -395,12 +396,77 @@ def sample_per_triangle(mesh, samples_per_mm2, seed):
 
 @pytest.mark.parametrize("density", [0.01, 7.0, 50.0])
 def test_sampling_matches_per_triangle_loop_bitwise(density):
+    # at 50 samples per mm² the dome's samples fill several blocks, whose
+    # boundaries fall inside its triangle list; the second mesh adds a
+    # triangle with more samples than two blocks in the middle of that list
+    dome = dome_fixture()[0]
+    leg = math.sqrt(2.0 * (2 * SAMPLE_BLOCK + 100) / density)
+    m, half = len(dome.vertices), len(dome.triangles) // 2
+    big = build_mesh(np.vstack([dome.vertices, [[0.0, 0.0, -1.0], [leg, 0.0, -1.0],
+                                                [0.0, leg, -1.0]]]),
+                     np.vstack([dome.triangles[:half], [[m, m + 1, m + 2]],
+                                dome.triangles[half:]]))
+    assert round(_triangle_areas(big.vertices, big.triangles)[half]
+                 * density) > 2 * SAMPLE_BLOCK
+    if density == 50.0:
+        assert len(sample_mesh_surface(dome, density)[0]) > 3 * SAMPLE_BLOCK
+    for mesh in (dome, big):
+        p, n = sample_mesh_surface(mesh, density, seed=3)
+        p_ref, n_ref = sample_per_triangle(mesh, density, seed=3)
+        assert p.shape == p_ref.shape and n.shape == n_ref.shape
+        assert np.array_equal(p.view(np.uint8), p_ref.view(np.uint8))
+        assert np.array_equal(n.view(np.uint8), n_ref.view(np.uint8))
+
+
+def test_error_map_distances_match_one_call_over_all_samples(monkeypatch):
+    # the map measures its samples a block at a time; a sample's distance
+    # does not depend on the samples that share its call
+    calls = []
+    measure = _TrackGrid.nearest_distances
+
+    def spy(self, points):
+        calls.append(len(points))
+        return measure(self, points)
+
+    tracks, points = scene_tracks_and_samples("dome")
+    want = _TrackGrid(tracks).nearest_distances(points)
+    monkeypatch.setattr(_TrackGrid, "nearest_distances", spy)
+    em = error_map(dome_fixture()[0], tracks)
+    assert len(calls) > 3 and max(calls) <= SAMPLE_BLOCK
+    assert sum(calls) == len(points)
+    assert np.array_equal(em.points.view(np.uint8), points.view(np.uint8))
+    assert np.array_equal(em.distances.view(np.uint8), want.view(np.uint8))
+
+
+# float64 arrays over a block's samples that drawing a block allocates in
+# all, an xyz array counting three: 13 in `_block_draws` (4 in `ragged`, 3
+# for r1's places, 2 draws, r1, and 3 for r2) and 30 in `_place` (4 to flip
+# r1 and r2 and their test's 2, 7 xyz terms of the points, the normals);
+# one ring pass of `nearest_distances` holds fewer at once
+BLOCK_ARRAYS = 43
+
+
+def test_error_map_transient_memory_does_not_grow_with_the_samples():
+    # the transient is the traced peak of `error_map` less its outputs; at
+    # four times the density it may exceed the lower density's by at most
+    # one block's temporaries. Measured on the fixture dome, whose samples
+    # fill several blocks at 50 per mm²
+    tracks, _ = scene_tracks_and_samples("dome")
     mesh = dome_fixture()[0]
-    p, n = sample_mesh_surface(mesh, density, seed=3)
-    p_ref, n_ref = sample_per_triangle(mesh, density, seed=3)
-    assert p.shape == p_ref.shape and n.shape == n_ref.shape
-    assert np.array_equal(p.view(np.uint8), p_ref.view(np.uint8))
-    assert np.array_equal(n.view(np.uint8), n_ref.view(np.uint8))
+    error_map(mesh, tracks, samples_per_mm2=1.0)    # numpy.random's import
+
+    def transient(density):
+        tracemalloc.start()
+        try:
+            em = error_map(mesh, tracks, samples_per_mm2=density)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - (em.points.nbytes + em.normals.nbytes
+                       + em.distances.nbytes)
+
+    low, high = transient(50.0), transient(200.0)
+    assert high - low <= SAMPLE_BLOCK * BLOCK_ARRAYS * 8
 
 
 def test_exports(tmp_path):
@@ -484,9 +550,9 @@ PLY_ROWS = ("0.00000 -0.00000 0.60000 0 0 255\n"
             "7.00000 0.12500 0.30000 0 0 254\n")
 
 
-@pytest.mark.parametrize("repeats", [1, 1025])
+@pytest.mark.parametrize("repeats", [1, 1025, 2049])
 def test_export_text_is_pinned(tmp_path, repeats):
-    # 1,025 repeats make 4,100 rows, more than one block of formatted rows
+    # 2,049 repeats make 8,196 rows, more than one block of formatted rows
     em = ErrorMap(points=np.tile(FORMAT_POINTS, (repeats, 1)),
                   normals=np.tile([0.0, 0.0, 1.0], (4 * repeats, 1)),
                   distances=np.tile(FORMAT_DISTANCES, repeats),

@@ -83,6 +83,21 @@ def test_a_layer_line_is_a_whole_comment_line_in_any_case():
         assert [len(l.toolpaths()) for l in program.layers] == [2, 2]
 
 
+def test_z_hop_opens_no_layer_in_a_z_split_file():
+    # without layer lines, a layer opens at a deposition that follows a
+    # non-extruding move and ends off the layer's base_z: a hop whose
+    # return Z rides on the extruding move stays in its layer, and so
+    # does a z change within a run of depositions
+    hop = ("G0 X0 Y0 Z0.3\nG1 X10 Y0 E1 F1200\n"
+           "G0 Z0.7\nG0 X0 Y5\nG1 X10 Y5 Z0.3 E2\n"
+           "G0 X0 Y0 Z0.6\nG1 X10 Y0 E3\n"
+           "G0 Z1.0\nG0 X0 Y5\nG1 X10 Y5 Z0.6 E4\nG1 X10 Y9 Z0.8 E5\n")
+    program = parse_gcode(hop)
+    assert [l.base_z for l in program.layers] == [0.3, 0.6]
+    assert [len(l.toolpaths()) for l in program.layers] == [2, 2]
+    assert program.warnings == []
+
+
 def test_closed_square_five_vertices():
     text = (
         "G0 X0 Y0 Z0.6\n"

@@ -65,6 +65,23 @@ def test_output_digests_leave_out_the_timings(tmp_path):
     assert all(len(row[5]) == 64 for row in rows)
 
 
+def test_output_digests_cover_the_error_map(tmp_path):
+    # two runs agree, the CSV's digest is that of the map the pipeline
+    # writes, and the script leaves no file where it runs
+    out = run_script("output_digests.py", tmp_path, "emap")
+    assert run_script("output_digests.py", tmp_path, "emap") == out
+    assert not any(tmp_path.iterdir())
+    rows = [line.split() for line in out.splitlines()]
+    assert [row[:3] + row[4:5] + row[6:7] for row in rows] == [
+        ["emap", "plain", "csv", "ply", "report"]]
+    mesh, gcode = fixtures.dome_fixture()
+    path = tmp_path / "map.csv"
+    run_pipeline(PipelineConfig(ordering_enabled=False, error_map_path=str(path)),
+                 gcode_text=gcode, mesh=mesh)
+    assert rows[0][3] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert all(len(rows[0][i]) == 64 for i in (3, 5, 7))
+
+
 def load_tracejob():
     spec = importlib.util.spec_from_file_location("tracejob", TRACEJOB)
     tracejob = importlib.util.module_from_spec(spec)
