@@ -10,7 +10,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import BoxGrid, cast_vertical_batch, ragged, segment_param
+from .geometry import (BoxGrid, cast_vertical_batch, ragged, segment_param,
+                       signed_areas)
 from .gcode import (DELTA, E, F, VERTEX_COLUMNS, X, Y, Z, Layer, PrintProgram,
                     Toolpath, deposition_segments, fold_sum)
 
@@ -281,20 +282,6 @@ def _segment_rects(a, b, half_width):
             np.column_stack([a[:, Y] + ny, b[:, Y] + ny, b[:, Y] - ny, a[:, Y] - ny]))
 
 
-def _signed_areas(xs, ys, n):
-    """`signed_area` of each row's first n corners, its terms added in the
-    same order."""
-    j = np.arange(xs.shape[1])
-    nxt = np.where(j + 1 < n[:, None], j + 1, 0)
-    xn = np.take_along_axis(xs, nxt, axis=1)
-    yn = np.take_along_axis(ys, nxt, axis=1)
-    terms = np.where(j < n[:, None], xs * yn - xn * ys, 0.0)
-    area = np.zeros(len(xs))
-    for col in terms.T:
-        area = area + col
-    return area / 2.0
-
-
 def _clip_rects(xs, ys, cxs, cys):
     """Sutherland-Hodgman clipping of each row's subject quadrilateral
     (xs, ys) by its convex clip quadrilateral (cxs, cys), with the scalar
@@ -302,7 +289,7 @@ def _clip_rects(xs, ys, cxs, cys):
     and an edge crossing nearly parallel to the clip edge (|den| < 1e-30)
     yields its end vertex. Returns the clipped polygons as zero-padded
     (m, k) x and y arrays and each one's vertex count."""
-    clockwise = (_signed_areas(cxs, cys, np.full(len(cxs), 4)) < 0)[:, None]
+    clockwise = (signed_areas(cxs, cys, np.full(len(cxs), 4)) < 0)[:, None]
     cxs = np.where(clockwise, cxs[:, ::-1], cxs)
     cys = np.where(clockwise, cys[:, ::-1], cys)
     n = np.full(len(xs), 4)
@@ -386,7 +373,7 @@ def detect_overlaps(program, profile):
             np.concatenate(column) for column in zip(*found))
         xs, ys, n = _clip_rects(*_segment_rects(la, lb, half),
                                 *_segment_rects(ua, ub, half))
-        area = np.abs(_signed_areas(xs, ys, n))
+        area = np.abs(signed_areas(xs, ys, n))
         # sum over the polygon's vertices, in order, over its vertex count
         used = np.arange(xs.shape[1]) < n[:, None]
         cx = cy = np.zeros(len(xs))

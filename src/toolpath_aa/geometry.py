@@ -1,11 +1,11 @@
-"""Triangle mesh loading, the XY box grid, vertical ray casting, and
-batched XY distances between toolpath polylines.
+"""Triangle mesh loading, the XY box grid, vertical ray casting, and the
+XY nearest points between a layer's toolpath polylines.
 
 All coordinates are millimeters. The mesh is the reference surface that
 toolpath vertices are snapped towards; queries are always vertical lines,
 so the acceleration structure is a uniform 2D grid over the XY footprint
-of the triangles. The same box grid finds overlapping tracks, the tracks
-near a surface sample and the polylines near each other.
+of the triangles. The same box grid pairs overlapping tracks, tracks with
+surface samples, polyline vertices with near segments, and seam locations.
 """
 
 from __future__ import annotations
@@ -291,6 +291,17 @@ class BoxGrid:
         key = key[np.diff(key, prepend=-1) != 0]
         return np.divmod(key, max(self.size, 1))
 
+    def point_cells(self, xs, ys):
+        """(cell id, box count) of each point (xs, ys): 0 and 0 outside the
+        grid's extent, whose edges are inside."""
+        inside = np.flatnonzero((xs >= self.xy_min[0]) & (xs <= self.xy_max[0])
+                                & (ys >= self.xy_min[1]) & (ys <= self.xy_max[1]))
+        cell, count = np.zeros((2, len(xs)), dtype=np.int64)
+        ix, iy = self._cell_of(np.column_stack([xs[inside], ys[inside]])).T
+        cell[inside] = ix * self.ny + iy
+        count[inside] = np.diff(self.offsets)[cell[inside]]
+        return cell, count
+
     def cell_items(self, cells):
         """(box count per cell, the cells' box ids concatenated in order)."""
         first = self.offsets[cells]
@@ -394,13 +405,7 @@ def cast_vertical_batch(index, xs, ys, qzs):
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     qzs = np.asarray(qzs, dtype=np.float64)
-    cell_id = np.zeros(len(xs), dtype=np.int64)
-    count = np.zeros(len(xs), dtype=np.int64)
-    rays = np.flatnonzero((xs >= index.xy_min[0]) & (xs <= index.xy_max[0])
-                          & (ys >= index.xy_min[1]) & (ys <= index.xy_max[1]))
-    ix, iy = index._cell_of(np.column_stack([xs[rays], ys[rays]])).T
-    cell_id[rays] = ix * index.ny + iy
-    count[rays] = np.diff(index.offsets)[cell_id[rays]]
+    cell_id, count = index.point_cells(xs, ys)
 
     def pair_values(rays):
         c, cand = index.cell_items(cell_id[rays])
@@ -413,13 +418,13 @@ def cast_vertical_batch(index, xs, ys, qzs):
 
 
 # ---------------------------------------------------------------------------
-# XY polyline distances, batched
+# XY polyline distances
 #
 # Polylines are arrays whose first three columns are x, y, z, such as a
-# toolpath's vertex array. `nearest_points` is the numpy twin of the
-# scalar reference loops in the ordering tests (`_seg_point_dist2`,
+# toolpath's vertex array. `nearest_rows` is the numpy twin of the scalar
+# reference loops in the ordering tests (`_seg_point_dist2`,
 # `nearest_on_polyline_brute`): the same operations in the same order, so
-# it returns bitwise the same values.
+# every row it keeps has bitwise the same values.
 
 BOX_SLACK = 1e-6     # relative margin on eps before a box gap rules a pair out
 
@@ -434,65 +439,87 @@ def segment_param(px, py, ax, ay, dx, dy):
     return np.where(flat, 0.0, np.minimum(np.maximum(t, 0.0), 1.0))
 
 
-def nearest_points(points, lines):
-    """`nearest_on_polyline_brute` for every row of points[k] against the
-    polyline lines[k], job by job: (distance, z, endpoint flag) arrays over
-    all the jobs' rows in order. A row keeps its first nearest segment, as
-    the scalar strict `<` has it; against a polyline of one row it gets
-    (inf, 0, 0)."""
-    lengths = np.array([len(s) for s in lines], dtype=np.int64)
-    xy = np.concatenate([p[:, :2] for p in points] + [np.empty((0, 2))])
-    line = np.concatenate([s[:, :3] for s in lines] + [np.empty((0, 3))])
-    job, _ = ragged([len(p) for p in points])
-    first = (np.cumsum(lengths) - lengths)[job]  # each row's line, in `line`
-    count = np.maximum(lengths - 1, 0)[job]
-    ax, ay = line[:, 0], line[:, 1]
-    dx, dy = np.diff(ax), np.diff(ay)
+def nearest_rows(polylines, eps):
+    """`nearest_on_polyline_brute` of every row against every other polyline
+    that comes within eps of it: (row, line, dist, z, endpoint flag) arrays,
+    sorted by row, then line, with `row` numbering the rows of all the
+    polylines in order. A row meets only the segments whose XY box, grown
+    by eps, holds it, in ascending order, and keeps the first nearest
+    (`first_minima`): every segment at a minimum below eps is among them,
+    so each row kept equals the scalar loop's bitwise. Candidates are
+    listed for blocks of rows of at most PAIR_BLOCK pairs (`row_blocks`)."""
+    line, _ = ragged([len(p) for p in polylines])
+    x, y, z = np.concatenate([p[:, :3] for p in polylines]
+                             + [np.empty((0, 3))]).T.copy()
+    # edge[r]: a polyline starts at row r; edge[r + 1]: one ends at row r
+    edge = np.diff(line, prepend=-1, append=-1) != 0
+    a = np.flatnonzero(~edge[1:-1])        # each segment's first row
+    ax, ay, own = x[a], y[a], line[a]
+    dx, dy = x[a + 1] - ax, y[a + 1] - ay
+    reach = eps * (1.0 + BOX_SLACK)
+    lx, hx = np.minimum(ax, x[a + 1]) - reach, np.maximum(ax, x[a + 1]) + reach
+    ly, hy = np.minimum(ay, y[a + 1]) - reach, np.maximum(ay, y[a + 1]) + reach
+    grid = BoxGrid(np.column_stack([lx, ly]), np.column_stack([hx, hy]))
+    cells, count = grid.point_cells(x, y)
+    rows = np.flatnonzero(count)
+    found = [(np.empty(0, np.int64),) * 2 + (np.empty(0),) * 2]
+    for r0, r1 in row_blocks(count[rows], PAIR_BLOCK):
+        per_row, s = grid.cell_items(cells[rows[r0:r1]])
+        row = np.repeat(rows[r0:r1], per_row)
+        px, py = x[row], y[row]
+        near = ((own[s] != line[row]) & (lx[s] <= px) & (px <= hx[s])
+                & (ly[s] <= py) & (py <= hy[s]))
+        row, s = row[near], s[near]
+        # groups: the runs of a row's pairs with one other polyline
+        first = np.flatnonzero(np.diff(row * len(polylines) + own[s], prepend=-1))
+        size = np.diff(first, append=len(row))
 
-    def pair_values(rows):
-        c = count[rows]
-        px, py = np.repeat(xy[rows, 0], c), np.repeat(xy[rows, 1], c)
-        row, k = ragged(c)
-        a = first[rows][row] + k
-        sx, sy, sdx, sdy = ax[a], ay[a], dx[a], dy[a]
-        t = segment_param(px, py, sx, sy, sdx, sdy)
-        # a Python float's `** 2` is libm pow, which can differ from x * x
-        # in the last bit; float_power calls the same pow
-        d2 = (np.float_power(px - (sx + t * sdx), 2.0)
-              + np.float_power(py - (sy + t * sdy), 2.0))
-        return d2, t, a
+        def pair_values(groups):
+            g, k = ragged(size[groups])
+            p = first[groups][g] + k
+            px, py, seg = x[row[p]], y[row[p]], s[p]
+            sx, sy, sdx, sdy = ax[seg], ay[seg], dx[seg], dy[seg]
+            t = segment_param(px, py, sx, sy, sdx, sdy)
+            # a Python float's `** 2` is libm pow, which can differ from
+            # x * x in the last bit; float_power calls the same pow
+            d2 = (np.float_power(px - (sx + t * sdx), 2.0)
+                  + np.float_power(py - (sy + t * sdy), 2.0))
+            return d2, a[seg], t
 
-    hit, (d2, t, a) = first_minima(count, pair_values)
-    za, zb = line[a[hit], 2], line[a[hit] + 1, 2]
-    z = np.zeros(len(hit))
-    z[hit] = za + (zb - za) * t[hit]
-    seg = a - first
-    endpoint = np.where(hit & (seg == 0) & (t <= 0.0), -1,
-                        np.where(hit & (seg == count - 1) & (t >= 1.0), 1, 0))
-    return np.sqrt(np.where(hit, d2, math.inf)), z, endpoint
+        hit, (d2, b, t) = first_minima(size, pair_values)
+        dist = np.sqrt(d2)
+        kept = hit & (dist < eps)
+        found.append((row[first[kept]], b[kept], dist[kept], t[kept]))
+    row, b, dist, t = (np.concatenate(column) for column in zip(*found))
+    return (row, line[b], dist, z[b] + (z[b + 1] - z[b]) * t,
+            np.where(edge[b] & (t <= 0.0), -1,
+                     np.where(edge[b + 2] & (t >= 1.0), 1, 0)))
 
 
-def box_pairs(coords, eps):
-    """Index pairs i < j, in order, whose XY bounding boxes come within eps
-    on both axes: every pair of polylines closer than eps is among them."""
-    lo = np.array([c[:, :2].min(axis=0) for c in coords]).reshape(-1, 2)
-    hi = np.array([c[:, :2].max(axis=0) for c in coords]).reshape(-1, 2)
+def box_pairs(points, eps):
+    """Index pairs i < j, in order, of (n, 2+) points that lie within eps
+    of each other on both XY axes."""
+    xy = points[:, :2]
     reach = eps * (1.0 + BOX_SLACK)
     # boxes within reach of each other overlap, with room for rounding,
     # once both grow by reach
-    i, j = BoxGrid(lo - reach, hi + reach).pairs(lo - reach, hi + reach)
+    i, j = BoxGrid(xy - reach, xy + reach).pairs(xy - reach, xy + reach)
     i, j = i[i < j], j[i < j]
-    gap = np.maximum(lo[j] - hi[i], lo[i] - hi[j]).max(axis=1)
-    return list(zip(i[gap <= reach].tolist(), j[gap <= reach].tolist()))
+    near = np.abs(xy[j] - xy[i]).max(axis=1) <= reach
+    return list(zip(i[near].tolist(), j[near].tolist()))
 
 
-def signed_area(xy):
-    """Shoelace area of a polygon given as (x, y) pairs, positive when it
-    runs counter-clockwise."""
-    area = 0.0
-    n = len(xy)
-    for i in range(n):
-        x1, y1 = xy[i]
-        x2, y2 = xy[(i + 1) % n]
-        area += x1 * y2 - x2 * y1
+def signed_areas(xs, ys, n):
+    """Shoelace area of each row's polygon, its first n corners given as
+    (m, k) x and y arrays, positive when it runs counter-clockwise: the
+    terms are added from the first corner's on, as a scalar loop adds
+    them."""
+    j = np.arange(xs.shape[1])
+    nxt = np.where(j + 1 < n[:, None], j + 1, 0)
+    xn = np.take_along_axis(xs, nxt, axis=1)
+    yn = np.take_along_axis(ys, nxt, axis=1)
+    terms = np.where(j < n[:, None], xs * yn - xn * ys, 0.0)
+    area = np.zeros(len(xs))
+    for col in terms.T:
+        area = area + col
     return area / 2.0

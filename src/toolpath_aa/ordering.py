@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .gcode import E, Move, Toolpath, Z, fold_sum
-from .geometry import box_pairs, nearest_points, ragged, signed_area
+from .geometry import box_pairs, nearest_rows, ragged, signed_areas
 
 TIE_TOL = 1e-6          # mm, height ties below this create no constraint
 MATCH_TOL = 1e-6        # mm, two gap locations closer than this are the same
@@ -43,17 +43,28 @@ def interference_threshold(profile):
 def find_neighbors(paths, eps):
     """Index pairs i < j whose closest XY approach is below eps: some vertex
     of one path lies within eps of the other path's segments. Each maps to
-    its sides' rows, ((dist, z) of i's vertices against j, then j's against
-    i)."""
-    coords = [p.vertices for p in paths]
-    pairs = box_pairs(coords, eps)
-    jobs = [job for i, j in pairs for job in ((i, j), (j, i))]
-    dist, z, _ = nearest_points([coords[i] for i, _ in jobs],
-                                [coords[j] for _, j in jobs])
-    rows = np.cumsum([len(coords[i]) for i, _ in jobs], dtype=np.int64)[:-1]
-    sides = iter(zip(np.split(dist, rows), np.split(z, rows)))
-    return {pair: (a, b) for pair, a, b in zip(pairs, sides, sides)
-            if (a[0] < eps).any() or (b[0] < eps).any()}
+    its sides' rows within eps, (i's against j, then j's against i), as
+    (row, dz) pairs in row order, dz the row's z minus its nearest point's."""
+    src, dst, k, dz, _ = _pair_rows([p.vertices for p in paths], eps)
+    rows = list(zip(k.tolist(), dz.tolist()))
+    first = np.flatnonzero(np.diff(src * len(paths) + dst, prepend=-1)).tolist()
+    pairs = {}
+    for f, e, i, j in zip(first, first[1:] + [len(rows)], src[first].tolist(),
+                          dst[first].tolist()):
+        pairs.setdefault((min(i, j), max(i, j)), ([], []))[i > j].extend(rows[f:e])
+    return pairs
+
+
+def _pair_rows(polylines, eps):
+    """`nearest_rows` as (src, dst, k, dz, endpoint) arrays ordered by pair,
+    the lower index's rows first, then by row: k is the row's index in
+    polyline src, dz its z minus its nearest point's on dst."""
+    row, dst, _, z, endpoint = nearest_rows(polylines, eps)
+    src, k = (v[row] for v in ragged([len(p) for p in polylines]))
+    dz = np.concatenate([p[:, Z] for p in polylines] + [[]])[row] - z
+    # a stable sort keeps each side's rows in order
+    order = np.lexsort((src > dst, np.maximum(src, dst), np.minimum(src, dst)))
+    return src[order], dst[order], k[order], dz[order], endpoint[order]
 
 
 # ---------------------------------------------------------------------------
@@ -95,42 +106,23 @@ def _unique_cycle(path):
     return verts
 
 
-def _signals(verts, dist, z, eps):
-    """Per-vertex height sign against the nearest point of the neighbour,
-    given each vertex's distance to it and its z: +1/-1 strict, 0 tie,
-    None out of range."""
-    return [None if d >= eps else +1 if dz > TIE_TOL else -1 if dz < -TIE_TOL
-            else 0 for d, dz in zip(dist.tolist(), (verts[:, Z] - z).tolist())]
-
-
-def _cuts_from_signals(signals, closed):
-    """Vertex indices where the strict sign flips, carrying the previous
-    strict sign across ties and out-of-range stretches. The cut lands on
-    the first vertex of each new strict run."""
-    strict = [(i, s) for i, s in enumerate(signals) if s in (1, -1)]
-    if len(strict) < 2:
-        return set()
-    cuts = set()
-    prev_sign = strict[-1 if closed else 0][1]
-    for i, s in strict:
-        if s != prev_sign:
-            cuts.add(i)
-        prev_sign = s
-    return cuts
-
-
 def split_paths(paths, neighbors, eps):
     """Cut every path at the vertices where its height relation to some
     neighbour flips sign, so each resulting subpath is consistently
     above, below, or tied with each neighbour along its whole extent, as
-    `find_neighbors`' rows for the pair tell."""
+    `find_neighbors`' rows for the pair tell. A cut lands on the first row
+    of each new strict sign (|dz| above TIE_TOL); ties carry the sign
+    before them, and a closed path starts from its last strict sign."""
     cycles = [_unique_cycle(path) for path in paths]
     cuts = [set() for _ in paths]
     for pair, sides in neighbors.items():
-        for i, (dist, z) in zip(pair, sides):
-            n = len(cycles[i])      # a cycle's rows lead its path's
-            cuts[i] |= _cuts_from_signals(
-                _signals(cycles[i], dist[:n], z[:n], eps), paths[i].closed)
+        for i, rows in zip(pair, sides):
+            # a cycle's rows lead its path's
+            strict = [(row, dz > 0) for row, dz in rows
+                      if row < len(cycles[i]) and abs(dz) > TIE_TOL]
+            lead = strict[-1:] if paths[i].closed else strict[:1]
+            cuts[i] |= {row for (row, up), (_, was) in zip(strict, lead + strict)
+                        if up != was}
     return [sp for pid, path in enumerate(paths)
             for sp in _materialise(path, pid, cycles[pid], sorted(cuts[pid]))]
 
@@ -141,7 +133,7 @@ def _materialise(path, pid, cycle, cuts):
     at its first cut; uncut, it is one piece from vertex 0 round to 0."""
     n = len(cycle)
     closed = path.closed
-    ccw = not closed or signed_area(cycle[:, :2].tolist()) >= 0
+    ccw = not closed or signed_areas(*cycle[:, :2].T[:, None], np.array([n]))[0] >= 0
     bounds = [0] + cuts + [n - 1]
     if closed:
         first = cuts[0] if cuts else 0
@@ -166,30 +158,27 @@ def _materialise(path, pid, cycle, cuts):
 # ---------------------------------------------------------------------------
 # Height comparison and the constraint graph
 
-def compare_heights(pairs, eps):
+def compare_heights(subpaths, eps):
     """Mean signed height difference (a minus b) over the nearest-point
-    pairs within eps, for every subpath pair (a, b); None where there are
-    none. Pairs sourced at a cut vertex, or whose nearest point lands on
-    the other subpath's cut endpoint, are skipped: a shared cut vertex
-    belongs to two subpaths and would smear one pair's relation into the
-    other. Each mean adds its terms left to right, a's rows then b's."""
-    jobs = [job for sa, sb in pairs for job in ((sa, sb), (sb, sa))]
-    dist, z, endpoint = nearest_points([src.vertices for src, _ in jobs],
-                                       [dst.vertices for _, dst in jobs])
-    size = np.array([len(src) for src, _ in jobs], dtype=np.int64)
-    job, row = ragged(size)
-    cut = np.array([(src.first_is_cut, src.last_is_cut, dst.first_is_cut,
-                     dst.last_is_cut) for src, dst in jobs],
-                   dtype=bool).reshape(-1, 4)[job].T
-    keep = (~(cut[0] & (row == 0)) & ~(cut[1] & (row == size[job] - 1))
-            & (dist < eps) & ~(cut[2] & (endpoint == -1))
-            & ~(cut[3] & (endpoint == 1)))
-    vz = np.concatenate([src.vertices[:, Z] for src, _ in jobs] + [[]])
-    terms = (np.where(job % 2 == 0, 1.0, -1.0) * (vz - z))[keep].tolist()
-    count = np.bincount(job[keep] // 2, minlength=len(pairs)).tolist()
-    ends = np.cumsum(count, dtype=np.int64).tolist()
-    return [fold_sum(terms[e - c:e]) / c if c else None
-            for e, c in zip(ends, count)]
+    rows within eps, {(a, b): mean} for every subpath pair a < b of
+    distinct parents that has some, in pair order. Rows at a cut vertex,
+    or whose nearest point lands on the other subpath's cut endpoint, are
+    skipped: a shared cut vertex belongs to two subpaths and would smear
+    one pair's relation into the other. Each mean adds its terms left to
+    right, a's rows then b's."""
+    src, dst, k, dz, endpoint = _pair_rows([sp.vertices for sp in subpaths], eps)
+    parent = np.array([sp.parent_id for sp in subpaths], dtype=np.int64)
+    last = np.array([len(sp) - 1 for sp in subpaths], dtype=np.int64)
+    cut = np.array([(sp.first_is_cut, sp.last_is_cut) for sp in subpaths],
+                   dtype=bool).reshape(-1, 2)
+    keep = ((parent[src] != parent[dst]) & ~(cut[src, 0] & (k == 0))
+            & ~(cut[src, 1] & (k == last[src])) & ~(cut[dst, 0] & (endpoint == -1))
+            & ~(cut[dst, 1] & (endpoint == 1)))
+    terms = np.where(src < dst, dz, -dz)[keep].tolist()
+    a, b = np.minimum(src, dst)[keep], np.maximum(src, dst)[keep]
+    first = np.flatnonzero(np.diff(a * len(subpaths) + b, prepend=-1)).tolist()
+    return {(int(a[f]), int(b[f])): fold_sum(terms[f:e]) / (e - f)
+            for f, e in zip(first, first[1:] + [len(terms)])}
 
 
 @dataclass
@@ -208,12 +197,9 @@ def build_constraint_graph(subpaths, eps):
     each edge; removed edges go to `dropped` as (u, v, mean), so the
     result is acyclic."""
     graph = ConstraintGraph(nodes=subpaths)
-    pairs = [(i, j) for i, j in box_pairs([sp.vertices for sp in subpaths], eps)
-             if subpaths[i].parent_id != subpaths[j].parent_id]
-    means = compare_heights([(subpaths[i], subpaths[j]) for i, j in pairs], eps)
     below = {}      # each kept edge's mean, lower minus upper: -|mean|
-    for (i, j), mean in zip(pairs, means):
-        if mean is not None and abs(mean) > TIE_TOL:
+    for (i, j), mean in compare_heights(subpaths, eps).items():
+        if abs(mean) > TIE_TOL:
             below[(i, j) if mean < 0 else (j, i)] = -abs(mean)
     graph.edges = list(below)
     while (cycle := _find_cycle(graph)) is not None:
@@ -323,9 +309,8 @@ class _Seams:
     def __init__(self, nodes, eps_gap, weighted):
         ends = [p for sp in nodes for p in (sp.entry, sp.exit)]
         earliest = {}
-        # each point is a one-row polyline to box_pairs, whose pairs come
-        # sorted by (i, j): j meets its earliest match first
-        for i, j in box_pairs(np.reshape(ends, (-1, 1, 3)), MATCH_TOL):
+        # box_pairs come sorted by (i, j): j meets its earliest match first
+        for i, j in box_pairs(np.reshape(ends, (-1, 3)), MATCH_TOL):
             if j not in earliest and math.dist(ends[i], ends[j]) <= MATCH_TOL:
                 earliest[j] = i
         ids = []
@@ -341,7 +326,7 @@ class _Seams:
         self.exit = [(loc, sp.exit_weight if weighted else 1.0)
                      for sp, loc in zip(nodes, ids[1::2])]
         self.near = [{a} for a in range(len(self.points))]
-        for a, b in box_pairs(np.reshape(self.points, (-1, 1, 3)), eps_gap):
+        for a, b in box_pairs(np.reshape(self.points, (-1, 3)), eps_gap):
             if math.dist(self.points[a], self.points[b]) <= eps_gap:
                 self.near[a].add(b)
                 self.near[b].add(a)

@@ -1,6 +1,7 @@
-"""Test scenes and helpers: the flat box, the mesh volume, the three-path
-splitting scene, the seven-node ordering scene with its order pricing,
-the nested closed loops and the wedge with retractions. The wedge and
+"""Test scenes and helpers: the flat box, the mesh volume, the scalar
+shoelace area, the three-path splitting scene, the seven-node ordering
+scene with its order pricing, the nested closed loops and the wedge with
+retractions. The wedge and
 dome fixtures are in `fixtures`."""
 
 import math
@@ -46,6 +47,19 @@ def mesh_volume(mesh):
     b = mesh.vertices[mesh.triangles[:, 1]]
     c = mesh.vertices[mesh.triangles[:, 2]]
     return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
+
+
+def signed_area(xy):
+    """Shoelace area of a polygon given as (x, y) pairs, positive when it
+    runs counter-clockwise: the scalar reference for
+    `geometry.signed_areas`."""
+    area = 0.0
+    n = len(xy)
+    for i in range(n):
+        x1, y1 = xy[i]
+        x2, y2 = xy[(i + 1) % n]
+        area += x1 * y2 - x2 * y1
+    return area / 2.0
 
 
 def flat_box_fixture(profile=None, lx=10.0, ly=10.0, height=1.2):

@@ -17,10 +17,9 @@ from toolpath_aa.antialias import (DisplacementWindow, adjust_extrusion,
 from toolpath_aa.gcode import (DELTA, E, F, X, Y, Z, Layer, PrinterProfile,
                                PrintProgram, Toolpath, deposition_segments,
                                parse_gcode)
-from toolpath_aa.geometry import (build_vertical_index, cast_vertical_batch,
-                                  signed_area)
+from toolpath_aa.geometry import build_vertical_index, cast_vertical_batch
 from fixtures import dome_fixture, wedge_fixture, wedge_mesh
-from scenes import flat_box_fixture, three_paths_scene
+from scenes import flat_box_fixture, signed_area, three_paths_scene
 
 
 def straight_path(length, e_total=2.0, n=2, z=0.6):

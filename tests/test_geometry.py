@@ -475,11 +475,10 @@ def test_box_grid_queries_outside_the_extent_give_no_pairs():
     assert empty.pairs(glo, ghi)[0].size == 0
 
 
-def reference_box_pairs(coords, eps):
-    lo = np.array([c[:, :2].min(axis=0) for c in coords])
-    hi = np.array([c[:, :2].max(axis=0) for c in coords])
+def reference_box_pairs(points, eps):
     reach = eps * (1.0 + BOX_SLACK)
-    gap = np.maximum(lo[None] - hi[:, None], lo[:, None] - hi[None]).max(axis=2)
+    xy = points[:, :2]
+    gap = np.abs(xy[None] - xy[:, None]).max(axis=2)
     return [(i, j) for i, j in zip(*np.nonzero(gap <= reach)) if i < j]
 
 
@@ -494,20 +493,20 @@ def test_ragged_names_each_items_run_and_place():
 def test_box_pairs_match_all_pairs_gap_filter():
     eps = 2.0
     reach = eps * (1.0 + BOX_SLACK)
-    # exactly reach apart (kept), one ulp further (dropped), a lone vertex
-    edge = [np.array([[-3.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-            np.array([[reach, 0.5, 0.0], [reach + 1.0, 0.5, 0.0]]),
-            np.array([[-np.nextafter(reach, np.inf) - 3.0, 0.0, 0.0]]),
-            np.array([[0.0, 1.0 + reach, 0.0]])]
+    # exactly reach apart on x (kept), one ulp further (dropped), and
+    # 1 + reach less 1 on y (kept)
+    edge = np.array([[0.0, 1.0, 0.0], [reach, 0.5, 0.0],
+                     [-np.nextafter(reach, np.inf), 0.0, 0.0],
+                     [0.0, 1.0 + reach, 0.0]])
     assert box_pairs(edge, eps) == reference_box_pairs(edge, eps) == [
         (0, 1), (0, 3)]
+    assert box_pairs(np.empty((0, 3)), eps) == []
     rng = np.random.default_rng(8)
     for n in (1, 2, 30, 200):
-        coords = [np.column_stack([rng.uniform(0, 40) + rng.normal(0, 3, k).cumsum(),
-                                   rng.uniform(0, 40) + rng.normal(0, 3, k).cumsum(),
-                                   np.zeros(k)])
-                  for k in rng.integers(1, 7, n)]
-        assert box_pairs(coords, eps) == reference_box_pairs(coords, eps)
+        points = np.column_stack([rng.uniform(0, 40, n), rng.uniform(0, 40, n),
+                                  np.zeros(n)])
+        points[n // 2:, :2] = points[:n - n // 2, :2] + rng.normal(0, 2, (n - n // 2, 2))
+        assert box_pairs(points, eps) == reference_box_pairs(points, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from toolpath_aa.gcode import Layer, PrinterProfile, PrintProgram, Toolpath
-from toolpath_aa.geometry import box_pairs, nearest_points, ragged
+from toolpath_aa.geometry import nearest_rows, ragged
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 import fixtures
 
@@ -35,19 +35,17 @@ def interference(program, profile):
             continue
         z = np.concatenate([v[:, 2] for v in paths])
         reach = flange + (z.max() - z.min()) * cot
-        # box_pairs gives i < j: path i printed first
-        jobs = [(j, i) for i, j in box_pairs(paths, reach)
-                if not any(math.dist(a, b) <= JOIN_TOL
-                           for a in _ends(paths[i]) for b in _ends(paths[j]))]
-        if not jobs:
-            continue
-        dist, near_z, _ = nearest_points([paths[k] for k, _ in jobs],
-                                         [paths[i] for _, i in jobs])
-        owner, row = ragged([len(paths[k]) for k, _ in jobs])
-        path = np.array([k for k, _ in jobs])[owner]
-        dz = near_z - np.concatenate([paths[k][:, 2] for k, _ in jobs])
-        bad = (dz > DZ_TOL) & (dist < flange + dz * cot)
-        failed += len(set(zip(path[bad].tolist(), row[bad].tolist())))
+        row, line, dist, near_z, _ = nearest_rows(paths, reach)
+        path = ragged([len(v) for v in paths])[0][row]
+        joined = {(k, i) for k, i in set(zip(path.tolist(), line.tolist()))
+                  if any(math.dist(a, b) <= JOIN_TOL
+                         for a in _ends(paths[i]) for b in _ends(paths[k]))}
+        # a later path's rows against the paths printed before it
+        later = np.array([k > i and (k, i) not in joined
+                          for k, i in zip(path.tolist(), line.tolist())], dtype=bool)
+        dz = near_z - z[row]
+        bad = later & (dz > DZ_TOL) & (dist < flange + dz * cot)
+        failed += len(set(row[bad].tolist()))
         worst = max([worst, *dz[bad].tolist()])
     return failed, worst
 

@@ -16,7 +16,7 @@ from toolpath_aa.ordering import (ConstraintGraph, SubPath,
 from toolpath_aa.pipeline import PipelineConfig, order_program, run_pipeline
 import fixtures
 import scenes
-from scenes import evaluate_order, nested_loops_gcode
+from scenes import evaluate_order, nested_loops_gcode, signed_area
 
 EPS_GAP = 3.2   # 4 * w for w = 0.8
 
@@ -82,7 +82,7 @@ def test_empty_and_one_sided_layers():
     far = split_paths([a, line_path(30.0)], {}, 1.625)
     graph = build_constraint_graph(far, 1.625)
     assert graph.edges == [] and graph.dropped == []
-    assert ordering.compare_heights([], 1.625) == []
+    assert ordering.compare_heights([], 1.625) == {}
 
 
 def test_one_row_path_meets_a_neighbour_through_its_segments():
@@ -165,10 +165,11 @@ def test_cycle_detection_drops_the_weakest_edge(monkeypatch):
     subs = split_paths([a, b, c], find_neighbors([a, b, c], 1.625), 1.625)
     assert len(subs) == 3
 
-    def cyclic(pairs, eps):
+    def cyclic(subpaths, eps):
         below = {(0, 1), (1, 2), (2, 0)}
-        return [-1.0 if (sa.parent_id, sb.parent_id) in below else 1.0
-                for sa, sb in pairs]
+        return {(i, j): -1.0 if (subpaths[i].parent_id,
+                                 subpaths[j].parent_id) in below else 1.0
+                for i, j in itertools.combinations(range(len(subpaths)), 2)}
 
     monkeypatch.setattr(ordering, "compare_heights", cyclic)
     graph = build_constraint_graph(subs, 1.625)
@@ -186,10 +187,11 @@ def test_cycle_loses_its_smallest_height_difference(monkeypatch):
     subs = split_paths(paths, find_neighbors(paths, 1.625), 1.625)
     below = {(0, 1): 0.2, (1, 2): 0.01, (2, 0): 0.1}
 
-    def cyclic(pairs, eps):
-        keys = [(sa.parent_id, sb.parent_id) for sa, sb in pairs]
-        return [-below[key] if key in below else below[key[::-1]]
-                for key in keys]
+    def cyclic(subpaths, eps):
+        keys = {(i, j): (subpaths[i].parent_id, subpaths[j].parent_id)
+                for i, j in itertools.combinations(range(len(subpaths)), 2)}
+        return {pair: -below[key] if key in below else below[key[::-1]]
+                for pair, key in keys.items()}
 
     monkeypatch.setattr(ordering, "compare_heights", cyclic)
     graph = build_constraint_graph(subs, 1.625)
@@ -252,7 +254,7 @@ def exterior_angle(path, i):
     """The exterior angle at row i of the path's unique vertex rows, the
     path oriented as `split_paths` orients its parents."""
     cycle = ordering._unique_cycle(path)
-    ccw = not path.closed or geometry.signed_area(cycle[:, :2].tolist()) >= 0
+    ccw = not path.closed or signed_area(cycle[:, :2].tolist()) >= 0
     return ordering._exterior_angle_at(cycle, i, path.closed, ccw)
 
 
@@ -485,10 +487,11 @@ def test_split_soundness_constant_sign():
         if sp.last_is_cut:
             verts = verts[:-1]
         for q in neighbor_map.get(sp.parent_id, ()):
-            dist, z, _ = geometry.nearest_points([verts], [paths[q].vertices])
-            signals = ordering._signals(verts, dist, z, eps)
-            strict = [s for s in signals if s in (1, -1)]
-            assert len(set(strict)) <= 1, (sp.parent_id, q)
+            row, line, _, z, _ = geometry.nearest_rows(
+                [verts, paths[q].vertices], eps)
+            dz = verts[row[line == 1], Z] - z[line == 1]
+            strict = dz[np.abs(dz) > ordering.TIE_TOL] > 0
+            assert len(set(strict.tolist())) <= 1, (sp.parent_id, q)
 
 
 # ---------------------------------------------------------------------------
@@ -852,29 +855,62 @@ def as_verts(pts):
     return np.array(pts, dtype=float).reshape(-1, 3)
 
 
+FAR = 1e6   # mm, an eps beyond the extent of every polyline tested here
+
+
+def nearest_rows_brute(polylines, eps):
+    """`geometry.nearest_rows` by the scalar loop: every row against every
+    other polyline, kept when it comes nearer than eps."""
+    found = []
+    rows = [(x, y) for p in polylines for x, y in p[:, :2].tolist()]
+    owner = [i for i, p in enumerate(polylines) for _ in range(len(p))]
+    for row, ((x, y), i) in enumerate(zip(rows, owner)):
+        for j, line in enumerate(polylines):
+            if j != i:
+                dist, z, _pt, endpoint = nearest_on_polyline_brute(x, y, line)
+                if dist < eps:
+                    found.append((row, j, dist, z, endpoint))
+    columns = list(zip(*found)) or [()] * 5
+    return tuple(np.array(c, dtype=t) for c, t in zip(
+        columns, (np.int64, np.int64, np.float64, np.float64, np.int64)))
+
+
+def rows_as_lists(rows):
+    """nearest_rows' arrays as (row, line, dist, z, endpoint) tuples, the
+    floats as hex, so that equality is bitwise."""
+    row, line, dist, z, endpoint = (c.tolist() for c in rows)
+    return list(zip(row, line, map(float.hex, dist), map(float.hex, z),
+                    endpoint))
+
+
 def assert_matches_brute(a, b):
-    """The batched nearest points of a against b and of b against a, in
-    one call, equal the scalar reference bit for bit; so does their least
-    distance, the polylines' closest approach, which the neighbour test
-    reads."""
+    """With an eps beyond their extent, the batched nearest points of a
+    against b and of b against a, in one call, hold every row whose other
+    polyline has a segment, and equal the scalar reference bit for bit; so
+    does their least distance, the polylines' closest approach, which the
+    neighbour test reads."""
     va, vb = as_verts(a), as_verts(b)
-    dist, z, endpoint = geometry.nearest_points([va, vb], [vb, va])
+    got = geometry.nearest_rows([va, vb], FAR)
+    other = [len(b)] * len(a) + [len(a)] * len(b)
+    assert got[0].tolist() == [r for r, n in enumerate(other) if n > 1]
+    assert rows_as_lists(got) == rows_as_lists(nearest_rows_brute([va, vb], FAR))
     if len(a) > 1 and len(b) > 1:
-        assert (float(dist.min()).hex()
+        assert (float(got[2].min()).hex()
                 == polyline_min_distance_brute(va, vb).hex())
-    rows = [(x, y, vdst) for src, vdst in ((a, vb), (b, va))
-            for x, y, _ in src]
-    assert len(dist) == len(rows)
-    for (x, y, vdst), d, zz, ep in zip(rows, dist.tolist(), z.tolist(),
-                                       endpoint.tolist()):
-        rd, rz, _pt, rep = nearest_on_polyline_brute(x, y, vdst)
-        assert (d.hex(), zz, ep) == (rd.hex(), rz, rep)
 
 
 @settings(max_examples=300, deadline=None)
 @given(polyline_pair())
 def test_numpy_distances_match_scalar_bitwise(pair):
     assert_matches_brute(*pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(polyline(), max_size=4), st.sampled_from([0.25, 1.0, 3.0]))
+def test_nearest_rows_keep_exactly_the_rows_within_eps(lines, eps):
+    polylines = [as_verts(p) for p in lines]
+    assert (rows_as_lists(geometry.nearest_rows(polylines, eps))
+            == rows_as_lists(nearest_rows_brute(polylines, eps)))
 
 
 def test_numpy_distances_span_several_blocks():
@@ -902,29 +938,52 @@ def test_numpy_distances_match_scalar_on_random_floats():
     rng = np.random.default_rng(3)
     points = [tuple(p) for p in rng.uniform(-5.0, 5.0, (3000, 3)).tolist()]
     line = [tuple(p) for p in rng.uniform(-5.0, 5.0, (30, 3)).tolist()]
-    assert_matches_brute(points[:60], line)
-    dist, _, _ = geometry.nearest_points([np.array(points)], [np.array(line)])
-    vline = as_verts(line)
-    assert [d.hex() for d in dist.tolist()] == [
-        nearest_on_polyline_brute(x, y, vline)[0].hex() for x, y, _ in points]
+    assert_matches_brute(points, line)
 
 
-def test_nearest_points_empty_and_one_row_target():
-    dist, z, endpoint = geometry.nearest_points([], [])
-    assert (len(dist), len(z), len(endpoint)) == (0, 0, 0)
-    dist, z, endpoint = geometry.nearest_points(
-        [as_verts([(0.0, 0.0, 0.6), (1.0, 0.0, 0.6)])],
-        [as_verts([(0.0, 0.0, 0.7)])])
-    assert dist.tolist() == [math.inf] * 2
-    assert z.tolist() == [0.0, 0.0] and endpoint.tolist() == [0, 0]
+def test_nearest_rows_at_the_edge_of_eps():
+    eps = 0.5
+    line = as_verts([(0.0, 0.0, 0.6), (4.0, 0.0, 0.8)])
+    # exactly eps from the segment (absent), an ulp closer (present)
+    at = as_verts([(1.0, eps, 0.6), (2.0, np.nextafter(eps, 0.0), 0.6)])
+    dot = as_verts([(3.0, 0.1, 0.7)])     # one row: no segment to meet
+    got = geometry.nearest_rows([line, at, dot], eps)
+    assert rows_as_lists(got) == rows_as_lists(
+        nearest_rows_brute([line, at, dot], eps))
+    assert [(r, j) for r, j, *_ in rows_as_lists(got)] == [(3, 0), (4, 0)]
+    assert got[2][0] == np.nextafter(eps, 0.0)
+    # no polylines, and a layer with no candidate pair
+    for polylines in ([], [line], [line, line + [0.0, 3.0, 0.0]], [dot, dot]):
+        got = geometry.nearest_rows(polylines, eps)
+        assert [len(c) for c in got] == [0] * 5
+        assert [c.dtype.kind for c in got] == ["i", "i", "f", "f", "i"]
 
 
-def nearest_points_brute(points, lines):
-    """`geometry.nearest_points` by the scalar loop, job by job."""
-    rows = [nearest_on_polyline_brute(x, y, s) for p, s in zip(points, lines)
-            for x, y in p[:, :2].tolist()]
-    return (np.array([r[0] for r in rows]), np.array([r[1] for r in rows]),
-            np.array([r[3] for r in rows], dtype=np.int64))
+def test_nearest_rows_meet_only_segments_whose_grown_box_holds_them(
+        monkeypatch):
+    # every point-segment pair evaluated has the point inside the
+    # segment's XY box grown by eps (with BOX_SLACK's margin, and 1e-9 mm
+    # for the segment's end rebuilt from its start and direction): a scan
+    # of all segments would evaluate pairs millimetres outside
+    eps = interference_threshold(PrinterProfile())
+    reach = eps * (1.0 + geometry.BOX_SLACK) + 1e-9
+    layers = displaced_layers(fixtures.dome_fixture())
+    evaluated = []
+
+    def spy(px, py, ax, ay, dx, dy):
+        evaluated.append((px, py, ax, ay, ax + dx, ay + dy))
+        return segment_param(px, py, ax, ay, dx, dy)
+
+    segment_param = geometry.segment_param
+    monkeypatch.setattr(geometry, "segment_param", spy)
+    for paths in layers:
+        geometry.nearest_rows([p.vertices for p in paths], eps)
+    px, py, ax, ay, bx, by = (np.concatenate(c) for c in zip(*evaluated))
+    assert len(px) > 1000
+    assert (np.minimum(ax, bx) - reach <= px).all()
+    assert (px <= np.maximum(ax, bx) + reach).all()
+    assert (np.minimum(ay, by) - reach <= py).all()
+    assert (py <= np.maximum(ay, by) + reach).all()
 
 
 def compare_heights_brute(sa, sb, eps):
@@ -932,13 +991,13 @@ def compare_heights_brute(sa, sb, eps):
     total = 0.0
     count = 0
     for src, dst, sign in ((sa, sb, +1.0), (sb, sa, -1.0)):
-        zs = src.vertices[:, Z].tolist()
-        near = zip(*(a.tolist() for a in nearest_points_brute(
-            [src.vertices], [dst.vertices])))
-        for vi, (vz, (dist, z, endpoint)) in enumerate(zip(zs, near)):
+        rows = src.vertices[:, :3].tolist()
+        for vi, (x, y, vz) in enumerate(rows):
+            dist, z, _pt, endpoint = nearest_on_polyline_brute(x, y,
+                                                               dst.vertices)
             if vi == 0 and src.first_is_cut:
                 continue
-            if vi == len(zs) - 1 and src.last_is_cut:
+            if vi == len(rows) - 1 and src.last_is_cut:
                 continue
             if dist >= eps:
                 continue
@@ -953,22 +1012,36 @@ def compare_heights_brute(sa, sb, eps):
     return total / count
 
 
+def neighbors_brute(paths, eps, pairs):
+    """`ordering.find_neighbors`' rows for the given pairs by the scalar
+    loop, each side's rows those of its path's unique cycle."""
+    out = {}
+    for pair in pairs:
+        sides = []
+        for i, j in (pair, pair[::-1]):
+            rows = ordering._unique_cycle(paths[i])[:, :3].tolist()
+            near = [(r, vz, nearest_on_polyline_brute(x, y, paths[j].vertices))
+                    for r, (x, y, vz) in enumerate(rows)]
+            sides.append([(r, vz - z) for r, vz, (d, z, _, _) in near if d < eps])
+        out[pair] = tuple(sides)
+    return out
+
+
 def scalar_reference(monkeypatch):
-    """Route the ordering stage through the scalar reference: every pair
-    of polylines is a candidate, nearest points and height means come
-    from the brute loops, one pair at a time. The split's rows are each
-    cycle's own, not the first rows of its path's."""
-    monkeypatch.setattr(ordering, "box_pairs", lambda coords, eps: list(
-        itertools.combinations(range(len(coords)), 2)))
-    monkeypatch.setattr(ordering, "nearest_points", nearest_points_brute)
+    """Route the ordering stage through the scalar reference: nearest rows
+    by the brute loop over every row and every other polyline, and height
+    means by `compare_heights_brute`, one subpath pair at a time. The
+    split's rows are each cycle's own, not the first rows of its path's."""
+    monkeypatch.setattr(ordering, "nearest_rows", nearest_rows_brute)
     find_neighbors = ordering.find_neighbors
-    monkeypatch.setattr(ordering, "find_neighbors", lambda paths, eps: {
-        pair: tuple(nearest_points_brute([ordering._unique_cycle(paths[i])],
-                                         [paths[j].vertices])[:2]
-                    for i, j in (pair, pair[::-1]))
-        for pair in find_neighbors(paths, eps)})
-    monkeypatch.setattr(ordering, "compare_heights", lambda pairs, eps: [
-        compare_heights_brute(sa, sb, eps) for sa, sb in pairs])
+    monkeypatch.setattr(ordering, "find_neighbors", lambda paths, eps:
+                        neighbors_brute(paths, eps, find_neighbors(paths, eps)))
+    monkeypatch.setattr(ordering, "compare_heights", lambda subpaths, eps: {
+        (i, j): mean
+        for i, j in itertools.combinations(range(len(subpaths)), 2)
+        if subpaths[i].parent_id != subpaths[j].parent_id
+        and (mean := compare_heights_brute(subpaths[i], subpaths[j], eps))
+        is not None})
 
 
 def test_height_means_add_in_scalar_order():
@@ -980,13 +1053,14 @@ def test_height_means_add_in_scalar_order():
     a.vertices[:, Z] = (rng.uniform(0.0, 1.0, 200)
                         * 10.0 ** rng.integers(-8, 3, 200))
     sa, sb = split_paths([a, line_path(0.5, n=150)], {}, 1.625)
-    means = ordering.compare_heights([(sa, sb), (sb, sa)], 1.625)
+    means = [ordering.compare_heights(pair, 1.625)[(0, 1)]
+             for pair in ([sa, sb], [sb, sa])]
     assert [m.hex() for m in means] == [
         compare_heights_brute(sa, sb, 1.625).hex(),
         compare_heights_brute(sb, sa, 1.625).hex()]
     terms = np.concatenate([
-        src.vertices[:, Z] - nearest_points_brute([src.vertices],
-                                                  [dst.vertices])[1]
+        src.vertices[:, Z] - [nearest_on_polyline_brute(x, y, dst.vertices)[1]
+                              for x, y in src.vertices[:, :2].tolist()]
         for src, dst in ((sa, sb), (sb, sa))]) * np.repeat([1.0, -1.0], [200, 150])
     assert float(np.sum(terms)) / len(terms) != means[0]
 
