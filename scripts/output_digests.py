@@ -3,9 +3,9 @@ both seam modes: the G-code, and the report with its timings removed
 (`timings_s` and the ordering layers' `*_s` stage times). Two checkouts
 that print the same lines give the same outputs.
 
-    python scripts/output_digests.py [wedge|hatch|dome|wedge40x20|loops|retracts|hops|emap ...]
+    python scripts/output_digests.py [wedge|hatch|dome|wedge40x20|loops|retracts|hops|emap|parse ...]
 
-With no names, every input runs. The 40x20 wedge takes several seconds
+With no names, every input but `parse` runs. The 40x20 wedge takes several seconds
 per seam mode. `loops` is the nested closed loops of the tests over the
 20x10 wedge, the one input whose paths are closed. `retracts` is the
 20x10 wedge with a wipe-retract before each travel and a prime after it,
@@ -14,7 +14,10 @@ with a Z hop opening each layer after the first, the one input whose
 layers start with a move above their deposition height. `emap` runs the
 dome without ordering and with an error map, once with a CSV and once with
 a PLY, written into a temporary directory, and prints their digests and
-the timing-free report's."""
+the timing-free report's. `parse` reads the parse-stress program of the
+tests (comments on moves, M83, G92, G91 blocks, CRLF, duplicate vertices,
+no `;LAYER:` lines) with the parser alone, and prints the digests of the
+G-code emitted from it and of its toolpaths' vertex bytes in order."""
 
 import hashlib
 import json
@@ -25,9 +28,11 @@ import tempfile
 for folder in ("src", "tests"):
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", folder))
 
+from toolpath_aa.gcode import emit_gcode, parse_gcode
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 import fixtures
-from scenes import hop_wedge_gcode, nested_loops_gcode, retract_wedge_gcode
+from scenes import (hop_wedge_gcode, nested_loops_gcode, parse_stress_gcode,
+                    retract_wedge_gcode)
 
 INPUTS = {
     "wedge": lambda: fixtures.wedge_fixture(),
@@ -77,8 +82,20 @@ def error_map_digests(folder):
     return (*files, report_digest(report))
 
 
+def parse_digests():
+    """(emitted G-code digest, vertex bytes digest) of the parse-stress
+    program."""
+    program = parse_gcode(parse_stress_gcode())
+    return (sha256(emit_gcode(program).encode()),
+            sha256(b"".join(p.vertices.tobytes() for p in program.all_toolpaths())))
+
+
 def main(names):
     for name in names or [*INPUTS, "emap"]:
+        if name == "parse":
+            gcode_sha, vertex_sha = parse_digests()
+            print(f"{name:<10} {'-':<8} gcode {gcode_sha}  vertices {vertex_sha}")
+            continue
         if name == "emap":
             with tempfile.TemporaryDirectory() as folder:
                 csv_sha, ply_sha, report_sha = error_map_digests(folder)

@@ -5,6 +5,15 @@ per-vertex position, segment extrusion length and feedrate) grouped into
 layers; everything else is preserved so that parse -> emit round-trips
 with identical motion values and byte-identical non-motion lines.
 
+It reads a file in two passes. The decode pass (`_decode`) reads every
+G0/G1's words into columns: the usual slicer moves a line shape at a
+time, any other through the general word tokeniser. The state pass
+(`_Parser.state`) applies all the moves at once with numpy: the position
+and feedrate carried forward, E made a filament delta, and the
+depositions cut into paths of vertex rows. Every other line is one event
+and ends a path; a walk in file order places the events, opens the layers
+and raises the first error.
+
 Internal units: mm and mm/s. The G-code F word is mm/min (factor 60).
 Segment extrusion is stored relative regardless of the file's M82/M83
 mode and re-accumulated on emit.
@@ -242,6 +251,7 @@ _SHORT_NUMBER = r"[-+]?(?:[0-9]{{1,{}}}(?:\.[0-9]*)?|\.[0-9]+)"
 _MOVE_RE = re.compile("G([01])" + "".join(
     f"(?: {letter}({_SHORT_NUMBER.format(digits)}))?"
     for letter, digits in zip("XYZEF", (5, 5, 5, 15, 15))))
+_SHAPE = str.maketrans("123456789", "000000000")
 _CMD_RE = re.compile(r"^([GMgm])\s*([0-9]+)")
 # a layer line, after a newline: nothing but a comment starting ;LAYER:, in
 # any case. The literal newline lets a search skip to the next line start
@@ -282,35 +292,101 @@ def _parse_words(code, lineno):
     return words
 
 
+def _decode(lines):
+    """Decode pass: (words, move, rapid) over the lines. `words` holds each
+    line's X, Y, Z, E and F values, NaN where the line lacks the word;
+    `move` marks the G0/G1 lines whose words read, `rapid` the G0s.
+
+    A line's shape is the line with its digits 1-9 read as 0. `_MOVE_RE`
+    is matched once per shape, and a canonical shape fixes where each
+    number's sign, digits and point lie in every line that has it, so
+    those numbers are decoded a whole shape at a time. Any other G0/G1
+    goes through `_parse_words`; one whose words fail to read is no move:
+    `_Parser.line` raises its error when the walk in file order reaches
+    its line."""
+    n = len(lines)
+    words = np.full((n, 5), np.nan)
+    move = np.zeros(n, dtype=bool)
+    rapid = np.zeros(n, dtype=bool)
+    shapes = "\n".join(lines).translate(_SHAPE).split("\n") if n else []
+    ids = {shape: k for k, shape in enumerate(dict.fromkeys(shapes))}
+    key = np.fromiter(map(ids.__getitem__, shapes), np.int64, count=n)
+    order = np.argsort(key, kind="stable")
+    ends = np.cumsum(np.bincount(key, minlength=len(ids))).tolist()
+    for shape, lo, hi in zip(ids, [0] + ends, ends):
+        members = order[lo:hi]
+        m = _MOVE_RE.fullmatch(shape)
+        if m is not None:
+            words[members], rapid[members] = _decode_shape(
+                shape, m, [lines[i] for i in members.tolist()])
+            move[members] = True
+            continue
+        for i in members.tolist():
+            stripped = lines[i].partition(";")[0].strip()
+            cmd = _command_of(stripped)
+            if cmd not in (("G", 0.0), ("G", 1.0)):
+                continue
+            try:
+                got = _parse_words(stripped, i + 1)
+            except GcodeParseError:
+                continue
+            words[i] = [got.get(letter, np.nan) for letter in "XYZEF"]
+            move[i], rapid[i] = True, cmd[1] == 0.0
+    return words, move, rapid
+
+
+def _decode_shape(shape, match, rows):
+    """The (len(rows), 5) word values and the G0 flags of canonical move
+    lines `rows`, all of `shape`, which `_MOVE_RE` matched. The lines are
+    ASCII, so their code points are their bytes. A number of at most 15
+    digits is its integer mantissa, below 2**53, over 10**k, an exact
+    power: the one division rounds the decimal correctly, as `float()`
+    does, and a minus sign on a zero gives -0.0. Longer ones use `float()`."""
+    chars = np.frombuffer("".join(rows).encode("ascii"), np.uint8)
+    chars = chars.reshape(len(rows), len(shape))
+    values = np.full((len(rows), 5), np.nan)
+    for c in range(5):
+        lo, hi = match.span(c + 2)
+        if lo < 0:
+            continue
+        token = shape[lo:hi]
+        digits = [lo + k for k, ch in enumerate(token) if ch == "0"]
+        if len(digits) > 15:
+            values[:, c] = [float(row[lo:hi]) for row in rows]
+            continue
+        point = token.find(".")
+        mantissa = (chars[:, digits] - 48).astype(np.int64) @ (
+            10 ** np.arange(len(digits) - 1, -1, -1))
+        scale = 10 ** (len(token) - 1 - point if point >= 0 else 0)
+        value = mantissa / float(scale)
+        values[:, c] = -value if token[0] == "-" else value
+    return values, chars[:, 1] == ord("0")
+
+
+def _forward_fill(values, reset):
+    """Each entry's latest non-NaN value since the latest reset at or
+    before it, NaN where there is none; reset[0] must be set."""
+    mark = np.where(reset | ~np.isnan(values), np.arange(len(values)), 0)
+    return values[np.maximum.accumulate(mark)]
+
+
+_DEPOSITION_ERRORS = ("", "extruding move before any Z was set",
+                      "extruding move with unknown start position")
+
+
 class _Parser:
     def __init__(self, text):
         self.program = PrintProgram(newline="\r\n" if "\r\n" in text else "\n")
-        self.x = None
-        self.y = None
-        self.z = None
-        self.e = 0.0
-        self.f = 0.0            # mm/s
-        self.e_mode = "absolute"
-        self.xyz_relative = False
+        self.e_marks = []       # (line index, M82/M83 mode or None, G92 E or None)
+        self.relative = []      # first and end line index of each G91 block
         self.layer = None
-        self.path = None
-        self.rows = None        # vertex rows of the open path
         self.layer_lines = _LAYER_LINE_RE.search("\n" + text) is not None
-        self.travelled = False   # a non-extruding move since the last deposition
 
-    def close_path(self):
-        if self.path is not None:
-            rows = self.rows
-            if len(rows) >= 2:
-                self.path.vertices = np.array(rows)
-            else:
-                # a lone vertex is not a path
-                self.layer.events.pop()     # the open path is the last event
-        self.path = None
-        self.rows = None
+    def open_layer(self):
+        self.layer = Layer(base_z=None)
+        self.program.layers.append(self.layer)
 
     def add_event(self, ev):
-        self.close_path()
         if self.layer is None:
             self.program.prologue.append(ev)
         else:
@@ -320,139 +396,174 @@ class _Parser:
         lines = text.split("\n")
         if lines and lines[-1] == "":
             lines.pop()
-        move_of = _MOVE_RE.fullmatch
-        for lineno, raw in enumerate(lines, 1):
-            raw = raw.rstrip("\r")
-            m = None if self.xyz_relative else move_of(raw)
-            if m is None:
-                self.line(lineno, raw)
-                continue
-            g, x, y, z, e, f = m.groups()
-            self.move(None if x is None else float(x),
-                      None if y is None else float(y),
-                      None if z is None else float(z),
-                      None if e is None else float(e),
-                      None if f is None else float(f),
-                      rapid=(g == "0"), lineno=lineno)
-        self.close_path()
+        if "\r" in text:
+            lines = [raw.rstrip("\r") for raw in lines]
+        words, move, rapid = _decode(lines)
+        # each line that is no move gives one event (an error is kept, and
+        # raised when the walk below reaches it); the G91 blocks' moves too
+        events = {}
+        for i in np.flatnonzero(~move).tolist():
+            try:
+                events[i] = self.line(i, lines[i])
+            except GcodeParseError as exc:
+                events[i] = exc
+        if len(self.relative) % 2:
+            self.relative.append(len(lines))
+        for first, end in zip(self.relative[::2], self.relative[1::2]):
+            for i in (np.flatnonzero(move[first:end]) + first).tolist():
+                x, y, _, e, _ = words[i] == words[i]      # present words
+                events[i] = (GcodeParseError("extruding XY move in relative "
+                                             "coordinate mode", i + 1)
+                             if e and (x or y) else RawLine(lines[i]))
+                move[i] = False
+        moves = np.flatnonzero(move)
+        travels, starts = self.state(moves, words[moves], rapid[moves])
+        kind = np.zeros(len(lines), dtype=np.int8)
+        kind[list(events)] = 1
+        kind[moves[travels[0]]] = 2
+        kind[moves[starts[0]]] = 3
+        travels, starts = iter(travels[1]), iter(starts[1])
+        for i in np.flatnonzero(kind).tolist():
+            if kind[i] == 1:
+                ev = events[i]
+                if isinstance(ev, GcodeParseError):
+                    raise ev
+                if isinstance(ev, RawLine) and _LAYER_LINE_RE.match("\n" + ev.text):
+                    self.open_layer()  # the comment and all after belong to it
+                self.add_event(ev)
+            elif kind[i] == 2:
+                self.add_event(next(travels))
+            else:
+                self.deposit(i, *next(starts))
         self._split_epilogue()
         return self.program
 
-    def line(self, lineno, raw):
+    def line(self, i, raw):
+        """The event of line i, which is no G0/G1 move; records the
+        extrusion and coordinate modes that the line sets."""
         stripped = raw.partition(";")[0].strip()
-        if not stripped:
-            if _LAYER_LINE_RE.match("\n" + raw):
-                # the comment and everything after belong to the new layer
-                self.close_path()
-                self.layer = Layer(base_z=None)
-                self.program.layers.append(self.layer)
-            self.add_event(RawLine(raw))
-            return
         cmd = _command_of(stripped)
-        if cmd is None or cmd[0] not in ("G", "M"):
-            self.add_event(RawLine(raw))
-            return
+        if cmd not in _INTERPRETED:
+            # comments, blank lines and unrecognised commands (fans,
+            # temperatures, displays, ...) are preserved verbatim
+            return RawLine(raw)
+        words = _parse_words(stripped, i + 1)
         letter, number = cmd
-        if (letter, number) not in _INTERPRETED:
-            # unrecognised commands (fans, temperatures, displays, ...) are
-            # preserved verbatim and break the current path
-            self.add_event(RawLine(raw))
-            return
-        words = _parse_words(stripped, lineno)
-
         if letter == "G" and number in (2.0, 3.0):
             raise GcodeParseError(
                 "arc moves (G2/G3) are not supported; linearise them first",
-                lineno)
+                i + 1)
         if letter == "G" and number == 20.0:
-            raise GcodeParseError("inch units (G20) are not supported", lineno)
-        if letter == "G" and number == 90.0:
-            self.xyz_relative = False
-            self.add_event(RawLine(raw))
-            return
-        if letter == "G" and number == 91.0:
-            self.xyz_relative = True
-            self.x = self.y = self.z = None   # position unknown afterwards
-            self.add_event(RawLine(raw))
-            return
-        if letter == "M" and number in (82.0, 83.0):
-            self.e_mode = "absolute" if number == 82.0 else "relative"
-            self.add_event(ModeSwitch(self.e_mode, raw))
-            return
-        if letter == "G" and number == 92.0:
-            if any(k in words for k in "XYZ"):
-                raise GcodeParseError(
-                    "G92 redefining X/Y/Z is not supported", lineno)
-            if "E" in words:
-                self.e = words["E"]
-                self.add_event(ESet(words["E"], raw))
-            else:
-                self.add_event(RawLine(raw))
-            return
-        # G0/G1, the one interpreted command left
-        if self.xyz_relative:
-            if "E" in words and ("X" in words or "Y" in words):
-                raise GcodeParseError(
-                    "extruding XY move in relative coordinate mode", lineno)
-            self.add_event(RawLine(raw))
-            return
-        self.move(*map(words.get, "XYZEF"), rapid=(number == 0.0),
-                  lineno=lineno)
+            raise GcodeParseError("inch units (G20) are not supported", i + 1)
+        if letter == "G" and number in (90.0, 91.0):
+            # a G91 block's moves are kept verbatim, and the position is
+            # unknown after it
+            if (number == 91.0) == (len(self.relative) % 2 == 0):
+                self.relative.append(i)
+            return RawLine(raw)
+        if letter == "M":
+            mode = "absolute" if number == 82.0 else "relative"
+            self.e_marks.append((i, mode, None))
+            return ModeSwitch(mode, raw)
+        # G92; a G0/G1 that reaches here has raised in _parse_words
+        if any(k in words for k in "XYZ"):
+            raise GcodeParseError("G92 redefining X/Y/Z is not supported", i + 1)
+        if "E" in words:
+            self.e_marks.append((i, None, words["E"]))
+            return ESet(words["E"], raw)
+        return RawLine(raw)
 
-    def move(self, x, y, z, e, f, rapid, lineno):
-        """One G0/G1 move; each word value is None when the line lacks it."""
-        new_x = self.x if x is None else x
-        new_y = self.y if y is None else y
-        new_z = self.z if z is None else z
-        if f is not None:
-            self.f = f / FEED_FACTOR
+    def state(self, lines, words, rapid):
+        """State pass over the moves outside G91 blocks, at line indices
+        `lines`: the last X, Y, Z and F carried forward, each E made a
+        filament delta in the mode of its line, and the moves split into
+        depositions (an E delta above 0 and a new XY) and the rest.
+        Returns the rest as (indices into `lines`, Move events) and the
+        paths as (the indices of their first depositions, (z, travelled,
+        error, vertex rows or None for a lone vertex) for each)."""
+        n = len(lines)
+        x, y, z, e, f = words.T
+        reset = np.zeros(n + 1, dtype=bool)
+        reset[0] = True
+        reset[np.searchsorted(lines, self.relative[::2])] = True
+        reset = reset[:n]
+        nx, ny, nz = (_forward_fill(c, reset) for c in (x, y, z))
+        px, py, pz = (np.where(reset, np.nan, np.roll(c, 1)) for c in (nx, ny, nz))
+        feed = _forward_fill(f / FEED_FACTOR, np.arange(n) == 0)
+        feed[np.isnan(feed)] = 0.0
+        de = np.zeros(n)
+        has_e = ~np.isnan(e)
+        marks = [(0, None, None)] + self.e_marks
+        bounds = np.searchsorted(lines, [i for i, _, _ in marks]).tolist() + [n]
+        mode, value = "absolute", 0.0
+        for (_, m, v), a, b in zip(marks, bounds, bounds[1:]):
+            mode = m or mode
+            value = value if v is None else v
+            got = np.flatnonzero(has_e[a:b]) + a
+            if len(got) and mode == "absolute":
+                de[got] = e[got] - np.r_[value, e[got[:-1]]]
+                value = e[got[-1]]
+            elif len(got):
+                de[got] = e[got]
+                value = np.cumsum(np.r_[value, e[got]])[-1]
+        dep = (de > 0) & (~np.isnan(x) | ~np.isnan(y)) & ~np.isnan(nx + ny) & (
+            np.isnan(px + py) | (nx != px) | (ny != py))
+        after = np.roll(dep, 1)       # the move before is a deposition
+        after[:1] = False
+        travelled = ~after
+        after &= np.diff(lines, prepend=-1) == 1   # ... with no line between
 
-        e_delta = 0.0
-        if e is not None:
-            if self.e_mode == "absolute":
-                e_delta = e - self.e
-                self.e = e
-            else:
-                e_delta = e
-                self.e += e_delta
+        travels = np.flatnonzero(~dep)
+        cols = [c[travels].tolist() for c in
+                (x, y, z, np.where(has_e, de, np.nan), f / FEED_FACTOR)]
+        moves = [Move(*[None if v != v else v for v in vals], rapid=r)
+                 for *vals, r in zip(*cols, rapid[travels].tolist())]
 
-        moved_xy = ((x is not None or y is not None)
-                    and new_x is not None and new_y is not None
-                    and (self.x is None or self.y is None
-                         or new_x != self.x or new_y != self.y))
-        extruding = e_delta > 0 and moved_xy
+        # vertex rows: each path's start, where the nozzle was, then one
+        # row per deposition
+        d = np.flatnonzero(dep)
+        opens = ~after[d]
+        starts = d[opens]
+        row = np.arange(len(d)) + np.cumsum(opens)
+        sz = np.where(np.isnan(pz), nz, pz)
+        verts = np.zeros((len(d) + len(starts), VERTEX_COLUMNS))
+        verts[row, :5] = np.column_stack([nx[d], ny[d], nz[d], de[d], feed[d]])
+        verts[row[opens] - 1, :5] = np.column_stack([
+            px[starts], py[starts], sz[starts], np.zeros(len(starts)), feed[starts]])
+        # a vertex within DUPLICATE_TOL of the last row kept merges into it,
+        # which is within that of the previous position: only rows within
+        # twice that of their previous row can merge
+        keep = np.ones(len(verts), dtype=bool)
+        near = (nx[d] - px[d]) ** 2 + (ny[d] - py[d]) ** 2 + (nz[d] - sz[d]) ** 2
+        for r in row[near < (4 * DUPLICATE_TOL) ** 2].tolist():
+            k = r - 1
+            while not keep[k]:
+                k -= 1
+            if math.dist(verts[k, :3].tolist(),
+                         verts[r, :3].tolist()) < DUPLICATE_TOL:
+                keep[r] = False
+                verts[k, E] += verts[r, E]
+        first = np.zeros(len(verts), dtype=bool)
+        first[row[opens] - 1] = True
+        count = np.bincount((np.cumsum(first) - 1)[keep], minlength=len(starts))
+        paths = np.split(verts[keep], np.cumsum(count)[:-1])
+        error = np.where(np.isnan(nz[starts]), 1,
+                         2 * np.isnan(px[starts] + py[starts]))
+        return (travels, moves), (starts, list(zip(
+            nz[starts].tolist(), travelled[starts].tolist(), error.tolist(),
+            [p if len(p) >= 2 else None for p in paths])))
 
-        if extruding:
-            if new_z is None:
-                raise GcodeParseError(
-                    "extruding move before any Z was set", lineno)
-            if self.x is None or self.y is None:
-                raise GcodeParseError(
-                    "extruding move with unknown start position", lineno)
-            if self._starts_new_layer(new_z):
-                self.close_path()
-                self.layer = Layer(base_z=None)
-                self.program.layers.append(self.layer)
-            if self.layer.base_z is None:
-                self._warn_below(new_z, lineno, self.program.layers[:-1])
-                self.layer.base_z = new_z
-            self.travelled = False
-            if self.path is None:
-                self.path = Toolpath(vertices=())
-                # the path starts where the travel left the nozzle
-                start_z = new_z if self.z is None else self.z
-                self.rows = [[self.x, self.y, start_z, 0.0, self.f, 0.0]]
-                self.layer.events.append(self.path)
-            prev = self.rows[-1]
-            if math.dist(prev[:3], (new_x, new_y, new_z)) < DUPLICATE_TOL:
-                prev[E] += e_delta    # merge duplicate vertex, keep its extrusion
-            else:
-                self.rows.append([new_x, new_y, new_z, e_delta, self.f, 0.0])
-        else:
-            self.add_event(Move(x, y, z, None if e is None else e_delta,
-                                None if f is None else f / FEED_FACTOR, rapid))
-            self.travelled = True
-        self.x, self.y, self.z = new_x, new_y, new_z
+    def deposit(self, i, z, travelled, error, vertices):
+        """A path's first deposition, at line i."""
+        if error:
+            raise GcodeParseError(_DEPOSITION_ERRORS[error], i + 1)
+        if self._starts_new_layer(z, travelled):
+            self.open_layer()
+        if self.layer.base_z is None:
+            self._warn_below(z, i + 1, self.program.layers[:-1])
+            self.layer.base_z = z
+        if vertices is not None:        # a lone vertex is not a path
+            self.layer.events.append(Toolpath(vertices))
 
     def _warn_below(self, z, lineno, earlier):
         """Warn when a new layer's first deposition, at z, lies below the
@@ -463,7 +574,7 @@ class _Parser:
             self.program.warnings.append(f"line {lineno}: deposition z "
                                          f"decreased ({prev_z:.5f} -> {z:.5f})")
 
-    def _starts_new_layer(self, z):
+    def _starts_new_layer(self, z, travelled):
         """Layer split rule: the first deposition, or (in files without
         ;LAYER: lines) a deposition that follows a non-extruding move and
         ends at a z other than the layer's base_z. The deposition's own z
@@ -474,7 +585,7 @@ class _Parser:
             return True
         if self.layer_lines:
             return False      # only ;LAYER: lines split
-        return self.travelled and abs(z - self.layer.base_z) > 1e-9
+        return travelled and abs(z - self.layer.base_z) > 1e-9
 
     def _split_epilogue(self):
         """Trailing non-deposition events of the last layer become epilogue."""

@@ -314,17 +314,22 @@ class BoxGrid:
 # Vertical ray index
 
 class VerticalRayIndex(BoxGrid):
-    """A `BoxGrid` of the mesh's triangles by their XY bounding boxes.
+    """A `BoxGrid` of the mesh's triangles by their XY bounding boxes, with
+    their `triangle_terms`.
 
     Immutable after construction; safe for concurrent read-only queries.
     Query results match brute-force intersection over all triangles.
     """
 
-    def __init__(self, mesh, target_per_cell=4.0):
+    def __init__(self, mesh, target_per_cell=2.0):
         tris = mesh.vertices[mesh.triangles]
-        self._tri_pts = np.ascontiguousarray(tris)
+        self._terms, self._okd = triangle_terms(tris)
         self._nz = mesh.normals[:, 2].copy()
-        super().__init__(tris[:, :, :2].min(axis=1), tris[:, :, :2].max(axis=1),
+        # a ray within `_ray_keys`' tolerance of a triangle can pass just
+        # outside its box, and across a cell border: grown boxes keep it
+        pad = 1e-9 * (1.0 + np.abs(tris[:, :, :2]).max(initial=0.0))
+        super().__init__(tris[:, :, :2].min(axis=1) - pad,
+                         tris[:, :, :2].max(axis=1) + pad,
                          target_per_cell=target_per_cell)
 
 
@@ -332,24 +337,33 @@ def build_vertical_index(mesh):
     return VerticalRayIndex(mesh)
 
 
-def _ray_keys(t, px, py, qz):
-    """(dz, dist, key) for vertical rays through (px, py) at height qz
-    against triangles t, pair by pair. dz is surface z minus qz; dist is
-    |dz|, or inf where the ray misses (boundary hits count); key adds
-    BELOW_BIAS to a hit below, so that a tie goes to the hit above. Each
-    ray keeps the first minimum of its key."""
-    ax, ay = t[:, 0, 0], t[:, 0, 1]
-    bx, by = t[:, 1, 0], t[:, 1, 1]
-    cx, cy = t[:, 2, 0], t[:, 2, 1]
+def triangle_terms(tris):
+    """What `_ray_keys` reads of (m, 3, 3) triangles a, b, c: a (10, m)
+    array of by-cy, cx-bx, cy-ay, ax-cx, cx, cy, the determinant (1.0
+    where it is too small), az, bz and cz, and the mask `okd` of the
+    determinants that are not. A vertical triangle's is too small: no
+    vertical ray hits it."""
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = tris.transpose(1, 2, 0)
     d = (by - cy) * (ax - cx) + (cx - bx) * (ay - cy)
-    okd = np.abs(d) > 1e-30  # vertical triangles: no vertical ray hits them
-    safe = np.where(okd, d, 1.0)
-    w0 = ((by - cy) * (px - cx) + (cx - bx) * (py - cy)) / safe
-    w1 = ((cy - ay) * (px - cx) + (ax - cx) * (py - cy)) / safe
+    okd = np.abs(d) > 1e-30
+    return np.array([by - cy, cx - bx, cy - ay, ax - cx, cx, cy,
+                     np.where(okd, d, 1.0), az, bz, cz]), okd
+
+
+def _ray_keys(terms, okd, px, py, qz):
+    """(dz, dist, key) for vertical rays through (px, py) at height qz
+    against triangles of `triangle_terms`, pair by pair. dz is surface z
+    minus qz; dist is |dz|, or inf where the ray misses (boundary hits
+    count); key adds BELOW_BIAS to a hit below, so that a tie goes to the
+    hit above. Each ray keeps the first minimum of its key."""
+    b_c, c_b, c_a, a_c, cx, cy, d, az, bz, cz = terms
+    dx, dy = px - cx, py - cy
+    w0 = (b_c * dx + c_b * dy) / d
+    w1 = (c_a * dx + a_c * dy) / d
     w2 = 1.0 - w0 - w1
     eps = 1e-12
     inside = okd & (w0 >= -eps) & (w1 >= -eps) & (w2 >= -eps)
-    z = w0 * t[:, 0, 2] + w1 * t[:, 1, 2] + w2 * t[:, 2, 2]
+    z = w0 * az + w1 * bz + w2 * cz
     dz = z - qz
     dist = np.where(inside, np.abs(dz), np.inf)
     return dz, dist, dist + np.where(dz >= 0, 0.0, BELOW_BIAS)
@@ -409,7 +423,8 @@ def cast_vertical_batch(index, xs, ys, qzs):
 
     def pair_values(rays):
         c, cand = index.cell_items(cell_id[rays])
-        dz, _, key = _ray_keys(index._tri_pts[cand], np.repeat(xs[rays], c),
+        terms = np.take(index._terms, cand, axis=1)
+        dz, _, key = _ray_keys(terms, index._okd[cand], np.repeat(xs[rays], c),
                                np.repeat(ys[rays], c), np.repeat(qzs[rays], c))
         return key, dz, cand
 
@@ -519,7 +534,7 @@ def signed_areas(xs, ys, n):
     xn = np.take_along_axis(xs, nxt, axis=1)
     yn = np.take_along_axis(ys, nxt, axis=1)
     terms = np.where(j < n[:, None], xs * yn - xn * ys, 0.0)
-    area = np.zeros(len(xs))
-    for col in terms.T:
-        area = area + col
+    # accumulate adds in order, where a reduce may add pairs first; the
+    # row of zeros gives the loop's signed zeros
+    area = np.add.accumulate(np.vstack([np.zeros(len(xs)), terms.T]))[-1]
     return area / 2.0

@@ -1,7 +1,7 @@
 """Test scenes and helpers: the flat box, the mesh volume, the scalar
 shoelace area, the three-path splitting scene, the seven-node ordering
-scene with its order pricing, the nested closed loops and the wedge with
-retractions. The wedge and
+scene with its order pricing, the nested closed loops, the wedge with
+retractions and the parse-stress program. The wedge and
 dome fixtures are in `fixtures`."""
 
 import math
@@ -326,3 +326,43 @@ def hop_wedge_gcode():
             z = h * (int(line[len(";LAYER:"):]) + 1)
             lines.append(f"G1 Z{z + 0.4:.5f} F600")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# A program for the parser alone
+
+def parse_stress_gcode():
+    """Four raster layers, with CRLF line ends and no `;LAYER:` lines, that
+    use what the parser reads line by line or carries across lines: the
+    even layers in M82 and the odd ones in M83, each from a `G92 E0`; a
+    comment on every third move; at the end of each raster row two
+    depositions 5e-10 mm apart, the second a duplicate merged into the
+    first, and a retraction; a Z hop in a G91 block before each travel,
+    and the return to z on a move of its own."""
+    lines = ["; parse stress", "G90"]
+    for layer in range(4):
+        z = 0.3 * (layer + 1)
+        relative = layer % 2 == 1
+        lines += ["M83" if relative else "M82", "G92 E0",
+                  f"G0 X0 Y0 Z{z:.2f} F7200"]
+        e = 0.0
+        for row in range(6):
+            y = 0.5 * row
+            for k in range(1, 16):
+                x = 0.75 * k + (0.25 if row % 2 else 0.0)
+                e += 0.03
+                word = 0.03 if relative else e
+                lines.append(f"G1 X{x:.3f} Y{y:.3f} E{word:.5f}"
+                             + (" F1200" if k == 1 else "")
+                             + (" ; move" if k % 3 == 0 else ""))
+            e += 0.01
+            lines.append(f"G1 X{x + 5e-10:.10f} Y{y:.3f} "
+                         f"E{0.01 if relative else e:.5f}")
+            e -= 0.8
+            lines += [f"G1 E{-0.8 if relative else e:.5f} F2400",
+                      "G91", "G1 Z0.4 F600", "G90",
+                      f"G0 X0 Y{y + 0.5:.3f} Z{z + 0.4:.2f} F7200",
+                      f"G1 Z{z:.2f}"]
+            e += 0.8
+            lines.append(f"G1 E{0.8 if relative else e:.5f} F2400")
+    return "\r\n".join(lines) + "\r\n"

@@ -3,18 +3,22 @@ import re
 from dataclasses import fields
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toolpath_aa import gcode, ordering
-from toolpath_aa.gcode import (DELTA, E, F, X, Y, Z, GcodeParseError,
-                               Move, PrinterProfile, Toolpath,
+from toolpath_aa.gcode import (DELTA, DUPLICATE_TOL, E, F, FEED_FACTOR, X, Y, Z,
+                               ESet, GcodeParseError, Layer, ModeSwitch, Move,
+                               PrinterProfile, PrintProgram, RawLine, Toolpath,
                                deposition_segments, emit_gcode, parse_gcode,
                                total_extrusion)
+from toolpath_aa.gcode import (_INTERPRETED, _LAYER_LINE_RE, _MOVE_RE,
+                               _command_of, _parse_words)
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 from fixtures import dome_fixture, wedge_fixture
-from scenes import flat_box_fixture, hop_wedge_gcode
+from scenes import flat_box_fixture, hop_wedge_gcode, parse_stress_gcode
 
 SIMPLE = """G90
 M82
@@ -500,6 +504,394 @@ def test_move_pattern_parses_like_the_general_tokeniser(lines):
     with mock.patch.object(gcode, "_MOVE_RE", re.compile(r"(?!)")):
         reference = _parse_outcome(text)
     assert _parse_outcome(text) == reference
+
+
+# ---------------------------------------------------------------------------
+# The decode and state passes against the per-line parser
+
+class _PerLineParser:
+    """The reference for `parse_gcode`: one line at a time, each move
+    applied on its own as it is read."""
+
+    def __init__(self, text):
+        self.program = PrintProgram(newline="\r\n" if "\r\n" in text else "\n")
+        self.x = None
+        self.y = None
+        self.z = None
+        self.e = 0.0
+        self.f = 0.0            # mm/s
+        self.e_mode = "absolute"
+        self.xyz_relative = False
+        self.layer = None
+        self.path = None
+        self.rows = None        # vertex rows of the open path
+        self.layer_lines = _LAYER_LINE_RE.search("\n" + text) is not None
+        self.travelled = False   # a non-extruding move since the last deposition
+
+    def close_path(self):
+        if self.path is not None:
+            rows = self.rows
+            if len(rows) >= 2:
+                self.path.vertices = np.array(rows)
+            else:
+                # a lone vertex is not a path
+                self.layer.events.pop()     # the open path is the last event
+        self.path = None
+        self.rows = None
+
+    def add_event(self, ev):
+        self.close_path()
+        if self.layer is None:
+            self.program.prologue.append(ev)
+        else:
+            self.layer.events.append(ev)
+
+    def run(self, text):
+        lines = text.split("\n")
+        if lines and lines[-1] == "":
+            lines.pop()
+        move_of = _MOVE_RE.fullmatch
+        for lineno, raw in enumerate(lines, 1):
+            raw = raw.rstrip("\r")
+            m = None if self.xyz_relative else move_of(raw)
+            if m is None:
+                self.line(lineno, raw)
+                continue
+            g, x, y, z, e, f = m.groups()
+            self.move(None if x is None else float(x),
+                      None if y is None else float(y),
+                      None if z is None else float(z),
+                      None if e is None else float(e),
+                      None if f is None else float(f),
+                      rapid=(g == "0"), lineno=lineno)
+        self.close_path()
+        self._split_epilogue()
+        return self.program
+
+    def line(self, lineno, raw):
+        stripped = raw.partition(";")[0].strip()
+        if not stripped:
+            if _LAYER_LINE_RE.match("\n" + raw):
+                # the comment and everything after belong to the new layer
+                self.close_path()
+                self.layer = Layer(base_z=None)
+                self.program.layers.append(self.layer)
+            self.add_event(RawLine(raw))
+            return
+        cmd = _command_of(stripped)
+        if cmd is None or cmd[0] not in ("G", "M"):
+            self.add_event(RawLine(raw))
+            return
+        letter, number = cmd
+        if (letter, number) not in _INTERPRETED:
+            # unrecognised commands (fans, temperatures, displays, ...) are
+            # preserved verbatim and break the current path
+            self.add_event(RawLine(raw))
+            return
+        words = _parse_words(stripped, lineno)
+
+        if letter == "G" and number in (2.0, 3.0):
+            raise GcodeParseError(
+                "arc moves (G2/G3) are not supported; linearise them first",
+                lineno)
+        if letter == "G" and number == 20.0:
+            raise GcodeParseError("inch units (G20) are not supported", lineno)
+        if letter == "G" and number == 90.0:
+            self.xyz_relative = False
+            self.add_event(RawLine(raw))
+            return
+        if letter == "G" and number == 91.0:
+            self.xyz_relative = True
+            self.x = self.y = self.z = None   # position unknown afterwards
+            self.add_event(RawLine(raw))
+            return
+        if letter == "M" and number in (82.0, 83.0):
+            self.e_mode = "absolute" if number == 82.0 else "relative"
+            self.add_event(ModeSwitch(self.e_mode, raw))
+            return
+        if letter == "G" and number == 92.0:
+            if any(k in words for k in "XYZ"):
+                raise GcodeParseError(
+                    "G92 redefining X/Y/Z is not supported", lineno)
+            if "E" in words:
+                self.e = words["E"]
+                self.add_event(ESet(words["E"], raw))
+            else:
+                self.add_event(RawLine(raw))
+            return
+        # G0/G1, the one interpreted command left
+        if self.xyz_relative:
+            if "E" in words and ("X" in words or "Y" in words):
+                raise GcodeParseError(
+                    "extruding XY move in relative coordinate mode", lineno)
+            self.add_event(RawLine(raw))
+            return
+        self.move(*map(words.get, "XYZEF"), rapid=(number == 0.0),
+                  lineno=lineno)
+
+    def move(self, x, y, z, e, f, rapid, lineno):
+        """One G0/G1 move; each word value is None when the line lacks it."""
+        new_x = self.x if x is None else x
+        new_y = self.y if y is None else y
+        new_z = self.z if z is None else z
+        if f is not None:
+            self.f = f / FEED_FACTOR
+
+        e_delta = 0.0
+        if e is not None:
+            if self.e_mode == "absolute":
+                e_delta = e - self.e
+                self.e = e
+            else:
+                e_delta = e
+                self.e += e_delta
+
+        moved_xy = ((x is not None or y is not None)
+                    and new_x is not None and new_y is not None
+                    and (self.x is None or self.y is None
+                         or new_x != self.x or new_y != self.y))
+        extruding = e_delta > 0 and moved_xy
+
+        if extruding:
+            if new_z is None:
+                raise GcodeParseError(
+                    "extruding move before any Z was set", lineno)
+            if self.x is None or self.y is None:
+                raise GcodeParseError(
+                    "extruding move with unknown start position", lineno)
+            if self._starts_new_layer(new_z):
+                self.close_path()
+                self.layer = Layer(base_z=None)
+                self.program.layers.append(self.layer)
+            if self.layer.base_z is None:
+                self._warn_below(new_z, lineno, self.program.layers[:-1])
+                self.layer.base_z = new_z
+            self.travelled = False
+            if self.path is None:
+                self.path = Toolpath(vertices=())
+                # the path starts where the travel left the nozzle
+                start_z = new_z if self.z is None else self.z
+                self.rows = [[self.x, self.y, start_z, 0.0, self.f, 0.0]]
+                self.layer.events.append(self.path)
+            prev = self.rows[-1]
+            if math.dist(prev[:3], (new_x, new_y, new_z)) < DUPLICATE_TOL:
+                prev[E] += e_delta    # merge duplicate vertex, keep its extrusion
+            else:
+                self.rows.append([new_x, new_y, new_z, e_delta, self.f, 0.0])
+        else:
+            self.add_event(Move(x, y, z, None if e is None else e_delta,
+                                None if f is None else f / FEED_FACTOR, rapid))
+            self.travelled = True
+        self.x, self.y, self.z = new_x, new_y, new_z
+
+    def _warn_below(self, z, lineno, earlier):
+        """Warn when a new layer's first deposition, at z, lies below the
+        last deposition height of the `earlier` layers."""
+        prev_z = next((l.base_z for l in reversed(earlier)
+                       if l.base_z is not None), None)
+        if prev_z is not None and z < prev_z - 1e-9:
+            self.program.warnings.append(f"line {lineno}: deposition z "
+                                         f"decreased ({prev_z:.5f} -> {z:.5f})")
+
+    def _starts_new_layer(self, z):
+        """Layer split rule: the first deposition, or (in files without
+        ;LAYER: lines) a deposition that follows a non-extruding move and
+        ends at a z other than the layer's base_z. The deposition's own z
+        decides, so a Z hop that returns on the extruding move opens no
+        layer, and z variation within a run of depositions, as in
+        anti-aliased output, never splits one."""
+        if self.layer is None:
+            return True
+        if self.layer_lines:
+            return False      # only ;LAYER: lines split
+        return self.travelled and abs(z - self.layer.base_z) > 1e-9
+
+    def _split_epilogue(self):
+        """Trailing non-deposition events of the last layer become epilogue."""
+        if not self.program.layers:
+            return
+        last = self.program.layers[-1]
+        cut = len(last.events)
+        while cut > 0 and not isinstance(last.events[cut - 1], Toolpath):
+            cut -= 1
+        self.program.epilogue = last.events[cut:]
+        last.events = last.events[:cut]
+        # drop layers that never received a deposition (e.g. a trailing
+        # ;LAYER: comment with nothing after it)
+        self.program.layers = [
+            l for l in self.program.layers
+            if l.base_z is not None or l.events
+        ]
+        for l in self.program.layers:
+            if l.base_z is None:
+                l.base_z = 0.0
+
+
+def _snapshot(program):
+    """Everything a program holds, bit for bit: each event's repr (which
+    tells -0.0 from 0.0), and each toolpath's vertex bytes."""
+    def event(ev):
+        if isinstance(ev, Toolpath):
+            return "path", ev.vertices.shape, ev.vertices.tobytes()
+        return repr(ev)
+    return (program.newline, program.warnings,
+            [event(ev) for ev in program.prologue],
+            [(repr(l.base_z), [event(ev) for ev in l.events])
+             for l in program.layers],
+            [event(ev) for ev in program.epilogue])
+
+
+def _outcome(parse, text):
+    try:
+        return _snapshot(parse(text))
+    except GcodeParseError as exc:
+        return "GcodeParseError", exc.line, str(exc)
+
+
+def _per_line(text):
+    return _PerLineParser(text).run(text)
+
+
+# runs of depositions whose vertices step by less than, about and more
+# than DUPLICATE_TOL, in x and in y; each starts from a G92 E0 so that it
+# extrudes in either E mode
+_STEPS = st.sampled_from([0.0, 3e-10, 5e-10, 7e-10, 1e-9, 2e-9, 1e-6])
+
+
+@st.composite
+def _duplicate_chain(draw):
+    x0, y0 = draw(st.integers(-50, 50)) / 4, draw(st.integers(-50, 50)) / 4
+    lines = ["G92 E0", f"G1 X{x0} Y{y0} E0.1"]
+    x, y = x0, y0
+    for k in range(draw(st.integers(1, 5))):
+        x += draw(_STEPS)
+        y += draw(_STEPS)
+        z = draw(st.sampled_from(["", " Z0.6", " Z0.6000000004"]))
+        lines.append(f"G1 X{x:.12f} Y{y:.12f}{z} E{0.2 + 0.1 * k:.1f}")
+    return lines
+
+
+_ERROR_LINES = st.sampled_from([
+    "G2 X1 Y1 I1 J0", "G20", "G92 X0", "G1 X1 Y1 E1 E2", "G1 Xfoo",
+    "G1 X1 Y2 Z" + "9" * 20])
+_STATE_LINES = st.sampled_from([
+    "M82", "M83", "G92 E0", "G92 E-2.5", "G92", "G91", "G90",
+    "G1 X1 Y1 E0.5", "G1 E1", "G1 X-0.0 Y0 E1.5", "G0 X5 Y5 Z1.2 F3000"])
+# what carries across lines: the filament count from M83 into M82 and
+# the E mode across a G92, the position forgotten in a G91 block, the
+# moves a G91 block refuses, a travel before a deposition at a new z
+_STATE_BLOCK_LIST = [
+    ["M83", "G1 X2 Y2 E0.5", "G1 E-0.25", "M82", "G1 X3 Y3 E4"],
+    ["M83", "G1 X2 Y2 E0.7", "M83", "G1 X2 Y3 E0.1", "M82", "G1 E1.5"],
+    ["M83", "G92 E0", "G1 X4 Y4 E0.5", "G1 X5 Y5 E0.5"],
+    ["G0 X9 Y9 Z2.4", "G1 X8 Y9 E60", "G0 X7 Y7 Z1.8", "G1 X8 Y7 E61"],
+    ["G91", "G1 Z1", "G90", "G1 X1 Y1 E0.5"],
+    ["G91", "G0 X1 Y1", "G90", "G1 Z0.6", "G1 X2 Y2 E9", "G1 X3 Y3 E10"],
+    ["G91", "G1 Y2 E1"], ["G91", "G1 X2 E1"], ["G91", "G1 E1", "G91", "G90"]]
+_STATE_BLOCKS = st.sampled_from(_STATE_BLOCK_LIST)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks=st.lists(st.one_of(
+           _move_line().map(lambda line: [line]),
+           _OTHER_LINES.map(lambda line: [line]),
+           _STATE_LINES.map(lambda line: [line]),
+           _STATE_BLOCKS,
+           _duplicate_chain(),
+           st.just([";LAYER:2"]),
+           st.lists(_ERROR_LINES, max_size=1)), max_size=30),
+       start=st.sampled_from([["G0 X0 Y0 Z0.6"], ["G0 X0 Y0"], []]),
+       newline=st.sampled_from(["\n", "\r\n"]),
+       last_newline=st.booleans())
+def test_parse_matches_the_per_line_parser(blocks, start, newline,
+                                           last_newline):
+    # events, warnings and vertex bytes alike, or the same first error
+    lines = start + [line for block in blocks for line in block]
+    text = newline.join(lines) + (newline if last_newline else "")
+    assert _outcome(parse_gcode, text) == _outcome(_per_line, text)
+
+
+@pytest.mark.parametrize("block", _STATE_BLOCK_LIST)
+def test_parse_matches_the_per_line_parser_on_state_blocks(block):
+    # each block on its own, in a file split by Z
+    text = "\n".join(["G0 X0 Y0 Z0.6", "G1 X1 Y0 E0.2"] + block) + "\n"
+    assert _outcome(parse_gcode, text) == _outcome(_per_line, text)
+
+
+@pytest.mark.parametrize("make", [
+    wedge_fixture, dome_fixture, lambda: wedge_fixture(cross_hatch=True),
+    parse_stress_gcode, hop_wedge_gcode])
+def test_parse_matches_the_per_line_parser_on_fixtures(make):
+    text = make()
+    text = text if isinstance(text, str) else text[1]
+    program = parse_gcode(text)
+    assert _snapshot(program) == _snapshot(_per_line(text))
+    assert emit_gcode(program) == emit_gcode(_per_line(text))
+
+
+def test_parse_stress_scene_holds_what_it_names():
+    text = parse_stress_gcode()
+    program = parse_gcode(text)
+    assert program.newline == "\r\n" and ";LAYER:" not in text
+    for word in ("M83", "G92 E0", "G91", " ; move"):
+        assert word in text
+    # each raster row is one path: its start and 15 depositions, the
+    # duplicate merged into the last, which keeps the duplicate's filament
+    rows = [p.vertices for p in program.all_toolpaths()]
+    assert [len(r) for r in rows] == [16] * 24
+    assert [r[-1, E] for r in rows] == pytest.approx([0.04] * 24)
+    assert [len(layer.toolpaths()) for layer in program.layers] == [6] * 4
+
+
+@st.composite
+def _tokens(draw):
+    """Numbers of one shape: a sign, up to 5 integer digits (15 for E and
+    F), an optional point and up to 12 fraction digits."""
+    letter = draw(st.sampled_from("XYZEF"))
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    whole = draw(st.integers(0, 5 if letter in "XYZ" else 15))
+    point = draw(st.booleans()) or whole == 0
+    frac = draw(st.integers(1 if whole == 0 else 0, 12)) if point else 0
+    digits = st.text("0123456789", min_size=whole + frac, max_size=whole + frac)
+    tokens = []
+    for text in draw(st.lists(digits, min_size=1, max_size=6)):
+        tokens.append(sign + text[:whole] + ("." if point else "") + text[whole:])
+    return letter, tokens
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tokens())
+def test_decode_reads_every_shape_as_float_does(case):
+    letter, tokens = case
+    lines = [f"G1 {letter}{token}" for token in tokens]
+    words, move, rapid = gcode._decode(lines)
+    assert move.all() and not rapid.any()
+    column = "XYZEF".index(letter)
+    want = np.array([float(token) for token in tokens])
+    assert words[:, column].tobytes() == want.tobytes()
+    assert np.isnan(np.delete(words, column, axis=1)).all()
+
+
+def test_decode_reads_signs_zeros_and_long_tokens_as_float_does():
+    tokens = ["-0", "-0.000", "+0", "0", ".5", "-.5", "5.", "-5.", "99999.99999",
+              "-12345.678901234567", "123456789012345", "999999999999999.9",
+              "0.1000000000000000055511151231257827",
+              "0000000000000000000000000000001.5"]
+    lines = [f"G0 X0 Y0 Z0 E{token} F{token}" for token in tokens]
+    words, move, rapid = gcode._decode(lines)
+    assert move.all() and rapid.all()
+    want = np.array([float(token) for token in tokens])
+    assert words[:, 3].tobytes() == want.tobytes() == words[:, 4].tobytes()
+    assert np.signbit(words[:2, 3]).all() and not np.signbit(words[2:4, 3]).any()
+
+
+def test_move_pattern_runs_once_per_line_shape():
+    _, text = wedge_fixture()
+    shapes = {line.translate(str.maketrans("123456789", "000000000"))
+              for line in text.splitlines()}
+    with mock.patch.object(gcode, "_MOVE_RE", mock.Mock(wraps=_MOVE_RE)) as m:
+        parse_gcode(text)
+    assert m.fullmatch.call_count == len(shapes) < len(text.splitlines()) / 20
 
 
 # ---------------------------------------------------------------------------

@@ -57,9 +57,9 @@ def cast_one(index, query):
 def cast_vertical_brute(mesh, query):
     """Grid-free oracle for `cast_one`: the ray meets every triangle at
     once and keeps the first minimum of the batch's key."""
-    dz, dist, key = geometry._ray_keys(mesh.vertices[mesh.triangles],
-                                       float(query[0]), float(query[1]),
-                                       float(query[2]))
+    dz, dist, key = geometry._ray_keys(
+        *geometry.triangle_terms(mesh.vertices[mesh.triangles]),
+        float(query[0]), float(query[1]), float(query[2]))
     best = int(np.argmin(key))     # a NaN key is its own minimum: no hit
     hit = bool(np.isfinite(dist[best]))
     return (dz[best] if hit else np.float64(0.0),
@@ -240,10 +240,10 @@ def test_determinism():
     assert cast_one(i1, q) == cast_one(i2, q)
 
 
-def cast_per_cell(index, xs, ys, qzs):
-    """Reference for `cast_vertical_batch`: rays grouped by grid cell, each
-    cell's rays tested against the cell's CSR slice in one broadcast, and
-    `argmin` per ray."""
+def cast_per_cell(mesh, index, xs, ys, qzs):
+    """Reference for `cast_vertical_batch` over `mesh`'s index: rays grouped
+    by grid cell, each cell's rays tested against the cell's CSR slice in
+    one broadcast from the raw triangles, and `argmin` per ray."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     qzs = np.asarray(qzs, dtype=np.float64)
@@ -261,7 +261,7 @@ def cast_per_cell(index, xs, ys, qzs):
                  0, index.ny - 1)
     cell_id = np.where(inb, ix * index.ny + iy, -1)
     order = np.argsort(cell_id, kind="stable")
-    tri_pts = index._tri_pts
+    tri_pts = mesh.vertices[mesh.triangles]
     eps = 1e-12
     start = 0
     while start < n:
@@ -303,9 +303,9 @@ def cast_per_cell(index, xs, ys, qzs):
     return delta, facing_top, hit
 
 
-def assert_cast_matches_reference(index, xs, ys, qzs):
+def assert_cast_matches_reference(mesh, index, xs, ys, qzs):
     got = cast_vertical_batch(index, xs, ys, qzs)
-    ref = cast_per_cell(index, xs, ys, qzs)
+    ref = cast_per_cell(mesh, index, xs, ys, qzs)
     for g, r in zip(got, ref):
         assert g.dtype == r.dtype and g.shape == r.shape
         # bitwise: signed zeros and the last bit must agree
@@ -334,7 +334,8 @@ def test_flat_cast_matches_per_cell_on_random_meshes(seed):
     mesh = _random_mesh(2_000, seed=seed)
     index = build_vertical_index(mesh)
     q = np.random.default_rng(100 + seed).uniform(-2, 52, size=(5_000, 3))
-    _, _, hit = assert_cast_matches_reference(index, q[:, 0], q[:, 1], q[:, 2])
+    _, _, hit = assert_cast_matches_reference(mesh, index,
+                                              q[:, 0], q[:, 1], q[:, 2])
     assert hit.any() and not hit.all()
 
 
@@ -350,10 +351,10 @@ def test_flat_cast_matches_per_cell_outside_bounds_and_on_borders():
     gx, gy = np.meshgrid(bx, by)
     xs, ys = gx.ravel(), gy.ravel()
     for qz in (-5.0, 25.0, 60.0):
-        assert_cast_matches_reference(index, xs, ys, np.full(len(xs), qz))
+        assert_cast_matches_reference(mesh, index, xs, ys, np.full(len(xs), qz))
     far = np.array([x0 - 10.0, x1 + 10.0, (x0 + x1) / 2, np.nan])
     _, _, hit = assert_cast_matches_reference(
-        index, far, np.array([y0, y1, y1 + 10.0, y0]), np.zeros(4))
+        mesh, index, far, np.array([y0, y1, y1 + 10.0, y0]), np.zeros(4))
     assert not hit.any()
 
 
@@ -365,7 +366,8 @@ def test_flat_cast_matches_per_cell_in_empty_cells():
     index = VerticalRayIndex(mesh, target_per_cell=0.01)
     assert (np.diff(index.offsets) == 0).any()
     q = np.random.default_rng(3).uniform(0, 50, size=(2_000, 3))
-    _, _, hit = assert_cast_matches_reference(index, q[:, 0], q[:, 1], q[:, 2])
+    _, _, hit = assert_cast_matches_reference(mesh, index,
+                                              q[:, 0], q[:, 1], q[:, 2])
     assert hit.sum() < 100
 
 
@@ -378,7 +380,7 @@ def test_flat_cast_matches_per_cell_with_vertical_triangles():
     gx, gy = np.meshgrid(edge, edge)
     xs, ys = gx.ravel(), gy.ravel()
     for qz in (-1.0, 0.5, 2.0):
-        _, _, hit = assert_cast_matches_reference(index, xs, ys,
+        _, _, hit = assert_cast_matches_reference(cube, index, xs, ys,
                                                     np.full(len(xs), qz))
         assert hit.all()
     mesh = _random_mesh(400, seed=9)
@@ -393,7 +395,7 @@ def test_flat_cast_matches_per_cell_with_vertical_triangles():
     on_walls = np.vstack([walls[:, 0], (walls[:, 0] + walls[:, 1]) / 2])
     q = np.vstack([on_walls,
                    np.random.default_rng(2).uniform(-2, 52, size=(2_000, 3))])
-    assert_cast_matches_reference(index, q[:, 0], q[:, 1], q[:, 2])
+    assert_cast_matches_reference(mixed, index, q[:, 0], q[:, 1], q[:, 2])
 
 
 def test_flat_cast_matches_per_cell_across_several_blocks():
@@ -412,14 +414,14 @@ def test_flat_cast_matches_per_cell_across_several_blocks():
     index = VerticalRayIndex(mesh, target_per_cell=float(n))   # one cell
     q = rng.uniform(0, 10, size=(40, 3))
     q[:, 2] = rng.choice([0.0, 1.5, 2.0, 2.5, 4.0], len(q))
-    assert_cast_matches_reference(index, q[:, 0], q[:, 1], q[:, 2])
+    assert_cast_matches_reference(mesh, index, q[:, 0], q[:, 1], q[:, 2])
     # many rays over a small mesh: the pairs fill several blocks
     mesh = _random_mesh(300, seed=12)
     index = build_vertical_index(mesh)
     q = np.random.default_rng(13).uniform(0, 50, size=(20_000, 3))
     ix, iy = index._cell_of(q[:, :2]).T
     assert np.diff(index.offsets)[ix * index.ny + iy].sum() > 5 * PAIR_BLOCK
-    assert_cast_matches_reference(index, q[:, 0], q[:, 1], q[:, 2])
+    assert_cast_matches_reference(mesh, index, q[:, 0], q[:, 1], q[:, 2])
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+from toolpath_aa.gcode import emit_gcode, parse_gcode
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 import fixtures
 from fixtures import mesh_to_stl_binary
+from scenes import parse_stress_gcode
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -80,6 +82,19 @@ def test_output_digests_cover_the_error_map(tmp_path):
                  gcode_text=gcode, mesh=mesh)
     assert rows[0][3] == hashlib.sha256(path.read_bytes()).hexdigest()
     assert all(len(rows[0][i]) == 64 for i in (3, 5, 7))
+
+
+def test_output_digests_cover_the_parser(tmp_path):
+    # the digests of the parse-stress program as parsed and emitted again,
+    # and of its vertex bytes; the default run leaves it out
+    out = run_script("output_digests.py", tmp_path, "parse")
+    assert run_script("output_digests.py", tmp_path, "parse") == out
+    [row] = [line.split() for line in out.splitlines()]
+    program = parse_gcode(parse_stress_gcode())
+    vertices = b"".join(p.vertices.tobytes() for p in program.all_toolpaths())
+    emitted = emit_gcode(program).encode()
+    assert row == ["parse", "-", "gcode", hashlib.sha256(emitted).hexdigest(),
+                   "vertices", hashlib.sha256(vertices).hexdigest()]
 
 
 def load_tracejob():
