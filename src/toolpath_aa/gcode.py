@@ -6,8 +6,9 @@ layers; everything else is preserved so that parse -> emit round-trips
 with identical motion values and byte-identical non-motion lines.
 
 It reads a file in two passes. The decode pass (`_decode`) reads every
-G0/G1's words into columns: the usual slicer moves a line shape at a
-time, any other through the general word tokeniser. The state pass
+G0/G1's words into columns: the usual slicer moves checked once per line
+shape and their digits read a block of lines at a time, any other move
+through the general word tokeniser. The state pass
 (`_Parser.state`) applies all the moves at once with numpy: the position
 and feedrate carried forward, E made a filament delta, and the
 depositions cut into paths of vertex rows. Every other line is one event
@@ -34,6 +35,7 @@ DUPLICATE_TOL = 1e-9        # consecutive duplicate vertices merged below this
 CLOSURE_TOL = 1e-6          # first ~ last distance making a path closed
 FORMAT_DECIMALS = 5
 COORDINATE_LIMIT = 1e5      # mm; a larger |X|, |Y| or |Z| is refused
+DECODE_BLOCK = 1 << 14      # lines decoded together, which bounds the temporaries
 
 
 class GcodeParseError(Exception):
@@ -252,6 +254,8 @@ _MOVE_RE = re.compile("G([01])" + "".join(
     f"(?: {letter}({_SHORT_NUMBER.format(digits)}))?"
     for letter, digits in zip("XYZEF", (5, 5, 5, 15, 15))))
 _SHAPE = str.maketrans("123456789", "000000000")
+# a canonical move's numbers, the command digit first, as unsigned integers
+_DIGITS = str.maketrans("GXYZEF", "      ", ".+-")
 _CMD_RE = re.compile(r"^([GMgm])\s*([0-9]+)")
 # a layer line, after a newline: nothing but a comment starting ;LAYER:, in
 # any case. The literal newline lets a search skip to the next line start
@@ -298,69 +302,69 @@ def _decode(lines):
     `move` marks the G0/G1 lines whose words read, `rapid` the G0s.
 
     A line's shape is the line with its digits 1-9 read as 0. `_MOVE_RE`
-    is matched once per shape, and a canonical shape fixes where each
-    number's sign, digits and point lie in every line that has it, so
-    those numbers are decoded a whole shape at a time. Any other G0/G1
-    goes through `_parse_words`; one whose words fail to read is no move:
-    `_Parser.line` raises its error when the walk in file order reaches
-    its line."""
+    is matched once per shape (`_shape_terms`), which tells for every line
+    of a canonical shape where its numbers are, their signs and their
+    fraction digits. The digits of a block of those lines are read as
+    integers in one call, and each number is its mantissa over 10**k. With
+    at most 15 digits the mantissa is below 2**53 and 10**k is exact, so
+    the one division rounds the decimal correctly, as `float()` does; the
+    sign is applied last, so -0 gives -0.0. The lines of a shape with a
+    longer number and any other G0/G1 go through `_parse_words`; one whose
+    words fail to read is no move, and `_Parser.line` raises its error as
+    the walk in file order reaches it. A G2-G9 that shares a G0's shape is
+    no move either: `_Parser.line` keeps it verbatim or raises."""
     n = len(lines)
     words = np.full((n, 5), np.nan)
     move = np.zeros(n, dtype=bool)
     rapid = np.zeros(n, dtype=bool)
-    shapes = "\n".join(lines).translate(_SHAPE).split("\n") if n else []
-    ids = {shape: k for k, shape in enumerate(dict.fromkeys(shapes))}
-    key = np.fromiter(map(ids.__getitem__, shapes), np.int64, count=n)
-    order = np.argsort(key, kind="stable")
-    ends = np.cumsum(np.bincount(key, minlength=len(ids))).tolist()
-    for shape, lo, hi in zip(ids, [0] + ends, ends):
-        members = order[lo:hi]
-        m = _MOVE_RE.fullmatch(shape)
-        if m is not None:
-            words[members], rapid[members] = _decode_shape(
-                shape, m, [lines[i] for i in members.tolist()])
-            move[members] = True
+    ids, terms = {}, []
+    for lo in range(0, n, DECODE_BLOCK):
+        block = lines[lo:lo + DECODE_BLOCK]
+        shapes = "\n".join(block).translate(_SHAPE).split("\n")
+        for shape in dict.fromkeys(shapes):
+            if shape not in ids:
+                ids[shape] = len(terms)
+                terms.append(_shape_terms(shape))
+        key = np.fromiter(map(ids.__getitem__, shapes), np.int64, count=len(block))
+        scale, sign = np.array(terms).transpose(1, 0, 2)
+        rows = np.flatnonzero(scale[key, 0])
+        key = key[rows]
+        cells = scale[key] > 0
+        values = np.full(cells.shape, np.nan)
+        values[cells] = np.fromstring(" ".join([block[i] for i in rows.tolist()])
+                                      .translate(_DIGITS), np.int64, sep=" ")
+        values = values / scale[key] * sign[key]
+        g01 = values[:, 0] <= 1.0
+        rows = rows[g01] + lo
+        words[rows] = values[g01, 1:]
+        move[rows] = True
+        rapid[rows] = values[g01, 0] == 0.0
+    for i in np.flatnonzero(~move).tolist():
+        stripped = lines[i].partition(";")[0].strip()
+        cmd = _command_of(stripped)
+        if cmd not in (("G", 0.0), ("G", 1.0)):
             continue
-        for i in members.tolist():
-            stripped = lines[i].partition(";")[0].strip()
-            cmd = _command_of(stripped)
-            if cmd not in (("G", 0.0), ("G", 1.0)):
-                continue
-            try:
-                got = _parse_words(stripped, i + 1)
-            except GcodeParseError:
-                continue
-            words[i] = [got.get(letter, np.nan) for letter in "XYZEF"]
-            move[i], rapid[i] = True, cmd[1] == 0.0
+        try:
+            got = _parse_words(stripped, i + 1)
+        except GcodeParseError:
+            continue
+        words[i] = [got.get(letter, np.nan) for letter in "XYZEF"]
+        move[i], rapid[i] = True, cmd[1] == 0.0
     return words, move, rapid
 
 
-def _decode_shape(shape, match, rows):
-    """The (len(rows), 5) word values and the G0 flags of canonical move
-    lines `rows`, all of `shape`, which `_MOVE_RE` matched. The lines are
-    ASCII, so their code points are their bytes. A number of at most 15
-    digits is its integer mantissa, below 2**53, over 10**k, an exact
-    power: the one division rounds the decimal correctly, as `float()`
-    does, and a minus sign on a zero gives -0.0. Longer ones use `float()`."""
-    chars = np.frombuffer("".join(rows).encode("ascii"), np.uint8)
-    chars = chars.reshape(len(rows), len(shape))
-    values = np.full((len(rows), 5), np.nan)
-    for c in range(5):
-        lo, hi = match.span(c + 2)
-        if lo < 0:
-            continue
-        token = shape[lo:hi]
-        digits = [lo + k for k, ch in enumerate(token) if ch == "0"]
-        if len(digits) > 15:
-            values[:, c] = [float(row[lo:hi]) for row in rows]
-            continue
-        point = token.find(".")
-        mantissa = (chars[:, digits] - 48).astype(np.int64) @ (
-            10 ** np.arange(len(digits) - 1, -1, -1))
-        scale = 10 ** (len(token) - 1 - point if point >= 0 else 0)
-        value = mantissa / float(scale)
-        values[:, c] = -value if token[0] == "-" else value
-    return values, chars[:, 1] == ord("0")
+def _shape_terms(shape):
+    """For the command digit and X..F of the lines of `shape`: the scale
+    that each number's integer digits are divided by, 0 where the line has
+    no such number, and its sign. All scales are 0 unless `_MOVE_RE`
+    matches the shape and each of its numbers has at most 15 digits."""
+    m = _MOVE_RE.fullmatch(shape)
+    tokens = m.groups("") if m else ()
+    if not tokens or max(t.count("0") for t in tokens) > 15:
+        return [[0.0] * 6, [1.0] * 6]
+    return [[10.0 ** (len(t) - 1 - t.find(".")) if "." in t else float(t != "")
+             for t in tokens],
+            [-1.0 if t[:1] == "-" else 1.0 for t in tokens]]
 
 
 def _forward_fill(values, reset):
@@ -417,7 +421,8 @@ class _Parser:
                              if e and (x or y) else RawLine(lines[i]))
                 move[i] = False
         moves = np.flatnonzero(move)
-        travels, starts = self.state(moves, words[moves], rapid[moves])
+        words = words[moves]        # the other rows are freed before the state pass
+        travels, starts = self.state(moves, words, rapid[moves])
         kind = np.zeros(len(lines), dtype=np.int8)
         kind[list(events)] = 1
         kind[moves[travels[0]]] = 2
@@ -527,9 +532,10 @@ class _Parser:
         row = np.arange(len(d)) + np.cumsum(opens)
         sz = np.where(np.isnan(pz), nz, pz)
         verts = np.zeros((len(d) + len(starts), VERTEX_COLUMNS))
-        verts[row, :5] = np.column_stack([nx[d], ny[d], nz[d], de[d], feed[d]])
-        verts[row[opens] - 1, :5] = np.column_stack([
-            px[starts], py[starts], sz[starts], np.zeros(len(starts)), feed[starts]])
+        for c, col in zip((X, Y, Z, E, F), (nx, ny, nz, de, feed)):
+            verts[row, c] = col[d]
+        for c, col in zip((X, Y, Z, F), (px, py, sz, feed)):
+            verts[row[opens] - 1, c] = col[starts]
         # a vertex within DUPLICATE_TOL of the last row kept merges into it,
         # which is within that of the previous position: only rows within
         # twice that of their previous row can merge
@@ -546,7 +552,7 @@ class _Parser:
         first = np.zeros(len(verts), dtype=bool)
         first[row[opens] - 1] = True
         count = np.bincount((np.cumsum(first) - 1)[keep], minlength=len(starts))
-        paths = np.split(verts[keep], np.cumsum(count)[:-1])
+        paths = np.split(verts if keep.all() else verts[keep], np.cumsum(count)[:-1])
         error = np.where(np.isnan(nz[starts]), 1,
                          2 * np.isnan(px[starts] + py[starts]))
         return (travels, moves), (starts, list(zip(

@@ -270,9 +270,18 @@ def test_g92_resets_accumulator():
 
 
 def test_arc_rejected():
-    with pytest.raises(GcodeParseError) as exc:
-        parse_gcode("G0 X0 Y0 Z0.6\nG2 X10 Y10 I5 J0 E1\n")
-    assert "line 2" in str(exc.value)
+    for arc in ["G2 X10 Y10 I5 J0 E1", "G2 X10 Y10 E1", "G3 X1"]:
+        with pytest.raises(GcodeParseError, match="arc moves") as exc:
+            parse_gcode(f"G0 X0 Y0 Z0.6\n{arc}\n")
+        assert "line 2" in str(exc.value)
+
+
+def test_dwell_passes_through():
+    text = "G0 X0 Y0 Z0.6\nG4\nG1 X1 Y0 E0.1\nG4 P500\nG1 X2 Y0 E0.2\n"
+    program = parse_gcode(text)
+    assert [len(tp) for tp in program.all_toolpaths()] == [2, 2]
+    assert RawLine("G4") in program.events()
+    assert emit_gcode(program).splitlines()[1] == "G4"
 
 
 def test_non_numeric_word_errors_with_line():
@@ -444,9 +453,10 @@ _BIG_NUMBER = st.sampled_from(
 _VARIANTS = ["canonical", "canonical", "lower", "swap", "n_word", "comment",
              "double_space", "leading_zero", "duplicate", "bad_number",
              "big_number"]
+# a G4-G9 line may have the shape of a G0 move and is no move
 _OTHER_LINES = st.sampled_from([
     "M82", "M83", "G92 E0", "G91", "G90", ";LAYER:1", ";TYPE:FILL",
-    "G0 Z1.2", "M106 S255", ""])
+    "G0 Z1.2", "M106 S255", "", "G4", "G4 P200", "G9 X1.5 Y2 E3"])
 
 
 @st.composite
@@ -772,8 +782,8 @@ def _duplicate_chain(draw):
 
 
 _ERROR_LINES = st.sampled_from([
-    "G2 X1 Y1 I1 J0", "G20", "G92 X0", "G1 X1 Y1 E1 E2", "G1 Xfoo",
-    "G1 X1 Y2 Z" + "9" * 20])
+    "G2 X1 Y1 I1 J0", "G2 X1 Y1 E1", "G3 X1", "G20", "G92 X0",
+    "G1 X1 Y1 E1 E2", "G1 Xfoo", "G1 X1 Y2 Z" + "9" * 20])
 _STATE_LINES = st.sampled_from([
     "M82", "M83", "G92 E0", "G92 E-2.5", "G92", "G91", "G90",
     "G1 X1 Y1 E0.5", "G1 E1", "G1 X-0.0 Y0 E1.5", "G0 X5 Y5 Z1.2 F3000"])
@@ -802,13 +812,16 @@ _STATE_BLOCKS = st.sampled_from(_STATE_BLOCK_LIST)
            st.lists(_ERROR_LINES, max_size=1)), max_size=30),
        start=st.sampled_from([["G0 X0 Y0 Z0.6"], ["G0 X0 Y0"], []]),
        newline=st.sampled_from(["\n", "\r\n"]),
-       last_newline=st.booleans())
+       last_newline=st.booleans(),
+       decode_block=st.sampled_from([gcode.DECODE_BLOCK, 1, 3]))
 def test_parse_matches_the_per_line_parser(blocks, start, newline,
-                                           last_newline):
-    # events, warnings and vertex bytes alike, or the same first error
+                                           last_newline, decode_block):
+    # events, warnings and vertex bytes alike, or the same first error;
+    # with small decode blocks too
     lines = start + [line for block in blocks for line in block]
     text = newline.join(lines) + (newline if last_newline else "")
-    assert _outcome(parse_gcode, text) == _outcome(_per_line, text)
+    with mock.patch.object(gcode, "DECODE_BLOCK", decode_block):
+        assert _outcome(parse_gcode, text) == _outcome(_per_line, text)
 
 
 @pytest.mark.parametrize("block", _STATE_BLOCK_LIST)
@@ -883,6 +896,14 @@ def test_decode_reads_signs_zeros_and_long_tokens_as_float_does():
     want = np.array([float(token) for token in tokens])
     assert words[:, 3].tobytes() == want.tobytes() == words[:, 4].tobytes()
     assert np.signbit(words[:2, 3]).all() and not np.signbit(words[2:4, 3]).any()
+
+
+def test_decode_reads_a_g2_to_g9_of_a_move_shape_as_no_move():
+    lines = ["G4", "G1", "G2 X1 Y1 E1", "G0 X1 Y1 E1", "G3 X1", "G9 X1.5 F60"]
+    words, move, rapid = gcode._decode(lines)
+    assert move.tolist() == [False, True, False, True, False, False]
+    assert rapid.tolist() == [False, False, False, True, False, False]
+    assert np.isnan(words[~move]).all()
 
 
 def test_move_pattern_runs_once_per_line_shape():
