@@ -247,9 +247,11 @@ _NUMBER_RE = re.compile(_NUMBER + "$")
 # once, in this order, one space apart, no comment; any other line takes
 # the general path, which reads it the same way. Its values are in range
 # by their digits: at most 5 before the point for X, Y and Z (below
-# COORDINATE_LIMIT), 15 for E and F (finite); a longer one takes the
-# general path too, which checks its value
-_SHORT_NUMBER = r"[-+]?(?:[0-9]{{1,{}}}(?:\.[0-9]*)?|\.[0-9]+)"
+# COORDINATE_LIMIT), 15 for E and F (finite), and at most 15 in all, which
+# `_decode` needs to be exact; a longer one takes the general path too,
+# which checks its value
+_SHORT_NUMBER = (r"[-+]?(?=[0-9.]{{1,16}}(?![0-9.]))"
+                 r"(?:[0-9]{{1,{}}}(?:\.[0-9]*)?|\.[0-9]+)")
 _MOVE_RE = re.compile("G([01])" + "".join(
     f"(?: {letter}({_SHORT_NUMBER.format(digits)}))?"
     for letter, digits in zip("XYZEF", (5, 5, 5, 15, 15))))
@@ -305,28 +307,27 @@ def _decode(lines):
     is matched once per shape (`_shape_terms`), which tells for every line
     of a canonical shape where its numbers are, their signs and their
     fraction digits. The digits of a block of those lines are read as
-    integers in one call, and each number is its mantissa over 10**k. With
-    at most 15 digits the mantissa is below 2**53 and 10**k is exact, so
-    the one division rounds the decimal correctly, as `float()` does; the
-    sign is applied last, so -0 gives -0.0. The lines of a shape with a
-    longer number and any other G0/G1 go through `_parse_words`; one whose
-    words fail to read is no move, and `_Parser.line` raises its error as
-    the walk in file order reaches it. A G2-G9 that shares a G0's shape is
-    no move either: `_Parser.line` keeps it verbatim or raises."""
+    integers in one call, and each number is its mantissa over 10**k. The
+    pattern allows at most 15 digits, so the mantissa is below 2**53 and
+    10**k is exact: the one division rounds the decimal correctly, as
+    `float()` does; the sign is applied last, so -0 gives -0.0. Any other
+    G0/G1, a longer number's among them, goes through `_parse_words`; one
+    whose words fail to read is no move, and `_Parser.line` raises its
+    error as the walk in file order reaches it. A G2-G9 that shares a G0's
+    shape is no move either: `_Parser.line` keeps it verbatim or raises."""
     n = len(lines)
     words = np.full((n, 5), np.nan)
     move = np.zeros(n, dtype=bool)
     rapid = np.zeros(n, dtype=bool)
-    ids, terms = {}, []
+    terms = {}                  # of every shape seen
     for lo in range(0, n, DECODE_BLOCK):
         block = lines[lo:lo + DECODE_BLOCK]
         shapes = "\n".join(block).translate(_SHAPE).split("\n")
-        for shape in dict.fromkeys(shapes):
-            if shape not in ids:
-                ids[shape] = len(terms)
-                terms.append(_shape_terms(shape))
+        ids = {shape: k for k, shape in enumerate(dict.fromkeys(shapes))}
         key = np.fromiter(map(ids.__getitem__, shapes), np.int64, count=len(block))
-        scale, sign = np.array(terms).transpose(1, 0, 2)
+        for shape in ids.keys() - terms.keys():
+            terms[shape] = _shape_terms(shape)
+        scale, sign = np.hsplit(np.array([terms[shape] for shape in ids]), 2)
         rows = np.flatnonzero(scale[key, 0])
         key = key[rows]
         cells = scale[key] > 0
@@ -356,15 +357,14 @@ def _decode(lines):
 def _shape_terms(shape):
     """For the command digit and X..F of the lines of `shape`: the scale
     that each number's integer digits are divided by, 0 where the line has
-    no such number, and its sign. All scales are 0 unless `_MOVE_RE`
-    matches the shape and each of its numbers has at most 15 digits."""
+    no such number, then the sign of each; all scales are 0 unless
+    `_MOVE_RE` matches the shape."""
     m = _MOVE_RE.fullmatch(shape)
-    tokens = m.groups("") if m else ()
-    if not tokens or max(t.count("0") for t in tokens) > 15:
-        return [[0.0] * 6, [1.0] * 6]
-    return [[10.0 ** (len(t) - 1 - t.find(".")) if "." in t else float(t != "")
-             for t in tokens],
-            [-1.0 if t[:1] == "-" else 1.0 for t in tokens]]
+    if m is None:
+        return [0.0] * 6 + [1.0] * 6
+    tokens = m.groups("")
+    return ([10.0 ** (len(t) - 1 - t.find(".")) if "." in t else float(t != "")
+             for t in tokens] + [-1.0 if t[:1] == "-" else 1.0 for t in tokens])
 
 
 def _forward_fill(values, reset):

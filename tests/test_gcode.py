@@ -503,7 +503,8 @@ def test_move_pattern_reads_only_the_canonical_form():
     assert gcode._MOVE_RE.fullmatch("G1 X-1.5 Y.25 Z0.6 E3. F1200")
     assert gcode._MOVE_RE.fullmatch("G0")
     for line in ["G1 Y1 X2", "g1 X1", "G01 X1", "N3 G1 X1", "G1 X1 ;c",
-                 "G1  X1", "G1 X1 X2", "G1 X1e3", "G1 X.", "G1 X1 "]:
+                 "G1  X1", "G1 X1 X2", "G1 X1e3", "G1 X.", "G1 X1 ",
+                 "G1 X12345.12345678901", "G1 E.1234567890123456"]:
         assert gcode._MOVE_RE.fullmatch(line) is None, line
 
 
