@@ -389,7 +389,8 @@ def detect_overlaps(program, profile):
             records.append(OverlapRecord(lower=(i, lp, lr), upper=(i + 1, up, ur),
                                          volume=volume))
     return records, {"overlap_records": len(records),
-                     "overlap_volume_mm3": fold_sum(r.volume for r in records)}
+                     "overlap_volume_mm3": fold_sum(
+                         np.array([r.volume for r in records]))}
 
 
 def _tops_at(la, lb, cx, cy):

@@ -6,10 +6,10 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
+from .fixedtext import fixed_point, table, text_rows
 from .gcode import (DELTA, VERTEX_COLUMNS, F, Move, Toolpath, X, Y, Z,
                     deposition_segments, fold_sum)
 from .geometry import (BoxGrid, _triangle_areas, first_minima, ragged,
@@ -43,8 +43,10 @@ def estimate_print_time(program):
     if not feeds.all():
         raise EvaluationError("move with zero or unset feedrate")
     dx, dy, dz = np.diff(rows[:, :3], axis=0)[inner[1:]].T
-    segments = iter((np.sqrt(dx * dx + dy * dy + dz * dz) / feeds).tolist())
-    terms = []
+    segments = np.sqrt(dx * dx + dy * dy + dz * dz) / feeds
+    terms = []      # of the moves to each path's start and of the Moves,
+    at = []         # each before this many path segments
+    done = 0
     pos = (None, None, None)
     modal_f = None
     for ev in events:
@@ -64,11 +66,13 @@ def estimate_print_time(program):
             if not modal_f:
                 raise EvaluationError("move with zero or unset feedrate")
             terms.append(length / modal_f)
+            at.append(done)
         if isinstance(ev, Toolpath) and len(ev.vertices) > 1:
-            terms.extend(islice(segments, len(ev.vertices) - 1))
+            done += len(ev.vertices) - 1
             pos = tuple(ev.vertices[-1, :3].tolist())
             modal_f = float(ev.vertices[-1, F])
-    return fold_sum(terms)
+    # np.insert keeps the order of the terms it inserts at one index
+    return fold_sum(np.insert(segments, at, terms))
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +241,19 @@ class ErrorMap:
 
     def write_csv(self, f):
         f.write("x,y,z,distance_mm\n")
-        _write_rows(f, "%.5f,%.5f,%.5f,%.6f\n", len(self.points),
-                    lambda s: (self.points[s], self.distances[s]))
+        _write_rows(f, len(self.points), lambda s: [
+            *_coordinates(self.points[s], b","),
+            fixed_point(self.distances[s], 6), b"\n"])
 
     def write_ply(self, f):
         """Point cloud with a linear blue (0.0) to red (0.3 mm) ramp."""
-        def columns(s):
+        colours = table([b"%d" % i for i in range(256)])
+
+        def pieces(s):
             t = np.clip(self.distances[s] / VIS_CLAMP, 0.0, 1.0)
-            return (self.points[s], (t * 255).astype(np.uint8),
-                    ((1.0 - t) * 255).astype(np.uint8))
+            return [*_coordinates(self.points[s], b" "),
+                    colours[(t * 255).astype(np.uint8)], b" 0 ",
+                    colours[((1.0 - t) * 255).astype(np.uint8)], b"\n"]
 
         f.write("ply\nformat ascii 1.0\n")
         f.write(f"comment colormap linear blue->red over 0.0..{VIS_CLAMP} mm\n")
@@ -254,7 +262,7 @@ class ErrorMap:
         f.write("property float x\nproperty float y\nproperty float z\n")
         f.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
         f.write("end_header\n")
-        _write_rows(f, "%.5f %.5f %.5f %d 0 %d\n", len(self.points), columns)
+        _write_rows(f, len(self.points), pieces)
 
 
 def _percentiles(values, percents):
@@ -274,14 +282,18 @@ def _percentiles(values, percents):
     return out
 
 
-def _write_rows(f, row_format, n, columns):
-    """Write one `row_format` line for each of n rows, SAMPLE_BLOCK rows
-    at a time: columns(s) gives the column arrays of the rows in slice s,
-    stacked side by side as floats and formatted with one %-template per
-    block (`%d` prints a whole float as an integer)."""
+def _coordinates(points, separator):
+    """The `text_rows` pieces of an (n, 3) array's x, y and z at 5
+    decimals, each followed by `separator`."""
+    return [piece for column in points.T
+            for piece in (fixed_point(column, 5), separator)]
+
+
+def _write_rows(f, n, pieces):
+    """Write the text of n rows, SAMPLE_BLOCK rows at a time: pieces(s)
+    gives the `text_rows` pieces of the rows in slice s."""
     for a in range(0, n, SAMPLE_BLOCK):
-        block = np.column_stack(columns(slice(a, a + SAMPLE_BLOCK)))
-        f.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+        f.write(text_rows(pieces(slice(a, a + SAMPLE_BLOCK))))
 
 
 def sample_mesh_surface(mesh, samples_per_mm2=50.0, seed=0):

@@ -15,6 +15,15 @@ depositions cut into paths of vertex rows. Every other line is one event
 and ends a path; a walk in file order places the events, opens the layers
 and raises the first error.
 
+Emission (`_Emitter`) walks the events in file order and formats every
+line as it comes but the extruding moves. Of a path, the walk only adds
+up E (in absolute mode the running total, row after row as a loop of
+`+=` adds it) and decides whether its first row writes F; the rows wait
+until a block of DECODE_BLOCK of them is full, and then each of their
+columns becomes text in one array pass (`fixedtext`), byte for byte what
+`'%.5f' % v` writes. A row writes F where its text differs from the
+row before's.
+
 Internal units: mm and mm/s. The G-code F word is mm/min (factor 60).
 Segment extrusion is stored relative regardless of the file's M82/M83
 mode and re-accumulated on emit.
@@ -28,6 +37,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .fixedtext import fixed_point, text_rows
 from .geometry import ragged
 
 FEED_FACTOR = 60.0          # F word (mm/min) -> mm/s
@@ -35,7 +45,8 @@ DUPLICATE_TOL = 1e-9        # consecutive duplicate vertices merged below this
 CLOSURE_TOL = 1e-6          # first ~ last distance making a path closed
 FORMAT_DECIMALS = 5
 COORDINATE_LIMIT = 1e5      # mm; a larger |X|, |Y| or |Z| is refused
-DECODE_BLOCK = 1 << 14      # lines decoded together, which bounds the temporaries
+DECODE_BLOCK = 1 << 14      # lines decoded or emitted together, which bounds
+                            # the temporaries
 
 
 class GcodeParseError(Exception):
@@ -88,16 +99,17 @@ class Toolpath:
     def total_e(self):
         """Filament of the path's segments; the first row's E ends no
         segment of this path (see `deposition_segments`) and is not emitted."""
-        return fold_sum(self.vertices[1:, E].tolist())
+        return fold_sum(self.vertices[1:, E])
 
 
 def fold_sum(values):
-    """Floats added left to right from 0.0, on every Python: the builtin
-    `sum()` compensates its additions since 3.12."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
+    """The float64 array `values` added left to right from 0.0, as a loop
+    of `+=` adds it: `np.add.accumulate` adds in order, where `np.sum`
+    and, since Python 3.12, the builtin `sum()` do not. The leading 0.0
+    makes a sum of -0.0 +0.0, as in the loop."""
+    total = np.zeros(len(values) + 1)
+    total[1:] = values
+    return np.add.accumulate(total, out=total)[-1].item()
 
 
 def deposition_segments(paths):
@@ -627,21 +639,25 @@ def _fmt(value):
     return f"{value:.{FORMAT_DECIMALS}f}"
 
 
-# the same digits as `_fmt`; a %-template with a fixed precision formats
-# an extruding move about twice as fast as per-word nested format specs
+# the same digits as `_fmt`, for the F words of a path's rows
 _NUM_FMT = f"%.{FORMAT_DECIMALS}f"
-_MOVE_FMT = "G1 X{0} Y{0} Z{0} E{0}".format(_NUM_FMT)
 
 
 class _Emitter:
-    def __init__(self):
+    def __init__(self, newline="\n"):
         self.lines = []
+        self.newline = newline
         self.x = None
         self.y = None
         self.z = None
         self.e_accum = 0.0
         self.e_mode = "absolute"    # as the parser starts, until an M82/M83
         self.f_word = None        # last emitted F in mm/min (formatted value)
+        # extruding moves whose text `flush` writes later: for each run of
+        # a path's rows, its index in `lines`, its rows, their E words and
+        # whether its first row writes F; DECODE_BLOCK rows at most
+        self.deferred = []
+        self.deferred_rows = 0
 
     def raw(self, text):
         self.lines.append(text)
@@ -677,6 +693,8 @@ class _Emitter:
         self.raw(ev.text)
 
     def toolpath(self, tp):
+        """Re-position if needed, carry E and F through the path and defer
+        its rows' text to `flush`, cut where a block ends."""
         verts = tp.vertices
         x, y, z = verts[0, :3].tolist()
         if (self.x is None or self.y is None
@@ -686,21 +704,66 @@ class _Emitter:
             self.move(Move(x, y, z))
         if len(verts) < 2:
             return
-        absolute = self.e_mode == "absolute"
-        e_accum = self.e_accum
-        f_word = self.f_word
-        append = self.lines.append
-        for x, y, z, e, f in verts[1:, :5].tolist():
-            e_accum += e
+        # the running total added row by row, as a loop of += adds it
+        e = verts[:, E].copy()
+        e[0] = self.e_accum
+        np.add.accumulate(e, out=e)
+        self.e_accum = e[-1].item()
+        words = e[1:] if self.e_mode == "absolute" else verts[1:, E]
+        rows = verts[1:, :F + 1]
+        word = self.f_word
+        lo = 0
+        while lo < len(rows):
+            hi = min(len(rows), lo + DECODE_BLOCK - self.deferred_rows)
+            first = _NUM_FMT % (rows[lo, F] * FEED_FACTOR)
+            self.deferred.append((len(self.lines), rows[lo:hi], words[lo:hi],
+                                  first != word))
+            self.lines.append(None)
+            self.deferred_rows += hi - lo
+            if self.deferred_rows == DECODE_BLOCK:
+                self.flush()
+            lo = hi
+            x, y, z, _, f = rows[hi - 1].tolist()
             word = _NUM_FMT % (f * FEED_FACTOR)
-            line = _MOVE_FMT % (x, y, z, e_accum if absolute else e)
-            if word != f_word:
-                f_word = word
-                line += " F" + word
-            append(line)
-        self.e_accum = e_accum
-        self.f_word = f_word
+        self.f_word = word
         self.x, self.y, self.z = x, y, z
+
+    def flush(self):
+        """Put the text of the deferred rows in their places in `lines`,
+        each column formatted by `fixed_point`."""
+        if not self.deferred:
+            return
+        at, runs, words, first = zip(*self.deferred)
+        self.deferred, self.deferred_rows = [], 0
+        ends = np.cumsum([len(r) for r in runs])
+        starts = np.r_[0, ends[:-1]]
+        rows = np.concatenate(runs)
+        # after a run's first row, a row writes F where its text differs
+        # from the row before's, which only a row whose value differs can
+        feeds = rows[:, F] * FEED_FACTOR
+        run_start = np.zeros(len(rows), dtype=bool)
+        run_start[starts] = True
+        changed = np.flatnonzero(feeds[1:] != feeds[:-1]) + 1
+        changed = changed[~run_start[changed]]
+        pair = fixed_point(np.r_[feeds[changed], feeds[changed - 1]],
+                           FORMAT_DECIMALS)
+        write = np.zeros(len(rows), dtype=bool)
+        write[starts] = first
+        write[changed] = (pair[:len(changed)]
+                          != pair[len(changed):]).any(axis=1)
+        word = fixed_point(feeds[write], FORMAT_DECIMALS)
+        f_column = np.zeros((len(rows), 2 + word.shape[1]), dtype=np.uint8)
+        f_column[write, :2] = np.frombuffer(b" F", dtype=np.uint8)
+        f_column[write, 2:] = word
+        text, cuts = text_rows(
+            [b"G1 X", fixed_point(rows[:, X], FORMAT_DECIMALS),
+             b" Y", fixed_point(rows[:, Y], FORMAT_DECIMALS),
+             b" Z", fixed_point(rows[:, Z], FORMAT_DECIMALS),
+             b" E", fixed_point(np.concatenate(words), FORMAT_DECIMALS),
+             f_column, self.newline.encode()], ends)
+        cuts = cuts.tolist()
+        for i, a, b in zip(at, [0] + cuts, cuts):
+            self.lines[i] = text[a:b - len(self.newline)]
 
     def event(self, ev):
         if isinstance(ev, RawLine):
@@ -719,9 +782,10 @@ class _Emitter:
 
 def emit_gcode(program):
     """Serialise a PrintProgram back to G-code text."""
-    em = _Emitter()
+    em = _Emitter(program.newline)
     for ev in program.events():
         em.event(ev)
+    em.flush()
     return program.newline.join(em.lines) + program.newline
 
 

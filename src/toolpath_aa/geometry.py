@@ -328,9 +328,10 @@ class VerticalRayIndex(BoxGrid):
         # a ray within `_ray_keys`' tolerance of a triangle can pass just
         # outside its box, and across a cell border: grown boxes keep it
         pad = 1e-9 * (1.0 + np.abs(tris[:, :, :2]).max(initial=0.0))
-        super().__init__(tris[:, :, :2].min(axis=1) - pad,
-                         tris[:, :, :2].max(axis=1) + pad,
-                         target_per_cell=target_per_cell)
+        lo = tris[:, :, :2].min(axis=1) - pad
+        hi = tris[:, :, :2].max(axis=1) + pad
+        del tris                # freed before the binning peaks
+        super().__init__(lo, hi, target_per_cell=target_per_cell)
 
 
 def build_vertical_index(mesh):

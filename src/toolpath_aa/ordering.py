@@ -89,7 +89,7 @@ class SubPath:
 
     @cached_property
     def height(self):
-        return fold_sum(self.vertices[:, Z].tolist()) / len(self.vertices)
+        return fold_sum(self.vertices[:, Z]) / len(self.vertices)
 
     def __len__(self):
         return len(self.vertices)
@@ -174,7 +174,7 @@ def compare_heights(subpaths, eps):
     keep = ((parent[src] != parent[dst]) & ~(cut[src, 0] & (k == 0))
             & ~(cut[src, 1] & (k == last[src])) & ~(cut[dst, 0] & (endpoint == -1))
             & ~(cut[dst, 1] & (endpoint == 1)))
-    terms = np.where(src < dst, dz, -dz)[keep].tolist()
+    terms = np.where(src < dst, dz, -dz)[keep]
     a, b = np.minimum(src, dst)[keep], np.maximum(src, dst)[keep]
     first = np.flatnonzero(np.diff(a * len(subpaths) + b, prepend=-1)).tolist()
     return {(int(a[f]), int(b[f])): fold_sum(terms[f:e]) / (e - f)

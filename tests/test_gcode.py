@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toolpath_aa import gcode, ordering
-from toolpath_aa.gcode import (DELTA, DUPLICATE_TOL, E, F, FEED_FACTOR, X, Y, Z,
-                               ESet, GcodeParseError, Layer, ModeSwitch, Move,
-                               PrinterProfile, PrintProgram, RawLine, Toolpath,
+from toolpath_aa.gcode import (DELTA, DUPLICATE_TOL, E, F, FEED_FACTOR,
+                               VERTEX_COLUMNS, X, Y, Z, ESet, GcodeParseError,
+                               Layer, ModeSwitch, Move, PrinterProfile,
+                               PrintProgram, RawLine, Toolpath,
                                deposition_segments, emit_gcode, parse_gcode,
                                total_extrusion)
 from toolpath_aa.gcode import (_INTERPRETED, _LAYER_LINE_RE, _MOVE_RE,
@@ -437,6 +438,28 @@ def test_path_filament_adds_left_to_right():
     rows = [(float(k), 0.0, 0.6, e, 20.0, 0.0)
             for k, e in enumerate((5.0, 1e16, 1.0, -1e16))]
     assert Toolpath(vertices=rows).total_e() == 0.0
+
+
+def _loop_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def test_fold_sum_equals_the_loop_bitwise():
+    rng = np.random.default_rng(34)
+    cases = [np.array([]), np.array([-0.0]), np.full(5, -0.0),
+             np.array([-0.0, 0.0, -0.0]), np.array([1e16, 1.0, -1e16])]
+    for n in rng.integers(1, 400, 60).tolist():
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+        values[rng.random(n) < 0.1] = -0.0
+        cases.append(values)
+    for values in cases:
+        got = gcode.fold_sum(values)
+        assert type(got) is float
+        want = _loop_sum(values.tolist())
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 # ---------------------------------------------------------------------------
 # The one-pattern move tokeniser against the general tokeniser
@@ -992,3 +1015,57 @@ def test_emit_matches_per_word_reference_on_random_programs(mode, moves,
         v[DELTA] = d
         v[F] *= 1.0 + d
     assert emit_gcode(program) == _emit_per_word(program)
+
+
+def _program_over_blocks(block):
+    """A CRLF program of more extruding rows than two blocks of `block`
+    rows. Paths of 997 rows straddle the block ends, and one path's F
+    changes on the first row of the second block. Some paths follow on
+    where the last ended, so no travel writes F between them; a travel
+    retracts. E turns relative (M83) and is reset (G92 E) midway. X takes
+    k/64 values, exact ties at 5 decimals among them, and feeds that print
+    alike but differ as floats."""
+    rng = np.random.default_rng(34)
+    rows = 997
+    paths = 2 * block // rows + 2
+    events = [RawLine("M82"), ESet(0.0, "G92 E0")]
+    end = (0.0, 0.0, 0.3)
+    for k in range(paths):
+        v = np.zeros((rows + 1, VERTEX_COLUMNS))
+        v[:, X] = rng.integers(-6400, 6400, rows + 1) / 64
+        v[:, Y] = k + np.arange(rows + 1) / 128
+        v[:, Z] = 0.3 + rng.choice([0.0, 0.15, -0.1], rows + 1)
+        v[1:, E] = rng.uniform(0.001, 0.1, rows)
+        v[:, F] = np.where(rng.random(rows + 1) < 0.05,
+                           rng.choice([13.0, 20.0 + 1e-12, 17.5], rows + 1),
+                           20.0)
+        if k == block // rows:
+            v[1 + block % rows:, F] = 25.0   # from the next block's first row
+        if k % 3:
+            v[0, :3] = end                   # on from the last path
+        elif k % 2:
+            events.append(Move(e=-0.8, f=40.0, rapid=False))
+            events.append(Move(*v[0, :3].tolist(), f=120.0))
+        else:
+            events.append(Move(*v[0, :3].tolist()))
+        events.append(Toolpath(v))
+        end = tuple(v[-1, :3].tolist())
+        if k == paths // 3:
+            events.append(ModeSwitch("relative", "M83"))
+        if k == 2 * paths // 3:
+            events.append(ESet(0.0, "G92 E0"))
+            events.append(ModeSwitch("absolute", "M82"))
+    return PrintProgram(layers=[Layer(base_z=0.3, events=events)],
+                        newline="\r\n")
+
+
+@pytest.mark.parametrize("block", [gcode.DECODE_BLOCK, 61])
+def test_emit_matches_per_word_reference_over_several_blocks(block):
+    program = _program_over_blocks(block)
+    assert sum(len(tp) - 1 for tp in program.all_toolpaths()) > 2 * block
+    with mock.patch.object(gcode, "DECODE_BLOCK", block):
+        text = emit_gcode(program)
+    assert text == _emit_per_word(program)
+    moves = [line for line in text.split("\r\n") if line.startswith("G1 X")]
+    assert moves[block].endswith(" F1500.00000")
+    assert "M83\r\n" in text and text.count("G92 E0") == 2

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from toolpath_aa.cli import main
 from toolpath_aa.gcode import emit_gcode, parse_gcode
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 import fixtures
@@ -95,6 +96,24 @@ def test_output_digests_cover_the_parser(tmp_path):
     emitted = emit_gcode(program).encode()
     assert row == ["parse", "-", "gcode", hashlib.sha256(emitted).hexdigest(),
                    "vertices", hashlib.sha256(vertices).hexdigest()]
+
+
+def test_output_digests_cover_the_bulk_part(tmp_path, monkeypatch):
+    # the G-code digest is that of what `aa` writes from the benchmark's
+    # files for the seed-0 `bulk` part, with ordering off
+    out = run_script("output_digests.py", tmp_path, "bulk")
+    [row] = [line.split() for line in out.splitlines()]
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    parts = importlib.import_module("parts")
+    part = parts.bulk(0, parts.offset(0))
+    (tmp_path / "in.gcode").write_text(part.gcode)
+    (tmp_path / "in.stl").write_bytes(part.stl)
+    assert main(["--gcode", str(tmp_path / "in.gcode"), "--mesh",
+                 str(tmp_path / "in.stl"), "--out", str(tmp_path / "out.gcode"),
+                 "--no-ordering"]) == 0
+    gcode_sha = hashlib.sha256((tmp_path / "out.gcode").read_bytes()).hexdigest()
+    assert row[:4] == ["bulk", "plain", "gcode", gcode_sha]
+    assert row[4] == "report" and len(row[5]) == 64
 
 
 def load_tracejob():
