@@ -20,8 +20,8 @@ def fixed_point(values, decimals):
     right-aligned after 0 bytes.
 
     A value is scaled by 10**decimals and rounded to an integer, whose
-    digits are written a position at a time for all values, from unsigned
-    32-bit parts. `%` rounds the exact binary value, half to even; the
+    digits are written a position at a time for all values (from 32-bit
+    integers where they fit). `%` rounds the exact binary value, half to even; the
     scaled product errs from it by at most half an ulp, so its rounding is
     right unless the product lies within a few ulps of a .5 (an exact tie
     such as 0.015625 at 5 decimals included). Such values, any at or
@@ -43,8 +43,9 @@ def fixed_point(values, decimals):
     texts = _by_percent(values[inexact], decimals)
     width = max([places + 1 + decimals + bool(negative.any()),
                  *map(len, texts)])
-    # a row for each byte position, which is contiguous: the digits are
-    # written faster so than into the columns of the rows' array
+    # one row for each byte position, so that each digit position is
+    # written to contiguous memory, faster than into the columns of an
+    # (n, width) array
     out = np.empty((width, len(values)), dtype=np.uint8)
     point = width - 1 - decimals
     out[point] = _POINT
