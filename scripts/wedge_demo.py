@@ -36,7 +36,6 @@ def main():
         out_path=os.path.join(out_dir, "wedge_aa.gcode"),
         report_path=os.path.join(out_dir, "wedge_report.json"),
         error_map_path=os.path.join(out_dir, "wedge_aa_errors.ply"),
-        order_expansion_cap=20_000,
     )
     program, report, _ = run_pipeline(config, gcode_text=gcode, mesh=mesh)
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fixedtext import fixed_point, table, text_rows
-from .gcode import (DELTA, VERTEX_COLUMNS, F, Move, Toolpath, X, Y, Z,
-                    deposition_segments, fold_sum)
+from .gcode import (DELTA, DEPOSIT, MOVE, E, F, X, Y, Z, deposition_segments,
+                    fold_sum, forward_fill, motion_rows)
 from .geometry import (BoxGrid, _triangle_areas, first_minima, ragged,
                        row_blocks)
 
@@ -28,51 +28,25 @@ class EvaluationError(Exception):
 # Print time
 
 def estimate_print_time(program):
-    """Constant-feedrate kinematics: move length / feedrate over deposition,
-    travel and retraction moves, added left to right. As in Marlin, a
-    move's length is its XYZ length, or its |E| when it moves nowhere. No
-    acceleration model, so estimates skew slightly fast on short segments.
-    The paths' segment terms come from one array pass, by a single move's
-    operations."""
-    events = [ev for ev in program.events()
-              if isinstance(ev, (Toolpath, Move))]
-    paths = [ev.vertices for ev in events if isinstance(ev, Toolpath)]
-    rows = np.concatenate(paths + [np.empty((0, VERTEX_COLUMNS))])
-    inner = ragged([len(v) for v in paths])[1] > 0   # rows after a path's first
-    feeds = rows[inner, F]
-    if not feeds.all():
+    """Constant-feedrate kinematics over the rows of `gcode.motion_rows`,
+    written or not: each row's length / the last F at or before it, added
+    left to right. As in Marlin, a length is the XYZ step from the rows
+    before (an axis unknown at either end counts 0), or a Move's |E| when
+    it goes nowhere. Every path segment is timed, and a zero or unset
+    feedrate raises. No acceleration model, so estimates skew slightly
+    fast."""
+    rows, kind, _, _, _ = motion_rows(program)
+    first = np.arange(len(rows)) == 0
+    dx, dy, dz = (np.nan_to_num(np.diff(forward_fill(c, first), prepend=np.nan))
+                  for c in rows[:, :3].T)
+    length = np.sqrt(dx * dx + dy * dy + dz * dz)
+    idle = (kind == MOVE) & (length == 0)
+    length[idle] = np.abs(np.nan_to_num(rows[idle, E]))
+    timed = (kind == DEPOSIT) | (length > 0)
+    feeds = forward_fill(rows[:, F], first)[timed]
+    if np.isnan(feeds).any() or not feeds.all():
         raise EvaluationError("move with zero or unset feedrate")
-    dx, dy, dz = np.diff(rows[:, :3], axis=0)[inner[1:]].T
-    segments = np.sqrt(dx * dx + dy * dy + dz * dz) / feeds
-    terms = []      # of the moves to each path's start and of the Moves,
-    at = []         # each before this many path segments
-    done = 0
-    pos = (None, None, None)
-    modal_f = None
-    for ev in events:
-        if isinstance(ev, Toolpath):
-            target, f = ev.vertices[0, :3].tolist(), None
-        else:
-            target, f = (ev.x, ev.y, ev.z), ev.f
-        dx, dy, dz = (0.0 if a is None or b is None else a - b
-                      for a, b in zip(target, pos))
-        pos = tuple(b if a is None else a for a, b in zip(target, pos))
-        length = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if not length and isinstance(ev, Move) and ev.e:
-            length = abs(ev.e)      # a retraction or prime in place
-        if f is not None:
-            modal_f = f
-        if length > 0:
-            if not modal_f:
-                raise EvaluationError("move with zero or unset feedrate")
-            terms.append(length / modal_f)
-            at.append(done)
-        if isinstance(ev, Toolpath) and len(ev.vertices) > 1:
-            done += len(ev.vertices) - 1
-            pos = tuple(ev.vertices[-1, :3].tolist())
-            modal_f = float(ev.vertices[-1, F])
-    # np.insert keeps the order of the terms it inserts at one index
-    return fold_sum(np.insert(segments, at, terms))
+    return fold_sum(length[timed] / feeds)
 
 
 # ---------------------------------------------------------------------------

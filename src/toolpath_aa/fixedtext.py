@@ -97,7 +97,7 @@ def text_rows(pieces, ends=None):
     array of ASCII padded with 0 bytes, as `fixed_point` and `table`
     give; the 0 bytes are dropped.
 
-    With `ends`, increasing row counts, returns also the length of the
+    With `ends`, non-decreasing row counts, returns also the length of the
     text of the first `ends[i]` rows for each i, found at the last byte of
     the last piece: that piece is a constant whose last byte ends a row
     and occurs nowhere else in it."""
@@ -116,6 +116,6 @@ def text_rows(pieces, ends=None):
             lines[:, col:col + width] = p
     text = lines[lines != 0]
     if ends is None:
-        return text.tobytes().decode("ascii")
+        return str(text.data, "ascii")
     cuts = np.flatnonzero(text == pieces[-1][-1])[np.asarray(ends) - 1] + 1
-    return text.tobytes().decode("ascii"), cuts
+    return str(text.data, "ascii"), cuts

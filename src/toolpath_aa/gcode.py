@@ -15,14 +15,13 @@ depositions cut into paths of vertex rows. Every other line is one event
 and ends a path; a walk in file order places the events, opens the layers
 and raises the first error.
 
-Emission (`_Emitter`) walks the events in file order and formats every
-line as it comes but the extruding moves. Of a path, the walk only adds
-up E (in absolute mode the running total, row after row as a loop of
-`+=` adds it) and decides whether its first row writes F; the rows wait
-until a block of DECODE_BLOCK of them is full, and then each of their
-columns becomes text in one array pass (`fixedtext`), byte for byte what
-`'%.5f' % v` writes. A row writes F where its text differs from the
-row before's.
+Emission reads one table, `motion_rows`, which the print time reads too:
+every G0/G1 the program prints, as X, Y, Z, E and F rows in file order.
+E is settled one `np.add.accumulate` per G92 E (bitwise a loop of `+=`),
+and a row writes F where its text differs from the last F's. The written
+rows become text a block of DECODE_BLOCK at a time, each column in one
+array pass (`fixedtext`), byte for byte what `'%.5f' % v` writes, cut
+where the other events' lines go between them.
 
 Internal units: mm and mm/s. The G-code F word is mm/min (factor 60).
 Segment extrusion is stored relative regardless of the file's M82/M83
@@ -37,7 +36,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .fixedtext import fixed_point, text_rows
+from .fixedtext import fixed_point, table, text_rows
 from .geometry import ragged
 
 FEED_FACTOR = 60.0          # F word (mm/min) -> mm/s
@@ -379,7 +378,7 @@ def _shape_terms(shape):
              for t in tokens] + [-1.0 if t[:1] == "-" else 1.0 for t in tokens])
 
 
-def _forward_fill(values, reset):
+def forward_fill(values, reset):
     """Each entry's latest non-NaN value since the latest reset at or
     before it, NaN where there is none; reset[0] must be set."""
     mark = np.where(reset | ~np.isnan(values), np.arange(len(values)), 0)
@@ -504,9 +503,9 @@ class _Parser:
         reset[0] = True
         reset[np.searchsorted(lines, self.relative[::2])] = True
         reset = reset[:n]
-        nx, ny, nz = (_forward_fill(c, reset) for c in (x, y, z))
+        nx, ny, nz = (forward_fill(c, reset) for c in (x, y, z))
         px, py, pz = (np.where(reset, np.nan, np.roll(c, 1)) for c in (nx, ny, nz))
-        feed = _forward_fill(f / FEED_FACTOR, np.arange(n) == 0)
+        feed = forward_fill(f / FEED_FACTOR, np.arange(n) == 0)
         feed[np.isnan(feed)] = 0.0
         de = np.zeros(n)
         has_e = ~np.isnan(e)
@@ -635,158 +634,147 @@ def parse_gcode(text):
 # ---------------------------------------------------------------------------
 # Emission
 
-def _fmt(value):
-    return f"{value:.{FORMAT_DECIMALS}f}"
+MOVE, START, DEPOSIT = range(3)     # the kinds of `motion_rows`' rows
 
 
-# the same digits as `_fmt`, for the F words of a path's rows
-_NUM_FMT = f"%.{FORMAT_DECIMALS}f"
-
-
-class _Emitter:
-    def __init__(self, newline="\n"):
-        self.lines = []
-        self.newline = newline
-        self.x = None
-        self.y = None
-        self.z = None
-        self.e_accum = 0.0
-        self.e_mode = "absolute"    # as the parser starts, until an M82/M83
-        self.f_word = None        # last emitted F in mm/min (formatted value)
-        # extruding moves whose text `flush` writes later: for each run of
-        # a path's rows, its index in `lines`, its rows, their E words and
-        # whether its first row writes F; DECODE_BLOCK rows at most
-        self.deferred = []
-        self.deferred_rows = 0
-
-    def raw(self, text):
-        self.lines.append(text)
-
-    def move(self, mv):
-        parts = ["G0" if mv.rapid else "G1"]
-        if mv.x is not None:
-            parts.append(f"X{_fmt(mv.x)}")
-            self.x = mv.x
-        if mv.y is not None:
-            parts.append(f"Y{_fmt(mv.y)}")
-            self.y = mv.y
-        if mv.z is not None:
-            parts.append(f"Z{_fmt(mv.z)}")
-            self.z = mv.z
-        if mv.e is not None:
-            self.e_accum += mv.e
-            e = self.e_accum if self.e_mode == "absolute" else mv.e
-            parts.append(f"E{_fmt(e)}")
-        if mv.f is not None:
-            word = _fmt(mv.f * FEED_FACTOR)
-            if word != self.f_word:
-                self.f_word = word
-                parts.append(f"F{word}")
-        self.lines.append(" ".join(parts))
-
-    def e_set(self, ev):
-        self.e_accum = ev.value
-        self.raw(ev.text)
-
-    def mode(self, ev):
-        self.e_mode = ev.mode
-        self.raw(ev.text)
-
-    def toolpath(self, tp):
-        """Re-position if needed, carry E and F through the path and defer
-        its rows' text to `flush`, cut where a block ends."""
-        verts = tp.vertices
-        x, y, z = verts[0, :3].tolist()
-        if (self.x is None or self.y is None
-                or math.dist((self.x, self.y), (x, y)) > DUPLICATE_TOL
-                or self.z is None or abs(self.z - z) > DUPLICATE_TOL):
-            # re-position without extruding (covers reordered paths)
-            self.move(Move(x, y, z))
-        if len(verts) < 2:
-            return
-        # the running total added row by row, as a loop of += adds it
-        e = verts[:, E].copy()
-        e[0] = self.e_accum
-        np.add.accumulate(e, out=e)
-        self.e_accum = e[-1].item()
-        words = e[1:] if self.e_mode == "absolute" else verts[1:, E]
-        rows = verts[1:, :F + 1]
-        word = self.f_word
-        lo = 0
-        while lo < len(rows):
-            hi = min(len(rows), lo + DECODE_BLOCK - self.deferred_rows)
-            first = _NUM_FMT % (rows[lo, F] * FEED_FACTOR)
-            self.deferred.append((len(self.lines), rows[lo:hi], words[lo:hi],
-                                  first != word))
-            self.lines.append(None)
-            self.deferred_rows += hi - lo
-            if self.deferred_rows == DECODE_BLOCK:
-                self.flush()
-            lo = hi
-            x, y, z, _, f = rows[hi - 1].tolist()
-            word = _NUM_FMT % (f * FEED_FACTOR)
-        self.f_word = word
-        self.x, self.y, self.z = x, y, z
-
-    def flush(self):
-        """Put the text of the deferred rows in their places in `lines`,
-        each column formatted by `fixed_point`."""
-        if not self.deferred:
-            return
-        at, runs, words, first = zip(*self.deferred)
-        self.deferred, self.deferred_rows = [], 0
-        ends = np.cumsum([len(r) for r in runs])
-        starts = np.r_[0, ends[:-1]]
-        rows = np.concatenate(runs)
-        # after a run's first row, a row writes F where its text differs
-        # from the row before's, which only a row whose value differs can
-        feeds = rows[:, F] * FEED_FACTOR
-        run_start = np.zeros(len(rows), dtype=bool)
-        run_start[starts] = True
-        changed = np.flatnonzero(feeds[1:] != feeds[:-1]) + 1
-        changed = changed[~run_start[changed]]
-        pair = fixed_point(np.r_[feeds[changed], feeds[changed - 1]],
-                           FORMAT_DECIMALS)
-        write = np.zeros(len(rows), dtype=bool)
-        write[starts] = first
-        write[changed] = (pair[:len(changed)]
-                          != pair[len(changed):]).any(axis=1)
-        word = fixed_point(feeds[write], FORMAT_DECIMALS)
-        f_column = np.zeros((len(rows), 2 + word.shape[1]), dtype=np.uint8)
-        f_column[write, :2] = np.frombuffer(b" F", dtype=np.uint8)
-        f_column[write, 2:] = word
-        text, cuts = text_rows(
-            [b"G1 X", fixed_point(rows[:, X], FORMAT_DECIMALS),
-             b" Y", fixed_point(rows[:, Y], FORMAT_DECIMALS),
-             b" Z", fixed_point(rows[:, Z], FORMAT_DECIMALS),
-             b" E", fixed_point(np.concatenate(words), FORMAT_DECIMALS),
-             f_column, self.newline.encode()], ends)
-        cuts = cuts.tolist()
-        for i, a, b in zip(at, [0] + cuts, cuts):
-            self.lines[i] = text[a:b - len(self.newline)]
-
-    def event(self, ev):
-        if isinstance(ev, RawLine):
-            self.raw(ev.text)
-        elif isinstance(ev, Move):
-            self.move(ev)
-        elif isinstance(ev, ESet):
-            self.e_set(ev)
-        elif isinstance(ev, ModeSwitch):
-            self.mode(ev)
+def motion_rows(program):
+    """Every G0/G1 the program prints, in file order, as an (n, 5) table
+    of X, Y, Z, the relative E amount and F in mm/s, NaN for a word the
+    line lacks: a `Move` is a MOVE row, a Toolpath a START row (its first
+    vertex, with no E and F) and a DEPOSIT row per later vertex. Returns
+    (rows, kind, rapid, shown, events): the row kinds; the G0 rows, every
+    START among them; the written rows, all but a START within
+    DUPLICATE_TOL in XY and in Z of where the written rows left the
+    nozzle; and each other event with the index of the row it precedes."""
+    moves, paths, hidden, events = [], [], [], []
+    x = y = z = math.nan        # the nozzle, NaN until a row writes it
+    n = 0
+    for ev in program.events():
+        if isinstance(ev, Move):
+            moves.append((n, ev))
+            x, y, z = (x if ev.x is None else ev.x, y if ev.y is None else ev.y,
+                       z if ev.z is None else ev.z)
+            n += 1
         elif isinstance(ev, Toolpath):
-            self.toolpath(ev)
+            v = ev.vertices
+            sx, sy, sz = v[0, :3].tolist()
+            if (math.dist((x, y), (sx, sy)) <= DUPLICATE_TOL
+                    and abs(z - sz) <= DUPLICATE_TOL):
+                hidden.append(n)
+            else:
+                x, y, z = sx, sy, sz
+            if len(v) > 1:
+                x, y, z = v[-1, :3].tolist()
+            paths.append((n, v))
+            n += len(v)
+        elif isinstance(ev, (RawLine, ESet, ModeSwitch)):
+            events.append((n, ev))
         else:
             raise TypeError(f"unknown event {ev!r}")
+    rows = np.empty((n, F + 1))
+    move_at = [at for at, _ in moves]
+    rows[move_at] = np.array([(m.x, m.y, m.z, m.e, m.f) for _, m in moves],
+                             dtype=np.float64).reshape(-1, F + 1)  # None: NaN
+    for at, v in paths:
+        rows[at:at + len(v)] = v[:, :F + 1]
+    starts = [at for at, _ in paths]
+    rows[starts, E:] = np.nan
+    kind = np.full(n, DEPOSIT, dtype=np.int8)
+    kind[move_at] = MOVE
+    kind[starts] = START
+    g0 = kind == START
+    g0[move_at] = [m.rapid for _, m in moves]
+    shown = np.ones(n, dtype=bool)
+    shown[hidden] = False
+    return rows, kind, g0, shown, events
 
 
 def emit_gcode(program):
     """Serialise a PrintProgram back to G-code text."""
-    em = _Emitter(program.newline)
-    for ev in program.events():
-        em.event(ev)
-    em.flush()
-    return program.newline.join(em.lines) + program.newline
+    return "".join(_text(program)) or program.newline
+
+
+def _text(program):
+    """The pieces of `emit_gcode`'s text in order: the written rows of
+    `motion_rows` with their E and F words settled, a block of
+    DECODE_BLOCK at a time, and the other events' lines between them. As
+    a generator it frees the table before the pieces are joined."""
+    rows, _, rapid, shown, events = motion_rows(program)
+    _settle_e(rows, events)
+    _settle_f(rows)
+    written = np.flatnonzero(shown)
+    # the written rows before each event, where the rows' text is cut
+    at = np.searchsorted(written, [r for r, _ in events])
+    texts = [ev.text + program.newline for _, ev in events]
+    k, before = 0, at.tolist()
+    for lo in range(0, len(written), DECODE_BLOCK):
+        block = written[lo:lo + DECODE_BLOCK]
+        ends = np.r_[at[(at > lo) & (at < lo + len(block))], lo + len(block)]
+        pieces = _row_text(rows, block, rapid[block], ends - lo, program.newline)
+        for start, piece in zip([lo, *ends[:-1].tolist()], pieces):
+            while k < len(texts) and before[k] <= start:
+                yield texts[k]
+                k += 1
+            yield piece
+    yield from texts[k:]
+
+
+def _row_text(rows, block, rapid, ends, newline):
+    """The G-code lines of the rows `block` of `rows` (X, Y, Z, E and F,
+    NaN where a word is not written), cut after each of the row counts
+    `ends`. Each word is a column: a space, the letter and the value as
+    `'%.5f' % v` writes it, or 0 bytes where the value is NaN."""
+    pieces = [table([b"G1", b"G0"])[rapid.view(np.uint8)]]
+    for c, letter in enumerate([b" X", b" Y", b" Z", b" E", b" F"]):
+        values = rows[block, c]
+        present = ~np.isnan(values)
+        if present.all():
+            pieces += [letter, fixed_point(values, FORMAT_DECIMALS)]
+            continue
+        digits = fixed_point(values[present], FORMAT_DECIMALS)
+        word = np.zeros((len(values), 2 + digits.shape[1]), dtype=np.uint8)
+        word[present, :2] = np.frombuffer(letter, dtype=np.uint8)
+        word[present, 2:] = digits
+        pieces.append(word)
+    text, cuts = text_rows(pieces + [newline.encode()], ends)
+    cuts = [0, *cuts.tolist()]
+    return [text[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _settle_e(rows, events):
+    """Each E word as written: in relative mode (after an M83, until an
+    M82) the row's own amount, and else the running total, which a G92 E
+    sets and each amount adds to, one `np.add.accumulate` from one G92 E
+    or M82/M83 to the next, so bitwise as a loop of `+=` adds it."""
+    has = np.flatnonzero(~np.isnan(rows[:, E]))
+    words = rows[has, E]
+    marks = [(r, ev) for r, ev in events if isinstance(ev, (ESet, ModeSwitch))]
+    bounds = [0, *np.searchsorted(has, [r for r, _ in marks]).tolist(), len(has)]
+    total, relative = 0.0, False
+    for ev, a, b in zip([None] + [ev for _, ev in marks], bounds, bounds[1:]):
+        if isinstance(ev, ESet):
+            total = ev.value
+        elif ev is not None:
+            relative = ev.mode == "relative"
+        run = np.add.accumulate(np.r_[total, words[a:b]])
+        total = run[-1].item()
+        if not relative:
+            words[a:b] = run[1:]
+    rows[has, E] = words
+
+
+def _settle_f(rows):
+    """Each F word as written, in mm/min, and NaN where none is: a row
+    writes F where its text differs from that of the last row with an F,
+    which only a value of other bits can."""
+    has = np.flatnonzero(~np.isnan(rows[:, F]))
+    feeds = rows[has, F] * FEED_FACTOR
+    bits = feeds.view(np.int64)
+    write = np.r_[True, bits[1:] != bits[:-1]][:len(has)]
+    changed = np.flatnonzero(write[1:]) + 1
+    pair = fixed_point(np.r_[feeds[changed], feeds[changed - 1]], FORMAT_DECIMALS)
+    write[changed] = (pair[:len(changed)] != pair[len(changed):]).any(axis=1)
+    rows[has, F] = np.where(write, feeds, np.nan)
 
 
 def total_extrusion(program):

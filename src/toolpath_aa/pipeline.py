@@ -29,7 +29,6 @@ class PipelineConfig:
     report_path: str = None
     error_map_path: str = None
     sweep_s: list = field(default_factory=list)
-    order_expansion_cap: int = ordering.EXPANSION_CAP
 
     def validate(self):
         self.profile.validate()
@@ -143,8 +142,7 @@ def _run(config, gcode_text, mesh):
     if config.ordering_enabled:
         t0 = time.perf_counter()
         report["ordering"] = order_program(program, profile,
-                                           weighted=config.weighted_seams,
-                                           cap=config.order_expansion_cap)
+                                           weighted=config.weighted_seams)
         report["timings_s"]["ordering"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -170,7 +168,7 @@ def _run(config, gcode_text, mesh):
     return program, report, text_out, emap
 
 
-def order_program(program, profile, weighted, cap):
+def order_program(program, profile, weighted):
     """Split, order and relink every layer that has modified paths. Only
     the modified paths enter the ordering stage; the unmodified ones print
     first, whole and in input order."""
@@ -192,7 +190,7 @@ def order_program(program, profile, weighted, cap):
         graph = ordering.build_constraint_graph(subpaths, eps)
         t3 = time.perf_counter()
         result = ordering.order_paths(graph, eps_gap, weighted=weighted,
-                                      max_expansions=cap)
+                                      max_expansions=ordering.EXPANSION_CAP)
         t4 = time.perf_counter()
         ordered = [Toolpath(sp.vertices) for sp in result.order]
         ordering.relink_travels(layer, kept + ordered, eps_gap, travel_f)

@@ -62,12 +62,12 @@ def test_c01_displacement_bound():
           f"3 fixtures x 3 slicing planes ({time.perf_counter()-t0:.1f}s)")
 
 
-def test_c02_wedge_snap_accuracy():
+def test_c02_wedge_snap_accuracy(monkeypatch):
     """Displaced wedge vertices sit on the plane; error map max drops >10x."""
+    monkeypatch.setattr(ordering, "EXPANSION_CAP", 20_000)
     t0 = time.perf_counter()
     mesh, gcode = fixtures.wedge_fixture(PROFILE)
-    config = PipelineConfig(profile=PROFILE,
-                            order_expansion_cap=20_000)
+    config = PipelineConfig(profile=PROFILE)
     program, report, _ = run_pipeline(config, gcode_text=gcode, mesh=mesh)
     slope = math.tan(math.radians(10.0))
     worst = 0.0
@@ -248,13 +248,13 @@ def test_c06_feedrate_endpoints():
           "displacement, 13 mm/s at a full-layer jump")
 
 
-def test_c07_print_time_neutrality():
+def test_c07_print_time_neutrality(monkeypatch):
     """Anti-aliased wedge prints within 10% of the flat estimate."""
+    monkeypatch.setattr(ordering, "EXPANSION_CAP", 20_000)
     t0 = time.perf_counter()
     mesh, gcode = fixtures.wedge_fixture(PROFILE)
     flat_time = evaluate.estimate_print_time(parse_gcode(gcode))
-    config = PipelineConfig(profile=PROFILE,
-                            order_expansion_cap=20_000)
+    config = PipelineConfig(profile=PROFILE)
     program, _, _ = run_pipeline(config, gcode_text=gcode, mesh=mesh)
     aa_time = evaluate.estimate_print_time(program)
     ratio = aa_time / flat_time
@@ -310,7 +310,7 @@ def test_c10_throughput():
           f"in {dt:.2f}s ({stats.displaced} moved)")
 
 
-def test_c11_topological_validity():
+def test_c11_topological_validity(monkeypatch):
     """Every produced order respects its edges; unmodified paths lead."""
     t0 = time.perf_counter()
     checked_orders = 0
@@ -345,7 +345,8 @@ def test_c11_topological_validity():
     graph, _ = scenes.ordering_scene()
     check(graph, ordering.order_paths(graph, EPS_GAP))
     # relinked wedge layers: the unmodified paths print first
-    pipeline.order_program(program, PROFILE, weighted=False, cap=10_000)
+    monkeypatch.setattr(ordering, "EXPANSION_CAP", 10_000)
+    pipeline.order_program(program, PROFILE, weighted=False)
     for layer in program.layers:
         mods = [tp.modified for tp in layer.toolpaths()]
         assert mods == sorted(mods)      # all False before all True

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toolpath_aa import antialias
+from toolpath_aa import antialias, ordering
 from toolpath_aa.evaluate import (SAMPLE_BLOCK, ErrorMap, EvaluationError,
                                   _percentiles, _TrackGrid, error_map,
                                   estimate_print_time, sample_mesh_surface,
@@ -108,7 +108,8 @@ RETRACTS = ("G90\nM83\nG0 X1 Y1 Z0.6 F3000\nG1 X5 Y1 E0.2 F1200\n"
 
 
 @pytest.mark.parametrize("name", ["wedge", "hatch", "dome", "retracts"])
-def test_print_time_matches_move_by_move_reference(name):
+def test_print_time_matches_move_by_move_reference(name, monkeypatch):
+    monkeypatch.setattr(ordering, "EXPANSION_CAP", 2_000)
     if name == "retracts":
         programs = [parse_gcode(RETRACTS)]
     else:
@@ -116,8 +117,8 @@ def test_print_time_matches_move_by_move_reference(name):
                        "hatch": functools.partial(wedge_fixture,
                                                   cross_hatch=True)}[name]()
         programs = [parse_gcode(gcode),
-                    run_pipeline(PipelineConfig(order_expansion_cap=2_000),
-                                 gcode_text=gcode, mesh=mesh)[0]]
+                    run_pipeline(PipelineConfig(), gcode_text=gcode,
+                                 mesh=mesh)[0]]
     for program in programs:
         assert (estimate_print_time(program).hex()
                 == print_time_reference(program).hex())
@@ -136,6 +137,18 @@ def test_print_time_times_a_hop_and_retract_by_its_hop():
     for program in (together, apart):
         assert (estimate_print_time(program).hex()
                 == print_time_reference(program).hex())
+
+
+def test_print_time_raises_on_a_zero_feed_segment_of_length_0():
+    # every path segment is timed, one of length 0 too, so its zero
+    # feedrate raises as in the move-by-move reference
+    path = Toolpath([[0.0, 0.0, 0.3, 0.0, 20.0, 0.0],
+                     [0.0, 0.0, 0.3, 0.1, 0.0, 0.0]])
+    program = PrintProgram(layers=[Layer(base_z=0.3, events=[
+        Move(0.0, 0.0, 0.3, f=10.0), path])])
+    for estimate in (estimate_print_time, print_time_reference):
+        with pytest.raises(EvaluationError):
+            estimate(program)
 
 
 def track_distance(track, px, py, pz):

@@ -17,9 +17,11 @@ from toolpath_aa.gcode import (DELTA, DUPLICATE_TOL, E, F, FEED_FACTOR,
                                total_extrusion)
 from toolpath_aa.gcode import (_INTERPRETED, _LAYER_LINE_RE, _MOVE_RE,
                                _command_of, _parse_words)
+from toolpath_aa.evaluate import estimate_print_time
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 from fixtures import dome_fixture, wedge_fixture
 from scenes import flat_box_fixture, hop_wedge_gcode, parse_stress_gcode
+from test_evaluate import print_time_reference
 
 SIMPLE = """G90
 M82
@@ -942,8 +944,55 @@ def test_move_pattern_runs_once_per_line_shape():
 # ---------------------------------------------------------------------------
 # One format per extruding move against the per-word emitter
 
-class _PerWordEmitter(gcode._Emitter):
-    """The per-word formatting of extruding moves, kept as the reference."""
+def _fmt(value):
+    return f"{value:.{gcode.FORMAT_DECIMALS}f}"
+
+
+class _PerWordEmitter:
+    """The reference for `emit_gcode`: one event at a time, every line
+    formatted word by word as it comes."""
+
+    def __init__(self):
+        self.lines = []
+        self.x = None
+        self.y = None
+        self.z = None
+        self.e_accum = 0.0
+        self.e_mode = "absolute"    # as the parser starts, until an M82/M83
+        self.f_word = None        # last emitted F in mm/min (formatted value)
+
+    def raw(self, text):
+        self.lines.append(text)
+
+    def move(self, mv):
+        parts = ["G0" if mv.rapid else "G1"]
+        if mv.x is not None:
+            parts.append(f"X{_fmt(mv.x)}")
+            self.x = mv.x
+        if mv.y is not None:
+            parts.append(f"Y{_fmt(mv.y)}")
+            self.y = mv.y
+        if mv.z is not None:
+            parts.append(f"Z{_fmt(mv.z)}")
+            self.z = mv.z
+        if mv.e is not None:
+            self.e_accum += mv.e
+            e = self.e_accum if self.e_mode == "absolute" else mv.e
+            parts.append(f"E{_fmt(e)}")
+        if mv.f is not None:
+            word = _fmt(mv.f * gcode.FEED_FACTOR)
+            if word != self.f_word:
+                self.f_word = word
+                parts.append(f"F{word}")
+        self.lines.append(" ".join(parts))
+
+    def e_set(self, ev):
+        self.e_accum = ev.value
+        self.raw(ev.text)
+
+    def mode(self, ev):
+        self.e_mode = ev.mode
+        self.raw(ev.text)
 
     def toolpath(self, tp):
         rows = tp.vertices.tolist()
@@ -955,23 +1004,39 @@ class _PerWordEmitter(gcode._Emitter):
             self.move(Move(sx, sy, sz))
         for v in rows[1:]:
             self.e_accum += v[E]
-            parts = ["G1", f"X{gcode._fmt(v[X])}", f"Y{gcode._fmt(v[Y])}",
-                     f"Z{gcode._fmt(v[Z])}"]
+            parts = ["G1", f"X{_fmt(v[X])}", f"Y{_fmt(v[Y])}",
+                     f"Z{_fmt(v[Z])}"]
             if self.e_mode == "absolute":
-                parts.append(f"E{gcode._fmt(self.e_accum)}")
+                parts.append(f"E{_fmt(self.e_accum)}")
             else:
-                parts.append(f"E{gcode._fmt(v[E])}")
-            word = gcode._fmt(v[F] * gcode.FEED_FACTOR)
+                parts.append(f"E{_fmt(v[E])}")
+            word = _fmt(v[F] * gcode.FEED_FACTOR)
             if word != self.f_word:
                 self.f_word = word
                 parts.append(f"F{word}")
             self.lines.append(" ".join(parts))
             self.x, self.y, self.z = v[X], v[Y], v[Z]
 
+    def event(self, ev):
+        if isinstance(ev, RawLine):
+            self.raw(ev.text)
+        elif isinstance(ev, Move):
+            self.move(ev)
+        elif isinstance(ev, ESet):
+            self.e_set(ev)
+        elif isinstance(ev, ModeSwitch):
+            self.mode(ev)
+        elif isinstance(ev, Toolpath):
+            self.toolpath(ev)
+        else:
+            raise TypeError(f"unknown event {ev!r}")
+
 
 def _emit_per_word(program):
-    with mock.patch.object(gcode, "_Emitter", _PerWordEmitter):
-        return emit_gcode(program)
+    em = _PerWordEmitter()
+    for ev in program.events():
+        em.event(ev)
+    return program.newline.join(em.lines) + program.newline
 
 
 @pytest.mark.parametrize("make", [
@@ -1015,6 +1080,61 @@ def test_emit_matches_per_word_reference_on_random_programs(mode, moves,
         v[DELTA] = d
         v[F] *= 1.0 + d
     assert emit_gcode(program) == _emit_per_word(program)
+
+
+def _row(x, y, z, e=0.0, f=20.0):
+    return [x, y, z, e, f, 0.0]
+
+
+# programs at the edges of the motion table, and their G-code
+EDGE_PROGRAMS = {
+    "start 5e-10 off the nozzle": ([
+        Move(0.0, 0.0, 0.3, f=100.0),
+        Toolpath([_row(5e-10, 0.0, 0.3), _row(10.0, 0.0, 0.3, 0.5)]),
+    ], "G0 X0.00000 Y0.00000 Z0.30000 F6000.00000\n"
+       "G1 X10.00000 Y0.00000 Z0.30000 E0.50000 F1200.00000\n"),
+    "one-row path": ([
+        Move(0.0, 0.0, 0.3, f=100.0),
+        Toolpath([_row(1.0, 1.0, 0.3)]),
+        Toolpath([_row(1.0, 1.0, 0.3), _row(2.0, 1.0, 0.3, 0.1)]),
+    ], "G0 X0.00000 Y0.00000 Z0.30000 F6000.00000\n"
+       "G0 X1.00000 Y1.00000 Z0.30000\n"
+       "G1 X2.00000 Y1.00000 Z0.30000 E0.10000 F1200.00000\n"),
+    "G92 E between a Move and a path": ([
+        ModeSwitch("absolute", "M82"),
+        Move(e=-0.8, f=40.0, rapid=False),
+        ESet(5.0, "G92 E5"),
+        Toolpath([_row(0.0, 0.0, 0.3), _row(3.0, 0.0, 0.3, 0.25)]),
+    ], "M82\nG1 E-0.80000 F2400.00000\nG92 E5\nG0 X0.00000 Y0.00000 Z0.30000\n"
+       "G1 X3.00000 Y0.00000 Z0.30000 E5.25000 F1200.00000\n"),
+    "M83 between two paths": ([
+        Toolpath([_row(0.0, 0.0, 0.3), _row(3.0, 0.0, 0.3, 0.25)]),
+        ModeSwitch("relative", "M83"),
+        Toolpath([_row(3.0, 0.0, 0.3), _row(3.0, 3.0, 0.3, 0.5, 30.0)]),
+    ], "G0 X0.00000 Y0.00000 Z0.30000\n"
+       "G1 X3.00000 Y0.00000 Z0.30000 E0.25000 F1200.00000\nM83\n"
+       "G1 X3.00000 Y3.00000 Z0.30000 E0.50000 F1800.00000\n"),
+    "feeds of zero apart by their sign": ([
+        Move(0.0, 0.0, 0.3, f=10.0), Move(f=0.0), Move(f=-0.0),
+        Move(x=1.0, f=10.0),
+    ], "G0 X0.00000 Y0.00000 Z0.30000 F600.00000\nG0 F0.00000\n"
+       "G0 F-0.00000\nG0 X1.00000 F600.00000\n"),
+    "no G0 or G1": ([RawLine("; start"), RawLine("M104 S200")],
+                    "; start\nM104 S200\n"),
+    "empty": ([], "\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_PROGRAMS))
+def test_motion_table_edges_match_both_references(name):
+    events, gcode_text = EDGE_PROGRAMS[name]
+    program = PrintProgram(layers=[Layer(base_z=0.3, events=events)])
+    assert emit_gcode(program) == _emit_per_word(program) == gcode_text
+    assert (estimate_print_time(program).hex()
+            == print_time_reference(program).hex())
+    if name == "start 5e-10 off the nozzle":
+        # the travel to the path's start is timed too
+        assert estimate_print_time(program) > (10.0 - 5e-10) / 20.0
 
 
 def _program_over_blocks(block):

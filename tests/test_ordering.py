@@ -54,7 +54,7 @@ def order_layer(paths):
     ordering report)."""
     layer = Layer(base_z=0.6, events=list(paths))
     report = order_program(PrintProgram(layers=[layer]), PrinterProfile(),
-                           weighted=False, cap=ordering.EXPANSION_CAP)
+                           weighted=False)
     return layer, report["layers"][0]
 
 

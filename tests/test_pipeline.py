@@ -6,13 +6,14 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toolpath_aa import antialias, cli, evaluate, pipeline
+from toolpath_aa import antialias, cli, evaluate, ordering, pipeline
 from toolpath_aa.files import replace_atomically
 from toolpath_aa.gcode import PrinterProfile, parse_gcode, total_extrusion
 from toolpath_aa.geometry import build_mesh, build_vertical_index
@@ -44,7 +45,8 @@ def test_flat_box_pass_through():
     assert all(r.get("skipped") for r in report["ordering"]["layers"])
 
 
-def test_wedge_end_to_end_report(tmp_path):
+def test_wedge_end_to_end_report(tmp_path, monkeypatch):
+    monkeypatch.setattr(ordering, "EXPANSION_CAP", 20_000)
     profile = PrinterProfile()
     mesh, gcode = wedge_fixture(profile)
     report_path = tmp_path / "stats.json"
@@ -53,8 +55,7 @@ def test_wedge_end_to_end_report(tmp_path):
                             out_path=str(out_path),
                             report_path=str(report_path),
                             error_map_path=str(tmp_path / "map.ply"),
-                            sweep_s=[0.0, 0.3],
-                            order_expansion_cap=20_000)
+                            sweep_s=[0.0, 0.3])
     program, report, text = run_pipeline(config, gcode_text=gcode, mesh=mesh)
     assert report["displacement"]["vertices_displaced"] > 0
     data = json.loads(report_path.read_text())
@@ -233,8 +234,9 @@ def test_binary_replace_keeps_the_target_on_error(tmp_path):
 def run_ordered_and_flat(mesh, gcode):
     """(report, re-parsed output) with ordering on, and the re-parsed
     output with it off."""
-    _, report, text = run_pipeline(PipelineConfig(order_expansion_cap=2_000),
-                                   gcode_text=gcode, mesh=mesh)
+    with mock.patch.object(ordering, "EXPANSION_CAP", 2_000):
+        _, report, text = run_pipeline(PipelineConfig(), gcode_text=gcode,
+                                       mesh=mesh)
     _, _, flat = run_pipeline(PipelineConfig(ordering_enabled=False),
                               gcode_text=gcode, mesh=mesh)
     return report, parse_gcode(text), parse_gcode(flat)
@@ -302,24 +304,24 @@ def test_random_domes_order_without_error(radius, cap_height, extent):
                                                      abs=1e-6)
 
 
-def test_pipeline_determinism():
+def test_pipeline_determinism(monkeypatch):
+    monkeypatch.setattr(ordering, "EXPANSION_CAP", 20_000)
     profile = PrinterProfile()
     mesh, gcode = wedge_fixture(profile)
-    config = PipelineConfig(profile=profile,
-                            order_expansion_cap=20_000)
+    config = PipelineConfig(profile=profile)
     _, _, t1 = run_pipeline(config, gcode_text=gcode, mesh=mesh)
     _, _, t2 = run_pipeline(config, gcode_text=gcode, mesh=mesh)
     assert t1 == t2
 
 
-def test_wedge_search_proves_every_layer_optimal():
+def test_wedge_search_proves_every_layer_optimal(monkeypatch):
     # the search stops once its order meets the lower bound, well inside
     # the node budget, instead of exhausting the budget on optimal orders
     profile = PrinterProfile()
     mesh, gcode = wedge_fixture(profile)
     cap = 20_000
-    config = PipelineConfig(profile=profile,
-                            order_expansion_cap=cap)
+    monkeypatch.setattr(ordering, "EXPANSION_CAP", cap)
+    config = PipelineConfig(profile=profile)
     _, report, _ = run_pipeline(config, gcode_text=gcode, mesh=mesh)
     layers = [r for r in report["ordering"]["layers"] if not r.get("skipped")]
     assert layers

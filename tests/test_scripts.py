@@ -116,6 +116,17 @@ def test_output_digests_cover_the_bulk_part(tmp_path, monkeypatch):
     assert row[4] == "report" and len(row[5]) == 64
 
 
+def test_output_digests_print_the_pinned_lines(tmp_path):
+    # the outputs' digests of the inputs that run in seconds, as committed
+    # in tests/data/output_digests.txt: a change that alters an output
+    # byte fails here, and one that alters it on purpose updates the file
+    pinned = (ROOT / "tests" / "data" / "output_digests.txt").read_text()
+    names = dict.fromkeys(line.split()[0] for line in pinned.splitlines())
+    assert set(names) == {"wedge", "hatch", "loops", "retracts", "hops",
+                          "parse", "emap", "bulk"}
+    assert run_script("output_digests.py", tmp_path, *names) == pinned
+
+
 def load_tracejob():
     spec = importlib.util.spec_from_file_location("tracejob", TRACEJOB)
     tracejob = importlib.util.module_from_spec(spec)
