@@ -40,13 +40,6 @@ class DisplacementWindow:
 
 
 @dataclass
-class OverlapRecord:
-    lower: tuple      # (layer, path, segment) indices
-    upper: tuple
-    volume: float     # mm^3, > 0
-
-
-@dataclass
 class DisplacementStats:
     total: int = 0
     displaced: int = 0
@@ -341,11 +334,16 @@ def detect_overlaps(program, profile):
     at the centroid of the XY intersection of the two swept rectangles.
     The candidate pairs of every layer pair are gathered first and then
     clipped in one batch. Does not touch extrusion. Returns (records,
-    report); the records come by layer pair and then sorted by (upper,
-    lower), as the grid's pairs do.
+    report). The records are one record array, a row per hit: the lower
+    segment's `layer`, `lower_path` and `lower_row` (the row that ends
+    it, as `deposition_segments` numbers them), the upper segment's
+    `upper_path` and `upper_row` in layer + 1, and the `volume` in mm^3
+    (> 0). They come by layer pair and then sorted by (upper, lower), as
+    the grid's pairs do.
     """
     half = profile.d / 2.0
-    found = []
+    found = [(np.empty(0, np.int64),) * 5 + (np.empty((0, VERTEX_COLUMNS)),) * 4
+             + (np.empty(0),)]
     layers = [layer.toolpaths() for layer in program.layers]
     for li in range(len(layers) - 1):
         lpath, lrow, la, lb = deposition_segments(layers[li])
@@ -367,30 +365,25 @@ def detect_overlaps(program, profile):
         found.append((np.full(len(k), li), lpath[k], lrow[k], upath[uq],
                       urow[uq], la[k], lb[k], ua[uq], ub[uq],
                       np.full(len(k), program.layers[li].base_z)))
-    records = []
-    if found:
-        li, lpath, lrow, upath, urow, la, lb, ua, ub, upper_bottom = (
-            np.concatenate(column) for column in zip(*found))
-        xs, ys, n = _clip_rects(*_segment_rects(la, lb, half),
-                                *_segment_rects(ua, ub, half))
-        area = np.abs(signed_areas(xs, ys, n))
-        # sum over the polygon's vertices, in order, over its vertex count
-        used = np.arange(xs.shape[1]) < n[:, None]
-        cx = cy = np.zeros(len(xs))
-        for x, y, u in zip(xs.T, ys.T, used.T):
-            cx = cx + np.where(u, x, 0.0)
-            cy = cy + np.where(u, y, 0.0)
-        cx, cy = cx / np.maximum(n, 1), cy / np.maximum(n, 1)
-        pen = _tops_at(la, lb, cx, cy) - upper_bottom
-        hit = np.flatnonzero((n >= 3) & (area > 1e-12) & (pen > 0))
-        for i, lp, lr, up, ur, volume in zip(
-                *(c[hit].tolist() for c in (li, lpath, lrow, upath, urow)),
-                (area[hit] * pen[hit]).tolist()):
-            records.append(OverlapRecord(lower=(i, lp, lr), upper=(i + 1, up, ur),
-                                         volume=volume))
+    li, lpath, lrow, upath, urow, la, lb, ua, ub, upper_bottom = (
+        np.concatenate(column) for column in zip(*found))
+    xs, ys, n = _clip_rects(*_segment_rects(la, lb, half),
+                            *_segment_rects(ua, ub, half))
+    area = np.abs(signed_areas(xs, ys, n))
+    # sum over the polygon's vertices, in order, over its vertex count
+    used = np.arange(xs.shape[1]) < n[:, None]
+    cx = cy = np.zeros(len(xs))
+    for x, y, u in zip(xs.T, ys.T, used.T):
+        cx = cx + np.where(u, x, 0.0)
+        cy = cy + np.where(u, y, 0.0)
+    cx, cy = cx / np.maximum(n, 1), cy / np.maximum(n, 1)
+    pen = _tops_at(la, lb, cx, cy) - upper_bottom
+    hit = np.flatnonzero((n >= 3) & (area > 1e-12) & (pen > 0))
+    records = np.rec.fromarrays(
+        [c[hit] for c in (li, lpath, lrow, upath, urow)] + [area[hit] * pen[hit]],
+        names="layer,lower_path,lower_row,upper_path,upper_row,volume")
     return records, {"overlap_records": len(records),
-                     "overlap_volume_mm3": fold_sum(
-                         np.array([r.volume for r in records]))}
+                     "overlap_volume_mm3": fold_sum(records.volume)}
 
 
 def _tops_at(la, lb, cx, cy):
@@ -408,11 +401,11 @@ def reduce_overlap_flow(program, profile):
     records, report = detect_overlaps(program, profile)
     layers = [layer.toolpaths() for layer in program.layers]
     clamped = 0
-    for rec in records:
-        li, pi, si = rec.upper
-        verts = layers[li][pi].vertices
+    for li, pi, si, volume in records[["layer", "upper_path", "upper_row",
+                                       "volume"]].tolist():
+        verts = layers[li + 1][pi].vertices
         e = float(verts[si, E])
-        de = rec.volume / profile.filament_area
+        de = volume / profile.filament_area
         if e - de < 0:
             de = e
             clamped += 1

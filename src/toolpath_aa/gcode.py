@@ -5,15 +5,16 @@ per-vertex position, segment extrusion length and feedrate) grouped into
 layers; everything else is preserved so that parse -> emit round-trips
 with identical motion values and byte-identical non-motion lines.
 
-It reads a file in two passes. The decode pass (`_decode`) reads every
-G0/G1's words into columns: the usual slicer moves checked once per line
-shape and their digits read a block of lines at a time, any other move
-through the general word tokeniser. The state pass
-(`_Parser.state`) applies all the moves at once with numpy: the position
-and feedrate carried forward, E made a filament delta, and the
-depositions cut into paths of vertex rows. Every other line is one event
-and ends a path; a walk in file order places the events, opens the layers
-and raises the first error.
+It reads a file in two passes, and each line once. The decode pass
+(`_decode`) reads the usual slicer moves' words into columns, checked
+once per line shape and their digits read a block of lines at a time.
+`_Parser.line` reads every line the decode leaves: a G0/G1's words
+through the general word tokeniser, into the same columns, and any other
+line as one event. The state pass (`_Parser.state`) applies all the
+moves at once with numpy: the position and feedrate carried forward, E
+made a filament delta, and the depositions cut into paths of vertex rows.
+Every event ends a path; a walk in file order places the events, opens
+the layers and raises the first error.
 
 Emission reads one table, `motion_rows`, which the print time reads too:
 every G0/G1 the program prints, as X, Y, Z, E and F rows in file order.
@@ -310,9 +311,10 @@ def _parse_words(code, lineno):
 
 
 def _decode(lines):
-    """Decode pass: (words, move, rapid) over the lines. `words` holds each
-    line's X, Y, Z, E and F values, NaN where the line lacks the word;
-    `move` marks the G0/G1 lines whose words read, `rapid` the G0s.
+    """Decode pass over the canonical moves: (words, move, rapid) over the
+    lines. `words` holds each canonical move's X, Y, Z, E and F values,
+    NaN where the line lacks the word and on every other line; `move`
+    marks the canonical moves, `rapid` the G0s among them.
 
     A line's shape is the line with its digits 1-9 read as 0. `_MOVE_RE`
     is matched once per shape (`_shape_terms`), which tells for every line
@@ -321,11 +323,10 @@ def _decode(lines):
     integers in one call, and each number is its mantissa over 10**k. The
     pattern allows at most 15 digits, so the mantissa is below 2**53 and
     10**k is exact: the one division rounds the decimal correctly, as
-    `float()` does; the sign is applied last, so -0 gives -0.0. Any other
-    G0/G1, a longer number's among them, goes through `_parse_words`; one
-    whose words fail to read is no move, and `_Parser.line` raises its
-    error as the walk in file order reaches it. A G2-G9 that shares a G0's
-    shape is no move either: `_Parser.line` keeps it verbatim or raises."""
+    `float()` does; the sign is applied last, so -0 gives -0.0. Every
+    other line, a G0/G1 with a comment or a longer number among them, is
+    left to `_Parser.line`, its one reader; so is a G2-G9 that shares a
+    G0's shape."""
     n = len(lines)
     words = np.full((n, 5), np.nan)
     move = np.zeros(n, dtype=bool)
@@ -351,17 +352,6 @@ def _decode(lines):
         words[rows] = values[g01, 1:]
         move[rows] = True
         rapid[rows] = values[g01, 0] == 0.0
-    for i in np.flatnonzero(~move).tolist():
-        stripped = lines[i].partition(";")[0].strip()
-        cmd = _command_of(stripped)
-        if cmd not in (("G", 0.0), ("G", 1.0)):
-            continue
-        try:
-            got = _parse_words(stripped, i + 1)
-        except GcodeParseError:
-            continue
-        words[i] = [got.get(letter, np.nan) for letter in "XYZEF"]
-        move[i], rapid[i] = True, cmd[1] == 0.0
     return words, move, rapid
 
 
@@ -414,14 +404,20 @@ class _Parser:
         if "\r" in text:
             lines = [raw.rstrip("\r") for raw in lines]
         words, move, rapid = _decode(lines)
-        # each line that is no move gives one event (an error is kept, and
-        # raised when the walk below reaches it); the G91 blocks' moves too
+        # `line` reads each line that the decode leaves: a G0/G1 gives its
+        # words, any other line one event (an error is kept, and raised
+        # when the walk below reaches it); the G91 blocks' moves give one too
         events = {}
         for i in np.flatnonzero(~move).tolist():
             try:
-                events[i] = self.line(i, lines[i])
+                ev = self.line(i, lines[i])
             except GcodeParseError as exc:
-                events[i] = exc
+                ev = exc
+            if isinstance(ev, tuple):
+                words[i], rapid[i] = ev
+                move[i] = True
+            else:
+                events[i] = ev
         if len(self.relative) % 2:
             self.relative.append(len(lines))
         for first, end in zip(self.relative[::2], self.relative[1::2]):
@@ -455,8 +451,9 @@ class _Parser:
         return self.program
 
     def line(self, i, raw):
-        """The event of line i, which is no G0/G1 move; records the
-        extrusion and coordinate modes that the line sets."""
+        """The event of line i, or for a G0/G1 its X, Y, Z, E and F words
+        (NaN where absent) and whether it is a G0; records the extrusion
+        and coordinate modes that the line sets."""
         stripped = raw.partition(";")[0].strip()
         cmd = _command_of(stripped)
         if cmd not in _INTERPRETED:
@@ -465,6 +462,8 @@ class _Parser:
             return RawLine(raw)
         words = _parse_words(stripped, i + 1)
         letter, number = cmd
+        if letter == "G" and number in (0.0, 1.0):
+            return [words.get(k, np.nan) for k in "XYZEF"], number == 0.0
         if letter == "G" and number in (2.0, 3.0):
             raise GcodeParseError(
                 "arc moves (G2/G3) are not supported; linearise them first",
@@ -481,7 +480,7 @@ class _Parser:
             mode = "absolute" if number == 82.0 else "relative"
             self.e_marks.append((i, mode, None))
             return ModeSwitch(mode, raw)
-        # G92; a G0/G1 that reaches here has raised in _parse_words
+        # G92
         if any(k in words for k in "XYZ"):
             raise GcodeParseError("G92 redefining X/Y/Z is not supported", i + 1)
         if "E" in words:

@@ -285,12 +285,12 @@ class OrderResult:
         }
 
 
-def order_paths(graph, eps_gap, weighted=False, max_expansions=EXPANSION_CAP):
+def order_paths(graph, eps_gap, weighted=False):
     """Minimal-seam topological order of the constraint graph: the branch
     and bound minimises entry gap + transition gaps + exit gap, with each
     gap location counted once."""
     seams = _Seams(graph.nodes, eps_gap, weighted)
-    return OrderResult(*_search(graph, seams, max_expansions))
+    return OrderResult(*_search(graph, seams))
 
 
 class _Seams:
@@ -372,7 +372,7 @@ class _Seams:
         return cost, gaps
 
 
-def _search(graph, seams, max_expansions):
+def _search(graph, seams):
     """Depth-first branch and bound over the topological orders of the
     nodes, on an explicit stack, so that no layer is too large for it.
     Returns OrderResult's fields, the best order found first."""
@@ -454,7 +454,7 @@ def _search(graph, seams, max_expansions):
         expansions += 1
         # on a DAG the first complete order comes within n + 1 expansions,
         # since nothing is pruned before it; the cap applies after that
-        if expansions > max_expansions and best_order is not None:
+        if expansions > EXPANSION_CAP and best_order is not None:
             capped = True
             break
         children, steps = (), None

@@ -135,8 +135,7 @@ def _run(config, gcode_text, mesh):
     report["displacement"] = stats.as_dict(h=profile.h)
 
     t0 = time.perf_counter()
-    _records, report["overlap"] = antialias.reduce_overlap_flow(program,
-                                                                profile)
+    _, report["overlap"] = antialias.reduce_overlap_flow(program, profile)
     report["timings_s"]["overlap"] = time.perf_counter() - t0
 
     if config.ordering_enabled:
@@ -189,8 +188,7 @@ def order_program(program, profile, weighted):
         t2 = time.perf_counter()
         graph = ordering.build_constraint_graph(subpaths, eps)
         t3 = time.perf_counter()
-        result = ordering.order_paths(graph, eps_gap, weighted=weighted,
-                                      max_expansions=ordering.EXPANSION_CAP)
+        result = ordering.order_paths(graph, eps_gap, weighted=weighted)
         t4 = time.perf_counter()
         ordered = [Toolpath(sp.vertices) for sp in result.order]
         ordering.relink_travels(layer, kept + ordered, eps_gap, travel_f)

@@ -328,13 +328,13 @@ def test_c11_topological_validity(monkeypatch):
     for layer in program.layers:
         antialias.displace_layer(layer.toolpaths(), index, PROFILE)
     eps = ordering.interference_threshold(PROFILE)
+    monkeypatch.setattr(ordering, "EXPANSION_CAP", 10_000)
     for layer in program.layers:
         paths = [p for p in layer.toolpaths() if p.modified]
         pairs = ordering.find_neighbors(paths, eps)
         subs = ordering.split_paths(paths, pairs, eps)
         graph = ordering.build_constraint_graph(subs, eps)
-        check(graph, ordering.order_paths(graph, EPS_GAP,
-                                          max_expansions=10_000))
+        check(graph, ordering.order_paths(graph, EPS_GAP))
     # three_paths geometric scene
     paths = scenes.three_paths_scene()
     pairs = ordering.find_neighbors(paths, eps)
@@ -345,7 +345,6 @@ def test_c11_topological_validity(monkeypatch):
     graph, _ = scenes.ordering_scene()
     check(graph, ordering.order_paths(graph, EPS_GAP))
     # relinked wedge layers: the unmodified paths print first
-    monkeypatch.setattr(ordering, "EXPANSION_CAP", 10_000)
     pipeline.order_program(program, PROFILE, weighted=False)
     for layer in program.layers:
         mods = [tp.modified for tp in layer.toolpaths()]

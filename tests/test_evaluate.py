@@ -624,9 +624,8 @@ def test_zero_e_segment_is_no_track_and_no_overlap():
     assert len(tracks_from_program(full, profile)) == 6
     tracks = tracks_from_program(gap, profile)
     assert tracks[:, [0, 2]].tolist() == [[0, 1], [2, 3]] * 2
+    segments = ["layer", "lower_path", "lower_row", "upper_path", "upper_row"]
     records, _ = antialias.detect_overlaps(full, profile)
-    assert [(r.lower, r.upper) for r in records] == [
-        ((0, 0, k), (1, 0, k)) for k in (1, 2, 3)]
+    assert records[segments].tolist() == [(0, 0, k, 0, k) for k in (1, 2, 3)]
     records, _ = antialias.detect_overlaps(gap, profile)
-    assert [(r.lower, r.upper) for r in records] == [
-        ((0, 0, 1), (1, 0, 1)), ((0, 0, 3), (1, 0, 3))]
+    assert records[segments].tolist() == [(0, 0, 1, 0, 1), (0, 0, 3, 0, 3)]

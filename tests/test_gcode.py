@@ -898,12 +898,25 @@ def _tokens(draw):
     return letter, tokens
 
 
+def read_moves(lines):
+    """The (words, move, rapid) columns as the parse fills them: `_decode`,
+    then `_Parser.line` on each line that it leaves."""
+    words, move, rapid = gcode._decode(lines)
+    parser = gcode._Parser("\n".join(lines))
+    for i in np.flatnonzero(~move).tolist():
+        got = parser.line(i, lines[i])
+        if isinstance(got, tuple):
+            words[i], rapid[i] = got
+            move[i] = True
+    return words, move, rapid
+
+
 @settings(max_examples=300, deadline=None)
 @given(_tokens())
 def test_decode_reads_every_shape_as_float_does(case):
     letter, tokens = case
     lines = [f"G1 {letter}{token}" for token in tokens]
-    words, move, rapid = gcode._decode(lines)
+    words, move, rapid = read_moves(lines)
     assert move.all() and not rapid.any()
     column = "XYZEF".index(letter)
     want = np.array([float(token) for token in tokens])
@@ -917,7 +930,7 @@ def test_decode_reads_signs_zeros_and_long_tokens_as_float_does():
               "0.1000000000000000055511151231257827",
               "0000000000000000000000000000001.5"]
     lines = [f"G0 X0 Y0 Z0 E{token} F{token}" for token in tokens]
-    words, move, rapid = gcode._decode(lines)
+    words, move, rapid = read_moves(lines)
     assert move.all() and rapid.all()
     want = np.array([float(token) for token in tokens])
     assert words[:, 3].tobytes() == want.tobytes() == words[:, 4].tobytes()
@@ -930,6 +943,21 @@ def test_decode_reads_a_g2_to_g9_of_a_move_shape_as_no_move():
     assert move.tolist() == [False, True, False, True, False, False]
     assert rapid.tolist() == [False, False, False, True, False, False]
     assert np.isnan(words[~move]).all()
+
+
+def test_each_line_the_block_decode_leaves_is_read_once():
+    # `_Parser.line` is the one reader of the lines that are no canonical
+    # move: each is stripped and its command matched once, G0/G1 lines
+    # with a comment among them
+    text = parse_stress_gcode()
+    lines = text.split("\r\n")[:-1]
+    left = [line for line in lines if not _MOVE_RE.fullmatch(line)]
+    assert any(line.startswith("G1 ") for line in left)
+    with mock.patch.object(gcode, "_command_of", wraps=_command_of) as spy:
+        parse_gcode(text)
+    assert sorted(c.args[0] for c in spy.call_args_list) == sorted(
+        line.partition(";")[0].strip() for line in left)
+    assert np.count_nonzero(~gcode._decode(lines)[1]) == len(left)
 
 
 def test_move_pattern_runs_once_per_line_shape():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -321,11 +322,12 @@ def test_ordering_scene_fixture_optimal_search():
     assert not res.suboptimal
 
 
-def test_cap_below_first_order_keeps_the_first_order():
+def test_cap_below_first_order_keeps_the_first_order(monkeypatch):
     # the cap takes effect only once a complete order exists, which the
     # search reaches in n + 1 expansions
     graph, labels = ordering_scene_fixture()
-    res = order_paths(graph, EPS_GAP, max_expansions=1)
+    monkeypatch.setattr(ordering, "EXPANSION_CAP", 1)
+    res = order_paths(graph, EPS_GAP)
     order = node_ids(graph, res.order)
     assert res.suboptimal
     assert res.root_bound <= res.cost
@@ -583,9 +585,9 @@ def search_instances(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(search_instances(), st.booleans(), st.sampled_from([1, 5, 50_000]))
-def test_search_agrees_with_its_cost_rule(graph, weighted, max_expansions):
-    res = order_paths(graph, EPS_GAP, weighted=weighted,
-                      max_expansions=max_expansions)
+def test_search_agrees_with_its_cost_rule(graph, weighted, cap):
+    with mock.patch.object(ordering, "EXPANSION_CAP", cap):
+        res = order_paths(graph, EPS_GAP, weighted=weighted)
     order = node_ids(graph, res.order)
     pos = {i: k for k, i in enumerate(order)}
     assert all(pos[u] < pos[v] for u, v in graph.edges)

@@ -122,8 +122,8 @@ def test_output_digests_print_the_pinned_lines(tmp_path):
     # byte fails here, and one that alters it on purpose updates the file
     pinned = (ROOT / "tests" / "data" / "output_digests.txt").read_text()
     names = dict.fromkeys(line.split()[0] for line in pinned.splitlines())
-    assert set(names) == {"wedge", "hatch", "loops", "retracts", "hops",
-                          "parse", "emap", "bulk"}
+    assert set(names) == {"wedge", "hatch", "dome", "loops", "retracts",
+                          "hops", "parse", "emap", "bulk"}
     assert run_script("output_digests.py", tmp_path, *names) == pinned
 
 
@@ -168,12 +168,14 @@ def test_trace_job_entry_points_resolve_and_count(tmp_path, monkeypatch):
             counts[key] = counts.get(key, 0) + value
     assert counts["vertices"] >= counts["displaced"] > 0
     assert counts["rays"] > 0 and counts["edges"] > 0
-    # the tracer reads len() of find_neighbors' and split_paths' results
-    layers = json.loads((tmp_path / "report.json").read_text())[
-        "ordering"]["layers"]
+    # the tracer reads len() of find_neighbors', split_paths' and
+    # reduce_overlap_flow's first results
+    report = json.loads((tmp_path / "report.json").read_text())
+    layers = report["ordering"]["layers"]
     assert counts["pairs"] == sum(r.get("neighbor_pairs", 0) for r in layers)
     assert counts["subpaths"] == sum(r.get("subpaths", 0) for r in layers)
     assert counts["pairs"] > 0
+    assert counts["records"] == report["overlap"]["overlap_records"] > 0
 
 
 def test_trace_job_script_spans_every_entry_point(tmp_path):
