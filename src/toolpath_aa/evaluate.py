@@ -12,8 +12,7 @@ import numpy as np
 from .fixedtext import fixed_point, table, text_rows
 from .gcode import (DELTA, DEPOSIT, MOVE, E, F, X, Y, Z, deposition_segments,
                     fold_sum, forward_fill, motion_rows)
-from .geometry import (BoxGrid, _triangle_areas, first_minima, ragged,
-                       row_blocks)
+from .geometry import BoxGrid, first_minima, ragged, row_blocks
 
 VIS_CLAMP = 0.3   # mm, error map colour scale end
 SAMPLE_BLOCK = 8192   # error map samples drawn, measured and exported at once
@@ -295,8 +294,7 @@ def _sample(mesh, samples_per_mm2, seed, measure=None):
     distances by measure(points), or None without it. The outputs are
     allocated first, then filled and measured a block of at most
     SAMPLE_BLOCK samples at a time (`_fill`)."""
-    counts = np.maximum(1, np.round(_triangle_areas(mesh.vertices, mesh.triangles)
-                                    * samples_per_mm2)).astype(int)
+    counts = np.maximum(1, np.round(mesh.areas * samples_per_mm2)).astype(int)
     n = int(counts.sum())
     points, normals = np.empty((n, 3)), np.empty((n, 3))
     dists = None if measure is None else np.empty(n)
@@ -354,6 +352,6 @@ def _place(mesh, t0, t1, tri, r1, r2, points, normals):
     flip = r1 + r2 > 1.0
     r1[flip] = 1.0 - r1[flip]
     r2[flip] = 1.0 - r2[flip]
-    a, b, c = (mesh.vertices[mesh.triangles[t0:t1, j]] for j in range(3))
+    a, b, c = mesh.corners[t0:t1].transpose(1, 0, 2)
     points[:] = a[tri] + r1[:, None] * (b - a)[tri] + r2[:, None] * (c - a)[tri]
     normals[:] = mesh.normals[t0:t1][tri]

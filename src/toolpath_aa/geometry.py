@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,60 +44,37 @@ class EmptyMeshError(MeshError):
 
 @dataclass
 class TriangleMesh:
-    """Indexed triangle soup with per-triangle unit normals.
+    """Triangle soup as its corners, with per-triangle unit normals and
+    areas; build one with `build_mesh`.
 
-    Normals are always recomputed from the right-hand winding of each
-    triangle; normals stored in STL files are ignored.
+    Normals follow the right-hand winding of each triangle's corners;
+    normals stored in STL files are ignored.
     """
 
-    vertices: np.ndarray          # (n, 3) float64
-    triangles: np.ndarray         # (m, 3) int64
-    normals: np.ndarray = field(default=None)  # (m, 3) float64, unit length
+    corners: np.ndarray           # (m, 3, 3) float64, triangle by corner
+    normals: np.ndarray           # (m, 3) float64, unit length
+    areas: np.ndarray             # (m,) float64, mm^2
     degenerate_dropped: int = 0
-
-    def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
-        self.triangles = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
-        if self.normals is None:
-            self.normals = _face_normals(self.vertices, self.triangles)
 
     @property
     def triangle_count(self):
-        return len(self.triangles)
+        return len(self.corners)
 
 
-def _face_normals(vertices, triangles):
-    a = vertices[triangles[:, 0]]
-    b = vertices[triangles[:, 1]]
-    c = vertices[triangles[:, 2]]
-    n = np.cross(b - a, c - a)
-    lens = np.linalg.norm(n, axis=1)
-    lens[lens == 0] = 1.0
-    return n / lens[:, None]
-
-
-def _triangle_areas(vertices, triangles):
-    a = vertices[triangles[:, 0]]
-    b = vertices[triangles[:, 1]]
-    c = vertices[triangles[:, 2]]
-    return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-
-
-def build_mesh(vertices, triangles):
-    """Build a mesh from raw arrays, dropping degenerate triangles."""
-    vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
-    triangles = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-    if len(triangles) == 0:
-        raise EmptyMeshError("mesh has no triangles")
-    areas = _triangle_areas(vertices, triangles)
-    keep = areas > DEGENERATE_AREA
-    dropped = int((~keep).sum())
-    triangles = triangles[keep]
-    if len(triangles) == 0:
+def build_mesh(corners):
+    """The mesh of (m, 3, 3) triangle corners, the triangles of area at most
+    DEGENERATE_AREA dropped and counted in `degenerate_dropped`. Normals and
+    areas come from one cross product per triangle."""
+    corners = np.asarray(corners, dtype=np.float64).reshape(-1, 3, 3)
+    a, b, c = corners.transpose(1, 0, 2)
+    cross = np.cross(b - a, c - a)
+    lens = np.linalg.norm(cross, axis=1)
+    keep = 0.5 * lens > DEGENERATE_AREA
+    if not keep.any():
         raise EmptyMeshError("mesh has no non-degenerate triangles")
-    mesh = TriangleMesh(vertices, triangles)
-    mesh.degenerate_dropped = dropped
-    return mesh
+    lens = lens[keep]
+    return TriangleMesh(corners[keep], cross[keep] / lens[:, None], 0.5 * lens,
+                        int((~keep).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -106,13 +83,14 @@ def build_mesh(vertices, triangles):
 def load_mesh(data):
     """Parse STL bytes, ASCII or binary as detected, into a TriangleMesh.
 
-    Degenerate triangles are dropped and counted in mesh.degenerate_dropped.
+    The facets' points are rounded to 1e-9 mm, and every zero comes out as
+    +0.0 (rounding keeps the sign, adding 0.0 clears it). Degenerate
+    triangles are dropped and counted in mesh.degenerate_dropped.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
-    if _is_ascii_stl(data):
-        return _load_stl_ascii(data)
-    return _load_stl_binary(data)
+    load = _load_stl_ascii if _is_ascii_stl(data) else _load_stl_binary
+    return build_mesh(load(data).round(9) + 0.0)
 
 
 def load_mesh_file(path):
@@ -127,6 +105,7 @@ def _is_ascii_stl(data):
 
 
 def _load_stl_binary(data):
+    """The (m, 3, 3) points of a binary STL's facets."""
     if len(data) < 84:
         raise StlParseError("binary STL shorter than 84-byte header", offset=len(data))
     (count,) = struct.unpack_from("<I", data, 80)
@@ -141,66 +120,52 @@ def _load_stl_binary(data):
     raw = np.frombuffer(data, dtype=np.uint8, count=50 * count, offset=84)
     rec = raw.reshape(count, 50)
     floats = rec[:, :48].copy().view("<f4").reshape(count, 12).astype(np.float64)
-    tris_pts = floats[:, 3:12].reshape(count * 3, 3)
-    if not np.isfinite(tris_pts).all():
-        bad = int(np.argwhere(~np.isfinite(tris_pts).all(axis=1))[0][0] // 3)
+    corners = floats[:, 3:12].reshape(count, 3, 3)
+    if not np.isfinite(corners).all():
+        bad = int(np.flatnonzero(~np.isfinite(corners).all(axis=(1, 2)))[0])
         raise StlParseError("non-finite vertex in binary STL", offset=84 + 50 * bad)
-    vertices, triangles = _weld(tris_pts)
-    return build_mesh(vertices, triangles)
+    return corners
 
 
 def _load_stl_ascii(data):
+    """The (m, 3, 3) points of an ASCII STL's facets. Each `vertex` must lie
+    in an `outer loop` that `endloop` closes after three of them."""
     text = data.decode("utf-8", errors="replace")
     pts = []
-    nvert_in_facet = 0
-    in_loop = False
+    loop, opened = None, 0      # the open outer loop's points, and its line
     for lineno, line in enumerate(text.splitlines(), 1):
         words = line.split()
         if not words:
             continue
         key = words[0].lower()
+        if loop is not None and key in ("facet", "outer", "endsolid"):
+            raise StlParseError(f"outer loop of line {opened} has no endloop",
+                                line=lineno)
         if key == "vertex":
+            if loop is None:
+                raise StlParseError("vertex outside an outer loop", line=lineno)
             if len(words) != 4:
                 raise StlParseError("vertex needs 3 coordinates", line=lineno)
             try:
-                pts.append([float(w) for w in words[1:4]])
+                loop.append([float(w) for w in words[1:4]])
             except ValueError:
                 raise StlParseError("non-numeric vertex coordinate", line=lineno)
-            if not all(map(math.isfinite, pts[-1])):
+            if not all(map(math.isfinite, loop[-1])):
                 raise StlParseError("non-finite vertex in ASCII STL", line=lineno)
-            nvert_in_facet += 1
         elif key == "outer":
-            in_loop = True
-            nvert_in_facet = 0
+            loop, opened = [], lineno
         elif key == "endloop":
-            if not in_loop or nvert_in_facet != 3:
+            if loop is None or len(loop) != 3:
                 raise StlParseError(
-                    f"facet has {nvert_in_facet} vertices, expected 3", line=lineno
-                )
-            in_loop = False
-    if len(pts) % 3 != 0:
-        raise StlParseError("dangling vertices outside a complete facet")
+                    f"facet has {len(loop or ())} vertices, expected 3", line=lineno)
+            pts += loop
+            loop = None
+    if loop is not None:
+        raise StlParseError(f"outer loop of line {opened} has no endloop",
+                            line=lineno)
     if not pts:
         raise EmptyMeshError("ASCII STL contains no facets")
-    vertices, triangles = _weld(np.asarray(pts, dtype=np.float64))
-    return build_mesh(vertices, triangles)
-
-
-def _weld(tri_points):
-    """Merge vertices that are equal after rounding to 1e-9 mm; returns
-    (vertices, triangles), the vertices sorted by x, then y, then z, as
-    `np.unique(axis=0)` gives them. Every zero coordinate comes out as
-    +0.0 (rounding keeps the sign, adding 0.0 clears it), so -0.0 and
-    +0.0 weld into one vertex."""
-    flat = np.asarray(tri_points).round(9) + 0.0
-    order = np.lexsort(flat.T[::-1])
-    rows = flat[order]
-    first = np.empty(len(rows), dtype=bool)
-    first[:1] = True
-    np.any(rows[1:] != rows[:-1], axis=1, out=first[1:])
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return rows[first], inverse.reshape(-1, 3)
+    return np.asarray(pts, dtype=np.float64).reshape(-1, 3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +287,7 @@ class VerticalRayIndex(BoxGrid):
     """
 
     def __init__(self, mesh, target_per_cell=2.0):
-        tris = mesh.vertices[mesh.triangles]
+        tris = mesh.corners
         self._terms, self._okd = triangle_terms(tris)
         self._nz = mesh.normals[:, 2].copy()
         # a ray within `_ray_keys`' tolerance of a triangle can pass just
@@ -330,7 +295,6 @@ class VerticalRayIndex(BoxGrid):
         pad = 1e-9 * (1.0 + np.abs(tris[:, :, :2]).max(initial=0.0))
         lo = tris[:, :, :2].min(axis=1) - pad
         hi = tris[:, :, :2].max(axis=1) + pad
-        del tris                # freed before the binning peaks
         super().__init__(lo, hi, target_per_cell=target_per_cell)
 
 

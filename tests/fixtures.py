@@ -41,7 +41,7 @@ def wedge_mesh(angle_deg=10.0, base=20.0, depth=10.0):
     quad(1, 4, 5, 2)                   # back face x = base
     triangles.append((0, 1, 2))        # side y = 0
     triangles.append((3, 5, 4))        # side y = depth
-    return build_mesh(vertices, triangles)
+    return build_mesh(vertices[triangles])
 
 
 def dome_height(radius, cap_height, extent):
@@ -98,7 +98,7 @@ def dome_mesh(radius=12.0, cap_height=3.0, extent=16.0):
     # z = 0 so the solid is closed up to the flat base plane
     triangles.append((nb, nb + 2, nb + 1))
     triangles.append((nb, nb + 3, nb + 2))
-    return build_mesh(np.array(verts, dtype=float), triangles)
+    return build_mesh(np.array(verts, dtype=float)[triangles])
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +270,11 @@ def mesh_to_stl_binary(mesh):
     count = mesh.triangle_count
     out = bytearray(b"toolpath-aa".ljust(80, b"\0"))
     out += struct.pack("<I", count)
-    tris = mesh.vertices[mesh.triangles]  # (m, 3, 3)
     for i in range(count):
         rec = struct.pack(
             "<12fH",
             *mesh.normals[i].astype(np.float32),
-            *tris[i].reshape(9).astype(np.float32),
+            *mesh.corners[i].reshape(9).astype(np.float32),
             0,
         )
         out += rec

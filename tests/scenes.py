@@ -38,14 +38,12 @@ def flat_box_mesh(lx=10.0, ly=10.0, height=1.2):
     quad(1, 2, 6, 5)   # x = lx
     quad(2, 3, 7, 6)   # y = ly
     quad(3, 0, 4, 7)   # x = 0
-    return build_mesh(vertices, triangles)
+    return build_mesh(vertices[triangles])
 
 
 def mesh_volume(mesh):
     """Signed volume by the divergence theorem (exact for closed meshes)."""
-    a = mesh.vertices[mesh.triangles[:, 0]]
-    b = mesh.vertices[mesh.triangles[:, 1]]
-    c = mesh.vertices[mesh.triangles[:, 2]]
+    a, b, c = mesh.corners.transpose(1, 0, 2)
     return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
 
 

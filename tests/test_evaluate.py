@@ -18,7 +18,7 @@ from toolpath_aa.files import replace_atomically
 from toolpath_aa.gcode import (DELTA, E, X, Y, Z, Layer, Move,
                                PrinterProfile, PrintProgram, Toolpath,
                                parse_gcode)
-from toolpath_aa.geometry import PAIR_BLOCK, _triangle_areas, build_mesh
+from toolpath_aa.geometry import PAIR_BLOCK, build_mesh
 from toolpath_aa.pipeline import PipelineConfig, run_pipeline
 from fixtures import critical_angle, dome_fixture, wedge_fixture
 from scenes import flat_box_fixture, flat_box_mesh
@@ -389,9 +389,7 @@ def sample_per_triangle(mesh, samples_per_mm2, seed):
     """Reference for `sample_mesh_surface`: one triangle at a time, two
     draws each."""
     rng = np.random.default_rng(seed)
-    a = mesh.vertices[mesh.triangles[:, 0]]
-    b = mesh.vertices[mesh.triangles[:, 1]]
-    c = mesh.vertices[mesh.triangles[:, 2]]
+    a, b, c = mesh.corners.transpose(1, 0, 2)
     areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
     counts = np.maximum(1, np.round(areas * samples_per_mm2)).astype(int)
     pts = []
@@ -414,13 +412,12 @@ def test_sampling_matches_per_triangle_loop_bitwise(density):
     # triangle with more samples than two blocks in the middle of that list
     dome = dome_fixture()[0]
     leg = math.sqrt(2.0 * (2 * SAMPLE_BLOCK + 100) / density)
-    m, half = len(dome.vertices), len(dome.triangles) // 2
-    big = build_mesh(np.vstack([dome.vertices, [[0.0, 0.0, -1.0], [leg, 0.0, -1.0],
-                                                [0.0, leg, -1.0]]]),
-                     np.vstack([dome.triangles[:half], [[m, m + 1, m + 2]],
-                                dome.triangles[half:]]))
-    assert round(_triangle_areas(big.vertices, big.triangles)[half]
-                 * density) > 2 * SAMPLE_BLOCK
+    half = dome.triangle_count // 2
+    big = build_mesh(np.concatenate([dome.corners[:half],
+                                     [[[0.0, 0.0, -1.0], [leg, 0.0, -1.0],
+                                       [0.0, leg, -1.0]]],
+                                     dome.corners[half:]]))
+    assert round(big.areas[half] * density) > 2 * SAMPLE_BLOCK
     if density == 50.0:
         assert len(sample_mesh_surface(dome, density)[0]) > 3 * SAMPLE_BLOCK
     for mesh in (dome, big):

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from toolpath_aa import antialias, geometry
-from toolpath_aa.geometry import (BELOW_BIAS, BOX_SLACK, PAIR_BLOCK,
-                                  BoxGrid, EmptyMeshError, StlParseError,
-                                  VerticalRayIndex, box_pairs, build_mesh,
-                                  build_vertical_index, cast_vertical_batch,
-                                  load_mesh, ragged)
+from toolpath_aa.geometry import (BELOW_BIAS, BOX_SLACK, DEGENERATE_AREA,
+                                  PAIR_BLOCK, BoxGrid, EmptyMeshError,
+                                  StlParseError, VerticalRayIndex, box_pairs,
+                                  build_mesh, build_vertical_index,
+                                  cast_vertical_batch, load_mesh, ragged)
 from toolpath_aa.gcode import PrinterProfile, parse_gcode
 import fixtures
 from fixtures import mesh_to_stl_binary, wedge_mesh
@@ -33,12 +33,11 @@ def cube_mesh():
 
 def mesh_to_stl_ascii(mesh, name="mesh"):
     lines = [f"solid {name}"]
-    tris = mesh.vertices[mesh.triangles]
     for i in range(mesh.triangle_count):
         n = mesh.normals[i]
         lines.append(f"  facet normal {n[0]:.9g} {n[1]:.9g} {n[2]:.9g}")
         lines.append("    outer loop")
-        for p in tris[i]:
+        for p in mesh.corners[i]:
             lines.append(f"      vertex {p[0]:.9g} {p[1]:.9g} {p[2]:.9g}")
         lines.append("    endloop")
         lines.append("  endfacet")
@@ -58,7 +57,7 @@ def cast_vertical_brute(mesh, query):
     """Grid-free oracle for `cast_one`: the ray meets every triangle at
     once and keeps the first minimum of the batch's key."""
     dz, dist, key = geometry._ray_keys(
-        *geometry.triangle_terms(mesh.vertices[mesh.triangles]),
+        *geometry.triangle_terms(mesh.corners),
         float(query[0]), float(query[1]), float(query[2]))
     best = int(np.argmin(key))     # a NaN key is its own minimum: no hit
     hit = bool(np.isfinite(dist[best]))
@@ -90,13 +89,12 @@ def test_ascii_roundtrip():
 
 def test_degenerate_dropped_and_counted():
     cube = cube_mesh()
-    tris = cube.vertices[cube.triangles]
-    records = list(tris)
-    records.append(np.array([[0, 0, 0], [1, 1, 1], [2, 2, 2]]))  # zero area
-    flat = np.vstack(records).reshape(-1, 3)
-    verts, faces = np.unique(flat.round(9), axis=0, return_inverse=True)
-    mesh = build_mesh(verts, faces.reshape(-1, 3))
+    zero_area = [[[0, 0, 0], [1, 1, 1], [2, 2, 2]]]
+    mesh = build_mesh(np.concatenate([cube.corners[:6], zero_area,
+                                      cube.corners[6:]]))
     assert mesh.triangle_count == 12
+    assert np.array_equal(mesh.corners, cube.corners)
+    assert np.array_equal(mesh.normals, cube.normals)
     assert mesh.degenerate_dropped == 1
 
 
@@ -106,6 +104,30 @@ def test_ascii_non_finite_vertex_names_its_line(word):
     with pytest.raises(StlParseError) as err:
         load_mesh(text)
     assert err.value.line == 5
+
+
+def test_ascii_vertex_outside_a_loop_names_its_line():
+    # three vertex lines before any outer loop made a second triangle
+    stray = "  vertex 0 0 1\n  vertex 1 0 1\n  vertex 0 1 1\n"
+    with pytest.raises(StlParseError, match="outside an outer loop") as err:
+        load_mesh(ASCII_ONE_FACET.replace("solid one\n", "solid one\n" + stray))
+    assert err.value.line == 2
+
+
+_OPEN_LOOP = ASCII_ONE_FACET.replace("    endloop\n", "")
+
+
+@pytest.mark.parametrize("text, line", [
+    (_OPEN_LOOP, 8),                                         # at endsolid
+    (_OPEN_LOOP.replace("endsolid one\n", ""), 7),           # at the end
+    (_OPEN_LOOP.replace("endsolid one\n", ASCII_ONE_FACET.split("\n", 1)[1]),
+     8),                                                     # at facet
+    (ASCII_ONE_FACET.replace("    endloop\n", "    outer loop\n"), 7),  # at outer
+], ids=["endsolid", "end_of_file", "facet", "outer"])
+def test_ascii_loop_without_endloop_names_its_line(text, line):
+    with pytest.raises(StlParseError, match="line 3 has no endloop") as err:
+        load_mesh(text)
+    assert err.value.line == line
 
 
 def test_truncated_binary_reports_offset():
@@ -172,9 +194,7 @@ def _random_mesh(n_triangles, seed):
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0, 50, size=(n_triangles, 3))
     offsets = rng.uniform(-1.5, 1.5, size=(n_triangles, 3, 3))
-    pts = (centers[:, None, :] + offsets).reshape(-1, 3)
-    tris = np.arange(len(pts)).reshape(-1, 3)
-    return build_mesh(pts, tris)
+    return build_mesh(centers[:, None, :] + offsets)
 
 
 def test_oracle_equivalence_random_mesh():
@@ -213,10 +233,8 @@ def test_batch_matches_scalar():
         assert cast_one(index, q[k]) == cast_vertical_brute(mesh, q[k])
 
 
-@pytest.mark.parametrize("name", ["wedge", "wedge_hatch", "flat_box", "dome"])
-def test_batch_matches_brute_on_fixture_vertices(name):
-    # every resampled vertex, among them the dome's rays through shared
-    # triangle edges, where two triangles give hits a few ulps apart
+def fixture_rays(name):
+    """A fixture's mesh and the (n, 3) rays through its resampled vertices."""
     profile = PrinterProfile()
     if name == "flat_box":
         mesh, gcode = flat_box_fixture(profile)
@@ -226,10 +244,34 @@ def test_batch_matches_brute_on_fixture_vertices(name):
         mesh, gcode = fixtures.wedge_fixture(
             profile, cross_hatch=(name == "wedge_hatch"))
     program = parse_gcode(gcode)
-    q = np.concatenate([antialias.resample_path(path, profile.w).vertices[:, :3]
-                        for path in program.all_toolpaths()])
+    return mesh, np.concatenate([
+        antialias.resample_path(path, profile.w).vertices[:, :3]
+        for path in program.all_toolpaths()])
+
+
+@pytest.mark.parametrize("name", ["wedge", "wedge_hatch", "flat_box", "dome"])
+def test_batch_matches_brute_on_fixture_vertices(name):
+    # every resampled vertex, among them the dome's rays through shared
+    # triangle edges, where two triangles give hits a few ulps apart
+    mesh, q = fixture_rays(name)
     hit = assert_batch_matches_brute(mesh, build_vertical_index(mesh), q)
     assert hit.any()
+
+
+@pytest.mark.parametrize("name", ["wedge", "dome"])
+def test_cast_does_not_depend_on_the_cell_size(name):
+    # every triangle that holds a ray is among its cell's candidates, and
+    # a tie goes to the lowest id, so the cells cannot change a result
+    mesh, q = fixture_rays(name)
+    grids, casts = set(), []
+    for target in (4.0, 2.0, 1.0, 0.5):
+        index = VerticalRayIndex(mesh, target_per_cell=target)
+        grids.add((index.nx, index.ny))
+        casts.append(cast_vertical_batch(index, q[:, 0], q[:, 1], q[:, 2]))
+    assert len(grids) == 4 and casts[0][2].any()
+    for cast in casts[1:]:
+        for got, ref in zip(cast, casts[0]):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_determinism():
@@ -261,7 +303,7 @@ def cast_per_cell(mesh, index, xs, ys, qzs):
                  0, index.ny - 1)
     cell_id = np.where(inb, ix * index.ny + iy, -1)
     order = np.argsort(cell_id, kind="stable")
-    tri_pts = mesh.vertices[mesh.triangles]
+    tri_pts = mesh.corners
     eps = 1e-12
     start = 0
     while start < n:
@@ -316,7 +358,7 @@ def assert_cast_matches_reference(mesh, index, xs, ys, qzs):
 def test_csr_slices_list_covering_triangles_in_order():
     mesh = _random_mesh(500, seed=4)
     index = build_vertical_index(mesh)
-    tris = mesh.vertices[mesh.triangles]
+    tris = mesh.corners
     ilo = index._cell_of(tris[:, :, :2].min(axis=1))
     ihi = index._cell_of(tris[:, :, :2].max(axis=1))
     assert index.offsets[0] == 0 and index.offsets[-1] == len(index.items)
@@ -362,7 +404,7 @@ def test_flat_cast_matches_per_cell_in_empty_cells():
     # two small triangles in opposite corners leave the cells between empty
     pts = np.array([[0, 0, 1], [1, 0, 1], [0, 1, 1],
                     [49, 49, 2], [50, 49, 2], [50, 50, 2]], dtype=float)
-    mesh = build_mesh(pts, np.arange(6).reshape(2, 3))
+    mesh = build_mesh(pts.reshape(2, 3, 3))
     index = VerticalRayIndex(mesh, target_per_cell=0.01)
     assert (np.diff(index.offsets) == 0).any()
     q = np.random.default_rng(3).uniform(0, 50, size=(2_000, 3))
@@ -384,12 +426,10 @@ def test_flat_cast_matches_per_cell_with_vertical_triangles():
                                                     np.full(len(xs), qz))
         assert hit.all()
     mesh = _random_mesh(400, seed=9)
-    walls = mesh.vertices[mesh.triangles[:40]].copy()
+    walls = mesh.corners[:40].copy()
     walls[:, 2, :2] = walls[:, 0, :2]          # third vertex above the first
     walls[:, 2, 2] += 2.0
-    pts = np.vstack([mesh.vertices[mesh.triangles].reshape(-1, 3),
-                     walls.reshape(-1, 3)])
-    mixed = build_mesh(pts, np.arange(len(pts)).reshape(-1, 3))
+    mixed = build_mesh(np.concatenate([mesh.corners, walls]))
     index = build_vertical_index(mixed)
     # rays through the walls' own vertices and along their edges
     on_walls = np.vstack([walls[:, 0], (walls[:, 0] + walls[:, 1]) / 2])
@@ -410,7 +450,7 @@ def test_flat_cast_matches_per_cell_across_several_blocks():
     tris[:, :, 1] = [0.0, 0.0, 10.0]
     tris[1::2] = tris[1::2, ::-1]              # every other one faces down
     tris[:, :, 2] = z[:, None]
-    mesh = build_mesh(tris.reshape(-1, 3), np.arange(3 * n).reshape(-1, 3))
+    mesh = build_mesh(tris)
     index = VerticalRayIndex(mesh, target_per_cell=float(n))   # one cell
     q = rng.uniform(0, 10, size=(40, 3))
     q[:, 2] = rng.choice([0.0, 1.5, 2.0, 2.5, 4.0], len(q))
@@ -512,11 +552,11 @@ def test_box_pairs_match_all_pairs_gap_filter():
 
 
 # ---------------------------------------------------------------------------
-# Vertex weld against np.unique
+# STL loads: the facets' points, rounded, in facet order
 
-# rounded to 1e-9 mm, the near values weld into 0.0, -0.0 or 1.0
-_WELD_POOL = np.array([0.0, -0.0, 3e-10, -3e-10, 1.0, 1.0 + 4e-10,
-                       1.0 - 4e-10, -2.5, 7.25, 1e-3, -1e-3])
+# rounded to 1e-9 mm, the near values become 0.0, -0.0 or 1.0
+_ROUND_POOL = np.array([0.0, -0.0, 3e-10, -3e-10, 1.0, 1.0 + 4e-10,
+                        1.0 - 4e-10, -2.5, 7.25, 1e-3, -1e-3])
 
 
 def _stl_points(points, fmt):
@@ -537,29 +577,35 @@ def _stl_points(points, fmt):
 
 @pytest.mark.parametrize("fmt", ["stl_binary", "stl_ascii"])
 @pytest.mark.parametrize("seed", range(4))
-def test_weld_matches_np_unique(fmt, seed):
+def test_load_gives_the_facets_rounded_points(fmt, seed):
     rng = np.random.default_rng(seed)
-    points = rng.choice(_WELD_POOL, size=(3 * 150, 3))
+    points = rng.choice(_ROUND_POOL, size=(3 * 150, 3))
     points[:30] = rng.uniform(-5.0, 5.0, size=(30, 3))
     points[30:60] = points[:30]                  # exact duplicate rows
     points[60:90] = points[:30] + rng.uniform(-4e-10, 4e-10, size=(30, 3))
+    # facet 30 is under 1e-9 mm across: degenerate
+    points[90:93] = points[90] + rng.uniform(-4e-10, 4e-10, size=(3, 3))
     data, read = _stl_points(points, fmt)
-    rounded = read.round(9)
-    assert np.signbit(rounded[rounded == 0]).any()    # -0.0 reaches the weld
+    rounded = read.round(9).reshape(-1, 3, 3)
+    assert np.signbit(rounded[rounded == 0]).any()    # -0.0 reaches the rounding
+    a, b, c = rounded.transpose(1, 0, 2)
+    keep = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1) > DEGENERATE_AREA
+    assert not keep[30] and keep.sum() > 100
 
     mesh = load_mesh(data)
-    uniq, inverse = np.unique(rounded, axis=0, return_inverse=True)
-    reference = build_mesh(uniq, inverse.reshape(-1, 3))
-    assert mesh.vertices.shape == reference.vertices.shape
-    assert (mesh.vertices == reference.vertices).all()
-    assert np.array_equal(mesh.triangles, reference.triangles)
-    assert not np.signbit(mesh.vertices[mesh.vertices == 0]).any()
+    assert mesh.degenerate_dropped == (~keep).sum()
+    assert mesh.corners.shape == rounded[keep].shape
+    assert (mesh.corners == rounded[keep]).all()
+    assert not np.signbit(mesh.corners[mesh.corners == 0]).any()
 
 
-def test_weld_keeps_distinct_rows_apart():
-    points = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0 + 2e-9], [1.0, 2.0, 3.0],
-                       [-0.0, 0.0, 1.0], [0.0, -0.0, 1.0], [0.0, 0.0, 1.0]])
-    vertices, triangles = geometry._weld(points)
-    assert vertices.tolist() == [[0.0, 0.0, 1.0], [1.0, 2.0, 3.0],
-                                 [1.0, 2.0, 3.0 + 2e-9]]
-    assert triangles.tolist() == [[1, 2, 1], [0, 0, 0]]
+def test_load_keeps_near_points_apart_and_zeros_positive():
+    # 2e-9 mm apart stays apart, 4e-10 mm rounds away
+    points = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0 + 2e-9], [1.0, 5.0, 3.0 + 4e-10],
+                       [-0.0, 0.0, 1.0], [1.0, -0.0, 1.0], [0.0, 1.0, -3e-10]])
+    mesh = load_mesh(_stl_points(points, "stl_ascii")[0])
+    assert not np.signbit(mesh.corners).any()
+    assert mesh.corners.tolist() == [[[1.0, 2.0, 3.0], [1.0, 2.0, 3.000000002],
+                                      [1.0, 5.0, 3.0]],
+                                     [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0],
+                                      [0.0, 1.0, 0.0]]]

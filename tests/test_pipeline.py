@@ -143,8 +143,8 @@ def sloped_block_mesh(z0=0.65, z1=0.85, lx=10.0, ly=10.0):
                         dtype=float)
     quads = [(0, 3, 2, 1), (4, 5, 6, 7), (0, 1, 5, 4), (1, 2, 6, 5),
              (2, 3, 7, 6), (3, 0, 4, 7)]
-    return build_mesh(vertices, [tri for a, b, c, d in quads
-                                 for tri in ((a, b, c), (a, c, d))])
+    return build_mesh(vertices[[tri for a, b, c, d in quads
+                                for tri in ((a, b, c), (a, c, d))]])
 
 
 # two 8 mm tracks at z = 0.6, 0.05-0.25 mm under the block's top, and one
@@ -536,6 +536,17 @@ def test_cli_geometry_error(tmp_path, capsys):
         "--out", str(tmp_path / "o.gcode"),
     ])
     assert code == cli.EXIT_GEOMETRY
+
+
+def test_cli_ascii_stl_loop_without_endloop_is_a_geometry_error(tmp_path, capsys):
+    gpath, _ = write_fixture_files(tmp_path)
+    bad = tmp_path / "open.stl"
+    bad.write_text("solid s\nfacet normal 0 0 1\nouter loop\nvertex 0 0 0\n"
+                   "vertex 1 0 0\nvertex 0 1 0\nendfacet\nendsolid s\n")
+    code = cli.main(["--gcode", str(gpath), "--mesh", str(bad),
+                     "--out", str(tmp_path / "o.gcode")])
+    assert code == cli.EXIT_GEOMETRY
+    assert "(line 8)" in capsys.readouterr().err
 
 
 def test_cli_evaluation_error(tmp_path, capsys):
